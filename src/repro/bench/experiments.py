@@ -346,20 +346,19 @@ def table_t3_lu(scale: int = SCALE, machine: Optional[MachineModel] = None) -> T
             "modeled_speedup",
         ),
     )
-    variants = {
-        "point": lu_point_ir(),
+    point = lu_point_ir()
+    blocked = {
         "1": lu_sorensen_ir(),
         "2": derived_block_lu(),
         "2+": lu_two_plus(),
     }
     for size in (300, 500):
         n = scaled_size(size, scale)
+        got = {"point": measure(point, {"N": n}, machine)}  # no KS: once per size
         for block in (32, 64):
             ks = scaled_block(block, scale)
-            got = {}
-            for key, proc in variants.items():
-                sizes = {"N": n} if key == "point" else {"N": n, "KS": ks}
-                got[key] = measure(proc, sizes, machine)
+            for key, proc in blocked.items():
+                got[key] = measure(proc, {"N": n, "KS": ks}, machine)
             pp, p1, p2, p2p, ps = PAPER_T3[(size, block)]
             t.add(
                 size=size, block=block,
@@ -388,19 +387,18 @@ def table_t4_lu_pivot(scale: int = SCALE, machine: Optional[MachineModel] = None
             "modeled_point", "modeled_1", "modeled_1p", "modeled_speedup",
         ),
     )
-    variants = {
-        "point": lu_pivot_point_ir(),
+    point = lu_pivot_point_ir()
+    blocked = {
         "1": lu_pivot_block_fig8_ir(),
         "1+": lu_pivot_one_plus(),
     }
     for size in (300, 500):
         n = scaled_size(size, scale)
+        got = {"point": measure(point, {"N": n}, machine)}  # no KS: once per size
         for block in (32, 64):
             ks = scaled_block(block, scale)
-            got = {}
-            for key, proc in variants.items():
-                sizes = {"N": n} if key == "point" else {"N": n, "KS": ks}
-                got[key] = measure(proc, sizes, machine)
+            for key, proc in blocked.items():
+                got[key] = measure(proc, {"N": n, "KS": ks}, machine)
             pp, p1, p1p, ps = PAPER_T4[(size, block)]
             t.add(
                 size=size, block=block,

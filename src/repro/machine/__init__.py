@@ -3,8 +3,9 @@
 The paper's experiments ran on an IBM RS/6000 model 540 and report
 wall-clock seconds; the speedups come from memory-hierarchy behaviour.
 CPython mutes real cache effects (interpreter overhead dominates every
-load), so this package reproduces the *mechanism* instead: the runtime's
-trace hook feeds every array-element access through a set-associative LRU
+load), so this package reproduces the *mechanism* instead: the runtime
+feeds every array-element access (as a stream of byte addresses consumed
+in chunks, or one trace-hook call at a time) through a set-associative LRU
 cache simulator with Fortran column-major addressing, and a simple cycle
 model (``cycles = refs*ref_cost + misses*miss_penalty + flops*flop_cost``)
 turns miss counts into modeled times.  Who wins and by what factor is then
@@ -17,7 +18,8 @@ a property of the trace, which we reproduce exactly.
   default plus scaled variants for affordable simulation sizes) and the
   cost model,
 - :mod:`repro.machine.tracer` — glue: a :class:`repro.runtime.Tracer` that
-  maps (array, index) accesses to addresses and drives the cache.
+  maps (array, index) accesses to addresses and drives the cache, and the
+  chunk consumer for the address stream.
 """
 
 from repro.machine.cache import Cache, CacheConfig, CacheStats

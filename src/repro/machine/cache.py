@@ -1,10 +1,13 @@
 """Set-associative LRU cache simulator.
 
-Deliberately minimal and fast: one ``access(addr, is_write)`` per element
-touch, tags held in per-set Python lists with move-to-front LRU.  Geometry
-is validated up front (:class:`repro.errors.MachineError` on nonsense), and
-the write policy is write-back / write-allocate — the policy of the
-RS/6000's data cache and of essentially every machine the paper targets.
+Deliberately minimal: tags are held per set in an insertion-ordered dict
+(LRU first, MRU last), driven either one element touch at a time
+(``access(addr, is_write)``) or a chunk of the trace at a time
+(``access_many(addrs, writes)``) — the two share the state and may be
+interleaved freely.  Geometry is validated up front
+(:class:`repro.errors.MachineError` on nonsense), and the write policy is
+write-back / write-allocate — the policy of the RS/6000's data cache and
+of essentially every machine the paper targets.
 
 The simulator is exact for the properties the reproduction needs:
 
@@ -12,12 +15,14 @@ The simulator is exact for the properties the reproduction needs:
 - dirty-eviction (write-back) counts, reported but not charged by default;
 - an LRU stack property: a larger cache with identical line size and
   full associativity never misses more on the same trace (tested in
-  ``tests/machine/test_cache_properties.py``).
+  ``tests/properties/test_cache_and_sections.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import MachineError
 
@@ -162,6 +167,63 @@ class Cache:
                 st.writebacks += 1
         ways[line] = is_write
         return False
+
+    def access_many(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
+        """Touch ``addrs`` (byte addresses; ``writes`` the matching write
+        flags) in order; returns the per-access *miss* flags.
+
+        Exactly ``[not self.access(a, w) for a, w in zip(addrs, writes)]``,
+        state and statistics included, for any split of a trace into calls.
+        Sets are independent, so the chunk is stable-sorted by set and each
+        set sees its own accesses in program order.  Within a set, a run of
+        consecutive accesses to one line collapses to a single LRU update:
+        the run's first access alone decides hit or miss (and evicts), every
+        later one finds the line it just left at MRU and hits, and the line
+        ends at MRU with dirty = previous dirty OR any write of the run.
+        Only the surviving runs go through the Python loop.
+        """
+        n = len(addrs)
+        miss = np.zeros(n, dtype=bool)
+        if n == 0:
+            return miss
+        lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
+        writes = np.asarray(writes, dtype=bool)
+        if self._n_sets > 1:
+            order = np.argsort(lines % self._n_sets, kind="stable")
+            lines, dirtying = lines[order], writes[order]
+        else:
+            order, dirtying = None, writes
+        # a new run starts wherever the line changes (a change of set is one)
+        starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+        run_lines = lines[starts].tolist()
+        run_writes = np.logical_or.reduceat(dirtying, starts).tolist()
+
+        sets, n_sets, capacity = self._sets, self._n_sets, self._ways
+        run_missed = []
+        missed = run_missed.append
+        writebacks = 0
+        for line, is_write in zip(run_lines, run_writes):
+            ways = sets[line % n_sets]
+            if line in ways:
+                ways[line] = ways.pop(line) or is_write  # move to MRU (end)
+                missed(False)
+                continue
+            if len(ways) >= capacity:
+                if ways.pop(next(iter(ways))):
+                    writebacks += 1
+            ways[line] = is_write
+            missed(True)
+
+        first = starts if order is None else order[starts]
+        miss[first] = run_missed
+        st = self.stats
+        n_writes = int(np.count_nonzero(writes))
+        st.accesses += n
+        st.writes += n_writes
+        st.reads += n - n_writes
+        st.misses += int(np.count_nonzero(miss))
+        st.writebacks += writebacks
+        return miss
 
     def contains(self, addr: int) -> bool:
         """Non-mutating lookup (no LRU update, no counters)."""

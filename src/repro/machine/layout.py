@@ -91,6 +91,13 @@ class Layout:
             addr += (i - 1) * s
         return addr
 
+    def affine(self, name: str) -> tuple[int, tuple[int, ...]]:
+        """``(offset, strides)`` with ``address(name, index) == offset +
+        sum(i * s for i, s in zip(index, strides))`` for 1-based ``index``
+        (the ``- 1`` of every subscript is folded into ``offset``)."""
+        strides = self._strides[name]
+        return self.base_addr[name] - sum(strides), strides
+
     def footprint_bytes(self, name: str) -> int:
         shape = self.shapes[name]
         total = self.itemsize[name]

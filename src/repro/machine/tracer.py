@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+import numpy as np
+
+from repro.errors import MachineError
 from repro.ir.stmt import Procedure
 from repro.machine.cache import Cache, CacheStats
 from repro.machine.layout import Layout
@@ -19,7 +22,9 @@ class CacheTracer:
     Every (array, 1-based index, is_write) event is mapped through a
     :class:`Layout` to a byte address and driven through both.  Per-array
     access counts are kept for the locality breakdowns some benchmark
-    tables print.
+    tables print.  :meth:`access_many` takes the same trace as chunks of
+    byte addresses instead and counts identically; calls to the two may be
+    interleaved.
 
     Stores are driven through the TLB with their write flag intact, so a
     TLB entry touched by a store is marked dirty and its later eviction
@@ -74,6 +79,23 @@ class CacheTracer:
                 tlb_miss,
             )
 
+    def access_many(self, addrs: np.ndarray, writes: np.ndarray) -> None:
+        """Drive a chunk of the trace, as byte addresses under ``layout``
+        with their write flags, through cache and TLB."""
+        if self.attribution is not None:
+            raise MachineError("miss attribution needs per-access provenance; use access()")
+        miss = self.cache.access_many(addrs, writes)
+        if self.tlb is not None:
+            self.tlb.access_many(addrs, writes)
+        # arrays sit at ascending bases in layout order, so the array an
+        # address belongs to is the last one based at or below it
+        bases = self.layout.base_addr
+        ids = np.searchsorted(list(bases.values()), addrs, side="right") - 1
+        for counts, which in ((self.per_array, ids), (self.per_array_misses, ids[miss])):
+            for name, c in zip(bases, np.bincount(which, minlength=len(bases)).tolist()):
+                if c:
+                    counts[name] = counts.get(name, 0) + c
+
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
@@ -98,14 +120,13 @@ def trace_procedure(
     Returns the tracer; ``tracer.stats`` has the miss counts and
     ``machine.cost.seconds(tracer.stats)`` the modeled time.
 
-    ``engine`` selects the execution engine: ``"codegen"`` (compiled,
-    the fast default) or ``"interpreter"``.  ``attribute=True`` switches
-    to the interpreter (the engine that maintains execution provenance)
-    and fills ``tracer.attribution`` with the per-loop/statement/array
-    miss breakdown.
+    ``engine`` selects the execution engine: ``"codegen"`` (compiled to
+    an address stream that the simulator consumes in chunks; the fast
+    default) or ``"interpreter"`` (one ``tracer.access`` per touch).
+    ``attribute=True`` switches to the interpreter (the engine that
+    maintains execution provenance) and fills ``tracer.attribution`` with
+    the per-loop/statement/array miss breakdown.
     """
-    from repro.errors import MachineError
-
     if attribute:
         engine = "interpreter"
     if engine not in ("codegen", "interpreter"):
@@ -129,10 +150,9 @@ def trace_procedure(
                 provenance=provenance,
             )
         else:
-            from repro.runtime.codegen import compile_procedure
+            from repro.runtime.codegen import compile_stream
 
-            runner = compile_procedure(proc, traced=True)
-            runner(sizes, arrays=arrays, tracer=tracer, seed=seed)
+            compile_stream(proc)(sizes, layout, tracer.access_many, arrays=arrays, seed=seed)
         span_args["accesses"] = tracer.stats.accesses
         span_args["misses"] = tracer.stats.misses
     return tracer

@@ -6,8 +6,9 @@ Two engines with identical semantics:
   (slow, simple, obviously correct) with a per-access trace hook used by the
   cache simulator;
 - :mod:`repro.runtime.codegen` — compiles a :class:`repro.ir.Procedure` to a
-  Python function (optionally traced) for the benchmark harness, typically
-  ~20x faster than the interpreter.
+  Python function for the benchmark harness, typically ~20x faster than the
+  interpreter: plain, traced through ``_ld``/``_st`` callbacks, or emitting
+  the address stream the cache simulator consumes in chunks.
 
 Both use Fortran semantics: 1-based subscripts, column-major layout
 (numpy ``order='F'``), DO-loop trip counts computed once at loop entry.
@@ -17,7 +18,7 @@ the same random inputs and asserts (near-)equality — the property every
 transformation in this package must preserve.
 """
 
-from repro.runtime.codegen import compile_procedure, generate_source
+from repro.runtime.codegen import compile_procedure, compile_stream, generate_source
 from repro.runtime.interpreter import Interpreter, execute, make_env
 from repro.runtime.validate import assert_equivalent, run_on_random
 
@@ -25,6 +26,7 @@ __all__ = [
     "Interpreter",
     "assert_equivalent",
     "compile_procedure",
+    "compile_stream",
     "execute",
     "generate_source",
     "make_env",

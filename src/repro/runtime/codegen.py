@@ -3,12 +3,30 @@
 The generated code is a faithful transliteration of the Fortran semantics —
 1-based subscripts become 0-based numpy indexing, ``DO`` becomes ``range``
 (bounds evaluated once, zero-trip legal), integer division truncates toward
-zero — in two flavours:
+zero — in three flavours that share one statement lowering and differ only
+in how an array load/store is emitted:
 
 - **plain**: direct numpy element indexing, used for wall-clock timing;
 - **traced**: every load/store is routed through ``_ld``/``_st`` callbacks
-  so a cache simulator can observe the exact element-touch sequence the
-  equivalent Fortran program would issue.
+  so a :class:`Tracer` can observe the exact element-touch sequence the
+  equivalent Fortran program would issue;
+- **stream** (:func:`compile_stream`): the same sequence, but each touch
+  appends its byte address to a buffer in-line and the buffer is handed to
+  a consumer in chunks — what the cache simulator runs on.
+
+Stream encoding (private to this module; consumers get decoded arrays).
+One event is one ``int64``: ``2*address + is_write``.  The kernel receives,
+per array, the doubled offset and strides of the layout's affine address map
+(``2*address == _o_A + I*_s_A_0 + J*_s_A_1`` for 1-based ``I, J``), so a
+load is ``(_ap(_o_A + I*_s_A_0 + J*_s_A_1) or A[I - 1, J - 1])``:
+``array('q').append`` returns ``None``, so the event is recorded and then
+the element is the value of the expression, and Python's own left-to-right
+evaluation and ``and``/``or`` short-circuiting order the events exactly as
+they order the ``_ld`` calls of the traced flavour — inside loop bounds and
+guards too.  A store evaluates the loads in its target subscripts, then the
+right-hand side, then records ``address*2 + 1`` and assigns, which is the
+order ``_st(name, (subscripts,), rhs)`` evaluates its arguments in.  The
+source depends on the procedure only, not on sizes or layout.
 
 The interpreter (:mod:`repro.runtime.interpreter`) defines the semantics;
 the test suite cross-checks the two engines statement-for-statement on every
@@ -18,7 +36,9 @@ algorithm in the repository.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Optional
+from array import array
+from itertools import count
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +58,7 @@ from repro.ir.expr import (
     Var,
 )
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure
+from repro.ir.visit import array_refs, find_loops
 from repro.runtime.interpreter import Tracer, idiv, make_env
 
 _PY_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -67,9 +88,101 @@ def _mod(a, b):
     return math.fmod(a, b)
 
 
+CHUNK = 8192
+"""Events a stream kernel buffers before it hands them to the consumer.
+Checked at the end of every non-innermost loop body, so a buffer overshoots
+by at most one innermost loop nest.  A constant, not a knob: every count is
+independent of it (the consumer is exact for any split of the stream), host
+time is flat from 4 Ki to 16 Ki, and beyond that a larger buffer only adds
+resident memory (DESIGN.md §4 has the measurements)."""
+
+
+class _Plain:
+    """Direct numpy element indexing.  ``gen`` lowers a subscript expression."""
+
+    kernel_args: tuple[str, ...] = ()
+    flush: Optional[str] = None  # statement closing a non-innermost loop body
+
+    @staticmethod
+    def element(array: str, subs: Sequence[str]) -> str:
+        return f"{array}[{', '.join(f'{i} - 1' for i in subs)}]"
+
+    def load(self, ref: ArrayRef, gen: Callable[[Expr], str]) -> str:
+        return self.element(ref.array, [gen(i) for i in ref.index])
+
+    def store(self, ref: ArrayRef, gen: Callable[[Expr], str], rhs: Expr) -> list[str]:
+        return [f"{self.load(ref, gen)} = {gen(rhs)}"]
+
+
+class _Callbacks(_Plain):
+    """Every touch is a call: ``_ld(name, index)`` / ``_st(name, index, value)``."""
+
+    kernel_args = ("_ld", "_st")
+
+    def load(self, ref, gen):
+        return f"_ld('{ref.array}', ({', '.join(gen(i) for i in ref.index)},))"
+
+    def store(self, ref, gen, rhs):
+        idx = ", ".join(gen(i) for i in ref.index)
+        return [f"_st('{ref.array}', ({idx},), {gen(rhs)})"]
+
+
+class _Stream(_Plain):
+    """Every touch appends ``2*address + is_write`` to ``_buf`` in-line (the
+    module docstring has the encoding and the ordering argument).
+
+    A subscript is pasted twice, into the event and into the element access.
+    One that itself loads an array is therefore bound to a temporary where
+    it is first evaluated, so that its load is recorded exactly once."""
+
+    flush = f"if len(_buf) > {CHUNK}: _flush()"
+
+    def __init__(self, proc: Procedure):
+        self.kernel_args = ("_ap", "_buf", "_flush") + tuple(
+            arg for a in proc.arrays for arg in self.affine_args(a.name, len(a.dims))
+        )
+        self._temps = count()
+
+    @staticmethod
+    def affine_args(array: str, rank: int) -> list[str]:
+        return [f"_o_{array}"] + [f"_s_{array}_{k}" for k in range(rank)]
+
+    def _event(self, array: str, subs: Sequence[str]) -> str:
+        offset, *strides = self.affine_args(array, len(subs))
+        terms = [f"{i}*{s}" if i.isalnum() else f"({i})*{s}" for i, s in zip(subs, strides)]
+        return " + ".join([offset] + terms)
+
+    def _subscripts(self, ref, gen) -> list[tuple[str, Optional[str]]]:
+        """Per subscript: its source, and the temporary to bind it to if it
+        loads an array."""
+        return [
+            (gen(i), f"_t{next(self._temps)}" if any(array_refs(i)) else None)
+            for i in ref.index
+        ]
+
+    def load(self, ref, gen):
+        subs = self._subscripts(ref, gen)
+        first = [f"{temp} := {src}" if temp else src for src, temp in subs]
+        again = [temp or src for src, temp in subs]
+        return f"(_ap({self._event(ref.array, first)}) or {self.element(ref.array, again)})"
+
+    def store(self, ref, gen, rhs):
+        subs = self._subscripts(ref, gen)
+        bound = [temp or src for src, temp in subs]
+        # loads in the target's subscripts happen before the right-hand side
+        hoisted = [f"{temp} = {src}" for src, temp in subs if temp]
+        return hoisted + [
+            f"_v = {gen(rhs)}",
+            f"_ap({self._event(ref.array, bound)} + 1)",
+            f"{self.element(ref.array, bound)} = _v",
+        ]
+
+
 class _ExprGen:
-    def __init__(self, traced: bool):
-        self.traced = traced
+    """Expression lowering; ``access`` decides how array touches are emitted."""
+
+    def __init__(self, access: _Plain):
+        self.access = access
 
     def gen(self, e: Expr) -> str:
         if isinstance(e, Const):
@@ -77,11 +190,7 @@ class _ExprGen:
         if isinstance(e, Var):
             return e.name
         if isinstance(e, ArrayRef):
-            if self.traced:
-                idx = ", ".join(self.gen(i) for i in e.index)
-                return f"_ld('{e.array}', ({idx},))"
-            idx = ", ".join(f"{self.gen(i)} - 1" for i in e.index)
-            return f"{e.array}[{idx}]"
+            return self.access.load(e, self.gen)
         if isinstance(e, BinOp):
             l, r = self.gen(e.left), self.gen(e.right)
             if e.op == "/":
@@ -120,16 +229,10 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
             continue
         emitted = True
         if isinstance(stmt, Assign):
-            rhs = gen.gen(stmt.value)
             if isinstance(stmt.target, ArrayRef):
-                if gen.traced:
-                    idx = ", ".join(gen.gen(i) for i in stmt.target.index)
-                    lines.append(pad + f"_st('{stmt.target.array}', ({idx},), {rhs})")
-                else:
-                    idx = ", ".join(f"{gen.gen(i)} - 1" for i in stmt.target.index)
-                    lines.append(pad + f"{stmt.target.array}[{idx}] = {rhs}")
+                lines.extend(pad + l for l in gen.access.store(stmt.target, gen.gen, stmt.value))
             else:
-                lines.append(pad + f"{stmt.target.name} = {rhs}")
+                lines.append(pad + f"{stmt.target.name} = {gen.gen(stmt.value)}")
         elif isinstance(stmt, Loop):
             lo, hi, step = gen.gen(stmt.lo), gen.gen(stmt.hi), gen.gen(stmt.step)
             if stmt.step == Const(1):
@@ -140,6 +243,8 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
                 rng = f"range({lo}, {hi} + (1 if ({step}) > 0 else -1), {step})"
             lines.append(pad + f"for {stmt.var} in {rng}:")
             _gen_body(stmt.body, gen, lines, depth + 1)
+            if gen.access.flush and find_loops(stmt.body):
+                lines.append(pad + "    " + gen.access.flush)
         elif isinstance(stmt, If):
             lines.append(pad + f"if {gen.gen(stmt.cond)}:")
             _gen_body(stmt.then, gen, lines, depth + 1)
@@ -154,19 +259,32 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
         lines.append(pad + "pass")
 
 
+def _source(proc: Procedure, access: _Plain) -> str:
+    args = list(proc.params) + [a.name for a in proc.arrays] + list(access.kernel_args)
+    lines = [f"def _kernel({', '.join(args)}):"]
+    _gen_body(proc.body, _ExprGen(access), lines, 1)
+    return "\n".join(lines) + "\n"
+
+
 def generate_source(proc: Procedure, traced: bool = False) -> str:
     """Python source text for ``proc`` as a function ``_kernel(...)``.
 
     Parameters come first, then arrays in declaration order; traced mode
     additionally takes the ``_ld``/``_st`` callbacks.
     """
-    args = list(proc.params) + [a.name for a in proc.arrays]
-    if traced:
-        args += ["_ld", "_st"]
-    gen = _ExprGen(traced)
-    lines = [f"def _kernel({', '.join(args)}):"]
-    _gen_body(proc.body, gen, lines, 1)
-    return "\n".join(lines) + "\n"
+    return _source(proc, _Callbacks() if traced else _Plain())
+
+
+def _compile(proc: Procedure, src: str) -> Callable:
+    namespace: dict = {
+        "_idiv": idiv,
+        "_div": _div,
+        "_mod": _mod,
+        "_sqrt": math.sqrt,
+        "np": np,
+    }
+    exec(compile(src, f"<repro:{proc.name}>", "exec"), namespace)
+    return namespace["_kernel"]
 
 
 def compile_procedure(proc: Procedure, traced: bool = False) -> Callable:
@@ -177,16 +295,7 @@ def compile_procedure(proc: Procedure, traced: bool = False) -> Callable:
     dict, mirroring :func:`repro.runtime.interpreter.execute` exactly.
     """
     src = generate_source(proc, traced=traced)
-    namespace: dict = {
-        "_idiv": idiv,
-        "_div": _div,
-        "_mod": _mod,
-        "_sqrt": math.sqrt,
-        "np": np,
-    }
-    code = compile(src, f"<repro:{proc.name}>", "exec")
-    exec(code, namespace)
-    kernel = namespace["_kernel"]
+    kernel = _compile(proc, src)
 
     def run(
         sizes: Mapping[str, int],
@@ -221,6 +330,51 @@ def compile_procedure(proc: Procedure, traced: bool = False) -> Callable:
         elif tracer is not None:
             raise ValueError("tracer requires traced=True compilation")
         kernel(*call)
+        return env
+
+    run.source = src  # type: ignore[attr-defined]
+    return run
+
+
+def compile_stream(proc: Procedure) -> Callable:
+    """Compile ``proc`` in the stream flavour; returns
+    ``run(sizes, layout, consume, arrays=None, seed=0)``.
+
+    ``layout`` gives each array's affine address map (``layout.affine(name)``,
+    see :class:`repro.machine.layout.Layout`).  ``consume(addresses,
+    is_write)`` is called with two equal-length numpy arrays (``int64``,
+    ``bool``) per chunk of at most about ``CHUNK`` touches; the chunks, in
+    order, are the program's element-touch sequence.  Environment handling
+    and the return value are those of :func:`compile_procedure`.
+    """
+    src = _source(proc, _Stream(proc))
+    kernel = _compile(proc, src)
+
+    def run(
+        sizes: Mapping[str, int],
+        layout,
+        consume: Callable[[np.ndarray, np.ndarray], None],
+        arrays: Optional[Mapping[str, np.ndarray]] = None,
+        seed: int = 0,
+    ) -> dict:
+        env = make_env(proc, sizes, arrays, seed=seed)
+        buf = array("q")
+
+        def flush() -> None:
+            events = np.frombuffer(buf, dtype=np.int64)
+            addresses, is_write = events >> 1, (events & 1).astype(bool)
+            del events  # releases the buffer export so that buf can shrink
+            del buf[:]
+            consume(addresses, is_write)
+
+        call = [env[p] for p in proc.params] + [env[a.name] for a in proc.arrays]
+        call += [buf.append, buf, flush]
+        for a in proc.arrays:
+            offset, strides = layout.affine(a.name)
+            call += [2 * offset] + [2 * s for s in strides]
+        kernel(*call)
+        if buf:
+            flush()
         return env
 
     run.source = src  # type: ignore[attr-defined]

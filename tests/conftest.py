@@ -40,5 +40,21 @@ def vecadd_proc() -> Procedure:
     )
 
 
+class RecordingTracer:
+    """A :class:`repro.runtime.Tracer` that keeps the event sequence."""
+
+    def __init__(self):
+        self.events: list[tuple[str, tuple[int, ...], bool]] = []
+
+    def access(self, array, index, is_write):
+        self.events.append((array, tuple(index), is_write))
+
+
+@pytest.fixture
+def recording_tracer() -> type[RecordingTracer]:
+    """The class, so that a test can record several runs."""
+    return RecordingTracer
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -1,0 +1,80 @@
+"""`trace_procedure` counts the same on its two engines — the address
+stream through `access_many`, and the interpreter through `access` — and
+`CacheTracer` counts the same whichever of the two entry points it is fed."""
+
+import numpy as np
+import pytest
+
+from repro.errors import MachineError
+from repro.machine import Cache, CacheTracer, Layout, scaled_machine, trace_procedure
+from repro.obs.attribution import MissAttribution, Provenance
+from repro.pipeline import available_workloads, derive, get_workload
+from repro.runtime.codegen import compile_procedure
+
+WORKLOADS = [w.name for w in available_workloads()]
+
+
+def assert_same_counts(a: CacheTracer, b: CacheTracer) -> None:
+    assert a.stats == b.stats
+    assert a.tlb_stats == b.tlb_stats
+    assert a.per_array == b.per_array
+    assert a.per_array_misses == b.per_array_misses
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_codegen_engine_equals_interpreter_engine(name, tiny_machine):
+    w = get_workload(name)
+    for machine in (tiny_machine, scaled_machine(16)):  # without and with a TLB
+        for proc in (w.build(), derive(name).procedure):
+            sizes = {p: w.sizes_for()[p] for p in proc.params}
+            fast = trace_procedure(proc, sizes, machine, seed=5, engine="codegen")
+            slow = trace_procedure(proc, sizes, machine, seed=5, engine="interpreter")
+            assert fast.stats.misses > 0, proc.name
+            assert_same_counts(fast, slow)
+
+
+def test_many_chunks_count_like_the_interpreter():
+    """Large enough to be consumed in several chunks."""
+    proc, sizes, machine = get_workload("lu_nopivot").build(), {"N": 36}, scaled_machine(8)
+    fast = trace_procedure(proc, sizes, machine, engine="codegen")
+    assert fast.stats.accesses > 40_000
+    assert_same_counts(fast, trace_procedure(proc, sizes, machine, engine="interpreter"))
+
+
+class TestTracerEntryPoints:
+    @pytest.fixture
+    def recorded(self, recording_tracer):
+        """(layout, events) of a kernel over several arrays, so that the
+        per-array split is exercised."""
+        proc = get_workload("conv").build()
+        sizes = get_workload("conv").sizes_for()
+        recorder = recording_tracer()
+        compile_procedure(proc, traced=True)(sizes, tracer=recorder)
+        return Layout.for_procedure(proc, sizes, line_bytes=32), recorder.events
+
+    def _tracer(self, layout, **kw):
+        m = scaled_machine(16)
+        return CacheTracer(layout, Cache(m.cache), Cache(m.tlb), **kw)
+
+    def test_access_many_equals_access_and_interleaves(self, recorded):
+        layout, events = recorded
+        assert len({a for a, _, _ in events}) > 1
+        one, many, mixed = (self._tracer(layout) for _ in range(3))
+        for a, i, w in events:
+            one.access(a, i, w)
+        addrs = np.array([layout.address(a, i) for a, i, _ in events], dtype=np.int64)
+        writes = np.array([w for *_, w in events], dtype=bool)
+        many.access_many(addrs, writes)
+        assert_same_counts(many, one)
+        cut = len(events) // 3
+        mixed.access_many(addrs[:cut], writes[:cut])
+        for a, i, w in events[cut : 2 * cut]:
+            mixed.access(a, i, w)
+        mixed.access_many(addrs[2 * cut :], writes[2 * cut :])
+        assert_same_counts(mixed, one)
+
+    def test_attribution_is_refused_on_the_batch_path(self, recorded):
+        layout, _ = recorded
+        t = self._tracer(layout, provenance=Provenance("p"), attribution=MissAttribution())
+        with pytest.raises(MachineError):
+            t.access_many(np.array([0]), np.array([False]))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.ir.expr import Const
@@ -69,6 +70,61 @@ class TestCacheProperties:
             c1.access(a)
             c2.access(a)
         assert c1.stats.misses == c2.stats.misses
+
+
+# direct-mapped, 2-way, 4-way, fully associative, and a single line
+geometries = st.sampled_from(
+    [(256, 32, 1), (256, 32, 2), (512, 32, 4), (256, 32, 0), (32, 32, 1), (64, 64, 0)]
+)
+rw_traces = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2047), st.booleans()),
+    min_size=1,
+    max_size=300,
+)
+# how a trace is cut up: (chunk length, drive this chunk through access_many?)
+splits = st.lists(st.tuples(st.integers(min_value=1, max_value=40), st.booleans()), max_size=20)
+
+
+def drive(cache, trace, split):
+    """Feed ``trace`` to ``cache`` cut as ``split`` says (the remainder as
+    one batch); returns the per-access hit flags."""
+    hits, pos = [], 0
+    for length, batch in list(split) + [(len(trace), True)]:
+        chunk = trace[pos : pos + length]
+        pos += length
+        if batch:
+            addrs = np.array([a for a, _ in chunk], dtype=np.int64)
+            writes = np.array([w for _, w in chunk], dtype=bool)
+            hits += [not m for m in cache.access_many(addrs, writes)]
+        else:
+            hits += [cache.access(a, w) for a, w in chunk]
+    return hits
+
+
+class TestBatchEqualsPerAccess:
+    @settings(max_examples=200, deadline=None)
+    @given(geometry=geometries, trace=rw_traces, split=splits)
+    def test_any_split_and_interleaving(self, geometry, trace, split):
+        """However a trace is chunked, and whichever of ``access`` and
+        ``access_many`` takes each chunk, every hit flag, every counter and
+        every set's contents, LRU order and dirty bits come out the same."""
+        reference = Cache(CacheConfig(*geometry))
+        mixed = Cache(CacheConfig(*geometry))
+        assert drive(mixed, trace, split) == [reference.access(a, w) for a, w in trace]
+        assert mixed.stats == reference.stats
+        assert [list(s.items()) for s in mixed._sets] == [
+            list(s.items()) for s in reference._sets
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=addresses, split=splits)
+    def test_lru_inclusion_through_access_many(self, trace, split):
+        small = Cache(CacheConfig(256, 32, 0))
+        big = Cache(CacheConfig(1024, 32, 0))
+        rw = [(a, False) for a in trace]
+        small_hits, big_hits = drive(small, rw, split), drive(big, rw, split)
+        assert all(b or not s for s, b in zip(small_hits, big_hits))  # stack inclusion
+        assert big.stats.misses <= small.stats.misses
 
 
 bounds = st.integers(min_value=0, max_value=30)

@@ -10,7 +10,10 @@ Fortran-77 semantics the two engines must agree on *exactly*:
   variable inside the body do not change the trip count.
 
 Each case runs plain (array results compared) and, where access order
-matters, traced (tracer event sequences compared element-wise).
+matters, traced (tracer event sequences compared element-wise).  A traced
+case also runs the address-stream flavour, whose stream must be the
+callback flavour's event sequence mapped through the layout, and the
+cache simulation of both engines, which must count the same.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ir.build import assign, do, ref
-from repro.ir.expr import BinOp, Const, IntDiv, Var
+from repro.ir.build import assign, do, if_, ref
+from repro.ir.expr import BinOp, Compare, Const, IntDiv, LogicalOp, Var
 from repro.ir.stmt import ArrayDecl, Procedure
-from repro.runtime.codegen import compile_procedure
+from repro.machine import Layout, trace_procedure
+from repro.runtime.codegen import compile_procedure, compile_stream
 from repro.runtime.interpreter import execute, idiv
 
 
@@ -33,18 +37,43 @@ class RecordingTracer:
         self.events.append((array, tuple(index), is_write))
 
 
-def run_both(proc, sizes, tracer_pair=None, seed=0):
+def stream_events(proc, sizes, layout, arrays=None, seed=0):
+    """Run the stream flavour; return (env, [(address, is_write), ...])."""
+    events = []
+    env = compile_stream(proc)(
+        sizes, layout, lambda a, w: events.extend(zip(a.tolist(), w.tolist())),
+        arrays=arrays, seed=seed,
+    )
+    return env, events
+
+
+def run_both(proc, sizes, tracer_pair=None, seed=0, arrays=None):
     """Execute on both engines; return (interp_env, codegen_env)."""
     if tracer_pair is None:
-        ei = execute(proc, sizes, seed=seed)
-        ec = compile_procedure(proc)(sizes, seed=seed)
+        ei = execute(proc, sizes, arrays=arrays, seed=seed)
+        ec = compile_procedure(proc)(sizes, arrays=arrays, seed=seed)
     else:
         ti, tc = tracer_pair
-        ei = execute(proc, sizes, tracer=ti, seed=seed)
-        ec = compile_procedure(proc, traced=True)(sizes, tracer=tc, seed=seed)
+        ei = execute(proc, sizes, arrays=arrays, tracer=ti, seed=seed)
+        ec = compile_procedure(proc, traced=True)(sizes, arrays=arrays, tracer=tc, seed=seed)
+        layout = Layout.for_procedure(proc, sizes, line_bytes=32)
+        es, stream = stream_events(proc, sizes, layout, arrays=arrays, seed=seed)
+        assert stream == [(layout.address(a, idx), w) for a, idx, w in tc.events]
+        for a in proc.arrays:
+            assert es[a.name].tobytes() == ec[a.name].tobytes(), a.name
     for a in proc.arrays:
         assert np.array_equal(ei[a.name], ec[a.name]), a.name
     return ei, ec
+
+
+def assert_engines_count_alike(proc, sizes, machine, arrays=None):
+    """``trace_procedure`` on the stream path and on the interpreter."""
+    tc = trace_procedure(proc, sizes, machine, arrays=arrays, engine="codegen")
+    ti = trace_procedure(proc, sizes, machine, arrays=arrays, engine="interpreter")
+    assert tc.stats == ti.stats
+    assert tc.tlb_stats == ti.tlb_stats
+    assert tc.per_array == ti.per_array
+    assert tc.per_array_misses == ti.per_array_misses
 
 
 class TestIntDivTruncation:
@@ -212,3 +241,121 @@ class TestTracedAgreement:
         run = compile_procedure(p)
         with pytest.raises(ValueError):
             run({"N": 3}, tracer=RecordingTracer())
+
+
+class TestStreamOrdering:
+    """Where the event order hangs on Python's evaluation order: a guard
+    that short-circuits past a load, a load in a loop bound, a subscript
+    that is itself a load."""
+
+    def test_short_circuit_guard_skips_the_second_load(self, tiny_machine):
+        # IF (I .GT. 2 .AND. B(I) .NE. 0) A(I) = A(I) + B(I)
+        p = Procedure(
+            "guard",
+            ("N",),
+            (ArrayDecl("A", (Var("N"),)), ArrayDecl("B", (Var("N"),))),
+            (
+                do(
+                    "I",
+                    1,
+                    "N",
+                    if_(
+                        LogicalOp(
+                            "and",
+                            (
+                                Compare("gt", Var("I"), Const(2)),
+                                Compare("ne", ref("B", "I"), Const(0.0)),
+                            ),
+                        ),
+                        assign(ref("A", "I"), ref("A", "I") + ref("B", "I")),
+                    ),
+                ),
+            ),
+        )
+        arrays = {"A": np.ones(5), "B": np.array([1.0, 1.0, 1.0, 0.0, 2.0])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        run_both(p, {"N": 5}, tracer_pair=(ti, tc), arrays=arrays)
+        assert ti.events == tc.events
+        # I=1,2: no touch at all; I=3: guard load, then A, B, store; I=4: guard only
+        assert tc.events[:5] == [
+            ("B", (3,), False),
+            ("A", (3,), False),
+            ("B", (3,), False),
+            ("A", (3,), True),
+            ("B", (4,), False),
+        ]
+        assert_engines_count_alike(p, {"N": 5}, tiny_machine, arrays=arrays)
+
+    def test_load_in_loop_bound_happens_once_at_entry(self, tiny_machine):
+        # DO K = KLB(J), J: the bound is loaded once per J, before the body
+        p = Procedure(
+            "bound",
+            ("N",),
+            (ArrayDecl("A", (Var("N"),)), ArrayDecl("KLB", (Var("N"),), dtype="i8")),
+            (
+                do(
+                    "J",
+                    1,
+                    "N",
+                    do("K", ref("KLB", "J"), "J", assign(ref("A", "K"), ref("A", "K") + 1.0)),
+                ),
+            ),
+        )
+        arrays = {"A": np.zeros(4), "KLB": np.array([1, 1, 2, 5])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        ei, _ = run_both(p, {"N": 4}, tracer_pair=(ti, tc), arrays=arrays)
+        assert ti.events == tc.events
+        assert [e for e in tc.events if e[0] == "KLB"] == [
+            ("KLB", (j,), False) for j in (1, 2, 3, 4)
+        ]
+        assert ei["A"].tolist() == [2.0, 2.0, 1.0, 0.0]  # J=4: zero-trip
+        assert_engines_count_alike(p, {"N": 4}, tiny_machine, arrays=arrays)
+
+    def test_indirect_subscript_on_the_load_side(self, tiny_machine):
+        # B(I) = A(IP(I), IP(I)): each subscript load is recorded once
+        p = Procedure(
+            "gather",
+            ("N",),
+            (
+                ArrayDecl("A", (Var("N"), Var("N"))),
+                ArrayDecl("B", (Var("N"),)),
+                ArrayDecl("IP", (Var("N"),), dtype="i8"),
+            ),
+            (do("I", 1, "N", assign(ref("B", "I"), ref("A", ref("IP", "I"), ref("IP", "I")))),),
+        )
+        arrays = {"A": np.arange(16.0).reshape(4, 4), "B": np.zeros(4),
+                  "IP": np.array([3, 1, 4, 2])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        ei, _ = run_both(p, {"N": 4}, tracer_pair=(ti, tc), arrays=arrays)
+        assert ti.events == tc.events
+        assert tc.events[:4] == [
+            ("IP", (1,), False),
+            ("IP", (1,), False),
+            ("A", (3, 3), False),
+            ("B", (1,), True),
+        ]
+        assert ei["B"].tolist() == [10.0, 0.0, 15.0, 5.0]
+        assert_engines_count_alike(p, {"N": 4}, tiny_machine, arrays=arrays)
+
+    def test_indirect_subscript_on_the_store_side(self, tiny_machine):
+        # A(IP(I)) = B(I) * 2: compiled code loads the target subscript
+        # before the right-hand side (the interpreter loads it after, so
+        # only the two compiled flavours are compared event for event)
+        p = Procedure(
+            "scatter",
+            ("N",),
+            (
+                ArrayDecl("A", (Var("N"),)),
+                ArrayDecl("B", (Var("N"),)),
+                ArrayDecl("IP", (Var("N"),), dtype="i8"),
+            ),
+            (do("I", 1, "N", assign(ref("A", ref("IP", "I")), ref("B", "I") * 2.0)),),
+        )
+        arrays = {"A": np.zeros(4), "B": np.array([1.0, 2.0, 3.0, 4.0]),
+                  "IP": np.array([3, 1, 4, 2])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        ei, _ = run_both(p, {"N": 4}, tracer_pair=(ti, tc), arrays=arrays)
+        assert tc.events[:3] == [("IP", (1,), False), ("B", (1,), False), ("A", (3,), True)]
+        assert sorted(ti.events) == sorted(tc.events)
+        assert ei["A"].tolist() == [4.0, 8.0, 2.0, 6.0]
+        assert_engines_count_alike(p, {"N": 4}, tiny_machine, arrays=arrays)
