@@ -66,8 +66,7 @@ _r.register(
     _r.PAR_REPORT,
     validate="repro.par.report:validate_report",
     flatten="repro.par.report:flatten_report",
-    description="loop-parallelism report (verdicts, sanitizer conflicts, "
-    "sharded-run speedup)",
+    description="loop-parallelism report (verdicts, sanitizer conflicts)",
 )
 _r.register(
     _r.DAEMON_STATUS,

@@ -3,7 +3,7 @@
 ``repro.serve`` runs one batch and exits; this package keeps the warm
 content-addressed store, the fault-isolating worker pool, and an
 in-memory hot cache alive in a single process and answers the same job
-kinds (derive/check/execute/bench/table/probe/par_shard) over a local
+kinds (derive/check/execute/bench/table/cell/probe) over a local
 HTTP JSON API:
 
 - :mod:`~repro.daemon.server` — the :class:`Daemon`: a threading HTTP

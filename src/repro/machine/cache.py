@@ -168,12 +168,16 @@ class Cache:
         ways[line] = is_write
         return False
 
-    def access_many(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
+    def access_many(
+        self, addrs: np.ndarray, writes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Touch ``addrs`` (byte addresses; ``writes`` the matching write
-        flags) in order; returns the per-access *miss* flags.
+        flags) in order; returns two flags per access: whether it *missed*,
+        and whether it evicted a dirty line (triggered a write-back).
 
-        Exactly ``[not self.access(a, w) for a, w in zip(addrs, writes)]``,
-        state and statistics included, for any split of a trace into calls.
+        The miss flags are exactly ``[not self.access(a, w) for a, w in
+        zip(addrs, writes)]``, state and statistics included, for any split
+        of a trace into calls.
         Sets are independent, so the chunk is stable-sorted by set and each
         set sees its own accesses in program order.  Within a set, a run of
         consecutive accesses to one line collapses to a single LRU update:
@@ -183,9 +187,9 @@ class Cache:
         Only the surviving runs go through the Python loop.
         """
         n = len(addrs)
-        miss = np.zeros(n, dtype=bool)
+        miss, wrote_back = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         if n == 0:
-            return miss
+            return miss, wrote_back
         lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
         writes = np.asarray(writes, dtype=bool)
         if self._n_sets > 1:
@@ -199,31 +203,32 @@ class Cache:
         run_writes = np.logical_or.reduceat(dirtying, starts).tolist()
 
         sets, n_sets, capacity = self._sets, self._n_sets, self._ways
-        run_missed = []
-        missed = run_missed.append
-        writebacks = 0
+        outcomes = []  # per run: 0 hit, 1 miss, 2 miss that evicted a dirty line
+        outcome = outcomes.append
         for line, is_write in zip(run_lines, run_writes):
             ways = sets[line % n_sets]
             if line in ways:
                 ways[line] = ways.pop(line) or is_write  # move to MRU (end)
-                missed(False)
+                outcome(0)
                 continue
-            if len(ways) >= capacity:
-                if ways.pop(next(iter(ways))):
-                    writebacks += 1
+            if len(ways) >= capacity and ways.pop(next(iter(ways))):
+                outcome(2)
+            else:
+                outcome(1)
             ways[line] = is_write
-            missed(True)
 
         first = starts if order is None else order[starts]
-        miss[first] = run_missed
+        outcomes = np.array(outcomes, dtype=np.uint8)
+        miss[first] = outcomes > 0
+        wrote_back[first] = outcomes == 2
         st = self.stats
         n_writes = int(np.count_nonzero(writes))
         st.accesses += n
         st.writes += n_writes
         st.reads += n - n_writes
         st.misses += int(np.count_nonzero(miss))
-        st.writebacks += writebacks
-        return miss
+        st.writebacks += int(np.count_nonzero(wrote_back))
+        return miss, wrote_back
 
     def contains(self, addr: int) -> bool:
         """Non-mutating lookup (no LRU update, no counters)."""

@@ -6,13 +6,13 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.errors import MachineError
 from repro.ir.stmt import Procedure
 from repro.machine.cache import Cache, CacheStats
 from repro.machine.layout import Layout
 from repro.machine.model import MachineModel
 from repro.obs import core as obs
-from repro.obs.attribution import MissAttribution, Provenance
+from repro.obs.attribution import MissAttribution, stmt_label
+from repro.runtime.codegen import compile_stream
 
 
 class CacheTracer:
@@ -33,10 +33,10 @@ class CacheTracer:
     dirty translation.  The default cost model charges TLB *misses* only;
     the write-back count is reported for analyses that want it.
 
-    When ``provenance`` and ``attribution`` are supplied (see
-    :mod:`repro.obs.attribution`), every access is additionally charged to
-    the (loop nest, statement, array) site the interpreter is currently
-    executing — the per-loop miss breakdown that explains the tables.
+    When an ``attribution`` is supplied (see :mod:`repro.obs.attribution`),
+    every access that arrives through :meth:`access_many` is additionally
+    charged to its site — the per-loop miss breakdown that explains the
+    tables.
     """
 
     def __init__(
@@ -44,49 +44,35 @@ class CacheTracer:
         layout: Layout,
         cache: Cache,
         tlb: Optional[Cache] = None,
-        provenance: Optional[Provenance] = None,
         attribution: Optional[MissAttribution] = None,
     ):
         self.layout = layout
         self.cache = cache
         self.tlb = tlb
-        self.provenance = provenance
         self.attribution = attribution
         self.per_array: dict[str, int] = {}
         self.per_array_misses: dict[str, int] = {}
 
     def access(self, array: str, index: tuple[int, ...], is_write: bool) -> None:
         addr = self.layout.address(array, index)
-        attribution = self.attribution
-        if attribution is not None:
-            wb_before = self.cache.stats.writebacks
         hit = self.cache.access(addr, is_write)
-        tlb_miss = False
         if self.tlb is not None:
-            tlb_miss = not self.tlb.access(addr, is_write)
+            self.tlb.access(addr, is_write)
         self.per_array[array] = self.per_array.get(array, 0) + 1
         if not hit:
             self.per_array_misses[array] = self.per_array_misses.get(array, 0) + 1
-        if attribution is not None:
-            prov = self.provenance
-            attribution.record(
-                prov.path,
-                prov.stmt,
-                array,
-                is_write,
-                not hit,
-                self.cache.stats.writebacks - wb_before,
-                tlb_miss,
-            )
 
-    def access_many(self, addrs: np.ndarray, writes: np.ndarray) -> None:
+    def access_many(
+        self, addrs: np.ndarray, writes: np.ndarray, sites: Optional[np.ndarray] = None
+    ) -> None:
         """Drive a chunk of the trace, as byte addresses under ``layout``
-        with their write flags, through cache and TLB."""
-        if self.attribution is not None:
-            raise MachineError("miss attribution needs per-access provenance; use access()")
-        miss = self.cache.access_many(addrs, writes)
+        with their write flags, through cache and TLB.  ``sites`` (the
+        stream's site number per access) is read when there is an
+        attribution to fill."""
+        miss, wrote_back = self.cache.access_many(addrs, writes)
+        tlb_miss = np.zeros(len(addrs), dtype=bool)
         if self.tlb is not None:
-            self.tlb.access_many(addrs, writes)
+            tlb_miss, _ = self.tlb.access_many(addrs, writes)
         # arrays sit at ascending bases in layout order, so the array an
         # address belongs to is the last one based at or below it
         bases = self.layout.base_addr
@@ -95,6 +81,8 @@ class CacheTracer:
             for name, c in zip(bases, np.bincount(which, minlength=len(bases)).tolist()):
                 if c:
                     counts[name] = counts.get(name, 0) + c
+        if self.attribution is not None:
+            self.attribution.count(sites, miss, wrote_back, tlb_miss, writes)
 
     @property
     def stats(self) -> CacheStats:
@@ -112,47 +100,29 @@ def trace_procedure(
     arrays: Optional[Mapping] = None,
     seed: int = 0,
     dtype_override: str | None = None,
-    engine: str = "codegen",
     attribute: bool = False,
 ) -> CacheTracer:
-    """Run ``proc`` (compiled, traced) against ``machine``'s cache.
+    """Run ``proc`` (compiled to an address stream that the simulator
+    consumes in chunks) against ``machine``'s cache.
 
     Returns the tracer; ``tracer.stats`` has the miss counts and
     ``machine.cost.seconds(tracer.stats)`` the modeled time.
-
-    ``engine`` selects the execution engine: ``"codegen"`` (compiled to
-    an address stream that the simulator consumes in chunks; the fast
-    default) or ``"interpreter"`` (one ``tracer.access`` per touch).
-    ``attribute=True`` switches to the interpreter (the engine that
-    maintains execution provenance) and fills ``tracer.attribution`` with
-    the per-loop/statement/array miss breakdown.
+    ``attribute=True`` fills ``tracer.attribution`` with the
+    per-loop/statement/array miss breakdown.
     """
-    if attribute:
-        engine = "interpreter"
-    if engine not in ("codegen", "interpreter"):
-        raise MachineError(f"unknown trace engine {engine!r}")
-
     layout = Layout.for_procedure(
         proc, sizes, line_bytes=machine.cache.line_bytes, dtype_override=dtype_override
     )
+    run = compile_stream(proc)
+    attribution = None
+    if attribute:
+        attribution = MissAttribution(
+            [(path, stmt_label(stmt), array) for path, stmt, array in run.sites]
+        )
     tlb = Cache(machine.tlb) if machine.tlb is not None else None
-    provenance = Provenance(proc.name) if attribute else None
-    attribution = MissAttribution() if attribute else None
-    tracer = CacheTracer(
-        layout, Cache(machine.cache), tlb, provenance=provenance, attribution=attribution
-    )
-    with obs.span(f"trace:{proc.name}", cat="machine", engine=engine) as span_args:
-        if engine == "interpreter":
-            from repro.runtime.interpreter import execute
-
-            execute(
-                proc, sizes, arrays=arrays, tracer=tracer, seed=seed,
-                provenance=provenance,
-            )
-        else:
-            from repro.runtime.codegen import compile_stream
-
-            compile_stream(proc)(sizes, layout, tracer.access_many, arrays=arrays, seed=seed)
+    tracer = CacheTracer(layout, Cache(machine.cache), tlb, attribution=attribution)
+    with obs.span(f"trace:{proc.name}", cat="machine") as span_args:
+        run(sizes, layout, tracer.access_many, arrays=arrays, seed=seed)
         span_args["accesses"] = tracer.stats.accesses
         span_args["misses"] = tracer.stats.misses
     return tracer

@@ -6,9 +6,9 @@ Zero-dependency observability for the whole reproduction stack:
   behind a context-var "active observer"; near-zero cost when disabled.
   The analysis engines (dependence, Fourier–Motzkin), the pass manager,
   the interpreter, and the cache-simulator glue all report into it.
-- :mod:`repro.obs.attribution` — the (procedure, loop nest, statement)
-  provenance the interpreter maintains, and the per-loop / per-statement /
-  per-array miss and dirty-eviction breakdowns built from it.
+- :mod:`repro.obs.attribution` — the per-loop / per-statement / per-array
+  miss and dirty-eviction breakdowns, counted per static site of the
+  address stream the cache simulator consumes.
 - :mod:`repro.obs.snapshot` — the portable (JSON) form of an observer:
   serve workers observe their own jobs and ship snapshots back through
   the result queues; the parent merges them (counters summed, histograms
@@ -41,7 +41,7 @@ from repro.obs.core import (
     observe,
     span,
 )
-from repro.obs.attribution import MissAttribution, Provenance, stmt_label
+from repro.obs.attribution import MissAttribution, stmt_label
 from repro.obs.export import (
     SCHEMA,
     chrome_trace,
@@ -57,7 +57,6 @@ __all__ = [
     "Histogram",
     "MissAttribution",
     "Obs",
-    "Provenance",
     "SCHEMA",
     "SpanEvent",
     "chrome_trace",

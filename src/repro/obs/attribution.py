@@ -1,15 +1,16 @@
 """Loop-level miss attribution: *which* loop/statement/array misses.
 
 The speedup tables report whole-run miss counts; explaining them needs the
-breakdown this module provides.  The interpreter maintains a
-:class:`Provenance` — the (procedure, loop-nest path, statement) the
-execution is currently inside — and :class:`repro.machine.tracer.CacheTracer`
-reads it at every simulated access, accumulating per-site counters in a
-:class:`MissAttribution`.  Sites are keyed ``(loop path, statement label,
-array)``, the finest grain, and the coarser views (per loop nest, per
-statement, per array) are aggregations of it — so every view's totals sum
-exactly to the run's :class:`~repro.machine.cache.CacheStats`, an
-invariant the exporter's validator and the test suite both assert.
+breakdown this module provides.  The address stream the simulator consumes
+carries, per access, the static *site* that issued it
+(:func:`repro.runtime.codegen.compile_stream`), and
+:class:`repro.machine.tracer.CacheTracer` hands every simulated chunk, with
+its miss / write-back / TLB-miss flags, to a :class:`MissAttribution`.
+Sites are keyed ``(loop path, statement label, array)``, the finest grain,
+and the coarser views (per loop nest, per statement, per array) are
+aggregations of it — so every view's totals sum exactly to the run's
+:class:`~repro.machine.cache.CacheStats`, an invariant the exporter's
+validator and the test suite both assert.
 
 Dirty evictions (write-backs) are charged to the access that *triggered*
 the eviction, not the statement that originally dirtied the line — the
@@ -18,6 +19,10 @@ that explains the tables.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
 
 from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Assign, If, Loop, Stmt
@@ -39,38 +44,6 @@ def stmt_label(stmt: Stmt) -> str:
     return type(stmt).__name__
 
 
-class Provenance:
-    """Where execution currently is: procedure, loop-nest path, statement.
-
-    The interpreter pushes/pops loop variables once per executed ``Loop``
-    statement (not per iteration) and points ``stmt`` at the statement
-    about to run; labels are computed once per IR node and memoized by
-    object identity (IR nodes are pinned alive by the procedure tree for
-    the whole run, so ids are stable).
-    """
-
-    __slots__ = ("procedure", "path", "stmt", "_labels")
-
-    def __init__(self, procedure: str = "") -> None:
-        self.procedure = procedure
-        self.path: tuple[str, ...] = ()
-        self.stmt: str = ""
-        self._labels: dict[int, str] = {}
-
-    def push_loop(self, var: str) -> None:
-        self.path = self.path + (var,)
-
-    def pop_loop(self) -> None:
-        self.path = self.path[:-1]
-
-    def set_stmt(self, stmt: Stmt) -> None:
-        key = id(stmt)
-        label = self._labels.get(key)
-        if label is None:
-            label = self._labels[key] = stmt_label(stmt)
-        self.stmt = label
-
-
 # per-site counter slots
 _ACC, _MISS, _WB, _TLB, _WRITES = range(5)
 
@@ -85,36 +58,41 @@ def _row_dict(row: list[int]) -> dict:
     }
 
 
+SiteKey = tuple[tuple[str, ...], str, str]
+"""``(loop path, statement label, array)``."""
+
+
 class MissAttribution:
-    """Fine-grained access/miss/write-back counters per provenance site."""
+    """Fine-grained access/miss/write-back counters per site key.
 
-    def __init__(self) -> None:
-        # (loop path, statement label, array) -> [acc, miss, wb, tlb, writes]
-        self.sites: dict[tuple[tuple[str, ...], str, str], list[int]] = {}
+    ``keys[n]`` is the key of the stream's site ``n``; several sites share a
+    key (the two ``A(I,J)`` of an update), and their counts add up."""
 
-    def record(
+    def __init__(self, keys: Sequence[SiteKey] = ()) -> None:
+        self.keys = list(keys)
+        # key -> [acc, miss, wb, tlb, writes], in order of first appearance
+        self.sites: dict[SiteKey, list[int]] = {}
+
+    def count(
         self,
-        path: tuple[str, ...],
-        stmt: str,
-        array: str,
-        is_write: bool,
-        miss: bool,
-        writebacks: int,
-        tlb_miss: bool,
+        sites: np.ndarray,
+        miss: np.ndarray,
+        wrote_back: np.ndarray,
+        tlb_miss: np.ndarray,
+        is_write: np.ndarray,
     ) -> None:
-        key = (path, stmt, array)
-        row = self.sites.get(key)
-        if row is None:
-            row = self.sites[key] = [0, 0, 0, 0, 0]
-        row[_ACC] += 1
-        if miss:
-            row[_MISS] += 1
-        if writebacks:
-            row[_WB] += writebacks
-        if tlb_miss:
-            row[_TLB] += 1
-        if is_write:
-            row[_WRITES] += 1
+        """Add one chunk of the trace: the site number of every access, and
+        its flags in counter-slot order."""
+        n = len(self.keys)
+        columns = [np.bincount(sites, minlength=n)] + [
+            np.bincount(sites[flags], minlength=n)
+            for flags in (miss, wrote_back, tlb_miss, is_write)
+        ]
+        touched = np.flatnonzero(columns[0])
+        for site, counts in zip(touched.tolist(), np.stack(columns, 1)[touched].tolist()):
+            row = self.sites.setdefault(self.keys[site], [0, 0, 0, 0, 0])
+            for slot, c in enumerate(counts):
+                row[slot] += c
 
     # ---- aggregations ------------------------------------------------------
     def _agg(self, keyfn) -> dict[str, dict]:

@@ -2,7 +2,7 @@
 
 Runs a named pipeline workload end to end under observation — the
 derivation through the pass manager, then the derived procedure through
-the interpreter + cache/TLB simulator with miss attribution on — and
+the cache/TLB simulator with miss attribution on — and
 renders a text profile: top loops by misses, top statements, top arrays,
 top passes by wall time, and analysis-cache efficiency.
 

@@ -1,7 +1,7 @@
-"""Loop-parallelism stack (``repro.par``): static detector, dynamic
-race sanitizer, sharded PARALLEL DO execution.
+"""Loop-parallelism stack (``repro.par``): static detector and dynamic
+race sanitizer.
 
-Three mutually checking layers over the same claim — *these iterations
+Two mutually checking layers over the same claim — *these iterations
 are independent*:
 
 - :mod:`repro.par.detect` — the static layer.  Classifies every DO loop
@@ -15,12 +15,12 @@ are independent*:
   every marked loop and reports any cross-iteration conflict, carrying
   the same ``legal/par-carried-dep`` rule id the static
   :mod:`repro.check` audit uses for a wrong marker.
-- :mod:`repro.par.shard` — the payoff.  Splits a top-level
-  ``PARALLEL DO`` iteration space across the :mod:`repro.serve` worker
-  pool and merges the shards back into an environment asserted
-  **byte-identical** to the serial interpreter's.
 
-``python -m repro.par`` drives all three; results travel as the
+The verdict is a static proof and nothing executes on it: a sharded
+``PARALLEL DO`` executor over the interpreter was measured, lost to the
+compiled engine by 12x on two cores, and was removed (DESIGN.md §12).
+
+``python -m repro.par`` drives both; results travel as the
 ``repro.par/1`` artifact (:mod:`repro.par.report`).
 """
 
@@ -37,7 +37,6 @@ from repro.par.detect import (
 )
 from repro.par.report import SCHEMA, build_report, validate_report, write_report
 from repro.par.sanitizer import RaceConflict, RaceSanitizer, SanitizeResult, sanitize
-from repro.par.shard import run_shard, run_sharded
 
 __all__ = [
     "PARALLEL",
@@ -53,8 +52,6 @@ __all__ = [
     "build_report",
     "classify_loop",
     "classify_procedure",
-    "run_shard",
-    "run_sharded",
     "sanitize",
     "validate_report",
     "verdict_counts",

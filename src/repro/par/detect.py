@@ -25,7 +25,7 @@ sanitizer (:mod:`repro.par.sanitizer`) adversarially checks every
 :func:`annotate_procedure` rewrites proved loops into
 :class:`repro.ir.stmt.ParallelLoop` markers (``PARALLEL DO`` /
 ``PARALLEL REDUCTION DO``), which ``repro.check`` audits via the
-``legal/par-*`` rules and :mod:`repro.par.shard` executes concurrently.
+``legal/par-*`` rules.
 """
 
 from __future__ import annotations

@@ -14,22 +14,16 @@
                        'clean': true} | null},
         ...
       ],
-      'totals': {'parallel', 'reduction', 'serial', 'loops', 'conflicts'},
-      'run': {'workload', 'loop', 'shards', 'workers', 'iterations',
-              'serial_s', 'sharded_s', 'speedup', 'identical', ...} | null
+      'totals': {'parallel', 'reduction', 'serial', 'loops', 'conflicts'}
     }
 
 ``workloads`` carries the static detector's per-loop verdicts with the
 SERIAL witnesses, plus each workload's dynamic sanitizer outcome;
-``totals`` aggregates the verdict and conflict counts; ``run`` is the
-optional sharded PARALLEL DO execution record (``python -m repro.par
-bench``).  :func:`validate_report` returns a problem list (empty =
-valid), the registered payload check for the schema;
-:func:`flatten_report` emits ``par:*`` perf metrics.  The **verdict and
-conflict counts are deterministic** and belong behind a ``threshold 0``
-perf gate; ``par:run.speedup`` is machine-dependent (it needs more than
-one core to exceed 1) and is recorded for trend only — never gate it
-(the gate's polarity is lower-is-better).
+``totals`` aggregates the verdict and conflict counts.
+:func:`validate_report` returns a problem list (empty = valid), the
+registered payload check for the schema; :func:`flatten_report` emits
+``par:*`` perf metrics.  Every one of them is a **deterministic** verdict
+or conflict count and belongs behind a ``threshold 0`` perf gate.
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ def build_workload_entry(
 
 def build_report(
     workloads: Iterable[Mapping],
-    run: Optional[Mapping] = None,
     meta: Optional[dict] = None,
 ) -> dict:
     entries = [dict(w) for w in workloads]
@@ -79,7 +72,6 @@ def build_report(
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "workloads": entries,
         "totals": totals,
-        "run": dict(run) if run is not None else None,
     }
 
 
@@ -175,23 +167,6 @@ def validate_report(doc: dict) -> list[str]:
             f"totals['conflicts'] is {totals.get('conflicts')!r}, sanitizer "
             f"sections contain {conflicts}"
         )
-    run = doc.get("run")
-    if run is not None:
-        if not isinstance(run, dict):
-            errors.append("'run' is not an object")
-        else:
-            for key in ("workload", "loop"):
-                if not isinstance(run.get(key), str):
-                    errors.append(f"run.{key} missing or non-string")
-            for key in ("shards", "workers", "iterations"):
-                if not isinstance(run.get(key), int):
-                    errors.append(f"run.{key} missing or non-integer")
-            for key in ("serial_s", "sharded_s"):
-                if not isinstance(run.get(key), (int, float)):
-                    errors.append(f"run.{key} missing or non-numeric")
-            if run.get("identical") is not True:
-                errors.append("run.identical is not true — the sharded "
-                              "execution must be byte-identical to serial")
     return errors
 
 
@@ -200,9 +175,7 @@ def flatten_report(doc: dict) -> dict:
     ingestion hook for :data:`SCHEMA`.
 
     ``par:verdict.*``, ``par:loops``, ``par:sanitizer.conflicts`` and the
-    per-workload serial counts are deterministic (gate at threshold 0);
-    the ``par:run.*`` timings and speedup are machine-dependent trend
-    metrics.
+    per-workload serial counts are all deterministic (gate at threshold 0).
     """
     sink = Sink()
     totals = doc.get("totals") or {}
@@ -216,12 +189,6 @@ def flatten_report(doc: dict) -> dict:
                 f"par:{entry.get('workload', '?')}.serial",
                 entry["counts"].get("serial", 0),
             )
-    run = doc.get("run")
-    if isinstance(run, dict):
-        for key in ("serial_s", "sharded_s", "speedup"):
-            value = run.get(key)
-            if isinstance(value, (int, float)):
-                sink.put(f"par:run.{key}", value)
     return sink.metrics
 
 

@@ -148,8 +148,7 @@ class RaceSanitizer(Interpreter):
             self.tracer.access(ref.array, idx, False)
         return self.env[ref.array][tuple(i - 1 for i in idx)]
 
-    def _store(self, ref, value) -> None:
-        idx = self._index(ref)
+    def _store(self, ref, idx, value) -> None:
         if self._frames:
             self._record(ref.array, idx, True)
         if self.tracer is not None:

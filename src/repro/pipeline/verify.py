@@ -28,21 +28,7 @@ from repro.errors import VerificationError
 from repro.ir.stmt import Procedure
 from repro.runtime.codegen import compile_procedure
 from repro.runtime.interpreter import execute
-
-
-def _compare(
-    ref: np.ndarray, new: np.ndarray, name: str, exact: bool, rtol: float, atol: float
-) -> Optional[str]:
-    if ref.shape != new.shape:
-        return f"{name}: shape {ref.shape} != {new.shape}"
-    if exact:
-        if not np.array_equal(ref, new):
-            bad = int(np.sum(ref != new))
-            return f"{name}: {bad} elements differ (exact comparison)"
-    elif not np.allclose(ref, new, rtol=rtol, atol=atol):
-        err = float(np.max(np.abs(ref - new)))
-        return f"{name}: max abs diff {err:.3e} exceeds tolerance"
-    return None
+from repro.runtime.validate import compare_arrays
 
 
 class DifferentialVerifier:
@@ -92,7 +78,7 @@ class DifferentialVerifier:
         proc_arrays = [a.name for a in proc.arrays]
         for name in proc_arrays:
             # engines must agree exactly regardless of the tolerance regime
-            problem = _compare(env_it[name], env_cg[name], name, True, 0, 0)
+            problem = compare_arrays(env_it[name], env_cg[name], name, True, 0, 0)
             if problem:
                 raise VerificationError(
                     f"pass {label!r}: codegen and interpreter disagree — {problem}"
@@ -109,7 +95,7 @@ class DifferentialVerifier:
                 f"pass {label!r}: no arrays shared with the reference"
             )
         for name in shared:
-            problem = _compare(
+            problem = compare_arrays(
                 ref_env[name], env_cg[name], name, self.exact, self.rtol, self.atol
             )
             if problem:

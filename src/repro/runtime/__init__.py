@@ -1,14 +1,15 @@
 """Execution substrate for the loop IR.
 
-Two engines with identical semantics:
+One engine and its oracle, with identical semantics:
 
-- :mod:`repro.runtime.interpreter` — a tree-walking reference interpreter
-  (slow, simple, obviously correct) with a per-access trace hook used by the
-  cache simulator;
 - :mod:`repro.runtime.codegen` — compiles a :class:`repro.ir.Procedure` to a
-  Python function for the benchmark harness, typically ~20x faster than the
-  interpreter: plain, traced through ``_ld``/``_st`` callbacks, or emitting
-  the address stream the cache simulator consumes in chunks.
+  Python function, and is what produces every result: plain, traced through
+  ``_ld``/``_st`` callbacks, or emitting the address stream (with the static
+  site of every touch) that the cache simulator consumes in chunks;
+- :mod:`repro.runtime.interpreter` — a tree-walking reference interpreter
+  (slow, simple, obviously correct, ~20x slower) with a per-access trace
+  hook: what the differential verifier and the tests check compiled code
+  against, and the base of the race sanitizer.
 
 Both use Fortran semantics: 1-based subscripts, column-major layout
 (numpy ``order='F'``), DO-loop trip counts computed once at loop entry.

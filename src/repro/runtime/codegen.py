@@ -15,16 +15,22 @@ in how an array load/store is emitted:
   a consumer in chunks — what the cache simulator runs on.
 
 Stream encoding (private to this module; consumers get decoded arrays).
-One event is one ``int64``: ``2*address + is_write``.  The kernel receives,
-per array, the doubled offset and strides of the layout's affine address map
-(``2*address == _o_A + I*_s_A_0 + J*_s_A_1`` for 1-based ``I, J``), so a
-load is ``(_ap(_o_A + I*_s_A_0 + J*_s_A_1) or A[I - 1, J - 1])``:
+Every ``ArrayRef`` occurrence in the procedure is a numbered static *site*,
+and one event is one ``int64``: ``site << shift | 2*address | is_write``,
+with ``shift`` just wide enough for the layout's last byte — events of the
+sizes simulated here stay below ``2**30``, where CPython's integer
+arithmetic is fastest (a fixed 40-bit shift costs the kernel about 30 %).
+The kernel receives, per array, the doubled strides of the layout's affine
+address map and, per site, the doubled offset of its array with the site
+number already in the high bits (``event == _o3 + I*_s_A_0 + J*_s_A_1`` for
+1-based ``I, J`` at site 3), so a load is
+``(_ap(_o3 + I*_s_A_0 + J*_s_A_1) or A[I - 1, J - 1])``:
 ``array('q').append`` returns ``None``, so the event is recorded and then
 the element is the value of the expression, and Python's own left-to-right
 evaluation and ``and``/``or`` short-circuiting order the events exactly as
 they order the ``_ld`` calls of the traced flavour — inside loop bounds and
 guards too.  A store evaluates the loads in its target subscripts, then the
-right-hand side, then records ``address*2 + 1`` and assigns, which is the
+right-hand side, then records its event ``+ 1`` and assigns, which is the
 order ``_st(name, (subscripts,), rhs)`` evaluates its arguments in.  The
 source depends on the procedure only, not on sizes or layout.
 
@@ -42,7 +48,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import SemanticsError
+from repro.errors import MachineError, SemanticsError
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
@@ -57,7 +63,7 @@ from repro.ir.expr import (
     Not,
     Var,
 )
-from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure
+from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
 from repro.ir.visit import array_refs, find_loops
 from repro.runtime.interpreter import Tracer, idiv, make_env
 
@@ -96,12 +102,20 @@ independent of it (the consumer is exact for any split of the stream), host
 time is flat from 4 Ki to 16 Ki, and beyond that a larger buffer only adds
 resident memory (DESIGN.md §4 has the measurements)."""
 
+Site = tuple[tuple[str, ...], Stmt, str]
+"""Where an ``ArrayRef`` occurrence sits: the enclosing loop variables
+(outer to inner), the statement it belongs to (a ``Loop`` for a load in its
+bounds, an ``If`` for one in its condition), and the array."""
+
 
 class _Plain:
     """Direct numpy element indexing.  ``gen`` lowers a subscript expression."""
 
     kernel_args: tuple[str, ...] = ()
     flush: Optional[str] = None  # statement closing a non-innermost loop body
+    at: tuple[tuple[str, ...], Optional[Stmt]] = ((), None)
+    """Loop path and statement whose expressions are being lowered; set by
+    :func:`_gen_body`, read by the stream flavour only."""
 
     @staticmethod
     def element(array: str, subs: Sequence[str]) -> str:
@@ -128,8 +142,10 @@ class _Callbacks(_Plain):
 
 
 class _Stream(_Plain):
-    """Every touch appends ``2*address + is_write`` to ``_buf`` in-line (the
-    module docstring has the encoding and the ordering argument).
+    """Every touch appends its event to ``_buf`` in-line (the module
+    docstring has the encoding and the ordering argument).  ``sites`` lists
+    the touches in the order they were lowered, which within a statement is
+    the order they execute in.
 
     A subscript is pasted twice, into the event and into the element access.
     One that itself loads an array is therefore bound to a temporary where
@@ -138,18 +154,24 @@ class _Stream(_Plain):
     flush = f"if len(_buf) > {CHUNK}: _flush()"
 
     def __init__(self, proc: Procedure):
-        self.kernel_args = ("_ap", "_buf", "_flush") + tuple(
-            arg for a in proc.arrays for arg in self.affine_args(a.name, len(a.dims))
+        self._strides = tuple(
+            f"_s_{a.name}_{k}" for a in proc.arrays for k in range(len(a.dims))
         )
+        self.sites: list[Site] = []
         self._temps = count()
 
-    @staticmethod
-    def affine_args(array: str, rank: int) -> list[str]:
-        return [f"_o_{array}"] + [f"_s_{array}_{k}" for k in range(rank)]
+    @property
+    def kernel_args(self) -> tuple[str, ...]:
+        offsets = tuple(f"_o{n}" for n in range(len(self.sites)))
+        return ("_ap", "_buf", "_flush") + self._strides + offsets
 
     def _event(self, array: str, subs: Sequence[str]) -> str:
-        offset, *strides = self.affine_args(array, len(subs))
-        terms = [f"{i}*{s}" if i.isalnum() else f"({i})*{s}" for i, s in zip(subs, strides)]
+        offset = f"_o{len(self.sites)}"
+        self.sites.append((*self.at, array))
+        terms = [
+            f"{i}*_s_{array}_{k}" if i.isalnum() else f"({i})*_s_{array}_{k}"
+            for k, i in enumerate(subs)
+        ]
         return " + ".join([offset] + terms)
 
     def _subscripts(self, ref, gen) -> list[tuple[str, Optional[str]]]:
@@ -217,7 +239,9 @@ class _ExprGen:
         raise SemanticsError(f"unknown expression {type(e).__name__}")  # pragma: no cover
 
 
-def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
+def _gen_body(
+    body, gen: _ExprGen, lines: list[str], depth: int, path: tuple[str, ...] = ()
+) -> None:
     pad = "    " * depth
     if not body:
         lines.append(pad + "pass")
@@ -228,6 +252,7 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
             lines.append(pad + f"# {stmt.text}")
             continue
         emitted = True
+        gen.access.at = (path, stmt)
         if isinstance(stmt, Assign):
             if isinstance(stmt.target, ArrayRef):
                 lines.extend(pad + l for l in gen.access.store(stmt.target, gen.gen, stmt.value))
@@ -242,15 +267,15 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
                 # range() stops before crossing the bound in step direction.
                 rng = f"range({lo}, {hi} + (1 if ({step}) > 0 else -1), {step})"
             lines.append(pad + f"for {stmt.var} in {rng}:")
-            _gen_body(stmt.body, gen, lines, depth + 1)
+            _gen_body(stmt.body, gen, lines, depth + 1, path + (stmt.var,))
             if gen.access.flush and find_loops(stmt.body):
                 lines.append(pad + "    " + gen.access.flush)
         elif isinstance(stmt, If):
             lines.append(pad + f"if {gen.gen(stmt.cond)}:")
-            _gen_body(stmt.then, gen, lines, depth + 1)
+            _gen_body(stmt.then, gen, lines, depth + 1, path)
             if stmt.els:
                 lines.append(pad + "else:")
-                _gen_body(stmt.els, gen, lines, depth + 1)
+                _gen_body(stmt.els, gen, lines, depth + 1, path)
         elif isinstance(stmt, (BlockLoop, InLoop)):
             raise SemanticsError("BLOCK DO / IN DO must be lowered before codegen")
         else:  # pragma: no cover - defensive
@@ -260,10 +285,10 @@ def _gen_body(body, gen: _ExprGen, lines: list[str], depth: int) -> None:
 
 
 def _source(proc: Procedure, access: _Plain) -> str:
-    args = list(proc.params) + [a.name for a in proc.arrays] + list(access.kernel_args)
-    lines = [f"def _kernel({', '.join(args)}):"]
+    lines: list[str] = []
     _gen_body(proc.body, _ExprGen(access), lines, 1)
-    return "\n".join(lines) + "\n"
+    args = list(proc.params) + [a.name for a in proc.arrays] + list(access.kernel_args)
+    return "\n".join([f"def _kernel({', '.join(args)}):"] + lines) + "\n"
 
 
 def generate_source(proc: Procedure, traced: bool = False) -> str:
@@ -342,40 +367,64 @@ def compile_stream(proc: Procedure) -> Callable:
 
     ``layout`` gives each array's affine address map (``layout.affine(name)``,
     see :class:`repro.machine.layout.Layout`).  ``consume(addresses,
-    is_write)`` is called with two equal-length numpy arrays (``int64``,
-    ``bool``) per chunk of at most about ``CHUNK`` touches; the chunks, in
-    order, are the program's element-touch sequence.  Environment handling
-    and the return value are those of :func:`compile_procedure`.
+    is_write, sites)`` is called with three equal-length numpy arrays
+    (``int64``, ``bool``, ``int64``) per chunk of at most about ``CHUNK``
+    touches; the chunks, in order, are the program's element-touch sequence,
+    and ``sites`` indexes ``run.sites``, the :data:`Site` of every
+    ``ArrayRef`` occurrence.  Environment handling and the return value are
+    those of :func:`compile_procedure`.
     """
-    src = _source(proc, _Stream(proc))
+    access = _Stream(proc)
+    src = _source(proc, access)
     kernel = _compile(proc, src)
+    sites = access.sites
 
     def run(
         sizes: Mapping[str, int],
         layout,
-        consume: Callable[[np.ndarray, np.ndarray], None],
+        consume: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
         arrays: Optional[Mapping[str, np.ndarray]] = None,
         seed: int = 0,
     ) -> dict:
+        end = max(
+            (layout.base_addr[a.name] + layout.footprint_bytes(a.name) for a in proc.arrays),
+            default=0,
+        )
+        shift = (2 * end).bit_length()  # 2*address + is_write < 2**shift
+        if len(sites) << shift >= 1 << 63:
+            raise MachineError(
+                f"{len(sites)} sites over a layout ending at byte {end} "
+                "do not fit a 64-bit stream event"
+            )
+        address_bits = (1 << shift) - 1
+
         env = make_env(proc, sizes, arrays, seed=seed)
         buf = array("q")
 
         def flush() -> None:
             events = np.frombuffer(buf, dtype=np.int64)
-            addresses, is_write = events >> 1, (events & 1).astype(bool)
+            decoded = (
+                (events & address_bits) >> 1,
+                (events & 1).astype(bool),
+                events >> shift,
+            )
             del events  # releases the buffer export so that buf can shrink
             del buf[:]
-            consume(addresses, is_write)
+            consume(*decoded)
 
         call = [env[p] for p in proc.params] + [env[a.name] for a in proc.arrays]
         call += [buf.append, buf, flush]
+        offsets = {}
         for a in proc.arrays:
             offset, strides = layout.affine(a.name)
-            call += [2 * offset] + [2 * s for s in strides]
+            offsets[a.name] = 2 * offset
+            call += [2 * s for s in strides]
+        call += [(n << shift) + offsets[a] for n, (_, _, a) in enumerate(sites)]
         kernel(*call)
         if buf:
             flush()
         return env
 
     run.source = src  # type: ignore[attr-defined]
+    run.sites = sites  # type: ignore[attr-defined]
     return run

@@ -12,16 +12,10 @@ Semantics (Fortran):
   paper's scalar replacement.
 
 A :class:`Tracer` (any object with ``access(array, index, is_write)``)
-observes every array element touch in program order; the cache simulator
-plugs in here.
-
-For loop-level miss attribution the interpreter can additionally maintain
-a :class:`repro.obs.attribution.Provenance`: the current loop-nest path is
-pushed/popped once per executed ``Loop`` statement (not per iteration) and
-the current statement label is set before each statement runs, so a tracer
-reading the provenance sees exactly which (loop nest, statement) issued
-each access.  With no provenance attached the cost is a single attribute
-load and ``None`` test per statement.
+observes every array element touch in program order: an array store
+evaluates the loads in its target's subscripts, then its right-hand side,
+then stores.  This is the order the compiled flavours
+(:mod:`repro.runtime.codegen`) are checked against.
 """
 
 from __future__ import annotations
@@ -128,10 +122,9 @@ def make_env(
 class Interpreter:
     """Executes IR over an environment dict; see module docstring."""
 
-    def __init__(self, env: dict, tracer: Optional[Tracer] = None, provenance=None):
+    def __init__(self, env: dict, tracer: Optional[Tracer] = None):
         self.env = env
         self.tracer = tracer
-        self.provenance = provenance
 
     # ---- expressions ----------------------------------------------------
     def eval(self, e: Expr):
@@ -203,8 +196,7 @@ class Interpreter:
             self.tracer.access(ref.array, idx, False)
         return self.env[ref.array][tuple(i - 1 for i in idx)]
 
-    def _store(self, ref: ArrayRef, value) -> None:
-        idx = self._index(ref)
+    def _store(self, ref: ArrayRef, idx: tuple[int, ...], value) -> None:
         if self.tracer is not None:
             self.tracer.access(ref.array, idx, True)
         self.env[ref.array][tuple(i - 1 for i in idx)] = value
@@ -218,44 +210,29 @@ class Interpreter:
 
     def _stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
-            prov = self.provenance
-            if prov is not None:
-                prov.set_stmt(stmt)
-            value = self.eval(stmt.value)
             if isinstance(stmt.target, ArrayRef):
-                self._store(stmt.target, value)
+                idx = self._index(stmt.target)  # its loads come before the RHS's
+                self._store(stmt.target, idx, self.eval(stmt.value))
             else:
-                self.env[stmt.target.name] = value
+                self.env[stmt.target.name] = self.eval(stmt.value)
         elif isinstance(stmt, Loop):
-            prov = self.provenance
-            if prov is not None:
-                prov.set_stmt(stmt)  # bound-expression touches charge here
             lo = int(self.eval(stmt.lo))
             hi = int(self.eval(stmt.hi))
             step = int(self.eval(stmt.step))
             if step == 0:
                 raise SemanticsError(f"loop {stmt.var}: zero step")
-            if prov is not None:
-                prov.push_loop(stmt.var)
-            try:
-                v = lo
-                if step > 0:
-                    while v <= hi:
-                        self.env[stmt.var] = v
-                        self.run(stmt.body)
-                        v += step
-                else:
-                    while v >= hi:
-                        self.env[stmt.var] = v
-                        self.run(stmt.body)
-                        v += step
-            finally:
-                if prov is not None:
-                    prov.pop_loop()
+            v = lo
+            if step > 0:
+                while v <= hi:
+                    self.env[stmt.var] = v
+                    self.run(stmt.body)
+                    v += step
+            else:
+                while v >= hi:
+                    self.env[stmt.var] = v
+                    self.run(stmt.body)
+                    v += step
         elif isinstance(stmt, If):
-            prov = self.provenance
-            if prov is not None:
-                prov.set_stmt(stmt)  # condition touches charge to the IF
             if self.eval(stmt.cond):
                 self.run(stmt.then)
             else:
@@ -276,18 +253,12 @@ def execute(
     arrays: Optional[Mapping[str, np.ndarray]] = None,
     tracer: Optional[Tracer] = None,
     seed: int = 0,
-    provenance=None,
 ) -> dict:
     """Run a whole procedure; returns the final environment (arrays are the
-    procedure's outputs).
-
-    ``provenance`` (a :class:`repro.obs.attribution.Provenance`) makes the
-    interpreter track which loop nest / statement is executing, for tracers
-    that attribute cache misses to source locations.
-    """
+    procedure's outputs)."""
     from repro.obs import core as _obs
 
     env = make_env(proc, sizes, arrays, seed=seed)
     with _obs.span(f"interpret:{proc.name}", cat="runtime"):
-        Interpreter(env, tracer, provenance).run(proc.body)
+        Interpreter(env, tracer).run(proc.body)
     return env

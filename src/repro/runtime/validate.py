@@ -24,22 +24,38 @@ import numpy as np
 
 from repro.ir.stmt import Procedure
 from repro.runtime.codegen import compile_procedure
-from repro.runtime.interpreter import execute
 
 
 def run_on_random(
     proc: Procedure,
     sizes: Mapping[str, int],
     seed: int = 0,
-    engine: str = "codegen",
     arrays: Optional[Mapping[str, np.ndarray]] = None,
 ) -> dict:
-    """Execute ``proc`` on reproducible random inputs; returns final env."""
-    if engine == "interp":
-        return execute(proc, sizes, arrays=arrays, seed=seed)
-    if engine == "codegen":
-        return compile_procedure(proc)(sizes, arrays=arrays, seed=seed)
-    raise ValueError(f"unknown engine {engine!r}")
+    """Execute ``proc`` (compiled) on reproducible random inputs; returns
+    the final environment."""
+    return compile_procedure(proc)(sizes, arrays=arrays, seed=seed)
+
+
+def compare_arrays(
+    ref: np.ndarray, new: np.ndarray, name: str, exact: bool, rtol: float, atol: float
+) -> Optional[str]:
+    """How ``new`` differs from ``ref`` under the tolerance regime, or
+    ``None`` when it does not."""
+    if ref.shape != new.shape:
+        return f"{name}: shape {ref.shape} != {new.shape}"
+    if exact:
+        if not np.array_equal(ref, new):
+            bad = int(np.sum(ref != new))
+            first = tuple(np.argwhere(ref != new)[0])
+            return (
+                f"{name}: {bad} elements differ (exact); first at "
+                f"{tuple(int(i) + 1 for i in first)}: {ref[first]} vs {new[first]}"
+            )
+    elif not np.allclose(ref, new, rtol=rtol, atol=atol):
+        err = float(np.max(np.abs(ref - new)))
+        return f"{name}: max abs diff {err:.3e} exceeds tolerance"
+    return None
 
 
 def assert_equivalent(
@@ -50,7 +66,6 @@ def assert_equivalent(
     exact: bool = True,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    engine: str = "codegen",
     arrays: Optional[Mapping[str, np.ndarray]] = None,
 ) -> None:
     """Raise AssertionError unless the two procedures agree on all arrays.
@@ -59,24 +74,12 @@ def assert_equivalent(
     like IF-inspection's KLB/KUB or scalar-expansion workspace) are ignored;
     the contract is about the arrays the *reference* owns.
     """
-    env_ref = run_on_random(reference, sizes, seed=seed, engine=engine, arrays=arrays)
-    env_new = run_on_random(transformed, sizes, seed=seed, engine=engine, arrays=arrays)
+    env_ref = run_on_random(reference, sizes, seed=seed, arrays=arrays)
+    env_new = run_on_random(transformed, sizes, seed=seed, arrays=arrays)
     shared = [a.name for a in reference.arrays if any(b.name == a.name for b in transformed.arrays)]
     if not shared:
         raise AssertionError("procedures share no arrays; nothing to compare")
     for name in shared:
-        ref, new = env_ref[name], env_new[name]
-        if ref.shape != new.shape:
-            raise AssertionError(f"{name}: shape {ref.shape} != {new.shape}")
-        if exact:
-            if not np.array_equal(ref, new):
-                bad = int(np.sum(ref != new))
-                first = tuple(int(i) + 1 for i in np.argwhere(ref != new)[0])
-                raise AssertionError(
-                    f"{name}: {bad} elements differ (exact); first at {first}: "
-                    f"{ref[tuple(i - 1 for i in first)]} vs {new[tuple(i - 1 for i in first)]}"
-                )
-        else:
-            if not np.allclose(ref, new, rtol=rtol, atol=atol):
-                err = float(np.max(np.abs(ref - new)))
-                raise AssertionError(f"{name}: max abs diff {err} exceeds tolerance")
+        problem = compare_arrays(env_ref[name], env_new[name], name, exact, rtol, atol)
+        if problem:
+            raise AssertionError(problem)

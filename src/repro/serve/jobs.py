@@ -26,11 +26,6 @@ A :class:`JobSpec` names one unit of work the pool can run:
     both the point and derived variants through the cell's cache
     geometry at its problem size / blocking factor — the row a
     :mod:`repro.matrix` sweep persists to sqlite;
-``par_shard``
-    one contiguous slice of a ``PARALLEL DO`` iteration space
-    (:mod:`repro.par.shard`): replay the statements before the marked
-    loop, execute the shard's iterations, return the write set for the
-    parent to merge byte-identically against the serial interpreter;
 ``probe``
     a test-only kind whose ``options["action"]`` makes it succeed,
     sleep, raise, or kill its own worker — the fault-injection tests
@@ -67,7 +62,7 @@ from repro.obs import core as _obs
 #: exceptions that mean "same input will fail the same way" — never retried
 TERMINAL_ERRORS = (ReproError,)
 
-_KINDS = ("derive", "check", "execute", "bench", "table", "cell", "par_shard", "probe")
+_KINDS = ("derive", "check", "execute", "bench", "table", "cell", "probe")
 
 
 @dataclass(frozen=True)
@@ -155,19 +150,6 @@ def job_key(spec: JobSpec) -> tuple:
     if spec.kind in ("probe", "table"):
         return base + (
             spec.workload,
-            tuple(sorted((str(k), _scalar(v)) for k, v in spec.options.items())),
-        )
-    if spec.kind == "par_shard":
-        # shard identity = (input IR, context facts, loop/slice/sizes/seed):
-        # the annotation pass is deterministic in the first two, so two
-        # shards of the same workload+slice share one cached write set
-        from repro.ir.fingerprint import ir_fingerprint
-        from repro.pipeline.workloads import get_workload
-
-        workload = get_workload(spec.workload)
-        return base + (
-            ir_fingerprint(workload.build()),
-            workload.context(None).facts_key(),
             tuple(sorted((str(k), _scalar(v)) for k, v in spec.options.items())),
         )
     if spec.kind == "cell":
@@ -411,14 +393,6 @@ def _run_cell(spec: JobSpec) -> dict:
     return run_cell(spec.workload, spec.options)
 
 
-def _run_par_shard(spec: JobSpec) -> dict:
-    """One slice of a PARALLEL DO iteration space; the protocol lives in
-    :mod:`repro.par.shard`."""
-    from repro.par.shard import run_shard
-
-    return run_shard(spec.workload, spec.options)
-
-
 _EXECUTORS = {
     "derive": _run_derive,
     "check": _run_check,
@@ -426,7 +400,6 @@ _EXECUTORS = {
     "bench": _run_bench,
     "table": _run_table,
     "cell": _run_cell,
-    "par_shard": _run_par_shard,
     "probe": _run_probe,
 }
 

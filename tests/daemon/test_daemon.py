@@ -62,9 +62,13 @@ class TestRequests:
         assert warm.body["digest"] == cold.body["digest"]
 
     def test_bad_request_diagnostic(self, daemon):
-        reply = submit(daemon, {"kind": "nope"})
-        assert reply.status == 400
-        assert reply.rule == "daemon/bad-request"
+        for kind in ("nope", "par_shard"):  # one that never existed, one removed
+            reply = submit(daemon, {"kind": kind, "workload": "conv"})
+            assert reply.status == 400
+            assert reply.rule == "daemon/bad-request"
+            assert "unknown job kind" in reply.body["error"]["message"]
+        # refused at admission: no worker was handed anything
+        assert submit(daemon, probe()).body["status"] == "computed"
 
     def test_unknown_endpoint(self, daemon):
         reply = dstate.request("127.0.0.1", daemon.port, "GET", "/v1/nope")

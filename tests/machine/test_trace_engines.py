@@ -1,15 +1,14 @@
-"""`trace_procedure` counts the same on its two engines — the address
-stream through `access_many`, and the interpreter through `access` — and
-`CacheTracer` counts the same whichever of the two entry points it is fed."""
+"""`trace_procedure` (the address stream through `access_many`) counts what
+the reference interpreter counts through `access`, and `CacheTracer` counts
+the same whichever of the two entry points it is fed."""
 
 import numpy as np
 import pytest
 
-from repro.errors import MachineError
 from repro.machine import Cache, CacheTracer, Layout, scaled_machine, trace_procedure
-from repro.obs.attribution import MissAttribution, Provenance
 from repro.pipeline import available_workloads, derive, get_workload
 from repro.runtime.codegen import compile_procedure
+from repro.runtime.interpreter import execute
 
 WORKLOADS = [w.name for w in available_workloads()]
 
@@ -21,24 +20,32 @@ def assert_same_counts(a: CacheTracer, b: CacheTracer) -> None:
     assert a.per_array_misses == b.per_array_misses
 
 
+def interpreted(proc, sizes, machine, seed=0) -> CacheTracer:
+    """The reference: one `tracer.access` per touch of the interpreter."""
+    layout = Layout.for_procedure(proc, sizes, line_bytes=machine.cache.line_bytes)
+    tlb = Cache(machine.tlb) if machine.tlb is not None else None
+    tracer = CacheTracer(layout, Cache(machine.cache), tlb)
+    execute(proc, sizes, tracer=tracer, seed=seed)
+    return tracer
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_codegen_engine_equals_interpreter_engine(name, tiny_machine):
     w = get_workload(name)
     for machine in (tiny_machine, scaled_machine(16)):  # without and with a TLB
         for proc in (w.build(), derive(name).procedure):
             sizes = {p: w.sizes_for()[p] for p in proc.params}
-            fast = trace_procedure(proc, sizes, machine, seed=5, engine="codegen")
-            slow = trace_procedure(proc, sizes, machine, seed=5, engine="interpreter")
+            fast = trace_procedure(proc, sizes, machine, seed=5)
             assert fast.stats.misses > 0, proc.name
-            assert_same_counts(fast, slow)
+            assert_same_counts(fast, interpreted(proc, sizes, machine, seed=5))
 
 
 def test_many_chunks_count_like_the_interpreter():
     """Large enough to be consumed in several chunks."""
     proc, sizes, machine = get_workload("lu_nopivot").build(), {"N": 36}, scaled_machine(8)
-    fast = trace_procedure(proc, sizes, machine, engine="codegen")
+    fast = trace_procedure(proc, sizes, machine)
     assert fast.stats.accesses > 40_000
-    assert_same_counts(fast, trace_procedure(proc, sizes, machine, engine="interpreter"))
+    assert_same_counts(fast, interpreted(proc, sizes, machine))
 
 
 class TestTracerEntryPoints:
@@ -52,9 +59,9 @@ class TestTracerEntryPoints:
         compile_procedure(proc, traced=True)(sizes, tracer=recorder)
         return Layout.for_procedure(proc, sizes, line_bytes=32), recorder.events
 
-    def _tracer(self, layout, **kw):
+    def _tracer(self, layout):
         m = scaled_machine(16)
-        return CacheTracer(layout, Cache(m.cache), Cache(m.tlb), **kw)
+        return CacheTracer(layout, Cache(m.cache), Cache(m.tlb))
 
     def test_access_many_equals_access_and_interleaves(self, recorded):
         layout, events = recorded
@@ -72,9 +79,3 @@ class TestTracerEntryPoints:
             mixed.access(a, i, w)
         mixed.access_many(addrs[2 * cut :], writes[2 * cut :])
         assert_same_counts(mixed, one)
-
-    def test_attribution_is_refused_on_the_batch_path(self, recorded):
-        layout, _ = recorded
-        t = self._tracer(layout, provenance=Provenance("p"), attribution=MissAttribution())
-        with pytest.raises(MachineError):
-            t.access_many(np.array([0]), np.array([False]))

@@ -1,26 +1,68 @@
-"""Miss attribution: provenance tracking and the sum-consistency invariant."""
+"""Miss attribution: stream sites, the digests of the per-access
+implementation this one replaced, and the sum-consistency invariant."""
 
 from __future__ import annotations
 
-from repro.ir.build import assign, do, ref
-from repro.ir.expr import Var
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.artifacts.envelope import canonical_json
+from repro.errors import MachineError
+from repro.ir.build import assign, do, if_, ref
+from repro.ir.expr import Compare, Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.machine import scaled_machine
 from repro.machine.cache import Cache, CacheConfig
 from repro.machine.layout import Layout
 from repro.machine.tracer import CacheTracer, trace_procedure
-from repro.obs.attribution import TOPLEVEL, MissAttribution, Provenance, stmt_label
+from repro.obs.attribution import TOPLEVEL, MissAttribution, stmt_label
+from repro.pipeline import available_workloads, derive, get_workload
+from repro.runtime.codegen import compile_stream
 
 FIELDS = ("accesses", "misses", "writebacks", "tlb_misses", "writes")
 
+#: sha256 of canonical ``MissAttribution.to_dict()`` per ``workload/variant/
+#: machine``, recorded from the interpreter + ``Provenance`` implementation
+#: (commit 1a273e5) at verify sizes, seed 0
+DIGESTS = json.loads(Path(__file__).with_name("attribution_digests.json").read_text())
+
+
+def flags(*values):
+    return np.array(values, dtype=bool)
+
+
+def recorded(*accesses) -> MissAttribution:
+    """An attribution of ``(key, is_write, miss, wrote_back, tlb_miss)``
+    accesses, one site per distinct key."""
+    keys = list(dict.fromkeys(a[0] for a in accesses))
+    a = MissAttribution(keys)
+    sites = np.array([keys.index(k) for k, *_ in accesses])
+    is_write, miss, wrote_back, tlb_miss = (flags(*col) for col in list(zip(*accesses))[1:])
+    a.count(sites, miss, wrote_back, tlb_miss, is_write)
+    return a
+
 
 class TestProvenance:
+    """Where an access comes from: the stream's static sites."""
+
     def test_loop_path_push_pop(self):
-        p = Provenance("lu")
-        p.push_loop("K")
-        p.push_loop("I")
-        assert p.path == ("K", "I")
-        p.pop_loop()
-        assert p.path == ("K",)
+        # DO K { X(K) ; DO I { A(I) } ; B(K) }: the path grows into the
+        # inner nest and shrinks again behind it
+        body = do(
+            "K", 1, "N",
+            assign(ref("X", "K"), 0.0),
+            do("I", 1, "N", assign(ref("A", "I"), 1.0)),
+            assign(ref("B", "K"), 2.0),
+        )
+        decls = tuple(ArrayDecl(a, (Var("N"),)) for a in ("X", "A", "B"))
+        sites = compile_stream(Procedure("p", ("N",), decls, (body,))).sites
+        assert [(path, array) for path, _, array in sites] == [
+            (("K",), "X"), (("K", "I"), "A"), (("K",), "B"),
+        ]
 
     def test_stmt_labels(self, vecadd_proc):
         loop_j = vecadd_proc.body[0]
@@ -28,23 +70,31 @@ class TestProvenance:
         store = loop_i.body[0]
         assert stmt_label(loop_j) == "DO J"
         assert stmt_label(store) == "A(I)"
+        # A(I) = A(I) + B(J): loads left to right, then the store
+        assert compile_stream(vecadd_proc).sites == [
+            (("J", "I"), store, "A"), (("J", "I"), store, "B"), (("J", "I"), store, "A"),
+        ]
 
-    def test_labels_memoized_by_identity(self, vecadd_proc):
-        p = Provenance()
-        store = vecadd_proc.body[0].body[0].body[0]
-        p.set_stmt(store)
-        first = p.stmt
-        p.set_stmt(store)
-        assert p.stmt is first  # same cached string object
+
+@pytest.mark.parametrize("workload", [w.name for w in available_workloads()])
+def test_stream_attribution_reproduces_the_recorded_digests(workload, tiny_machine):
+    w = get_workload(workload)
+    for variant, proc in (("point", w.build()), ("derived", derive(workload).procedure)):
+        sizes = {p: w.sizes_for()[p] for p in proc.params}
+        for tag, machine in (("notlb", tiny_machine), ("tlb", scaled_machine(16))):
+            doc = trace_procedure(proc, sizes, machine, seed=0, attribute=True).attribution.to_dict()
+            digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+            assert digest == DIGESTS[f"{workload}/{variant}/{tag}"], (variant, tag)
 
 
 class TestMissAttribution:
     def test_views_sum_to_totals(self):
-        a = MissAttribution()
-        a.record(("K", "I"), "A(I)", "A", True, True, 1, False)
-        a.record(("K", "I"), "A(I)", "A", False, False, 0, True)
-        a.record(("K",), "B(K)", "B", False, True, 0, False)
-        a.record((), "C(1)", "C", True, False, 0, False)
+        a = recorded(
+            ((("K", "I"), "A(I)", "A"), True, True, True, False),
+            ((("K", "I"), "A(I)", "A"), False, False, False, True),
+            ((("K",), "B(K)", "B"), False, True, False, False),
+            (((), "C(1)", "C"), True, False, False, False),
+        )
         totals = a.totals()
         assert totals == {
             "accesses": 4, "misses": 2, "writebacks": 1,
@@ -55,16 +105,13 @@ class TestMissAttribution:
                 assert sum(r[f] for r in view.values()) == totals[f]
 
     def test_toplevel_key_for_accesses_outside_loops(self):
-        a = MissAttribution()
-        a.record((), "X(1)", "X", False, False, 0, False)
+        a = recorded((((), "X(1)", "X"), False, False, False, False))
         assert TOPLEVEL in a.by_loop()
         assert f"{TOPLEVEL}: X(1)" in a.by_statement()
 
     def test_to_dict_rows_sorted_by_misses(self):
-        a = MissAttribution()
-        a.record(("I",), "A(I)", "A", False, True, 0, False)
-        a.record(("I",), "B(I)", "B", False, True, 0, False)
-        a.record(("I",), "B(I)", "B", False, True, 0, False)
+        a_key, b_key = (("I",), "A(I)", "A"), (("I",), "B(I)", "B")
+        a = recorded(*((k, False, True, False, False) for k in (a_key, b_key, b_key)))
         d = a.to_dict()
         assert [r["array"] for r in d["rows"]] == ["B", "A"]
         assert set(d) == {"rows", "by_loop", "by_statement", "by_array", "totals"}
@@ -103,15 +150,12 @@ class TestTracedAttribution:
 
     def test_attribute_and_codegen_agree_on_stats(self, vecadd_proc, tiny_machine):
         sizes = {"N": 6, "M": 32}
-        interp = trace_procedure(vecadd_proc, sizes, tiny_machine, attribute=True)
-        comp = trace_procedure(vecadd_proc, sizes, tiny_machine)
-        assert interp.stats == comp.stats
+        attributed = trace_procedure(vecadd_proc, sizes, tiny_machine, attribute=True)
+        plain = trace_procedure(vecadd_proc, sizes, tiny_machine)
+        assert attributed.stats == plain.stats
 
     def test_if_condition_charged_to_if_label(self, tiny_machine):
         # IF (MASK(I) .NE. 0) A(I) = 2.0 — the MASK read belongs to the IF site
-        from repro.ir.build import if_
-        from repro.ir.expr import Compare, Const
-
         proc = Procedure(
             "guarded",
             ("N",),
@@ -133,23 +177,64 @@ class TestTracedAttribution:
         assert sum(by_stmt[k]["accesses"] for k in if_sites) == 16  # MASK reads
 
 
+    def test_loop_bound_load_charged_to_the_loop_label(self, tiny_machine):
+        # DO I { DO J = 1, LEN(I) { A(J) = 0 } }: LEN(I) is read once per I,
+        # by the J loop's own statement, outside the J nest
+        proc = Procedure(
+            "ragged",
+            ("N",),
+            (ArrayDecl("A", (Var("N"),)), ArrayDecl("LEN", (Var("N"),), dtype="i8")),
+            (do("I", 1, "N", do("J", 1, ref("LEN", "I"), assign(ref("A", "J"), 0.0))),),
+        )
+        arrays = {"A": np.ones(5), "LEN": np.array([1, 2, 3, 4, 5])}
+        tracer = trace_procedure(proc, {"N": 5}, tiny_machine, arrays=arrays, attribute=True)
+        by_stmt = tracer.attribution.by_statement()
+        assert by_stmt["I: DO J"]["accesses"] == 5
+        assert by_stmt["I/J: A(J)"]["accesses"] == 15
+
+    def test_site_counts_do_not_depend_on_the_chunk_split(self):
+        proc, sizes, machine = get_workload("lu_nopivot").build(), {"N": 24}, scaled_machine(16)
+        whole = trace_procedure(proc, sizes, machine, attribute=True)
+        run, chunks = compile_stream(proc), []
+        run(sizes, whole.layout, lambda *chunk: chunks.append(chunk))
+        addrs, writes, sites = (np.concatenate(column) for column in zip(*chunks))
+        assert len(chunks) > 1 and len(addrs) == whole.stats.accesses
+        for step in (len(addrs), 97):
+            split = CacheTracer(
+                whole.layout, Cache(machine.cache), Cache(machine.tlb),
+                attribution=MissAttribution(whole.attribution.keys),
+            )
+            for i in range(0, len(addrs), step):
+                split.access_many(addrs[i : i + step], writes[i : i + step], sites[i : i + step])
+            assert split.attribution.to_dict() == whole.attribution.to_dict(), step
+
+    def test_layout_beyond_the_site_packing_is_refused(self, vecadd_proc):
+        # 3 sites need 2 bits, so 2*address must stay below 2**61
+        sizes = {"N": 4, "M": 8}
+        run = compile_stream(vecadd_proc)
+        near = Layout({"A": (8,), "B": (4,)}, line_bytes=32, base=(1 << 60) - 1024)
+        seen = []
+        run(sizes, near, lambda a, w, s: seen.extend(zip(a.tolist(), s.tolist())))
+        assert seen[0] == (near.address("A", (1,)), 0) and len(seen) == 3 * 4 * 8
+        far = Layout({"A": (8,), "B": (4,)}, line_bytes=32, base=1 << 60)
+        with pytest.raises(MachineError, match="64-bit"):
+            run(sizes, far, lambda *chunk: None)
+
+
 class TestTracerDirect:
     def test_writeback_charged_to_triggering_access(self):
         # 1-set, 1-way cache: write line 0 (dirty), then read line 1 -> the
         # read evicts dirty line 0 and must be charged its write-back.
-        proc = Procedure(
-            "p", ("N",), (ArrayDecl("A", (Var("N"),)),), ()
-        )
-        layout = Layout.for_procedure(proc, {"N": 16}, line_bytes=32)
+        layout = Layout({"A": (16,)}, line_bytes=32)
         cache = Cache(CacheConfig(32, 32, 1))
-        prov = Provenance("p")
-        attr = MissAttribution()
-        tracer = CacheTracer(layout, cache, provenance=prov, attribution=attr)
-        prov.stmt = "store"
-        tracer.access("A", (1,), True)  # line 0, dirtied
-        prov.stmt = "load"
-        tracer.access("A", (5,), False)  # line 1, evicts dirty line 0
-        rows = {stmt: r for (_, stmt, _), r in attr.sites.items()}
-        assert rows["store"][2] == 0  # writebacks slot
-        assert rows["load"][2] == 1
+        store, load = ((), "store", "A"), ((), "load", "A")
+        tracer = CacheTracer(layout, cache, attribution=MissAttribution([store, load]))
+        tracer.access_many(
+            np.array([layout.address("A", (1,)), layout.address("A", (5,))]),  # lines 0, 1
+            flags(True, False),
+            np.array([0, 1]),
+        )
+        rows = tracer.attribution.sites
+        assert rows[store][2] == 0  # writebacks slot
+        assert rows[load][2] == 1
         assert cache.stats.writebacks == 1

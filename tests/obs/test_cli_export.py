@@ -108,7 +108,7 @@ class TestCliEndToEnd:
         names = [e["name"] for e in trace["traceEvents"] if e["ph"] == "X"]
         assert "pipeline:conv" in names
         assert any(n.startswith("pass:") for n in names)
-        assert any(n.startswith("interpret:") for n in names)
+        assert any(n.startswith("trace:") for n in names)
 
         env = json.loads(metrics_path.read_text())
         assert is_envelope(env) and validate_document(env) == []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.artifacts import payload_of, validate_document
 from repro.par.cli import main
 
@@ -43,26 +45,22 @@ class TestSanitize:
 
 
 class TestRun:
-    def test_sharded_run_exits_zero(self, capsys):
-        assert main(["run", "conv", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "identical to serial: True" in out
-
-    def test_run_without_parallel_loop_is_usage_error(self, capsys):
-        assert main(["run", "lu_nopivot"]) == 2
-        assert "no top-level PARALLEL DO" in capsys.readouterr().err
+    def test_run_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "conv", "--shards", "2"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
 class TestBench:
     def test_bench_writes_valid_artifact(self, tmp_path, capsys):
         path = tmp_path / "BENCH_par.json"
         assert main(["bench", "--workloads", "matmul", "conv",
-                     "--run", "conv", "--json", str(path)]) == 0
+                     "--json", str(path)]) == 0
         doc = json.load(open(path))
         assert validate_document(doc) == []
         payload = payload_of(doc)
         assert {w["workload"] for w in payload["workloads"]} == {"matmul", "conv"}
         assert all(w["sanitizer"]["clean"] for w in payload["workloads"])
-        assert payload["run"]["identical"] is True
-        assert payload["run"]["speedup"] is not None
+        assert "run" not in payload
         assert payload["totals"]["conflicts"] == 0

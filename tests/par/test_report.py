@@ -62,17 +62,6 @@ class TestBuildAndValidate:
         doc["workloads"][0]["sanitizer"]["clean"] = False
         assert any("contradicts" in e for e in validate_report(doc))
 
-    def test_run_must_be_identical(self):
-        doc = sample_report()
-        doc["run"] = {
-            "workload": "matmul", "loop": "J", "shards": 2, "workers": 2,
-            "iterations": 12, "serial_s": 0.1, "sharded_s": 0.2,
-            "identical": False,
-        }
-        assert any("identical" in e for e in validate_report(doc))
-        doc["run"]["identical"] = True
-        assert validate_report(doc) == []
-
 
 class TestFlatten:
     def test_deterministic_metrics_present(self):
@@ -84,17 +73,6 @@ class TestFlatten:
         assert m["par:loops"] == t["loops"]
         assert m["par:sanitizer.conflicts"] == 0
         assert m["par:matmul.serial"] == t["serial"]
-
-    def test_run_metrics_flattened_when_present(self):
-        doc = sample_report()
-        doc["run"] = {
-            "workload": "matmul", "loop": "J", "shards": 2, "workers": 2,
-            "iterations": 12, "serial_s": 0.5, "sharded_s": 0.25,
-            "speedup": 2.0, "identical": True,
-        }
-        m = flatten_report(doc)
-        assert m["par:run.speedup"] == 2.0
-        assert m["par:run.serial_s"] == 0.5
 
 
 class TestEnvelope:

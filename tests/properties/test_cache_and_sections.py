@@ -85,20 +85,30 @@ rw_traces = st.lists(
 splits = st.lists(st.tuples(st.integers(min_value=1, max_value=40), st.booleans()), max_size=20)
 
 
+def one_by_one(cache, trace):
+    """Per access: (hit, evicted a dirty line), through ``cache.access``."""
+    flags = []
+    for a, w in trace:
+        before = cache.stats.writebacks
+        flags.append((cache.access(a, w), cache.stats.writebacks > before))
+    return flags
+
+
 def drive(cache, trace, split):
     """Feed ``trace`` to ``cache`` cut as ``split`` says (the remainder as
-    one batch); returns the per-access hit flags."""
-    hits, pos = [], 0
+    one batch); returns the per-access (hit, evicted a dirty line) flags."""
+    flags, pos = [], 0
     for length, batch in list(split) + [(len(trace), True)]:
         chunk = trace[pos : pos + length]
         pos += length
         if batch:
             addrs = np.array([a for a, _ in chunk], dtype=np.int64)
             writes = np.array([w for _, w in chunk], dtype=bool)
-            hits += [not m for m in cache.access_many(addrs, writes)]
+            miss, wrote_back = cache.access_many(addrs, writes)
+            flags += zip((~miss).tolist(), wrote_back.tolist())
         else:
-            hits += [cache.access(a, w) for a, w in chunk]
-    return hits
+            flags += one_by_one(cache, chunk)
+    return flags
 
 
 class TestBatchEqualsPerAccess:
@@ -106,11 +116,11 @@ class TestBatchEqualsPerAccess:
     @given(geometry=geometries, trace=rw_traces, split=splits)
     def test_any_split_and_interleaving(self, geometry, trace, split):
         """However a trace is chunked, and whichever of ``access`` and
-        ``access_many`` takes each chunk, every hit flag, every counter and
-        every set's contents, LRU order and dirty bits come out the same."""
+        ``access_many`` takes each chunk, every hit and write-back flag, every
+        counter and every set's contents, LRU order and dirty bits come out the same."""
         reference = Cache(CacheConfig(*geometry))
         mixed = Cache(CacheConfig(*geometry))
-        assert drive(mixed, trace, split) == [reference.access(a, w) for a, w in trace]
+        assert drive(mixed, trace, split) == one_by_one(reference, trace)
         assert mixed.stats == reference.stats
         assert [list(s.items()) for s in mixed._sets] == [
             list(s.items()) for s in reference._sets
@@ -123,7 +133,7 @@ class TestBatchEqualsPerAccess:
         big = Cache(CacheConfig(1024, 32, 0))
         rw = [(a, False) for a in trace]
         small_hits, big_hits = drive(small, rw, split), drive(big, rw, split)
-        assert all(b or not s for s, b in zip(small_hits, big_hits))  # stack inclusion
+        assert all(b or not s for (s, _), (b, _) in zip(small_hits, big_hits))  # stack inclusion
         assert big.stats.misses <= small.stats.misses
 
 

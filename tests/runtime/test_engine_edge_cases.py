@@ -24,7 +24,7 @@ import pytest
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import BinOp, Compare, Const, IntDiv, LogicalOp, Var
 from repro.ir.stmt import ArrayDecl, Procedure
-from repro.machine import Layout, trace_procedure
+from repro.machine import Cache, CacheTracer, Layout, trace_procedure
 from repro.runtime.codegen import compile_procedure, compile_stream
 from repro.runtime.interpreter import execute, idiv
 
@@ -41,7 +41,7 @@ def stream_events(proc, sizes, layout, arrays=None, seed=0):
     """Run the stream flavour; return (env, [(address, is_write), ...])."""
     events = []
     env = compile_stream(proc)(
-        sizes, layout, lambda a, w: events.extend(zip(a.tolist(), w.tolist())),
+        sizes, layout, lambda a, w, _: events.extend(zip(a.tolist(), w.tolist())),
         arrays=arrays, seed=seed,
     )
     return env, events
@@ -67,9 +67,12 @@ def run_both(proc, sizes, tracer_pair=None, seed=0, arrays=None):
 
 
 def assert_engines_count_alike(proc, sizes, machine, arrays=None):
-    """``trace_procedure`` on the stream path and on the interpreter."""
-    tc = trace_procedure(proc, sizes, machine, arrays=arrays, engine="codegen")
-    ti = trace_procedure(proc, sizes, machine, arrays=arrays, engine="interpreter")
+    """``trace_procedure`` against the interpreter feeding ``tracer.access``."""
+    tc = trace_procedure(proc, sizes, machine, arrays=arrays)
+    layout = Layout.for_procedure(proc, sizes, line_bytes=machine.cache.line_bytes)
+    tlb = Cache(machine.tlb) if machine.tlb is not None else None
+    ti = CacheTracer(layout, Cache(machine.cache), tlb)
+    execute(proc, sizes, arrays=arrays, tracer=ti)
     assert tc.stats == ti.stats
     assert tc.tlb_stats == ti.tlb_stats
     assert tc.per_array == ti.per_array
@@ -338,9 +341,8 @@ class TestStreamOrdering:
         assert_engines_count_alike(p, {"N": 4}, tiny_machine, arrays=arrays)
 
     def test_indirect_subscript_on_the_store_side(self, tiny_machine):
-        # A(IP(I)) = B(I) * 2: compiled code loads the target subscript
-        # before the right-hand side (the interpreter loads it after, so
-        # only the two compiled flavours are compared event for event)
+        # A(IP(I)) = B(I) * 2: every engine loads the target subscript
+        # before the right-hand side
         p = Procedure(
             "scatter",
             ("N",),
@@ -356,6 +358,6 @@ class TestStreamOrdering:
         ti, tc = RecordingTracer(), RecordingTracer()
         ei, _ = run_both(p, {"N": 4}, tracer_pair=(ti, tc), arrays=arrays)
         assert tc.events[:3] == [("IP", (1,), False), ("B", (1,), False), ("A", (3,), True)]
-        assert sorted(ti.events) == sorted(tc.events)
+        assert ti.events == tc.events
         assert ei["A"].tolist() == [4.0, 8.0, 2.0, 6.0]
         assert_engines_count_alike(p, {"N": 4}, tiny_machine, arrays=arrays)

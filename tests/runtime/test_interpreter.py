@@ -176,3 +176,31 @@ class TestTracing:
         env = make_env(p, {}, arrays={"A": np.zeros(3)})
         Interpreter(env, T()).run(p.body)
         assert events == [("A", (1,), False), ("A", (2,), True)]
+
+
+def test_only_the_oracle_users_import_the_interpreter():
+    """The interpreter is the reference that compiled code is checked
+    against, not an engine that produces results: outside ``runtime`` it is
+    imported by the differential verifier, by the race sanitizer, which
+    subclasses it, and twice for ``Interpreter.eval`` on declared extents."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    allowed = {
+        "pipeline/verify.py", "par/sanitizer.py", "machine/layout.py", "analysis/reuse.py",
+    }
+    root = Path(repro.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "repro.runtime.interpreter" in modules:
+                importers.add(path.relative_to(root).as_posix())
+    assert {p for p in importers if not p.startswith("runtime/")} == allowed

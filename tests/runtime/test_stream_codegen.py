@@ -41,7 +41,7 @@ def test_stream_is_the_callback_trace_through_the_layout(name, recording_tracer)
         by_callbacks = compile_procedure(proc, traced=True)(
             sizes, arrays=arrays, tracer=recorder, seed=7)
         by_stream = compile_stream(proc)(
-            sizes, layout, lambda a, w: stream.extend(zip(a.tolist(), w.tolist())),
+            sizes, layout, lambda a, w, _: stream.extend(zip(a.tolist(), w.tolist())),
             arrays=arrays, seed=7)
         assert recorder.events, proc.name
         assert stream == [(layout.address(a, i), w) for a, i, w in recorder.events], proc.name
@@ -59,7 +59,7 @@ def test_chunks_are_bounded_and_in_order(recording_tracer):
     layout = Layout.for_procedure(proc, sizes, line_bytes=32)
     recorder, chunks = recording_tracer(), []
     compile_procedure(proc, traced=True)(sizes, tracer=recorder)
-    compile_stream(proc)(sizes, layout, lambda a, w: chunks.append((a, w)))
+    compile_stream(proc)(sizes, layout, lambda a, w, _: chunks.append((a, w)))
     assert len(chunks) > 4
     assert max(len(a) for a, _ in chunks) <= CHUNK + 4 * sizes["N"]
     assert all(a.dtype == np.int64 and w.dtype == bool for a, w in chunks)
@@ -71,10 +71,10 @@ def test_chunks_are_bounded_and_in_order(recording_tracer):
 def test_source_depends_on_the_procedure_only():
     proc = get_workload("lu_nopivot").build()
     run = compile_stream(proc)
-    assert f"len(_buf) > {CHUNK}" in run.source and "_o_A" in run.source
+    assert f"len(_buf) > {CHUNK}" in run.source and "_s_A_0" in run.source
     for n in (5, 9):  # one compiled kernel, two sizes and layouts
         layout = Layout.for_procedure(proc, {"N": n}, line_bytes=32)
         count = []
-        run({"N": n}, layout, lambda a, w: count.append(len(a)))
+        run({"N": n}, layout, lambda a, w, _: count.append(len(a)))
         # per K: N-K scalings of 3 touches, (N-K)^2 updates of 4
         assert sum(count) == sum(4 * (n - k) ** 2 + 3 * (n - k) for k in range(1, n))

@@ -6,6 +6,7 @@ import pytest
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.runtime.interpreter import execute
 from repro.runtime.validate import assert_equivalent, run_on_random
 
 
@@ -17,7 +18,7 @@ class TestAssertEquivalent:
     def test_detects_differences_with_location(self):
         p1 = proc_with((do("I", 1, "N", assign(ref("A", "I"), Const(1.0))),))
         p2 = proc_with((do("I", 1, "N", assign(ref("A", "I"), Const(2.0))),))
-        with pytest.raises(AssertionError, match="elements differ"):
+        with pytest.raises(AssertionError, match=r"4 elements differ .*first at \(1,\): 1.0 vs 2.0"):
             assert_equivalent(p1, p2, {"N": 4})
 
     def test_accepts_equal(self):
@@ -44,8 +45,6 @@ class TestAssertEquivalent:
 
     def test_engines_agree(self):
         p = proc_with((do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") * 3.0)),))
-        ei = run_on_random(p, {"N": 6}, engine="interp", seed=9)
-        ec = run_on_random(p, {"N": 6}, engine="codegen", seed=9)
+        ei = execute(p, {"N": 6}, seed=9)
+        ec = run_on_random(p, {"N": 6}, seed=9)
         assert np.array_equal(ei["A"], ec["A"])
-        with pytest.raises(ValueError):
-            run_on_random(p, {"N": 6}, engine="llvm")

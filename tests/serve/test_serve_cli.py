@@ -107,9 +107,13 @@ class TestBatch:
         assert "non-empty list" in capsys.readouterr().err
 
     def test_unknown_spec_field_rejected(self, tmp_path, store_dir, capsys):
-        path = self.write_specs(tmp_path, [{"workload": "conv", "retries": 1}])
-        assert main(["batch", path, "--store-dir", store_dir]) == 2
-        assert "unknown job spec field" in capsys.readouterr().err
+        for spec, message in (
+            ({"workload": "conv", "retries": 1}, "unknown job spec field"),
+            ({"workload": "conv", "kind": "par_shard"}, "unknown job kind 'par_shard'"),
+        ):
+            path = self.write_specs(tmp_path, [spec])
+            assert main(["batch", path, "--store-dir", store_dir]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestStatsAndGc:
