@@ -2,7 +2,7 @@
 
 Every benchmark prints its reproduction table/figure to stdout (run with
 ``-s`` to see them live); the same tables are collected into EXPERIMENTS.md
-by ``python -m repro.bench.report``.
+by ``python -m repro report``.
 """
 
 import pytest

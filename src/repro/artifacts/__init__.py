@@ -5,19 +5,18 @@ profiles, check reports, serve batch reports, matrix sweeps, perf
 baselines and gate verdicts — goes through this package:
 
 - :mod:`~repro.artifacts.envelope` — the one envelope (schema id,
-  canonical-JSON sha256 digest, producer, timing) plus the legacy
-  reader that accepts bare pre-envelope documents;
+  canonical-JSON sha256 digest, producer, timing) and its readers;
 - :mod:`~repro.artifacts.registry` — the schema-id constants (single
   source of truth) and the ``(validate_payload, flatten)`` hook
   registry;
 - :mod:`~repro.artifacts.validate` — structured ``artifact/*``
-  diagnostics over enveloped or bare documents;
+  diagnostics over enveloped documents;
 - :mod:`~repro.artifacts.sink` — the content-addressed store as
   universal artifact sink (content entries + request pointers);
 - :func:`publish` — the one call producers make: envelope, validate,
   write to disk, land in the store.
 
-CLI: ``python -m repro.artifacts validate|ls|cat`` works on loose
+CLI: ``python -m repro artifacts validate|ls|cat`` works on loose
 files and store entries alike.
 """
 

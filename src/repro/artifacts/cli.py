@@ -1,14 +1,14 @@
-"""Command-line front end: ``python -m repro.artifacts``.
+"""The ``artifacts`` command: ``python -m repro artifacts``.
 
 One tool for every artifact the stack emits, loose files and store
 entries alike::
 
-    python -m repro.artifacts validate BENCH_pipeline.json trace.json
-    python -m repro.artifacts validate --store          # every store artifact
-    python -m repro.artifacts ls                        # store inventory
-    python -m repro.artifacts ls report.json trace.json
-    python -m repro.artifacts cat report.json --payload
-    python -m repro.artifacts cat ba77c0d2 --payload    # by digest prefix
+    python -m repro artifacts validate BENCH_pipeline.json trace.json
+    python -m repro artifacts validate --store          # every store artifact
+    python -m repro artifacts ls                        # store inventory
+    python -m repro artifacts ls report.json trace.json
+    python -m repro artifacts cat report.json --payload
+    python -m repro artifacts cat ba77c0d2 --payload    # by digest prefix
 
 ``validate`` prints one line per document plus each ``artifact/*``
 problem (``--json`` for machine-readable rows) and exits 0 when every
@@ -19,21 +19,15 @@ the envelope.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
-from typing import Optional
 
+from repro import cli
 from repro.artifacts import sink
-from repro.artifacts.envelope import is_envelope, load_file, payload_of
+from repro.artifacts.envelope import load_file, payload_of
 from repro.artifacts.validate import describe, validate_document
 from repro.errors import ArtifactError
-
-
-def _store(args):
-    from repro.serve.store import ArtifactStore
-
-    return ArtifactStore(args.store_dir)
 
 
 def _store_documents(store) -> list[tuple[str, dict]]:
@@ -48,17 +42,13 @@ def _store_documents(store) -> list[tuple[str, dict]]:
 
 def _cmd_validate(args) -> int:
     docs: list[tuple[str, dict]] = []
-    try:
-        if args.store:
-            docs.extend(_store_documents(_store(args)))
-        for path in args.paths:
-            docs.append((path, load_file(path)))
-    except ArtifactError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    store = cli.open_store(args)  # None without --store
+    if store is not None:
+        docs.extend(_store_documents(store))
+    for path in args.paths:
+        docs.append((path, load_file(path)))
     if not docs:
-        print("error: name at least one PATH (or use --store)", file=sys.stderr)
-        return 2
+        raise ArtifactError("name at least one PATH (or use --store)")
 
     status = 0
     rows = []
@@ -87,14 +77,9 @@ def _cmd_validate(args) -> int:
 def _cmd_ls(args) -> int:
     if args.paths:
         for path in args.paths:
-            try:
-                doc = load_file(path)
-            except ArtifactError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
-            print(f"{describe(doc)}  {path}")
+            print(f"{describe(load_file(path))}  {path}")
         return 0
-    rows = sink.list_artifacts(_store(args))
+    rows = sink.list_artifacts(cli.open_store(args))
     if not rows:
         print("(no artifacts in the store)")
         return 0
@@ -107,20 +92,15 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_cat(args) -> int:
-    import os
-
-    try:
-        if os.path.exists(args.target):
-            doc = load_file(args.target)
-        else:
-            doc = sink.find_artifact(_store(args), args.target)
-            if doc is None:
-                print(f"error: no artifact matches {args.target!r} "
-                      "(not a file, no store digest prefix)", file=sys.stderr)
-                return 2
-    except ArtifactError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    if os.path.exists(args.target):
+        doc = load_file(args.target)
+    else:
+        doc = sink.find_artifact(cli.open_store(args), args.target)
+        if doc is None:
+            raise ArtifactError(
+                f"no artifact matches {args.target!r} "
+                "(not a file, no store digest prefix)"
+            )
     if args.payload:
         doc = payload_of(doc)
     json.dump(doc, sys.stdout, indent=2)
@@ -128,47 +108,32 @@ def _cmd_cat(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.artifacts",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "artifacts",
         description="validate, list, and dump enveloped artifacts "
         "(loose JSON files or content-addressed store entries)",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="validate artifact documents")
+    v = cmds.add_parser("validate", help="validate artifact documents")
     v.add_argument("paths", nargs="*", metavar="PATH",
                    help="loose artifact JSON files")
-    v.add_argument("--store", action="store_true",
-                   help="also validate every artifact in the store")
-    v.add_argument("--store-dir", metavar="DIR",
-                   help="store root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    v.add_argument("--json", action="store_true",
-                   help="machine-readable report on stdout")
-    v.set_defaults(func=_cmd_validate)
+    cli.store_flags(
+        v, store="also validate every artifact in the store")
+    cli.output_flags(v, json=True)
+    v.set_defaults(fn=_cmd_validate)
 
-    ls = sub.add_parser("ls", help="list artifacts (store, or named files)")
+    ls = cmds.add_parser("ls", help="list artifacts (store, or named files)")
     ls.add_argument("paths", nargs="*", metavar="PATH",
                     help="describe these files instead of the store")
-    ls.add_argument("--store-dir", metavar="DIR",
-                    help="store root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    ls.set_defaults(func=_cmd_ls)
+    cli.store_flags(ls)
+    ls.set_defaults(fn=_cmd_ls)
 
-    cat = sub.add_parser("cat", help="print one artifact as JSON")
+    cat = cmds.add_parser("cat", help="print one artifact as JSON")
     cat.add_argument("target", metavar="PATH|DIGEST",
                      help="a file path, or a store digest prefix")
     cat.add_argument("--payload", action="store_true",
                      help="print the payload only (unwrap the envelope)")
-    cat.add_argument("--store-dir", metavar="DIR",
-                     help="store root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    cat.set_defaults(func=_cmd_cat)
-    return p
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    cli.store_flags(cat)
+    cat.set_defaults(fn=_cmd_cat)

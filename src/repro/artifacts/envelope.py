@@ -15,17 +15,16 @@ baselines and gate verdicts — is wrapped in the same envelope::
     }
 
 The payload is the subsystem's own document, byte-for-byte what the
-pre-envelope stack wrote to disk (including its legacy inner ``schema``
-field, kept so old readers and diff tools stay functional).  The digest
+pre-envelope stack wrote to disk (including its inner ``schema`` field,
+kept so committed digests do not change).  The digest
 is computed over the **canonical JSON** form of the payload — sorted
 keys, compact separators — so two payloads with identical content but
 different key order digest identically, and the digest doubles as the
 artifact's content address in the store sink (:mod:`repro.artifacts.sink`).
 
-**Legacy reader.**  :func:`payload_of` and :func:`schema_id_of` accept
-both enveloped documents and the bare pre-envelope documents, so every
-consumer (perf ingestion, the CLIs, tests) reads old and new artifacts
-through one code path.
+Readers take envelopes only: :func:`payload_of` and :func:`schema_id_of`
+reject a bare payload with an ``artifact/malformed-envelope``
+:class:`~repro.errors.ArtifactError`.
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ import time
 from typing import Any, Optional
 
 from repro.errors import ArtifactError
+
+#: rule id of the rejection every reader gives a non-envelope document
+RULE_MALFORMED = "artifact/malformed-envelope"
 
 #: fields every envelope carries, in canonical order
 ENVELOPE_FIELDS = (
@@ -115,20 +117,24 @@ def is_envelope(doc: Any) -> bool:
     )
 
 
+def _require_envelope(doc: Any) -> dict:
+    if not is_envelope(doc):
+        raise ArtifactError(
+            f"{RULE_MALFORMED}: document is not an envelope (needs schema, "
+            "schema_version, digest and payload; bare payloads are not read)"
+        )
+    return doc
+
+
 def payload_of(doc: Any) -> Any:
-    """The subsystem document inside ``doc`` — the legacy reader: bare
-    pre-envelope documents pass through unchanged."""
-    return doc["payload"] if is_envelope(doc) else doc
+    """The subsystem document inside the envelope ``doc``."""
+    return _require_envelope(doc)["payload"]
 
 
-def schema_id_of(doc: Any) -> Optional[str]:
-    """The full ``name/version`` schema id of an enveloped or bare
-    document (None when neither form declares one)."""
-    if is_envelope(doc):
-        return f"{doc['schema']}/{doc['schema_version']}"
-    if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
-        return doc["schema"]
-    return None
+def schema_id_of(doc: Any) -> str:
+    """The full ``name/version`` schema id of the envelope ``doc``."""
+    _require_envelope(doc)
+    return f"{doc['schema']}/{doc['schema_version']}"
 
 
 def load_file(path: str) -> dict:

@@ -7,8 +7,8 @@ import from any layer.
 
 Adding a new artifact kind is one :func:`~repro.artifacts.registry.register`
 call here (plus the id constant in the registry): validation via
-``python -m repro.artifacts validate``, ingestion via ``python -m
-repro.perf record``, and store-sink addressing all pick it up with no
+``python -m repro artifacts validate``, ingestion via ``python -m
+repro perf record``, and store-sink addressing all pick it up with no
 further wiring.
 """
 
@@ -26,7 +26,7 @@ _r.register(
     _r.PIPELINE_BENCH,
     validate="repro.pipeline.bench:validate_bench",
     flatten="repro.pipeline.bench:flatten_bench",
-    description="pipeline benchmark table (cold/warm or pool mode)",
+    description="pipeline benchmark table (cold vs warm analysis cache)",
 )
 _r.register(
     _r.OBS_METRICS,

@@ -14,15 +14,14 @@ rule id                         fires when
 ``artifact/unknown-schema``     no registered kind matches the schema id
 ``artifact/stale-version``      the kind name is known, the version is not
 ``artifact/digest-mismatch``    the digest does not match the payload
-``artifact/schema-mismatch``    the payload's legacy inner ``schema`` field
+``artifact/schema-mismatch``    the payload's inner ``schema`` field
                                 disagrees with the envelope
 ``artifact/invalid-payload``    the kind's registered payload check failed
                                 (one row per problem it reports)
 ==============================  =============================================
 
-Bare pre-envelope documents are accepted (the legacy reader): their
-schema id comes from the inner ``schema`` field and only the payload
-check applies — there is no digest to verify.
+A bare (un-enveloped) payload is an ``artifact/malformed-envelope``
+rejection like any other document missing the envelope fields.
 """
 
 from __future__ import annotations
@@ -32,15 +31,14 @@ from typing import Any, Optional
 
 from repro.artifacts import registry
 from repro.artifacts.envelope import (
+    RULE_MALFORMED,
     is_envelope,
     payload_digest,
-    payload_of,
     schema_id_of,
 )
 from repro.errors import ArtifactError
 
 RULE_NOT_OBJECT = "artifact/not-object"
-RULE_MALFORMED = "artifact/malformed-envelope"
 RULE_UNKNOWN_SCHEMA = "artifact/unknown-schema"
 RULE_STALE_VERSION = "artifact/stale-version"
 RULE_DIGEST = "artifact/digest-mismatch"
@@ -104,40 +102,36 @@ def _check_schema_known(schema_id: str) -> Optional[Problem]:
 
 
 def validate_document(doc: Any) -> list[Problem]:
-    """Problems with an enveloped *or* legacy bare document (empty =
-    valid).  Envelope checks run first; the registered payload check
-    runs only when the schema resolves."""
+    """Problems with an enveloped document (empty = valid).  Envelope
+    checks run first; the registered payload check runs only when the
+    schema resolves."""
     if not isinstance(doc, dict):
         return [Problem(RULE_NOT_OBJECT, "document is not a JSON object")]
+    if not is_envelope(doc):
+        return [Problem(
+            RULE_MALFORMED,
+            "document is not an envelope (needs schema, schema_version, "
+            "digest and payload)",
+        )]
 
-    problems: list[Problem] = []
-    if is_envelope(doc):
-        problems.extend(_check_envelope_shape(doc))
-        if problems:
-            return problems
-        schema_id = f"{doc['schema']}/{doc['schema_version']}"
-        payload = doc["payload"]
-        if payload_digest(payload) != doc["digest"]:
-            problems.append(Problem(
-                RULE_DIGEST,
-                f"digest {doc['digest'][:12]}... does not match the payload "
-                f"(computed {payload_digest(payload)[:12]}...)",
-            ))
-        inner = payload.get("schema")
-        if inner is not None and inner != schema_id:
-            problems.append(Problem(
-                RULE_SCHEMA_MISMATCH,
-                f"payload declares schema {inner!r}, envelope says "
-                f"{schema_id!r}",
-            ))
-    else:
-        schema_id = schema_id_of(doc)
-        payload = doc
-        if schema_id is None:
-            return [Problem(
-                RULE_MALFORMED,
-                "bare document carries no schema field",
-            )]
+    problems = _check_envelope_shape(doc)
+    if problems:
+        return problems
+    schema_id = schema_id_of(doc)
+    payload = doc["payload"]
+    if payload_digest(payload) != doc["digest"]:
+        problems.append(Problem(
+            RULE_DIGEST,
+            f"digest {doc['digest'][:12]}... does not match the payload "
+            f"(computed {payload_digest(payload)[:12]}...)",
+        ))
+    inner = payload.get("schema")
+    if inner is not None and inner != schema_id:
+        problems.append(Problem(
+            RULE_SCHEMA_MISMATCH,
+            f"payload declares schema {inner!r}, envelope says "
+            f"{schema_id!r}",
+        ))
 
     unknown = _check_schema_known(schema_id)
     if unknown is not None:
@@ -164,9 +158,6 @@ def require_valid(doc: Any) -> Any:
 
 
 def describe(doc: Any) -> str:
-    """One human line for ``ls``-style listings."""
-    schema_id = schema_id_of(doc) or "?"
-    if is_envelope(doc):
-        return (f"{schema_id:<26} {doc['digest'][:12]}  "
-                f"{doc.get('producer') or '-'}")
-    return f"{schema_id:<26} {'(bare)':<12}  -"
+    """One human line for ``ls``-style listings of an envelope."""
+    return (f"{schema_id_of(doc):<26} {doc['digest'][:12]}  "
+            f"{doc.get('producer') or '-'}")

@@ -14,14 +14,14 @@ argument is about *legality*, so legality gets an independent audit):
 
 Findings are :class:`~repro.check.diagnostics.Diagnostic` values;
 reports follow the ``repro.check/1`` schema
-(:mod:`repro.check.report`); ``python -m repro.check`` drives it all
+(:mod:`repro.check.report`); ``python -m repro check`` drives it all
 from the command line.
 """
 
 from repro.check.diagnostics import RULES, Diagnostic, Rule, Severity, errors_in
 from repro.check.legality import postcheck, precheck
 from repro.check.linter import LintResult, lint_blockability, lint_loop
-from repro.check.report import SCHEMA, build_report, validate_report, write_report
+from repro.check.report import SCHEMA, build_report, validate_report
 from repro.check.verifier import verify_ir
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "precheck",
     "validate_report",
     "verify_ir",
-    "write_report",
 ]

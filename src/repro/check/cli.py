@@ -1,16 +1,16 @@
-"""Command-line front end: ``python -m repro.check``.
+"""The ``check`` command: ``python -m repro check``.
 
 Runs the full check stack over registered workloads::
 
-    python -m repro.check lu_nopivot             # one workload
-    python -m repro.check --all --json out.json  # every workload + report
-    python -m repro.check --rules                # print the rule catalogue
+    python -m repro check lu_nopivot            # one workload
+    python -m repro check --all --out out.json  # every workload + report
+    python -m repro check --rules               # print the rule catalogue
 
 Per workload it (1) verifies the freshly built IR against the
 structural invariants, (2) lints every outermost loop for
 blockability, and (3) re-derives the workload's default pass pipeline
 under ``check=True`` so every pass is bracketed by legality
-pre/postchecks and IR re-verification.  ``--json PATH`` writes a
+pre/postchecks and IR re-verification.  ``--out PATH`` writes a
 ``repro.check/1`` report (diagnostics + rule catalogue + lint
 verdicts) that :func:`repro.check.report.validate_report` accepts.
 
@@ -26,17 +26,12 @@ at least one was, 2 for usage errors (unknown workload).
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import Optional
-
-from repro.artifacts import get_for_request, payload_of, write_file
-from repro.artifacts.registry import CHECK_REPORT
+from repro import cli
 from repro.check.diagnostics import RULES, Severity, errors_in
 from repro.check.linter import lint_blockability, lint_parallelism
-from repro.check.report import build_report, validate_report, write_report
+from repro.check.report import SCHEMA, build_report
 from repro.check.verifier import verify_ir
-from repro.errors import CheckError, ReproError
+from repro.errors import CheckError, PipelineError
 from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.workloads import available_workloads, get_workload
@@ -60,35 +55,30 @@ def _check_workload(name: str, diagnostics: list, verdicts: list) -> None:
         diagnostics.extend(e.diagnostics)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.check",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "check",
         description="verify IR, check transformation legality, and lint "
         "blockability for the paper's workloads",
     )
     p.add_argument("workloads", nargs="*", metavar="WORKLOAD",
-                   help="workload names (see python -m repro.pipeline "
+                   help="workload names (see python -m repro pipeline "
                    "--list-algorithms)")
     p.add_argument("--all", action="store_true",
                    help="check every registered workload")
-    p.add_argument("--json", metavar="PATH",
-                   help="write a repro.check/1 JSON report here")
+    cli.output_flags(p, out="repro.check/1 report")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalogue and exit")
-    p.add_argument("--store", action="store_true",
-                   help="publish the report to the content-addressed "
-                   "artifact store and resume from it on a repeat run")
-    p.add_argument("--store-dir", metavar="DIR",
-                   help="store root for --store (default .repro-cache/ "
-                   "or $REPRO_CACHE_DIR)")
-    p.add_argument("--fresh", action="store_true",
-                   help="with --store: ignore a stored report, recheck")
-    return p
+    cli.store_flags(
+        p,
+        store="publish the report to the content-addressed "
+        "artifact store and resume from it on a repeat run",
+        fresh="with --store: ignore a stored report, recheck",
+    )
+    p.set_defaults(fn=run)
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def run(args) -> int:
     if args.rules:
         for rule in RULES.values():
             print(f"{rule.severity.value:<8} {rule.id:<34} {rule.summary}")
@@ -99,30 +89,20 @@ def main(argv: Optional[list] = None) -> int:
     else:
         names = args.workloads
     if not names:
-        print("error: name at least one WORKLOAD (or use --all / --rules)",
-              file=sys.stderr)
-        return 2
+        raise PipelineError(
+            "name at least one WORKLOAD (or use --all / --rules)"
+        )
 
-    store = None
-    request = None
-    if args.store:
-        from repro.serve.store import ArtifactStore
-
-        store = ArtifactStore(args.store_dir)
-        request = ("check-report", tuple(names))
-        if not args.fresh:
-            env = get_for_request(store, CHECK_REPORT, request)
-            if env is not None:
-                report = payload_of(env)
-                if args.json:
-                    write_file(args.json, env)
-                    print(f"report written to {args.json}")
-                summary = report.get("summary", {})
-                print(f"resumed from store ({env['digest'][:12]}): "
-                      f"{summary.get('error', 0)} error(s), "
-                      f"{summary.get('warning', 0)} warning(s) over "
-                      f"{len(names)} workload(s)")
-                return 1 if summary.get("error") else 0
+    store = cli.open_store(args)
+    request = ("check-report", tuple(names))
+    env = cli.resumed(args, store, SCHEMA, request)
+    if env is not None:
+        summary = env["payload"].get("summary", {})
+        print(f"resumed from store ({env['digest'][:12]}): "
+              f"{summary.get('error', 0)} error(s), "
+              f"{summary.get('warning', 0)} warning(s) over "
+              f"{len(names)} workload(s)")
+        return 1 if summary.get("error") else 0
 
     diagnostics: list = []
     verdicts: list = []
@@ -130,11 +110,7 @@ def main(argv: Optional[list] = None) -> int:
     for name in names:
         before = len(diagnostics)
         before_v = len(verdicts)
-        try:
-            _check_workload(name, diagnostics, verdicts)
-        except ReproError as e:
-            print(f"error: {name}: {e}", file=sys.stderr)
-            return 2
+        _check_workload(name, diagnostics, verdicts)
         new = diagnostics[before:]
         errs = errors_in(new)
         verdict_part = "; ".join(
@@ -148,24 +124,13 @@ def main(argv: Optional[list] = None) -> int:
         if errs:
             status = 1
 
-    if args.json or store is not None:
+    if args.out or store is not None:
         report = build_report(
             diagnostics,
             verdicts=verdicts,
             meta={"tool": __package__, "workloads": ",".join(names)},
         )
-        problems = validate_report(report)
-        if problems:  # self-check: never ship a malformed artifact
-            for p in problems:
-                print(f"error: invalid report: {p}", file=sys.stderr)
-            return 2
-        write_report(args.json, report, store=store, request=request)
-        if args.json:
-            print(f"report written to {args.json}")
+        cli.emit(args, report, store=store, request=request)
         if store is not None:
             print("report published to the artifact store")
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,7 +11,7 @@ invariant:
   (:mod:`repro.check.legality`);
 - ``lint/*``   — blockability classifications (:mod:`repro.check.linter`).
 
-The catalogue is data, not code: ``python -m repro.check --rules`` prints
+The catalogue is data, not code: ``python -m repro check --rules`` prints
 it, the report schema embeds it, and tests assert mutations map to the
 documented rule id.
 """

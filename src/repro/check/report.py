@@ -1,4 +1,4 @@
-"""The ``repro.check/1`` report schema: build, validate, flatten, write.
+"""The ``repro.check/1`` report schema: build, validate, flatten.
 
 .. code-block:: text
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import CHECK_REPORT as SCHEMA
 from repro.check.diagnostics import RULES, Diagnostic, Severity
@@ -142,10 +141,3 @@ def flatten_report(doc: dict) -> dict:
     for verdict, count in sorted(by_verdict.items()):
         sink.put(f"verdict.{verdict}", count)
     return sink.metrics
-
-
-def write_report(path: str, doc: dict, store=None, request=None) -> dict:
-    """Envelope and write a check report (validated on the way out);
-    optionally lands it in the store sink.  Returns the envelope."""
-    return publish(path, doc, producer=__package__, store=store,
-                   request=request)

@@ -3,7 +3,7 @@
 ``repro.serve`` runs one batch and exits; this package keeps the warm
 content-addressed store, the fault-isolating worker pool, and an
 in-memory hot cache alive in a single process and answers the same job
-kinds (derive/check/execute/bench/table/cell/probe) over a local
+kinds (derive/check/execute/table/cell/probe) over a local
 HTTP JSON API:
 
 - :mod:`~repro.daemon.server` — the :class:`Daemon`: a threading HTTP
@@ -17,7 +17,7 @@ HTTP JSON API:
 - :mod:`~repro.daemon.state` — the on-disk endpoint record
   (``daemon.json`` under the store root) plus the HTTP client helpers
   every caller (CLI, :mod:`repro.load`, tests) shares;
-- :mod:`~repro.daemon.cli` — ``python -m repro.daemon
+- :mod:`~repro.daemon.cli` — ``python -m repro daemon
   start|stop|status|ping|submit``.
 
 A drained daemon loses nothing that matters: computed artifacts live in

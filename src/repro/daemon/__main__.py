@@ -1,10 +1,9 @@
-"""``python -m repro.daemon`` entry point."""
-
-from __future__ import annotations
+"""``python -m repro.daemon ...`` forwards to ``python -m repro daemon ...``
+(kept because ``benchmarks/blockbench`` launches the daemon this way)."""
 
 import sys
 
-from repro.daemon.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["daemon", *sys.argv[1:]]))

@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.daemon``.
+"""The ``daemon`` command: ``python -m repro daemon``.
 
 Subcommands::
 
@@ -10,121 +10,94 @@ Subcommands::
 
 Examples::
 
-    python -m repro.daemon start --workers 4 --queue-limit 32
-    python -m repro.daemon status --json
-    python -m repro.daemon submit lu_nopivot conv --kind derive
-    python -m repro.daemon submit --spec '{"kind":"probe","workload":"x"}'
-    python -m repro.daemon stop
+    python -m repro daemon start --workers 4 --queue-limit 32
+    python -m repro daemon status --json
+    python -m repro daemon submit lu_nopivot conv --kind derive
+    python -m repro daemon submit --spec '{"kind":"probe","workload":"x"}'
+    python -m repro daemon stop
+
+(``python -m repro.daemon ...`` is the same command: that module forwards
+here; ``benchmarks/blockbench`` launches the daemon that way.)
 
 Exit status: 0 on success; 1 when a submitted job resolves but fails
 (``timeout``/``failed``) or the daemon sheds it; 2 for usage and
 transport errors.  ``status --json`` prints a full enveloped
-``repro.daemon.status/1`` document that ``python -m repro.artifacts
+``repro.daemon.status/1`` document that ``python -m repro artifacts
 validate -`` accepts.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import signal
-import sys
-from typing import Optional
 
-from repro.errors import DaemonError, ReproError
+from repro import cli
+from repro.errors import DaemonError
+from repro.serve.jobs import SUBMIT_KINDS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.daemon",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "daemon",
         description="persistent compile service over the shared "
         "content-addressed artifact store",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    start = sub.add_parser("start", help="launch the compile daemon")
+    start = cmds.add_parser("start", help="launch the compile daemon")
     start.add_argument("--host", default="127.0.0.1")
     start.add_argument("--port", type=int, default=0, metavar="N",
                        help="listen port (default: OS-assigned)")
-    start.add_argument("--workers", "-j", type=int, default=2, metavar="N",
-                       help="worker processes (default 2)")
+    cli.pool_flags(start)
     start.add_argument("--queue-limit", type=int, default=16, metavar="N",
                        help="max outstanding jobs before shedding "
                        "(default 16)")
     start.add_argument("--deadline", type=float, default=60.0, metavar="S",
                        help="default per-request deadline (default 60)")
-    start.add_argument("--retries", type=int, default=2, metavar="K",
-                       help="retries per crashed/timed-out job (default 2)")
-    start.add_argument("--backoff", type=float, default=0.05, metavar="S",
-                       help="base retry backoff seconds")
     start.add_argument("--mem-cache", type=int, default=1024, metavar="N",
                        help="hot in-memory cache entries (0 disables)")
-    start.add_argument("--obs-out", metavar="PATH",
-                       help="flush a repro.obs/1 profile here on drain")
+    cli.observe_flags(start, chrome=False)
     start.add_argument("--foreground", action="store_true",
                        help="run in this process until drained "
                        "(background daemonization uses this internally)")
     start.add_argument("--wait", type=float, default=10.0, metavar="S",
                        help="background start: seconds to wait for healthz")
-    _store_flag(start)
+    start.set_defaults(fn=_cmd_start)
 
-    stop = sub.add_parser("stop", help="drain and stop the resident daemon")
+    stop = cmds.add_parser("stop", help="drain and stop the resident daemon")
     stop.add_argument("--wait", type=float, default=30.0, metavar="S",
                       help="seconds to wait for the drain (default 30)")
-    _store_flag(stop)
+    stop.set_defaults(fn=_cmd_stop)
 
-    status = sub.add_parser("status", help="print daemon status")
-    status.add_argument("--json", action="store_true",
-                        help="emit the enveloped repro.daemon.status/1 doc")
-    status.add_argument("--out", metavar="PATH",
-                        help="also write the envelope here")
-    _store_flag(status)
+    status = cmds.add_parser("status", help="print daemon status")
+    cli.output_flags(status, out="repro.daemon.status/1 document", json=True)
+    status.set_defaults(fn=_cmd_status)
 
-    ping = sub.add_parser("ping", help="one healthz round trip")
-    _store_flag(ping)
+    ping = cmds.add_parser("ping", help="one healthz round trip")
+    ping.set_defaults(fn=_cmd_ping)
 
-    submit = sub.add_parser("submit",
-                            help="send jobs to the resident daemon")
+    submit = cmds.add_parser("submit",
+                             help="send jobs to the resident daemon")
     submit.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    submit.add_argument("--kind",
-                        choices=("derive", "check", "execute", "bench",
-                                 "cell"),
-                        default="derive")
-    submit.add_argument("--passes",
-                        help="comma-separated pass names (default: each "
-                        "workload's pipeline)")
+    submit.add_argument("--kind", choices=SUBMIT_KINDS, default="derive")
+    cli.passes_flag(submit)
     submit.add_argument("--spec", action="append", metavar="JSON",
                         help="raw job-spec JSON object (repeatable)")
     submit.add_argument("--deadline", type=float, metavar="S",
                         help="per-request deadline override")
-    submit.add_argument("--json", action="store_true",
-                        help="emit raw response JSON, one object per job")
-    _store_flag(submit)
-    return p
+    cli.output_flags(submit, json=True)
+    submit.set_defaults(fn=_cmd_submit)
 
-
-def _store_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--store-dir", metavar="PATH",
-                   help="artifact store root (default .repro-cache/ or "
-                   "$REPRO_CACHE_DIR); daemon and clients rendezvous here")
+    for q in (start, stop, status, ping, submit):
+        cli.store_flags(q)  # daemon and clients rendezvous at the store root
 
 
 def _cmd_start(args) -> int:
     from repro.daemon import state as _state
 
     if not args.foreground:
-        tail = ["--host", args.host, "--port", str(args.port),
-                "--workers", str(args.workers),
-                "--queue-limit", str(args.queue_limit),
-                "--deadline", str(args.deadline),
-                "--retries", str(args.retries),
-                "--backoff", str(args.backoff),
-                "--mem-cache", str(args.mem_cache)]
-        if args.obs_out:
-            tail += ["--obs-out", args.obs_out]
-        if args.store_dir:
-            tail += ["--store-dir", args.store_dir]
-        doc = _state.spawn_background(tail, wait_s=args.wait,
+        # the child is this same command line, run in the foreground
+        doc = _state.spawn_background(args.argv[2:], wait_s=args.wait,
                                       store_root=args.store_dir)
         print(f"daemon running: pid {doc['pid']} at "
               f"{doc['host']}:{doc['port']}")
@@ -142,7 +115,7 @@ def _cmd_start(args) -> int:
         deadline_s=args.deadline,
         store_dir=args.store_dir,
         mem_cache=args.mem_cache,
-        obs_out=args.obs_out,
+        obs_out=args.obs,
     ))
     for sig in (signal.SIGTERM, signal.SIGINT):
         signal.signal(sig, lambda *_: daemon.request_drain())
@@ -153,25 +126,33 @@ def _cmd_start(args) -> int:
     return 0
 
 
+def _cmd_stop(args) -> int:
+    from repro.daemon import state as _state
+
+    out = _state.stop_daemon(args.store_dir, wait_s=args.wait)
+    print(f"daemon pid {out['pid']} drained and stopped")
+    return 0
+
+
+def _cmd_ping(args) -> int:
+    from repro.daemon import state as _state
+
+    host, port = _state.endpoint_for(args.store_dir)
+    reply = _state.request(host, port, "GET", "/v1/healthz", timeout_s=5.0)
+    print(json.dumps(reply.body))
+    return 0 if reply.ok else 1
+
+
 def _cmd_status(args) -> int:
-    from repro.artifacts.envelope import payload_of
     from repro.daemon import state as _state
 
     host, port = _state.endpoint_for(args.store_dir)
     reply = _state.request(host, port, "GET", "/v1/status", timeout_s=10.0)
     if not reply.ok:
-        print(f"error: status fetch failed (HTTP {reply.status})",
-              file=sys.stderr)
-        return 2
-    envelope = reply.body
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, indent=2)
-            fh.write("\n")
+        raise DaemonError(f"status fetch failed (HTTP {reply.status})")
+    doc = cli.emit(args, reply.body, what="status envelope")["payload"]
     if args.json:
-        print(json.dumps(envelope, indent=2))
         return 0
-    doc = payload_of(envelope)
     requests = doc["requests"]
     queue = doc["queue"]
     lat = doc["latency"]["request_s"]
@@ -192,17 +173,12 @@ def _cmd_status(args) -> int:
     store = doc["store"]
     print(f"  store: {store['hits']} hits / {store['misses']} misses, "
           f"{store['entries']} entries at {store['root']}")
-    if args.out:
-        print(f"status envelope written to {args.out}")
     return 0
 
 
 def _submit_specs(args) -> list[dict]:
     specs: list[dict] = []
-    passes = (
-        [s.strip() for s in args.passes.split(",") if s.strip()]
-        if args.passes else None
-    )
+    passes = cli.split_passes(args.passes)
     for name in args.workloads:
         spec: dict = {"kind": args.kind, "workload": name}
         if passes:
@@ -246,32 +222,3 @@ def _cmd_submit(args) -> int:
         ok = reply.ok and body.get("status") in ("hit", "computed", "retried")
         rc = rc if ok else 1
     return rc
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "start":
-            return _cmd_start(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "ping":
-            from repro.daemon import state as _state
-
-            host, port = _state.endpoint_for(args.store_dir)
-            reply = _state.request(host, port, "GET", "/v1/healthz",
-                                   timeout_s=5.0)
-            print(json.dumps(reply.body))
-            return 0 if reply.ok else 1
-        if args.command == "stop":
-            from repro.daemon import state as _state
-
-            out = _state.stop_daemon(args.store_dir, wait_s=args.wait)
-            print(f"daemon pid {out['pid']} drained and stopped")
-            return 0
-        if args.command == "submit":
-            return _cmd_submit(args)
-        raise DaemonError(f"unknown command {args.command!r}")
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2

@@ -118,7 +118,7 @@ class Daemon:
     """A running (or startable) compile daemon; see the module docstring.
 
     Usable in-process (tests call :meth:`start` / :meth:`request_drain`
-    directly) or as the body of ``python -m repro.daemon start
+    directly) or as the body of ``python -m repro daemon start
     --foreground``.
     """
 
@@ -431,11 +431,12 @@ class Daemon:
         if self._obs is not None:
             out = self.config.obs_out or str(self.store.root / "daemon_obs.json")
             try:
-                _obs_export.write_metrics(
+                publish(
                     out,
                     _obs_export.metrics(
                         self._obs, meta={"tool": __package__}
                     ),
+                    producer="repro.obs",
                 )
             except Exception:
                 pass  # a failed flush must not block the drain

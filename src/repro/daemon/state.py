@@ -128,7 +128,7 @@ def request(
     except (OSError, http.client.HTTPException) as e:
         raise DaemonError(
             f"daemon at {host}:{port} unreachable ({e}); "
-            "is it running? try 'python -m repro.daemon status'"
+            "is it running? try 'python -m repro daemon status'"
         ) from e
     finally:
         conn.close()
@@ -154,7 +154,7 @@ def endpoint(store_root: Union[str, Path]) -> tuple[str, int]:
     if doc is None:
         raise DaemonError(
             f"no daemon is running for store {store_root!s} "
-            "(start one with 'python -m repro.daemon start')"
+            "(start one with 'python -m repro daemon start')"
         )
     return doc.get("host", "127.0.0.1"), int(doc["port"])
 
@@ -179,7 +179,7 @@ def submit_job(
 
 def spawn_background(argv_tail: list[str], wait_s: float = 10.0,
                      store_root: Optional[str] = None) -> dict:
-    """Start ``python -m repro.daemon start --foreground <argv_tail>`` as
+    """Start ``python -m repro daemon start --foreground <argv_tail>`` as
     a detached process and wait for its endpoint record + healthz.
     Returns the state doc; :class:`DaemonError` on timeout."""
     from repro.serve.store import ArtifactStore
@@ -190,7 +190,7 @@ def spawn_background(argv_tail: list[str], wait_s: float = 10.0,
             f"a daemon is already running for store {root} "
             "(stop it first, or talk to it)"
         )
-    cmd = [sys.executable, "-m", "repro.daemon", "start", "--foreground"]
+    cmd = [sys.executable, "-m", "repro", "daemon", "start", "--foreground"]
     cmd += argv_tail
     proc = subprocess.Popen(
         cmd,

@@ -6,7 +6,7 @@
   computes, per-step P² latency streams, and named builtin grids;
 - :mod:`~repro.load.report` — the ``repro.serve.load/1`` payload
   (build / validate / flatten) plus the knee/warm-speedup analysis;
-- :mod:`~repro.load.cli` — ``python -m repro.load run GRID``.
+- :mod:`~repro.load.cli` — ``python -m repro load run GRID``.
 
 The committed ``BENCH_serve.json`` at the repo root is this package's
 output: a ramp showing warm-store hits answered orders of magnitude

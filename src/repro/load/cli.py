@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.load``.
+"""The ``load`` command: ``python -m repro load``.
 
 Subcommands::
 
@@ -8,13 +8,13 @@ Subcommands::
 ``GRID`` is a JSON file path or a builtin name (``quick``, ``bench``).
 Examples::
 
-    python -m repro.daemon start --workers 2 --queue-limit 8
-    python -m repro.load run quick --out BENCH_serve.json
-    python -m repro.load run grid.json --deadline 10 --store-dir /tmp/cache
-    python -m repro.daemon stop
+    python -m repro daemon start --workers 2 --queue-limit 8
+    python -m repro load run quick --out BENCH_serve.json
+    python -m repro load run grid.json --deadline 10 --store-dir /tmp/cache
+    python -m repro daemon stop
 
-The report is a self-validated ``repro.serve.load/1`` envelope; with
-``--out`` it is also landed in the artifact store sink so ``repro.perf
+The report is a validated ``repro.serve.load/1`` envelope; with
+``--out`` it is also landed in the artifact store sink so ``repro perf
 record`` can ingest its ``load:*`` metrics from the same file.
 
 Exit status: 0 when the ramp ran and the report validates, 1 when any
@@ -23,42 +23,36 @@ step saw transport errors, 2 for usage errors or no reachable daemon.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import Optional
 
-from repro.errors import LoadError, ReproError
+from repro import cli
+from repro.errors import LoadError
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.load",
-        description="open-loop load generator for the repro.daemon "
+def register(sub) -> None:
+    p = sub.add_parser(
+        "load",
+        description="open-loop load generator for the repro daemon "
         "compile service",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="ramp a grid against the daemon")
+    run = cmds.add_parser("run", help="ramp a grid against the daemon")
     run.add_argument("grid", metavar="GRID",
                      help="grid JSON file, or a builtin name "
                      "(see 'grids')")
-    run.add_argument("--store-dir", metavar="PATH",
-                     help="artifact store root the daemon advertises in "
-                     "(default .repro-cache/ or $REPRO_CACHE_DIR)")
+    cli.store_flags(run)  # the root the daemon advertises its endpoint in
     run.add_argument("--host", help="daemon host (default: from the "
                      "endpoint record)")
     run.add_argument("--port", type=int, help="daemon port (default: from "
                      "the endpoint record)")
     run.add_argument("--deadline", type=float, metavar="S",
                      help="per-request deadline override")
-    run.add_argument("--out", metavar="PATH",
-                     help="write the repro.serve.load/1 envelope here")
-    run.add_argument("--json", action="store_true",
-                     help="print the envelope instead of the summary")
+    cli.output_flags(run, out="repro.serve.load/1 report", json=True)
+    run.set_defaults(fn=_cmd_run)
 
-    sub.add_parser("grids", help="list the builtin grids")
-    return p
+    grids = cmds.add_parser("grids", help="list the builtin grids")
+    grids.set_defaults(fn=_cmd_grids)
 
 
 def _load_grid(name: str) -> dict:
@@ -104,11 +98,8 @@ def _print_summary(payload: dict) -> None:
 
 
 def _cmd_run(args) -> int:
-    from repro.artifacts import publish
     from repro.daemon import state as _state
     from repro.load.gen import run_grid
-    from repro.load.report import validate_report
-    from repro.serve.store import ArtifactStore
 
     grid = _load_grid(args.grid)
     if args.host and args.port:
@@ -120,41 +111,20 @@ def _cmd_run(args) -> int:
         deadline_s=args.deadline,
         progress=None if args.json else print,
     )
-    problems = validate_report(payload)
-    if problems:  # self-check: never ship a malformed artifact
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    store = ArtifactStore(args.store_dir) if args.out else None
-    envelope = publish(args.out, payload, producer=__package__, store=store)
-    if args.json:
-        print(json.dumps(envelope, indent=2))
-    else:
+    if not args.json:
         _print_summary(payload)
-        if args.out:
-            print(f"load report written to {args.out}")
+    cli.emit(args, payload, store=cli.open_store(args) if args.out else None,
+             what="load report")
     errored = sum(
         (step["outcomes"].get("error", 0)) for step in payload["steps"]
     )
     return 1 if errored else 0
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "grids":
-            from repro.load.gen import BUILTIN_GRIDS
+def _cmd_grids(args) -> int:
+    from repro.load.gen import BUILTIN_GRIDS
 
-            for name, grid in sorted(BUILTIN_GRIDS.items()):
-                rates = ", ".join(
-                    f"{s['rate']:g}" for s in grid["steps"]
-                )
-                print(f"  {name:<8} rates {rates} /s, "
-                      f"{len(grid['mix'])} mix entries")
-            return 0
-        raise LoadError(f"unknown command {args.command!r}")
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    for name, grid in sorted(BUILTIN_GRIDS.items()):
+        rates = ", ".join(f"{s['rate']:g}" for s in grid["steps"])
+        print(f"  {name:<8} rates {rates} /s, {len(grid['mix'])} mix entries")
+    return 0

@@ -19,7 +19,7 @@ Layers:
 - :mod:`repro.matrix.runner` — sweep driver over the worker pool
 - :mod:`repro.matrix.analysis` — summaries, sensitivity, best blocking
 - :mod:`repro.matrix.report` — the ``repro.matrix/1`` artifact
-- :mod:`repro.matrix.cli` — ``python -m repro.matrix``
+- :mod:`repro.matrix.cli` — ``python -m repro matrix``
 """
 
 from repro.matrix.analysis import best_blocking, sensitivity, summarize

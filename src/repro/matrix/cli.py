@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.matrix``.
+"""The ``matrix`` command: ``python -m repro matrix``.
 
 Subcommands::
 
@@ -9,126 +9,103 @@ Subcommands::
 
 Examples::
 
-    python -m repro.matrix run examples/matrix_demo_grid.json --workers 4
-    python -m repro.matrix run --factor workload=lu_nopivot,conv \\
+    python -m repro matrix run examples/matrix_demo_grid.json --workers 4
+    python -m repro matrix run --factor workload=lu_nopivot,conv \\
         --factor b=2,4,8 --factor cache_kb=1,2 --factor n=16,24
-    python -m repro.matrix resume 9f31
-    python -m repro.matrix status
-    python -m repro.matrix report 9f31 --only b
-    python -m repro.matrix report --only cache_kb --metric miss_ratio
+    python -m repro matrix resume 9f31
+    python -m repro matrix status
+    python -m repro matrix report 9f31 --only b
+    python -m repro matrix report --only cache_kb --metric miss_ratio
 
 ``run`` executes through the ``repro.serve`` worker pool against the
 shared artifact store, records one sqlite row per cell as it resolves,
-self-validates the ``repro.matrix/1`` artifact, and writes it (default
+validates the ``repro.matrix/1`` artifact, and writes it (default
 ``BENCH_matrix.json``).  A rerun of the same grid recomputes zero cells:
 finished cells are skipped from the database, and ``--fresh`` reruns
 still resolve warm cells as store hits (``attempts=0``).
 
 ``report --only FACTOR`` restricts the sensitivity section to one
-factor, mirroring ``repro.bench.report --only``: naming a factor that is
+factor, mirroring ``repro report --only``: naming a factor that is
 absent or does not vary in the selected rows exits 2 with the list of
 varied factors.
 
 Exit status: 0 when every cell lands, 1 when any cell is ``timeout`` /
-``failed``, 2 for usage errors or a report that fails self-validation.
+``failed``, 2 for usage errors or a report that fails validation.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from typing import Optional
 
-from repro.errors import MatrixError, ReproError
+from repro import cli
+from repro.errors import MatrixError
 from repro.matrix.analysis import METRICS
 from repro.matrix.db import MatrixDB
 from repro.matrix.grid import FACTOR_ORDER, GridSpec
-from repro.matrix.report import build_report, render, validate_report, write_report
+from repro.matrix.report import build_report, render
 from repro.matrix.runner import cell_digests, run_grid
-from repro.obs import core as obs_core
-from repro.obs import export as obs_export
-from repro.serve.store import ArtifactStore
 
 DEFAULT_OUT = "BENCH_matrix.json"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.matrix",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "matrix",
         description="declarative experiment grids over the repro.serve "
         "worker pool, persisted to a sqlite results database",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="expand a grid and sweep it")
+    run = cmds.add_parser("run", help="expand a grid and sweep it")
     run.add_argument("spec", nargs="?", metavar="SPEC.json",
                      help="grid spec file; omit when using --factor")
     run.add_argument("--factor", action="append", default=[],
                      metavar="NAME=V1,V2",
                      help=f"one factor and its levels (repeatable); "
                      f"factors: {', '.join(FACTOR_ORDER)}")
-    _sweep_flags(run)
-    _report_flags(run)
+    run.set_defaults(fn=lambda args: _run_sweep(args, _grid_from_run(args)))
 
-    resume = sub.add_parser("resume", help="continue a recorded sweep")
+    resume = cmds.add_parser("resume", help="continue a recorded sweep")
     resume.add_argument("sweep", nargs="?", metavar="SWEEP",
                         help="sweep digest prefix (optional when only one "
                         "sweep is recorded)")
-    _sweep_flags(resume)
-    _report_flags(resume)
+    resume.set_defaults(fn=_resume)
 
-    status = sub.add_parser("status", help="list recorded sweeps")
-    status.add_argument("--db", metavar="PATH", help=_DB_HELP)
-    status.add_argument("--store-dir", metavar="PATH", help=_STORE_HELP)
-    status.add_argument("--json", action="store_true", help="emit JSON")
+    for q in (run, resume):
+        cli.pool_flags(q, backoff=False)
+        q.add_argument("--timeout", type=float, default=600.0, metavar="S",
+                       help="per-cell timeout in seconds (default 600)")
+        cli.store_flags(
+            q, no_store=True,
+            fresh="ignore recorded rows; re-resolve every cell "
+            "(warm store entries still land as hits)",
+        )
+        q.add_argument("--progress", action="store_true",
+                       help="print one line per cell as it resolves")
+        cli.observe_flags(q)
 
-    report = sub.add_parser("report", help="re-analyze recorded rows")
+    status = cmds.add_parser("status", help="list recorded sweeps")
+    cli.output_flags(status, json=True)
+    status.set_defaults(fn=_status)
+
+    report = cmds.add_parser("report", help="re-analyze recorded rows")
     report.add_argument("sweep", nargs="?", metavar="SWEEP",
                         help="sweep digest prefix (default: all rows)")
-    report.add_argument("--db", metavar="PATH", help=_DB_HELP)
-    report.add_argument("--store-dir", metavar="PATH", help=_STORE_HELP)
-    _report_flags(report, default_out=None)
-    return p
+    report.set_defaults(fn=_report)
 
-
-_DB_HELP = "results database (default matrix.db under .repro-cache/ or $REPRO_CACHE_DIR)"
-_STORE_HELP = "artifact store root (default .repro-cache/ or $REPRO_CACHE_DIR)"
-
-
-def _sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", "-j", type=int, default=2, metavar="N",
-                   help="worker processes (default 2)")
-    p.add_argument("--retries", type=int, default=2, metavar="K",
-                   help="retries per crashed/timed-out cell (default 2)")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="S",
-                   help="per-cell timeout in seconds (default 600)")
-    p.add_argument("--db", metavar="PATH", help=_DB_HELP)
-    p.add_argument("--store-dir", metavar="PATH", help=_STORE_HELP)
-    p.add_argument("--no-store", action="store_true",
-                   help="compute everything; skip the artifact store")
-    p.add_argument("--fresh", action="store_true",
-                   help="ignore recorded rows; re-resolve every cell "
-                   "(warm store entries still land as hits)")
-    p.add_argument("--progress", action="store_true",
-                   help="print one line per cell as it resolves")
-    p.add_argument("--obs", metavar="PATH",
-                   help="write a repro.obs/1 metrics profile here "
-                   "(worker-side counters and spans are merged in)")
-    p.add_argument("--chrome-trace", metavar="PATH",
-                   help="write a merged multi-process Chrome trace here "
-                   "(one pid lane per worker)")
-
-
-def _report_flags(p: argparse.ArgumentParser, default_out: Optional[str] = DEFAULT_OUT) -> None:
-    p.add_argument("--out", metavar="PATH", default=default_out,
-                   help="write the repro.matrix/1 artifact here"
-                   + (f" (default {default_out})" if default_out else ""))
-    p.add_argument("--metric", choices=METRICS, default="speedup",
-                   help="metric for sensitivity/best-blocking (default speedup)")
-    p.add_argument("--only", metavar="FACTOR",
-                   help="restrict sensitivity to one factor (exit 2 when it "
-                   "is absent or does not vary)")
+    for q in (status, report):
+        cli.store_flags(q)
+    for q in (run, resume, status, report):
+        cli.db_flag(q, "matrix.db")
+    for q, default in ((run, DEFAULT_OUT), (resume, DEFAULT_OUT), (report, None)):
+        cli.output_flags(q, out="repro.matrix/1 artifact", default=default)
+        q.add_argument("--metric", choices=METRICS, default="speedup",
+                       help="metric for sensitivity/best-blocking "
+                       "(default speedup)")
+        q.add_argument("--only", metavar="FACTOR",
+                       help="restrict sensitivity to one factor (exit 2 when "
+                       "it is absent or does not vary)")
 
 
 def _grid_from_run(args) -> GridSpec:
@@ -190,16 +167,14 @@ def _progress_printer(total: int):
 
 
 def _run_sweep(args, grid: GridSpec) -> int:
-    store = None if args.no_store else ArtifactStore(args.store_dir)
+    store = cli.open_store(args)
     meta = {"tool": __package__, "command": args.command,
             "grid": grid.digest()[:12]}
-    only = [args.only] if args.only else None
 
     with MatrixDB(args.db) as db:
         total = len(cell_digests(grid, store))
-
-        def go() -> dict:
-            return run_grid(
+        with cli.observed(args, meta):
+            doc = run_grid(
                 grid,
                 workers=args.workers,
                 store=store,
@@ -209,44 +184,28 @@ def _run_sweep(args, grid: GridSpec) -> int:
                 timeout_s=args.timeout,
                 meta=meta,
                 metric=args.metric,
-                only=only,
+                only=[args.only] if args.only else None,
                 on_row=_progress_printer(total) if args.progress else None,
             )
 
-        if args.obs or args.chrome_trace:
-            with obs_core.enabled() as o:
-                doc = go()
-            if args.obs:
-                obs_export.write_metrics(args.obs, obs_export.metrics(o, meta=meta))
-            if args.chrome_trace:
-                obs_export.write_json(
-                    args.chrome_trace, obs_export.chrome_trace(o)
-                )
-        else:
-            doc = go()
-
-    problems = validate_report(doc)
-    if problems:  # self-check: never ship a malformed artifact
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    if args.out:
-        # land the sweep artifact in the store the cells ran against
-        write_report(args.out, doc, store=store)
     print(render(doc))
     if args.out:
-        print(f"report written to {args.out}")
-    if args.obs:
-        print(f"obs metrics written to {args.obs}")
-    if args.chrome_trace:
-        print(f"chrome trace written to {args.chrome_trace}")
+        # land the sweep artifact in the store the cells ran against
+        cli.emit(args, doc, store=store)
     run = doc["run"]
     bad = sum(run.get(s, 0) for s in ("timeout", "failed"))
     return 1 if bad else 0
 
 
+def _resume(args) -> int:
+    with MatrixDB(args.db) as db:
+        sweep = _match_sweep(db, args.sweep)
+    args.fresh = False  # resuming is the whole point
+    return _run_sweep(args, GridSpec.from_json(json.loads(sweep["spec"])))
+
+
 def _status(args) -> int:
-    store = ArtifactStore(args.store_dir)
+    store = cli.open_store(args)
     with MatrixDB(args.db) as db:
         out = []
         for sweep in db.sweeps():
@@ -275,7 +234,7 @@ def _status(args) -> int:
 
 
 def _report(args) -> int:
-    store = ArtifactStore(args.store_dir)
+    store = cli.open_store(args)
     with MatrixDB(args.db) as db:
         grid = None
         digests = None
@@ -293,35 +252,7 @@ def _report(args) -> int:
         metric=args.metric,
         only=[args.only] if args.only else None,
     )
-    problems = validate_report(doc)
-    if problems:
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
-    if args.out:
-        write_report(args.out, doc, store=store)
     print(render(doc))
     if args.out:
-        print(f"report written to {args.out}")
+        cli.emit(args, doc, store=store)
     return 0
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _run_sweep(args, _grid_from_run(args))
-        if args.command == "resume":
-            with MatrixDB(args.db) as db:
-                sweep = _match_sweep(db, args.sweep)
-            grid = GridSpec.from_json(json.loads(sweep["spec"]))
-            args.fresh = False  # resuming is the whole point
-            return _run_sweep(args, grid)
-        if args.command == "status":
-            return _status(args)
-        if args.command == "report":
-            return _report(args)
-        raise MatrixError(f"unknown command {args.command!r}")
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2

@@ -26,20 +26,14 @@ WHERE workload='lu_nopivot' GROUP BY b``.
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 import time
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from repro.artifacts.sqlitedb import SqliteDB
 from repro.errors import MatrixError
-
-SCHEMA_VERSION = 1
 
 #: statuses that mean "this cell's row is authoritative; do not rerun"
 OK_STATUSES = ("hit", "computed", "retried")
-
-DEFAULT_BASENAME = "matrix.db"
 
 #: cells-table columns, in schema order
 ROW_COLUMNS = (
@@ -117,56 +111,17 @@ CREATE TABLE IF NOT EXISTS sweeps (
 )"""
 
 
-def default_path() -> Path:
-    root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    return root / DEFAULT_BASENAME
-
-
-class MatrixDB:
+class MatrixDB(SqliteDB):
     """One results database; use as a context manager or ``close()``."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = Path(path) if path is not None else default_path()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # autocommit: every row insert is durable on its own, which is
-        # what makes a SIGKILLed sweep resumable from the last cell
-        self._conn = sqlite3.connect(str(self.path), isolation_level=None)
-        self._conn.row_factory = sqlite3.Row
-        self._init_schema()
-
-    # ---- lifecycle --------------------------------------------------------
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "MatrixDB":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _init_schema(self) -> None:
-        try:
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-        except sqlite3.DatabaseError as e:
-            raise MatrixError(f"{self.path} is not a matrix database: {e}") from e
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-        elif int(row["value"]) != SCHEMA_VERSION:
-            raise MatrixError(
-                f"{self.path} has schema v{row['value']}, want v{SCHEMA_VERSION}; "
-                "delete the file to start over"
-            )
-        self._conn.execute(_CELLS_DDL)
-        self._conn.execute(_SWEEPS_DDL)
-        self._conn.execute("CREATE INDEX IF NOT EXISTS cells_sweep ON cells(sweep)")
+    BASENAME = "matrix.db"
+    ERROR = MatrixError
+    KIND = "matrix"
+    DDL = (
+        _CELLS_DDL,
+        _SWEEPS_DDL,
+        "CREATE INDEX IF NOT EXISTS cells_sweep ON cells(sweep)",
+    )
 
     # ---- sweeps -----------------------------------------------------------
     def record_sweep(self, digest: str, spec_json: str, cells: int) -> None:

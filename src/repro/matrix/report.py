@@ -1,4 +1,4 @@
-"""The ``repro.matrix/1`` artifact: build, validate, render, write.
+"""The ``repro.matrix/1`` artifact: build, validate, render.
 
 .. code-block:: text
 
@@ -22,7 +22,7 @@
 
 ``validate_report`` returns a list of problems (empty = valid) — the
 idiom shared with ``repro.obs``/``repro.check``/``repro.serve``; the
-``matrix-smoke`` CI job runs it over a real sweep, and the CLI validates
+``matrix-smoke`` CI job runs it over a real sweep, and publishing validates
 before writing.  Reports are written enveloped (see
 :mod:`repro.artifacts`).
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import QUANT_FIELDS, Sink
 from repro.artifacts.registry import MATRIX_REPORT as SCHEMA
 from repro.matrix.analysis import (
@@ -235,10 +234,3 @@ def flatten_report(doc: dict) -> dict:
         for field in ("modeled_s", "speedup", "miss_ratio", "wall_s"):
             sink.put(f"{label}.{field}", row.get(field))
     return sink.metrics
-
-
-def write_report(path: str, doc: dict, store=None, request=None) -> dict:
-    """Envelope and write a matrix report (validated on the way out);
-    optionally lands it in the store sink.  Returns the envelope."""
-    return publish(path, doc, producer=__package__, store=store,
-                   request=request)

@@ -17,7 +17,7 @@ Zero-dependency observability for the whole reproduction stack:
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto; one pid lane per merged worker) and the ``repro.obs/1``
   metrics schema, with a validator.
-- ``python -m repro.obs`` — run any pipeline workload end to end
+- ``python -m repro obs`` — run any pipeline workload end to end
   (derivation + simulated execution) and render a text profile: top loops
   by misses, top passes by wall time, analysis-cache efficiency.
 

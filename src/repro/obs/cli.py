@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.obs``.
+"""The ``obs`` command: ``python -m repro obs``.
 
 Runs a named pipeline workload end to end under observation — the
 derivation through the pass manager, then the derived procedure through
@@ -8,14 +8,14 @@ top passes by wall time, and analysis-cache efficiency.
 
 Examples::
 
-    python -m repro.obs --list
-    python -m repro.obs lu_nopivot
-    python -m repro.obs lu_nopivot --chrome-trace t.json --metrics m.json
-    python -m repro.obs conv --passes split,jam,scalars --sizes N1=48,N2=36,N3=40
-    python -m repro.obs givens --scale 2 --top 5
+    python -m repro obs --list
+    python -m repro obs lu_nopivot
+    python -m repro obs lu_nopivot --chrome-trace t.json --out m.json
+    python -m repro obs conv --passes split,jam,scalars --sizes N1=48,N2=36,N3=40
+    python -m repro obs givens --scale 2 --top 5
 
 The Chrome trace loads directly in Perfetto (https://ui.perfetto.dev →
-"Open trace file"); the metrics JSON follows the ``repro.obs/1`` schema
+"Open trace file"); the ``--out`` JSON follows the ``repro.obs/1`` schema
 (:mod:`repro.obs.export`) and is written enveloped and validated.  With
 ``--store`` the enveloped profile also lands in the content-addressed
 artifact store under a request pointer (workload, passes, sizes, scale,
@@ -28,11 +28,11 @@ validation, 2 for usage errors.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional
 
-from repro.errors import PipelineError, ReproError
+from repro import cli
+from repro.artifacts import publish
+from repro.errors import PipelineError
 from repro.machine.model import scaled_machine
 from repro.machine.tracer import trace_procedure
 from repro.obs import core as obs_core
@@ -42,33 +42,14 @@ from repro.pipeline.manager import PassManager
 from repro.pipeline.workloads import available_workloads, get_workload
 
 
-def _parse_sizes(text: str) -> dict:
-    sizes = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise PipelineError(f"bad --sizes entry {part!r} (want NAME=VALUE)")
-        name, value = part.split("=", 1)
-        try:
-            sizes[name.strip()] = float(value) if "." in value else int(value)
-        except ValueError:
-            raise PipelineError(f"bad --sizes value {value!r}") from None
-    return sizes
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.obs",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "obs",
         description="profile a pipeline workload: spans, metrics, per-loop misses",
     )
     p.add_argument("workload", nargs="?", help="workload name (see --list)")
-    p.add_argument(
-        "--passes", "-p",
-        help="comma-separated pass names (default: the workload's pipeline)",
-    )
-    p.add_argument("--sizes", help="override execution sizes, e.g. N=16,KS=4")
+    cli.passes_flag(p)
+    cli.sizes_flag(p)
     p.add_argument(
         "--scale", type=int, default=4,
         help="machine geometry scale for the simulated run (default 4)",
@@ -77,30 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--top", type=int, default=10, help="rows per profile section (default 10)"
     )
-    p.add_argument(
-        "--chrome-trace", metavar="PATH",
-        help="write a Perfetto-loadable Chrome trace-event JSON here",
-    )
-    p.add_argument(
-        "--metrics", metavar="PATH",
-        help="write the repro.obs/1 metrics JSON here",
-    )
+    cli.observe_flags(p, obs=False)
+    cli.output_flags(p, out="repro.obs/1 metrics profile")
     p.add_argument("--list", action="store_true", help="list workloads and exit")
-    p.add_argument(
-        "--store", action="store_true",
-        help="publish the metrics profile to the content-addressed "
+    cli.store_flags(
+        p,
+        store="publish the metrics profile to the content-addressed "
         "artifact store and resume from it on a repeat run",
+        fresh="with --store: ignore a stored profile, re-profile",
     )
-    p.add_argument(
-        "--store-dir", metavar="DIR",
-        help="store root for --store (default .repro-cache/ or "
-        "$REPRO_CACHE_DIR)",
-    )
-    p.add_argument(
-        "--fresh", action="store_true",
-        help="with --store: ignore a stored profile, re-profile",
-    )
-    return p
+    p.set_defaults(fn=run)
 
 
 def _fmt_row(name: str, row: dict, total_misses: int) -> str:
@@ -192,69 +159,40 @@ def render_profile(
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def run(args) -> int:
     if args.list:
         for w in available_workloads():
             print(f"{w.name:<12} {w.title}")
         return 0
     if not args.workload:
-        print("error: a workload name is required (or --list)", file=sys.stderr)
-        return 2
+        raise PipelineError("a workload name is required (or --list)")
 
-    try:
-        workload = get_workload(args.workload)
-        pass_names = (
-            [s.strip() for s in args.passes.split(",") if s.strip()]
-            if args.passes
-            else None
-        )
-        specs = workload.resolve_specs(pass_names)
-        sizes = dict(workload.verify_sizes)
-        if args.sizes:
-            sizes.update(_parse_sizes(args.sizes))
-        machine = scaled_machine(args.scale)
-        cache = AnalysisCache()
-        manager = PassManager(
-            specs, ctx=workload.context(None), cache=cache, algorithm=workload.name
-        )
-        proc = workload.build()
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    workload = get_workload(args.workload)
+    specs = workload.resolve_specs(cli.split_passes(args.passes))
+    sizes = {**workload.verify_sizes, **cli.parse_sizes(args.sizes)}
+    machine = scaled_machine(args.scale)
+    manager = PassManager(
+        specs, ctx=workload.context(None), cache=AnalysisCache(),
+        algorithm=workload.name,
+    )
+    proc = workload.build()
 
-    store = None
-    request = None
-    if args.store:
-        from repro.artifacts import get_for_request, write_file
-        from repro.artifacts.registry import OBS_METRICS
-        from repro.serve.store import ArtifactStore
-
-        store = ArtifactStore(args.store_dir)
-        request = ("obs-profile", workload.name, args.passes or "",
-                   tuple(sorted(sizes.items())), args.scale, args.seed)
-        if not args.fresh and not args.chrome_trace:
-            env = get_for_request(store, OBS_METRICS, request)
-            if env is not None:
-                if args.metrics:
-                    write_file(args.metrics, env)
-                print(f"profile resumed from store ({env['digest'][:12]}); "
-                      "use --fresh to re-profile")
-                if args.metrics:
-                    print(f"metrics written to {args.metrics}")
-                return 0
+    store = cli.open_store(args)
+    request = ("obs-profile", workload.name, args.passes or "",
+               tuple(sorted(sizes.items())), args.scale, args.seed)
+    if not args.chrome_trace:
+        env = cli.resumed(args, store, export.SCHEMA, request, what="metrics")
+        if env is not None:
+            print(f"profile resumed from store ({env['digest'][:12]}); "
+                  "use --fresh to re-profile")
+            return 0
 
     obs_obj = obs_core.Obs()
-    try:
-        with obs_core.enabled(obs_obj):
-            result = manager.run(proc)
-            tracer = trace_procedure(
-                result.procedure, sizes, machine, seed=args.seed, attribute=True
-            )
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with obs_core.enabled(obs_obj):
+        result = manager.run(proc)
+        tracer = trace_procedure(
+            result.procedure, sizes, machine, seed=args.seed, attribute=True
+        )
 
     print(render_profile(workload.name, result, tracer, machine, obs_obj, args.top))
 
@@ -263,7 +201,7 @@ def main(argv: Optional[list] = None) -> int:
         export.write_json(args.chrome_trace, export.chrome_trace(obs_obj))
         print(f"\nchrome trace written to {args.chrome_trace} "
               "(open at https://ui.perfetto.dev)")
-    if args.metrics or store is not None:
+    if args.out or store is not None:
         doc = export.metrics(
             obs_obj,
             meta={"workload": workload.name, "machine": machine.name,
@@ -276,11 +214,11 @@ def main(argv: Optional[list] = None) -> int:
         errors = export.validate_metrics(doc)
         # an invalid profile is still written for offline inspection, but
         # never published to the store
-        export.write_metrics(args.metrics, doc,
-                             store=store if not errors else None,
-                             request=request, validate=False)
-        if args.metrics:
-            print(f"metrics written to {args.metrics}")
+        publish(args.out, doc, producer=args.producer,
+                store=store if not errors else None,
+                request=request, validate=False)
+        if args.out:
+            print(f"metrics written to {args.out}")
         if store is not None and not errors:
             print("profile published to the artifact store")
         if errors:

@@ -7,8 +7,7 @@ Two artifact formats come out of an observed run:
   trace file") or ``chrome://tracing``;
 - :func:`metrics` — the ``repro.obs/1`` payload schema below, the
   machine-readable profile that BENCH artifacts and CI validate
-  (written enveloped by :func:`write_metrics` — see
-  :mod:`repro.artifacts`).
+  (written enveloped by :func:`repro.artifacts.publish`).
 
 .. code-block:: text
 
@@ -43,7 +42,6 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import HIST_FIELDS, Sink, cache_stats
 from repro.artifacts.registry import OBS_METRICS as SCHEMA
 from repro.obs.core import Obs
@@ -211,14 +209,6 @@ def flatten_metrics(doc: dict) -> dict:
             for field, value in sorted(stats.items()):
                 sink.put(f"machine.{level}.{field}", value)
     return sink.metrics
-
-
-def write_metrics(path: Optional[str], doc: dict, store=None,
-                  request=None, validate: bool = True) -> dict:
-    """Envelope and write a metrics artifact (validated on the way
-    out); optionally lands it in the store sink.  Returns the envelope."""
-    return publish(path, doc, producer=__package__, store=store,
-                   request=request, validate=validate)
 
 
 def write_json(path: str, doc: dict) -> None:

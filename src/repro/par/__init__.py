@@ -20,7 +20,7 @@ The verdict is a static proof and nothing executes on it: a sharded
 ``PARALLEL DO`` executor over the interpreter was measured, lost to the
 compiled engine by 12x on two cores, and was removed (DESIGN.md §12).
 
-``python -m repro.par`` drives both; results travel as the
+``python -m repro par`` drives both; results travel as the
 ``repro.par/1`` artifact (:mod:`repro.par.report`).
 """
 
@@ -35,7 +35,7 @@ from repro.par.detect import (
     classify_procedure,
     verdict_counts,
 )
-from repro.par.report import SCHEMA, build_report, validate_report, write_report
+from repro.par.report import SCHEMA, build_report, validate_report
 from repro.par.sanitizer import RaceConflict, RaceSanitizer, SanitizeResult, sanitize
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "sanitize",
     "validate_report",
     "verdict_counts",
-    "write_report",
 ]

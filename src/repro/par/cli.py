@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.par``.
+"""The ``par`` command: ``python -m repro par``.
 
 Subcommands::
 
@@ -8,18 +8,18 @@ Subcommands::
 
 Examples::
 
-    python -m repro.par classify --all
-    python -m repro.par sanitize matmul conv
-    python -m repro.par bench --json BENCH_par.json
+    python -m repro par classify --all
+    python -m repro par sanitize matmul conv
+    python -m repro par bench --out BENCH_par.json
 
 ``classify`` prints the detector's verdict (PARALLEL / REDUCTION /
 SERIAL) for every loop, with the blocking witness for SERIAL ones.
 ``sanitize`` executes each workload under the instrumented interpreter
 and reports any cross-iteration conflict on a marked loop — a non-empty
 result means the static layer mis-marked something and exits 1.
-``bench`` does both and writes the enveloped, self-validated
+``bench`` does both and writes the enveloped, validated
 ``repro.par/1`` artifact (default ``BENCH_par.json``) — the file CI
-uploads and ``repro.perf`` records/gates.
+uploads and ``repro perf`` records/gates.
 
 Exit status: 0 on success, 1 on sanitizer conflicts, 2 for usage errors
 (unknown workload).
@@ -27,13 +27,10 @@ Exit status: 0 on success, 1 on sanitizer conflicts, 2 for usage errors
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import Optional
-
+from repro import cli
 from repro.errors import ReproError
 from repro.par.detect import annotate_procedure, classify_procedure, verdict_counts
-from repro.par.report import build_report, build_workload_entry, validate_report, write_report
+from repro.par.report import build_report, build_workload_entry
 from repro.par.sanitizer import sanitize
 from repro.pipeline.workloads import available_workloads, get_workload
 
@@ -41,12 +38,11 @@ _TAG = {"parallel": "PARALLEL ", "reduction": "REDUCTION", "serial": "SERIAL   "
 
 
 def _workload_names(args) -> list[str]:
-    if getattr(args, "all", False):
+    if args.all:
         return [w.name for w in available_workloads()]
-    names = list(getattr(args, "workloads", []) or [])
-    if not names:
+    if not args.workloads:
         raise ReproError("name at least one WORKLOAD (or use --all)")
-    return names
+    return args.workloads
 
 
 def _cmd_classify(args) -> int:
@@ -70,15 +66,8 @@ def _cmd_classify(args) -> int:
                 print(f"            witness: {w['kind']} dep on {w['array']} "
                       f"({w['source']} -> {w['sink']}, "
                       f"direction {'/'.join(w['direction'])})")
-    if args.json:
-        doc = build_report(entries, meta={"mode": "classify"})
-        problems = validate_report(doc)
-        if problems:
-            print("report failed self-validation:", *problems, sep="\n  ",
-                  file=sys.stderr)
-            return 2
-        write_report(args.json, doc)
-        print(f"report written to {args.json}")
+    if args.out:
+        cli.emit(args, build_report(entries, meta={"mode": "classify"}))
     return 0
 
 
@@ -97,8 +86,7 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    names = [w.name for w in available_workloads()] \
-        if not args.workloads else args.workloads
+    names = args.workloads or [w.name for w in available_workloads()]
     entries = []
     conflicts = 0
     for name in names:
@@ -113,60 +101,36 @@ def _cmd_bench(args) -> int:
         print(f"{name}: {counts['parallel']}p/{counts['reduction']}r/"
               f"{counts['serial']}s, sanitizer "
               f"{'clean' if result.clean else 'CONFLICTS'}")
-    doc = build_report(
+    cli.emit(args, build_report(
         entries,
         meta={"workloads": ",".join(names), "seed": args.seed},
-    )
-    problems = validate_report(doc)
-    if problems:
-        print("report failed self-validation:", *problems, sep="\n  ",
-              file=sys.stderr)
-        return 2
-    env = write_report(args.json, doc)
-    print(f"report written to {args.json} ({env['digest'][:12]})")
+    ))
     return 1 if conflicts else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.par",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "par",
         description="static loop-parallelism detection and dynamic race "
         "sanitizing",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", help="static verdict per DO loop")
-    c.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    c.add_argument("--all", action="store_true")
-    c.add_argument("--json", metavar="PATH",
-                   help="write a repro.par/1 report here")
+    c = cmds.add_parser("classify", help="static verdict per DO loop")
+    s = cmds.add_parser("sanitize", help="run the dynamic race sanitizer")
+    for q in (c, s):
+        q.add_argument("workloads", nargs="*", metavar="WORKLOAD")
+        q.add_argument("--all", action="store_true")
+    cli.output_flags(c, out="repro.par/1 report")
     c.set_defaults(fn=_cmd_classify)
-
-    s = sub.add_parser("sanitize", help="run the dynamic race sanitizer")
-    s.add_argument("workloads", nargs="*", metavar="WORKLOAD")
-    s.add_argument("--all", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_sanitize)
 
-    b = sub.add_parser("bench",
-                       help="classify + sanitize everything, write "
-                       "BENCH_par.json")
+    b = cmds.add_parser("bench",
+                        help="classify + sanitize everything, write "
+                        "BENCH_par.json")
     b.add_argument("--workloads", nargs="*", metavar="WORKLOAD",
                    help="default: every registered workload")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--json", metavar="PATH", default="BENCH_par.json")
+    cli.output_flags(b, out="repro.par/1 report", default="BENCH_par.json")
     b.set_defaults(fn=_cmd_bench)
-    return p
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    for q in (s, b):
+        q.add_argument("--seed", type=int, default=0)

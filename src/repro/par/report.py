@@ -1,4 +1,4 @@
-"""The ``repro.par/1`` report schema: build, validate, flatten, write.
+"""The ``repro.par/1`` report schema: build, validate, flatten.
 
 .. code-block:: text
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PAR_REPORT as SCHEMA
 from repro.par.detect import VERDICTS, LoopVerdict, verdict_counts
@@ -190,10 +189,3 @@ def flatten_report(doc: dict) -> dict:
                 entry["counts"].get("serial", 0),
             )
     return sink.metrics
-
-
-def write_report(path: str, doc: dict, store=None, request=None) -> dict:
-    """Envelope and write a par report (validated on the way out);
-    optionally lands it in the store sink.  Returns the envelope."""
-    return publish(path, doc, producer=__package__, store=store,
-                   request=request)

@@ -13,14 +13,14 @@ regressions.
 
 ::
 
-    python -m repro.perf record TRACE.json --label main
-    python -m repro.perf diff main latest --metrics 'pass:*'
-    python -m repro.perf trend pass:block.wall_s
-    python -m repro.perf gate TRACE.json --baseline-file benchmarks/\
+    python -m repro perf record TRACE.json --label main
+    python -m repro perf diff main latest --metrics 'pass:*'
+    python -m repro perf trend pass:block.wall_s
+    python -m repro perf gate TRACE.json --baseline-file benchmarks/\
 perf_baseline.json --metrics 'pass:*.ir_size_after' --threshold 0
 """
 
-from repro.perf.db import PerfDB, default_path
+from repro.perf.db import PerfDB
 from repro.perf.gate import (
     BASELINE_SCHEMA,
     EXIT_NO_BASELINE,
@@ -41,7 +41,6 @@ from repro.perf.ingest import (
 
 __all__ = [
     "PerfDB",
-    "default_path",
     "BASELINE_SCHEMA",
     "EXIT_NO_BASELINE",
     "EXIT_OK",

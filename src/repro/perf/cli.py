@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.perf``.
+"""The ``perf`` command: ``python -m repro perf``.
 
 Subcommands::
 
@@ -11,13 +11,13 @@ Subcommands::
 
 Examples::
 
-    python -m repro.pipeline lu_nopivot -p split,block,jam --json t.json
-    python -m repro.perf record t.json --label main
+    python -m repro pipeline -a lu_nopivot -p split,block,jam --trace t.json
+    python -m repro perf record t.json --label main
     # ... hack on the blocker ...
-    python -m repro.perf record t2.json --label work
-    python -m repro.perf diff main work --metrics 'pass:*'
-    python -m repro.perf trend pass:block.wall_s
-    python -m repro.perf gate t2.json --baseline main \\
+    python -m repro perf record t2.json --label work
+    python -m repro perf diff main work --metrics 'pass:*'
+    python -m repro perf trend pass:block.wall_s
+    python -m repro perf gate t2.json --baseline main \\
         --metrics 'pass:*.ir_size_after' --threshold 0
 
 ``gate`` exit codes: 0 ok (improved / within noise), 1 regressed,
@@ -29,70 +29,59 @@ on a fresh checkout with an empty cache dir.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 import time
 from typing import Optional
 
-from repro.errors import PerfError, ReproError
+from repro import cli
+from repro.artifacts import publish
+from repro.errors import PerfError
 from repro.perf import gate as gate_mod
 from repro.perf import ingest
 from repro.perf.db import PerfDB
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.perf",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "perf",
         description="cross-run performance timeline: record artifacts, "
         "diff runs, and gate on regressions",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    record = sub.add_parser("record", help="flatten an artifact into the "
-                            "run history")
+    record = cmds.add_parser("record", help="flatten an artifact into the "
+                             "run history")
     record.add_argument("artifact", metavar="ARTIFACT.json")
-    record.add_argument("--label", default="", metavar="NAME",
-                        help="name this run (labels resolve to their most "
-                        "recent run in selectors)")
     record.add_argument("--git-sha", metavar="SHA",
                         help="record this commit id (default: ask git)")
     record.add_argument("--baseline-out", metavar="PATH",
                         help="also write the flattened metrics as a "
                         "committable repro.perf.baseline/1 file")
-    _db_flag(record)
-    _json_flag(record)
+    record.set_defaults(fn=_cmd_record)
 
-    runs = sub.add_parser("runs", help="list recorded runs")
-    runs.add_argument("--limit", type=int, default=20, metavar="N",
-                      help="show the newest N runs (default 20)")
-    _db_flag(runs)
-    _json_flag(runs)
+    runs = cmds.add_parser("runs", help="list recorded runs")
+    runs.set_defaults(fn=_cmd_runs)
 
-    diff = sub.add_parser("diff", help="per-metric deltas between two "
-                          "recorded runs")
+    diff = cmds.add_parser("diff", help="per-metric deltas between two "
+                           "recorded runs")
     diff.add_argument("a", metavar="RUN_A",
                       help="run selector: id, label, latest, latest~N")
     diff.add_argument("b", metavar="RUN_B")
-    _metric_flags(diff)
-    _db_flag(diff)
-    _json_flag(diff)
+    diff.set_defaults(fn=_cmd_diff)
 
-    trend = sub.add_parser("trend", help="one metric's timeline across runs")
+    trend = cmds.add_parser("trend", help="one metric's timeline across runs")
     trend.add_argument("metric", metavar="METRIC",
                        help="exact metric name (see 'diff' output or "
                        "--list for names)")
-    trend.add_argument("--limit", type=int, default=20, metavar="N",
-                       help="newest N points (default 20)")
     trend.add_argument("--list", action="store_true",
                        help="treat METRIC as a SQL LIKE pattern and list "
                        "matching metric names instead")
-    _db_flag(trend)
-    _json_flag(trend)
+    trend.set_defaults(fn=_cmd_trend)
 
-    g = sub.add_parser("gate", help="compare an artifact against a "
-                       "baseline; exit code is the verdict")
+    g = cmds.add_parser("gate", help="compare an artifact against a "
+                        "baseline; exit code is the verdict")
     g.add_argument("artifact", metavar="ARTIFACT.json")
     g.add_argument("--baseline", metavar="SELECTOR",
                    help="baseline run in the database (id, label, "
@@ -100,35 +89,30 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--baseline-file", metavar="PATH",
                    help="baseline from a committed repro.perf.baseline/1 "
                    "file instead of the database")
-    _metric_flags(g)
     g.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
                    help="noise threshold in percent; increases beyond it "
                    "regress, decreases beyond it improve (default 10; use "
                    "0 for deterministic metrics)")
     g.add_argument("--record", action="store_true",
                    help="also record the artifact into the run history")
-    g.add_argument("--label", default="", metavar="NAME",
-                   help="label for --record")
-    _db_flag(g)
-    g.add_argument("--json", metavar="PATH",
-                   help="write the full repro.perf.gate/1 document here")
-    return p
+    cli.output_flags(g, out="repro.perf.gate/1 verdict")
+    g.set_defaults(fn=_cmd_gate)
 
-
-def _db_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--db", metavar="PATH",
-                   help="run-history database (default perf.db under "
-                   ".repro-cache/ or $REPRO_CACHE_DIR)")
-
-
-def _json_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _metric_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metrics", default="*", metavar="PATTERNS",
-                   help="comma-separated glob patterns selecting tracked "
-                   "metrics (default '*'; e.g. 'pass:*.wall_s,elapsed_s')")
+    for q in (record, g):
+        q.add_argument("--label", default="", metavar="NAME",
+                       help="name the recorded run (labels resolve to their "
+                       "most recent run in selectors)")
+    for q in (runs, trend):
+        q.add_argument("--limit", type=int, default=20, metavar="N",
+                       help="show the newest N entries (default 20)")
+    for q in (diff, g):
+        q.add_argument("--metrics", default="*", metavar="PATTERNS",
+                       help="comma-separated glob patterns selecting tracked "
+                       "metrics (default '*'; e.g. 'pass:*.wall_s,elapsed_s')")
+    for q in (record, runs, diff, trend):
+        cli.output_flags(q, json=True)
+    for q in (record, runs, diff, trend, g):
+        cli.db_flag(q, "perf.db")
 
 
 def _patterns(args) -> list[str]:
@@ -179,7 +163,7 @@ def _cmd_record(args) -> int:
                 "created_s": run["created_s"],
             },
         )
-        gate_mod.write_baseline(args.baseline_out, base)
+        publish(args.baseline_out, base, producer=args.producer)
     if args.json:
         print(json.dumps(run, indent=2))
     else:
@@ -239,10 +223,10 @@ def _cmd_trend(args) -> int:
             return 0
         points = db.history(args.metric, limit=args.limit)
     if not points:
-        print(f"error: no recorded values for metric {args.metric!r} "
-              "(try --list with a LIKE pattern, e.g. 'pass:%')",
-              file=sys.stderr)
-        return 2
+        raise PerfError(
+            f"no recorded values for metric {args.metric!r} "
+            "(try --list with a LIKE pattern, e.g. 'pass:%')"
+        )
     if args.json:
         print(json.dumps({"metric": args.metric, "points": points}, indent=2))
         return 0
@@ -264,9 +248,7 @@ def _cmd_trend(args) -> int:
 
 def _cmd_gate(args) -> int:
     if (args.baseline is None) == (args.baseline_file is None):
-        print("error: gate needs exactly one of --baseline / --baseline-file",
-              file=sys.stderr)
-        return gate_mod.EXIT_USAGE
+        raise PerfError("gate needs exactly one of --baseline / --baseline-file")
     patterns = _patterns(args)
     doc = ingest.load_artifact(args.artifact)
     current = ingest.flatten(doc)
@@ -287,11 +269,9 @@ def _cmd_gate(args) -> int:
         with PerfDB(args.db) as db:
             db.record(doc, label=args.label, source=args.artifact,
                       git_sha=_git_sha())
-    if args.json:
-        from repro.artifacts import publish
-
-        publish(args.json, result, producer=__package__)
     _print_gate(result)
+    if args.out:
+        cli.emit(args, result, what="gate verdict")
     return result["exit_code"]
 
 
@@ -311,19 +291,3 @@ def _print_gate(result: dict) -> None:
           f"{c['within-noise']} within noise, "
           f"{c['missing-baseline']} missing baseline; "
           f"threshold {result['threshold_pct']}%)")
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "record": _cmd_record,
-        "runs": _cmd_runs,
-        "diff": _cmd_diff,
-        "trend": _cmd_trend,
-        "gate": _cmd_gate,
-    }
-    try:
-        return handlers[args.command](args)
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2

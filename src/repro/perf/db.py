@@ -16,9 +16,10 @@ Two tables, deliberately flat so ad-hoc SQL works::
     SELECT r.created_s, m.value FROM metrics m JOIN runs r ON r.id=m.run_id
     WHERE m.name='pass:block.wall_s' ORDER BY r.created_s;
 
-Rows are written in autocommit mode (the :class:`~repro.matrix.db.MatrixDB`
-discipline): a run and its metrics land inside one explicit transaction,
-so a crash mid-record leaves no half-run.
+Rows are written in autocommit mode (the
+:class:`~repro.artifacts.sqlitedb.SqliteDB` discipline): a run and its
+metrics land inside one explicit transaction, so a crash mid-record
+leaves no half-run.
 
 Run **selectors** (accepted everywhere a CLI names a run): a numeric id
 (``17``), ``latest``/``latest~N`` (N records back), or a label — labels
@@ -29,18 +30,13 @@ main`` keeps working as ``main`` is re-recorded.
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import time
-from pathlib import Path
 from typing import Optional
 
+from repro.artifacts.sqlitedb import SqliteDB
 from repro.errors import PerfError
 from repro.perf import ingest
-
-SCHEMA_VERSION = 1
-
-DEFAULT_BASENAME = "perf.db"
 
 _RUNS_DDL = """\
 CREATE TABLE IF NOT EXISTS runs (
@@ -63,59 +59,18 @@ CREATE TABLE IF NOT EXISTS metrics (
 )"""
 
 
-def default_path() -> Path:
-    root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache"))
-    return root / DEFAULT_BASENAME
-
-
-class PerfDB:
+class PerfDB(SqliteDB):
     """One run-history database; use as a context manager or ``close()``."""
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        self.path = Path(path) if path is not None else default_path()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), isolation_level=None)
-        self._conn.row_factory = sqlite3.Row
-        self._init_schema()
-
-    # ---- lifecycle --------------------------------------------------------
-    def close(self) -> None:
-        self._conn.close()
-
-    def __enter__(self) -> "PerfDB":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _init_schema(self) -> None:
-        try:
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-        except sqlite3.DatabaseError as e:
-            raise PerfError(f"{self.path} is not a perf database: {e}") from e
-        if row is None:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-        elif int(row["value"]) != SCHEMA_VERSION:
-            raise PerfError(
-                f"{self.path} has schema v{row['value']}, want v{SCHEMA_VERSION}; "
-                "delete the file to start over"
-            )
-        self._conn.execute(_RUNS_DDL)
-        self._conn.execute(_METRICS_DDL)
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS metrics_name ON metrics(name)"
-        )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS runs_label ON runs(label)"
-        )
+    BASENAME = "perf.db"
+    ERROR = PerfError
+    KIND = "perf"
+    DDL = (
+        _RUNS_DDL,
+        _METRICS_DDL,
+        "CREATE INDEX IF NOT EXISTS metrics_name ON metrics(name)",
+        "CREATE INDEX IF NOT EXISTS runs_label ON runs(label)",
+    )
 
     # ---- recording --------------------------------------------------------
     def record(

@@ -32,7 +32,7 @@ Exit-code contract (the CI interface; tested in ``tests/perf``)::
 Baselines come from a recorded run (``--baseline SELECTOR``) or from a
 committed **baseline file** (``--baseline-file``), payload schema
 ``repro.perf.baseline/1`` (written enveloped — see
-:mod:`repro.artifacts`; bare pre-envelope files still load)::
+:mod:`repro.artifacts`)::
 
     {'schema': 'repro.perf.baseline/1',
      'meta': {...},
@@ -44,7 +44,7 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import Optional, Sequence
 
-from repro.artifacts import load_file, payload_of, publish, schema_id_of
+from repro.artifacts import load_file, payload_of, schema_id_of
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PERF_BASELINE as BASELINE_SCHEMA
 from repro.artifacts.registry import PERF_GATE as SCHEMA
@@ -178,13 +178,14 @@ def baseline_doc(metrics: dict, meta: Optional[dict] = None) -> dict:
 
 
 def read_baseline(path: str) -> dict:
-    """Load a baseline file (enveloped or legacy bare); returns its
-    ``{name: value}`` metrics."""
+    """Load an enveloped baseline file; returns its ``{name: value}``
+    metrics."""
     try:
-        doc = payload_of(load_file(path))
+        env = load_file(path)
+        doc = payload_of(env)
     except ArtifactError as e:
         raise PerfError(str(e)) from e
-    if schema_id_of(doc) != BASELINE_SCHEMA:
+    if schema_id_of(env) != BASELINE_SCHEMA:
         raise PerfError(
             f"baseline {path!r} is not a {BASELINE_SCHEMA!r} document"
         )
@@ -199,11 +200,6 @@ def read_baseline(path: str) -> dict:
             )
         out[name] = float(value)
     return out
-
-
-def write_baseline(path: str, doc: dict) -> dict:
-    """Envelope and write a baseline file (validated on the way out)."""
-    return publish(path, doc, producer=__package__)
 
 
 # ---- registered payload checks and flatteners ------------------------------

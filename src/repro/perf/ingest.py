@@ -6,14 +6,13 @@ flatteners live with their subsystems and are registered next to each
 validator in :mod:`repro.artifacts.kinds` (``flatten`` hooks); this
 module is the perf-side adapter over that registry:
 
-- :func:`load_artifact` reads a JSON artifact file (enveloped or
-  legacy bare — both forms ingest identically);
-- :func:`detect_schema` resolves the document's full schema id and
-  requires a registered kind *with* a flatten hook;
+- :func:`load_artifact` reads a JSON artifact file;
+- :func:`detect_schema` resolves the envelope's full schema id and
+  requires a registered kind *with* a flatten hook (a bare payload is an
+  ``artifact/malformed-envelope`` :class:`~repro.errors.PerfError`);
 - :func:`flatten` unwraps the envelope and runs the registered hook;
 - :func:`artifact_digest` is the run's content address — the envelope
-  digest when present, else a canonical-JSON sha256 of the whole
-  document.
+  digest.
 
 Naming convention (stable across runs; the gate patterns match these):
 
@@ -28,8 +27,7 @@ prefix                  meaning
                         ``max_s``)
 ``job:<label>.*``       per-job serve outcomes (``wall_s``,
                         ``queue_wait_s``)
-``bench:<label>.*``     pipeline-bench entries (``cold_s``, ``warm_s``
-                        in-process; ``wall_s`` in pool mode)
+``bench:<label>.*``     pipeline-bench entries (``cold_s``, ``warm_s``)
 ``cell:<...>.*``        matrix cells, keyed by workload/recipe/geometry
 ======================  =================================================
 
@@ -43,13 +41,8 @@ simply has gaps in its timeline.
 from __future__ import annotations
 
 from repro.artifacts import registry
-from repro.artifacts.envelope import (
-    is_envelope,
-    payload_digest,
-    payload_of,
-    schema_id_of,
-)
 from repro.artifacts.envelope import load_file as _load_file
+from repro.artifacts.envelope import schema_id_of
 from repro.errors import ArtifactError, PerfError
 
 
@@ -64,7 +57,10 @@ def load_artifact(path: str) -> dict:
 def detect_schema(doc: dict) -> str:
     """The artifact's full schema id; :class:`PerfError` when the schema
     is unregistered or has no flatten hook (nothing numeric to ingest)."""
-    schema_id = schema_id_of(doc)
+    try:
+        schema_id = schema_id_of(doc)
+    except ArtifactError as e:
+        raise PerfError(str(e)) from e
     kind = registry.lookup(schema_id)
     if kind is None:
         known = ", ".join(
@@ -83,14 +79,10 @@ def detect_schema(doc: dict) -> str:
 
 
 def artifact_digest(doc: dict) -> str:
-    """The run's content address: the envelope digest when present, else
-    sha256 of the canonical JSON text of the whole document."""
-    if is_envelope(doc) and isinstance(doc.get("digest"), str):
-        return doc["digest"]
-    return payload_digest(doc)
+    """The run's content address: the envelope digest."""
+    return str(doc["digest"])
 
 
 def flatten(doc: dict) -> dict:
-    """``{metric name: float}`` for any registered artifact kind,
-    enveloped or bare."""
-    return registry.get(detect_schema(doc)).flatten(payload_of(doc))
+    """``{metric name: float}`` for any registered artifact kind."""
+    return registry.get(detect_schema(doc)).flatten(doc["payload"])

@@ -18,7 +18,7 @@ Quick use::
                       ctx=Assumptions().assume_ge("N", 2))
     mgr.run(lu_point_ir())
 
-Command line: ``python -m repro.pipeline --algorithm lu_nopivot
+Command line: ``python -m repro pipeline --algorithm lu_nopivot
 --passes split,block,jam --trace out.json --verify``.
 """
 
@@ -35,7 +35,7 @@ from repro.pipeline.manager import (
     run_passes,
 )
 from repro.pipeline.passes import PassInfo, PassOutcome, available_passes, get_pass
-from repro.pipeline.trace import build_trace, write_trace
+from repro.pipeline.trace import build_trace
 from repro.pipeline.verify import DifferentialVerifier
 from repro.pipeline.workloads import Workload, available_workloads, get_workload
 
@@ -58,7 +58,6 @@ __all__ = [
     "get_workload",
     "installed",
     "run_passes",
-    "write_trace",
 ]
 
 

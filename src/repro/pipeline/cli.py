@@ -1,13 +1,13 @@
-"""Command-line front end: ``python -m repro.pipeline``.
+"""The ``pipeline`` command: ``python -m repro pipeline``.
 
 Examples::
 
-    python -m repro.pipeline --list-algorithms
-    python -m repro.pipeline --list-passes
-    python -m repro.pipeline --algorithm lu_nopivot --passes split,block,jam \
+    python -m repro pipeline --list-algorithms
+    python -m repro pipeline --list-passes
+    python -m repro pipeline --algorithm lu_nopivot --passes split,block,jam \
         --trace out.json --verify
-    python -m repro.pipeline --algorithm conv --verify --print-ir
-    python -m repro.pipeline --algorithm givens --cache-stats
+    python -m repro pipeline --algorithm conv --verify --print-ir
+    python -m repro pipeline --algorithm givens --cache-stats
 
 Exit status: 0 on success, 1 when differential verification fails, 2 for
 usage errors (unknown algorithm/pass, bad sizes, infeasible pass under
@@ -17,34 +17,17 @@ verification fails, so the failing span is inspectable offline.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Optional
 
+from repro import cli
 from repro.errors import CheckError, PipelineError, VerificationError
 from repro.ir.pretty import to_fortran
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.manager import PassManager, PipelineResult
 from repro.pipeline.passes import available_passes
-from repro.pipeline.trace import write_trace
 from repro.pipeline.verify import DifferentialVerifier
 from repro.pipeline.workloads import available_workloads, get_workload
-
-
-def _parse_sizes(text: str) -> dict:
-    sizes = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise PipelineError(f"bad --sizes entry {part!r} (want NAME=VALUE)")
-        name, value = part.split("=", 1)
-        try:
-            sizes[name.strip()] = float(value) if "." in value else int(value)
-        except ValueError:
-            raise PipelineError(f"bad --sizes value {value!r}") from None
-    return sizes
 
 
 def _span_line(span) -> str:
@@ -67,18 +50,15 @@ def _span_line(span) -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.pipeline",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "pipeline",
         description="run instrumented pass pipelines over the paper's algorithms",
     )
     p.add_argument("--algorithm", "-a", help="workload name (see --list-algorithms)")
-    p.add_argument(
-        "--passes",
-        "-p",
-        help="comma-separated pass names (default: the workload's pipeline)",
-    )
-    p.add_argument("--trace", metavar="PATH", help="write the JSON trace here")
+    cli.passes_flag(p)
+    p.add_argument("--trace", dest="out", metavar="PATH",
+                   help="write the JSON trace here")
     p.add_argument(
         "--verify",
         action="store_true",
@@ -98,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--unroll", type=int, help="override the jam unroll factor")
     p.add_argument("--factor", help="override the block/stripmine factor")
-    p.add_argument(
-        "--sizes", help="override verification sizes, e.g. N=16,KS=4"
-    )
+    cli.sizes_flag(p)
     p.add_argument(
         "--snapshots",
         action="store_true",
@@ -116,12 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-algorithms", action="store_true", help="list workloads and exit"
     )
     p.add_argument("--list-passes", action="store_true", help="list passes and exit")
-    return p
+    p.set_defaults(fn=run)
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-
+def run(args) -> int:
     if args.list_algorithms:
         for w in available_workloads():
             print(f"{w.name:<12} {w.title}")
@@ -136,40 +112,30 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"{'':<14}   requires: {info.precondition}")
         return 0
     if not args.algorithm:
-        print("error: --algorithm is required (or --list-algorithms)", file=sys.stderr)
-        return 2
+        raise PipelineError("--algorithm is required (or --list-algorithms)")
 
-    try:
-        workload = get_workload(args.algorithm)
-        pass_names = (
-            [s.strip() for s in args.passes.split(",") if s.strip()]
-            if args.passes
-            else None
-        )
-        specs = workload.resolve_specs(pass_names, unroll=args.unroll, factor=args.factor)
-        ctx = workload.context(args.unroll)
-        proc = workload.build()
+    workload = get_workload(args.algorithm)
+    specs = workload.resolve_specs(
+        cli.split_passes(args.passes), unroll=args.unroll, factor=args.factor
+    )
+    ctx = workload.context(args.unroll)
+    proc = workload.build()
 
-        verifier = None
-        if args.verify:
-            sizes = dict(workload.verify_sizes)
-            if args.sizes:
-                sizes.update(_parse_sizes(args.sizes))
-            verifier = DifferentialVerifier(proc, sizes, exact=workload.exact)
+    verifier = None
+    if args.verify:
+        sizes = {**workload.verify_sizes, **cli.parse_sizes(args.sizes)}
+        verifier = DifferentialVerifier(proc, sizes, exact=workload.exact)
 
-        manager = PassManager(
-            specs,
-            ctx=ctx,
-            on_infeasible=args.on_infeasible,
-            cache=AnalysisCache(),  # fresh per CLI run: honest cold counters
-            verifier=verifier,
-            trace_snapshots=args.snapshots,
-            algorithm=workload.name,
-            check=args.check,
-        )
-    except PipelineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    manager = PassManager(
+        specs,
+        ctx=ctx,
+        on_infeasible=args.on_infeasible,
+        cache=AnalysisCache(),  # fresh per CLI run: honest cold counters
+        verifier=verifier,
+        trace_snapshots=args.snapshots,
+        algorithm=workload.name,
+        check=args.check,
+    )
 
     status = 0
     result: Optional[PipelineResult] = None
@@ -196,9 +162,8 @@ def main(argv: Optional[list] = None) -> int:
             print(_span_line(span))
         if result.stopped:
             print("  (stopped early by --on-infeasible stop)")
-        if args.trace:
-            write_trace(args.trace, result.trace)
-            print(f"trace written to {args.trace}")
+        if args.out:
+            cli.emit(args, result.trace, what="trace")
         if args.cache_stats:
             for region, stats in result.trace["cache"].items():
                 print(

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import Sink, cache_stats
 from repro.artifacts.registry import PIPELINE_TRACE as SCHEMA
 
@@ -139,8 +138,3 @@ def flatten_trace(trace: dict) -> dict:
             sink.put(f"pass:{name}.ir_growth", after - before)
     cache_stats(sink, trace.get("cache"))
     return sink.metrics
-
-
-def write_trace(path: str, trace: dict) -> None:
-    """Envelope and write a trace artifact (validated on the way out)."""
-    publish(path, trace, producer=__package__)

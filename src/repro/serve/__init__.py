@@ -11,8 +11,7 @@ into *jobs* served concurrently and cached durably:
   checksum-verified reads (a truncated or corrupted entry is a miss,
   never a crash);
 - :mod:`repro.serve.jobs` — the job vocabulary: ``derive`` / ``check`` /
-  ``execute`` / ``bench`` specs, their store keys, and the worker-side
-  executor;
+  ``execute`` specs, their store keys, and the worker-side executor;
 - :mod:`repro.serve.pool` — a ``multiprocessing`` worker pool with
   per-job timeouts, bounded retries with backoff for crashed workers,
   cancellation of queued jobs, and in-flight deduplication (identical
@@ -22,7 +21,7 @@ into *jobs* served concurrently and cached durably:
   jobs into a ``repro.serve/1`` report (per-job ``hit | computed |
   retried | timeout | failed`` status, wall time, worker id) and mirrors
   queue wait / pool utilization / store hit-miss into :mod:`repro.obs`;
-- :mod:`repro.serve.cli` — ``python -m repro.serve submit|batch|stats|gc``.
+- :mod:`repro.serve.cli` — ``python -m repro serve submit|batch|stats|gc``.
 
 Quick use::
 
@@ -31,9 +30,8 @@ Quick use::
                        workers=2, store=ArtifactStore())
     report["jobs"][0]["status"]          # "computed" (then "hit" forever)
 
-``python -m repro.pipeline.bench --jobs N`` and ``python -m
-repro.bench.report --jobs N`` route their workloads through the same
-pool.
+``python -m repro report --workers N`` routes its tables through the
+same pool.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from repro.serve.service import (
     build_report,
     run_batch,
     validate_report,
-    write_report,
 )
 from repro.serve.store import SCHEMA_VERSION, ArtifactStore
 
@@ -61,5 +58,4 @@ __all__ = [
     "job_key",
     "run_batch",
     "validate_report",
-    "write_report",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: ``python -m repro.serve``.
+"""The ``serve`` command: ``python -m repro serve``.
 
 Subcommands::
 
@@ -9,14 +9,14 @@ Subcommands::
 
 Examples::
 
-    python -m repro.serve submit lu_nopivot conv --workers 4 --check
-    python -m repro.serve submit lu_nopivot --kind execute --out report.json
-    python -m repro.serve batch jobs.json --workers 8 --obs serve_obs.json
-    python -m repro.serve stats
-    python -m repro.serve gc --max-entries 512 --max-age-s 604800
+    python -m repro serve submit lu_nopivot conv --workers 4 --check
+    python -m repro serve submit lu_nopivot --kind execute --out report.json
+    python -m repro serve batch jobs.json --workers 8 --obs serve_obs.json
+    python -m repro serve stats
+    python -m repro serve gc --max-entries 512 --max-age-s 604800
 
 A batch file is either a list of job-spec objects or ``{"jobs":
-[...]}``; each spec takes ``kind`` (derive|check|execute|bench),
+[...]}``; each spec takes ``kind`` (derive|check|execute|cell),
 ``workload``, ``passes`` (list or comma string), ``options`` (unroll,
 factor), ``check``, ``timeout_s``, ``max_retries``, ``use_store``,
 ``label``.
@@ -28,46 +28,32 @@ report file is written either way, so failures are inspectable offline.
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from typing import Optional
 
-from repro.artifacts import publish
-from repro.errors import PipelineError, ReproError
-from repro.obs import core as obs_core
-from repro.obs import export as obs_export
-from repro.serve.jobs import JobSpec
-from repro.serve.service import (
-    build_store_ops,
-    run_batch,
-    validate_report,
-    write_report,
-)
-from repro.serve.store import ArtifactStore
+from repro import cli
+from repro.errors import PipelineError
+from repro.serve.jobs import SUBMIT_KINDS, JobSpec
+from repro.serve.service import build_store_ops, run_batch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro.serve",
+def register(sub) -> None:
+    p = sub.add_parser(
+        "serve",
         description="concurrent compile-and-run service over a persistent "
         "content-addressed artifact store",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    cmds = p.add_subparsers(dest="command", required=True)
 
-    submit = sub.add_parser("submit", help="run jobs for named workloads")
+    submit = cmds.add_parser("submit", help="run jobs for named workloads")
     submit.add_argument("workloads", nargs="+", metavar="WORKLOAD")
     submit.add_argument(
         "--kind",
-        choices=("derive", "check", "execute", "bench", "cell"),
+        choices=SUBMIT_KINDS,
         default="derive",
         help="what each job does (default: derive; 'cell' runs one "
         "experiment-matrix cell at default factors)",
     )
-    submit.add_argument(
-        "--passes",
-        help="comma-separated pass names (default: each workload's pipeline)",
-    )
+    cli.passes_flag(submit)
     submit.add_argument(
         "--check",
         action="store_true",
@@ -82,67 +68,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("--timeout", type=float, default=300.0, metavar="S",
                         help="per-job timeout in seconds (default 300)")
-    _pool_flags(submit)
-    _store_flags(submit)
-    _report_flags(submit)
+    submit.set_defaults(
+        fn=lambda args: _run_jobs(args, _specs_from_submit(args)))
 
-    batch = sub.add_parser("batch", help="run a JSON batch of job specs")
+    batch = cmds.add_parser("batch", help="run a JSON batch of job specs")
     batch.add_argument("specs", metavar="SPECS.json")
-    _pool_flags(batch)
-    _store_flags(batch)
-    _report_flags(batch)
+    batch.set_defaults(
+        fn=lambda args: _run_jobs(args, _specs_from_batch(args.specs)))
 
-    stats = sub.add_parser("stats", help="print artifact-store statistics")
-    _store_flags(stats)
-    stats.add_argument("--json", action="store_true", help="emit JSON")
+    for q in (submit, batch):
+        cli.pool_flags(q)
+        cli.store_flags(q, no_store=True)
+        cli.output_flags(q, out="repro.serve/1 report")
+        cli.observe_flags(q)
 
-    gc = sub.add_parser("gc", help="prune the artifact store")
-    _store_flags(gc)
+    stats = cmds.add_parser("stats", help="print artifact-store statistics")
+    stats.set_defaults(fn=_cmd_stats)
+
+    gc = cmds.add_parser("gc", help="prune the artifact store")
     gc.add_argument("--max-entries", type=int, metavar="N",
                     help="keep at most N entries (oldest evicted first)")
     gc.add_argument("--max-age-s", type=float, metavar="S",
                     help="evict entries older than S seconds")
-    gc.add_argument("--json", action="store_true", help="emit JSON")
-    return p
+    gc.set_defaults(fn=_cmd_gc)
 
-
-def _pool_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", "-j", type=int, default=2, metavar="N",
-                   help="worker processes (default 2)")
-    p.add_argument("--retries", type=int, default=2, metavar="K",
-                   help="retries per crashed/timed-out job (default 2)")
-    p.add_argument("--backoff", type=float, default=0.05, metavar="S",
-                   help="base retry backoff seconds, doubled per attempt")
-
-
-def _store_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--store-dir", metavar="PATH",
-                   help="artifact store root (default .repro-cache/ or "
-                   "$REPRO_CACHE_DIR)")
-    if p.prog.endswith(("submit", "batch")):
-        p.add_argument("--no-store", action="store_true",
-                       help="compute everything; skip the artifact store")
-
-
-def _report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", metavar="PATH",
-                   help="write the repro.serve/1 report here")
-    p.add_argument("--obs", metavar="PATH",
-                   help="write a repro.obs/1 metrics profile here "
-                   "(workers observe their own jobs; worker counters and "
-                   "spans are merged in)")
-    p.add_argument("--chrome-trace", metavar="PATH",
-                   help="write a merged multi-process Chrome trace here "
-                   "(one pid lane per worker; open at "
-                   "https://ui.perfetto.dev)")
+    for q in (stats, gc):
+        cli.store_flags(q)
+        cli.output_flags(q, json=True)
 
 
 def _specs_from_submit(args) -> list[JobSpec]:
-    passes = (
-        tuple(s.strip() for s in args.passes.split(",") if s.strip())
-        if args.passes
-        else None
-    )
+    passes = cli.split_passes(args.passes)
     specs = []
     for _ in range(max(1, args.repeat)):
         for name in args.workloads:
@@ -218,15 +174,10 @@ def _print_report(report: dict) -> None:
 
 
 def _run_jobs(args, specs: list[JobSpec]) -> int:
-    store = (
-        None
-        if getattr(args, "no_store", False)
-        else ArtifactStore(args.store_dir)
-    )
+    store = cli.open_store(args)
     meta = {"tool": __package__, "command": args.command}
-
-    def go() -> dict:
-        return run_batch(
+    with cli.observed(args, meta):
+        report = run_batch(
             specs,
             workers=args.workers,
             store=store,
@@ -234,76 +185,33 @@ def _run_jobs(args, specs: list[JobSpec]) -> int:
             backoff_s=args.backoff,
             meta=meta,
         )
-
-    if args.obs or args.chrome_trace:
-        with obs_core.enabled() as o:
-            report = go()
-        if args.obs:
-            obs_export.write_metrics(args.obs, obs_export.metrics(o, meta=meta))
-        if args.chrome_trace:
-            obs_export.write_json(args.chrome_trace, obs_export.chrome_trace(o))
-    else:
-        report = go()
-
-    problems = validate_report(report)
-    if problems:  # self-check: never ship a malformed artifact
-        for problem in problems:
-            print(f"invalid report: {problem}", file=sys.stderr)
-        return 2
+    _print_report(report)
     if args.out:
         # land the report in the same store the batch ran against (the
         # stats snapshot inside it predates this write, on purpose)
-        write_report(args.out, report, store=store)
-    _print_report(report)
-    if args.out:
-        print(f"report written to {args.out}")
-    if args.obs:
-        print(f"obs metrics written to {args.obs}")
-    if args.chrome_trace:
-        print(f"chrome trace written to {args.chrome_trace} "
-              "(open at https://ui.perfetto.dev)")
+        cli.emit(args, report, store=store)
     return 0 if report["summary"]["ok"] == report["summary"]["total"] else 1
 
 
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "submit":
-            return _run_jobs(args, _specs_from_submit(args))
-        if args.command == "batch":
-            return _run_jobs(args, _specs_from_batch(args.specs))
-        store = ArtifactStore(args.store_dir)
-        if args.command == "stats":
-            # even the maintenance records ship enveloped: `--json`
-            # output is a repro.serve.store/1 document that `python -m
-            # repro.artifacts validate -` accepts
-            doc = build_store_ops("stats", store)
-            if args.json:
-                print(json.dumps(publish(None, doc, producer=__package__),
-                                 indent=2))
-            else:
-                on_disk = doc["store"]
-                print(f"store at {on_disk['root']} "
-                      f"(schema v{on_disk['schema_version']}): "
-                      f"{on_disk['entries']} entries, {on_disk['bytes']} bytes")
-            return 0
-        if args.command == "gc":
-            if args.max_entries is None and args.max_age_s is None:
-                print("error: gc needs --max-entries and/or --max-age-s",
-                      file=sys.stderr)
-                return 2
-            summary = store.gc(
-                max_entries=args.max_entries, max_age_s=args.max_age_s
-            )
-            doc = build_store_ops("gc", store, gc=summary)
-            if args.json:
-                print(json.dumps(publish(None, doc, producer=__package__),
-                                 indent=2))
-            else:
-                print(f"gc: removed {summary['removed']}, "
-                      f"kept {summary['kept']}")
-            return 0
-        raise PipelineError(f"unknown command {args.command!r}")
-    except ReproError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+def _cmd_stats(args) -> int:
+    # even the maintenance records ship enveloped: `--json` output is a
+    # repro.serve.store/1 document that `repro artifacts validate -` accepts
+    doc = build_store_ops("stats", cli.open_store(args))
+    cli.emit(args, doc)
+    if not args.json:
+        on_disk = doc["store"]
+        print(f"store at {on_disk['root']} "
+              f"(schema v{on_disk['schema_version']}): "
+              f"{on_disk['entries']} entries, {on_disk['bytes']} bytes")
+    return 0
+
+
+def _cmd_gc(args) -> int:
+    if args.max_entries is None and args.max_age_s is None:
+        raise PipelineError("gc needs --max-entries and/or --max-age-s")
+    store = cli.open_store(args)
+    summary = store.gc(max_entries=args.max_entries, max_age_s=args.max_age_s)
+    cli.emit(args, build_store_ops("gc", store, gc=summary))
+    if not args.json:
+        print(f"gc: removed {summary['removed']}, kept {summary['kept']}")
+    return 0

@@ -13,15 +13,11 @@ A :class:`JobSpec` names one unit of work the pool can run:
     derive *and numerically execute*: differential interp-vs-codegen
     verification on the workload's verify sizes after every applied
     pass;
-``bench``
-    cold-then-warm derivation against one fresh analysis cache,
-    returning both timings (the per-workload unit of
-    ``python -m repro.pipeline.bench --jobs N``);
 ``table``
     build one ``bench.report`` table (the unit of
-    ``python -m repro.bench.report --jobs N``);
+    ``python -m repro report --workers N``);
 ``cell``
-    one experiment-matrix cell (the unit of ``python -m repro.matrix
+    one experiment-matrix cell (the unit of ``python -m repro matrix
     run``): derive the workload under the cell's recipe and simulate
     both the point and derived variants through the cell's cache
     geometry at its problem size / blocking factor — the row a
@@ -62,7 +58,9 @@ from repro.obs import core as _obs
 #: exceptions that mean "same input will fail the same way" — never retried
 TERMINAL_ERRORS = (ReproError,)
 
-_KINDS = ("derive", "check", "execute", "bench", "table", "cell", "probe")
+#: kinds a command line may ask for; ``table`` and ``probe`` are internal
+SUBMIT_KINDS = ("derive", "check", "execute", "cell")
+_KINDS = SUBMIT_KINDS + ("table", "probe")
 
 
 @dataclass(frozen=True)
@@ -307,26 +305,6 @@ def _run_check(spec: JobSpec) -> dict:
     }
 
 
-def _run_bench(spec: JobSpec) -> dict:
-    from repro.pipeline import derive
-
-    cache = _fresh_cache()
-    passes = list(spec.passes) if spec.passes is not None else None
-    t0 = time.perf_counter()
-    cold = derive(spec.workload, passes=passes, cache=cache, check=spec.check)
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    derive(spec.workload, passes=passes, cache=cache, check=spec.check)
-    warm_s = time.perf_counter() - t0
-    out = _derive_summary(cold)
-    out.update(
-        cold_s=round(cold_s, 4),
-        warm_s=round(warm_s, 4),
-        warm_speedup=round(cold_s / warm_s, 1) if warm_s > 0 else None,
-    )
-    return out
-
-
 def _run_table(spec: JobSpec) -> dict:
     """Build one experiment table; ``workload`` is the table name."""
     from repro.bench.report import select_builders
@@ -397,7 +375,6 @@ _EXECUTORS = {
     "derive": _run_derive,
     "check": _run_check,
     "execute": _run_execute,
-    "bench": _run_bench,
     "table": _run_table,
     "cell": _run_cell,
     "probe": _run_probe,

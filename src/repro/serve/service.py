@@ -50,7 +50,6 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from repro.artifacts import publish
 from repro.artifacts.flatten import HIST_FIELDS, Sink
 from repro.artifacts.registry import SERVE_REPORT as SCHEMA
 from repro.obs import core as _obs
@@ -256,13 +255,6 @@ def flatten_report(doc: dict) -> dict:
         sink.put(f"job:{label}.wall_s", job.get("wall_s"))
         sink.put(f"job:{label}.queue_wait_s", job.get("queue_wait_s"))
     return sink.metrics
-
-
-def write_report(path: str, doc: dict, store=None, request=None) -> dict:
-    """Envelope and write a serve batch report (validated on the way
-    out); optionally lands it in the store sink.  Returns the envelope."""
-    return publish(path, doc, producer=__package__, store=store,
-                   request=request)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ class ArtifactStore:
     def scan(self) -> Iterator[tuple[str, Any]]:
         """Yield ``(canonical key text, value)`` for every entry that
         passes checksum verification — enumeration without knowing the
-        keys (``python -m repro.artifacts ls``).  Corrupt entries are
+        keys (``python -m repro artifacts ls``).  Corrupt entries are
         skipped (and counted), not unlinked: a reader that cannot name
         the key should not reap the file."""
         header_len = len(_MAGIC) + 64 + 1

@@ -1,4 +1,4 @@
-"""``python -m repro.artifacts`` validate/ls/cat on files and the store."""
+"""``python -m repro artifacts`` validate/ls/cat on files and the store."""
 
 from __future__ import annotations
 
@@ -7,10 +7,14 @@ import json
 import pytest
 
 from repro.artifacts import envelope, publish, put_artifact, write_file
-from repro.artifacts.cli import main
+from repro import cli
 from repro.artifacts.registry import PERF_BASELINE
-from repro.artifacts.validate import RULE_STALE_VERSION
+from repro.artifacts.validate import RULE_MALFORMED, RULE_STALE_VERSION
 from repro.serve.store import ArtifactStore
+
+
+def main(argv: list) -> int:
+    return cli.main(["artifacts", *argv])
 
 
 def baseline_payload(wall=0.5) -> dict:
@@ -42,6 +46,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out and RULE_STALE_VERSION in out
+
+    def test_bare_payload_exits_1_as_malformed_envelope(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        write_file(str(path), baseline_payload())
+        assert main(["validate", str(path), "--json"]) == 1
+        (doc,) = json.loads(capsys.readouterr().out)["documents"]
+        assert [p["rule"] for p in doc["problems"]] == [RULE_MALFORMED]
 
     def test_json_report(self, good_file, capsys):
         assert main(["validate", good_file, "--json"]) == 0

@@ -1,4 +1,4 @@
-"""The artifact envelope: digesting, wrapping, the legacy reader."""
+"""The artifact envelope: digesting, wrapping, the envelope-only readers."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from repro.artifacts import (
     split_id,
     write_file,
 )
+from repro.artifacts.envelope import RULE_MALFORMED
 from repro.artifacts.registry import PERF_BASELINE
 from repro.errors import ArtifactError
 
@@ -69,11 +70,14 @@ class TestEnvelope:
 
 
 class TestLegacyReader:
-    def test_bare_document_passes_through(self):
+    """There is none: the readers take envelopes only."""
+
+    def test_bare_document_is_rejected(self):
         bare = baseline_payload()
         assert not is_envelope(bare)
-        assert payload_of(bare) is bare
-        assert schema_id_of(bare) == PERF_BASELINE
+        for reader in (payload_of, schema_id_of):
+            with pytest.raises(ArtifactError, match=RULE_MALFORMED):
+                reader(bare)
 
     def test_enveloped_document_unwraps(self):
         env = envelope(baseline_payload(), producer="t")
@@ -82,8 +86,9 @@ class TestLegacyReader:
         assert schema_id_of(env) == PERF_BASELINE
 
     def test_schemaless_document_has_no_id(self):
-        assert schema_id_of({"metrics": {}}) is None
-        assert schema_id_of(7) is None
+        for doc in ({"metrics": {}}, 7):
+            with pytest.raises(ArtifactError, match=RULE_MALFORMED):
+                schema_id_of(doc)
 
 
 class TestFileRoundTrip:

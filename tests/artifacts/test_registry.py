@@ -81,8 +81,9 @@ class TestValidateDocument:
         assert validate_document(env) == []
         assert require_valid(env) is env
 
-    def test_legacy_bare_document_accepted(self):
-        assert validate_document(baseline_payload()) == []
+    def test_bare_document_is_a_malformed_envelope(self):
+        problems = validate_document(baseline_payload())
+        assert [p.rule for p in problems] == [RULE_MALFORMED]
 
     def test_unknown_schema_rule(self):
         # payload without an inner schema field: only the envelope id counts

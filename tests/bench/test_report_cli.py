@@ -1,11 +1,16 @@
-"""repro.bench.report CLI: --progress lines, partial output, exit codes."""
+"""``python -m repro report``: --progress lines, partial output, exit codes."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.bench import report
 from repro.bench.harness import Table
+
+
+def main(argv: list) -> int:
+    return cli.main(["report", *argv])
 
 
 def fake_table(title: str) -> Table:
@@ -51,7 +56,7 @@ class TestMainExitCodes:
     def test_all_tables_ok_exits_zero(self, patched_builders, tmp_path, capsys):
         patched_builders([("only", lambda: fake_table("Only Table"))])
         path = tmp_path / "EXPERIMENTS.md"
-        assert report.main([str(path)]) == 0
+        assert main([str(path)]) == 0
         text = path.read_text()
         assert "## Only Table" in text
         assert "| variant | seconds |" in text
@@ -66,7 +71,7 @@ class TestMainExitCodes:
             [("alive", lambda: fake_table("Alive")), ("dead", boom)]
         )
         path = tmp_path / "EXPERIMENTS.md"
-        assert report.main(["--progress", str(path)]) == 1
+        assert main(["--progress", str(path)]) == 1
         captured = capsys.readouterr()
         assert "alive: done in" in captured.out
         assert "dead: FAILED after" in captured.out
@@ -92,18 +97,18 @@ class TestOnlyFilter:
     def test_only_builds_the_subset(self, patched_builders, tmp_path, capsys):
         patched_builders(self.BUILDERS)
         path = tmp_path / "partial.md"
-        assert report.main(["--only", "T1", str(path)]) == 0
+        assert main(["--only", "T1", str(path)]) == 0
         text = path.read_text()
         assert "## T1" in text and "## T5" not in text
 
     def test_only_refuses_default_output_path(self, patched_builders, capsys):
         patched_builders(self.BUILDERS)
-        assert report.main(["--only", "T1"]) == 2
+        assert main(["--only", "T1"]) == 2
         assert "refusing to overwrite EXPERIMENTS.md" in capsys.readouterr().err
 
     def test_only_with_no_match_is_an_error(self, patched_builders, tmp_path, capsys):
         patched_builders(self.BUILDERS)
-        assert report.main(["--only", "T9", str(tmp_path / "x.md")]) == 2
+        assert main(["--only", "T9", str(tmp_path / "x.md")]) == 2
         err = capsys.readouterr().err
         assert "matches no table" in err
         assert "T1 convolution" in err  # the known names are listed
@@ -119,7 +124,7 @@ class TestObsFlag:
         patched_builders([("only", lambda: fake_table("Only"))])
         out_md = tmp_path / "exp.md"
         obs_path = tmp_path / "obs.json"
-        assert report.main(["--obs", str(obs_path), str(out_md)]) == 0
+        assert main(["--obs", str(obs_path), str(out_md)]) == 0
         assert "obs metrics written to" in capsys.readouterr().out
         env = json.loads(obs_path.read_text())
         assert is_envelope(env)

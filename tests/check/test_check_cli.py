@@ -1,10 +1,14 @@
-"""End-to-end tests of ``python -m repro.check``."""
+"""End-to-end tests of ``python -m repro check``."""
 
 import json
 
+from repro import cli
 from repro.artifacts import payload_of
-from repro.check.cli import main
 from repro.check.report import validate_report
+
+
+def main(argv: list) -> int:
+    return cli.main(["check", *argv])
 
 
 def test_rules_listing(capsys):
@@ -30,7 +34,7 @@ def test_unknown_workload_is_usage_error(capsys):
 
 def test_lu_nopivot_clean_with_report(tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert main(["lu_nopivot", "--json", str(path)]) == 0
+    assert main(["lu_nopivot", "--out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "blockable" in out
     doc = payload_of(json.loads(path.read_text()))
@@ -47,7 +51,7 @@ def test_two_workloads_one_invocation(capsys):
 
 def test_report_carries_par_classifications(tmp_path):
     path = tmp_path / "report.json"
-    assert main(["matmul", "--json", str(path)]) == 0
+    assert main(["matmul", "--out", str(path)]) == 0
     doc = payload_of(json.loads(path.read_text()))
     rules = {d["rule"] for d in doc["diagnostics"]}
     assert "lint/par-parallel" in rules

@@ -11,7 +11,7 @@ from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.pipeline import PassManager, PassSpec, derive
 from repro.pipeline.cache import AnalysisCache
-from repro.pipeline.cli import main as pipeline_main
+from repro.cli import main as repro_main
 from repro.symbolic.assume import Assumptions
 
 N2 = Assumptions().assume_ge("N", 2)
@@ -60,14 +60,12 @@ def test_check_off_does_not_populate_diagnostics():
 
 
 def test_pipeline_cli_check_flag_ok(capsys):
-    assert pipeline_main(["-a", "lu_nopivot", "--check"]) == 0
+    assert repro_main(["pipeline", "-a", "lu_nopivot", "--check"]) == 0
     out = capsys.readouterr().out
     assert "lu_nopivot" in out
 
 
 def test_bench_cli_check_flag_ok(tmp_path, capsys):
-    from repro.pipeline.bench import main as bench_main
-
     path = tmp_path / "bench.json"
-    assert bench_main([str(path), "--check"]) == 0
+    assert repro_main(["bench", str(path), "--check"]) == 0
     assert path.exists()

@@ -3,9 +3,15 @@ validator must catch tampered documents."""
 
 import json
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import (
+    envelope,
+    is_envelope,
+    payload_of,
+    publish,
+    validate_document,
+)
 from repro.artifacts.validate import RULE_STALE_VERSION
-from repro.check import SCHEMA, build_report, validate_report, write_report
+from repro.check import SCHEMA, build_report, validate_report
 from repro.check.diagnostics import diag
 from repro.check.linter import LintResult
 
@@ -31,7 +37,7 @@ def test_built_report_is_valid():
 
 def test_report_survives_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
-    write_report(str(path), sample_report())
+    publish(str(path), sample_report(), producer="repro.check")
     doc = json.loads(path.read_text())
     assert is_envelope(doc)
     assert validate_document(doc) == []
@@ -43,7 +49,7 @@ def test_wrong_schema_rejected():
     # structured artifact/stale-version problem, not a payload error
     doc = sample_report()
     doc["schema"] = "repro.check/0"
-    problems = validate_document(doc)
+    problems = validate_document(envelope(doc, producer="test"))
     assert [p.rule for p in problems] == [RULE_STALE_VERSION]
 
 

@@ -1,4 +1,4 @@
-"""``python -m repro.matrix``: exit codes, artifacts, filters."""
+"""``python -m repro matrix``: exit codes, artifacts, filters."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.artifacts import is_envelope, payload_of
-from repro.matrix.cli import main
 from repro.matrix.report import SCHEMA, validate_report
 
 GRID = ["--factor", "workload=matmul", "--factor", "b=2,4",
@@ -22,7 +22,7 @@ def cachedir(tmp_path, monkeypatch):
 
 
 def run_cli(*argv) -> int:
-    return main(list(argv))
+    return cli.main(["matrix", *argv])
 
 
 class TestRun:

@@ -1,4 +1,4 @@
-"""The repro.obs CLI and exporters, run in-process on real workloads."""
+"""``python -m repro obs`` and the exporters, run in-process on real workloads."""
 
 from __future__ import annotations
 
@@ -6,10 +6,14 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro import cli
+from repro.artifacts import envelope, is_envelope, payload_of, validate_document
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core, export
-from repro.obs.cli import main
+
+
+def main(argv: list) -> int:
+    return cli.main(["obs", *argv])
 
 
 class TestChromeTrace:
@@ -46,7 +50,7 @@ class TestValidateMetrics:
         # schema identity is the envelope layer's job now
         doc = export.metrics(core.Obs())
         doc["schema"] = "repro.obs/99"
-        problems = validate_document(doc)
+        problems = validate_document(envelope(doc, producer="test"))
         assert [p.rule for p in problems] == [RULE_STALE_VERSION]
 
     def test_non_integer_counter_rejected(self):
@@ -97,7 +101,7 @@ class TestCliEndToEnd:
         rc = main([
             "conv",
             "--chrome-trace", str(trace_path),
-            "--metrics", str(metrics_path),
+            "--out", str(metrics_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -127,7 +131,7 @@ class TestCliEndToEnd:
         metrics_path = tmp_path / "m.json"
         rc = main([
             "conv", "--passes", "split", "--sizes", "N1=16,N2=12,N3=14",
-            "--metrics", str(metrics_path),
+            "--out", str(metrics_path),
         ])
         assert rc == 0
         doc = payload_of(json.loads(metrics_path.read_text()))

@@ -1,13 +1,15 @@
-"""``python -m repro.par`` exit codes and artifacts."""
+"""``python -m repro par`` exit codes and artifacts."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
+from repro import cli
 from repro.artifacts import payload_of, validate_document
-from repro.par.cli import main
+
+
+def main(argv: list) -> int:
+    return cli.main(["par", *argv])
 
 
 class TestClassify:
@@ -21,7 +23,7 @@ class TestClassify:
 
     def test_classify_writes_valid_report(self, tmp_path, capsys):
         path = tmp_path / "classify.json"
-        assert main(["classify", "matmul", "--json", str(path)]) == 0
+        assert main(["classify", "matmul", "--out", str(path)]) == 0
         doc = json.load(open(path))
         assert validate_document(doc) == []
         payload = payload_of(doc)
@@ -46,9 +48,7 @@ class TestSanitize:
 
 class TestRun:
     def test_run_subcommand_is_gone(self, capsys):
-        with pytest.raises(SystemExit) as usage:
-            main(["run", "conv", "--shards", "2"])
-        assert usage.value.code == 2
+        assert main(["run", "conv", "--shards", "2"]) == 2
         assert "invalid choice: 'run'" in capsys.readouterr().err
 
 
@@ -56,7 +56,7 @@ class TestBench:
     def test_bench_writes_valid_artifact(self, tmp_path, capsys):
         path = tmp_path / "BENCH_par.json"
         assert main(["bench", "--workloads", "matmul", "conv",
-                     "--json", str(path)]) == 0
+                     "--out", str(path)]) == 0
         doc = json.load(open(path))
         assert validate_document(doc) == []
         payload = payload_of(doc)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.artifacts import payload_of, validate_document
+from repro.artifacts import payload_of, publish, validate_document
 from repro.artifacts.registry import PAR_REPORT
 from repro.par.detect import classify_procedure
 from repro.par.report import (
@@ -10,7 +10,6 @@ from repro.par.report import (
     build_workload_entry,
     flatten_report,
     validate_report,
-    write_report,
 )
 from repro.pipeline.workloads import get_workload
 
@@ -80,7 +79,7 @@ class TestEnvelope:
         import json
 
         path = tmp_path / "par.json"
-        env = write_report(str(path), sample_report())
+        env = publish(str(path), sample_report(), producer="repro.par")
         assert env["schema"].startswith("repro.par")
         on_disk = json.load(open(path))
         assert validate_document(on_disk) == []

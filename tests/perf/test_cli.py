@@ -1,4 +1,4 @@
-"""``python -m repro.perf``: the record/diff/trend/gate workflow end to
+"""``python -m repro perf``: the record/diff/trend/gate workflow end to
 end, including the exit-code contract CI relies on."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import pytest
 
 from repro.artifacts import is_envelope, payload_of
 from repro.artifacts.registry import PERF_BASELINE, PERF_GATE
-from repro.perf import cli
+from repro import cli
 from tests.perf.test_ingest import pipeline_doc
 
 
@@ -28,7 +28,7 @@ def env(tmp_path):
 
 
 def run(args):
-    return cli.main(args)
+    return cli.main(["perf", *args])
 
 
 class TestRecordAndQuery:
@@ -128,7 +128,7 @@ class TestGateExitCodes:
         out_path = str(env["tmp"] / "gate.json")
         run(["gate", env["slow"], "--baseline", "main", "--db", env["db"],
              "--metrics", "pass:*.wall_s", "--threshold", "25",
-             "--json", out_path])
+             "--out", out_path])
         doc = payload_of(json.load(open(out_path)))
         assert doc["schema"] == PERF_GATE
         assert doc["verdict"] == "regressed"

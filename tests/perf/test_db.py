@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import PerfError
 from repro.perf.db import PerfDB
-from tests.perf.test_ingest import pipeline_doc
+from tests.perf.test_ingest import enveloped, pipeline_doc
 
 
 @pytest.fixture
@@ -34,11 +34,11 @@ class TestRecord:
 
     def test_zero_metric_artifact_is_refused(self, db):
         with pytest.raises(PerfError):
-            db.record({"schema": "repro.pipeline/1", "spans": "nope"})
+            db.record(enveloped({"schema": "repro.pipeline/1", "spans": "nope"}))
 
     def test_unknown_schema_is_refused(self, db):
         with pytest.raises(PerfError):
-            db.record({"schema": "what/0"})
+            db.record(enveloped({"schema": "what/0"}))
 
 
 class TestSelectors:

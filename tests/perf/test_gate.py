@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts import envelope, publish, write_file
+from repro.artifacts.envelope import RULE_MALFORMED
 from repro.errors import PerfError
 from repro.perf import gate
 
@@ -100,21 +102,27 @@ class TestBaselineFiles:
         path = str(tmp_path / "base.json")
         doc = gate.baseline_doc({"m": 1.5}, meta={"git_sha": "abc"})
         assert doc["schema"] == gate.BASELINE_SCHEMA
-        gate.write_baseline(path, doc)
+        publish(path, doc, producer="repro.perf")
         assert gate.read_baseline(path) == {"m": 1.5}
 
     def test_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"schema": "other/1", "metrics": {}}')
-        with pytest.raises(PerfError):
+        write_file(str(path), envelope({"schema": "other/1", "metrics": {}}))
+        with pytest.raises(PerfError, match="is not a"):
+            gate.read_baseline(str(path))
+
+    def test_rejects_bare_payload(self, tmp_path):
+        path = tmp_path / "bare.json"
+        write_file(str(path), gate.baseline_doc({"m": 1.5}))
+        with pytest.raises(PerfError, match=RULE_MALFORMED):
             gate.read_baseline(str(path))
 
     def test_rejects_non_numeric_metrics(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(
-            '{"schema": "repro.perf.baseline/1", "metrics": {"m": "fast"}}'
-        )
-        with pytest.raises(PerfError):
+        write_file(str(path), envelope(
+            {"schema": "repro.perf.baseline/1", "metrics": {"m": "fast"}}
+        ))
+        with pytest.raises(PerfError, match="not numeric"):
             gate.read_baseline(str(path))
 
     def test_rejects_unreadable_and_invalid(self, tmp_path):

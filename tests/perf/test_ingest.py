@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts import envelope, validate_document
+from repro.artifacts.envelope import RULE_MALFORMED
+from repro.artifacts.validate import RULE_PAYLOAD
 from repro.errors import PerfError
 from repro.perf import ingest
 
 
+def enveloped(payload: dict) -> dict:
+    return envelope(payload, producer="test", created_s=0.0)
+
+
 def pipeline_doc(block_wall=0.5, block_size=154):
+    return enveloped(pipeline_payload(block_wall, block_size))
+
+
+def pipeline_payload(block_wall=0.5, block_size=154):
     return {
         "schema": "repro.pipeline/1",
         "algorithm": "lu_nopivot",
@@ -42,17 +53,17 @@ class TestPipelineFlatten:
         assert m["analysis_cache.dependence.hit_rate"] == pytest.approx(1 / 3)
 
     def test_duplicate_pass_names_get_suffixes(self):
-        doc = pipeline_doc()
+        doc = pipeline_payload()
         doc["spans"].append(dict(doc["spans"][1], index=2, wall_s=0.7))
-        m = ingest.flatten(doc)
+        m = ingest.flatten(enveloped(doc))
         assert m["pass:block.wall_s"] == 0.5
         assert m["pass:block.wall_s#2"] == 0.7
 
     def test_null_and_nonfinite_values_are_skipped(self):
-        doc = pipeline_doc()
+        doc = pipeline_payload()
         doc["spans"][0]["wall_s"] = None
         doc["spans"][1]["wall_s"] = float("inf")
-        m = ingest.flatten(doc)
+        m = ingest.flatten(enveloped(doc))
         assert "pass:split.wall_s" not in m
         assert "pass:block.wall_s" not in m
         assert m["pass:block.ir_size_after"] == 154.0
@@ -73,7 +84,7 @@ class TestOtherSchemas:
             "machine": {"cache": {"accesses": 100, "misses": 7},
                         "tlb": None},
         }
-        m = ingest.flatten(doc)
+        m = ingest.flatten(enveloped(doc))
         assert m["counter:dependence.queries"] == 41.0
         assert m["hist:lat_s.p95"] == 2.9
         assert m["span:pass:block.total_s"] == 0.5
@@ -91,7 +102,7 @@ class TestOtherSchemas:
                                    "min": 0.02, "total": 0.02}},
             "elapsed_s": 0.05,
         }
-        m = ingest.flatten(doc)
+        m = ingest.flatten(enveloped(doc))
         assert m["job:derive:matmul.wall_s"] == 0.02
         assert m["jobs.computed"] == 1.0
         assert m["pool.utilization"] == 0.4
@@ -113,7 +124,7 @@ class TestOtherSchemas:
                  "b": 32, "status": "skipped"},
             ],
         }
-        m = ingest.flatten(doc)
+        m = ingest.flatten(enveloped(doc))
         assert m["summary.speedup.p50"] == 1.2
         assert m["cell:lu_nopivot:blocked:n64:b16.speedup"] == 1.4
         assert "cell:lu_nopivot:blocked:n64:b32.speedup" not in m
@@ -127,30 +138,26 @@ class TestOtherSchemas:
                                      "warm_speedup": 20.0}},
             "cache": {},
         }
-        pool = {
-            "schema": "repro.pipeline.bench/1",
-            "mode": "pool",
-            "workloads": {"matmul": {"wall_s": 0.2, "pass_executions": 3}},
-            "pool": {"busy_s": 0.2},
-            "elapsed_s": 0.3,
-        }
-        mc = ingest.flatten(classic)
+        mc = ingest.flatten(enveloped(classic))
         assert mc["bench:matmul.cold_s"] == 0.2
         assert mc["bench:matmul.warm_s"] == 0.01
-        mp = ingest.flatten(pool)
-        assert mp["bench:matmul.wall_s"] == 0.2
-        assert mp["elapsed_s"] == 0.3
+        # the pool mode is gone: its document shape no longer validates
+        pool = dict(classic, mode="pool")
+        assert RULE_PAYLOAD in {p.rule for p in validate_document(enveloped(pool))}
 
 
 class TestDispatch:
     def test_unknown_schema_raises(self):
-        with pytest.raises(PerfError):
-            ingest.flatten({"schema": "repro.unknown/9"})
-        with pytest.raises(PerfError):
-            ingest.detect_schema({})
+        with pytest.raises(PerfError, match="unsupported artifact schema"):
+            ingest.flatten(enveloped({"schema": "repro.unknown/9"}))
+
+    def test_bare_payload_raises_malformed_envelope(self):
+        for bare in (pipeline_payload(), {}):
+            with pytest.raises(PerfError, match=RULE_MALFORMED):
+                ingest.flatten(bare)
 
     def test_digest_is_content_addressed(self):
         a, b = pipeline_doc(), pipeline_doc()
         assert ingest.artifact_digest(a) == ingest.artifact_digest(b)
-        b["spans"][1]["wall_s"] = 0.6
-        assert ingest.artifact_digest(a) != ingest.artifact_digest(b)
+        c = pipeline_doc(block_wall=0.6)
+        assert ingest.artifact_digest(a) != ingest.artifact_digest(c)

@@ -1,4 +1,4 @@
-"""The ``python -m repro.pipeline`` front end, driven in-process."""
+"""The ``python -m repro pipeline`` front end, driven in-process."""
 
 from __future__ import annotations
 
@@ -6,9 +6,13 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.artifacts import is_envelope, payload_of
-from repro.pipeline.cli import main
 from repro.pipeline.trace import SCHEMA
+
+
+def main(argv: list) -> int:
+    return cli.main(["pipeline", *argv])
 
 
 class TestListing:

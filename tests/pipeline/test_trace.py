@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_digest, payload_of
+from repro.artifacts import is_envelope, payload_digest, payload_of, publish
 from repro.errors import TransformError
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Var
@@ -15,7 +15,7 @@ from repro.pipeline import passes
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.manager import run_passes
 from repro.pipeline.passes import PassInfo
-from repro.pipeline.trace import SCHEMA, build_trace, span_to_dict, write_trace
+from repro.pipeline.trace import SCHEMA, build_trace, span_to_dict
 
 
 def small_proc() -> Procedure:
@@ -47,7 +47,7 @@ class TestRoundTrip:
     def test_write_then_load_is_identical(self, tmp_path):
         result = run_passes(small_proc(), ["scalars"], cache=AnalysisCache())
         path = tmp_path / "trace.json"
-        write_trace(str(path), result.trace)
+        publish(str(path), result.trace, producer="repro.pipeline")
         doc = json.loads(path.read_text())
         assert is_envelope(doc)
         assert doc["digest"] == payload_digest(result.trace)

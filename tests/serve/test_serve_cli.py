@@ -1,4 +1,4 @@
-"""``python -m repro.serve``: submit/batch/stats/gc, exit codes, artifacts."""
+"""``python -m repro serve``: submit/batch/stats/gc, exit codes, artifacts."""
 
 from __future__ import annotations
 
@@ -6,11 +6,15 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.artifacts import is_envelope, payload_of, validate_document
 from repro.artifacts.registry import OBS_METRICS, SERVE_STORE
-from repro.serve.cli import main
 from repro.serve.service import validate_report
 from repro.serve.store import ArtifactStore
+
+
+def main(argv: list) -> int:
+    return cli.main(["serve", *argv])
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import json
 
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import (
+    envelope,
+    is_envelope,
+    payload_of,
+    publish,
+    validate_document,
+)
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core as obs_core
 from repro.serve.jobs import JobSpec
@@ -12,7 +18,6 @@ from repro.serve.service import (
     SCHEMA,
     run_batch,
     validate_report,
-    write_report,
 )
 from repro.serve.store import ArtifactStore
 
@@ -121,7 +126,7 @@ class TestValidateReport:
         # schema identity is the envelope layer's job now
         doc = self.good()
         doc["schema"] = "repro.serve/99"
-        problems = validate_document(doc)
+        problems = validate_document(envelope(doc, producer="test"))
         assert [p.rule for p in problems] == [RULE_STALE_VERSION]
 
     def test_rejects_missing_sections(self):
@@ -161,7 +166,7 @@ class TestValidateReport:
 def test_write_report_roundtrips(tmp_path):
     report = run_batch([probe(value="v")], workers=1)
     path = tmp_path / "report.json"
-    write_report(str(path), report)
+    publish(str(path), report, producer="repro.serve")
     doc = json.loads(path.read_text())
     assert is_envelope(doc)
     assert payload_of(doc) == json.loads(json.dumps(report))
