@@ -7,8 +7,9 @@ baselines and gate verdicts — goes through this package:
 - :mod:`~repro.artifacts.envelope` — the one envelope (schema id,
   canonical-JSON sha256 digest, producer, timing) and its readers;
 - :mod:`~repro.artifacts.registry` — the schema-id constants (single
-  source of truth) and the ``(validate_payload, flatten)`` hook
-  registry;
+  source of truth) and the ``(shape, invariants, flatten)`` registry;
+- :mod:`~repro.artifacts.shape` — payload shapes as plain literals and
+  the one walker that checks them;
 - :mod:`~repro.artifacts.validate` — structured ``artifact/*``
   diagnostics over enveloped documents;
 - :mod:`~repro.artifacts.sink` — the content-addressed store as
@@ -87,7 +88,6 @@ def publish(
     elapsed_s: Optional[float] = None,
     store=None,
     request: Any = None,
-    validate: bool = True,
 ) -> dict:
     """Envelope ``doc`` (bare payloads are wrapped, envelopes pass
     through), validate it, write it to ``path`` (when given), and land
@@ -101,8 +101,7 @@ def publish(
         created_by_run=created_by_run,
         elapsed_s=elapsed_s,
     )
-    if validate:
-        require_valid(env)
+    require_valid(env)
     if path is not None:
         write_file(path, env)
     if store is not None:

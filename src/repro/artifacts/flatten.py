@@ -2,7 +2,7 @@
 
 The perf timeline stores flat numeric metrics with stable names; each
 artifact kind registers a ``flatten(payload) -> {name: float}`` hook
-next to its validator (:mod:`repro.artifacts.kinds`).  The hooks live
+next to its shape (:mod:`repro.artifacts.kinds`).  The hooks live
 with their subsystems; what they share lives here:
 
 - :class:`Sink` — collects metrics, skips junk (bools, non-finites,
@@ -10,7 +10,9 @@ with their subsystems; what they share lives here:
   suffixes in encounter order so reruns flatten to the same names;
 - :func:`cache_stats` — the analysis-cache block several payloads carry;
 - :data:`HIST_FIELDS` / :data:`QUANT_FIELDS` — the summary fields worth
-  a timeline.
+  a timeline;
+- :data:`HISTOGRAM_SUMMARY` — the shape of the histogram summaries those
+  fields are read from.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ import math
 
 #: histogram summary fields worth tracking over time
 HIST_FIELDS = ("mean", "p50", "p95", "p99", "max", "count", "total")
+
+#: shape (:mod:`repro.artifacts.shape`) of ``obs.core.Histogram.summary()``,
+#: the block every latency/histogram section of every payload carries
+HISTOGRAM_SUMMARY = {
+    "count": int, "total": float, "min": float, "max": float,
+    "mean": float, "p50": float, "p95": float, "p99": float,
+}
 
 #: quantile-summary fields (matrix speedup/miss-ratio blocks)
 QUANT_FIELDS = ("p25", "p50", "p75", "mean", "min", "max")

@@ -1,4 +1,4 @@
-"""The validator/flattener registry and the schema-id constants.
+"""The shape/invariants/flattener registry and the schema-id constants.
 
 This module is the **single source of truth for schema ids**: every
 subsystem imports its id from here (``SCHEMA = registry.CHECK_REPORT``)
@@ -6,26 +6,30 @@ instead of repeating the string literal, so the acceptance grep
 ``'"repro\\.'`` finds schema ids defined nowhere else.
 
 Each schema registers an :class:`ArtifactKind` — ``(name, version,
-validate_payload, flatten)`` — exactly once.  ``validate_payload`` is
-the subsystem's payload check (the four pre-existing ``validate_*``
-functions, now registered instead of dispatched ad hoc); ``flatten`` is
+shape, invariants, flatten)`` — exactly once.  ``shape`` is the payload's
+structure as a plain literal (:mod:`repro.artifacts.shape`), declared as
+``SHAPE`` next to the ``build_*`` function that produces the payload;
+``invariants`` is the kind's cross-field check (``payload -> [problems]``:
+recounts, implications between fields), where it has one; ``flatten`` is
 the :mod:`repro.perf` ingestion hook that turns a payload into flat
-``{metric name: float}`` rows, registered *next to* the validator so
-``repro.perf record`` ingests any enveloped artifact without perf code
-changes.
+``{metric name: float}`` rows.  :meth:`ArtifactKind.validate_payload`
+walks the shape and, **only if the shape is clean**, runs the
+invariants — so invariant code indexes the payload directly and cannot
+crash on a malformed one.
 
-Both hooks are declared as lazy ``"module:attr"`` references and
-resolved on first use, so validating one artifact kind does not import
-the other five subsystems.  The builtin kinds live in
-:mod:`repro.artifacts.kinds`, loaded on the first registry query.
+All three are declared as lazy ``"module:attr"`` references and resolved
+on first use, so validating one artifact kind does not import the other
+subsystems.  The builtin kinds live in :mod:`repro.artifacts.kinds`,
+loaded on the first registry query.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.artifacts.envelope import split_id
+from repro.artifacts.shape import check
 from repro.errors import ArtifactError
 
 # ---- schema ids (the only place these strings are defined) -----------------
@@ -44,11 +48,9 @@ DAEMON_STATUS = "repro.daemon.status/1"
 SERVE_LOAD = "repro.serve.load/1"
 SERVE_STORE = "repro.serve.store/1"
 
-_Hook = Optional[Union[str, Callable]]
 
-
-def _resolve(ref: _Hook) -> Optional[Callable]:
-    if ref is None or callable(ref):
+def _resolve(ref: Any) -> Any:
+    if not isinstance(ref, str):
         return ref
     mod, sep, attr = ref.partition(":")
     if not sep:
@@ -57,18 +59,20 @@ def _resolve(ref: _Hook) -> Optional[Callable]:
 
 
 class ArtifactKind:
-    """One registered schema: id, payload validator, perf flattener."""
+    """One registered schema: id, payload shape, invariants, flattener."""
 
     def __init__(
         self,
         schema_id: str,
-        validate: _Hook = None,
-        flatten: _Hook = None,
+        shape: Any = dict,
+        invariants: Optional[str] = None,
+        flatten: Optional[str] = None,
         description: str = "",
     ) -> None:
         self.name, self.version = split_id(schema_id)
         self.description = description
-        self._validate = validate
+        self._shape = shape
+        self._invariants = invariants
         self._flatten = flatten
 
     @property
@@ -76,10 +80,20 @@ class ArtifactKind:
         return f"{self.name}/{self.version}"
 
     @property
-    def validate_payload(self) -> Optional[Callable]:
-        """``payload -> list[str]`` problems (empty = valid), or None."""
-        self._validate = _resolve(self._validate)
-        return self._validate
+    def shape(self) -> Any:
+        """The payload's declared shape (:mod:`repro.artifacts.shape`)."""
+        self._shape = _resolve(self._shape)
+        return self._shape
+
+    def validate_payload(self, payload: Any) -> list[str]:
+        """Problems with ``payload`` (empty = valid): the shape walk,
+        then — on a shape-clean payload only — the kind's invariants.
+        Never raises, whatever JSON value ``payload`` is."""
+        problems = check(payload, self.shape)
+        if problems or self._invariants is None:
+            return problems
+        self._invariants = _resolve(self._invariants)
+        return list(self._invariants(payload))
 
     @property
     def flatten(self) -> Optional[Callable]:
@@ -98,13 +112,14 @@ _builtins_loaded = False
 
 def register(
     schema_id: str,
-    validate: _Hook = None,
-    flatten: _Hook = None,
+    shape: Any = dict,
+    invariants: Optional[str] = None,
+    flatten: Optional[str] = None,
     description: str = "",
 ) -> ArtifactKind:
     """Register a schema once; :class:`ArtifactError` on a duplicate id."""
-    kind = ArtifactKind(schema_id, validate=validate, flatten=flatten,
-                        description=description)
+    kind = ArtifactKind(schema_id, shape=shape, invariants=invariants,
+                        flatten=flatten, description=description)
     if kind.schema_id in _KINDS:
         raise ArtifactError(f"schema {kind.schema_id!r} is already registered")
     _KINDS[kind.schema_id] = kind

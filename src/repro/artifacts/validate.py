@@ -16,8 +16,9 @@ rule id                         fires when
 ``artifact/digest-mismatch``    the digest does not match the payload
 ``artifact/schema-mismatch``    the payload's inner ``schema`` field
                                 disagrees with the envelope
-``artifact/invalid-payload``    the kind's registered payload check failed
-                                (one row per problem it reports)
+``artifact/invalid-payload``    the payload does not match the kind's declared
+                                shape, or (shape clean) breaks one of its
+                                invariants — one row per problem
 ==============================  =============================================
 
 A bare (un-enveloped) payload is an ``artifact/malformed-envelope``
@@ -36,6 +37,7 @@ from repro.artifacts.envelope import (
     payload_digest,
     schema_id_of,
 )
+from repro.artifacts.shape import check
 from repro.errors import ArtifactError
 
 RULE_NOT_OBJECT = "artifact/not-object"
@@ -60,27 +62,14 @@ class Problem:
         return f"{self.rule}: {self.message}"
 
 
-def _check_envelope_shape(doc: dict) -> list[Problem]:
-    problems = []
-    if not isinstance(doc.get("schema_version"), int) or isinstance(
-        doc.get("schema_version"), bool
-    ):
-        problems.append(Problem(
-            RULE_MALFORMED,
-            f"schema_version is {doc.get('schema_version')!r}, want an integer",
-        ))
-    if not isinstance(doc.get("digest"), str):
-        problems.append(Problem(RULE_MALFORMED, "digest missing or non-string"))
-    if not isinstance(doc.get("producer"), str):
-        problems.append(Problem(RULE_MALFORMED, "producer missing or non-string"))
-    timing = doc.get("timing")
-    if not isinstance(timing, dict) or "created_s" not in timing:
-        problems.append(Problem(
-            RULE_MALFORMED, "timing missing or lacks created_s"
-        ))
-    if not isinstance(doc.get("payload"), dict):
-        problems.append(Problem(RULE_MALFORMED, "payload missing or non-object"))
-    return problems
+#: the envelope's own shape, checked by the same walker as the payloads
+_ENVELOPE = {
+    "schema_version": int,
+    "digest": str,
+    "producer": str,
+    "timing": {"created_s": float},
+    "payload": dict,
+}
 
 
 def _check_schema_known(schema_id: str) -> Optional[Problem]:
@@ -114,7 +103,7 @@ def validate_document(doc: Any) -> list[Problem]:
             "digest and payload)",
         )]
 
-    problems = _check_envelope_shape(doc)
+    problems = [Problem(RULE_MALFORMED, msg) for msg in check(doc, _ENVELOPE)]
     if problems:
         return problems
     schema_id = schema_id_of(doc)
@@ -138,11 +127,10 @@ def validate_document(doc: Any) -> list[Problem]:
         problems.append(unknown)
         return problems
 
-    check = registry.get(schema_id).validate_payload
-    if check is not None:
-        problems.extend(
-            Problem(RULE_PAYLOAD, msg) for msg in check(payload)
-        )
+    problems.extend(
+        Problem(RULE_PAYLOAD, msg)
+        for msg in registry.get(schema_id).validate_payload(payload)
+    )
     return problems
 
 

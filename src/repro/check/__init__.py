@@ -21,7 +21,7 @@ from the command line.
 from repro.check.diagnostics import RULES, Diagnostic, Rule, Severity, errors_in
 from repro.check.legality import postcheck, precheck
 from repro.check.linter import LintResult, lint_blockability, lint_loop
-from repro.check.report import SCHEMA, build_report, validate_report
+from repro.check.report import SCHEMA, build_report
 from repro.check.verifier import verify_ir
 
 __all__ = [
@@ -37,6 +37,5 @@ __all__ = [
     "lint_loop",
     "postcheck",
     "precheck",
-    "validate_report",
     "verify_ir",
 ]

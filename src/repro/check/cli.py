@@ -12,7 +12,7 @@ blockability, and (3) re-derives the workload's default pass pipeline
 under ``check=True`` so every pass is bracketed by legality
 pre/postchecks and IR re-verification.  ``--out PATH`` writes a
 ``repro.check/1`` report (diagnostics + rule catalogue + lint
-verdicts) that :func:`repro.check.report.validate_report` accepts.
+verdicts; shape: :data:`repro.check.report.SHAPE`).
 
 With ``--store``, the run participates in the content-addressed
 artifact store: the enveloped report lands there under a request

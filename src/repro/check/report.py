@@ -1,4 +1,4 @@
-"""The ``repro.check/1`` report schema: build, validate, flatten.
+"""The ``repro.check/1`` report schema: build, shape, invariants, flatten.
 
 .. code-block:: text
 
@@ -15,9 +15,9 @@
 ``rules`` embeds the catalogue so a report is self-describing;
 ``summary`` counts diagnostics by severity; ``verdicts`` carries the
 linter's blockability classifications (also mirrored as ``lint/*``
-diagnostics).  :func:`validate_report` returns a list of problems
-(empty = valid) — the idiom of :func:`repro.obs.export.validate_metrics`
-— and the ``check-smoke`` CI job runs it over the shipped workloads.
+diagnostics).  :data:`SHAPE` is the checked structure and
+:func:`invariants` the recount over it; the ``check-smoke`` CI job
+validates a report over the shipped workloads.
 Reports are written enveloped (see :mod:`repro.artifacts`); schema
 identity and digest live in the envelope layer.
 """
@@ -28,8 +28,14 @@ from typing import Iterable, Optional
 
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import CHECK_REPORT as SCHEMA
+from repro.artifacts.shape import enum
 from repro.check.diagnostics import RULES, Diagnostic, Severity
-from repro.check.linter import LintResult
+from repro.check.linter import (
+    BLOCKABLE,
+    BLOCKABLE_WITH_COMMUTATIVITY,
+    NOT_BLOCKABLE,
+    LintResult,
+)
 
 _SEVERITIES = tuple(s.value for s in Severity)
 
@@ -65,57 +71,38 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a check-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "rules", "summary"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    for key in ("diagnostics", "verdicts"):
-        if not isinstance(doc.get(key), list):
-            errors.append(f"missing or non-list field {key!r}")
-    if errors:
-        return errors
-    counted = {s: 0 for s in _SEVERITIES}
+SHAPE = {
+    "meta": dict,
+    "rules": dict,
+    "diagnostics": [{"rule": str, "severity": enum(*_SEVERITIES),
+                     "path": str, "message": str}],
+    "summary": {severity: int for severity in _SEVERITIES},
+    "verdicts": [{
+        "procedure": str,
+        "loop": str,
+        "verdict": enum(BLOCKABLE, BLOCKABLE_WITH_COMMUTATIVITY,
+                        NOT_BLOCKABLE),
+        "reason": str,
+    }],
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """Every diagnostic cites a catalogued rule, and ``summary`` recounts
+    the diagnostics by severity."""
+    errors = []
+    counted = {severity: 0 for severity in _SEVERITIES}
     for k, d in enumerate(doc["diagnostics"]):
-        if not isinstance(d, dict):
-            errors.append(f"diagnostics[{k}] is not an object")
-            continue
-        for key in ("rule", "severity", "path", "message"):
-            if not isinstance(d.get(key), str):
-                errors.append(f"diagnostics[{k}].{key} missing or non-string")
-        sev = d.get("severity")
-        if sev not in _SEVERITIES:
-            errors.append(f"diagnostics[{k}] has unknown severity {sev!r}")
-        else:
-            counted[sev] += 1
-        rule = d.get("rule")
-        if isinstance(rule, str) and rule not in doc["rules"]:
-            errors.append(f"diagnostics[{k}] cites uncatalogued rule {rule!r}")
-    # the load-bearing invariant: summary counts match the diagnostics
-    for sev in _SEVERITIES:
-        want = doc["summary"].get(sev)
-        if want != counted[sev]:
+        counted[d["severity"]] += 1
+        if d["rule"] not in doc["rules"]:
             errors.append(
-                f"summary[{sev!r}] is {want!r}, diagnostics contain "
-                f"{counted[sev]}"
+                f"diagnostics[{k}] cites uncatalogued rule {d['rule']!r}"
             )
-    valid_verdicts = (
-        "blockable", "blockable-with-commutativity", "not-blockable"
-    )
-    for k, v in enumerate(doc["verdicts"]):
-        if not isinstance(v, dict):
-            errors.append(f"verdicts[{k}] is not an object")
-            continue
-        for key in ("procedure", "loop", "verdict", "reason"):
-            if not isinstance(v.get(key), str):
-                errors.append(f"verdicts[{k}].{key} missing or non-string")
-        if v.get("verdict") not in valid_verdicts:
+    for severity, n in counted.items():
+        if doc["summary"][severity] != n:
             errors.append(
-                f"verdicts[{k}] has unknown verdict {v.get('verdict')!r}"
+                f"summary.{severity} is {doc['summary'][severity]}, "
+                f"diagnostics contain {n}"
             )
     return errors
 

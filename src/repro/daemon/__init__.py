@@ -13,7 +13,7 @@ HTTP JSON API:
   structured ``daemon/saturated`` diagnostic), per-request deadlines,
   and graceful drain;
 - :mod:`~repro.daemon.status` — the ``repro.daemon.status/1`` payload
-  (build / validate / flatten);
+  (shape / invariants / flatten);
 - :mod:`~repro.daemon.state` — the on-disk endpoint record
   (``daemon.json`` under the store root) plus the HTTP client helpers
   every caller (CLI, :mod:`repro.load`, tests) shares;

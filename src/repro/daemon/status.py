@@ -1,4 +1,6 @@
-"""The ``repro.daemon.status/1`` payload: build, validate, flatten.
+"""The ``repro.daemon.status/1`` payload: shape, invariants, flatten.
+
+What each field means (the checked structure is :data:`SHAPE`):
 
 .. code-block:: text
 
@@ -23,8 +25,8 @@
       'mem_cache': {'entries': 4, 'capacity': 1024, 'hits': 3},
       'pool': {...WorkerPool.stats()...},
       'store': {...ArtifactStore.stats()...},
-      'latency': {'request_s': {count,...,p50,p95,p99},
-                  'hit_s': {...}, 'computed_s': {...}}
+      'latency': {'request_s': HISTOGRAM_SUMMARY,
+                  'hit_s': ..., 'computed_s': ...}
     }
 
 ``requests.completed`` counts resolved pool outcomes by their
@@ -38,8 +40,9 @@ trend, never gate them at threshold 0.
 
 from __future__ import annotations
 
-from repro.artifacts.flatten import HIST_FIELDS, Sink
+from repro.artifacts.flatten import HISTOGRAM_SUMMARY, HIST_FIELDS, Sink
 from repro.artifacts.registry import DAEMON_STATUS as SCHEMA
+from repro.artifacts.shape import enum, map_of
 from repro.serve.pool import STATUSES
 
 STATES = ("running", "draining")
@@ -53,57 +56,29 @@ REQUEST_FIELDS = (
 LATENCY_KEYS = ("request_s", "hit_s", "computed_s")
 
 
-def validate_status(doc: dict) -> list[str]:
-    """Problems with a daemon-status payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("state") not in STATES:
-        errors.append(f"unknown state {doc.get('state')!r} (want {STATES})")
-    if not isinstance(doc.get("pid"), int):
-        errors.append("missing or non-integer field 'pid'")
-    endpoint = doc.get("endpoint")
-    if not isinstance(endpoint, dict) or not isinstance(
-        endpoint.get("port"), int
-    ):
-        errors.append("endpoint missing or lacks an integer port")
-    for key in ("started_s", "uptime_s"):
-        if not isinstance(doc.get(key), (int, float)):
-            errors.append(f"missing or non-numeric field {key!r}")
-    for key in ("config", "queue", "mem_cache", "pool", "store", "latency"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    requests = doc.get("requests")
-    if not isinstance(requests, dict):
-        errors.append("missing or non-object field 'requests'")
-        return errors
-    for key in REQUEST_FIELDS:
-        if not isinstance(requests.get(key), int):
-            errors.append(f"requests.{key} missing or non-integer")
-    completed = requests.get("completed")
-    if not isinstance(completed, dict):
-        errors.append("requests.completed missing or non-object")
-    else:
-        unknown = set(completed) - set(STATUSES)
-        if unknown:
-            errors.append(
-                f"requests.completed has unknown status(es) {sorted(unknown)}"
-            )
-    if isinstance(doc.get("queue"), dict):
-        for key in ("outstanding", "limit"):
-            if not isinstance(doc["queue"].get(key), int):
-                errors.append(f"queue.{key} missing or non-integer")
-    if isinstance(doc.get("latency"), dict):
-        for key in LATENCY_KEYS:
-            h = doc["latency"].get(key)
-            if not isinstance(h, dict):
-                errors.append(f"latency missing histogram {key!r}")
-                continue
-            missing = {"count", "mean", "p50", "p95", "p99"} - set(h)
-            if missing:
-                errors.append(f"latency[{key!r}] missing {sorted(missing)}")
-    return errors
+SHAPE = {
+    "state": enum(*STATES),
+    "pid": int,
+    "endpoint": {"port": int},
+    "started_s": float,
+    "uptime_s": float,
+    "config": dict,
+    "requests": {**{key: int for key in REQUEST_FIELDS},
+                 "completed": map_of(int)},
+    "queue": {"outstanding": int, "limit": int},
+    "mem_cache": dict,
+    "pool": dict,
+    "store": dict,
+    "latency": {key: HISTOGRAM_SUMMARY for key in LATENCY_KEYS},
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """``requests.completed`` speaks the pool's status vocabulary."""
+    unknown = set(doc["requests"]["completed"]) - set(STATUSES)
+    if unknown:
+        return [f"requests.completed has unknown status(es) {sorted(unknown)}"]
+    return []
 
 
 def flatten_status(doc: dict) -> dict:

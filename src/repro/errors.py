@@ -29,7 +29,7 @@ class AnalysisError(ReproError):
 class ArtifactError(ReproError):
     """An artifact document failed the shared envelope/registry layer
     (:mod:`repro.artifacts`): malformed envelope, unknown or stale schema,
-    digest mismatch, or a payload its registered validator rejects.
+    digest mismatch, or a payload that fails its registered shape or invariants.
 
     ``problems`` holds the structured
     :class:`~repro.artifacts.validate.Problem` list (possibly empty when
@@ -78,7 +78,14 @@ class MatrixError(ReproError):
 class PerfError(ReproError):
     """The run-history database (:mod:`repro.perf`) was asked something
     it cannot answer: an unknown artifact schema, a selector matching no
-    recorded run, a malformed baseline file, or a bad database."""
+    recorded run, a malformed baseline file, or a bad database.
+
+    ``problems`` carries the structured rows when the cause was an
+    artifact file failing validation (see :class:`ArtifactError`)."""
+
+    def __init__(self, message: str, problems=()):
+        super().__init__(message)
+        self.problems = list(problems)
 
 
 class PipelineError(ReproError):

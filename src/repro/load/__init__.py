@@ -5,7 +5,7 @@
   deterministic weighted job mix with ``unique`` entries forcing cold
   computes, per-step P² latency streams, and named builtin grids;
 - :mod:`~repro.load.report` — the ``repro.serve.load/1`` payload
-  (build / validate / flatten) plus the knee/warm-speedup analysis;
+  (build / shape / flatten) plus the knee/warm-speedup analysis;
 - :mod:`~repro.load.cli` — ``python -m repro load run GRID``.
 
 The committed ``BENCH_serve.json`` at the repo root is this package's
@@ -17,7 +17,7 @@ daemon starts shedding instead of queueing without bound.
 from __future__ import annotations
 
 from repro.load.gen import BUILTIN_GRIDS, check_grid, run_grid
-from repro.load.report import analyze, build_report, validate_report
+from repro.load.report import analyze, build_report
 
 __all__ = [
     "BUILTIN_GRIDS",
@@ -25,5 +25,4 @@ __all__ = [
     "build_report",
     "check_grid",
     "run_grid",
-    "validate_report",
 ]

@@ -1,4 +1,6 @@
-"""The ``repro.serve.load/1`` payload: build, validate, flatten.
+"""The ``repro.serve.load/1`` payload: build, shape, invariants, flatten.
+
+What each field means (the checked structure is :data:`SHAPE`):
 
 .. code-block:: text
 
@@ -10,8 +12,8 @@
         {'rate': 8.0, 'duration_s': 2.0,
          'offered': 16, 'sent': 16,
          'outcomes': {'hit': 9, 'computed': 4, 'shed': 3, ...},
-         'latency': {'request_s': {count,...,p50,p95,p99},
-                     'hit_s': {...}, 'computed_s': {...}},
+         'latency': {'request_s': HISTOGRAM_SUMMARY,
+                     'hit_s': ..., 'computed_s': ...},
          'throughput': 6.5},                 # resolved jobs / second
         ...
       ],
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.artifacts.flatten import HIST_FIELDS, Sink
+from repro.artifacts.flatten import HISTOGRAM_SUMMARY, HIST_FIELDS, Sink
 from repro.artifacts.registry import SERVE_LOAD as SCHEMA
+from repro.artifacts.shape import map_of, nullable
 
 #: every admission fate a client can observe, beyond the pool statuses
 CLIENT_OUTCOMES = ("shed", "deadline", "draining", "error")
@@ -68,67 +71,30 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a load report (empty = valid) — the registered
-    payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    endpoint = doc.get("endpoint")
-    if not isinstance(endpoint, dict) or not isinstance(
-        endpoint.get("port"), int
-    ):
-        errors.append("endpoint missing or lacks an integer port")
-    if not isinstance(doc.get("grid"), dict):
-        errors.append("missing or non-object field 'grid'")
-    if not isinstance(doc.get("elapsed_s"), (int, float)):
-        errors.append("missing or non-numeric field 'elapsed_s'")
-    steps = doc.get("steps")
-    if not isinstance(steps, list) or not steps:
-        errors.append("missing or empty 'steps' list")
-        steps = []
-    for i, step in enumerate(steps):
-        where = f"steps[{i}]"
-        if not isinstance(step, dict):
-            errors.append(f"{where} is not an object")
-            continue
-        for key in ("rate", "duration_s", "throughput"):
-            if not isinstance(step.get(key), (int, float)):
-                errors.append(f"{where}.{key} missing or non-numeric")
-        for key in ("offered", "sent"):
-            if not isinstance(step.get(key), int):
-                errors.append(f"{where}.{key} missing or non-integer")
-        if not isinstance(step.get("outcomes"), dict):
-            errors.append(f"{where}.outcomes missing or non-object")
-        latency = step.get("latency")
-        if not isinstance(latency, dict):
-            errors.append(f"{where}.latency missing or non-object")
-            continue
-        for key in LATENCY_KEYS:
-            h = latency.get(key)
-            if not isinstance(h, dict):
-                errors.append(f"{where}.latency missing histogram {key!r}")
-                continue
-            missing = {"count", "mean", "p50", "p95", "p99"} - set(h)
-            if missing:
-                errors.append(
-                    f"{where}.latency[{key!r}] missing {sorted(missing)}"
-                )
-    analysis = doc.get("analysis")
-    if not isinstance(analysis, dict):
-        errors.append("missing or non-object field 'analysis'")
-        return errors
-    for key in ("warm_count", "cold_count"):
-        if not isinstance(analysis.get(key), int):
-            errors.append(f"analysis.{key} missing or non-integer")
-    knee = analysis.get("knee")
-    if knee is not None and (
-        not isinstance(knee, dict)
-        or not isinstance(knee.get("rate"), (int, float))
-        or not isinstance(knee.get("shed"), int)
-    ):
-        errors.append("analysis.knee must be null or carry rate and shed")
-    return errors
+SHAPE = {
+    "endpoint": {"port": int},
+    "grid": dict,
+    "steps": [{
+        "rate": float,
+        "duration_s": float,
+        "offered": int,
+        "sent": int,
+        "outcomes": map_of(int),
+        "latency": {key: HISTOGRAM_SUMMARY for key in LATENCY_KEYS},
+        "throughput": float,
+    }],
+    "analysis": {
+        "knee": nullable({"rate": float, "shed": int}),
+        "warm_count": int,
+        "cold_count": int,
+    },
+    "elapsed_s": float,
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """A load report describes at least one ramp step."""
+    return [] if doc["steps"] else ["steps: empty"]
 
 
 def flatten_report(doc: dict) -> dict:

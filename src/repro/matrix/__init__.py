@@ -25,7 +25,7 @@ Layers:
 from repro.matrix.analysis import best_blocking, sensitivity, summarize
 from repro.matrix.db import MatrixDB
 from repro.matrix.grid import GridSpec, cell_spec
-from repro.matrix.report import SCHEMA, build_report, validate_report
+from repro.matrix.report import SCHEMA, build_report
 from repro.matrix.runner import run_grid
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "run_grid",
     "sensitivity",
     "summarize",
-    "validate_report",
 ]

@@ -1,4 +1,4 @@
-"""The ``repro.matrix/1`` artifact: build, validate, render.
+"""The ``repro.matrix/1`` artifact: build, shape, invariants, render.
 
 .. code-block:: text
 
@@ -20,11 +20,10 @@
       'best_blocking': [{'workload', 'best_b', 'best_mean', 'per_b'}, ...]
     }
 
-``validate_report`` returns a list of problems (empty = valid) — the
-idiom shared with ``repro.obs``/``repro.check``/``repro.serve``; the
-``matrix-smoke`` CI job runs it over a real sweep, and publishing validates
-before writing.  Reports are written enveloped (see
-:mod:`repro.artifacts`).
+:data:`SHAPE` is the checked structure and :func:`invariants` the
+cross-field rules; the ``matrix-smoke`` CI job validates a real sweep,
+and publishing validates before writing.  Reports are written enveloped
+(see :mod:`repro.artifacts`).
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.artifacts.flatten import QUANT_FIELDS, Sink
 from repro.artifacts.registry import MATRIX_REPORT as SCHEMA
+from repro.artifacts.shape import enum, map_of, nullable
 from repro.matrix.analysis import (
     FACTOR_COLUMNS,
     OK_STATUSES,
@@ -83,73 +83,54 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a matrix-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("missing or non-object field 'meta'")
-    if not isinstance(doc.get("rows"), list):
-        errors.append("missing or non-list field 'rows'")
-        return errors
-    for i, row in enumerate(doc["rows"]):
-        if not isinstance(row, dict):
-            errors.append(f"rows[{i}] is not an object")
-            continue
-        for field in ("digest", "workload", "recipe", "status"):
-            if not row.get(field):
-                errors.append(f"rows[{i}] missing field {field!r}")
-        if row.get("status") not in ROW_STATUSES:
-            errors.append(f"rows[{i}] has unknown status {row.get('status')!r}")
-        elif row["status"] in OK_STATUSES and row.get("speedup") is None:
-            errors.append(f"rows[{i}] is {row['status']} but has no speedup")
-        elif row["status"] not in OK_STATUSES and not row.get("error"):
+SHAPE = {
+    "meta": dict,
+    "grid": nullable({"factors": dict}),
+    "run": nullable({**{key: nullable(int) for key in _RUN_COUNTS},
+                     "total": int}),
+    "rows": [{
+        "digest": str,
+        "workload": str,
+        "recipe": str,
+        "status": enum(*ROW_STATUSES),
+        "speedup": nullable(float),
+        "error": nullable(str),
+    }],
+    "summary": {"cells": int, "ok": int},
+    "sensitivity": map_of({"levels": dict}),
+    "best_blocking": list,
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """An ok row has a speedup and any other row an error; ``summary``
+    recounts ``rows``; sensitivity is over real factors with at least two
+    levels; ``run.total`` adds up."""
+    errors = []
+    rows, summary, run = doc["rows"], doc["summary"], doc.get("run")
+    for i, row in enumerate(rows):
+        if row["status"] in OK_STATUSES:
+            if row.get("speedup") is None:
+                errors.append(f"rows[{i}] is {row['status']} but has no speedup")
+        elif not row.get("error"):
             errors.append(f"rows[{i}] is {row['status']} but carries no error")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        errors.append("missing or non-object field 'summary'")
-    else:
-        if summary.get("cells") != len(doc["rows"]):
-            errors.append(
-                f"summary.cells is {summary.get('cells')!r}, want {len(doc['rows'])}"
-            )
-        ok = sum(1 for r in doc["rows"] if r.get("status") in OK_STATUSES)
-        if summary.get("ok") != ok:
-            errors.append(f"summary.ok is {summary.get('ok')!r}, want {ok}")
-    sens = doc.get("sensitivity")
-    if not isinstance(sens, dict):
-        errors.append("missing or non-object field 'sensitivity'")
-    else:
-        for f, entry in sens.items():
-            if f not in FACTOR_COLUMNS:
-                errors.append(f"sensitivity names unknown factor {f!r}")
-                continue
-            if not isinstance(entry, dict) or not isinstance(
-                entry.get("levels"), dict
-            ):
-                errors.append(f"sensitivity[{f!r}] malformed")
-                continue
-            if len(entry["levels"]) < 2:
-                errors.append(f"sensitivity[{f!r}] has fewer than 2 levels")
-    if not isinstance(doc.get("best_blocking"), list):
-        errors.append("missing or non-list field 'best_blocking'")
-    grid = doc.get("grid")
-    if grid is not None:
-        if not isinstance(grid, dict) or not isinstance(grid.get("factors"), dict):
-            errors.append("field 'grid' must be null or carry a factors object")
-    run = doc.get("run")
+    if summary["cells"] != len(rows):
+        errors.append(f"summary.cells is {summary['cells']}, want {len(rows)}")
+    ok = sum(1 for row in rows if row["status"] in OK_STATUSES)
+    if summary["ok"] != ok:
+        errors.append(f"summary.ok is {summary['ok']}, want {ok}")
+    for factor, entry in doc["sensitivity"].items():
+        if factor not in FACTOR_COLUMNS:
+            errors.append(f"sensitivity names unknown factor {factor!r}")
+        elif len(entry["levels"]) < 2:
+            errors.append(f"sensitivity.{factor} has fewer than 2 levels")
     if run is not None:
-        if not isinstance(run, dict):
-            errors.append("field 'run' must be null or an object")
-        else:
-            want = sum(run.get(k, 0) for k in _RUN_COUNTS)
-            if run.get("total") != want:
-                errors.append(
-                    f"run.total is {run.get('total')!r}, want {want} "
-                    "(skipped + per-status counts)"
-                )
+        want = sum(run.get(key) or 0 for key in _RUN_COUNTS)
+        if run["total"] != want:
+            errors.append(
+                f"run.total is {run['total']}, want {want} "
+                "(skipped + per-status counts)"
+            )
     return errors
 
 

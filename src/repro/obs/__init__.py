@@ -16,7 +16,7 @@ Zero-dependency observability for the whole reproduction stack:
   per-worker lane).
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto; one pid lane per merged worker) and the ``repro.obs/1``
-  metrics schema, with a validator.
+  metrics schema, with its declared shape.
 - ``python -m repro obs`` — run any pipeline workload end to end
   (derivation + simulated execution) and render a text profile: top loops
   by misses, top passes by wall time, analysis-cache efficiency.
@@ -46,7 +46,6 @@ from repro.obs.export import (
     SCHEMA,
     chrome_trace,
     metrics,
-    validate_metrics,
     write_json,
 )
 # note: the snapshot() builder itself stays in repro.obs.snapshot so the
@@ -69,6 +68,5 @@ __all__ = [
     "restore",
     "span",
     "stmt_label",
-    "validate_metrics",
     "write_json",
 ]

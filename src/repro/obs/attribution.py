@@ -9,8 +9,8 @@ its miss / write-back / TLB-miss flags, to a :class:`MissAttribution`.
 Sites are keyed ``(loop path, statement label, array)``, the finest grain,
 and the coarser views (per loop nest, per statement, per array) are
 aggregations of it — so every view's totals sum exactly to the run's
-:class:`~repro.machine.cache.CacheStats`, an invariant the exporter's
-validator and the test suite both assert.
+:class:`~repro.machine.cache.CacheStats`, an invariant the ``repro.obs/1``
+payload check and the test suite both assert.
 
 Dirty evictions (write-backs) are charged to the access that *triggered*
 the eviction, not the statement that originally dirtied the line — the

@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 
 from repro import cli
-from repro.artifacts import publish
+from repro.artifacts import envelope, publish, validate_document, write_file
 from repro.errors import PipelineError
 from repro.machine.model import scaled_machine
 from repro.machine.tracer import trace_procedure
@@ -211,18 +211,20 @@ def run(args) -> int:
             machine_cache=tracer.stats,
             machine_tlb=tracer.tlb_stats,
         )
-        errors = export.validate_metrics(doc)
-        # an invalid profile is still written for offline inspection, but
-        # never published to the store
-        publish(args.out, doc, producer=args.producer,
-                store=store if not errors else None,
-                request=request, validate=False)
+        env = envelope(doc, producer=args.producer)
+        problems = validate_document(env)
+        if not problems:
+            publish(args.out, env, store=store, request=request)
+        elif args.out:
+            # an invalid profile is still written for offline inspection,
+            # but never published to the store
+            write_file(args.out, env)
         if args.out:
             print(f"metrics written to {args.out}")
-        if store is not None and not errors:
+        if store is not None and not problems:
             print("profile published to the artifact store")
-        if errors:
-            for err in errors:
-                print(f"METRICS INVALID: {err}", file=sys.stderr)
+        for problem in problems:
+            print(f"METRICS INVALID: {problem.message}", file=sys.stderr)
+        if problems:
             status = 1
     return status

@@ -15,9 +15,7 @@ Two artifact formats come out of an observed run:
       'schema': 'repro.obs/1',
       'meta': {'workload': 'lu_nopivot', ...},        # free-form strings
       'counters': {'dependence.queries': 41, ...},
-      'histograms': {'fm.feasible.latency_s':
-                     {'count', 'total', 'min', 'max', 'mean',
-                      'p50', 'p95', 'p99'}, ...},
+      'histograms': {'fm.feasible.latency_s': HISTOGRAM_SUMMARY, ...},
       'spans': {'pass:block': {'count', 'total_s', 'max_s'}, ...},
       'analysis_cache': {'dependence': {'hits','misses','entries',
                                         'hit_rate'}, ...},
@@ -29,9 +27,9 @@ Two artifact formats come out of an observed run:
                       'by_array': {...}, 'totals': {...}} | null
     }
 
-:func:`validate_metrics` checks a payload against that shape and — the
-load-bearing invariant — that the attribution views each sum exactly to
-the attribution totals, and that those totals match the machine-level
+:data:`SHAPE` is the checked structure; :func:`invariants` holds the
+load-bearing rule — the attribution views each sum exactly to the
+attribution totals, and those totals match the machine-level
 ``CacheStats`` when both are present.  Schema *identity* (right name,
 right version, digest) is the envelope layer's job:
 :func:`repro.artifacts.validate.validate_document`.
@@ -42,11 +40,19 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.artifacts.flatten import HIST_FIELDS, Sink, cache_stats
+from repro.artifacts.flatten import (
+    HISTOGRAM_SUMMARY,
+    HIST_FIELDS,
+    Sink,
+    cache_stats,
+)
 from repro.artifacts.registry import OBS_METRICS as SCHEMA
+from repro.artifacts.shape import map_of, nullable
 from repro.obs.core import Obs
 
 _ATTR_FIELDS = ("accesses", "misses", "writebacks", "tlb_misses", "writes")
+_ATTR_VIEWS = ("by_loop", "by_statement", "by_array")
+_ATTR_COUNTS = {field: int for field in _ATTR_FIELDS}
 
 
 def chrome_trace(obs: Obs) -> dict:
@@ -120,73 +126,49 @@ def metrics(
     }
 
 
-def _sum_view(view: dict, field: str) -> int:
-    return sum(row[field] for row in view.values())
+SHAPE = {
+    "meta": dict,
+    "counters": map_of(int),
+    "histograms": map_of(HISTOGRAM_SUMMARY),
+    "spans": map_of({"count": int, "total_s": float, "max_s": float}),
+    "analysis_cache": dict,
+    "machine": {"cache": nullable(dict), "tlb": nullable(dict)},
+    "attribution": nullable({
+        "rows": [_ATTR_COUNTS],
+        **{view: map_of(_ATTR_COUNTS) for view in _ATTR_VIEWS},
+        "totals": _ATTR_COUNTS,
+    }),
+}
 
 
-def validate_metrics(doc: dict) -> list[str]:
-    """Validate a metrics payload; returns a list of problems (empty =
-    valid) — the registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "counters", "histograms", "spans", "analysis_cache", "machine"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    if errors:
-        return errors
-
-    for name, v in doc["counters"].items():
-        if not isinstance(v, int):
-            errors.append(f"counter {name!r} is not an integer")
-    for name, h in doc["histograms"].items():
-        missing = {"count", "total", "min", "max", "mean",
-                   "p50", "p95", "p99"} - set(h)
-        if missing:
-            errors.append(f"histogram {name!r} missing {sorted(missing)}")
-    for name, s in doc["spans"].items():
-        missing = {"count", "total_s", "max_s"} - set(s)
-        if missing:
-            errors.append(f"span summary {name!r} missing {sorted(missing)}")
-
+def invariants(doc: dict) -> list[str]:
+    """Every attribution view sums to the attribution totals, and the
+    totals equal the machine-level ``CacheStats``."""
     attribution = doc.get("attribution")
-    if attribution is not None:
-        for key in ("rows", "by_loop", "by_statement", "by_array", "totals"):
-            if key not in attribution:
-                errors.append(f"attribution missing {key!r}")
-        if errors:
-            return errors
-        totals = attribution["totals"]
-        for field in _ATTR_FIELDS:
-            want = totals.get(field)
-            rows_sum = sum(r[field] for r in attribution["rows"])
-            if rows_sum != want:
+    if attribution is None:
+        return []
+    errors = []
+    totals = attribution["totals"]
+    for field in _ATTR_FIELDS:
+        want = totals[field]
+        rows_sum = sum(r[field] for r in attribution["rows"])
+        if rows_sum != want:
+            errors.append(
+                f"attribution rows sum {field}={rows_sum} != totals {want}"
+            )
+        for view in _ATTR_VIEWS:
+            got = sum(row[field] for row in attribution[view].values())
+            if got != want:
                 errors.append(
-                    f"attribution rows sum {field}={rows_sum} != totals {want}"
+                    f"attribution {view} sums {field}={got} != totals {want}"
                 )
-            for view in ("by_loop", "by_statement", "by_array"):
-                got = _sum_view(attribution[view], field)
-                if got != want:
-                    errors.append(
-                        f"attribution {view} sums {field}={got} != totals {want}"
-                    )
-        # the acceptance invariant: attribution == machine CacheStats
-        mcache = doc["machine"].get("cache")
-        if mcache is not None:
-            if totals.get("accesses") != mcache.get("accesses"):
+    mcache = doc["machine"].get("cache")
+    if mcache is not None:
+        for field in ("accesses", "misses", "writebacks"):
+            if totals[field] != mcache.get(field):
                 errors.append(
-                    f"attribution accesses {totals.get('accesses')} != "
-                    f"machine cache accesses {mcache.get('accesses')}"
-                )
-            if totals.get("misses") != mcache.get("misses"):
-                errors.append(
-                    f"attribution misses {totals.get('misses')} != "
-                    f"machine cache misses {mcache.get('misses')}"
-                )
-            if totals.get("writebacks") != mcache.get("writebacks"):
-                errors.append(
-                    f"attribution writebacks {totals.get('writebacks')} != "
-                    f"machine cache writebacks {mcache.get('writebacks')}"
+                    f"attribution {field} {totals[field]} != "
+                    f"machine cache {field} {mcache.get(field)}"
                 )
     return errors
 

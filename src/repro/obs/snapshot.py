@@ -65,6 +65,13 @@ def snapshot(obs: Obs) -> dict:
     }
 
 
+SHAPE = {
+    "counters": dict,
+    "histograms": dict,
+    "spans": [{"name": str, "ts": float, "dur": float, "depth": int}],
+}
+
+
 def restore(doc: dict, clock=time.perf_counter) -> Obs:
     """A fresh :class:`Obs` carrying the snapshot's data; span timestamps
     stay relative to the restored observer's (new) epoch."""
@@ -119,28 +126,6 @@ def _span(entry: dict) -> SpanEvent:
         args=dict(entry.get("args") or {}),
         lane=entry.get("lane"),
     )
-
-
-def validate_snapshot(doc: dict) -> list:
-    """Problems with a snapshot payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = []
-    for field, typ in (
-        ("counters", dict), ("histograms", dict), ("spans", list),
-    ):
-        if not isinstance(doc.get(field), typ):
-            problems.append(f"{field} missing or not a {typ.__name__}")
-    if isinstance(doc.get("spans"), list):
-        for i, entry in enumerate(doc["spans"]):
-            if not isinstance(entry, dict):
-                problems.append(f"spans[{i}] is not an object")
-                continue
-            missing = {"name", "ts", "dur", "depth"} - set(entry)
-            if missing:
-                problems.append(f"spans[{i}] missing {sorted(missing)}")
-    return problems
 
 
 def _require(doc: dict) -> None:

@@ -35,7 +35,7 @@ from repro.par.detect import (
     classify_procedure,
     verdict_counts,
 )
-from repro.par.report import SCHEMA, build_report, validate_report
+from repro.par.report import SCHEMA, build_report
 from repro.par.sanitizer import RaceConflict, RaceSanitizer, SanitizeResult, sanitize
 
 __all__ = [
@@ -53,6 +53,5 @@ __all__ = [
     "classify_loop",
     "classify_procedure",
     "sanitize",
-    "validate_report",
     "verdict_counts",
 ]

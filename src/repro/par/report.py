@@ -1,4 +1,4 @@
-"""The ``repro.par/1`` report schema: build, validate, flatten.
+"""The ``repro.par/1`` report schema: build, shape, invariants, flatten.
 
 .. code-block:: text
 
@@ -20,8 +20,8 @@
 ``workloads`` carries the static detector's per-loop verdicts with the
 SERIAL witnesses, plus each workload's dynamic sanitizer outcome;
 ``totals`` aggregates the verdict and conflict counts.
-:func:`validate_report` returns a problem list (empty = valid), the
-registered payload check for the schema; :func:`flatten_report` emits
+:data:`SHAPE` is the checked structure and :func:`invariants` the
+recount rules over it; :func:`flatten_report` emits
 ``par:*`` perf metrics.  Every one of them is a **deterministic** verdict
 or conflict count and belongs behind a ``threshold 0`` perf gate.
 """
@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Optional
 
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PAR_REPORT as SCHEMA
+from repro.artifacts.shape import enum, nullable
 from repro.par.detect import VERDICTS, LoopVerdict, verdict_counts
 
 
@@ -74,98 +75,58 @@ def build_report(
     }
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a par-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if not isinstance(doc.get("meta"), dict):
-        errors.append("missing or non-object field 'meta'")
-    if not isinstance(doc.get("workloads"), list):
-        errors.append("missing or non-list field 'workloads'")
-    if not isinstance(doc.get("totals"), dict):
-        errors.append("missing or non-object field 'totals'")
-    if errors:
-        return errors
+_COUNTS = {verdict: int for verdict in VERDICTS}
+
+SHAPE = {
+    "meta": dict,
+    "workloads": [{
+        "workload": str,
+        "procedure": str,
+        "loops": [{"loop": str, "path": str, "verdict": enum(*VERDICTS),
+                   "reason": str}],
+        "counts": _COUNTS,
+        "sanitizer": nullable({"conflicts": list, "clean": bool}),
+    }],
+    "totals": {**_COUNTS, "loops": int, "conflicts": int},
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """A serial loop names its witness, ``clean`` means no conflicts, and
+    every count is a recount: ``counts`` of its loops, ``totals`` of the
+    workloads."""
+    errors = []
     counted = {v: 0 for v in VERDICTS}
     conflicts = 0
     for k, entry in enumerate(doc["workloads"]):
-        if not isinstance(entry, dict):
-            errors.append(f"workloads[{k}] is not an object")
-            continue
-        for key in ("workload", "procedure"):
-            if not isinstance(entry.get(key), str):
-                errors.append(f"workloads[{k}].{key} missing or non-string")
-        if not isinstance(entry.get("loops"), list):
-            errors.append(f"workloads[{k}].loops missing or non-list")
-            continue
+        got = {v: 0 for v in VERDICTS}
         for j, loop in enumerate(entry["loops"]):
-            where = f"workloads[{k}].loops[{j}]"
-            if not isinstance(loop, dict):
-                errors.append(f"{where} is not an object")
-                continue
-            for key in ("loop", "path", "verdict", "reason"):
-                if not isinstance(loop.get(key), str):
-                    errors.append(f"{where}.{key} missing or non-string")
-            verdict = loop.get("verdict")
-            if verdict not in VERDICTS:
-                errors.append(f"{where} has unknown verdict {verdict!r}")
-            else:
-                counted[verdict] += 1
-            if verdict == "serial" and not loop.get("witness"):
-                errors.append(f"{where} is serial but names no witness")
-        counts = entry.get("counts")
-        if not isinstance(counts, dict):
-            errors.append(f"workloads[{k}].counts missing or non-object")
-        else:
-            got = {v: 0 for v in VERDICTS}
-            for loop in entry["loops"]:
-                if isinstance(loop, dict) and loop.get("verdict") in got:
-                    got[loop["verdict"]] += 1
-            for verdict in VERDICTS:
-                if counts.get(verdict) != got[verdict]:
-                    errors.append(
-                        f"workloads[{k}].counts[{verdict!r}] is "
-                        f"{counts.get(verdict)!r}, loops contain {got[verdict]}"
-                    )
+            got[loop["verdict"]] += 1
+            if loop["verdict"] == "serial" and not loop.get("witness"):
+                errors.append(
+                    f"workloads[{k}].loops[{j}] is serial but names no witness"
+                )
+        for verdict in VERDICTS:
+            counted[verdict] += got[verdict]
+            if entry["counts"][verdict] != got[verdict]:
+                errors.append(
+                    f"workloads[{k}].counts.{verdict} is "
+                    f"{entry['counts'][verdict]}, loops contain {got[verdict]}"
+                )
         san = entry.get("sanitizer")
         if san is not None:
-            if not isinstance(san, dict):
-                errors.append(f"workloads[{k}].sanitizer is not an object")
-            else:
-                cs = san.get("conflicts")
-                if not isinstance(cs, list):
-                    errors.append(
-                        f"workloads[{k}].sanitizer.conflicts missing or "
-                        "non-list"
-                    )
-                else:
-                    conflicts += len(cs)
-                    if san.get("clean") != (not cs):
-                        errors.append(
-                            f"workloads[{k}].sanitizer.clean contradicts its "
-                            "conflict list"
-                        )
-    # the load-bearing invariant: totals match the per-workload contents
-    totals = doc["totals"]
-    for verdict in VERDICTS:
-        if totals.get(verdict) != counted[verdict]:
+            conflicts += len(san["conflicts"])
+            if san["clean"] != (not san["conflicts"]):
+                errors.append(
+                    f"workloads[{k}].sanitizer.clean contradicts its "
+                    "conflict list"
+                )
+    want = {**counted, "loops": sum(counted.values()), "conflicts": conflicts}
+    for key, n in want.items():
+        if doc["totals"][key] != n:
             errors.append(
-                f"totals[{verdict!r}] is {totals.get(verdict)!r}, workloads "
-                f"contain {counted[verdict]}"
+                f"totals.{key} is {doc['totals'][key]}, workloads contain {n}"
             )
-    want_loops = sum(counted.values())
-    if totals.get("loops") != want_loops:
-        errors.append(
-            f"totals['loops'] is {totals.get('loops')!r}, workloads contain "
-            f"{want_loops}"
-        )
-    if totals.get("conflicts") != conflicts:
-        errors.append(
-            f"totals['conflicts'] is {totals.get('conflicts')!r}, sanitizer "
-            f"sections contain {conflicts}"
-        )
     return errors
 
 

@@ -44,10 +44,11 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import Optional, Sequence
 
-from repro.artifacts import load_file, payload_of, schema_id_of
+from repro.artifacts import load_file, require_valid, schema_id_of
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PERF_BASELINE as BASELINE_SCHEMA
 from repro.artifacts.registry import PERF_GATE as SCHEMA
+from repro.artifacts.shape import enum, map_of
 from repro.errors import ArtifactError, PerfError
 
 EXIT_OK = 0
@@ -140,6 +141,30 @@ def compare(
     }
 
 
+SHAPE = {
+    "verdict": enum(*_EXIT_OF),
+    "exit_code": int,
+    "rows": [{"verdict": str}],
+    "counts": map_of(int),
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """``exit_code`` is the verdict's; ``counts`` recounts ``rows``."""
+    problems = []
+    want = _EXIT_OF[doc["verdict"]]
+    if doc["exit_code"] != want:
+        problems.append(
+            f"exit_code is {doc['exit_code']}, want {want} for verdict "
+            f"{doc['verdict']!r}"
+        )
+    for key, count in doc["counts"].items():
+        got = sum(1 for row in doc["rows"] if row["verdict"] == key)
+        if got != count:
+            problems.append(f"counts.{key} is {count}, rows contain {got}")
+    return problems
+
+
 def diff(
     a: dict,
     b: dict,
@@ -177,82 +202,25 @@ def baseline_doc(metrics: dict, meta: Optional[dict] = None) -> dict:
     }
 
 
+BASELINE_SHAPE = {"metrics": map_of(float)}
+
+
 def read_baseline(path: str) -> dict:
     """Load an enveloped baseline file; returns its ``{name: value}``
     metrics."""
     try:
         env = load_file(path)
-        doc = payload_of(env)
-    except ArtifactError as e:
-        raise PerfError(str(e)) from e
-    if schema_id_of(env) != BASELINE_SCHEMA:
-        raise PerfError(
-            f"baseline {path!r} is not a {BASELINE_SCHEMA!r} document"
-        )
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        raise PerfError(f"baseline {path!r} has no metrics object")
-    out = {}
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if schema_id_of(env) != BASELINE_SCHEMA:
             raise PerfError(
-                f"baseline {path!r} metric {name!r} is not numeric"
+                f"baseline {path!r} is not a {BASELINE_SCHEMA!r} document"
             )
-        out[name] = float(value)
-    return out
+        metrics = require_valid(env)["payload"]["metrics"]
+    except ArtifactError as e:
+        raise PerfError(f"baseline {path!r}: {e}", e.problems) from e
+    return {name: float(value) for name, value in metrics.items()}
 
 
-# ---- registered payload checks and flatteners ------------------------------
-
-
-def validate_gate(doc: dict) -> list:
-    """Problems with a gate-verdict payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = []
-    verdict = doc.get("verdict")
-    if verdict not in _EXIT_OF:
-        problems.append(
-            f"verdict is {verdict!r}, want one of {', '.join(_EXIT_OF)}"
-        )
-    elif doc.get("exit_code") != _EXIT_OF[verdict]:
-        problems.append(
-            f"exit_code is {doc.get('exit_code')!r}, want "
-            f"{_EXIT_OF[verdict]} for verdict {verdict!r}"
-        )
-    rows = doc.get("rows")
-    if not isinstance(rows, list):
-        problems.append("rows missing or not a list")
-        return problems
-    counts = doc.get("counts")
-    if isinstance(counts, dict):
-        for key, want in counts.items():
-            got = sum(1 for r in rows
-                      if isinstance(r, dict) and r.get("verdict") == key)
-            if got != want:
-                problems.append(
-                    f"counts[{key!r}] is {want!r}, rows contain {got}"
-                )
-    else:
-        problems.append("counts missing or not an object")
-    return problems
-
-
-def validate_baseline(doc: dict) -> list:
-    """Problems with a baseline payload (empty list = valid) — the
-    registered payload check for :data:`BASELINE_SCHEMA`."""
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    problems = []
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("metrics missing or not an object")
-        return problems
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"metric {name!r} is not numeric")
-    return problems
+# ---- registered flattener --------------------------------------------------
 
 
 def flatten_baseline(doc: dict) -> dict:

@@ -3,10 +3,12 @@
 The run-history database stores **flat numeric metrics**, because a
 timeline only needs numbers with stable names.  The per-schema
 flatteners live with their subsystems and are registered next to each
-validator in :mod:`repro.artifacts.kinds` (``flatten`` hooks); this
+shape in :mod:`repro.artifacts.kinds` (``flatten`` hooks); this
 module is the perf-side adapter over that registry:
 
-- :func:`load_artifact` reads a JSON artifact file;
+- :func:`load_artifact` reads a JSON artifact file and validates it
+  (the file is outside input; an in-memory document handed to
+  :func:`flatten` is the caller's own);
 - :func:`detect_schema` resolves the envelope's full schema id and
   requires a registered kind *with* a flatten hook (a bare payload is an
   ``artifact/malformed-envelope`` :class:`~repro.errors.PerfError`);
@@ -43,15 +45,17 @@ from __future__ import annotations
 from repro.artifacts import registry
 from repro.artifacts.envelope import load_file as _load_file
 from repro.artifacts.envelope import schema_id_of
+from repro.artifacts.validate import require_valid
 from repro.errors import ArtifactError, PerfError
 
 
 def load_artifact(path: str) -> dict:
-    """Read a JSON artifact; :class:`PerfError` on unreadable/non-object."""
+    """Read a JSON artifact; :class:`PerfError` (carrying every problem
+    row) when it is unreadable or fails validation."""
     try:
-        return _load_file(path)
+        return require_valid(_load_file(path))
     except ArtifactError as e:
-        raise PerfError(str(e)) from e
+        raise PerfError(f"{path}: {e}", e.problems) from e
 
 
 def detect_schema(doc: dict) -> str:

@@ -39,6 +39,7 @@ import sys
 from repro import cli
 from repro.artifacts.flatten import Sink, cache_stats
 from repro.artifacts.registry import PIPELINE_BENCH as SCHEMA
+from repro.artifacts.shape import enum, map_of
 from repro.errors import CheckError
 from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache
@@ -103,31 +104,18 @@ def run_bench(check: bool = False) -> dict:
     }
 
 
-def validate_bench(bench: dict) -> list:
-    """Problems with a bench payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    problems = []
-    if bench.get("mode") != "inprocess":
-        problems.append(f"mode is {bench.get('mode')!r}, want 'inprocess'")
-    workloads = bench.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        problems.append("workloads missing, not an object, or empty")
-        return problems
-    for label, data in workloads.items():
-        if not isinstance(data, dict):
-            problems.append(f"workloads[{label!r}] is not an object")
-            continue
-        for leg in ("cold", "warm"):
-            run = data.get(leg)
-            if not isinstance(run, dict) or not isinstance(
-                run.get("elapsed_s"), (int, float)
-            ):
-                problems.append(
-                    f"workloads[{label!r}].{leg} missing elapsed_s"
-                )
-    if not isinstance(bench.get("cache"), dict):
-        problems.append("cache block missing")
-    return problems
+_LEG = {"elapsed_s": float}
+
+SHAPE = {
+    "mode": enum("inprocess"),
+    "workloads": map_of({"cold": _LEG, "warm": _LEG}),
+    "cache": dict,
+}
+
+
+def invariants(bench: dict) -> list[str]:
+    """A bench table measured something."""
+    return [] if bench["workloads"] else ["workloads: empty"]
 
 
 def flatten_bench(bench: dict) -> dict:

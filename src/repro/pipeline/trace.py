@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.artifacts.flatten import Sink, cache_stats
 from repro.artifacts.registry import PIPELINE_TRACE as SCHEMA
+from repro.artifacts.shape import enum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.manager import SpanRecord
@@ -87,34 +88,19 @@ def build_trace(
     }
 
 
-def validate_trace(trace: dict) -> list:
-    """Problems with a trace payload (empty list = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    problems = []
-    for field, typ in (
-        ("passes", list), ("spans", list), ("cache", dict),
-    ):
-        if not isinstance(trace.get(field), typ):
-            problems.append(f"{field} missing or not a {typ.__name__}")
-    spans = trace.get("spans")
-    if isinstance(spans, list):
-        for i, span in enumerate(spans):
-            if not isinstance(span, dict):
-                problems.append(f"spans[{i}] is not an object")
-                continue
-            if span.get("status") not in _STATUSES:
-                problems.append(
-                    f"spans[{i}].status is {span.get('status')!r}, want one "
-                    f"of {', '.join(_STATUSES)}"
-                )
-            if not isinstance(span.get("pass"), str):
-                problems.append(f"spans[{i}].pass missing or non-string")
-        if isinstance(trace.get("passes"), list) and len(trace["passes"]) != len(spans):
-            problems.append(
-                f"passes lists {len(trace['passes'])} names but there are "
-                f"{len(spans)} spans"
-            )
-    return problems
+SHAPE = {
+    "passes": [str],
+    "spans": [{"pass": str, "status": enum(*_STATUSES)}],
+    "cache": dict,
+}
+
+
+def invariants(trace: dict) -> list[str]:
+    """One span per pass attempted."""
+    passes, spans = len(trace["passes"]), len(trace["spans"])
+    if passes != spans:
+        return [f"passes lists {passes} names but there are {spans} spans"]
+    return []
 
 
 def flatten_trace(trace: dict) -> dict:

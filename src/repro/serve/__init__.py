@@ -42,7 +42,6 @@ from repro.serve.service import (
     SCHEMA,
     build_report,
     run_batch,
-    validate_report,
 )
 from repro.serve.store import SCHEMA_VERSION, ArtifactStore
 
@@ -57,5 +56,4 @@ __all__ = [
     "execute_job",
     "job_key",
     "run_batch",
-    "validate_report",
 ]

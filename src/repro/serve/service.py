@@ -29,8 +29,7 @@
                'coalesced', 'busy_s', 'utilization', 'elapsed_s',
                'per_worker': [{'worker', 'jobs', 'busy_s',
                                'utilization'}, ...]},
-      'latency': {'wall_s': {count,total,min,max,mean,p50,p95,p99},
-                  'queue_wait_s': {...same keys...}},
+      'latency': {'wall_s': HISTOGRAM_SUMMARY, 'queue_wait_s': ...},
       'store': {'enabled', 'root', 'hits', 'misses', 'writes',
                 'corrupt', 'entries', 'bytes'} ,
       'elapsed_s': 1.23
@@ -39,9 +38,9 @@
 One row per *deduplicated* job: N identical submissions appear as a
 single row with ``submissions: N`` — the honest unit for a service
 whose whole point is never computing the same thing twice.
-``validate_report`` returns a list of problems (empty = valid), the
-idiom shared with ``repro.obs``/``repro.check``; the ``serve-smoke``
-CI job runs it over a real batch.  Reports are written enveloped (see
+:data:`SHAPE` is the checked structure and :func:`invariants` the
+cross-field rules (summary recount, failed ⇒ error); the ``serve-smoke``
+CI job validates a real batch.  Reports are written enveloped (see
 :mod:`repro.artifacts`).
 """
 
@@ -50,8 +49,9 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from repro.artifacts.flatten import HIST_FIELDS, Sink
+from repro.artifacts.flatten import HISTOGRAM_SUMMARY, HIST_FIELDS, Sink
 from repro.artifacts.registry import SERVE_REPORT as SCHEMA
+from repro.artifacts.shape import enum, nullable
 from repro.obs import core as _obs
 from repro.obs.core import Histogram
 from repro.serve.jobs import JobSpec, result_fingerprint
@@ -181,58 +181,42 @@ def _store_stats(
     return {"enabled": True, **stats}
 
 
-def validate_report(doc: dict) -> list[str]:
-    """Problems with a serve-report payload (empty = valid) — the
-    registered payload check for :data:`SCHEMA`."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    for key in ("meta", "summary", "pool", "latency", "store"):
-        if not isinstance(doc.get(key), dict):
-            errors.append(f"missing or non-object field {key!r}")
-    if isinstance(doc.get("latency"), dict):
-        for key in ("wall_s", "queue_wait_s"):
-            h = doc["latency"].get(key)
-            if not isinstance(h, dict):
-                errors.append(f"latency missing histogram {key!r}")
-                continue
-            missing = {"count", "mean", "p50", "p95", "p99"} - set(h)
-            if missing:
-                errors.append(f"latency[{key!r}] missing {sorted(missing)}")
-    if isinstance(doc.get("pool"), dict):
-        for i, entry in enumerate(doc["pool"].get("per_worker") or []):
-            missing = {"worker", "jobs", "busy_s", "utilization"} - set(entry)
-            if missing:
-                errors.append(
-                    f"pool.per_worker[{i}] missing {sorted(missing)}"
-                )
-    if not isinstance(doc.get("jobs"), list):
-        errors.append("missing or non-list field 'jobs'")
-        return errors
-    for i, job in enumerate(doc["jobs"]):
-        if not isinstance(job, dict):
-            errors.append(f"jobs[{i}] is not an object")
-            continue
-        for field in ("id", "kind", "status", "attempts", "wall_s"):
-            if field not in job:
-                errors.append(f"jobs[{i}] missing field {field!r}")
-        if job.get("status") not in STATUSES:
-            errors.append(f"jobs[{i}] has unknown status {job.get('status')!r}")
-        if job.get("status") in ("timeout", "failed") and not job.get("error"):
+SHAPE = {
+    "meta": dict,
+    "jobs": [{
+        "id": int,
+        "kind": str,
+        "status": enum(*STATUSES),
+        "attempts": int,
+        "wall_s": float,
+        "error": nullable(str),
+    }],
+    "summary": {**{status: int for status in STATUSES}, "total": int},
+    "pool": {"per_worker": nullable([{
+        "worker": int,
+        "jobs": int,
+        "busy_s": float,
+        "utilization": nullable(float),
+    }])},
+    "latency": {"wall_s": HISTOGRAM_SUMMARY,
+                "queue_wait_s": HISTOGRAM_SUMMARY},
+    "store": dict,
+}
+
+
+def invariants(doc: dict) -> list[str]:
+    """``summary`` recounts ``jobs``; a timed-out or failed job says why."""
+    errors = []
+    jobs, summary = doc["jobs"], doc["summary"]
+    for i, job in enumerate(jobs):
+        if job["status"] in ("timeout", "failed") and not job.get("error"):
             errors.append(f"jobs[{i}] is {job['status']} but carries no error")
-    if isinstance(doc.get("summary"), dict):
-        total = doc["summary"].get("total")
-        if total != len(doc["jobs"]):
-            errors.append(
-                f"summary.total is {total!r}, want {len(doc['jobs'])}"
-            )
-        for status in STATUSES:
-            want = sum(1 for j in doc["jobs"] if j.get("status") == status)
-            if doc["summary"].get(status) != want:
-                errors.append(
-                    f"summary[{status!r}] is {doc['summary'].get(status)!r}, "
-                    f"want {want}"
-                )
+    if summary["total"] != len(jobs):
+        errors.append(f"summary.total is {summary['total']}, want {len(jobs)}")
+    for status in STATUSES:
+        want = sum(1 for job in jobs if job["status"] == status)
+        if summary[status] != want:
+            errors.append(f"summary.{status} is {summary[status]}, want {want}")
     return errors
 
 
@@ -285,33 +269,18 @@ def build_store_ops(op: str, store: ArtifactStore,
     }
 
 
-def validate_store_ops(doc: dict) -> list[str]:
-    """Problems with a store-maintenance payload (empty = valid) — the
-    registered payload check for ``repro.serve.store/1``."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    op = doc.get("op")
-    if op not in STORE_OPS:
-        errors.append(f"unknown op {op!r} (want one of {STORE_OPS})")
-    store = doc.get("store")
-    if not isinstance(store, dict):
-        errors.append("missing or non-object field 'store'")
-    else:
-        for key in ("root", "entries", "bytes"):
-            if key not in store:
-                errors.append(f"store missing field {key!r}")
-        for key in ("entries", "bytes"):
-            if key in store and not isinstance(store[key], int):
-                errors.append(f"store.{key} is not an integer")
-    gc = doc.get("gc")
-    if op == "gc" and not isinstance(gc, dict):
-        errors.append("op is 'gc' but field 'gc' is missing or non-object")
-    if isinstance(gc, dict):
-        for key in ("removed", "kept"):
-            if not isinstance(gc.get(key), int):
-                errors.append(f"gc.{key} missing or non-integer")
-    return errors
+STORE_SHAPE = {
+    "op": enum(*STORE_OPS),
+    "store": {"root": str, "entries": int, "bytes": int},
+    "gc": nullable({"removed": int, "kept": int}),
+}
+
+
+def store_invariants(doc: dict) -> list[str]:
+    """A ``gc`` record carries its ``gc`` outcome."""
+    if doc["op"] == "gc" and doc.get("gc") is None:
+        return ["gc: missing, but op is 'gc'"]
+    return []
 
 
 def flatten_store_ops(doc: dict) -> dict:

@@ -118,8 +118,7 @@ class TestObsFlag:
     def test_obs_writes_valid_metrics(self, patched_builders, tmp_path, capsys):
         import json
 
-        from repro.artifacts import is_envelope, payload_of
-        from repro.obs.export import validate_metrics
+        from repro.artifacts import payload_of, validate_document
 
         patched_builders([("only", lambda: fake_table("Only"))])
         out_md = tmp_path / "exp.md"
@@ -127,7 +126,6 @@ class TestObsFlag:
         assert main(["--obs", str(obs_path), str(out_md)]) == 0
         assert "obs metrics written to" in capsys.readouterr().out
         env = json.loads(obs_path.read_text())
-        assert is_envelope(env)
+        assert validate_document(env) == []
         doc = payload_of(env)
-        assert validate_metrics(doc) == []
         assert doc["meta"]["tool"] == "repro.bench.report"

@@ -3,8 +3,7 @@
 import json
 
 from repro import cli
-from repro.artifacts import payload_of
-from repro.check.report import validate_report
+from repro.artifacts import payload_of, validate_document
 
 
 def main(argv: list) -> int:
@@ -37,8 +36,9 @@ def test_lu_nopivot_clean_with_report(tmp_path, capsys):
     assert main(["lu_nopivot", "--out", str(path)]) == 0
     out = capsys.readouterr().out
     assert "blockable" in out
-    doc = payload_of(json.loads(path.read_text()))
-    assert validate_report(doc) == []
+    env = json.loads(path.read_text())
+    assert validate_document(env) == []
+    doc = payload_of(env)
     assert doc["summary"]["error"] == 0
     assert any(v["verdict"] == "blockable" for v in doc["verdicts"])
 

@@ -8,12 +8,15 @@ from repro.artifacts import (
     is_envelope,
     payload_of,
     publish,
+    registry,
     validate_document,
 )
 from repro.artifacts.validate import RULE_STALE_VERSION
-from repro.check import SCHEMA, build_report, validate_report
+from repro.check import SCHEMA, build_report
 from repro.check.diagnostics import diag
 from repro.check.linter import LintResult
+
+validate_payload = registry.get(SCHEMA).validate_payload
 
 
 def sample_report():
@@ -29,7 +32,7 @@ def sample_report():
 def test_built_report_is_valid():
     doc = sample_report()
     assert doc["schema"] == SCHEMA
-    assert validate_report(doc) == []
+    assert validate_payload(doc) == []
     assert doc["summary"] == {"error": 1, "warning": 0, "info": 1}
     assert doc["meta"]["n"] == "3"  # meta values are coerced to strings
     assert doc["verdicts"][0]["loop"] == "K"
@@ -41,7 +44,7 @@ def test_report_survives_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert is_envelope(doc)
     assert validate_document(doc) == []
-    assert validate_report(payload_of(doc)) == []
+    assert validate_payload(payload_of(doc)) == []
 
 
 def test_wrong_schema_rejected():
@@ -56,27 +59,29 @@ def test_wrong_schema_rejected():
 def test_tampered_summary_rejected():
     doc = sample_report()
     doc["summary"]["error"] = 7
-    assert any("summary" in p for p in validate_report(doc))
+    assert any("summary" in p for p in validate_payload(doc))
 
 
 def test_uncatalogued_rule_rejected():
     doc = sample_report()
     doc["diagnostics"][0]["rule"] = "ir/made-up"
-    assert any("uncatalogued" in p for p in validate_report(doc))
+    assert any("uncatalogued" in p for p in validate_payload(doc))
 
 
 def test_bad_severity_rejected():
     doc = sample_report()
     doc["diagnostics"][0]["severity"] = "fatal"
-    assert any("severity" in p for p in validate_report(doc))
+    assert any(p.startswith("diagnostics[0].severity: want one of")
+               for p in validate_payload(doc))
 
 
 def test_bad_verdict_rejected():
     doc = sample_report()
     doc["verdicts"][0]["verdict"] = "maybe"
-    assert any("verdict" in p for p in validate_report(doc))
+    assert any(p.startswith("verdicts[0].verdict: want one of")
+               for p in validate_payload(doc))
 
 
 def test_missing_fields_rejected():
-    assert validate_report({"schema": SCHEMA}) != []
-    assert validate_report([]) != []
+    assert validate_payload({"schema": SCHEMA}) != []
+    assert validate_payload([]) != []

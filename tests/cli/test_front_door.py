@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro import cli
-from repro.artifacts import payload_of, publish, write_file
+from repro.artifacts import payload_digest, payload_of, publish, write_file
 from repro.check.diagnostics import diag
 from repro.ir.build import assign, ref
 from repro.ir.expr import Const, Var
@@ -104,6 +104,13 @@ def world(tmp_path, monkeypatch):
     publish(str(tmp_path / "good.json"), trace(154), producer="test")
     publish(str(tmp_path / "grown.json"), trace(164), producer="test")
     write_file(str(tmp_path / "bare.json"), trace(154))
+    # well-formed envelope, right digest, shape-broken payload: before the
+    # declared shapes this one was a traceback from ``artifacts validate``
+    # and a silent exit 0 from ``perf record``
+    broken = json.loads((SRC.parent.parent / "BENCH_matrix.json").read_text())
+    broken["payload"]["rows"][0] = None
+    broken["digest"] = payload_digest(broken["payload"])
+    write_file(str(tmp_path / "broken.json"), broken)
     publish(
         str(tmp_path / "base.json"),
         {"schema": "repro.perf.baseline/1", "meta": {},
@@ -163,6 +170,7 @@ EXIT_CODES = [
     (1, ["perf", "gate", "{tmp}/grown.json", "--baseline-file",
          "{tmp}/base.json", *GATE]),                               # regressed
     (1, ["artifacts", "validate", "{tmp}/bare.json"]),             # invalid doc
+    (1, ["artifacts", "validate", "{tmp}/broken.json"]),           # bad payload
     # 2: usage, ReproError, unknown command, removed flag
     (2, []),
     (2, ["frobnicate"]),
@@ -174,6 +182,9 @@ EXIT_CODES = [
     (2, ["perf", "gate", "{tmp}/bare.json", "--baseline-file",
          "{tmp}/base.json"]),
     (2, ["perf", "gate", "{tmp}/good.json"]),          # no baseline source
+    (2, ["perf", "record", "{tmp}/broken.json"]),      # invalid artifact file
+    (2, ["perf", "gate", "{tmp}/broken.json", "--baseline-file",
+         "{tmp}/base.json"]),
     (2, ["artifacts", "cat", "{tmp}/absent.json"]),
     # 3: nothing to gate against
     (3, ["perf", "gate", "{tmp}/good.json", "--baseline", "nosuch"]),
@@ -189,6 +200,22 @@ def test_exit_code_contract(world, want, argv, capsys):
     if want == 2:
         captured = capsys.readouterr()
         assert "error" in captured.err or "usage" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["artifacts", "validate", "{tmp}/broken.json"],
+    ["perf", "record", "{tmp}/broken.json"],
+    ["perf", "gate", "{tmp}/broken.json", "--baseline-file", "{tmp}/base.json"],
+], ids=["artifacts validate", "perf record", "perf gate"])
+def test_shape_broken_file_is_reported_as_payload_rows(world, argv, capsys):
+    cli.main([a.format(tmp=world) for a in argv])
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "artifact/invalid-payload: rows[0]: want object, got null" in text
+    assert "Traceback" not in text
+    if argv[0] == "perf":  # and nothing reached the run history
+        assert cli.main(["perf", "runs"]) == 0
+        assert capsys.readouterr().out.strip() == "no recorded runs"
 
 
 def test_invalid_artifact_exits_2_prints_every_problem_writes_nothing(

@@ -7,11 +7,11 @@ import threading
 
 import pytest
 
-from repro.artifacts import payload_of, validate_document
+from repro.artifacts import payload_of, registry, validate_document
 from repro.artifacts.registry import DAEMON_STATUS
 from repro.daemon import Daemon, DaemonConfig
 from repro.daemon import state as dstate
-from repro.daemon.status import flatten_status, validate_status
+from repro.daemon.status import flatten_status
 from repro.errors import DaemonError
 
 
@@ -207,7 +207,6 @@ class TestStatus:
         assert validate_document(reply.body) == []
         payload = payload_of(reply.body)
         assert payload["schema"] == DAEMON_STATUS
-        assert validate_status(payload) == []
         assert payload["state"] == "running"
         assert payload["requests"]["received"] == 2
         assert payload["requests"]["memory_hits"] == 1
@@ -222,9 +221,10 @@ class TestStatus:
         assert "daemon:latency.request_s.p50" in metrics
 
     def test_validator_rejects_junk(self):
-        assert validate_status([]) == ["document is not an object"]
-        problems = validate_status({"state": "confused"})
-        assert any("unknown state" in p for p in problems)
+        validate = registry.get(DAEMON_STATUS).validate_payload
+        assert validate([]) == ["payload: want object, got list"]
+        problems = validate({"state": "confused"})
+        assert "state: want one of running|draining, got 'confused'" in problems
 
     def test_final_status_written_on_drain(self, store_dir):
         d = make_daemon(store_dir)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.artifacts import envelope, validate_document
+from repro.artifacts import envelope, registry, validate_document
 from repro.artifacts.registry import SERVE_LOAD
 from repro.daemon import Daemon, DaemonConfig
 from repro.errors import LoadError
 from repro.load.gen import BUILTIN_GRIDS, _schedule, check_grid, run_grid
-from repro.load.report import analyze, flatten_report, validate_report
+from repro.load.report import analyze, flatten_report
 from repro.obs.core import Histogram
+
+validate_payload = registry.get(SERVE_LOAD).validate_payload
 
 
 class TestGrid:
@@ -100,9 +102,9 @@ class TestReportShape:
         doc = self.payload()
         del doc["steps"][0]["latency"]["hit_s"]
         doc["analysis"].pop("warm_count")
-        problems = validate_report(doc)
-        assert any("hit_s" in p for p in problems)
-        assert any("warm_count" in p for p in problems)
+        problems = validate_payload(doc)
+        assert "steps[0].latency.hit_s: missing" in problems
+        assert "analysis.warm_count: missing" in problems
 
     def test_flatten_emits_load_metrics(self):
         doc = self.payload()
@@ -139,7 +141,7 @@ class TestRampAgainstDaemon:
                 "deadline_s": 20.0,
             }
             payload = run_grid(grid, "127.0.0.1", d.port)
-            assert validate_report(payload) == []
+            assert validate_payload(payload) == []
             total = sum(s["offered"] for s in payload["steps"])
             resolved = sum(
                 sum(v for k, v in s["outcomes"].items()

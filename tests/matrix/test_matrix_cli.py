@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro import cli
-from repro.artifacts import is_envelope, payload_of
-from repro.matrix.report import SCHEMA, validate_report
+from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.matrix.report import SCHEMA
 
 GRID = ["--factor", "workload=matmul", "--factor", "b=2,4",
         "--factor", "cache_kb=1,2", "--factor", "n=8"]
@@ -31,10 +31,9 @@ class TestRun:
         rc = run_cli("run", *GRID, "--workers", "1", "--out", str(out))
         assert rc == 0
         env = json.loads(out.read_text())
-        assert is_envelope(env)
+        assert is_envelope(env) and validate_document(env) == []
         doc = payload_of(env)
         assert doc["schema"] == SCHEMA
-        assert validate_report(doc) == []
         assert doc["run"]["computed"] == 4
         assert {"b", "cache_kb"} <= set(doc["sensitivity"])
         assert "report written" in capsys.readouterr().out
@@ -95,8 +94,9 @@ class TestStatusResumeReport:
     def test_report_only_factor(self, swept, capsys):
         out = swept / "rep.json"
         assert run_cli("report", "--only", "b", "--out", str(out)) == 0
-        doc = payload_of(json.loads(out.read_text()))
-        assert validate_report(doc) == []
+        env = json.loads(out.read_text())
+        assert validate_document(env) == []
+        doc = payload_of(env)
         assert list(doc["sensitivity"]) == ["b"]
 
     def test_report_only_absent_factor_exits_2(self, swept, capsys):

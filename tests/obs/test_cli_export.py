@@ -7,9 +7,17 @@ import json
 import pytest
 
 from repro import cli
-from repro.artifacts import envelope, is_envelope, payload_of, validate_document
+from repro.artifacts import (
+    envelope,
+    is_envelope,
+    payload_of,
+    registry,
+    validate_document,
+)
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core, export
+
+validate_payload = registry.get(export.SCHEMA).validate_payload
 
 
 def main(argv: list) -> int:
@@ -44,7 +52,7 @@ class TestChromeTrace:
 class TestValidateMetrics:
     def test_minimal_valid_doc(self):
         doc = export.metrics(core.Obs())
-        assert export.validate_metrics(doc) == []
+        assert validate_payload(doc) == []
 
     def test_wrong_schema_rejected(self):
         # schema identity is the envelope layer's job now
@@ -56,7 +64,8 @@ class TestValidateMetrics:
     def test_non_integer_counter_rejected(self):
         doc = export.metrics(core.Obs())
         doc["counters"]["bad"] = 1.5
-        assert any("bad" in e for e in export.validate_metrics(doc))
+        assert validate_payload(doc) == [
+            "counters.bad: want integer, got number"]
 
     def test_attribution_sum_mismatch_rejected(self):
         o = core.Obs()
@@ -75,7 +84,7 @@ class TestValidateMetrics:
             "totals": {"accesses": 2, "misses": 0, "writebacks": 0,
                        "tlb_misses": 0, "writes": 0},  # misses disagree
         }
-        errors = export.validate_metrics(doc)
+        errors = validate_payload(doc)
         assert any("misses" in e for e in errors)
 
     def test_machine_cache_mismatch_rejected(self):
@@ -89,7 +98,7 @@ class TestValidateMetrics:
             "totals": {"accesses": 9, "misses": 3, "writebacks": 0,
                        "tlb_misses": 0, "writes": 0},
         }
-        errors = export.validate_metrics(doc)
+        errors = validate_payload(doc)
         assert any("machine cache accesses" in e for e in errors)
 
 
@@ -117,7 +126,6 @@ class TestCliEndToEnd:
         env = json.loads(metrics_path.read_text())
         assert is_envelope(env) and validate_document(env) == []
         doc = payload_of(env)
-        assert export.validate_metrics(doc) == []
         assert doc["meta"]["workload"] == "conv"
         # the acceptance invariant, re-checked from the written artifact
         totals = doc["attribution"]["totals"]
@@ -136,6 +144,32 @@ class TestCliEndToEnd:
         assert rc == 0
         doc = payload_of(json.loads(metrics_path.read_text()))
         assert doc["meta"]["passes"] == "['split']"
+
+    def test_invalid_profile_is_written_for_inspection_never_stored(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.artifacts import list_artifacts
+        from repro.serve.store import ArtifactStore
+
+        honest = export.metrics
+
+        def lying(*args, **kwargs):
+            doc = honest(*args, **kwargs)
+            doc["attribution"]["totals"]["misses"] += 1
+            return doc
+
+        monkeypatch.setattr(export, "metrics", lying)
+        out, store_dir = tmp_path / "m.json", tmp_path / "cache"
+        rc = main(["conv", "--passes", "split", "--out", str(out),
+                   "--store", "--store-dir", str(store_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "METRICS INVALID: attribution rows sum misses" in captured.err
+        assert f"metrics written to {out}" in captured.out
+        assert "published" not in captured.out
+        env = json.loads(out.read_text())
+        assert is_envelope(env) and validate_document(env) != []
+        assert list_artifacts(ArtifactStore(str(store_dir))) == []
 
 
 class TestCliErrors:

@@ -8,10 +8,11 @@ parent's so nothing a worker counted is lost.
 
 from __future__ import annotations
 
+from repro.artifacts import registry
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.service import run_batch, validate_report
+from repro.serve.service import SCHEMA, run_batch
 
 SPECS = [
     JobSpec(kind="derive", workload="matmul", timeout_s=120.0),
@@ -78,7 +79,7 @@ class TestWorkerObservation:
 
     def test_outcome_snapshot_rides_the_result_queue(self):
         _, report = observed_batch()
-        assert validate_report(report) == []
+        assert registry.get(SCHEMA).validate_payload(report) == []
 
     def test_report_surfaces_per_worker_and_latency(self):
         _, report = observed_batch()

@@ -9,7 +9,6 @@ import pytest
 from repro import cli
 from repro.artifacts import is_envelope, payload_of, validate_document
 from repro.artifacts.registry import OBS_METRICS, SERVE_STORE
-from repro.serve.service import validate_report
 from repro.serve.store import ArtifactStore
 
 
@@ -32,9 +31,8 @@ class TestSubmit:
         out = tmp_path / "report.json"
         assert submit(store_dir, "--out", str(out)) == 0
         env = json.loads(out.read_text())
-        assert is_envelope(env)
+        assert is_envelope(env) and validate_document(env) == []
         report = payload_of(env)
-        assert validate_report(report) == []
         assert report["jobs"][0]["status"] == "computed"
         assert "report written to" in capsys.readouterr().out
 

@@ -9,17 +9,16 @@ from repro.artifacts import (
     is_envelope,
     payload_of,
     publish,
+    registry,
     validate_document,
 )
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.obs import core as obs_core
 from repro.serve.jobs import JobSpec
-from repro.serve.service import (
-    SCHEMA,
-    run_batch,
-    validate_report,
-)
+from repro.serve.service import SCHEMA, run_batch
 from repro.serve.store import ArtifactStore
+
+validate_payload = registry.get(SCHEMA).validate_payload
 
 
 def probe(**options) -> JobSpec:
@@ -34,7 +33,7 @@ class TestRunBatch:
             workers=2,
             meta={"tool": "test", "build": 7},
         )
-        assert validate_report(report) == []
+        assert validate_payload(report) == []
         assert report["schema"] == SCHEMA
         assert report["meta"] == {"tool": "test", "build": "7"}  # stringified
         assert report["summary"]["computed"] == 2
@@ -50,7 +49,7 @@ class TestRunBatch:
     def test_one_row_per_deduplicated_job(self):
         spec = probe(value="same")
         report = run_batch([spec, spec, spec], workers=1)
-        assert validate_report(report) == []
+        assert validate_payload(report) == []
         assert len(report["jobs"]) == 1
         assert report["jobs"][0]["submissions"] == 3
         assert report["pool"]["coalesced"] == 2
@@ -61,7 +60,7 @@ class TestRunBatch:
             workers=1,
             max_retries=0,
         )
-        assert validate_report(report) == []
+        assert validate_payload(report) == []
         assert report["summary"]["failed"] == 1
         assert report["summary"]["ok"] == 1
         by_status = {j["status"]: j for j in report["jobs"]}
@@ -96,7 +95,7 @@ class TestRunBatch:
     def test_include_results_false_drops_payloads(self):
         report = run_batch([probe(value=1)], workers=1, include_results=False)
         assert report["jobs"][0]["result"] is None
-        assert validate_report(report) == []
+        assert validate_payload(report) == []
 
     def test_obs_counters_mirror_the_batch(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -117,10 +116,10 @@ class TestValidateReport:
         return run_batch([probe(value="v")], workers=1)
 
     def test_accepts_the_real_thing(self):
-        assert validate_report(self.good()) == []
+        assert validate_payload(self.good()) == []
 
     def test_rejects_non_objects(self):
-        assert validate_report([]) == ["document is not an object"]
+        assert validate_payload([]) == ["payload: want object, got list"]
 
     def test_rejects_wrong_schema(self):
         # schema identity is the envelope layer's job now
@@ -133,34 +132,35 @@ class TestValidateReport:
         doc = self.good()
         del doc["pool"]
         del doc["jobs"]
-        problems = validate_report(doc)
-        assert any("'pool'" in p for p in problems)
-        assert any("'jobs'" in p for p in problems)
+        problems = validate_payload(doc)
+        assert "pool: missing" in problems
+        assert "jobs: missing" in problems
 
     def test_rejects_unknown_status(self):
         doc = self.good()
         doc["jobs"][0]["status"] = "vanished"
-        assert any("unknown status" in p for p in validate_report(doc))
+        assert any(p.startswith("jobs[0].status: want one of")
+                   for p in validate_payload(doc))
 
     def test_rejects_failure_without_error(self):
         doc = self.good()
         doc["jobs"][0]["status"] = "failed"
         doc["jobs"][0]["error"] = None
-        problems = validate_report(doc)
+        problems = validate_payload(doc)
         assert any("carries no error" in p for p in problems)
 
     def test_rejects_summary_mismatch(self):
         doc = self.good()
         doc["summary"]["computed"] = 5
         doc["summary"]["total"] = 9
-        problems = validate_report(doc)
+        problems = validate_payload(doc)
         assert any("summary.total" in p for p in problems)
-        assert any("'computed'" in p for p in problems)
+        assert any("summary.computed" in p for p in problems)
 
     def test_rejects_missing_job_fields(self):
         doc = self.good()
         del doc["jobs"][0]["wall_s"]
-        assert any("missing field 'wall_s'" in p for p in validate_report(doc))
+        assert "jobs[0].wall_s: missing" in validate_payload(doc)
 
 
 def test_write_report_roundtrips(tmp_path):
