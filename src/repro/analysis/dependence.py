@@ -34,11 +34,13 @@ from typing import Optional, Sequence
 from time import perf_counter as _perf_counter
 
 from repro.analysis.refs import RefAccess, collect_accesses
+from repro.analysis.sections import expr_range, ranges_for_loops
 from repro.analysis.subscripts import analyze_subscript
 from repro.obs.core import current as _obs_current
 from repro.ir.stmt import Loop, Procedure, Stmt
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
+from repro.symbolic.simplify import prove_lt
 
 
 class DependenceKind(enum.Enum):
@@ -280,9 +282,6 @@ def _ranges_disjoint(
     sweep; everything outer stays a shared fixed symbol (distribution
     reorders nothing outside the loop being distributed).
     """
-    from repro.analysis.sections import expr_range, ranges_for_loops
-    from repro.symbolic.simplify import prove_lt
-
     def stack(acc: RefAccess):
         if within is None:
             return acc.loops

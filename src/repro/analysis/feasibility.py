@@ -420,8 +420,9 @@ def _context_facts(
             b = bound.substitute(sink_rename) if primed else bound
             out.append(Affine.variable(name) - b if is_lower else b - Affine.variable(name))
 
-        for bound in ctx._lo.get(base, []):
+        lower, upper = ctx.bounds_of(base)
+        for bound in lower:
             emit(bound, True)
-        for bound in ctx._hi.get(base, []):
+        for bound in upper:
             emit(bound, False)
     return out

@@ -39,7 +39,7 @@ from repro.ir.expr import (
 from repro.ir.stmt import Loop
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
-from repro.symbolic.simplify import simplify
+from repro.symbolic.simplify import prove_eq, prove_le, prove_lt, simplify
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,14 @@ def expr_range(e: Expr, ranges: Ranges, ctx: Optional[Assumptions] = None) -> Op
     """Symbolic [lo, hi] of ``e`` as the variables in ``ranges`` sweep their
     (inclusive) ranges.  Variables not in ``ranges`` stay symbolic.
     Returns None when ``e`` is outside the supported (affine + MIN/MAX)
-    class."""
+    class.  Answered once per (``e``, ``ranges``) under one context
+    (:meth:`Assumptions.memo`)."""
     ctx = ctx or Assumptions()
+    key = ("expr_range", e, tuple(ranges.items()))
+    return ctx.memo(key, lambda: _expr_range_uncached(e, ranges, ctx))
 
+
+def _expr_range_uncached(e: Expr, ranges: Ranges, ctx: Assumptions) -> Optional[tuple[Expr, Expr]]:
     def rng(expr: Expr, remaining: dict[str, tuple[Expr, Expr]]) -> Optional[tuple[Expr, Expr]]:
         if isinstance(expr, Const):
             return expr, expr
@@ -215,8 +220,6 @@ def _triplet_step(e: Expr, ranges: Ranges) -> Expr:
 def triplet_contains(outer: Triplet, inner: Triplet, ctx: Assumptions) -> Optional[bool]:
     """outer ⊇ inner on the dense hull (steps ignored — sound for the
     disjointness/overlap questions splitting asks)."""
-    from repro.symbolic.simplify import prove_le, prove_lt
-
     if prove_le(outer.lo, inner.lo, ctx) and prove_le(inner.hi, outer.hi, ctx):
         return True
     if prove_lt(inner.lo, outer.lo, ctx) or prove_lt(outer.hi, inner.hi, ctx):
@@ -225,8 +228,6 @@ def triplet_contains(outer: Triplet, inner: Triplet, ctx: Assumptions) -> Option
 
 
 def triplet_disjoint(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]:
-    from repro.symbolic.simplify import prove_le, prove_lt
-
     if prove_lt(a.hi, b.lo, ctx) or prove_lt(b.hi, a.lo, ctx):
         return True
     # overlap certain when each lo <= other's hi
@@ -236,8 +237,6 @@ def triplet_disjoint(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]
 
 
 def triplet_equal(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]:
-    from repro.symbolic.simplify import prove_eq, prove_lt
-
     if prove_eq(a.lo, b.lo, ctx) and prove_eq(a.hi, b.hi, ctx):
         return True
     if (

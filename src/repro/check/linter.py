@@ -58,6 +58,7 @@ from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import walk_stmts
 from repro.obs import core as _obs
+from repro.pipeline.cache import scoped as _analysis_cache
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import sole_inner_loop
 
@@ -256,7 +257,7 @@ def lint_loop(
     if isinstance(loop, str):
         loop = loop_by_var(proc.body, loop)
     with _obs.span("check:lint", cat="check",
-                   procedure=proc.name, loop=loop.var) as args:
+                   procedure=proc.name, loop=loop.var) as args, _analysis_cache():
         result = _lint_loop(proc, loop, ctx, allow_commutativity)
         args["verdict"] = result.verdict
         _obs.count(f"check.lint.{result.verdict}")
@@ -310,12 +311,14 @@ def lint_blockability(
     ctx: Optional[Assumptions] = None,
     allow_commutativity: bool = True,
 ) -> list[LintResult]:
-    """Classify every outermost loop of ``proc``."""
-    out = []
-    for s in proc.body:
-        if isinstance(s, Loop):
-            out.append(lint_loop(proc, s, ctx, allow_commutativity))
-    return out
+    """Classify every outermost loop of ``proc``, all under one analysis
+    cache (the installed one, e.g. inside ``derive(check=True)``)."""
+    with _analysis_cache():
+        return [
+            lint_loop(proc, s, ctx, allow_commutativity)
+            for s in proc.body
+            if isinstance(s, Loop)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -86,11 +86,23 @@ class Expr:
 ExprLike = Union[Expr, int, float, str]
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    """Integer or floating literal. ``Const(0)`` and ``Const(0.0)`` differ."""
+    """Integer or floating literal. ``Const(0)`` and ``Const(0.0)`` differ:
+    equality and hash are strict about integer-vs-float (Python's own
+    ``0 == 0.0`` would let an ``Expr``-keyed table hand a float literal
+    the integer's answer)."""
 
     value: Number
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Const:
+            return NotImplemented
+        a, b = self.value, other.value
+        return a == b and isinstance(a, float) == isinstance(b, float)
+
+    def __hash__(self) -> int:
+        return hash((isinstance(self.value, float), self.value))
 
     def __repr__(self) -> str:  # compact debugging output
         return f"Const({self.value!r})"

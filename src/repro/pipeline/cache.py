@@ -280,3 +280,15 @@ def installed(cache: AnalysisCache):
         yield cache
     finally:
         uninstall()
+
+
+@contextmanager
+def scoped():
+    """Run under the cache already installed, else under a fresh one that
+    lives for the scope — for analysis entry points that may be called
+    outside any pass manager (the blockability linter)."""
+    if _hook_stack:
+        yield
+    else:
+        with installed(AnalysisCache()):
+            yield

@@ -181,7 +181,7 @@ def to_affine(e: Expr) -> Optional[Affine]:
         rc = r.constant_value()
         if rc is None or rc == 0:
             return None
-        q = l * Fraction(1, 1) * Fraction(1, int(rc)) if rc.denominator == 1 else None
+        q = l * Fraction(1, int(rc)) if rc.denominator == 1 else None
         if q is None:
             return None
         return q if q.is_integral() else None

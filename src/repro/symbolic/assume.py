@@ -25,6 +25,7 @@ from repro.ir.expr import Expr
 from repro.symbolic.affine import Affine, to_affine
 
 _MAX_DEPTH = 5
+_MEMO_CAP = 8192  # answers kept per context; cleared when full
 
 
 class Assumptions:
@@ -35,11 +36,16 @@ class Assumptions:
     several variables are stored as bounds on each mentioned variable
     (``c·v >= -rest`` ⇒ a bound on ``v``), which the recursive substitution
     can then chain through.
+
+    Every decision is a pure function of (the facts, the operands), so the
+    context answers each question once: :meth:`memo` keeps the answers
+    until :meth:`_add_fact` — the only mutator — changes the facts.
     """
 
     def __init__(self) -> None:
         self._lo: dict[str, list[Affine]] = {}
         self._hi: dict[str, list[Affine]] = {}
+        self._memo: dict = {}
 
     # ---- building the context -------------------------------------------
     def copy(self) -> "Assumptions":
@@ -83,11 +89,12 @@ class Assumptions:
         """Store ``aff >= 0`` as a bound on each variable it mentions."""
         if aff.is_constant:
             return
+        self._memo.clear()
         for name, coeff in aff.coeffs:
             rest = aff - Affine.make({name: coeff})
             if coeff > 0:
                 # name >= -rest / coeff
-                bound = -rest * Fraction(1, 1) * (Fraction(1) / coeff)
+                bound = -rest * (Fraction(1) / coeff)
                 self._lo.setdefault(name, [])
                 if bound not in self._lo[name]:
                     self._lo[name].append(bound)
@@ -97,6 +104,10 @@ class Assumptions:
                 self._hi.setdefault(name, [])
                 if bound not in self._hi[name]:
                     self._hi[name].append(bound)
+
+    def bounds_of(self, name: str) -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
+        """The stored (lower, upper) affine bounds on ``name``, read-only."""
+        return tuple(self._lo.get(name, ())), tuple(self._hi.get(name, ()))
 
     def facts_key(self) -> tuple:
         """Hashable canonical key of the stored facts.
@@ -117,6 +128,24 @@ class Assumptions:
         return (side(self._lo), side(self._hi))
 
     # ---- decisions --------------------------------------------------------
+    def memo(self, key, compute):
+        """``compute()``, evaluated once per ``key`` while the facts stand.
+
+        For questions whose answer depends on nothing but these facts and
+        what ``key`` spells out (the decisions below;
+        :func:`repro.analysis.sections.expr_range` under this context).
+        A :meth:`copy` starts empty; a full table is cleared, not grown.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = compute()
+        if len(self._memo) >= _MEMO_CAP:
+            self._memo.clear()
+        self._memo[key] = value
+        return value
+
     def _const_bounds(self, aff: Affine, want_upper: bool, depth: int, seen: frozenset[str]) -> list[Fraction]:
         """Constant candidates bounding ``aff`` from above (or below)."""
         if aff.is_constant:
@@ -138,21 +167,26 @@ class Assumptions:
             )
         return out
 
-    def lower_bound(self, e) -> Optional[Fraction]:
-        """Best provable constant lower bound, or None."""
+    def _best_bound(self, e, want_upper: bool) -> Optional[Fraction]:
         aff = self._coerce(e)
         if aff is None:
             return None
-        vals = self._const_bounds(aff, want_upper=False, depth=_MAX_DEPTH, seen=frozenset())
-        return max(vals) if vals else None
+
+        def best() -> Optional[Fraction]:
+            vals = self._const_bounds(aff, want_upper, _MAX_DEPTH, frozenset())
+            if not vals:
+                return None
+            return min(vals) if want_upper else max(vals)
+
+        return self.memo(("bound", want_upper, aff), best)
+
+    def lower_bound(self, e) -> Optional[Fraction]:
+        """Best provable constant lower bound, or None."""
+        return self._best_bound(e, want_upper=False)
 
     def upper_bound(self, e) -> Optional[Fraction]:
         """Best provable constant upper bound, or None."""
-        aff = self._coerce(e)
-        if aff is None:
-            return None
-        vals = self._const_bounds(aff, want_upper=True, depth=_MAX_DEPTH, seen=frozenset())
-        return min(vals) if vals else None
+        return self._best_bound(e, want_upper=True)
 
     def is_nonneg(self, e) -> Optional[bool]:
         """True if provably >= 0, False if provably < 0, else None."""
@@ -189,6 +223,12 @@ class Assumptions:
     def compare(self, left, right) -> Optional[str]:
         """Relate two affine quantities: one of '<', '<=', '==', '>=', '>',
         or None when undecidable.  The strongest provable relation wins."""
+        # the operand types are part of the question: 1 == 1.0 == True as
+        # dict keys, but only the integers are affine
+        key = ("compare", type(left), left, type(right), right)
+        return self.memo(key, lambda: self._compare(left, right))
+
+    def _compare(self, left, right) -> Optional[str]:
         l, r = self._coerce(left), self._coerce(right)
         if l is None or r is None:
             return None

@@ -18,6 +18,7 @@ from repro.check.linter import (
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.pipeline.cache import AnalysisCache, installed
 from repro.symbolic.assume import Assumptions
 
 N2 = Assumptions().assume_ge("N", 2)
@@ -53,6 +54,32 @@ def test_givens_not_blockable():
     # loop cannot sink through the imperfect nest
     r = lint_loop(givens_point_ir(), "L", ctx=MN)
     assert r.verdict == NOT_BLOCKABLE
+
+
+def test_lint_asks_each_direction_query_once(monkeypatch):
+    """One lu_pivot verdict issues 210 direction queries, 65 distinct:
+    the linter runs under a cache of its own, or the one installed."""
+    from repro.analysis import feasibility
+
+    proc, solved = lu_pivot_point_ir(), []
+    real = feasibility._direction_feasible_uncached
+    monkeypatch.setattr(
+        feasibility, "_direction_feasible_uncached",
+        lambda *a: solved.append(1) or real(*a))
+    alone = lint_blockability(proc, N2)
+    assert len(solved) == 65
+
+    shared = AnalysisCache()
+    with installed(shared):
+        assert lint_blockability(proc, N2) == alone
+    direction = shared.stats()["direction"]
+    assert (direction["misses"], direction["hits"]) == (65, 145)
+
+    # a cache that can hold one entry per region is as good as none
+    del solved[:]
+    with installed(AnalysisCache(region_cap=1)):
+        assert lint_blockability(proc, N2) == alone
+    assert len(solved) > 2 * 65
 
 
 def test_innermost_loop_is_not_blockable():

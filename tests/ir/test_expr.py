@@ -29,6 +29,16 @@ class TestConstruction:
         assert Const(3).value == 3
         assert Var("I").name == "I"
 
+    def test_const_int_and_float_differ(self):
+        # as documented: an Expr-keyed table must not hand a float literal
+        # the integer's answer (Python's own 0 == 0.0, hash(0) == hash(0.0))
+        assert Const(0) != Const(0.0) and Const(2) != Const(2.0)
+        assert hash(Const(0)) != hash(Const(0.0))
+        assert len({Const(0), Const(0.0), Const(0), Const(0.0)}) == 2
+        assert Var("I") + Const(1) != Var("I") + Const(1.0)
+        assert Const(3) == Const(3) and Const(2.5) == Const(2.5)
+        assert Const(0) != 0 and Const(0) != Var("I")
+
     def test_as_expr_coercions(self):
         assert as_expr(5) == Const(5)
         assert as_expr(2.5) == Const(2.5)

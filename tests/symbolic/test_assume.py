@@ -1,7 +1,12 @@
 """Assumption contexts: bound derivation and sign decisions."""
 
-from repro.ir.expr import Min, Var
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.sections import expr_range
+from repro.ir.expr import Const, Min, Var
+from repro.symbolic import assume
 from repro.symbolic.assume import Assumptions
+from repro.symbolic.simplify import _EMPTY, prove_lt
 
 
 class TestBasicFacts:
@@ -81,3 +86,103 @@ class TestForLoopNest:
     def test_builder(self):
         ctx = Assumptions.for_loop_nest([("I", 1, Var("N")), ("J", Var("I"), Var("N"))])
         assert ctx.is_nonneg(Var("J") - 1) is True  # J >= I >= 1
+
+
+class TestMemo:
+    """Each context answers a question once; the answers must be the ones
+    a context rebuilt from the same facts would give."""
+
+    def test_answered_once_until_the_facts_change(self, monkeypatch):
+        roots = []
+        real = Assumptions._const_bounds
+
+        def counting(self, aff, want_upper, depth, seen):
+            if not seen:
+                roots.append((aff, want_upper))
+            return real(self, aff, want_upper, depth, seen)
+
+        monkeypatch.setattr(Assumptions, "_const_bounds", counting)
+        ctx = Assumptions().assume_range("K", 1, Var("N")).assume_le("N", 100)
+        for _ in range(5):
+            assert ctx.compare(Var("K"), Var("N") + 1) == "<"
+            assert ctx.upper_bound(Var("K")) == 100
+        assert len(roots) == len(set(roots)) == 3
+        ctx.assume_le("N", 50)  # a new fact: every answer is asked again
+        assert ctx.upper_bound(Var("K")) == 50
+        assert ctx.copy().upper_bound(Var("K")) == 50
+        assert len(roots) == 5
+
+    def test_operand_types_are_part_of_the_question(self):
+        # 1 == 1.0 and Const(0) vs Const(0.0): only the integers are affine
+        ctx = Assumptions().assume_ge("N", 1)
+        assert ctx.compare(0, Var("N")) == "<"
+        assert ctx.compare(0.0, Var("N")) is None
+        assert ctx.compare(Const(0), Var("N")) == "<"
+        assert ctx.compare(Const(0.0), Var("N")) is None
+        assert ctx.compare(0, Var("N")) == "<"
+
+    def test_memo_is_bounded(self, monkeypatch):
+        cap = 64
+        monkeypatch.setattr(assume, "_MEMO_CAP", cap)
+        ctx = Assumptions().assume_range("N", 10, 20)
+        # _EMPTY is process-lifetime: every ctx-less simplify/prove_* call
+        for k in range(10 * cap):
+            assert ctx.compare(Var("N"), k) == (
+                ">" if k < 10 else ">=" if k == 10 else "<" if k > 20
+                else "<=" if k == 20 else None)
+            assert prove_lt(Var("N"), Var("N") + Const(k)) == (k > 0)
+            assert len(ctx._memo) <= cap and len(_EMPTY._memo) <= cap
+        assert ctx.compare(Var("N"), 3) == ">"  # evicted, asked again
+
+
+_VARS = ("I", "J", "N")
+_terms = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from(_VARS).map(Var),
+    st.builds(lambda v, c: Var(v) + c, st.sampled_from(_VARS), st.integers(-2, 2)),
+)
+# what a query may be handed: the affine terms, plus look-alikes that are
+# not affine (floats) and must not share an answer with their integer twin
+_operands = st.one_of(_terms, st.sampled_from((0.0, 1.0, Const(0.0), Const(1.0))))
+_ranges = st.sampled_from((
+    {"I": (Const(1), Var("N"))},
+    {"I": (Const(1), Var("N")), "J": (Var("I"), Var("N"))},
+    {"J": (Var("I") + 1, Min((Var("N"), Var("I") + 4)))},
+))
+_ops = st.one_of(
+    st.tuples(st.sampled_from(("assume_ge", "assume_le")),
+              st.sampled_from(_VARS), _terms),
+    st.tuples(st.just("assume_range"), st.sampled_from(_VARS), _terms, _terms),
+    st.tuples(st.just("copy")),
+    st.tuples(st.sampled_from(("lower_bound", "upper_bound", "is_nonneg", "is_zero")),
+              _terms),
+    st.tuples(st.just("compare"), _operands, _operands),
+    st.tuples(st.just("expr_range"), _terms, _ranges),
+)
+
+
+def _ask(ctx, op):
+    if op[0] == "expr_range":
+        return expr_range(op[1], op[2], ctx)
+    return getattr(ctx, op[0])(*op[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), _ops), max_size=40))
+def test_memoising_context_answers_like_a_rebuilt_one(program):
+    """Any interleaving of facts, copies and queries over several live
+    contexts: the long-lived (memoising) context answers exactly as one
+    rebuilt from the same facts and asked once."""
+    live = [(Assumptions(), [])]  # (context, the facts it was given)
+    for which, op in program:
+        ctx, facts = live[which % len(live)]
+        if op[0] == "copy":
+            live.append((ctx.copy(), list(facts)))
+        elif op[0].startswith("assume"):
+            _ask(ctx, op)
+            facts.append(op)
+        else:
+            rebuilt = Assumptions()
+            for fact in facts:
+                _ask(rebuilt, fact)
+            assert _ask(ctx, op) == _ask(rebuilt, op), op
