@@ -27,6 +27,17 @@ import numpy as np
 from repro.errors import MachineError
 
 
+WINDOW_FLOOR = 512
+"""Accesses (same-line runs already collapsed) below which
+:meth:`Cache.access_many` stops halving a stretch of a one-set cache's chunk
+and replays it access by access.  A constant like ``runtime.codegen.CHUNK``:
+no count depends on it."""
+
+WINDOW_GAIN = 16
+"""Accesses per distinct line that a stretch must have to be settled as a
+window; below that the scatters cost about what the replay they save does."""
+
+
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
@@ -185,6 +196,30 @@ class Cache:
         later one finds the line it just left at MRU and hits, and the line
         ends at MRU with dirty = previous dirty OR any write of the run.
         Only the surviving runs go through the Python loop.
+
+        A cache of one set (every TLB) goes further, because there runs do
+        not collapse when a loop alternates between two or three pages.  Take
+        a *window*: a stretch of the chunk whose distinct lines number at
+        most ``ways``.  A line touched in the window is younger than every
+        line not yet touched in it, and when a window line misses, at most
+        ``ways - 1`` touched lines are resident; so if the set is full, its
+        LRU line is an untouched one.  No touched line is evicted inside the
+        window, hence none misses twice: the LRU loop is needed at each
+        line's *first* touch only — in that order, because the victims, and
+        whether a line that was resident at the start still is at its first
+        touch, depend on it.  Untouched lines keep their relative order and
+        dirty bits, so victims and write-back flags are those of the full
+        replay.  Afterwards the window's lines sit at the MRU end in
+        last-touch order with dirty = previous dirty OR any write in the
+        window, which is what replaying them once more in that order, with
+        those flags, leaves (all hits).  First touch, last touch and
+        any-write per line come from O(n) scatters over ``line - lowest
+        line``; there is no sort of the window.  A stretch with too many
+        distinct lines (or fewer than ``WINDOW_GAIN`` accesses per line,
+        where the scatters cost what they save) is halved, down to
+        ``WINDOW_FLOOR`` accesses, below which it goes through the loop as
+        before: a row walk across more pages than the TLB has entries costs
+        what it did.
         """
         n = len(addrs)
         miss, wrote_back = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -199,26 +234,15 @@ class Cache:
             order, dirtying = None, writes
         # a new run starts wherever the line changes (a change of set is one)
         starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
-        run_lines = lines[starts].tolist()
-        run_writes = np.logical_or.reduceat(dirtying, starts).tolist()
-
-        sets, n_sets, capacity = self._sets, self._n_sets, self._ways
-        outcomes = []  # per run: 0 hit, 1 miss, 2 miss that evicted a dirty line
-        outcome = outcomes.append
-        for line, is_write in zip(run_lines, run_writes):
-            ways = sets[line % n_sets]
-            if line in ways:
-                ways[line] = ways.pop(line) or is_write  # move to MRU (end)
-                outcome(0)
-                continue
-            if len(ways) >= capacity and ways.pop(next(iter(ways))):
-                outcome(2)
-            else:
-                outcome(1)
-            ways[line] = is_write
+        run_lines = lines[starts]
+        run_writes = np.logical_or.reduceat(dirtying, starts)
+        if self._n_sets == 1:
+            outcomes = np.empty(len(starts), dtype=np.uint8)
+            self._windows(run_lines, run_writes, outcomes)
+        else:
+            outcomes = np.array(self._replay(run_lines, run_writes), dtype=np.uint8)
 
         first = starts if order is None else order[starts]
-        outcomes = np.array(outcomes, dtype=np.uint8)
         miss[first] = outcomes > 0
         wrote_back[first] = outcomes == 2
         st = self.stats
@@ -229,6 +253,62 @@ class Cache:
         st.misses += int(np.count_nonzero(miss))
         st.writebacks += int(np.count_nonzero(wrote_back))
         return miss, wrote_back
+
+    def _replay(self, lines: np.ndarray, writes: np.ndarray) -> list[int]:
+        """One LRU update per access; per access 0 for a hit, 1 for a miss,
+        2 for a miss that evicted a dirty line."""
+        sets, n_sets, capacity = self._sets, self._n_sets, self._ways
+        outcomes = []
+        outcome = outcomes.append
+        for line, is_write in zip(lines.tolist(), writes.tolist()):
+            ways = sets[line % n_sets]
+            if line in ways:
+                ways[line] = ways.pop(line) or is_write  # move to MRU (end)
+                outcome(0)
+                continue
+            if len(ways) >= capacity and ways.pop(next(iter(ways))):
+                outcome(2)
+            else:
+                outcome(1)
+            ways[line] = is_write
+        return outcomes
+
+    def _windows(self, lines: np.ndarray, writes: np.ndarray, outcomes: np.ndarray) -> None:
+        """:meth:`_replay` for a cache of one set, into ``outcomes``.  A
+        stretch that touches at most ``ways`` distinct lines is a *window*:
+        it is settled by replaying those lines alone, in first-touch and
+        then in last-touch order (:meth:`access_many` has the argument).
+        One that touches too many is halved, a short one is replayed."""
+        m = len(lines)
+        if m < WINDOW_FLOOR:
+            outcomes[:] = self._replay(lines, writes)
+            return
+        lowest = int(lines.min())
+        rel = lines - lowest
+        span = int(rel.max()) + 1
+        if span <= m:  # the per-line tables are no longer than the stretch
+            # first and last touch of every line by scatter, where a
+            # repeated index keeps the last value assigned
+            at = np.arange(m)
+            last = np.full(span, -1)
+            last[rel] = at
+            touched = np.flatnonzero(last >= 0)
+            if len(touched) <= self._ways and len(touched) * WINDOW_GAIN <= m:
+                first = np.empty(span, dtype=np.intp)
+                first[rel[::-1]] = at[::-1]
+                wrote = np.zeros(span, dtype=bool)
+                wrote[rel[writes]] = True
+                by_first = touched[np.argsort(first[touched])]
+                by_last = touched[np.argsort(last[touched])]
+                outcomes[:] = 0
+                outcomes[first[by_first]] = self._replay(
+                    by_first + lowest, np.zeros(len(touched), dtype=bool)
+                )
+                self._replay(by_last + lowest, wrote[by_last])  # all hits
+                return
+        half = m // 2
+        self._windows(lines[:half], writes[:half], outcomes[:half])
+        self._windows(lines[half:], writes[half:], outcomes[half:])
 
     def contains(self, addr: int) -> bool:
         """Non-mutating lookup (no LRU update, no counters)."""

@@ -10,9 +10,10 @@ in how an array load/store is emitted:
 - **traced**: every load/store is routed through ``_ld``/``_st`` callbacks
   so a :class:`Tracer` can observe the exact element-touch sequence the
   equivalent Fortran program would issue;
-- **stream** (:func:`compile_stream`): the same sequence, but each touch
-  appends its byte address to a buffer in-line and the buffer is handed to
-  a consumer in chunks — what the cache simulator runs on.
+- **stream** (:func:`compile_stream`): the same sequence as byte addresses
+  in a buffer that is handed to a consumer in chunks — what the cache
+  simulator runs on.  A touch appends its address in-line; an innermost loop
+  whose touches are an affine lattice appends all of them at once.
 
 Stream encoding (private to this module; consumers get decoded arrays).
 Every ``ArrayRef`` occurrence in the procedure is a numbered static *site*,
@@ -34,6 +35,28 @@ right-hand side, then records its event ``+ 1`` and assigns, which is the
 order ``_st(name, (subscripts,), rhs)`` evaluates its arguments in.  The
 source depends on the procedure only, not on sizes or layout.
 
+Block form.  An innermost ``DO`` qualifies when its body is assignments only
+(no ``IF``, and no ``AND``/``OR`` over a load, which could skip it) and every
+subscript in it is ``c + var*d`` with ``c`` and ``d`` fixed while the loop
+runs: built from integer constants, the loop variable, names the body does
+not assign, and ``+ - *`` — no array load, division, ``MOD``, ``MIN`` or
+``MAX``, nothing quadratic in the variable (:func:`_coefficient`).  Which
+elements such a loop touches, and in what order, then depends on no array
+value: iteration ``k`` issues, for the body's sites ``j`` in today's order,
+``event_j(first) + k*step*d_j``.  So the loop is lowered as: evaluate the
+range once (loads in its bounds and step are per-touch events and come first,
+as before); if it is not empty, append the ``trips × sites`` events as one
+block — iteration-major, ``+ 1`` on stores, built as ``[k, 1] @ [steps,
+firsts]`` from two tuples of Python integers (one numpy call a block, about
+2 µs, so even LU's blocked update with at most ``KS`` trips gains); then run
+the body in the *plain* flavour, which computes every value, and anything
+that steers an outer loop or guard, exactly as before.  Sites are numbered
+as they always were.  Every other loop keeps the per-touch form: a body with
+a guard (givens' ``J`` loop, the guarded matmul's ``K`` loop), a subscript
+that is loaded (``A(IP(K))``) or assigned in the body, any loop that is not
+innermost.  It is a choice of lowering made from the IR alone, with no
+switch; arithmetic stays scalar.
+
 The interpreter (:mod:`repro.runtime.interpreter`) defines the semantics;
 the test suite cross-checks the two engines statement-for-statement on every
 algorithm in the repository.
@@ -44,7 +67,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import count
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,10 +84,15 @@ from repro.ir.expr import (
     Max,
     Min,
     Not,
+    ONE,
     Var,
+    ZERO,
+    add,
+    mul,
+    sub,
 )
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
-from repro.ir.visit import array_refs, find_loops
+from repro.ir.visit import array_refs, find_loops, walk_exprs
 from repro.runtime.interpreter import Tracer, idiv, make_env
 
 _PY_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -127,6 +155,13 @@ class _Plain:
     def store(self, ref: ArrayRef, gen: Callable[[Expr], str], rhs: Expr) -> list[str]:
         return [f"{self.load(ref, gen)} = {gen(rhs)}"]
 
+    def loop(self, stmt: Loop, rng: str, lower_body: Callable[[int], None]) -> list[str]:
+        """The lines that open ``stmt`` over ``rng``, the last of them its
+        ``for``.  ``lower_body(k)`` lowers the body ``k`` levels below the
+        first of those lines."""
+        lower_body(1)
+        return [f"for {stmt.var} in {rng}:"]
+
 
 class _Callbacks(_Plain):
     """Every touch is a call: ``_ld(name, index)`` / ``_st(name, index, value)``."""
@@ -141,11 +176,49 @@ class _Callbacks(_Plain):
         return [f"_st('{ref.array}', ({idx},), {gen(rhs)})"]
 
 
+def _coefficient(e: Expr, var: str, varying: frozenset[str]) -> Optional[Expr]:
+    """``d`` such that ``e == c + var*d`` where neither ``c`` nor ``d``
+    changes while a loop over ``var`` runs whose body assigns the scalars
+    ``varying``; ``None`` when ``e`` has no such form: it loads an array,
+    divides, takes a ``MIN``/``MAX``/``MOD``, is quadratic in ``var`` or
+    reads a ``varying`` name."""
+    if isinstance(e, Const):
+        return None if isinstance(e.value, float) else ZERO
+    if isinstance(e, Var):
+        if e.name == var:
+            return ONE
+        return None if e.name in varying else ZERO
+    if isinstance(e, BinOp) and e.op in ("+", "-", "*"):
+        l, r = _coefficient(e.left, var, varying), _coefficient(e.right, var, varying)
+        if l is None or r is None:
+            return None
+        if e.op == "+":
+            return add(l, r)
+        if e.op == "-":
+            return sub(l, r)
+        if l == ZERO:  # the left factor is one value throughout
+            return mul(e.left, r)
+        if r == ZERO:
+            return mul(l, e.right)
+    return None
+
+
+class _Block(NamedTuple):
+    """An innermost loop that is being lowered as one block of events."""
+
+    coefficients: dict[ArrayRef, list[Expr]]
+    """Per reference in the body, the :func:`_coefficient` of each subscript."""
+    events: list[tuple[str, str]]
+    """Per site of the body, in the order lowered: its event in the
+    iteration at hand, and what one more of the loop variable adds to it."""
+
+
 class _Stream(_Plain):
-    """Every touch appends its event to ``_buf`` in-line (the module
-    docstring has the encoding and the ordering argument).  ``sites`` lists
-    the touches in the order they were lowered, which within a statement is
-    the order they execute in.
+    """Every touch appends its event to ``_buf`` in-line, or a whole
+    innermost loop appends its events as one block (the module docstring has
+    the encoding, the ordering argument and the rule for a block).
+    ``sites`` lists the touches in the order they were lowered, which within
+    a statement is the order they execute in.
 
     A subscript is pasted twice, into the event and into the element access.
     One that itself loads an array is therefore bound to a temporary where
@@ -159,11 +232,67 @@ class _Stream(_Plain):
         )
         self.sites: list[Site] = []
         self._temps = count()
+        self._block: Optional[_Block] = None  # set while such a loop's body is lowered
 
     @property
     def kernel_args(self) -> tuple[str, ...]:
         offsets = tuple(f"_o{n}" for n in range(len(self.sites)))
-        return ("_ap", "_buf", "_flush") + self._strides + offsets
+        return ("_ap", "_buf", "_flush", "_blk") + self._strides + offsets
+
+    @staticmethod
+    def _block_of(loop: Loop) -> Optional[_Block]:
+        """A block for ``loop`` if its touches are the same affine sequence
+        whatever the data: straight-line assignments, no load that ``AND`` /
+        ``OR`` could skip, every subscript ``c + var*d``."""
+        if not all(isinstance(s, (Assign, Comment)) for s in loop.body):
+            return None
+        varying = frozenset(
+            s.target.name
+            for s in loop.body
+            if isinstance(s, Assign) and isinstance(s.target, Var)
+        )
+        exprs = list(walk_exprs(loop.body))
+        if loop.var in varying or any(
+            isinstance(e, LogicalOp) and any(array_refs(e)) for e in exprs
+        ):
+            return None
+        coefficients = {
+            e: [_coefficient(i, loop.var, varying) for i in e.index]
+            for e in exprs
+            if isinstance(e, ArrayRef)
+        }
+        if not coefficients or any(d is None for ds in coefficients.values() for d in ds):
+            return None
+        return _Block(coefficients, [])
+
+    def loop(self, stmt, rng, lower_body):
+        self._block = self._block_of(stmt)
+        if self._block is None:
+            return super().loop(stmt, rng, lower_body)
+        lower_body(2)
+        events, self._block = self._block.events, None
+        if stmt.step == ONE:
+            steps = ", ".join(step for _, step in events)
+        else:
+            steps = ", ".join(f"({step})*_r.step" for _, step in events)
+        firsts = ", ".join(first for first, _ in events)
+        return [
+            f"_r = {rng}",
+            "if _r:",
+            f"    {stmt.var} = _r[0]",
+            f"    _blk(len(_r), (({steps},), ({firsts},)))",
+            f"    for {stmt.var} in _r:",
+        ]
+
+    def _touch(self, ref: ArrayRef, gen, write: str) -> None:
+        """Number the site of ``ref`` in the block being lowered."""
+        step = [
+            f"_s_{ref.array}_{k}" if d == ONE else f"{gen(d)}*_s_{ref.array}_{k}"
+            for k, d in enumerate(self._block.coefficients[ref])
+            if d != ZERO
+        ]
+        first = self._event(ref.array, [gen(i) for i in ref.index])
+        self._block.events.append((first + write, " + ".join(step) or "0"))
 
     def _event(self, array: str, subs: Sequence[str]) -> str:
         offset = f"_o{len(self.sites)}"
@@ -183,12 +312,19 @@ class _Stream(_Plain):
         ]
 
     def load(self, ref, gen):
+        if self._block is not None:
+            self._touch(ref, gen, "")
+            return super().load(ref, gen)
         subs = self._subscripts(ref, gen)
         first = [f"{temp} := {src}" if temp else src for src, temp in subs]
         again = [temp or src for src, temp in subs]
         return f"(_ap({self._event(ref.array, first)}) or {self.element(ref.array, again)})"
 
     def store(self, ref, gen, rhs):
+        if self._block is not None:
+            value = gen(rhs)  # its loads come before the store
+            self._touch(ref, gen, " + 1")
+            return [f"{super().load(ref, gen)} = {value}"]
         subs = self._subscripts(ref, gen)
         bound = [temp or src for src, temp in subs]
         # loads in the target's subscripts happen before the right-hand side
@@ -259,15 +395,25 @@ def _gen_body(
             else:
                 lines.append(pad + f"{stmt.target.name} = {gen.gen(stmt.value)}")
         elif isinstance(stmt, Loop):
-            lo, hi, step = gen.gen(stmt.lo), gen.gen(stmt.hi), gen.gen(stmt.step)
-            if stmt.step == Const(1):
+            lo, hi = gen.gen(stmt.lo), gen.gen(stmt.hi)
+            if stmt.step == ONE:
                 rng = f"range({lo}, {hi} + 1)"
             else:
                 # Fortran trip count: works for negative steps too because
                 # range() stops before crossing the bound in step direction.
-                rng = f"range({lo}, {hi} + (1 if ({step}) > 0 else -1), {step})"
-            lines.append(pad + f"for {stmt.var} in {rng}:")
-            _gen_body(stmt.body, gen, lines, depth + 1, path + (stmt.var,))
+                # The step is evaluated once, after the bounds.
+                rng = (
+                    f"range({lo}, {hi} + (1 if (_step := {gen.gen(stmt.step)}) > 0 else -1), "
+                    f"_step or _zero_step('{stmt.var}'))"
+                )
+            body: list[str] = []
+            opening = gen.access.loop(
+                stmt,
+                rng,
+                lambda k: _gen_body(stmt.body, gen, body, depth + k, path + (stmt.var,)),
+            )
+            lines.extend(pad + l for l in opening)
+            lines.extend(body)
             if gen.access.flush and find_loops(stmt.body):
                 lines.append(pad + "    " + gen.access.flush)
         elif isinstance(stmt, If):
@@ -300,8 +446,13 @@ def generate_source(proc: Procedure, traced: bool = False) -> str:
     return _source(proc, _Callbacks() if traced else _Plain())
 
 
+def _zero_step(var: str):
+    raise SemanticsError(f"loop {var}: zero step")
+
+
 def _compile(proc: Procedure, src: str) -> Callable:
     namespace: dict = {
+        "_zero_step": _zero_step,
         "_idiv": idiv,
         "_div": _div,
         "_mod": _mod,
@@ -412,8 +563,21 @@ def compile_stream(proc: Procedure) -> Callable:
             del buf[:]
             consume(*decoded)
 
+        ramp = np.ones((0, 2), dtype=np.int64)  # rows [k, 1]
+
+        def block(trips: int, steps_and_firsts) -> None:
+            """Append ``firsts + k*steps`` for ``k`` below ``trips``."""
+            nonlocal ramp
+            if trips > len(ramp):
+                ramp = np.ones((max(trips, 2 * len(ramp)), 2), dtype=np.int64)
+                ramp[:, 0] = np.arange(len(ramp))
+            # dtype: a subscript that is not an integer fails here, as it
+            # does in ``buf.append``
+            events = np.matmul(ramp[:trips], steps_and_firsts, dtype=np.int64)
+            buf.frombytes(events.tobytes())
+
         call = [env[p] for p in proc.params] + [env[a.name] for a in proc.arrays]
-        call += [buf.append, buf, flush]
+        call += [buf.append, buf, flush, block]
         offsets = {}
         for a in proc.arrays:
             offset, strides = layout.affine(a.name)

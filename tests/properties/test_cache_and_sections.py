@@ -14,7 +14,7 @@ from repro.analysis.sections import (
     section_intersect,
     section_union_hull,
 )
-from repro.machine.cache import Cache, CacheConfig
+from repro.machine.cache import WINDOW_FLOOR, Cache, CacheConfig
 from repro.symbolic.assume import Assumptions
 
 addresses = st.lists(st.integers(min_value=0, max_value=4095), min_size=1, max_size=300)
@@ -135,6 +135,90 @@ class TestBatchEqualsPerAccess:
         small_hits, big_hits = drive(small, rw, split), drive(big, rw, split)
         assert all(b or not s for (s, _), (b, _) in zip(small_hits, big_hits))  # stack inclusion
         assert big.stats.misses <= small.stats.misses
+
+
+# One-set caches (every TLB), whose ``access_many`` settles a long stretch
+# over few distinct lines as a window.  ``(ways, 32 * ways, 32, 0)`` is fully
+# associative; ``(4, 128, 32, 4)`` is one set by its associativity.
+one_set_geometries = st.sampled_from(
+    [(1, 32, 32, 0), (2, 64, 32, 0), (4, 128, 32, 0), (4, 128, 32, 4), (32, 1024, 32, 0)]
+)
+segments = st.lists(
+    st.tuples(
+        st.sampled_from(["few", "over", "alternate", "sweep"]),
+        st.integers(min_value=1, max_value=1500),  # accesses
+        st.sampled_from([0.0, 0.05, 0.5]),  # share of writes
+    ),
+    min_size=1,
+    max_size=4,
+)
+long_splits = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3000), st.booleans()), max_size=5
+)
+
+
+def long_trace(ways, segments, seed):
+    """Stretches of up to 1 500 accesses each: over at most ``ways`` lines,
+    over slightly more, alternating between two or three, or sweeping every
+    line in turn — all drawn from one pool of ``ways + 3`` lines."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice(200, size=ways + 3, replace=False)
+    trace = []
+    for kind, n, write_share in segments:
+        if kind == "sweep":
+            lines = np.resize(pool, n)
+        elif kind == "alternate":
+            lines = np.resize(rng.choice(pool, size=rng.integers(2, 4), replace=False), n)
+        else:
+            k = rng.integers(1, ways + 1) if kind == "few" else ways + rng.integers(1, 4)
+            lines = rng.choice(rng.choice(pool, size=k, replace=False), size=n)
+        addrs = lines * 32 + rng.integers(0, 32, size=n)
+        trace += zip(addrs.tolist(), (rng.random(n) < write_share).tolist())
+    return trace
+
+
+class TestWindowsEqualPerAccess:
+    @settings(max_examples=120, deadline=None)
+    @given(geometry=one_set_geometries, segments=segments, split=long_splits,
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_long_chunks_over_few_lines(self, geometry, segments, split, seed):
+        """As ``test_any_split_and_interleaving``, on chunks long enough to
+        be settled by their distinct lines."""
+        ways, *config = geometry
+        trace = long_trace(ways, segments, seed)
+        reference, mixed = Cache(CacheConfig(*config)), Cache(CacheConfig(*config))
+        assert drive(mixed, trace, split) == one_by_one(reference, trace)
+        assert mixed.stats == reference.stats
+        assert list(mixed._sets[0].items()) == list(reference._sets[0].items())
+
+    def test_a_window_replays_its_distinct_lines_only(self, monkeypatch):
+        """4 000 accesses alternating between three pages of a 32-entry TLB:
+        the three pages replayed twice, in first-touch and in last-touch
+        order, where run-collapsing alone leaves 4 000 LRU updates."""
+        tlb = Cache(CacheConfig(32 * 1024, 1024, 0))
+        replayed = []
+        replay = tlb._replay
+        monkeypatch.setattr(
+            tlb, "_replay", lambda lines, writes: replayed.append(len(lines)) or replay(lines, writes)
+        )
+        pages = np.resize([7, 3, 40], 4000)
+        miss, _ = tlb.access_many(pages * 1024, np.resize([False, True, False, False], 4000))
+        assert replayed == [3, 3]
+        assert miss.tolist() == [True] * 3 + [False] * 3997
+        assert list(tlb._sets[0].items()) == [(3, True), (40, True), (7, True)]
+
+    def test_too_many_lines_are_halved_then_replayed(self, monkeypatch):
+        """A sweep over 40 pages never fits 32 entries: the chunk is halved
+        down to the floor and every access replayed, all of them missing."""
+        tlb = Cache(CacheConfig(32 * 1024, 1024, 0))
+        replayed = []
+        replay = tlb._replay
+        monkeypatch.setattr(
+            tlb, "_replay", lambda lines, writes: replayed.append(len(lines)) or replay(lines, writes)
+        )
+        miss, _ = tlb.access_many(np.resize(np.arange(40), 3000) * 1024, np.zeros(3000, dtype=bool))
+        assert sum(replayed) == 3000 and max(replayed) < WINDOW_FLOOR
+        assert miss.all()
 
 
 bounds = st.integers(min_value=0, max_value=30)

@@ -1,4 +1,5 @@
-"""Cross-engine edge cases: zero-trip DO, IntDiv on negatives, bounds-once.
+"""Cross-engine edge cases: zero-trip DO, IntDiv on negatives, bounds-once,
+zero step.
 
 Fortran-77 semantics the two engines must agree on *exactly*:
 
@@ -6,8 +7,10 @@ Fortran-77 semantics the two engines must agree on *exactly*:
   times (DO I = 3, 2 falls straight through);
 - integer division truncates toward zero, including for negative
   operands (-7/2 = -3, 7/-2 = -3, -7/-2 = 3) — *not* Python floor;
-- loop bounds are evaluated once on entry; assignments to a bound
-  variable inside the body do not change the trip count.
+- loop bounds and step are evaluated once on entry, in that order;
+  assignments to a bound variable inside the body do not change the trip
+  count;
+- a zero step is an error, the same one from every engine.
 
 Each case runs plain (array results compared) and, where access order
 matters, traced (tracer event sequences compared element-wise).  A traced
@@ -21,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import SemanticsError
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import BinOp, Compare, Const, IntDiv, LogicalOp, Var
 from repro.ir.stmt import ArrayDecl, Procedure
@@ -206,6 +210,87 @@ class TestBoundsEvaluatedOnce:
         # passes scalars by value, so only arrays are comparable).
         env = execute(self._mutating_proc(), {"M": 4})
         assert env["M"] == 8
+
+
+class TestStepEvaluatedOnce:
+    def _proc(self):
+        # DO I = 1, N, S(1): A(I) = A(I) + 1
+        return Procedure(
+            "stride",
+            ("N",),
+            (ArrayDecl("A", (Var("N"),)), ArrayDecl("S", (Const(1),), dtype="i8")),
+            (do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") + 1.0), step=ref("S", 1)),),
+        )
+
+    @pytest.mark.parametrize("step, touched", [(2, (1, 3, 5)), (5, (1,))])
+    def test_the_step_is_loaded_once(self, step, touched, tiny_machine):
+        p = self._proc()
+        arrays = {"A": np.zeros(5), "S": np.array([step])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        # run_both: the stream is the callback trace through the layout
+        ei, _ = run_both(p, {"N": 5}, tracer_pair=(ti, tc), arrays=arrays)
+        assert ti.events == tc.events
+        assert tc.events == [("S", (1,), False)] + [
+            ("A", (i,), w) for i in touched for w in (False, True)
+        ]
+        assert ei["A"].tolist() == [float(i in touched) for i in range(1, 6)]
+        assert_engines_count_alike(p, {"N": 5}, tiny_machine, arrays=arrays)
+
+    def test_bounds_then_step(self):
+        # DO I = LO(1), HI(1), S(1): the interpreter's order, lo, hi, step
+        p = Procedure(
+            "order",
+            (),
+            (
+                ArrayDecl("A", (Const(9),)),
+                ArrayDecl("LO", (Const(1),), dtype="i8"),
+                ArrayDecl("HI", (Const(1),), dtype="i8"),
+                ArrayDecl("S", (Const(1),), dtype="i8"),
+            ),
+            (
+                do("I", ref("LO", 1), ref("HI", 1), assign(ref("A", "I"), Const(1.0)),
+                   step=ref("S", 1)),
+            ),
+        )
+        arrays = {"A": np.zeros(9), "LO": np.array([8]), "HI": np.array([2]),
+                  "S": np.array([-3])}
+        ti, tc = RecordingTracer(), RecordingTracer()
+        run_both(p, {}, tracer_pair=(ti, tc), arrays=arrays)
+        assert ti.events == tc.events
+        assert tc.events == [("LO", (1,), False), ("HI", (1,), False), ("S", (1,), False),
+                             ("A", (8,), True), ("A", (5,), True), ("A", (2,), True)]
+
+
+class TestZeroStep:
+    """``DO I = 1, N, 0``: every engine raises the interpreter's error."""
+
+    def _proc(self, step):
+        return Procedure(
+            "stuck",
+            ("N", "Z"),
+            (ArrayDecl("A", (Var("N"),)),),
+            (do("I", 1, "N", assign(ref("A", "I"), Const(1.0)), step=step),),
+        )
+
+    @pytest.mark.parametrize("step", [Const(0), Var("Z")], ids=["literal", "computed"])
+    def test_same_error_from_every_engine(self, step):
+        p, sizes = self._proc(step), {"N": 3, "Z": 0}
+        layout = Layout.for_procedure(p, sizes, line_bytes=32)
+        engines = {
+            "interpreter": lambda: execute(p, sizes),
+            "plain": lambda: compile_procedure(p)(sizes),
+            "callbacks": lambda: compile_procedure(p, traced=True)(
+                sizes, tracer=RecordingTracer()),
+            "stream": lambda: compile_stream(p)(sizes, layout, lambda *chunk: None),
+        }
+        for name, run in engines.items():
+            with pytest.raises(SemanticsError, match="loop I: zero step"):
+                run()
+
+    def test_unit_step_loops_carry_no_check(self):
+        p = self._proc(Const(1))
+        assert "_zero_step" not in compile_procedure(p).source
+        assert "_zero_step" in compile_procedure(self._proc(Var("Z"))).source
 
 
 class TestTracedAgreement:
