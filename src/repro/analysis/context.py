@@ -9,11 +9,11 @@ top.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from repro.ir.expr import Max, Min
+from repro.ir.expr import BinOp, Call, Expr, Max, Min
 from repro.ir.stmt import Loop, Procedure, Stmt
-from repro.ir.visit import walk_stmts
+from repro.ir.visit import loop_path
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
 
@@ -26,8 +26,6 @@ def _strip_mod_terms(e):
     ``trips >= 0`` so ``MOD(trips, u) >= 0`` and ``var >= lo`` still holds
     (facts are consulted only about executing iterations, so the empty-loop
     case is vacuous)."""
-    from repro.ir.expr import BinOp, Call
-
     if isinstance(e, BinOp) and e.op == "+":
         if isinstance(e.right, Call) and e.right.name == "MOD":
             return _strip_mod_terms(e.left)
@@ -37,37 +35,33 @@ def _strip_mod_terms(e):
     return e
 
 
+def bound_arms(loop: Loop) -> Iterator[tuple[bool, tuple[Expr, ...]]]:
+    """``lo <= loop.var <= hi`` arm by arm, as ``(is_lower, arms)``.
+
+    One arm is a conjunct: it bounds the variable on its own (a plain
+    bound, or an arm of a MAX lower / MIN upper bound, nested freely).
+    Several arms are a disjunction (MIN lower / MAX upper bound): only
+    some arm is known to hold.  Lower arms come first, with their
+    ``+ MOD(...)`` terms dropped."""
+
+    def walk(e: Expr, conj: type, disj: type):
+        if isinstance(e, conj):
+            for a in e.args:
+                yield from walk(a, conj, disj)
+        else:
+            yield e.args if isinstance(e, disj) else (e,)
+
+    for arms in walk(loop.lo, Max, Min):
+        yield True, tuple(_strip_mod_terms(a) for a in arms)
+    for arms in walk(loop.hi, Min, Max):
+        yield False, arms
+
+
 def add_loop_facts(ctx: Assumptions, loop: Loop) -> None:
     """Record ``lo <= loop.var <= hi`` (arm-wise through MAX/MIN)."""
-    lows = loop.lo.args if isinstance(loop.lo, Max) else (loop.lo,)
-    for arm in lows:
-        arm = _strip_mod_terms(arm)
-        if to_affine(arm) is not None:
-            ctx.assume_ge(loop.var, arm)
-    highs = loop.hi.args if isinstance(loop.hi, Min) else (loop.hi,)
-    for arm in highs:
-        if to_affine(arm) is not None:
-            ctx.assume_le(loop.var, arm)
-
-
-def context_for_loops(
-    root: Procedure | Stmt | Sequence[Stmt],
-    base: Optional[Assumptions] = None,
-) -> Assumptions:
-    """A context holding the range facts of every loop under ``root``.
-
-    DANGER: facts for same-named loops are merged, so this is only sound
-    when every loop variable has one consistent range under ``root`` —
-    index-set splitting breaks that (three sibling I loops with disjoint
-    ranges would yield a contradictory context).  Restructuring drivers
-    must use :func:`context_for_path` instead; this remains for
-    self-contained nests and tests.
-    """
-    ctx = base.copy() if base is not None else Assumptions()
-    for s in walk_stmts(root):
-        if isinstance(s, Loop):
-            add_loop_facts(ctx, s)
-    return ctx
+    for is_lower, arms in bound_arms(loop):
+        if len(arms) == 1 and to_affine(arms[0]) is not None:
+            (ctx.assume_ge if is_lower else ctx.assume_le)(loop.var, arms[0])
 
 
 def context_for_path(
@@ -81,8 +75,6 @@ def context_for_path(
     contributes, which is exactly the set of variables with well-defined
     values while ``target`` executes.
     """
-    from repro.ir.visit import loop_path
-
     ctx = base.copy() if base is not None else Assumptions()
     for l in loop_path(root, target):
         add_loop_facts(ctx, l)

@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from time import perf_counter as _perf_counter
-
+from repro.analysis.feasibility import memo_query
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.sections import expr_range, ranges_for_loops
 from repro.analysis.subscripts import analyze_subscript
-from repro.obs.core import current as _obs_current
+from repro.obs.core import count as _obs_count
+from repro.ir.expr import free_vars
 from repro.ir.stmt import Loop, Procedure, Stmt
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
@@ -97,10 +97,6 @@ class Dependence:
                 return loop
         return None
 
-    def carried_by(self, loop: Loop) -> bool:
-        c = self.carrier
-        return c is not None and (c is loop or c == loop)
-
     def describe(self) -> str:
         vec = ",".join(d if d != "<" else f"<({dist})" if dist is not None else "<"
                        for d, dist in zip(self.direction, self.distance))
@@ -133,7 +129,6 @@ def _test_dimension(
     common_vars: tuple[str, ...],
     foreign_vars: frozenset[str],
     ctx: Assumptions,
-    loops: tuple[Loop, ...],
 ):
     """Constrain one subscript dimension.
 
@@ -174,11 +169,7 @@ def _test_dimension(
                 return {}, {k}  # symbolic distance: unknown
             if dc.denominator != 1:
                 return _IMPOSSIBLE
-            dist = int(dc)
-            trip = _loop_trip_bound(loops[k], ctx)
-            if trip is not None and abs(dist) > trip:
-                return _IMPOSSIBLE
-            return {k: dist}, set()
+            return {k: int(dc)}, set()
         # weak SIV: ca*i - cb*i' = rb - ra ; GCD existence test
         rc = (-diff_rest).constant_value()
         if rc is not None and rc.denominator == 1:
@@ -240,7 +231,7 @@ def dependences_between(
             return []  # the two references never touch a common element
         sub_a = analyze_subscript(ea, common_vars)
         sub_b = analyze_subscript(eb, common_vars)
-        result = _test_dimension(sub_a, sub_b, common_vars, foreign, ctx, common)
+        result = _test_dimension(sub_a, sub_b, common_vars, foreign, ctx)
         if result == _IMPOSSIBLE:
             return []
         cons, _unk = result
@@ -248,6 +239,16 @@ def dependences_between(
             if k in constraints and constraints[k] != v:
                 return []  # conflicting exact distances: no common solution
             constraints[k] = v
+
+    # A distance cannot exceed its loop's trip count — provided source and
+    # sink run that loop over one range: every common loop its bounds
+    # mention (a triangular or rhomboidal coupling) is itself at distance 0.
+    for k, dist in constraints.items():
+        coupled = free_vars(common[k].lo) | free_vars(common[k].hi)
+        if all(constraints.get(q) == 0 for q, v in enumerate(common_vars) if v in coupled):
+            trip = _loop_trip_bound(common[k], ctx)
+            if trip is not None and abs(dist) > trip:
+                return []
 
     # Unconstrained common loops default to '*': the same element can be
     # touched at ANY distance on a loop the subscripts ignore.
@@ -283,12 +284,7 @@ def _ranges_disjoint(
     reorders nothing outside the loop being distributed).
     """
     def stack(acc: RefAccess):
-        if within is None:
-            return acc.loops
-        for k, l in enumerate(acc.loops):
-            if l is within:
-                return acc.loops[k:]
-        return acc.loops
+        return acc.loops if within is None else acc.loops_from(within)
 
     ra = expr_range(ea, ranges_for_loops(stack(a)), ctx)
     rb = expr_range(eb, ranges_for_loops(stack(b)), ctx)
@@ -352,25 +348,12 @@ def all_dependences(
 ) -> list[Dependence]:
     """Every dependence among array accesses under ``root``.
 
-    Reports query count, result size, and latency into the active
-    :mod:`repro.obs` observer (counters ``dependence.queries`` /
-    ``dependence.edges``, histogram ``dependence.latency_s``); cache hits
-    are included — per-region hit rates live in the analysis cache stats.
+    Observed as ``dependence.*`` (see :func:`memo_query`), plus the result
+    size as counter ``dependence.edges``.
     """
-    ctx = ctx or Assumptions()
-    _obs = _obs_current()
-    if _obs is None:
-        if _memo_hook is not None:
-            return _memo_hook(root, ctx, include_input, _all_dependences_uncached)
-        return _all_dependences_uncached(root, ctx, include_input)
-    t0 = _perf_counter()
-    if _memo_hook is not None:
-        deps = _memo_hook(root, ctx, include_input, _all_dependences_uncached)
-    else:
-        deps = _all_dependences_uncached(root, ctx, include_input)
-    _obs.count("dependence.queries")
-    _obs.count("dependence.edges", len(deps))
-    _obs.observe("dependence.latency_s", _perf_counter() - t0)
+    args = (root, ctx or Assumptions(), include_input)
+    deps = memo_query(_memo_hook, _all_dependences_uncached, args, "dependence")
+    _obs_count("dependence.edges", len(deps))
     return deps
 
 

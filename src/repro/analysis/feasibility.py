@@ -26,13 +26,12 @@ the legality checks consume — while "feasible" stays conservative.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
+from itertools import product as _product
 from time import perf_counter as _perf_counter
+from typing import Callable, Iterable, Optional, Sequence
 
+from repro.analysis.context import bound_arms
 from repro.analysis.refs import RefAccess
-from repro.ir.expr import Expr, Max, Min
 from repro.ir.stmt import Loop
 from repro.obs.core import current as _obs_current
 from repro.symbolic.affine import Affine, to_affine
@@ -59,27 +58,28 @@ _feasible_memo_hook = None
 _direction_memo_hook = None
 
 
+def memo_query(hook: Optional[Callable], compute: Callable, args: tuple, metric: str):
+    """Answer one analysis query: through the memo ``hook`` when one is
+    installed (called as ``hook(*args, compute)``), else ``compute(*args)``;
+    under an active :mod:`repro.obs` observer also count it into
+    ``<metric>.queries`` and time it into ``<metric>.latency_s`` (cache
+    hits included — per-region hit rates live in the analysis cache)."""
+    obs = _obs_current()
+    t0 = _perf_counter() if obs is not None else 0.0
+    result = hook(*args, compute) if hook is not None else compute(*args)
+    if obs is not None:
+        obs.count(f"{metric}.queries")
+        obs.observe(f"{metric}.latency_s", _perf_counter() - t0)
+    return result
+
+
 def feasible(constraints: Sequence[Affine]) -> bool:
     """Is the conjunction ``aff >= 0`` for all affs rationally satisfiable?
 
     Returns True (conservatively) when the elimination exceeds the size
-    guard.  Reports query count and latency into the active
-    :mod:`repro.obs` observer (``fm.feasible.queries`` /
-    ``fm.feasible.latency_s``).
+    guard.  Observed as ``fm.feasible.*`` (see :func:`memo_query`).
     """
-    _obs = _obs_current()
-    if _obs is None:
-        if _feasible_memo_hook is not None:
-            return _feasible_memo_hook(constraints, _feasible_uncached)
-        return _feasible_uncached(constraints)
-    t0 = _perf_counter()
-    if _feasible_memo_hook is not None:
-        result = _feasible_memo_hook(constraints, _feasible_uncached)
-    else:
-        result = _feasible_uncached(constraints)
-    _obs.count("fm.feasible.queries")
-    _obs.observe("fm.feasible.latency_s", _perf_counter() - t0)
-    return result
+    return memo_query(_feasible_memo_hook, _feasible_uncached, (constraints,), "fm.feasible")
 
 
 def _feasible_uncached(constraints: Sequence[Affine]) -> bool:
@@ -129,78 +129,34 @@ def _feasible_uncached(constraints: Sequence[Affine]) -> bool:
             return True  # give up soundly
 
 
-
-def _lower_arm(e: Expr):
-    """Affine form of a lower-bound arm, with ``+ MOD(...)`` terms dropped.
-
-    Unroll-and-jam remainder handling writes main-loop lower bounds as
-    ``base + MOD(trips, u)``; whenever the loop body executes, ``trips >=
-    0`` so the MOD term is nonnegative and ``var >= base`` still holds —
-    a sound relaxation.  Returns None when the arm stays unanalyzable."""
-    from repro.analysis.context import _strip_mod_terms
-
-    return to_affine(_strip_mod_terms(e))
-
-
-def _upper_arm(e: Expr):
-    """Affine form of an upper-bound arm; arms containing MOD (or anything
-    non-affine) yield None and the constraint is dropped (relaxation)."""
-    return to_affine(e)
-
-
 def _bound_constraints(
-    v: str, lo: Expr, hi: Expr, rename: dict[str, Affine]
+    loop: Loop, rename: dict[str, Affine]
 ) -> tuple[list[Affine], list[list[Affine]]]:
-    """``lo <= v <= hi`` with MIN/MAX bounds handled exactly.
+    """``lo <= loop.var <= hi`` with the variable and the bound expressions
+    renamed through ``rename`` (empty for the source iteration, the primed
+    copies for the sink), MIN/MAX bounds handled exactly.
 
-    MAX in a lower bound / MIN in an upper bound are conjunctions: added
-    arm-wise to the hard constraints.  MIN in a lower bound / MAX in an
-    upper bound are *disjunctions*: returned as alternative groups; the
-    caller enumerates arm choices.  Non-affine arms are dropped (a
-    relaxation — only ever makes the system more feasible, preserving the
-    "infeasible => independent" soundness direction)."""
+    Conjunctive arms (MAX lower / MIN upper) join the hard constraints;
+    disjunctive bounds (MIN lower / MAX upper) come back as alternative
+    groups whose arm choices the caller enumerates.  A non-affine arm —
+    anything with MOD left in it, say — drops its conjunct or voids its
+    whole disjunction: a relaxation, which only ever makes the system more
+    feasible and so preserves "infeasible => independent"."""
     hard: list[Affine] = []
     alts: list[list[Affine]] = []
-    vv = Affine.variable(v).substitute(rename)
-
-    def lower(e: Expr) -> None:
-        if isinstance(e, Max):
-            for a in e.args:
-                lower(a)
-            return
-        if isinstance(e, Min):
-            group = []
-            for a in e.args:
-                aff = _lower_arm(a)
-                if aff is None:
-                    return  # an unanalyzable arm voids the disjunction
-                group.append(vv - aff.substitute(rename))
+    vv = Affine.variable(loop.var).substitute(rename)
+    for is_lower, arms in bound_arms(loop):
+        affs = [to_affine(a) for a in arms]
+        if any(aff is None for aff in affs):
+            continue
+        group = [
+            vv - aff.substitute(rename) if is_lower else aff.substitute(rename) - vv
+            for aff in affs
+        ]
+        if len(group) == 1:
+            hard += group
+        else:
             alts.append(group)
-            return
-        aff = _lower_arm(e)
-        if aff is not None:
-            hard.append(vv - aff.substitute(rename))
-
-    def upper(e: Expr) -> None:
-        if isinstance(e, Min):
-            for a in e.args:
-                upper(a)
-            return
-        if isinstance(e, Max):
-            group = []
-            for a in e.args:
-                aff = _upper_arm(a)
-                if aff is None:
-                    return
-                group.append(aff.substitute(rename) - vv)
-            alts.append(group)
-            return
-        aff = _upper_arm(e)
-        if aff is not None:
-            hard.append(aff.substitute(rename) - vv)
-
-    lower(lo)
-    upper(hi)
     return hard, alts
 
 
@@ -222,27 +178,14 @@ def direction_feasible(
     enclosing loops are at the same iteration by definition.
     True = cannot rule out; False = proved impossible.
 
-    Reports query count and latency into the active :mod:`repro.obs`
-    observer (``fm.direction.queries`` / ``fm.direction.latency_s``).
+    Observed as ``fm.direction.*`` (see :func:`memo_query`).
     """
-    ctx = ctx or Assumptions()
-    _obs = _obs_current()
-    if _obs is None:
-        if _direction_memo_hook is not None:
-            return _direction_memo_hook(
-                a, b, directions, common, ctx, pinned, _direction_feasible_uncached
-            )
-        return _direction_feasible_uncached(a, b, directions, common, ctx, pinned)
-    t0 = _perf_counter()
-    if _direction_memo_hook is not None:
-        result = _direction_memo_hook(
-            a, b, directions, common, ctx, pinned, _direction_feasible_uncached
-        )
-    else:
-        result = _direction_feasible_uncached(a, b, directions, common, ctx, pinned)
-    _obs.count("fm.direction.queries")
-    _obs.observe("fm.direction.latency_s", _perf_counter() - t0)
-    return result
+    return memo_query(
+        _direction_memo_hook,
+        _direction_feasible_uncached,
+        (a, b, directions, common, ctx or Assumptions(), pinned),
+        "fm.direction",
+    )
 
 
 def _direction_feasible_uncached(
@@ -272,14 +215,13 @@ def _direction_feasible_uncached(
     # upper) produce alternative groups enumerated below.
     alt_groups: list[list[Affine]] = []
     for l in a.loops:
-        hard, alts = _bound_constraints(l.var, l.lo, l.hi, {})
+        hard, alts = _bound_constraints(l, {})
         cons.extend(hard)
         alt_groups.extend(alts)
     for l in b.loops:
         if l.var in eq_vars and any(la is l for la in a.loops):
             continue  # identical constraint already added
-        name = l.var if l.var in eq_vars else l.var + "'"
-        hard, alts = _bound_constraints_for(name, l.lo, l.hi, sink_rename)
+        hard, alts = _bound_constraints(l, sink_rename)
         cons.extend(hard)
         alt_groups.extend(alts)
 
@@ -314,8 +256,6 @@ def _direction_feasible_uncached(
 
     # Enumerate the disjunctive arm choices (capped; overflow groups are
     # dropped, which relaxes toward "feasible" — the sound direction).
-    from itertools import product as _product
-
     if len(alt_groups) > 4:
         alt_groups = alt_groups[:4]
     if not alt_groups:
@@ -324,65 +264,6 @@ def _direction_feasible_uncached(
         if feasible(cons + list(choice)):
             return True
     return False
-
-
-def _bound_constraints_for(
-    name: str, lo: Expr, hi: Expr, rename: dict[str, Affine]
-) -> tuple[list[Affine], list[list[Affine]]]:
-    """Like :func:`_bound_constraints` but the variable itself is already
-    renamed (the sink copy) while the bound expressions go through
-    ``rename``."""
-    fake = Affine.variable(name)
-    # reuse the main routine by renaming a placeholder onto `name`
-    rename2 = dict(rename)
-    return _bound_constraints_prerenamed(fake, lo, hi, rename2)
-
-
-def _bound_constraints_prerenamed(
-    vv: Affine, lo: Expr, hi: Expr, rename: dict[str, Affine]
-) -> tuple[list[Affine], list[list[Affine]]]:
-    hard: list[Affine] = []
-    alts: list[list[Affine]] = []
-
-    def lower(e: Expr) -> None:
-        if isinstance(e, Max):
-            for x in e.args:
-                lower(x)
-            return
-        if isinstance(e, Min):
-            group = []
-            for x in e.args:
-                aff = _lower_arm(x)
-                if aff is None:
-                    return
-                group.append(vv - aff.substitute(rename))
-            alts.append(group)
-            return
-        aff = _lower_arm(e)
-        if aff is not None:
-            hard.append(vv - aff.substitute(rename))
-
-    def upper(e: Expr) -> None:
-        if isinstance(e, Min):
-            for x in e.args:
-                upper(x)
-            return
-        if isinstance(e, Max):
-            group = []
-            for x in e.args:
-                aff = _upper_arm(x)
-                if aff is None:
-                    return
-                group.append(aff.substitute(rename) - vv)
-            alts.append(group)
-            return
-        aff = _upper_arm(e)
-        if aff is not None:
-            hard.append(aff.substitute(rename) - vv)
-
-    lower(lo)
-    upper(hi)
-    return hard, alts
 
 
 def _context_facts(

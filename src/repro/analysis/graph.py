@@ -36,13 +36,12 @@ from repro.ir.visit import walk_stmts
 from repro.symbolic.assume import Assumptions
 
 
-def _top_stmt_of(acc: RefAccess, loop: Loop) -> Optional[Stmt]:
+def _top_stmt_of(acc: RefAccess, loop: Loop) -> Stmt:
     """The direct child of ``loop.body`` that (transitively) contains the
-    access: the access's next-inner loop after ``loop``, or its statement."""
-    for k, l in enumerate(acc.loops):
-        if l is loop:
-            return acc.loops[k + 1] if k + 1 < len(acc.loops) else acc.stmt
-    return None
+    access (one collected under ``loop``): the access's next-inner loop
+    after ``loop``, or its statement."""
+    inside = acc.loops_from(loop)
+    return inside[1] if len(inside) > 1 else acc.stmt
 
 
 def _position_in_body(stmt: Stmt, body: Sequence[Stmt]) -> Optional[int]:
@@ -113,9 +112,6 @@ class DependenceGraph:
         self.deps: list[Dependence] = all_dependences(root, self.ctx, include_input)
 
     # ------------------------------------------------------------------
-    def deps_on_array(self, array: str) -> list[Dependence]:
-        return [d for d in self.deps if d.array == array]
-
     def relative_deps(self, loop: Loop) -> list[Dependence]:
         """Dependences among accesses under ``loop``, with the common-loop
         vector starting at ``loop`` (outer loops held fixed).
@@ -126,7 +122,7 @@ class DependenceGraph:
         are dropped.  This is what breaks the false recurrence between
         block LU's panel and its trailing update after index-set
         splitting."""
-        accs = [a for a in collect_accesses(loop) if any(l is loop for l in a.loops)]
+        accs = collect_accesses(loop)  # every one has ``loop`` outermost
         out: list[Dependence] = []
         for i in range(len(accs)):
             for j in range(i, len(accs)):
@@ -174,12 +170,8 @@ class DependenceGraph:
         for d in self.relative_deps(loop):
             if drop_dep is not None and drop_dep(d):
                 continue
-            u_stmt = _top_stmt_of(d.source, loop)
-            v_stmt = _top_stmt_of(d.sink, loop)
-            if u_stmt is None or v_stmt is None:
-                continue
-            u = _position_in_body(u_stmt, body)
-            v = _position_in_body(v_stmt, body)
+            u = _position_in_body(_top_stmt_of(d.source, loop), body)
+            v = _position_in_body(_top_stmt_of(d.sink, loop), body)
             if u is None or v is None or u == v:
                 continue
             g.add_edge(u, v, dep=d)
@@ -229,19 +221,6 @@ class DependenceGraph:
                 if u in scc and v in scc and "dep" in data:
                     prevent.append(data["dep"])
         return prevent
-
-    def scalar_recurrence_names(self, loop: Loop) -> set[str]:
-        """Scalars whose cross-statement flow participates in a cycle —
-        candidates for scalar expansion."""
-        g = self.statement_graph(loop)
-        names: set[str] = set()
-        for scc in nx.strongly_connected_components(g):
-            if len(scc) < 2:
-                continue
-            for u, v, data in g.edges(data=True):
-                if u in scc and v in scc and "scalar" in data:
-                    names.update(data["scalar"])
-        return names
 
 
 def recurrences_in(

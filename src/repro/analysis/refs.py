@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.ir.expr import ArrayRef, Expr, Var
+from repro.ir.expr import ArrayRef, Expr, Not
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
 from repro.ir.visit import array_refs
 
@@ -46,6 +46,17 @@ class RefAccess:
     def innermost(self) -> Loop | None:
         return self.loops[-1] if self.loops else None
 
+    def loops_from(self, region: Loop) -> tuple[Loop, ...] | None:
+        """The enclosing loops from ``region`` inward (``region`` first) —
+        the ones that sweep over a full execution of ``region`` while
+        everything outer stays fixed — or None when the access is not
+        inside it.  ``region`` is found by node identity first, structural
+        equality second (analyses hand over loops of rebuilt trees)."""
+        for k, l in enumerate(self.loops):
+            if l is region or l == region:
+                return self.loops[k:]
+        return None
+
     def common_loops(self, other: "RefAccess") -> tuple[Loop, ...]:
         """Longest shared prefix of enclosing loops (by node identity)."""
         out = []
@@ -57,18 +68,14 @@ class RefAccess:
         return tuple(out)
 
 
-def collect_accesses(
-    root: Procedure | Stmt | Sequence[Stmt],
-    include_bound_refs: bool = False,
-) -> list[RefAccess]:
+def collect_accesses(root: Procedure | Stmt | Sequence[Stmt]) -> list[RefAccess]:
     """All array accesses under ``root`` in textual order.
 
     The LHS of an assignment is a write; every ArrayRef inside the RHS (or
-    inside LHS subscripts) is a read.  Array references appearing in loop
-    bounds or IF conditions are reads too and are included when
-    ``include_bound_refs`` is set (off by default: the paper's kernels
-    subscript bounds with scalars only, and dependence-testing bound refs
-    would only add noise).
+    inside LHS subscripts) is a read.  Array references in loop bounds and
+    IF conditions are not collected: the paper's kernels subscript bounds
+    with scalars only, and dependence-testing bound refs would only add
+    noise.
     """
     if isinstance(root, Procedure):
         body: Sequence[Stmt] = root.body
@@ -95,22 +102,9 @@ def collect_accesses(
                 if isinstance(stmt.target, ArrayRef):
                     out.append(RefAccess(stmt.target, stmt, pos, True, loops, guards))
             elif isinstance(stmt, Loop):
-                if include_bound_refs:
-                    for e in (stmt.lo, stmt.hi, stmt.step):
-                        for r in array_refs(e):
-                            out.append(
-                                RefAccess(r, Assign(Var("_bound"), r), pos, False, loops, guards)
-                            )
                 visit(stmt.body, loops + (stmt,), guards)
             elif isinstance(stmt, If):
-                if include_bound_refs:
-                    for r in array_refs(stmt.cond):
-                        out.append(
-                            RefAccess(r, Assign(Var("_cond"), r), pos, False, loops, guards)
-                        )
                 visit(stmt.then, loops, guards + (stmt.cond,))
-                from repro.ir.expr import Not
-
                 visit(stmt.els, loops, guards + (Not(stmt.cond),))
             elif isinstance(stmt, (BlockLoop, InLoop)):
                 # Extension loops are analyzed after lowering; treat the

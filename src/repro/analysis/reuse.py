@@ -122,12 +122,7 @@ def estimate_block_footprint(
         if key in seen:
             continue
         seen.add(key)
-        inner_loops: list = []
-        for k, l in enumerate(acc.loops):
-            if l is loop:
-                inner_loops = list(acc.loops[k + 1 :])
-                break
-        ranges = ranges_for_loops(inner_loops)
+        ranges = ranges_for_loops(acc.loops_from(loop)[1:])
         ranges[loop.var] = window
         elems = 1
         for e in acc.ref.index:

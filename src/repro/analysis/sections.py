@@ -165,25 +165,20 @@ def section_of_ref(
     Loops outside the region stay symbolic: the LU study computes sections
     "for the entire execution of the KK-loop" with K symbolic (Fig. 5).
     """
+    region_loops = acc.loops if region_loop is None else acc.loops_from(region_loop)
+    if region_loops is None:
+        raise AnalysisError("access is not inside the region loop")
     if _memo_hook is not None:
-        return _memo_hook(acc, region_loop, ctx, extra_ranges, _section_of_ref_uncached)
-    return _section_of_ref_uncached(acc, region_loop, ctx, extra_ranges)
+        return _memo_hook(acc, region_loops, ctx, extra_ranges, _section_of_ref_uncached)
+    return _section_of_ref_uncached(acc, region_loops, ctx, extra_ranges)
 
 
 def _section_of_ref_uncached(
     acc: RefAccess,
-    region_loop: Loop | None,
+    region_loops: Sequence[Loop],
     ctx: Optional[Assumptions],
     extra_ranges: Optional[Ranges],
 ) -> Optional[Section]:
-    if region_loop is None:
-        region_loops: Sequence[Loop] = acc.loops
-    else:
-        try:
-            at = next(k for k, l in enumerate(acc.loops) if l is region_loop or l == region_loop)
-        except StopIteration:
-            raise AnalysisError("access is not inside the region loop") from None
-        region_loops = acc.loops[at:]
     ranges = ranges_for_loops(region_loops)
     if extra_ranges:
         ranges.update(extra_ranges)

@@ -199,7 +199,7 @@ def matmul_ujif(u: int = 4) -> Procedure:
     proc, executor = if_inspect(proc, k, ctx)
     exec_live = next(l for l in find_loops(proc) if l == executor)
     k_exec = sole_inner_loop(exec_live)
-    proc = unroll_and_jam(proc, k_exec, u, Assumptions().assume_ge("N", 1), check=True)
+    proc = unroll_and_jam(proc, k_exec, u, Assumptions().assume_ge("N", 1))
     proc, _ = scalar_replace(proc, Assumptions().assume_ge("N", 1))
     return proc
 

@@ -20,9 +20,13 @@ from the command line.
 
 from repro.check.diagnostics import RULES, Diagnostic, Rule, Severity, errors_in
 from repro.check.legality import postcheck, precheck
-from repro.check.linter import LintResult, lint_blockability, lint_loop
+from repro.check.linter import LintResult, lint_blockability, lint_loop, lint_parallelism
 from repro.check.report import SCHEMA, build_report
 from repro.check.verifier import verify_ir
+from repro.errors import CheckError
+from repro.pipeline import derive
+from repro.pipeline.cache import AnalysisCache
+from repro.pipeline.workloads import get_workload
 
 __all__ = [
     "RULES",
@@ -31,6 +35,7 @@ __all__ = [
     "Severity",
     "SCHEMA",
     "LintResult",
+    "audit_workload",
     "build_report",
     "errors_in",
     "lint_blockability",
@@ -39,3 +44,24 @@ __all__ = [
     "precheck",
     "verify_ir",
 ]
+
+
+def audit_workload(name: str) -> tuple[list[Diagnostic], list[LintResult]]:
+    """The whole stack over one registered workload — what ``repro check
+    NAME`` and the served ``check`` job both report: verify the freshly
+    built IR, lint every outermost loop for blockability (the verdicts,
+    also mirrored as ``lint/*`` diagnostics) and every loop for
+    parallelism, then re-derive the default pipeline under ``check=True``
+    so each pass is bracketed by legality pre/postchecks."""
+    workload = get_workload(name)
+    ctx = workload.context(None)
+    proc = workload.build()
+    diagnostics = list(verify_ir(proc, ctx))
+    verdicts = lint_blockability(proc, ctx)
+    diagnostics.extend(res.diagnostic() for res in verdicts)
+    diagnostics.extend(lint_parallelism(proc, ctx))
+    try:
+        diagnostics.extend(derive(name, cache=AnalysisCache(), check=True).check_diagnostics)
+    except CheckError as e:
+        diagnostics.extend(e.diagnostics)
+    return diagnostics, verdicts

@@ -27,32 +27,11 @@ at least one was, 2 for usage errors (unknown workload).
 from __future__ import annotations
 
 from repro import cli
+from repro.check import audit_workload
 from repro.check.diagnostics import RULES, Severity, errors_in
-from repro.check.linter import lint_blockability, lint_parallelism
 from repro.check.report import SCHEMA, build_report
-from repro.check.verifier import verify_ir
-from repro.errors import CheckError, PipelineError
-from repro.pipeline import derive
-from repro.pipeline.cache import AnalysisCache
-from repro.pipeline.workloads import available_workloads, get_workload
-
-
-def _check_workload(name: str, diagnostics: list, verdicts: list) -> None:
-    workload = get_workload(name)
-    ctx = workload.context(None)
-    proc = workload.build()
-
-    diagnostics.extend(verify_ir(proc, ctx))
-    for res in lint_blockability(proc, ctx):
-        diagnostics.append(res.diagnostic())
-        verdicts.append(res)
-    diagnostics.extend(lint_parallelism(proc, ctx))
-
-    try:
-        result = derive(name, cache=AnalysisCache(), check=True)
-        diagnostics.extend(result.check_diagnostics)
-    except CheckError as e:
-        diagnostics.extend(e.diagnostics)
+from repro.errors import PipelineError
+from repro.pipeline.workloads import available_workloads
 
 
 def register(sub) -> None:
@@ -108,13 +87,12 @@ def run(args) -> int:
     verdicts: list = []
     status = 0
     for name in names:
-        before = len(diagnostics)
-        before_v = len(verdicts)
-        _check_workload(name, diagnostics, verdicts)
-        new = diagnostics[before:]
+        new, new_verdicts = audit_workload(name)
+        diagnostics += new
+        verdicts += new_verdicts
         errs = errors_in(new)
         verdict_part = "; ".join(
-            f"DO {v.loop_var}: {v.verdict}" for v in verdicts[before_v:]
+            f"DO {v.loop_var}: {v.verdict}" for v in new_verdicts
         )
         print(f"{name:<12} {len(new)} diagnostic(s), {len(errs)} error(s)"
               + (f"  [{verdict_part}]" if verdict_part else ""))

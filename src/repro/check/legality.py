@@ -76,12 +76,10 @@ def _dep_str(dep) -> str:
 # the (<, >) direction-vector rule, shared by interchange and jam
 # ---------------------------------------------------------------------------
 
-def _swap_violations(
-    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions, rule_id: str
-) -> list[Diagnostic]:
-    """Dependences realizable with ``(=,...,=,<,>)`` at (outer, inner)."""
-    out: list[Diagnostic] = []
-    path = f"{proc.name}/DO {outer.var}/DO {inner.var}"
+def swap_witnesses(proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions):
+    """Yield the array of every access pair under ``inner`` with a
+    dependence realizable as ``(=,...,=,<,>)`` at (outer, inner).  Lazy, so
+    the linter can stop at the first."""
     accs = [a for a in collect_accesses(proc) if any(l is inner for l in a.loops)]
     for i in range(len(accs)):
         for j in range(i, len(accs)):
@@ -98,16 +96,26 @@ def _swap_violations(
             for k in range(p):
                 dirs[k] = "="
             dirs[p], dirs[q] = "<", ">"
-            for src, snk in ((a, b),) if a is b else ((a, b), (b, a)):
-                if direction_feasible(src, snk, dirs, common, ctx):
-                    out.append(diag(
-                        rule_id, path,
-                        f"dependence on {a.array} is realizable with "
-                        f"({outer.var}:<, {inner.var}:>) — reordering "
-                        f"{outer.var}/{inner.var} iterations reverses it",
-                    ))
-                    break
-    return out
+            if direction_feasible(a, b, dirs, common, ctx) or (
+                a is not b and direction_feasible(b, a, dirs, common, ctx)
+            ):
+                yield a.array
+
+
+def _swap_violations(
+    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions, rule_id: str
+) -> list[Diagnostic]:
+    """One diagnostic per :func:`swap_witnesses` pair."""
+    path = f"{proc.name}/DO {outer.var}/DO {inner.var}"
+    return [
+        diag(
+            rule_id, path,
+            f"dependence on {array} is realizable with "
+            f"({outer.var}:<, {inner.var}:>) — reordering "
+            f"{outer.var}/{inner.var} iterations reverses it",
+        )
+        for array in swap_witnesses(proc, outer, inner, ctx)
+    ]
 
 
 def _bounds_written(proc: Procedure, outer: Loop, inner: Loop) -> list[Diagnostic]:

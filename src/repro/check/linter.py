@@ -46,11 +46,10 @@ from typing import Optional
 import networkx as nx
 
 from repro.analysis.context import context_for_path
-from repro.analysis.feasibility import direction_feasible
 from repro.analysis.graph import DependenceGraph
-from repro.analysis.refs import collect_accesses
 from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
+from repro.check.legality import swap_witnesses
 from repro.check.oracle import dependence_commutes
 from repro.errors import AnalysisError
 from repro.ir.expr import free_vars
@@ -153,30 +152,8 @@ def _carvable(n, stmt, scc, sg, loop, local, direction) -> bool:
 def _sink_blocked(proc, target, inner, local) -> bool:
     """Is some dependence realizable with direction ``(target:<,
     inner:>)``?  If so the strip of ``target`` cannot legally
-    interchange past ``inner`` (the rule of
-    :func:`repro.check.legality._swap_violations`, re-derived here on
-    the accesses under ``inner``)."""
-    accs = [a for a in collect_accesses(proc)
-            if any(l is inner for l in a.loops)]
-    for i in range(len(accs)):
-        for j in range(i, len(accs)):
-            a, b = accs[i], accs[j]
-            if a.array != b.array or not (a.is_write or b.is_write):
-                continue
-            common = a.common_loops(b)
-            try:
-                p = next(k for k, l in enumerate(common) if l is target)
-                q = next(k for k, l in enumerate(common) if l is inner)
-            except StopIteration:
-                continue
-            dirs = ["*"] * len(common)
-            for k in range(p):
-                dirs[k] = "="
-            dirs[p], dirs[q] = "<", ">"
-            for src, snk in ((a, b),) if a is b else ((a, b), (b, a)):
-                if direction_feasible(src, snk, dirs, common, local):
-                    return True
-    return False
+    interchange past ``inner``."""
+    return next(swap_witnesses(proc, target, inner, local), None) is not None
 
 
 def _sink_chain(stmt) -> Optional[list]:

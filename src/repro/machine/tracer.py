@@ -20,11 +20,9 @@ class CacheTracer:
     optionally a TLB, modeled as a second cache whose line is the page).
 
     Every (array, 1-based index, is_write) event is mapped through a
-    :class:`Layout` to a byte address and driven through both.  Per-array
-    access counts are kept for the locality breakdowns some benchmark
-    tables print.  :meth:`access_many` takes the same trace as chunks of
-    byte addresses instead and counts identically; calls to the two may be
-    interleaved.
+    :class:`Layout` to a byte address and driven through both.
+    :meth:`access_many` takes the same trace as chunks of byte addresses
+    instead and counts identically; calls to the two may be interleaved.
 
     Stores are driven through the TLB with their write flag intact, so a
     TLB entry touched by a store is marked dirty and its later eviction
@@ -50,17 +48,12 @@ class CacheTracer:
         self.cache = cache
         self.tlb = tlb
         self.attribution = attribution
-        self.per_array: dict[str, int] = {}
-        self.per_array_misses: dict[str, int] = {}
 
     def access(self, array: str, index: tuple[int, ...], is_write: bool) -> None:
         addr = self.layout.address(array, index)
-        hit = self.cache.access(addr, is_write)
+        self.cache.access(addr, is_write)
         if self.tlb is not None:
             self.tlb.access(addr, is_write)
-        self.per_array[array] = self.per_array.get(array, 0) + 1
-        if not hit:
-            self.per_array_misses[array] = self.per_array_misses.get(array, 0) + 1
 
     def access_many(
         self, addrs: np.ndarray, writes: np.ndarray, sites: Optional[np.ndarray] = None
@@ -73,14 +66,6 @@ class CacheTracer:
         tlb_miss = np.zeros(len(addrs), dtype=bool)
         if self.tlb is not None:
             tlb_miss, _ = self.tlb.access_many(addrs, writes)
-        # arrays sit at ascending bases in layout order, so the array an
-        # address belongs to is the last one based at or below it
-        bases = self.layout.base_addr
-        ids = np.searchsorted(list(bases.values()), addrs, side="right") - 1
-        for counts, which in ((self.per_array, ids), (self.per_array_misses, ids[miss])):
-            for name, c in zip(bases, np.bincount(which, minlength=len(bases)).tolist()):
-                if c:
-                    counts[name] = counts.get(name, 0) + c
         if self.attribution is not None:
             self.attribution.count(sites, miss, wrote_back, tlb_miss, writes)
 

@@ -31,7 +31,7 @@ from repro.matrix.report import ROW_STATUSES, build_report
 from repro.obs import core as _obs
 from repro.serve.jobs import job_key
 from repro.serve.pool import WorkerPool
-from repro.serve.store import ArtifactStore
+from repro.serve.store import ArtifactStore, key_digest
 
 
 def cell_digests(spec: GridSpec, store: Optional[ArtifactStore] = None) -> dict:
@@ -41,11 +41,10 @@ def cell_digests(spec: GridSpec, store: Optional[ArtifactStore] = None) -> dict:
     (``ArtifactStore.digest(job_key(...))``), so database rows, store
     artifacts, and in-flight jobs all share one address.
     """
-    hasher = store if store is not None else ArtifactStore(root="")
+    digest_of = store.digest if store is not None else key_digest
     out: dict = {}
     for cell in spec.cells():
-        digest = hasher.digest(job_key(cell_spec(cell)))
-        out.setdefault(digest, cell)
+        out.setdefault(digest_of(job_key(cell_spec(cell))), cell)
     return out
 
 

@@ -26,7 +26,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.errors import SemanticsError
 from repro.ir.pretty import to_fortran
 from repro.ir.stmt import Assign, ParallelLoop, Procedure, Stmt
 from repro.ir.visit import walk_stmts
@@ -73,11 +72,13 @@ class RaceConflict:
 class _Frame:
     """Shadow footprint of the currently executing PARALLEL DO loop."""
 
-    __slots__ = ("var", "iter", "shadow")
+    __slots__ = ("loop", "iter", "shadow")
 
-    def __init__(self, var: str):
-        self.var = var
-        self.iter = 0
+    def __init__(self, loop: ParallelLoop):
+        self.loop = loop
+        # None until the first trip: the loop's own bound loads precede it
+        # and belong to no iteration
+        self.iter: Optional[int] = None
         # (array, index) -> [write_iter, write_stmt, read_iter, read_stmt]
         self.shadow: dict = {}
 
@@ -105,13 +106,13 @@ class RaceSanitizer(Interpreter):
 
     # ---- recording -------------------------------------------------------
     def _conflict(self, frame: _Frame, kind: str, array: str, idx, other_iter, other_stmt):
-        key = (frame.var, array, idx, kind)
+        key = (frame.loop.var, array, idx, kind)
         if key in self._seen or len(self.conflicts) >= self.max_conflicts:
             return
         self._seen.add(key)
         self.conflicts.append(
             RaceConflict(
-                loop=frame.var,
+                loop=frame.loop.var,
                 kind=kind,
                 array=array,
                 index=idx,
@@ -124,6 +125,8 @@ class RaceSanitizer(Interpreter):
 
     def _record(self, array: str, idx: tuple[int, ...], is_write: bool) -> None:
         for frame in self._frames:
+            if frame.iter is None:
+                continue
             cell = frame.shadow.get((array, idx))
             if cell is None:
                 cell = frame.shadow[(array, idx)] = [None, None, None, None]
@@ -156,29 +159,21 @@ class RaceSanitizer(Interpreter):
         self.env[ref.array][tuple(i - 1 for i in idx)] = value
 
     def _stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            if self._frames:
-                self._cur_stmt = _stmt_line(stmt)
-            return super()._stmt(stmt)
+        if isinstance(stmt, Assign) and self._frames:
+            self._cur_stmt = _stmt_line(stmt)
         if isinstance(stmt, ParallelLoop) and stmt.kind == "parallel":
-            lo = int(self.eval(stmt.lo))
-            hi = int(self.eval(stmt.hi))
-            step = int(self.eval(stmt.step))
-            if step == 0:
-                raise SemanticsError(f"loop {stmt.var}: zero step")
-            frame = _Frame(stmt.var)
-            self._frames.append(frame)
+            self._frames.append(_Frame(stmt))
             try:
-                v = lo
-                while (v <= hi) if step > 0 else (v >= hi):
-                    frame.iter = v
-                    self.env[stmt.var] = v
-                    self.run(stmt.body)
-                    v += step
+                super()._stmt(stmt)
             finally:
                 self._frames.pop()
-            return
-        return super()._stmt(stmt)
+        else:
+            super()._stmt(stmt)
+
+    def _iteration(self, loop, v: int) -> None:
+        if self._frames and self._frames[-1].loop is loop:
+            self._frames[-1].iter = v
+        super()._iteration(loop, v)
 
 
 @dataclass

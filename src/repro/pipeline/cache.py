@@ -191,20 +191,7 @@ class AnalysisCache:
             key, lambda: compute(a, b, directions, common, ctx, pinned)
         )
 
-    def _section_hook(self, acc, region_loop, ctx, extra_ranges, compute):
-        if region_loop is None:
-            region_loops = acc.loops
-        else:
-            try:
-                at = next(
-                    k
-                    for k, l in enumerate(acc.loops)
-                    if l is region_loop or l == region_loop
-                )
-            except StopIteration:
-                # not inside the region: let the real routine raise its error
-                return compute(acc, region_loop, ctx, extra_ranges)
-            region_loops = acc.loops[at:]
+    def _section_hook(self, acc, region_loops, ctx, extra_ranges, compute):
         extra_key = (
             tuple(
                 sorted(
@@ -223,7 +210,7 @@ class AnalysisCache:
             extra_key,
         )
         return self.sections.get_or(
-            key, lambda: compute(acc, region_loop, ctx, extra_ranges)
+            key, lambda: compute(acc, region_loops, ctx, extra_ranges)
         )
 
     # ---- bookkeeping ------------------------------------------------------

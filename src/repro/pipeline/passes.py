@@ -276,7 +276,7 @@ def _interchange_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOu
     var = _opt_loop_var(proc, options)
     loop = loop_by_var(proc.body, var)
     local = context_for_path(proc, loop, ctx)
-    new = interchange(proc, loop, local, check=bool(options.get("check", True)))
+    new = interchange(proc, loop, local)
     return PassOutcome(new, True, {"outer": var, "inner": sole_inner_loop(loop).var})
 
 
@@ -285,7 +285,7 @@ register(
         "interchange",
         "swap a loop with its sole inner loop (triangular/rhomboidal "
         "bound rewrites included)",
-        options=("loop", "check"),
+        options=("loop",),
         precondition="target loop is perfectly nested over one inner loop",
     ),
     _interchange_precheck,

@@ -208,6 +208,11 @@ class Interpreter:
         for stmt in body:
             self._stmt(stmt)
 
+    def _iteration(self, loop: Loop, v: int) -> None:
+        """One trip of ``loop`` at ``v`` (the hook observers override)."""
+        self.env[loop.var] = v
+        self.run(loop.body)
+
     def _stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
             if isinstance(stmt.target, ArrayRef):
@@ -221,17 +226,8 @@ class Interpreter:
             step = int(self.eval(stmt.step))
             if step == 0:
                 raise SemanticsError(f"loop {stmt.var}: zero step")
-            v = lo
-            if step > 0:
-                while v <= hi:
-                    self.env[stmt.var] = v
-                    self.run(stmt.body)
-                    v += step
-            else:
-                while v >= hi:
-                    self.env[stmt.var] = v
-                    self.run(stmt.body)
-                    v += step
+            for v in range(lo, hi + (1 if step > 0 else -1), step):
+                self._iteration(stmt, v)
         elif isinstance(stmt, If):
             if self.eval(stmt.cond):
                 self.run(stmt.then)

@@ -271,37 +271,19 @@ def _run_execute(spec: JobSpec) -> dict:
 
 
 def _run_check(spec: JobSpec) -> dict:
+    from repro.check import audit_workload, errors_in
     from repro.check.diagnostics import Severity
-    from repro.check.linter import lint_blockability
-    from repro.check.verifier import verify_ir
-    from repro.errors import CheckError
-    from repro.pipeline import derive
-    from repro.pipeline.workloads import get_workload
 
-    workload = get_workload(spec.workload)
-    ctx = workload.context(None)
-    proc = workload.build()
-    diagnostics = list(verify_ir(proc, ctx))
-    verdicts = []
-    for res in lint_blockability(proc, ctx):
-        diagnostics.append(res.diagnostic())
-        verdicts.append(
-            {"loop": res.loop_var, "verdict": res.verdict, "reason": res.reason}
-        )
-    try:
-        result = derive(spec.workload, cache=_fresh_cache(), check=True)
-        diagnostics.extend(result.check_diagnostics)
-    except CheckError as e:
-        diagnostics.extend(e.diagnostics)
-    by_sev = {s.value: 0 for s in Severity}
-    for d in diagnostics:
-        by_sev[d.severity.value] += 1
+    diagnostics, verdicts = audit_workload(spec.workload)
     return {
         "workload": spec.workload,
         "diagnostics": len(diagnostics),
-        "errors": by_sev.get("error", 0),
-        "warnings": by_sev.get("warning", 0),
-        "verdicts": verdicts,
+        "errors": len(errors_in(diagnostics)),
+        "warnings": sum(1 for d in diagnostics if d.severity == Severity.WARNING),
+        "verdicts": [
+            {"loop": res.loop_var, "verdict": res.verdict, "reason": res.reason}
+            for res in verdicts
+        ],
     }
 
 

@@ -54,7 +54,7 @@ from repro.errors import PipelineError
 from repro.obs import core as _obs
 from repro.obs import snapshot as _snap
 from repro.serve.jobs import TERMINAL_ERRORS, JobSpec, execute_job, job_key
-from repro.serve.store import ArtifactStore
+from repro.serve.store import ArtifactStore, key_digest
 
 #: terminal job statuses as they appear in ``repro.serve/1`` reports
 STATUSES = ("hit", "computed", "retried", "timeout", "failed", "cancelled")
@@ -235,7 +235,7 @@ class WorkerPool:
         if self._closed:
             raise PipelineError("pool is closed")
         key = job_key(spec)
-        digest = (self.store or ArtifactStore(root="")).digest(key)
+        digest = self.store.digest(key) if self.store is not None else key_digest(key)
 
         existing = self._inflight.get(digest)
         if existing is not None:  # identical in-flight job: coalesce

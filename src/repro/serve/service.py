@@ -78,8 +78,9 @@ def run_batch(
     with WorkerPool(
         workers=workers, store=store, max_retries=max_retries, backoff_s=backoff_s
     ) as pool:
-        pool.run(list(specs))
-        outcomes = [j.outcome for j in pool._jobs]
+        for spec in specs:
+            pool.submit(spec)
+        outcomes = pool.drain()  # one per distinct job: duplicates coalesce
         elapsed = time.perf_counter() - t0
         report = build_report(
             outcomes,

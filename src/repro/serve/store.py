@@ -77,6 +77,30 @@ def _canon(obj: Any):
     raise TypeError(f"cannot canonicalize {type(obj).__name__} in a store key")
 
 
+def key_digest(key: Any, schema_version: int = SCHEMA_VERSION) -> str:
+    """sha256 hex name of ``key`` under ``schema_version`` — the address
+    shared by store files, in-flight pool jobs and matrix database rows."""
+    text = f"v{schema_version}|{canonical_key(key)}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _read_entry(blob: bytes):
+    """The one reader of the on-disk format: ``(schema version, canonical
+    key text, value)`` of an entry whose magic, checksum and pickle all
+    verify, else ``_CORRUPT``."""
+    header_len = len(_MAGIC) + 64 + 1
+    if len(blob) < header_len or not blob.startswith(_MAGIC):
+        return _CORRUPT
+    body = blob[header_len:]
+    if hashlib.sha256(body).hexdigest().encode("ascii") != blob[len(_MAGIC) : header_len - 1]:
+        return _CORRUPT
+    try:
+        doc = pickle.loads(body)
+        return doc["schema_version"], doc["key"], doc["value"]
+    except Exception:
+        return _CORRUPT
+
+
 class ArtifactStore:
     """One on-disk store rooted at ``root`` (``.repro-cache/`` by default)."""
 
@@ -98,9 +122,8 @@ class ArtifactStore:
 
     # ---- addressing -------------------------------------------------------
     def digest(self, key: Any) -> str:
-        """sha256 hex name of ``key`` (schema version included)."""
-        text = f"v{self.schema_version}|{canonical_key(key)}"
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        """:func:`key_digest` under this store's schema version."""
+        return key_digest(key, self.schema_version)
 
     def path_for(self, key: Any) -> Path:
         d = self.digest(key)
@@ -171,23 +194,10 @@ class ArtifactStore:
         return path
 
     def _decode(self, blob: bytes, key: Any):
-        header_len = len(_MAGIC) + 64 + 1
-        if len(blob) < header_len or not blob.startswith(_MAGIC):
+        entry = _read_entry(blob)
+        if entry is _CORRUPT or entry[:2] != (self.schema_version, canonical_key(key)):
             return _CORRUPT
-        want = blob[len(_MAGIC) : len(_MAGIC) + 64]
-        body = blob[header_len:]
-        if hashlib.sha256(body).hexdigest().encode("ascii") != want:
-            return _CORRUPT
-        try:
-            doc = pickle.loads(body)
-            if (
-                doc["schema_version"] != self.schema_version
-                or doc["key"] != canonical_key(key)
-            ):
-                return _CORRUPT
-            return doc["value"]
-        except Exception:
-            return _CORRUPT
+        return entry[2]
 
     # ---- maintenance ------------------------------------------------------
     def _entries(self) -> list[tuple[float, int, Path]]:
@@ -216,27 +226,16 @@ class ArtifactStore:
         keys (``python -m repro artifacts ls``).  Corrupt entries are
         skipped (and counted), not unlinked: a reader that cannot name
         the key should not reap the file."""
-        header_len = len(_MAGIC) + 64 + 1
         for _, _, path in self._entries():
             try:
                 blob = path.read_bytes()
             except OSError:
                 continue
-            if len(blob) < header_len or not blob.startswith(_MAGIC):
+            entry = _read_entry(blob)
+            if entry is _CORRUPT:
                 self.corrupt += 1
-                continue
-            want = blob[len(_MAGIC) : len(_MAGIC) + 64]
-            body = blob[header_len:]
-            if hashlib.sha256(body).hexdigest().encode("ascii") != want:
-                self.corrupt += 1
-                continue
-            try:
-                doc = pickle.loads(body)
-                if doc["schema_version"] != self.schema_version:
-                    continue
-                yield doc["key"], doc["value"]
-            except Exception:
-                self.corrupt += 1
+            elif entry[0] == self.schema_version:
+                yield entry[1], entry[2]
 
     def stats(self) -> dict:
         entries = self._entries()

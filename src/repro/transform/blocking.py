@@ -70,10 +70,6 @@ class BlockingReport:
     def log(self, msg: str) -> None:
         self.steps.append(msg)
 
-    @property
-    def fully_applied(self) -> bool:
-        return self.blocked_innermost > 0
-
 
 def _is_innermost(loop: Loop) -> bool:
     return not any(isinstance(s, Loop) for s in walk_stmts(loop.body))
@@ -242,72 +238,71 @@ def _attack_recurrence(
 ) -> Optional[Procedure]:
     """Discharge a whole-body recurrence: commutativity oracle, then
     Procedure IndexSetSplit (Fig. 3)."""
-    if True:
-        # Sec. 5.2: ask the commutativity oracle first
-        if ignore_dep is not None:
-            remaining = [d for d in preventing if not ignore_dep(proc, loop, d)]
-            if len(remaining) < len(preventing):
-                try:
-                    new_proc, new_loops = distribute(
-                        proc, loop, ctx, drop_dep=lambda d: ignore_dep(proc, loop, d)
-                    )
-                except TransformError as e2:
-                    report.log(f"distribution with commutativity refused: {e2}")
-                else:
-                    if len(new_loops) > 1:
-                        report.used_commutativity = True
-                        report.log(
-                            f"commutativity knowledge discharged "
-                            f"{len(preventing) - len(remaining)} preventing "
-                            f"dependence(s); distributed {loop.var} into "
-                            f"{len(new_loops)} loops"
-                        )
-                        return new_proc
-            preventing = remaining
-        # Fig. 3: IndexSetSplit on each preventing dependence — cleanest
-        # first: compile-time boundaries before data-dependent ones, then
-        # fewest differing section dimensions.
-        splits_done = sum(1 for st in report.steps if st.startswith("IndexSetSplit: split"))
-        if splits_done >= max_splits:
-            report.log("split budget exhausted; leaving recurrence in place")
-            return None
-        from repro.ir.visit import loop_path
-        from repro.transform.index_set_split import split_rank_key
-
-        allowed = frozenset(proc.params)
-        try:
-            allowed |= {l.var for l in loop_path(proc, loop)}
-        except KeyError:
-            pass
-        allowed |= {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
-
-        ranked = sorted(preventing, key=lambda d: split_rank_key(loop, d, allowed, ctx))
-        applied = {
-            st.split("(sections", 1)[0]
-            for st in report.steps
-            if st.startswith("IndexSetSplit: split")
-        }
-        for dep in ranked:
+    # Sec. 5.2: ask the commutativity oracle first
+    if ignore_dep is not None:
+        remaining = [d for d in preventing if not ignore_dep(proc, loop, d)]
+        if len(remaining) < len(preventing):
             try:
-                new_proc, reports = index_set_split_for_dependence(proc, loop, dep, ctx)
-            except TransformError as e2:
-                report.log(f"IndexSetSplit on {dep.array}: {e2}")
-                continue
-            summary = (
-                f"IndexSetSplit: split {reports[0].loop_var} at {reports[0].point!r} "
-            )
-            if summary in applied:
-                report.log(f"skipping repeated split of {reports[0].loop_var}")
-                continue
-            report.used_index_set_split = True
-            for r in reports:
-                report.log(
-                    f"IndexSetSplit: split {r.loop_var} at {r.point!r} "
-                    f"(sections {r.source_section.pretty()} vs "
-                    f"{r.sink_section.pretty()})"
+                new_proc, new_loops = distribute(
+                    proc, loop, ctx, drop_dep=lambda d: ignore_dep(proc, loop, d)
                 )
-            return new_proc
-        report.log(f"all preventing dependences of {loop.var} resist splitting")
+            except TransformError as e2:
+                report.log(f"distribution with commutativity refused: {e2}")
+            else:
+                if len(new_loops) > 1:
+                    report.used_commutativity = True
+                    report.log(
+                        f"commutativity knowledge discharged "
+                        f"{len(preventing) - len(remaining)} preventing "
+                        f"dependence(s); distributed {loop.var} into "
+                        f"{len(new_loops)} loops"
+                    )
+                    return new_proc
+        preventing = remaining
+    # Fig. 3: IndexSetSplit on each preventing dependence — cleanest
+    # first: compile-time boundaries before data-dependent ones, then
+    # fewest differing section dimensions.
+    splits_done = sum(1 for st in report.steps if st.startswith("IndexSetSplit: split"))
+    if splits_done >= max_splits:
+        report.log("split budget exhausted; leaving recurrence in place")
         return None
+    from repro.ir.visit import loop_path
+    from repro.transform.index_set_split import split_rank_key
+
+    allowed = frozenset(proc.params)
+    try:
+        allowed |= {l.var for l in loop_path(proc, loop)}
+    except KeyError:
+        pass
+    allowed |= {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
+
+    ranked = sorted(preventing, key=lambda d: split_rank_key(loop, d, allowed, ctx))
+    applied = {
+        st.split("(sections", 1)[0]
+        for st in report.steps
+        if st.startswith("IndexSetSplit: split")
+    }
+    for dep in ranked:
+        try:
+            new_proc, reports = index_set_split_for_dependence(proc, loop, dep, ctx)
+        except TransformError as e2:
+            report.log(f"IndexSetSplit on {dep.array}: {e2}")
+            continue
+        summary = (
+            f"IndexSetSplit: split {reports[0].loop_var} at {reports[0].point!r} "
+        )
+        if summary in applied:
+            report.log(f"skipping repeated split of {reports[0].loop_var}")
+            continue
+        report.used_index_set_split = True
+        for r in reports:
+            report.log(
+                f"IndexSetSplit: split {r.loop_var} at {r.point!r} "
+                f"(sections {r.source_section.pretty()} vs "
+                f"{r.sink_section.pretty()})"
+            )
+        return new_proc
+    report.log(f"all preventing dependences of {loop.var} resist splitting")
+    return None
 
 

@@ -125,7 +125,6 @@ def split_trapezoid_min(
     invariant = smin(*shape.hi.invariant_arms) if len(shape.hi.invariant_arms) > 1 else shape.hi.invariant_arms[0]
     crossover = _floor_quot(invariant - beta, a)
 
-    lo_arm = shape.lo.invariant_arms if shape.lo else None  # MAX lower handled separately
     tri_inner = Loop(inner.var, inner.lo, simplify(Const(a) * Var(outer.var) + beta, ctx), inner.body, step=inner.step)
     rect_inner = Loop(inner.var, inner.lo, simplify(invariant, ctx), inner.body, step=inner.step)
     first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (tri_inner,), step=outer.step)
@@ -296,15 +295,6 @@ def index_set_split_for_dependence(
     )
 
 
-def _relocate(proc: Procedure, loop: Loop) -> Loop:
-    from repro.ir.visit import find_loops
-
-    for l in find_loops(proc):
-        if l == loop or (l.var == loop.var and l.lo == loop.lo and l.hi == loop.hi):
-            return l
-    raise TransformError("region loop vanished during splitting")  # pragma: no cover
-
-
 def _solve_and_split(
     proc: Procedure,
     region_loop: Loop,
@@ -316,12 +306,9 @@ def _solve_and_split(
     """Fig. 3 steps 4–5: solve subscript == boundary for the inner-loop
     induction variable and split that loop.  None when the subscript's
     variable is not an inner loop of the region (nothing to split)."""
-    # loops strictly inside the region enclosing this access
-    try:
-        at = next(k for k, l in enumerate(acc.loops) if l is region_loop)
-    except StopIteration:
-        return None
-    inner_loops = {l.var: l for l in acc.loops[at + 1 :]}
+    # loops strictly inside the region enclosing this access (it is inside:
+    # the caller has its section over the region)
+    inner_loops = {l.var: l for l in acc.loops_from(region_loop)[1:]}
     e = acc.ref.index[dim]
     info = analyze_subscript(e, tuple(inner_loops))
     if not info.affine:

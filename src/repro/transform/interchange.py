@@ -44,22 +44,13 @@ from repro.symbolic.simplify import simplify
 from repro.transform.base import sole_inner_loop
 
 
-def check_interchange_legal(
+def swap_violation(
     proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions
-) -> None:
-    """Raise TransformError when a dependence blocks the (outer, inner)
-    swap; see module docstring for the criterion."""
-    # bounds must not be computed inside the nest
-    written = {
-        s.target.name
-        for s in walk_stmts(outer)
-        if isinstance(s, Assign) and isinstance(s.target, Var)
-    }
-    for e in (outer.lo, outer.hi, inner.lo, inner.hi):
-        clash = free_vars(e) & written
-        if clash:
-            raise TransformError(f"loop bound uses scalars written in the nest: {sorted(clash)}")
-
+) -> Optional[str]:
+    """The array of some dependence realizable with direction
+    ``(=, ..., =, <, >)`` at (outer, inner) — one that swapping the two
+    loops (or jamming unrolled ``outer`` iterations inside ``inner``)
+    would reverse — or None when there is none."""
     accs = [a for a in collect_accesses(proc) if any(l is inner for l in a.loops)]
     for i in range(len(accs)):
         for j in range(i, len(accs)):
@@ -70,7 +61,7 @@ def check_interchange_legal(
             try:
                 p = next(k for k, l in enumerate(common) if l is outer)
                 q = next(k for k, l in enumerate(common) if l is inner)
-            except StopIteration:  # pragma: no cover - both are under inner
+            except StopIteration:  # two instances of a shared (split) body
                 continue
             dirs = ["*"] * len(common)
             for k in range(p):
@@ -79,10 +70,30 @@ def check_interchange_legal(
             if direction_feasible(a, b, dirs, common, ctx) or (
                 a is not b and direction_feasible(b, a, dirs, common, ctx)
             ):
-                raise TransformError(
-                    f"interchange of {outer.var}/{inner.var} violates a "
-                    f"dependence on {a.array}"
-                )
+                return a.array
+    return None
+
+
+def check_interchange_legal(
+    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions
+) -> None:
+    """Raise TransformError when the (outer, inner) swap is illegal: a
+    bound computed inside the nest, or a dependence (see module docstring
+    for the criterion)."""
+    written = {
+        s.target.name
+        for s in walk_stmts(outer)
+        if isinstance(s, Assign) and isinstance(s.target, Var)
+    }
+    for e in (outer.lo, outer.hi, inner.lo, inner.hi):
+        clash = free_vars(e) & written
+        if clash:
+            raise TransformError(f"loop bound uses scalars written in the nest: {sorted(clash)}")
+    array = swap_violation(proc, outer, inner, ctx)
+    if array is not None:
+        raise TransformError(
+            f"interchange of {outer.var}/{inner.var} violates a dependence on {array}"
+        )
 
 
 def _floor_div(num: Expr, alpha: int, ctx: Assumptions) -> Expr:
@@ -111,7 +122,6 @@ def interchange(
     proc: Procedure,
     outer: Loop,
     ctx: Optional[Assumptions] = None,
-    check: bool = True,
 ) -> Procedure:
     """Swap ``outer`` with the loop it immediately (and solely) contains."""
     ctx = ctx or Assumptions()
@@ -120,8 +130,7 @@ def interchange(
         raise TransformError(f"loop {outer.var} is not perfectly nested")
     if outer.step != Const(1) or inner.step != Const(1):
         raise TransformError("interchange requires unit steps")
-    if check:
-        check_interchange_legal(proc, outer, inner, ctx)
+    check_interchange_legal(proc, outer, inner, ctx)
 
     O, lo_o, hi_o = outer.var, outer.lo, outer.hi
     shape = classify_loop_shape(inner, O)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.refs import collect_accesses
-from repro.analysis.sections import expr_range
 from repro.errors import TransformError
 from repro.ir.expr import ArrayRef, Expr, Var, free_vars
 from repro.ir.stmt import ArrayDecl, Assign, Loop, Procedure, Stmt
@@ -35,7 +34,6 @@ from repro.ir.visit import (
     walk_stmts,
 )
 from repro.symbolic.assume import Assumptions
-from repro.symbolic.simplify import prove_lt
 from repro.transform.base import used_names
 
 
@@ -105,15 +103,6 @@ def _innermost_loops(proc: Procedure) -> list[Loop]:
 
 def _invariant(ref: ArrayRef, var: str) -> bool:
     return all(var not in free_vars(e) for e in ref.index)
-
-
-def _dim_disjoint(inv: Expr, other: Expr, var: str, loop: Loop, ctx: Assumptions) -> bool:
-    """Is ``other``'s value range over the loop provably away from the
-    (loop-invariant) value of ``inv`` in this dimension?"""
-    rng = expr_range(other, {var: (loop.lo, loop.hi)}, ctx)
-    if rng is None:
-        return False
-    return prove_lt(inv, rng[0], ctx) or prove_lt(rng[1], inv, ctx)
 
 
 class _RefRewriter(NodeTransformer):

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.feasibility import direction_feasible
-from repro.analysis.refs import collect_accesses
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
 from repro.ir.expr import Call, Const, Var, free_vars, smin
@@ -35,40 +33,21 @@ from repro.ir.visit import replace_loop, substitute, walk_stmts
 from repro.symbolic.assume import Assumptions
 from repro.symbolic.simplify import simplify
 from repro.transform.base import non_comment, sole_inner_loop
+from repro.transform.interchange import swap_violation
 
 
 def _check_jam_legal(proc: Procedure, loop: Loop, ctx: Assumptions) -> None:
     """Jam legality == interchange legality of ``loop`` past each loop
-    nested within it (checked pairwise with the exact-space test)."""
-    inner_loops = [l for l in walk_stmts(loop.body) if isinstance(l, Loop)]
-    if not inner_loops:
-        return  # pure unrolling of a flat body is always legal
-    accs = [a for a in collect_accesses(proc) if any(l is loop for l in a.loops)]
-    for inner in inner_loops:
-        for i in range(len(accs)):
-            for j in range(i, len(accs)):
-                a, b = accs[i], accs[j]
-                if a.array != b.array or not (a.is_write or b.is_write):
-                    continue
-                if not (any(l is inner for l in a.loops) and any(l is inner for l in b.loops)):
-                    continue
-                common = a.common_loops(b)
-                try:
-                    p = next(k for k, l in enumerate(common) if l is loop)
-                    q = next(k for k, l in enumerate(common) if l is inner)
-                except StopIteration:  # pragma: no cover
-                    continue
-                dirs = ["*"] * len(common)
-                for k in range(p):
-                    dirs[k] = "="
-                dirs[p], dirs[q] = "<", ">"
-                if direction_feasible(a, b, dirs, common, ctx) or (
-                    a is not b and direction_feasible(b, a, dirs, common, ctx)
-                ):
-                    raise TransformError(
-                        f"unroll-and-jam of {loop.var} violates a dependence "
-                        f"on {a.array} (via loop {inner.var})"
-                    )
+    nested within it (Sec. 2.3; pure unrolling of a flat body is always
+    legal)."""
+    for inner in walk_stmts(loop.body):
+        if isinstance(inner, Loop):
+            array = swap_violation(proc, loop, inner, ctx)
+            if array is not None:
+                raise TransformError(
+                    f"unroll-and-jam of {loop.var} violates a dependence "
+                    f"on {array} (via loop {inner.var})"
+                )
 
 
 def _jam(body: tuple[Stmt, ...], var: str, copies: int) -> tuple[Stmt, ...]:
@@ -93,7 +72,6 @@ def unroll_and_jam(
     loop: Loop,
     factor: int,
     ctx: Optional[Assumptions] = None,
-    check: bool = True,
 ) -> Procedure:
     """Unroll ``loop`` by ``factor`` and jam the copies (pre-loop form)."""
     if factor < 2:
@@ -101,8 +79,7 @@ def unroll_and_jam(
     if loop.step != Const(1):
         raise TransformError("unroll-and-jam requires unit step")
     ctx = ctx or Assumptions()
-    if check:
-        _check_jam_legal(proc, loop, ctx)
+    _check_jam_legal(proc, loop, ctx)
 
     trips = loop.hi - loop.lo + 1
     extra = Call("MOD", (trips, Const(factor)))
@@ -122,7 +99,6 @@ def triangular_unroll_jam(
     loop: Loop,
     factor: int,
     ctx: Optional[Assumptions] = None,
-    check: bool = True,
 ) -> Procedure:
     """Sec. 3.1 unroll-and-jam for coupled inner bounds (``alpha = 1``).
 
@@ -143,8 +119,7 @@ def triangular_unroll_jam(
         raise TransformError("triangular unroll-and-jam needs a perfect 2-nest")
     if loop.step != Const(1) or inner.step != Const(1):
         raise TransformError("triangular unroll-and-jam requires unit steps")
-    if check:
-        _check_jam_legal(proc, loop, ctx)
+    _check_jam_legal(proc, loop, ctx)
 
     shape = classify_loop_shape(inner, loop.var)
     v = loop.var

@@ -35,6 +35,17 @@ class TestStrongSIV:
         l = do("I", 1, 4, assign(ref("A", "I"), ref("A", Var("I") - 5) + 1.0))
         assert not find(deps_of((l,)), DependenceKind.FLOW, "A")
 
+    def test_trip_count_refutes_only_within_one_range(self):
+        # DO I = 1,2 / DO J = I,I / A(J+1) = A(J): the J loop has one trip,
+        # yet the write at (1,1) feeds the read at (2,2) at J-distance 1 —
+        # the inner range moves with I (found by the Sec. 3 shapes oracle)
+        inner = do("J", Var("I"), Var("I"), assign(ref("A", Var("J") + 1), ref("A", "J") + 1.0))
+        deps = find(deps_of((do("I", 1, 2, inner),)), DependenceKind.FLOW, "A")
+        assert [d.distance for d in deps] == [(None, 1)]
+        # ... while with I pinned (the distribution view) it is refuted
+        accs = collect_accesses((do("I", 1, 2, inner),))
+        assert not dependences_between(accs[0], accs[1], within=accs[0].loops[1])
+
     def test_loop_independent_antidependence(self):
         # A(I) = A(I) + 1: read happens before write in the same iteration
         l = do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") + 1.0))

@@ -9,7 +9,7 @@ from repro.analysis.commutativity import (
     match_row_interchange,
     operations_commute,
 )
-from repro.analysis.context import context_for_loops, context_for_path
+from repro.analysis.context import context_for_path
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.reuse import (
@@ -84,9 +84,7 @@ class TestContext:
         proc = Procedure("p", (), (ArrayDecl("A", (Const(32),)),), (a, b))
         ctx = context_for_path(proc, b)
         assert ctx.lower_bound("I") == 10
-        merged = context_for_loops(proc)
-        # merged context is inconsistent by construction — documented hazard
-        assert merged.upper_bound("I") == 4
+        assert ctx.upper_bound("I") == 20
 
     def test_mod_lower_bound_stripped(self):
         from repro.ir.expr import Call

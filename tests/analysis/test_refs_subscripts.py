@@ -56,12 +56,9 @@ class TestCollect:
         assert [a.array for a in writes_in((l,))] == ["A"]
         assert [a.array for a in reads_in((l,), "B")] == ["B"]
 
-    def test_bound_refs_optional(self):
+    def test_bound_refs_not_collected(self):
         l = do("I", 1, ref("LIM", 1), assign(ref("A", "I"), 0.0))
-        default = [a.array for a in collect_accesses((l,))]
-        assert "LIM" not in default
-        with_bounds = [a.array for a in collect_accesses((l,), include_bound_refs=True)]
-        assert "LIM" in with_bounds
+        assert [a.array for a in collect_accesses((l,))] == ["A"]
 
 
 class TestSubscripts:

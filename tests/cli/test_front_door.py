@@ -67,6 +67,17 @@ class TestBoundary:
                     # the one forward blockbench launches the daemon through
                     assert "python -m repro.daemon" in line, (path, line)
 
+    def test_source_lines_only_go_down(self):
+        """ROADMAP aim 2 as a ratchet: ``find src -name '*.py' | xargs wc
+        -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
+        the ceiling to its result; a PR that has to grow the source says so
+        by raising this one constant."""
+        ceiling = 24_781
+        lines = sum(
+            p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
+        )
+        assert lines <= ceiling, f"src/ grew to {lines} lines (ceiling {ceiling})"
+
     def test_importing_the_core_imports_no_command(self):
         lazy = ["repro.matrix", "repro.perf", "repro.par", "repro.load",
                 "repro.check", "repro.bench"]
@@ -131,10 +142,10 @@ def world(tmp_path, monkeypatch):
                     lambda p, c, o: None, shrink)
 
     # an error-severity diagnostic out of the check stack
-    from repro.check import cli as check_cli
+    import repro.check
 
     monkeypatch.setattr(
-        check_cli, "lint_parallelism",
+        repro.check, "lint_parallelism",
         lambda proc, ctx: [diag("ir/zero-step", "p/DO I", "planted")])
 
     # a stale PARALLEL marker: every iteration writes A(1)

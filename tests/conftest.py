@@ -56,5 +56,30 @@ def recording_tracer() -> type[RecordingTracer]:
     return RecordingTracer
 
 
+class PerArrayReference:
+    """The per-access reference for the attribution's per-array view: a
+    :class:`repro.runtime.Tracer` that feeds a ``CacheTracer`` one touch at
+    a time and tallies, per array, the touches and the ones that missed."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.by_array: dict[str, dict[str, int]] = {}
+
+    def access(self, array, index, is_write):
+        before = self.tracer.stats.misses
+        self.tracer.access(array, index, is_write)
+        row = self.by_array.setdefault(array, {"accesses": 0, "misses": 0})
+        row["accesses"] += 1
+        row["misses"] += self.tracer.stats.misses - before
+
+
+def by_array_counts(tracer) -> dict[str, dict[str, int]]:
+    """``{array: {accesses, misses}}`` of an attributed ``trace_procedure`` run."""
+    return {
+        name: {"accesses": row["accesses"], "misses": row["misses"]}
+        for name, row in tracer.attribution.by_array().items()
+    }
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)

@@ -115,9 +115,10 @@ class TestTracer:
         assert tracer.stats.misses == 16
 
     def test_per_array_counters(self, tiny_machine):
-        tracer = trace_procedure(self._stream_proc(), {"N": 8}, tiny_machine)
-        assert tracer.per_array == {"A": 16}
-        assert tracer.per_array_misses["A"] == 2
+        tracer = trace_procedure(self._stream_proc(), {"N": 8}, tiny_machine, attribute=True)
+        by_array = tracer.attribution.by_array()
+        assert set(by_array) == {"A"}
+        assert (by_array["A"]["accesses"], by_array["A"]["misses"]) == (16, 2)
 
     def test_tlb_driven_when_configured(self):
         m = scaled_machine(4)

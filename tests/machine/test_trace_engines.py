@@ -9,6 +9,7 @@ from repro.machine import Cache, CacheTracer, Layout, scaled_machine, trace_proc
 from repro.pipeline import available_workloads, derive, get_workload
 from repro.runtime.codegen import compile_procedure
 from repro.runtime.interpreter import execute
+from tests.conftest import PerArrayReference, by_array_counts
 
 WORKLOADS = [w.name for w in available_workloads()]
 
@@ -16,17 +17,19 @@ WORKLOADS = [w.name for w in available_workloads()]
 def assert_same_counts(a: CacheTracer, b: CacheTracer) -> None:
     assert a.stats == b.stats
     assert a.tlb_stats == b.tlb_stats
-    assert a.per_array == b.per_array
-    assert a.per_array_misses == b.per_array_misses
 
 
-def interpreted(proc, sizes, machine, seed=0) -> CacheTracer:
-    """The reference: one `tracer.access` per touch of the interpreter."""
+def assert_counts_like_the_interpreter(proc, sizes, machine, seed=0) -> CacheTracer:
+    """`trace_procedure` against the reference: one `tracer.access` per
+    touch of the interpreter, in total and per array."""
+    fast = trace_procedure(proc, sizes, machine, seed=seed, attribute=True)
     layout = Layout.for_procedure(proc, sizes, line_bytes=machine.cache.line_bytes)
     tlb = Cache(machine.tlb) if machine.tlb is not None else None
-    tracer = CacheTracer(layout, Cache(machine.cache), tlb)
-    execute(proc, sizes, tracer=tracer, seed=seed)
-    return tracer
+    reference = PerArrayReference(CacheTracer(layout, Cache(machine.cache), tlb))
+    execute(proc, sizes, tracer=reference, seed=seed)
+    assert_same_counts(fast, reference.tracer)
+    assert by_array_counts(fast) == reference.by_array
+    return fast
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -35,24 +38,21 @@ def test_codegen_engine_equals_interpreter_engine(name, tiny_machine):
     for machine in (tiny_machine, scaled_machine(16)):  # without and with a TLB
         for proc in (w.build(), derive(name).procedure):
             sizes = {p: w.sizes_for()[p] for p in proc.params}
-            fast = trace_procedure(proc, sizes, machine, seed=5)
+            fast = assert_counts_like_the_interpreter(proc, sizes, machine, seed=5)
             assert fast.stats.misses > 0, proc.name
-            assert_same_counts(fast, interpreted(proc, sizes, machine, seed=5))
 
 
 def test_many_chunks_count_like_the_interpreter():
     """Large enough to be consumed in several chunks."""
     proc, sizes, machine = get_workload("lu_nopivot").build(), {"N": 36}, scaled_machine(8)
-    fast = trace_procedure(proc, sizes, machine)
+    fast = assert_counts_like_the_interpreter(proc, sizes, machine)
     assert fast.stats.accesses > 40_000
-    assert_same_counts(fast, interpreted(proc, sizes, machine))
 
 
 class TestTracerEntryPoints:
     @pytest.fixture
     def recorded(self, recording_tracer):
-        """(layout, events) of a kernel over several arrays, so that the
-        per-array split is exercised."""
+        """(layout, events) of a kernel over several arrays."""
         proc = get_workload("conv").build()
         sizes = get_workload("conv").sizes_for()
         recorder = recording_tracer()
@@ -65,7 +65,6 @@ class TestTracerEntryPoints:
 
     def test_access_many_equals_access_and_interleaves(self, recorded):
         layout, events = recorded
-        assert len({a for a, _, _ in events}) > 1
         one, many, mixed = (self._tracer(layout) for _ in range(3))
         for a, i, w in events:
             one.access(a, i, w)

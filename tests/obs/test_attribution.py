@@ -22,6 +22,8 @@ from repro.machine.tracer import CacheTracer, trace_procedure
 from repro.obs.attribution import TOPLEVEL, MissAttribution, stmt_label
 from repro.pipeline import available_workloads, derive, get_workload
 from repro.runtime.codegen import compile_stream
+from repro.runtime.interpreter import execute
+from tests.conftest import PerArrayReference, by_array_counts
 
 FIELDS = ("accesses", "misses", "writebacks", "tlb_misses", "writes")
 
@@ -129,12 +131,11 @@ class TestTracedAttribution:
         assert totals["misses"] == stats.misses
         assert totals["writebacks"] == stats.writebacks
         assert totals["writes"] == stats.writes
-        # per-array view agrees with the tracer's own per-array tallies
-        by_array = a.by_array()
-        assert {k: v["accesses"] for k, v in by_array.items()} == tracer.per_array
-        assert {
-            k: v["misses"] for k, v in by_array.items() if v["misses"]
-        } == tracer.per_array_misses
+        # per-array view agrees with a per-access tally of the interpreter
+        layout = Layout.for_procedure(vecadd_proc, sizes, line_bytes=32)
+        reference = PerArrayReference(CacheTracer(layout, Cache(tiny_machine.cache)))
+        execute(vecadd_proc, sizes, tracer=reference)
+        assert by_array_counts(tracer) == reference.by_array
 
     def test_sites_carry_loop_paths(self, vecadd_proc, tiny_machine):
         tracer = trace_procedure(

@@ -3,6 +3,9 @@ static-vs-dynamic property across every registry workload."""
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import SemanticsError
 from repro.ir.build import assign, do, parallel_do, ref
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
@@ -120,6 +123,55 @@ class TestExemptionsAndScope:
                                 assign(ref("B", Const(3)), Var("I") + Const(0.0))))
         r = sanitize(p, SIZES, max_conflicts=2)
         assert len(r.conflicts) == 2
+
+
+class TestLoopSemanticsAreTheInterpreters:
+    """The sanitizer observes ``PARALLEL DO``; the interpreter executes it."""
+
+    def test_zero_step_raises_the_interpreters_error(self):
+        p = proc_of(parallel_do("I", 1, "N", assign(ref("B", "I"), Const(0.0)),
+                                step=0))
+        for run in (sanitize, execute):
+            with pytest.raises(SemanticsError, match="^loop I: zero step$"):
+                run(p, SIZES)
+
+    def test_negative_step_runs_and_is_monitored(self):
+        # B(I) = B(I+1) + 1 downward from N-1: each trip reads what the
+        # previous (higher) trip wrote
+        p = proc_of(parallel_do("I", Var("N") - Const(1), 1,
+                                assign(ref("B", "I"),
+                                       ref("B", Var("I") + Const(1))
+                                       + Const(1.0)),
+                                step=-1))
+        r = sanitize(p, SIZES, seed=3)
+        plain = execute(p, SIZES, seed=3)
+        assert r.env["B"].tobytes() == plain["B"].tobytes()
+        assert r.env["I"] == plain["I"] == 1
+        flows = [c for c in r.conflicts if c.kind == "flow"]
+        assert [(c.iter_a, c.iter_b) for c in flows] == [
+            (i + 1, i) for i in range(6, 0, -1)
+        ]
+
+    def test_bound_loads_belong_to_no_iteration(self):
+        # the upper bound loads B(1) once, before the first trip; trip 2's
+        # write of B(1) therefore conflicts with nothing
+        p = proc_of(parallel_do("I", 2, ref("B", Const(1)) + Const(2),
+                                assign(ref("B", Var("I") - Const(1)),
+                                       Const(5.0))))
+        r = sanitize(p, SIZES)
+        assert r.clean
+        assert r.env["I"] == 2
+
+    def test_sanitizer_holds_no_loop_semantics(self):
+        import ast
+        import inspect
+
+        from repro.par.sanitizer import RaceSanitizer
+
+        nodes = list(ast.walk(ast.parse(inspect.getsource(RaceSanitizer))))
+        assert not [n for n in nodes if isinstance(n, ast.While)]
+        attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not attrs & {"lo", "hi", "step"}
 
 
 class TestStaticVsDynamicProperty:

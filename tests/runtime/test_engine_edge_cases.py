@@ -31,6 +31,7 @@ from repro.ir.stmt import ArrayDecl, Procedure
 from repro.machine import Cache, CacheTracer, Layout, trace_procedure
 from repro.runtime.codegen import compile_procedure, compile_stream
 from repro.runtime.interpreter import execute, idiv
+from tests.conftest import PerArrayReference, by_array_counts
 
 
 class RecordingTracer:
@@ -72,15 +73,15 @@ def run_both(proc, sizes, tracer_pair=None, seed=0, arrays=None):
 
 def assert_engines_count_alike(proc, sizes, machine, arrays=None):
     """``trace_procedure`` against the interpreter feeding ``tracer.access``."""
-    tc = trace_procedure(proc, sizes, machine, arrays=arrays)
+    tc = trace_procedure(proc, sizes, machine, arrays=arrays, attribute=True)
     layout = Layout.for_procedure(proc, sizes, line_bytes=machine.cache.line_bytes)
     tlb = Cache(machine.tlb) if machine.tlb is not None else None
     ti = CacheTracer(layout, Cache(machine.cache), tlb)
-    execute(proc, sizes, arrays=arrays, tracer=ti)
+    reference = PerArrayReference(ti)
+    execute(proc, sizes, arrays=arrays, tracer=reference)
     assert tc.stats == ti.stats
     assert tc.tlb_stats == ti.tlb_stats
-    assert tc.per_array == ti.per_array
-    assert tc.per_array_misses == ti.per_array_misses
+    assert by_array_counts(tc) == reference.by_array
 
 
 class TestIntDivTruncation:

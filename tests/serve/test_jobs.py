@@ -96,6 +96,25 @@ class TestExecutor:
         assert a["fingerprint"] == b["fingerprint"]
         assert a["ir"] == b["ir"]
 
+    def test_served_check_is_the_cli_check(self, tmp_path):
+        """``serve submit W --kind check`` and ``repro check W`` run one
+        study: same diagnostic counts (``lint/par-*`` included), same
+        verdicts."""
+        from repro import cli
+        from repro.artifacts import load_file
+
+        out = tmp_path / "check.json"
+        assert cli.main(["check", "givens", "--out", str(out)]) == 0
+        report = load_file(out)["payload"]
+        served = execute_job(JobSpec(kind="check", workload="givens"))
+        assert served["diagnostics"] == len(report["diagnostics"])
+        assert any(d["rule"].startswith("lint/par-") for d in report["diagnostics"])
+        assert served["errors"] == report["summary"]["error"]
+        assert served["warnings"] == report["summary"]["warning"]
+        assert served["verdicts"] == [
+            {k: v[k] for k in ("loop", "verdict", "reason")} for v in report["verdicts"]
+        ]
+
     def test_probe_ok(self):
         value = execute_job(JobSpec(kind="probe", options={"action": "ok"}))
         assert value["pid"] == os.getpid()
