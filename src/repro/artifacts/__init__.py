@@ -44,6 +44,7 @@ from repro.artifacts.sink import (
     get_for_request,
     list_artifacts,
     put_artifact,
+    resolve_artifact,
 )
 from repro.artifacts.validate import (
     Problem,
@@ -72,6 +73,7 @@ __all__ = [
     "put_artifact",
     "registry",
     "require_valid",
+    "resolve_artifact",
     "schema_id_of",
     "split_id",
     "validate_document",

@@ -20,7 +20,6 @@ the envelope.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 from repro import cli
@@ -92,15 +91,7 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_cat(args) -> int:
-    if os.path.exists(args.target):
-        doc = load_file(args.target)
-    else:
-        doc = sink.find_artifact(cli.open_store(args), args.target)
-        if doc is None:
-            raise ArtifactError(
-                f"no artifact matches {args.target!r} "
-                "(not a file, no store digest prefix)"
-            )
+    doc = sink.resolve_artifact(cli.open_store(args), args.target)
     if args.payload:
         doc = payload_of(doc)
     json.dump(doc, sys.stdout, indent=2)

@@ -24,9 +24,10 @@ recognized by their keys and skipped.
 
 from __future__ import annotations
 
+import os
 from typing import Any, Optional
 
-from repro.artifacts.envelope import is_envelope
+from repro.artifacts.envelope import is_envelope, load_file
 from repro.errors import ArtifactError
 
 _CONTENT = "artifact"
@@ -119,3 +120,17 @@ def find_artifact(store, digest_prefix: str) -> Optional[dict]:
             f"artifact digest prefix {digest_prefix!r} is ambiguous ({have})"
         )
     return matches[0]
+
+
+def resolve_artifact(store, target: str) -> dict:
+    """The document ``target`` names the way every command names an
+    artifact: a file path, or else a digest prefix in ``store``."""
+    if os.path.exists(target):
+        return load_file(target)
+    doc = find_artifact(store, target)
+    if doc is None:
+        raise ArtifactError(
+            f"no artifact matches {target!r} "
+            "(not a file, no store digest prefix)"
+        )
+    return doc

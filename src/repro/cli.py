@@ -12,7 +12,7 @@ par        loop-parallelism detector and race sanitizer      ``repro.par/1``
 serve      batch jobs on a worker pool over the store        ``repro.serve/1``
 daemon     resident compile service (start/stop/submit)      ``repro.daemon.status/1``
 load       open-loop load generator against the daemon       ``repro.serve.load/1``
-matrix     experiment grids persisted to sqlite              ``repro.matrix/1``
+matrix     experiment grids swept over the store             ``repro.matrix/1``
 perf       run history: record, diff, trend, gate            ``repro.perf.gate/1``
 artifacts  validate, list and dump enveloped artifacts       (any)
 =========  ================================================  =======================
@@ -26,8 +26,9 @@ this module owns everything they share:
   parser is built, so ``repro daemon start`` imports the daemon and
   nothing else.
 - **the shared flag groups** — store (``--store-dir``, ``--store`` /
-  ``--no-store``, ``--fresh``, ``--db``), pool (``--workers/-j``,
-  ``--retries``, ``--backoff``), observe (``--obs PATH``,
+  ``--no-store``, ``--fresh`` where a whole report resumes from the
+  store: ``check``, ``obs``; ``--db`` for the perf history), pool
+  (``--workers/-j``, ``--retries``, ``--backoff``), observe (``--obs PATH``,
   ``--chrome-trace PATH``) and output (``--out PATH`` writes the
   enveloped artifact, ``--json`` prints JSON on stdout), plus
   ``--passes`` and ``--sizes``.  Each is spelled, defaulted and
@@ -72,7 +73,7 @@ COMMANDS = {
     "load": ("repro.load.cli",
              "open-loop load generator against the daemon"),
     "matrix": ("repro.matrix.cli",
-               "experiment grids persisted to a sqlite database"),
+               "experiment grids swept over the artifact store"),
     "perf": ("repro.perf.cli",
              "run history: record, diff, trend, gate"),
     "artifacts": ("repro.artifacts.cli",
@@ -138,10 +139,10 @@ def store_flags(p, *, store: str = "", no_store: bool = False,
         p.add_argument("--fresh", action="store_true", help=fresh)
 
 
-def db_flag(p, basename: str) -> None:
-    """``--db``: a sqlite history database kept next to the store."""
+def db_flag(p) -> None:
+    """``--db``: the sqlite run-history database kept next to the store."""
     p.add_argument("--db", metavar="PATH",
-                   help=f"sqlite database (default {basename} under "
+                   help="sqlite database (default perf.db under "
                    ".repro-cache/ or $REPRO_CACHE_DIR)")
 
 

@@ -34,6 +34,7 @@ import signal
 from repro import cli
 from repro.errors import DaemonError
 from repro.serve.jobs import SUBMIT_KINDS
+from repro.serve.pool import OK_STATUSES
 
 
 def register(sub) -> None:
@@ -219,6 +220,6 @@ def _cmd_submit(args) -> int:
             print(f"  rejected  {spec.get('workload', '?'):<32} "
                   f"HTTP {reply.status}  [{err.get('rule')}] "
                   f"{err.get('message', '')}")
-        ok = reply.ok and body.get("status") in ("hit", "computed", "retried")
+        ok = reply.ok and body.get("status") in OK_STATUSES
         rc = rc if ok else 1
     return rc

@@ -3,8 +3,10 @@
 Threading model — the part that keeps this deadlock-free:
 
 - **Handler threads** (one per HTTP request, ``ThreadingHTTPServer``)
-  do admission only: parse the job spec, answer memory-cache hits
-  immediately, shed when the outstanding-work window is full, otherwise
+  do admission only: parse the job spec and build its store key
+  (anything malformed or unkeyable is a ``daemon/bad-request`` here, so
+  the scheduler only ever sees specs it can submit), answer memory-cache
+  hits immediately, shed when the outstanding-work window is full, otherwise
   enqueue a :class:`_Request` and block on its event until the deadline.
   They never touch the worker pool.
 - **The scheduler thread** is the *only* owner of the
@@ -39,7 +41,8 @@ The rule catalogue (stable ids, mirrored by clients):
 ==========================  ==============================================
 rule id                     fires when
 ==========================  ==============================================
-``daemon/bad-request``      the body is not a valid job spec
+``daemon/bad-request``      the body is not a valid job spec (or is larger
+                            than the request-size bound)
 ``daemon/saturated``        the outstanding-work window is full (HTTP 429)
 ``daemon/deadline``         the request outlived its deadline (HTTP 504)
 ``daemon/draining``         the daemon is shutting down (HTTP 503)
@@ -59,7 +62,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.errors import ReproError
+from repro.artifacts.shape import check, nullable
+from repro.errors import DaemonError, ReproError
 from repro.obs import core as _obs
 from repro.obs import export as _obs_export
 from repro.serve.jobs import JobSpec, job_key
@@ -71,6 +75,12 @@ RULE_SATURATED = "daemon/saturated"
 RULE_DEADLINE = "daemon/deadline"
 RULE_DRAINING = "daemon/draining"
 RULE_NOT_FOUND = "daemon/not-found"
+
+#: largest request body read, in bytes (a job spec is a few hundred)
+_MAX_BODY = 1 << 20
+
+#: the request envelope around the job spec; ``null`` means the default
+_REQUEST_SHAPE = {"deadline_s": nullable(float)}
 
 #: spans kept in the daemon-lifetime observer before the oldest half is
 #: dropped — a long-lived process must not grow without bound
@@ -90,7 +100,6 @@ class DaemonConfig:
     deadline_s: float = 60.0  # default per-request deadline
     store_dir: Optional[str] = None  # None = .repro-cache / $REPRO_CACHE_DIR
     mem_cache: int = 1024  # hot in-memory entries (0 disables)
-    observe: bool = True  # keep a daemon-lifetime observer
     obs_out: Optional[str] = None  # flush obs metrics here on drain
 
 
@@ -135,7 +144,7 @@ class Daemon:
         self._server: Optional[ThreadingHTTPServer] = None
         self._scheduler_thread: Optional[threading.Thread] = None
         self._server_thread: Optional[threading.Thread] = None
-        self._obs = _obs.Obs() if self.config.observe else None
+        self._obs = _obs.Obs()  # daemon-lifetime observer
         self._mem: "collections.OrderedDict[str, dict]" = collections.OrderedDict()
         self._mem_hits = 0
         self._digests: dict[str, str] = {}  # canonical spec json -> digest
@@ -209,12 +218,25 @@ class Daemon:
         with self._lock:
             self.requests["received"] += 1
         try:
+            # everything that can be wrong with a request is wrong here, on
+            # the handler thread: the key is built now (and remembered on
+            # the spec), so the scheduler never meets a spec it cannot key
             spec = JobSpec.from_dict(doc.get("job", doc))
+            deadline_s = doc.get("deadline_s")
+            if deadline_s is None:
+                deadline_s = self.config.deadline_s
+            if check(doc, _REQUEST_SHAPE) or not (
+                0 <= deadline_s <= threading.TIMEOUT_MAX
+            ):
+                raise DaemonError(
+                    "deadline_s must be a number of seconds in "
+                    f"[0, {threading.TIMEOUT_MAX:g}]"
+                )
+            digest = self._digest_of(spec)
         except ReproError as e:
             with self._lock:
                 self.requests["rejected"] += 1
             return 400, _error_body(RULE_BAD_REQUEST, str(e))
-        deadline_s = float(doc.get("deadline_s", self.config.deadline_s))
 
         if self._draining.is_set():
             with self._lock:
@@ -223,14 +245,15 @@ class Daemon:
                 RULE_DRAINING, "daemon is draining; not accepting jobs"
             )
 
-        hit = self._memory_lookup(spec)
-        if hit is not None:
-            return 200, hit
+        if self.config.mem_cache and spec.use_store:
+            hit = self._memory_lookup(digest)
+            if hit is not None:
+                return 200, hit
 
         with self._lock:
             if self._outstanding >= self.config.queue_limit:
                 self.requests["shed"] += 1
-                self._obs_count("daemon.request.shed")
+                self._obs.count("daemon.request.shed")
                 return 429, _error_body(
                     RULE_SATURATED,
                     f"outstanding-work window is full "
@@ -248,7 +271,7 @@ class Daemon:
             req.abandoned = True  # scheduler still resolves + decrements
             with self._lock:
                 self.requests["deadline"] += 1
-                self._obs_count("daemon.request.deadline")
+                self._obs.count("daemon.request.deadline")
             return 504, _error_body(
                 RULE_DEADLINE,
                 f"request outlived its {deadline_s:g}s deadline "
@@ -256,10 +279,7 @@ class Daemon:
             )
         return req.http_status, req.body or {}
 
-    def _memory_lookup(self, spec: JobSpec) -> Optional[dict]:
-        if not self.config.mem_cache or not spec.use_store:
-            return None
-        digest = self._digest_of(spec)
+    def _memory_lookup(self, digest: str) -> Optional[dict]:
         with self._lock:
             body = self._mem.get(digest)
             if body is None:
@@ -270,7 +290,7 @@ class Daemon:
             self.requests["memory_hits"] += 1
             self.latency["request_s"].observe(0.0)
             self.latency["hit_s"].observe(0.0)
-            self._obs_count("daemon.mem_cache.hit")
+            self._obs.count("daemon.mem_cache.hit")
         out = dict(body)
         out.update(status="hit", source="memory", attempts=0, service_s=0.0)
         return out
@@ -290,12 +310,9 @@ class Daemon:
 
     # ---- the scheduler thread ---------------------------------------------
     def _scheduler(self) -> None:
-        if self._obs is not None:
-            with _obs.enabled(self._obs):
-                with self._obs.span("daemon:lifetime", cat="daemon"):
-                    self._scheduler_loop()
-        else:
-            self._scheduler_loop()
+        with _obs.enabled(self._obs):
+            with self._obs.span("daemon:lifetime", cat="daemon"):
+                self._scheduler_loop()
         self._finalize()
 
     def _scheduler_loop(self) -> None:
@@ -393,14 +410,8 @@ class Daemon:
         req.body = body
         req.event.set()
 
-    def _obs_count(self, name: str) -> None:
-        """Counter bump from a handler thread (the scheduler thread's obs
-        calls go through the contextvar instead)."""
-        if self._obs is not None:
-            self._obs.count(name)
-
     def _trim_spans(self) -> None:
-        if self._obs is not None and len(self._obs.spans) > _SPAN_CAP:
+        if len(self._obs.spans) > _SPAN_CAP:
             dropped = len(self._obs.spans) - _SPAN_CAP // 2
             del self._obs.spans[:dropped]
             self._obs.count("daemon.obs.spans_dropped", dropped)
@@ -428,18 +439,15 @@ class Daemon:
             )
             req.event.set()
 
-        if self._obs is not None:
-            out = self.config.obs_out or str(self.store.root / "daemon_obs.json")
-            try:
-                publish(
-                    out,
-                    _obs_export.metrics(
-                        self._obs, meta={"tool": __package__}
-                    ),
-                    producer="repro.obs",
-                )
-            except Exception:
-                pass  # a failed flush must not block the drain
+        out = self.config.obs_out or str(self.store.root / "daemon_obs.json")
+        try:
+            publish(
+                out,
+                _obs_export.metrics(self._obs, meta={"tool": __package__}),
+                producer="repro.obs",
+            )
+        except Exception:
+            pass  # a failed flush must not block the drain
         try:
             publish(
                 str(self.store.root / "daemon_final_status.json"),
@@ -533,10 +541,18 @@ def _make_handler(daemon: Daemon):
             if self.path == "/v1/jobs":
                 try:
                     length = int(self.headers.get("Content-Length", 0))
+                    if not 0 <= length <= _MAX_BODY:
+                        raise ValueError(
+                            f"Content-Length must be in [0, {_MAX_BODY}], "
+                            f"got {length}"
+                        )
                     doc = json.loads(self.rfile.read(length) or b"{}")
                     if not isinstance(doc, dict):
                         raise ValueError("body must be a JSON object")
-                except (ValueError, json.JSONDecodeError) as e:
+                except (ValueError, RecursionError) as e:
+                    # the body may sit unread on the socket: this
+                    # connection cannot carry another request
+                    self.close_connection = True
                     self._respond(400, _error_body(RULE_BAD_REQUEST, str(e)))
                     return
                 status, body = self.hub.handle_submit(doc)

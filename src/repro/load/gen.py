@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.errors import LoadError
 from repro.obs.core import Histogram
-from repro.serve.pool import STATUSES
+from repro.serve.pool import OK_STATUSES, STATUSES
 
 from repro.daemon import state as _state
 from repro.load import report as _report
@@ -96,7 +96,7 @@ class _StepStats:
             if outcome == "hit":
                 self.latency["hit_s"].observe(elapsed_s)
                 warm.observe(elapsed_s)
-            elif outcome in ("computed", "retried"):
+            elif outcome in OK_STATUSES:
                 self.latency["computed_s"].observe(elapsed_s)
                 cold.observe(elapsed_s)
 
@@ -171,9 +171,7 @@ def run_grid(
         for t in threads:
             t.join(max(0.0, join_by - time.perf_counter()))
         elapsed = time.perf_counter() - t0
-        resolved = sum(
-            stats.outcomes.get(s, 0) for s in ("hit", "computed", "retried")
-        )
+        resolved = sum(stats.outcomes.get(s, 0) for s in OK_STATUSES)
         row = {
             "rate": rate,
             "duration_s": duration_s,

@@ -1,21 +1,20 @@
 """Declarative experiment matrices: factors × levels → cells, executed
-through the :mod:`repro.serve` worker pool, persisted one row per cell
-to a sqlite results database keyed by the store's content-address
-digest, and analyzed for per-factor sensitivity.
+as store-backed jobs through the :mod:`repro.serve` worker pool and
+analyzed for per-factor sensitivity.
 
 The paper's blockability story is quantitative — speedup and miss-ratio
 as functions of blocking factor, problem size, and cache geometry — and
 answering "where does blocking pay?" takes a *sweep*, not a run.  This
-package makes the sweep declarative (a JSON grid spec), restartable (an
-interrupted sweep resumes from its database; a rerun recomputes zero
-cells), and analyzable (one-factor-at-a-time sensitivity and
-best-blocking-factor tables over the recorded rows).
+package makes the sweep declarative (a JSON grid spec), restartable
+(every finished cell is an artifact in the store, so a rerun —
+interrupted or not — recomputes only what is missing), and analyzable
+(one-factor-at-a-time sensitivity and best-blocking-factor tables over
+the rows of the ``repro.matrix/1`` artifact).
 
 Layers:
 
 - :mod:`repro.matrix.grid` — grid spec, validation, cartesian expansion
 - :mod:`repro.matrix.cell` — one cell's execution and its store key
-- :mod:`repro.matrix.db` — the sqlite results database
 - :mod:`repro.matrix.runner` — sweep driver over the worker pool
 - :mod:`repro.matrix.analysis` — summaries, sensitivity, best blocking
 - :mod:`repro.matrix.report` — the ``repro.matrix/1`` artifact
@@ -23,14 +22,12 @@ Layers:
 """
 
 from repro.matrix.analysis import best_blocking, sensitivity, summarize
-from repro.matrix.db import MatrixDB
 from repro.matrix.grid import GridSpec, cell_spec
 from repro.matrix.report import SCHEMA, build_report
 from repro.matrix.runner import run_grid
 
 __all__ = [
     "GridSpec",
-    "MatrixDB",
     "SCHEMA",
     "best_blocking",
     "build_report",

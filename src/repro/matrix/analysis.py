@@ -1,8 +1,11 @@
 """Analysis over result rows: summaries, sensitivity, best blocking.
 
-Everything here is pure functions over the flat row dicts the sqlite
-database stores (``repro.matrix.db.ROW_COLUMNS``), so the same code
-serves the CLI report, the JSON artifact, and tests over synthetic rows.
+Everything here is pure functions over the flat row dicts of a
+``repro.matrix/1`` artifact (the nine factors of
+:data:`~repro.matrix.grid.FACTOR_ORDER`, the pool's ``status``, and
+:data:`~repro.matrix.cell.RESULT_FIELDS`), so the same code serves a
+sweep, ``matrix report`` over a stored artifact, and tests over
+synthetic rows.
 
 **Per-factor sensitivity** is one-factor-at-a-time (OAT): rows are
 grouped by the assignment of every *other* factor; within each group the
@@ -21,25 +24,11 @@ from collections import defaultdict
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import MatrixError
-
-#: the factor columns every row carries (grid.FACTOR_ORDER, materialized)
-FACTOR_COLUMNS = (
-    "workload",
-    "recipe",
-    "n",
-    "b",
-    "cache_kb",
-    "line_bytes",
-    "assoc",
-    "tlb_entries",
-    "page_bytes",
-)
+from repro.matrix.grid import FACTOR_ORDER
+from repro.serve.pool import OK_STATUSES
 
 #: metrics sensitivity/best-blocking can rank by
 METRICS = ("speedup", "miss_ratio", "modeled_s", "tlb_misses")
-
-#: row statuses whose measurements are usable
-OK_STATUSES = ("hit", "computed", "retried")
 
 
 def ok_rows(rows: Sequence[Mapping]) -> list[dict]:
@@ -79,7 +68,7 @@ def varied_factors(rows: Sequence[Mapping]) -> dict:
     """factor -> sorted distinct levels, for factors with >= 2 levels."""
     levels: dict = defaultdict(set)
     for r in rows:
-        for f in FACTOR_COLUMNS:
+        for f in FACTOR_ORDER:
             levels[f].add(r.get(f))
     return {
         f: sorted(vs, key=lambda v: (v is None, v))
@@ -131,9 +120,9 @@ def sensitivity(
     chosen = list(factors) if factors is not None else sorted(varied)
     out: dict = {}
     for f in chosen:
-        if f not in FACTOR_COLUMNS:
+        if f not in FACTOR_ORDER:
             raise MatrixError(
-                f"unknown factor {f!r} (known: {list(FACTOR_COLUMNS)})"
+                f"unknown factor {f!r} (known: {list(FACTOR_ORDER)})"
             )
         if f not in varied:
             raise MatrixError(
@@ -143,7 +132,7 @@ def sensitivity(
         per_level: dict = defaultdict(list)
         groups: dict = defaultdict(lambda: defaultdict(list))
         for r in usable:
-            other = tuple((g, r.get(g)) for g in FACTOR_COLUMNS if g != f)
+            other = tuple((g, r.get(g)) for g in FACTOR_ORDER if g != f)
             groups[other][r.get(f)].append(r[metric])
             per_level[r.get(f)].append(r[metric])
         effects = []

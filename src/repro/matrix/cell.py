@@ -11,8 +11,8 @@ IR), and a cache geometry (built by
 
 :func:`run_cell` measures **two** variants through the same machine —
 the point algorithm as the baseline and the recipe's output — so every
-row carries its own speedup and miss-ratio pair and the results database
-needs no cross-row joins to answer "did blocking help *here*".
+row carries its own speedup and miss-ratio pair and the analysis needs
+no cross-row joins to answer "did blocking help *here*".
 
 :func:`cell_key` is the store-key contribution consumed by
 :func:`repro.serve.jobs.job_key`: ``(input-IR fingerprint, resolved
@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 from repro.errors import MatrixError
 from repro.matrix.grid import DEFAULTS, FACTOR_ORDER, GEOMETRY_FACTORS
 
-#: result-row fields filled from the simulation (db columns share names)
+#: result-row fields filled from the simulation
 RESULT_FIELDS = (
     "refs",
     "misses",

@@ -200,18 +200,8 @@ class GridSpec:
 
     def digest(self) -> str:
         """Content address of the grid itself (names the sweep)."""
-        text = json.dumps(self.to_json(), sort_keys=True)
+        text = json.dumps({"factors": self.factor_map()}, sort_keys=True)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def to_json(self) -> dict:
-        return {"factors": self.factor_map()}
-
-    def describe(self) -> str:
-        parts = [
-            f"{name}={'/'.join(str(v) for v in levels)}"
-            for name, levels in self.factors
-        ]
-        return f"{self.n_cells()} cells: " + " x ".join(parts)
 
 
 def _coerce_level(name: str, value):

@@ -6,13 +6,13 @@
       'schema': 'repro.matrix/1',
       'meta': {'tool': '...', ...},            # free-form strings
       'grid': {'factors': {...}, 'cells': 24,
-               'digest': '9f31...'} | null,     # null: report over all rows
-      'run': {'workers': 2, 'skipped': 0, 'hit': 0, 'computed': 24,
-              'retried': 0, 'timeout': 0, 'failed': 0, 'cancelled': 0,
+               'digest': '9f31...'} | null,     # null: rows of no one grid
+      'run': {'workers': 2, 'hit': 0, 'computed': 24, 'retried': 0,
+              'timeout': 0, 'failed': 0, 'cancelled': 0,
               'total': 24, 'elapsed_s': 12.3} | null,   # null: report-only
       'rows': [ {digest, workload, recipe, n, b, cache_kb, ..., status,
-                 refs, misses, miss_ratio, modeled_s, base_*, speedup,
-                 fingerprint, ...}, ... ],
+                 error, attempts, wall_s, refs, misses, miss_ratio,
+                 modeled_s, base_*, speedup, fingerprint}, ... ],
       'summary': {'cells', 'ok', 'failed', 'speedup': {quantiles},
                   'miss_ratio': {quantiles}, 'by_workload': {...}},
       'sensitivity': {'b': {'metric', 'levels', 'best_level',
@@ -33,30 +33,20 @@ from typing import Mapping, Optional, Sequence
 from repro.artifacts.flatten import QUANT_FIELDS, Sink
 from repro.artifacts.registry import MATRIX_REPORT as SCHEMA
 from repro.artifacts.shape import enum, map_of, nullable
-from repro.matrix.analysis import (
-    FACTOR_COLUMNS,
-    OK_STATUSES,
-    best_blocking,
-    sensitivity,
-    summarize,
-    varied_factors,
-)
-
-#: every terminal status a row may carry (pool statuses)
-ROW_STATUSES = ("hit", "computed", "retried", "timeout", "failed", "cancelled")
-
-_RUN_COUNTS = ("skipped",) + ROW_STATUSES
+from repro.matrix.analysis import best_blocking, sensitivity, summarize
+from repro.matrix.grid import FACTOR_ORDER
+from repro.serve.pool import OK_STATUSES, STATUSES
 
 
 def build_report(
     rows: Sequence[Mapping],
-    grid=None,
+    grid: Optional[Mapping] = None,
     run: Optional[Mapping] = None,
     meta: Optional[Mapping] = None,
     metric: str = "speedup",
     only: Optional[Sequence[str]] = None,
 ) -> dict:
-    """Assemble the artifact from result rows (+ optional grid/run info).
+    """Assemble the artifact from result rows (+ the grid/run blocks).
 
     ``only`` restricts the sensitivity section to the named factors
     (:class:`~repro.errors.MatrixError` when one is absent or constant).
@@ -66,15 +56,7 @@ def build_report(
     return {
         "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
-        "grid": (
-            {
-                "factors": grid.factor_map(),
-                "cells": grid.n_cells(),
-                "digest": grid.digest(),
-            }
-            if grid is not None
-            else None
-        ),
+        "grid": dict(grid) if grid is not None else None,
         "run": dict(run) if run is not None else None,
         "rows": rows,
         "summary": summarize(rows),
@@ -86,13 +68,13 @@ def build_report(
 SHAPE = {
     "meta": dict,
     "grid": nullable({"factors": dict}),
-    "run": nullable({**{key: nullable(int) for key in _RUN_COUNTS},
+    "run": nullable({**{key: nullable(int) for key in STATUSES},
                      "total": int}),
     "rows": [{
         "digest": str,
         "workload": str,
         "recipe": str,
-        "status": enum(*ROW_STATUSES),
+        "status": enum(*STATUSES),
         "speedup": nullable(float),
         "error": nullable(str),
     }],
@@ -120,16 +102,16 @@ def invariants(doc: dict) -> list[str]:
     if summary["ok"] != ok:
         errors.append(f"summary.ok is {summary['ok']}, want {ok}")
     for factor, entry in doc["sensitivity"].items():
-        if factor not in FACTOR_COLUMNS:
+        if factor not in FACTOR_ORDER:
             errors.append(f"sensitivity names unknown factor {factor!r}")
         elif len(entry["levels"]) < 2:
             errors.append(f"sensitivity.{factor} has fewer than 2 levels")
     if run is not None:
-        want = sum(run.get(key) or 0 for key in _RUN_COUNTS)
+        want = sum(run.get(key) or 0 for key in STATUSES)
         if run["total"] != want:
             errors.append(
                 f"run.total is {run['total']}, want {want} "
-                "(skipped + per-status counts)"
+                "(the per-status counts)"
             )
     return errors
 
@@ -146,7 +128,7 @@ def render(doc: dict) -> str:
             f"grid {doc['grid']['digest'][:12]}: {doc['grid']['cells']} cell(s)"
         )
     if run is not None:
-        parts = [f"{run[k]} {k}" for k in _RUN_COUNTS if run.get(k)]
+        parts = [f"{run[k]} {k}" for k in STATUSES if run.get(k)]
         out.append(
             f"run: {', '.join(parts) or 'nothing to do'} "
             f"in {run.get('elapsed_s', 0):.2f}s on {run.get('workers', '?')} worker(s)"
@@ -198,7 +180,7 @@ def flatten_report(doc: dict) -> dict:
     perf ingestion hook for :data:`SCHEMA`."""
     sink = Sink()
     run = doc.get("run") or {}
-    for field in ("elapsed_s", "total", "skipped", "hit", "computed", "failed"):
+    for field in ("elapsed_s", "total", "hit", "computed", "failed"):
         sink.put(f"run.{field}", run.get(field))
     summary = doc.get("summary") or {}
     for field in ("cells", "ok", "failed"):
@@ -206,7 +188,7 @@ def flatten_report(doc: dict) -> dict:
     for metric in ("speedup", "miss_ratio"):
         sink.put_summary(f"summary.{metric}", summary.get(metric), QUANT_FIELDS)
     for row in doc.get("rows") or []:
-        if not isinstance(row, dict) or row.get("status") == "skipped":
+        if not isinstance(row, dict):
             continue
         label = (
             f"cell:{row.get('workload', '?')}:{row.get('recipe', '?')}"

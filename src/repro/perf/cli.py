@@ -112,7 +112,7 @@ def register(sub) -> None:
     for q in (record, runs, diff, trend):
         cli.output_flags(q, json=True)
     for q in (record, runs, diff, trend, g):
-        cli.db_flag(q, "perf.db")
+        cli.db_flag(q)
 
 
 def _patterns(args) -> list[str]:

@@ -1,11 +1,12 @@
 """Sqlite run-history database: one row per recorded artifact.
 
-The database lives next to the artifact store and the matrix results
-(``perf.db`` under ``.repro-cache/`` or ``$REPRO_CACHE_DIR``) and keys
-each run by the **content digest of the artifact itself** — recording
-the same artifact twice stores two runs with the same digest, which is
-exactly what a before/after comparison on identical inputs needs (and
-what ``gate`` exploits to prove its own noise floor).
+The database — the one sqlite file in the stack — lives next to the
+artifact store (``perf.db`` under ``.repro-cache/`` or
+``$REPRO_CACHE_DIR``) and keys each run by the **content digest of the
+artifact itself** — recording the same artifact twice stores two runs
+with the same digest, which is exactly what a before/after comparison
+on identical inputs needs (and what ``gate`` exploits to prove its own
+noise floor).
 
 Two tables, deliberately flat so ad-hoc SQL works::
 
@@ -16,10 +17,9 @@ Two tables, deliberately flat so ad-hoc SQL works::
     SELECT r.created_s, m.value FROM metrics m JOIN runs r ON r.id=m.run_id
     WHERE m.name='pass:block.wall_s' ORDER BY r.created_s;
 
-Rows are written in autocommit mode (the
-:class:`~repro.artifacts.sqlitedb.SqliteDB` discipline): a run and its
-metrics land inside one explicit transaction, so a crash mid-record
-leaves no half-run.
+The connection is in autocommit mode, so every statement is durable on
+its own; a run and its metrics land inside one explicit transaction, so
+a crash mid-record leaves no half-run.
 
 Run **selectors** (accepted everywhere a CLI names a run): a numeric id
 (``17``), ``latest``/``latest~N`` (N records back), or a label — labels
@@ -30,11 +30,12 @@ main`` keeps working as ``main`` is re-recorded.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import time
+from pathlib import Path
 from typing import Optional
 
-from repro.artifacts.sqlitedb import SqliteDB
 from repro.errors import PerfError
 from repro.perf import ingest
 
@@ -59,18 +60,58 @@ CREATE TABLE IF NOT EXISTS metrics (
 )"""
 
 
-class PerfDB(SqliteDB):
+#: bumped when the table set changes incompatibly
+SCHEMA_VERSION = 1
+
+
+class PerfDB:
     """One run-history database; use as a context manager or ``close()``."""
 
-    BASENAME = "perf.db"
-    ERROR = PerfError
-    KIND = "perf"
-    DDL = (
-        _RUNS_DDL,
-        _METRICS_DDL,
-        "CREATE INDEX IF NOT EXISTS metrics_name ON metrics(name)",
-        "CREATE INDEX IF NOT EXISTS runs_label ON runs(label)",
-    )
+    def __init__(self, path: Optional[str] = None) -> None:
+        self.path = Path(path) if path is not None else (
+            Path(os.environ.get("REPRO_CACHE_DIR", ".repro-cache")) / "perf.db"
+        )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._conn = sqlite3.connect(str(self.path), isolation_level=None)
+        self._conn.row_factory = sqlite3.Row
+        self._init_schema()
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def __enter__(self) -> "PerfDB":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _init_schema(self) -> None:
+        try:
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
+            )
+            row = self._conn.execute(
+                "SELECT value FROM meta WHERE key='schema_version'"
+            ).fetchone()
+        except sqlite3.DatabaseError as e:
+            raise PerfError(f"{self.path} is not a perf database: {e}") from e
+        if row is None:
+            self._conn.execute(
+                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
+            )
+        elif int(row["value"]) != SCHEMA_VERSION:
+            raise PerfError(
+                f"{self.path} has schema v{row['value']}, want "
+                f"v{SCHEMA_VERSION}; delete the file to start over"
+            )
+        for statement in (
+            _RUNS_DDL,
+            _METRICS_DDL,
+            "CREATE INDEX IF NOT EXISTS metrics_name ON metrics(name)",
+            "CREATE INDEX IF NOT EXISTS runs_label ON runs(label)",
+        ):
+            self._conn.execute(statement)
 
     # ---- recording --------------------------------------------------------
     def record(

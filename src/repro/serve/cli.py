@@ -33,6 +33,7 @@ import json
 from repro import cli
 from repro.errors import PipelineError
 from repro.serve.jobs import SUBMIT_KINDS, JobSpec
+from repro.serve.pool import STATUSES
 from repro.serve.service import build_store_ops, run_batch
 
 
@@ -143,8 +144,7 @@ def _print_report(report: dict) -> None:
             f"attempt {job['attempts']}{dedup}{tail}"
         )
     s = report["summary"]
-    parts = [f"{s[k]} {k}" for k in ("hit", "computed", "retried",
-                                     "timeout", "failed", "cancelled") if s[k]]
+    parts = [f"{s[k]} {k}" for k in STATUSES if s[k]]
     util = report["pool"].get("utilization")
     util_txt = f", pool utilization {util:.0%}" if util is not None else ""
     print(f"{s['total']} job(s): {', '.join(parts) or 'none'} "

@@ -20,8 +20,8 @@ A :class:`JobSpec` names one unit of work the pool can run:
     one experiment-matrix cell (the unit of ``python -m repro matrix
     run``): derive the workload under the cell's recipe and simulate
     both the point and derived variants through the cell's cache
-    geometry at its problem size / blocking factor — the row a
-    :mod:`repro.matrix` sweep persists to sqlite;
+    geometry at its problem size / blocking factor — one row of a
+    :mod:`repro.matrix` sweep;
 ``probe``
     a test-only kind whose ``options["action"]`` makes it succeed,
     sleep, raise, or kill its own worker — the fault-injection tests
@@ -52,6 +52,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.artifacts.shape import check, nullable
 from repro.errors import PipelineError, ReproError
 from repro.obs import core as _obs
 
@@ -104,31 +105,42 @@ class JobSpec:
         }
 
     @staticmethod
-    def from_dict(doc: dict) -> "JobSpec":
+    def from_dict(doc) -> "JobSpec":
+        """The spec a JSON document describes.  Total: any JSON value is
+        either a spec or a :class:`~repro.errors.PipelineError` naming
+        every problem — batch files and daemon requests are outside
+        input.  Omitted and ``null`` fields take their defaults."""
         if not isinstance(doc, dict):
             raise PipelineError(f"job spec must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {
-            "kind", "workload", "passes", "options", "check",
-            "timeout_s", "max_retries", "use_store", "label",
-        }
+        unknown = set(doc) - set(SPEC_SHAPE)
         if unknown:
             raise PipelineError(f"unknown job spec field(s): {sorted(unknown)}")
-        passes = doc.get("passes")
-        if isinstance(passes, str):
-            passes = tuple(p.strip() for p in passes.split(",") if p.strip())
-        elif passes is not None:
-            passes = tuple(passes)
-        return JobSpec(
-            kind=doc.get("kind", "derive"),
-            workload=doc.get("workload", ""),
-            passes=passes,
-            options=dict(doc.get("options", {})),
-            check=bool(doc.get("check", False)),
-            timeout_s=float(doc.get("timeout_s", 120.0)),
-            max_retries=doc.get("max_retries"),
-            use_store=bool(doc.get("use_store", True)),
-            label=doc.get("label", ""),
-        )
+        fields = {k: v for k, v in doc.items() if v is not None}
+        if isinstance(fields.get("passes"), str):
+            fields["passes"] = [
+                p.strip() for p in fields["passes"].split(",") if p.strip()
+            ]
+        problems = check(fields, SPEC_SHAPE, "job")
+        if problems:
+            raise PipelineError(f"bad job spec: {'; '.join(problems)}")
+        for value in fields.get("options", {}).values():
+            _scalar(value)
+        return JobSpec(**fields)
+
+
+#: a job spec as JSON (:meth:`JobSpec.from_dict`); every field is optional
+#: and ``passes`` may also arrive as one comma-separated string
+SPEC_SHAPE = {
+    "kind": nullable(str),
+    "workload": nullable(str),
+    "passes": nullable([str]),
+    "options": nullable(dict),
+    "check": nullable(bool),
+    "timeout_s": nullable(float),
+    "max_retries": nullable(int),
+    "use_store": nullable(bool),
+    "label": nullable(str),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +155,19 @@ def job_key(spec: JobSpec) -> tuple:
     recipe (names + options), and the assumption-context facts — not on
     the workload's name alone, so editing an algorithm builder or a
     default binding invalidates exactly the affected artifacts.
+
+    Built once per spec object and remembered on it (specs are frozen):
+    whoever keys a spec first — the daemon at admission, otherwise
+    :meth:`WorkerPool.submit <repro.serve.pool.WorkerPool.submit>` —
+    pays for the IR build, and it raises there or never.
     """
+    key = spec.__dict__.get("_key")
+    if key is None:
+        key = spec.__dict__["_key"] = _build_key(spec)
+    return key
+
+
+def _build_key(spec: JobSpec) -> tuple:
     base: tuple = (spec.kind,)
     if spec.kind in ("probe", "table"):
         return base + (

@@ -48,7 +48,7 @@ import multiprocessing
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.obs import core as _obs
@@ -56,8 +56,11 @@ from repro.obs import snapshot as _snap
 from repro.serve.jobs import TERMINAL_ERRORS, JobSpec, execute_job, job_key
 from repro.serve.store import ArtifactStore, key_digest
 
+#: statuses of a job that produced its value
+OK_STATUSES = ("hit", "computed", "retried")
+
 #: terminal job statuses as they appear in ``repro.serve/1`` reports
-STATUSES = ("hit", "computed", "retried", "timeout", "failed", "cancelled")
+STATUSES = OK_STATUSES + ("timeout", "failed", "cancelled")
 
 _POLL_S = 0.02
 _KILL_GRACE_S = 0.5
@@ -85,7 +88,7 @@ class JobOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("hit", "computed", "retried")
+        return self.status in OK_STATUSES
 
 
 class JobHandle:
@@ -203,18 +206,17 @@ class WorkerPool:
         store: Optional[ArtifactStore] = None,
         max_retries: int = 2,
         backoff_s: float = 0.05,
-        mp_context: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise PipelineError(f"need at least 1 worker, got {workers}")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
+        methods = multiprocessing.get_all_start_methods()
         self.workers = workers
         self.store = store
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
         self._slots: list[Optional[_Worker]] = [None] * workers
         self._gen = 0
         self._jobs: list[_Job] = []
@@ -285,12 +287,27 @@ class WorkerPool:
             self.poll()
         return [j.outcome for j in self._jobs]
 
+    def as_resolved(self, handles: Sequence[JobHandle]) -> Iterator[JobHandle]:
+        """Yield each of ``handles`` once its job is resolved, polling in
+        between — for drivers (``repro.matrix``) that act on outcomes as
+        they land instead of after a full :meth:`drain`.  Everything
+        already resolved is yielded before the next tick."""
+        pending = list(handles)
+        while pending:
+            still = []
+            for handle in pending:
+                if handle.done:
+                    yield handle
+                else:
+                    still.append(handle)
+            if len(still) == len(pending):
+                self.poll()
+            pending = still
+
     def poll(self) -> None:
         """One scheduler tick: assign pending jobs, collect finished
         attempts, reap timeouts and dead workers.  Blocks for at most the
-        internal poll interval.  External drivers (``repro.matrix``)
-        interleave this with their own bookkeeping to observe outcomes as
-        they resolve instead of waiting for a full :meth:`drain`."""
+        internal poll interval."""
         self._assign()
         self._collect(block=True)
         self._reap_timeouts()
@@ -437,7 +454,7 @@ class WorkerPool:
 
     def _resolve(self, job: _Job, status: str) -> None:
         job.outcome.status = status
-        if status in ("computed", "retried"):
+        if status in OK_STATUSES:
             job.outcome.error = None
         self._inflight.pop(job.outcome.digest, None)
         _obs.observe("serve.job_wall_s", job.outcome.wall_s)

@@ -55,7 +55,7 @@ from repro.artifacts.shape import enum, nullable
 from repro.obs import core as _obs
 from repro.obs.core import Histogram
 from repro.serve.jobs import JobSpec, result_fingerprint
-from repro.serve.pool import STATUSES, JobOutcome, WorkerPool
+from repro.serve.pool import OK_STATUSES, STATUSES, JobOutcome, WorkerPool
 from repro.serve.store import ArtifactStore
 
 
@@ -66,7 +66,6 @@ def run_batch(
     max_retries: int = 2,
     backoff_s: float = 0.05,
     meta: Optional[dict] = None,
-    include_results: bool = True,
 ) -> dict:
     """Execute ``specs`` on a fresh pool and return the report dict.
 
@@ -88,7 +87,6 @@ def run_batch(
             store=store,
             elapsed_s=elapsed,
             meta=meta,
-            include_results=include_results,
         )
     util = report["pool"]["utilization"]
     if util is not None:
@@ -102,14 +100,13 @@ def build_report(
     store: Optional[ArtifactStore] = None,
     elapsed_s: float = 0.0,
     meta: Optional[dict] = None,
-    include_results: bool = True,
 ) -> dict:
     summary = {s: 0 for s in STATUSES}
     jobs = []
     for out in outcomes:
         summary[out.status] += 1
         result = None
-        if include_results and isinstance(out.value, dict):
+        if isinstance(out.value, dict):
             result = {k: v for k, v in out.value.items() if k != "ir"}
         jobs.append(
             {
@@ -131,7 +128,7 @@ def build_report(
             }
         )
     summary["total"] = len(jobs)
-    summary["ok"] = sum(summary[s] for s in ("hit", "computed", "retried"))
+    summary["ok"] = sum(summary[s] for s in OK_STATUSES)
     pool_stats = pool.stats() if pool is not None else {}
     workers = pool_stats.get("workers", 0)
     pool_stats["elapsed_s"] = round(elapsed_s, 4)

@@ -79,7 +79,7 @@ def _canon(obj: Any):
 
 def key_digest(key: Any, schema_version: int = SCHEMA_VERSION) -> str:
     """sha256 hex name of ``key`` under ``schema_version`` — the address
-    shared by store files, in-flight pool jobs and matrix database rows."""
+    shared by store files, in-flight pool jobs and matrix report rows."""
     text = f"v{schema_version}|{canonical_key(key)}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

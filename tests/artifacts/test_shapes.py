@@ -108,14 +108,17 @@ class TestBoundary:
         from repro.artifacts import shape
 
         assert callable(shape.check)
-        # only the artifacts layer calls it (payloads through the registry,
-        # the envelope in validate_document): every subsystem declares data
-        # for the walker and none walks
+        # the artifacts layer calls it for every artifact (payloads through
+        # the registry, the envelope in validate_document): every subsystem
+        # declares data for the walker and none walks.  The two other
+        # callers are where JSON that is not an artifact enters: a job
+        # spec, and the daemon's request around one
         callers = sorted(
             str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
             if "import check" in p.read_text(encoding="utf-8")
         )
-        assert callers == ["artifacts/registry.py", "artifacts/validate.py"]
+        assert callers == ["artifacts/registry.py", "artifacts/validate.py",
+                           "daemon/server.py", "serve/jobs.py"]
 
     def test_every_registered_id_resolves_a_shape(self):
         for schema_id in registry.known_ids():

@@ -72,11 +72,22 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 24_781
+        ceiling = 24_391
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )
         assert lines <= ceiling, f"src/ grew to {lines} lines (ceiling {ceiling})"
+
+    def test_one_database_three_cache_tiers(self):
+        """The matrix results database and the base class it shared with
+        ``perf.db`` are gone: a sweep's memory is the artifact store."""
+        assert _modules_containing("sqlite3") == ["perf/db.py"]
+        assert not (SRC / "matrix" / "db.py").exists()
+        assert not (SRC / "artifacts" / "sqlitedb.py").exists()
+
+    def test_one_spelling_of_the_ok_statuses(self):
+        assert _modules_containing('"hit", "computed", "retried"') == [
+            "serve/pool.py"]
 
     def test_importing_the_core_imports_no_command(self):
         lazy = ["repro.matrix", "repro.perf", "repro.par", "repro.load",
@@ -189,6 +200,12 @@ EXIT_CODES = [
     (2, ["check", "nonesuch"]),                        # unknown workload
     (2, ["serve", "submit"]),                          # argparse: no WORKLOAD
     (2, ["bench", "{tmp}/b.json", "--jobs", "2"]),     # the pool fork is gone
+    (2, ["matrix", "resume"]),                         # the matrix db is gone:
+    (2, ["matrix", "status"]),                         # argparse knows neither
+    (2, ["matrix", "run", "--factor", "workload=matmul", "--db", "x"]),
+    (2, ["matrix", "run", "--factor", "workload=matmul", "--fresh"]),
+    (2, ["matrix", "report", "{tmp}/good.json"]),      # not a matrix artifact
+    (2, ["matrix", "report", "{tmp}/broken.json"]),    # invalid artifact file
     (2, ["perf", "record", "{tmp}/bare.json"]),        # bare payload
     (2, ["perf", "gate", "{tmp}/bare.json", "--baseline-file",
          "{tmp}/base.json"]),
@@ -217,7 +234,8 @@ def test_exit_code_contract(world, want, argv, capsys):
     ["artifacts", "validate", "{tmp}/broken.json"],
     ["perf", "record", "{tmp}/broken.json"],
     ["perf", "gate", "{tmp}/broken.json", "--baseline-file", "{tmp}/base.json"],
-], ids=["artifacts validate", "perf record", "perf gate"])
+    ["matrix", "report", "{tmp}/broken.json"],
+], ids=["artifacts validate", "perf record", "perf gate", "matrix report"])
 def test_shape_broken_file_is_reported_as_payload_rows(world, argv, capsys):
     cli.main([a.format(tmp=world) for a in argv])
     captured = capsys.readouterr()

@@ -102,6 +102,116 @@ class TestRequests:
         assert reply.rule == "daemon/deadline"
 
 
+# ---- admission is total ----------------------------------------------------
+
+CONV = {"kind": "derive", "workload": "conv"}
+
+#: (body, HTTP status): the twelve malformed bodies of the issue that found
+#: the bug — the first one killed the scheduler thread, the next eight were a
+#: traceback and a dropped connection — and a null deadline, which is legal
+MALFORMED = [
+    ({"job": {"kind": "derive", "workload": "nope", "use_store": False}}, 400),
+    ({"job": {"kind": "derive", "workload": "nope"}}, 400),
+    ({"job": {**CONV, "timeout_s": "abc"}}, 400),
+    ({"job": {**CONV, "options": [1]}}, 400),
+    ({"job": {**CONV, "passes": 5}}, 400),
+    ({"job": {"kind": "derive", "workload": ["conv"]}}, 400),
+    ({"job": {**CONV, "options": {"unroll": [2]}}}, 400),
+    ({"job": CONV, "deadline_s": "soon"}, 400),
+    ({"job": {"kind": "cell", "workload": "conv", "options": {"bogus": 1}}}, 400),
+    ({"job": {"kind": "nope", "workload": "conv"}}, 400),
+    ({"job": {**CONV, "retries": 3}}, 400),
+    ({"job": ["conv"]}, 400),
+    ({"job": probe(value="null-deadline"), "deadline_s": None}, 200),
+]
+
+JUNK = (None, [1], {"a": 1}, "x", -1)
+
+
+def _mutants():
+    """A valid request with each field, at each depth, replaced by each
+    junk value (after ``test_shapes.test_mutants_never_raise``)."""
+    valid = {
+        "job": {"kind": "probe", "workload": "t", "passes": ["split"],
+                "options": {"action": "ok", "value": "m"}, "check": False,
+                "timeout_s": 30.0, "max_retries": 0, "use_store": True,
+                "label": "m"},
+        "deadline_s": 30.0,
+    }
+    sites = [("deadline_s",), ("job",)]
+    sites += [("job", field) for field in valid["job"]]
+    sites += [("job", "options", name) for name in valid["job"]["options"]]
+    for path in sites:
+        for junk in JUNK:
+            body = json.loads(json.dumps(valid))
+            node = body
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = junk
+            yield body
+
+
+def raw_post(port: int, content_length: str, body: bytes = b"") -> tuple:
+    """POST /v1/jobs with a hand-written Content-Length."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestAdmission:
+    """Every request gets a structured reply and none costs the daemon
+    anything it needs to answer the next one."""
+
+    def test_every_malformed_body_is_answered(self, daemon):
+        for body, want in MALFORMED:
+            reply = dstate.request("127.0.0.1", daemon.port, "POST",
+                                   "/v1/jobs", body, timeout_s=30.0)
+            assert reply.status == want, (body, reply.body)
+            if want == 400:
+                assert reply.rule == "daemon/bad-request", body
+        self.assert_healthy(daemon)
+
+    def test_mutants_of_a_valid_request_are_answered(self, daemon):
+        replies = 0
+        for body in _mutants():
+            reply = dstate.request("127.0.0.1", daemon.port, "POST",
+                                   "/v1/jobs", body, timeout_s=30.0)
+            assert reply.ok or reply.rule.startswith("daemon/"), (
+                body, reply.status, reply.body)
+            replies += 1
+        assert replies == 65
+        self.assert_healthy(daemon)
+
+    def test_request_size_is_bounded(self, daemon):
+        from repro.daemon.server import _MAX_BODY
+
+        deep = b"[" * 100_000  # inside the bound, past json's recursion limit
+        for length, body in (("-1", b""), (str(_MAX_BODY + 1), b""),
+                             (str(10 ** 15), b""), ("nan", b""),
+                             (str(len(deep)), deep)):
+            status, doc = raw_post(daemon.port, length, body)
+            assert status == 400, (length, doc)
+            assert doc["error"]["rule"] == "daemon/bad-request"
+        self.assert_healthy(daemon)
+
+    @staticmethod
+    def assert_healthy(d: Daemon) -> None:
+        r = d.requests
+        assert r["received"] == r["accepted"] + r["rejected"] + r["shed"], r
+        assert d._scheduler_thread.is_alive()
+        after = submit(d, probe(value="after the table"))
+        assert after.ok and after.body["status"] == "computed"
+        # the ``daemon`` fixture then asserts the drain completes
+
+
 class TestSaturation:
     def test_shedding_never_deadlocks(self, store_dir):
         d = make_daemon(store_dir, queue_limit=2)

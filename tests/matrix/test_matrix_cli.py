@@ -16,7 +16,7 @@ GRID = ["--factor", "workload=matmul", "--factor", "b=2,4",
 
 @pytest.fixture
 def cachedir(tmp_path, monkeypatch):
-    """Point both the store and the database at the test's tmp dir."""
+    """Point the store at the test's tmp dir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path
 
@@ -43,8 +43,16 @@ class TestRun:
         assert run_cli("run", *GRID, "--workers", "1", "--out", str(out)) == 0
         assert run_cli("run", *GRID, "--workers", "1", "--out", str(out)) == 0
         doc = payload_of(json.loads(out.read_text()))
-        assert doc["run"]["skipped"] == 4
+        assert doc["run"]["hit"] == 4
         assert doc["run"]["computed"] == 0
+        assert all(r["attempts"] == 0 for r in doc["rows"])
+
+    def test_no_store_recomputes(self, cachedir):
+        out = cachedir / "r.json"
+        for _ in range(2):
+            assert run_cli("run", *GRID, "--workers", "1", "--no-store",
+                           "--out", str(out)) == 0
+            assert payload_of(json.loads(out.read_text()))["run"]["computed"] == 4
 
     def test_spec_file_and_progress(self, cachedir, capsys):
         spec = cachedir / "grid.json"
@@ -69,49 +77,54 @@ class TestRun:
 
 
 class TestStatusResumeReport:
+    """``status`` and ``resume`` went with the database (the store answers
+    both: ``artifacts ls``, and ``run`` again); ``report`` re-analyzes a
+    ``repro.matrix/1`` artifact named by file or by store digest."""
+
     @pytest.fixture
     def swept(self, cachedir):
         assert run_cli("run", *GRID, "--workers", "1",
                        "--out", str(cachedir / "r.json")) == 0
         return cachedir
 
-    def test_status_lists_the_sweep(self, swept, capsys):
-        assert run_cli("status", "--json") == 0
-        out = json.loads(capsys.readouterr().out)
-        assert len(out) == 1
-        assert out[0]["done"] == out[0]["cells"] == 4
-
-    def test_resume_completed_sweep_is_a_noop(self, swept, capsys):
-        out = swept / "resumed.json"
-        assert run_cli("resume", "--out", str(out)) == 0
-        doc = payload_of(json.loads(out.read_text()))
-        assert doc["run"]["skipped"] == 4
-
-    def test_resume_unknown_sweep_exits_2(self, swept, capsys):
-        assert run_cli("resume", "ffff") == 2
-        assert "no sweep matches" in capsys.readouterr().err
-
     def test_report_only_factor(self, swept, capsys):
         out = swept / "rep.json"
-        assert run_cli("report", "--only", "b", "--out", str(out)) == 0
+        assert run_cli("report", str(swept / "r.json"), "--only", "b",
+                       "--out", str(out)) == 0
         env = json.loads(out.read_text())
         assert validate_document(env) == []
         doc = payload_of(env)
-        assert list(doc["sensitivity"]) == ["b"]
+        source = payload_of(json.loads((swept / "r.json").read_text()))
+        assert doc["sensitivity"] == {"b": source["sensitivity"]["b"]}
+        assert doc["rows"] == source["rows"]
+        assert doc["grid"] == source["grid"] and doc["run"] is None
+
+    def test_report_by_digest_prefix(self, swept, capsys):
+        # ``run --out`` also landed the sweep artifact in the store
+        env = json.loads((swept / "r.json").read_text())
+        assert run_cli("report", env["digest"][:10], "--only", "cache_kb") == 0
+        assert "sensitivity: cache_kb" in capsys.readouterr().out
+
+    def test_report_defaults_to_the_default_out(self, swept, monkeypatch, capsys):
+        monkeypatch.chdir(swept)
+        (swept / "BENCH_matrix.json").write_text((swept / "r.json").read_text())
+        assert run_cli("report", "--only", "b") == 0
 
     def test_report_only_absent_factor_exits_2(self, swept, capsys):
-        assert run_cli("report", "--only", "n") == 2
+        assert run_cli("report", str(swept / "r.json"), "--only", "n") == 2
         err = capsys.readouterr().err
         assert "does not vary" in err and "varied factors" in err
 
     def test_report_only_unknown_factor_exits_2(self, swept, capsys):
-        assert run_cli("report", "--only", "bogus") == 2
+        assert run_cli("report", str(swept / "r.json"), "--only", "bogus") == 2
         assert "unknown factor" in capsys.readouterr().err
 
     def test_report_metric_switch(self, swept, capsys):
-        assert run_cli("report", "--only", "b", "--metric", "miss_ratio") == 0
+        assert run_cli("report", str(swept / "r.json"), "--only", "b",
+                       "--metric", "miss_ratio") == 0
         assert "metric: miss_ratio" in capsys.readouterr().out
 
     def test_report_empty_database_exits_2(self, cachedir, capsys):
-        assert run_cli("report") == 2
-        assert "no result rows" in capsys.readouterr().err
+        """Nothing to report on: no such file, nothing in the store."""
+        assert run_cli("report", str(cachedir / "absent.json")) == 2
+        assert "no artifact matches" in capsys.readouterr().err

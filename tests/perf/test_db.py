@@ -101,5 +101,18 @@ class TestDurability:
     def test_non_database_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(b"this is not sqlite at all, not even close....")
-        with pytest.raises(PerfError):
+        with pytest.raises(PerfError, match="not a perf database"):
             PerfDB(str(path))
+
+    def test_schema_version_mismatch_is_an_error(self, tmp_path):
+        path = str(tmp_path / "perf.db")
+        with PerfDB(path) as db:
+            db._conn.execute(
+                "UPDATE meta SET value='99' WHERE key='schema_version'")
+        with pytest.raises(PerfError, match="schema v99"):
+            PerfDB(path)
+
+    def test_default_path_is_next_to_the_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with PerfDB() as db:
+            assert db.path == tmp_path / "cache" / "perf.db"

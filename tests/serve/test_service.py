@@ -92,11 +92,6 @@ class TestRunBatch:
         assert "ir" not in row["result"]  # reports stay skimmable
         assert row["fingerprint"]  # ...but the identity survives
 
-    def test_include_results_false_drops_payloads(self):
-        report = run_batch([probe(value=1)], workers=1, include_results=False)
-        assert report["jobs"][0]["result"] is None
-        assert validate_payload(report) == []
-
     def test_obs_counters_mirror_the_batch(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         spec = JobSpec(workload="matmul", timeout_s=60.0)
