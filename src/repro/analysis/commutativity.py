@@ -19,9 +19,11 @@ permutations and whole-column updates":
 - :func:`match_column_update` — a (J, I) nest computing
   ``A(I,J) = A(I,J) ± A(I,k) * A(k,J)`` (the rank-1 Gaussian update), and
   also the column-scale ``A(I,k) = A(I,k) / A(k,k)``;
-- :func:`operations_commute` — the registry query the blockability driver
-  asks when a transformation-preventing dependence connects two matched
-  groups.
+- :func:`operations_commute` — the registry query asked when a
+  transformation-preventing dependence connects two matched groups;
+- :func:`commutativity_oracle` — that question per dependence: the one
+  oracle the ``block``/``distribute`` passes, the blockability driver and
+  :mod:`repro.check`'s linter and legality recheck all consult.
 
 Soundness note: commuting a row interchange past a column update reorders
 *floating-point-identical* operations onto permuted rows; results are
@@ -35,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.graph import _top_stmt_of
 from repro.ir.expr import ArrayRef, BinOp, Expr, Var, free_vars
-from repro.ir.stmt import Assign, If, Loop, Stmt
+from repro.ir.stmt import Assign, If, Loop, Procedure, Stmt
 
 
 @dataclass(frozen=True)
@@ -302,3 +305,23 @@ def operations_commute(a: object, b: object) -> bool:
 
 #: Extensible registry of commuting operation-group types.
 COMMUTING_PAIRS: list[tuple[type, type]] = [(RowInterchange, ColumnUpdate)]
+
+
+def _match_group(stmt: Stmt):
+    """Classify a top-level statement of the loop body as a known
+    operation group, if possible."""
+    if not isinstance(stmt, Loop):
+        return None
+    return match_row_interchange(stmt) or match_column_update(stmt)
+
+
+def commutativity_oracle(proc: Procedure, loop: Loop, dep) -> bool:
+    """May ``dep`` be ignored for distribution of ``loop``?
+
+    True exactly when its endpoints live in two *different* top-level
+    statement groups of the loop body that match known commuting
+    operations (row interchange vs whole-column update, Sec. 5.2).
+    """
+    u = _top_stmt_of(dep.source, loop)
+    v = _top_stmt_of(dep.sink, loop)
+    return u is not v and operations_commute(_match_group(u), _match_group(v))

@@ -1,8 +1,8 @@
 """One enveloped artifact/report backbone for the whole stack.
 
 Every persisted JSON document — pipeline traces, bench tables, obs
-profiles, check reports, serve batch reports, matrix sweeps, perf
-baselines and gate verdicts — goes through this package:
+profiles, check reports, matrix sweeps, daemon status, perf baselines
+and gate verdicts — goes through this package:
 
 - :mod:`~repro.artifacts.envelope` — the one envelope (schema id,
   canonical-JSON sha256 digest, producer, timing) and its readers;
@@ -13,7 +13,7 @@ baselines and gate verdicts — goes through this package:
 - :mod:`~repro.artifacts.validate` — structured ``artifact/*``
   diagnostics over enveloped documents;
 - :mod:`~repro.artifacts.sink` — the content-addressed store as
-  universal artifact sink (content entries + request pointers);
+  universal artifact sink (one key space: the envelope digest);
 - :func:`publish` — the one call producers make: envelope, validate,
   write to disk, land in the store.
 
@@ -23,7 +23,7 @@ files and store entries alike.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.artifacts import registry
 from repro.artifacts.envelope import (
@@ -41,7 +41,6 @@ from repro.artifacts.envelope import (
 from repro.artifacts.sink import (
     find_artifact,
     get_artifact,
-    get_for_request,
     list_artifacts,
     put_artifact,
     resolve_artifact,
@@ -63,7 +62,6 @@ __all__ = [
     "envelope",
     "find_artifact",
     "get_artifact",
-    "get_for_request",
     "is_envelope",
     "list_artifacts",
     "load_file",
@@ -89,13 +87,11 @@ def publish(
     created_by_run: Optional[str] = None,
     elapsed_s: Optional[float] = None,
     store=None,
-    request: Any = None,
 ) -> dict:
     """Envelope ``doc`` (bare payloads are wrapped, envelopes pass
     through), validate it, write it to ``path`` (when given), and land
-    it in ``store`` (when given, optionally under a ``request``
-    pointer).  Returns the envelope — the single call every producer
-    makes."""
+    it in ``store`` (when given) under its content address.  Returns
+    the envelope — the single call every producer makes."""
     env = doc if is_envelope(doc) else envelope(
         doc,
         schema=schema,
@@ -107,5 +103,5 @@ def publish(
     if path is not None:
         write_file(path, env)
     if store is not None:
-        put_artifact(store, env, request=request)
+        put_artifact(store, env)
     return env

@@ -51,13 +51,6 @@ _r.register(
     description="static-check report (diagnostics, rule catalogue, verdicts)",
 )
 _r.register(
-    _r.SERVE_REPORT,
-    shape="repro.serve.service:SHAPE",
-    invariants="repro.serve.service:invariants",
-    flatten="repro.serve.service:flatten_report",
-    description="serve batch report (per-job outcomes, pool and store stats)",
-)
-_r.register(
     _r.MATRIX_REPORT,
     shape="repro.matrix.report:SHAPE",
     invariants="repro.matrix.report:invariants",
@@ -95,9 +88,9 @@ _r.register(
 )
 _r.register(
     _r.SERVE_STORE,
-    shape="repro.serve.service:STORE_SHAPE",
-    invariants="repro.serve.service:store_invariants",
-    flatten="repro.serve.service:flatten_store_ops",
+    shape="repro.serve.store:STORE_SHAPE",
+    invariants="repro.serve.store:store_invariants",
+    flatten="repro.serve.store:flatten_store_ops",
     description="artifact-store maintenance record (stats / gc outcome)",
 )
 _r.register(

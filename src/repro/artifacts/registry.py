@@ -39,7 +39,6 @@ PIPELINE_BENCH = "repro.pipeline.bench/1"
 OBS_METRICS = "repro.obs/1"
 OBS_SNAPSHOT = "repro.obs.snapshot/1"
 CHECK_REPORT = "repro.check/1"
-SERVE_REPORT = "repro.serve/1"
 MATRIX_REPORT = "repro.matrix/1"
 PERF_GATE = "repro.perf.gate/1"
 PERF_BASELINE = "repro.perf.baseline/1"

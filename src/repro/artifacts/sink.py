@@ -2,36 +2,29 @@
 
 :mod:`repro.serve.store` gives the stack one durable, checksummed,
 atomically-published key/value store; this module gives every subsystem
-one way to land enveloped artifacts in it:
+one way to land enveloped artifacts in it, and one key space: an
+envelope is keyed ``('artifact', schema_id, payload digest)``, so the
+envelope digest *is* the address — publishing the same payload twice is
+one entry, and ``get_artifact`` retrieves by ``(schema id, digest)``
+from any process.  There is no second, name-keyed way in: reuse of a
+*computation* is the job store's business (:func:`repro.serve.jobs.job_key`
+— IR fingerprint, resolved recipe, context facts), where an edited
+algorithm is a different key.
 
-- **content entries** — keyed ``('artifact', schema_id, payload
-  digest)``, so the envelope digest *is* the address: publishing the
-  same payload twice is one entry, and ``get_artifact`` retrieves by
-  ``(schema id, digest)`` from any process;
-- **request pointers** — optionally keyed ``('artifact-request',
-  schema_id, request key)``, mapping "the report for *this* request"
-  (e.g. a check run over these workloads) to the envelope.  This is
-  what gives ``repro.check`` and ``repro.obs`` the store-backed
-  resumption that derive/cell jobs already had: a repeated request
-  short-circuits to the stored artifact instead of recomputing.
-
-Request keys ride through :func:`repro.serve.store.canonical_key`, so
-anything the store can canonicalize (nested tuples/dicts of scalars)
-works.  ``list_artifacts`` scans the store and returns only genuine
-content entries — request pointers and serve's own job artifacts are
-recognized by their keys and skipped.
+``list_artifacts`` scans the store and returns the envelopes — serve's
+own job results, the store's other tenants, are not enveloped and are
+skipped.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Optional
 
 from repro.artifacts.envelope import is_envelope, load_file
 from repro.errors import ArtifactError
 
 _CONTENT = "artifact"
-_REQUEST = "artifact-request"
 
 
 def _schema_id(env: dict) -> str:
@@ -45,17 +38,9 @@ def content_key(env: dict) -> tuple:
     return (_CONTENT, _schema_id(env), env["digest"])
 
 
-def request_key(schema_id: str, request: Any) -> tuple:
-    """The store key for a request pointer to a ``schema_id`` artifact."""
-    return (_REQUEST, schema_id, request)
-
-
-def put_artifact(store, env: dict, request: Any = None) -> str:
-    """Publish ``env`` content-addressed (plus an optional request
-    pointer); returns the envelope digest."""
+def put_artifact(store, env: dict) -> str:
+    """Publish ``env`` content-addressed; returns the envelope digest."""
     store.put(content_key(env), env)
-    if request is not None:
-        store.put(request_key(_schema_id(env), request), env)
     return env["digest"]
 
 
@@ -65,26 +50,16 @@ def get_artifact(store, schema_id: str, digest: str) -> Optional[dict]:
     return value if hit else None
 
 
-def get_for_request(store, schema_id: str, request: Any) -> Optional[dict]:
-    """The envelope a request pointer resolves to, or None."""
-    hit, value = store.get(request_key(schema_id, request))
-    return value if hit else None
-
-
 def list_artifacts(store) -> list[dict]:
     """Every content entry in the store, newest first.
 
     Returns ``{schema, digest, producer, created_s, elapsed_s}`` rows;
-    request pointers and non-artifact store entries are skipped.
+    non-artifact store entries are skipped.
     """
-    from repro.serve.store import canonical_key
-
     rows = []
-    for key_text, value in store.scan():
+    for _key_text, value in store.scan():
         if not is_envelope(value):
-            continue
-        if key_text != canonical_key(content_key(value)):
-            continue  # a request pointer or an unrelated entry
+            continue  # a served job's result
         timing = value.get("timing") or {}
         rows.append({
             "schema": _schema_id(value),
@@ -102,24 +77,18 @@ def find_artifact(store, digest_prefix: str) -> Optional[dict]:
     """The unique content entry whose digest starts with
     ``digest_prefix``; None when absent, :class:`ArtifactError` when
     ambiguous."""
-    matches = []
-    seen = set()
-    for key_text, value in store.scan():
-        if not is_envelope(value):
-            continue
-        digest = value.get("digest", "")
-        if not digest.startswith(digest_prefix) or digest in seen:
-            continue
-        seen.add(digest)
-        matches.append(value)
+    matches = {
+        value["digest"]: value for _key_text, value in store.scan()
+        if is_envelope(value) and value["digest"].startswith(digest_prefix)
+    }
     if not matches:
         return None
     if len(matches) > 1:
-        have = ", ".join(sorted(m["digest"][:12] for m in matches))
+        have = ", ".join(sorted(digest[:12] for digest in matches))
         raise ArtifactError(
             f"artifact digest prefix {digest_prefix!r} is ambiguous ({have})"
         )
-    return matches[0]
+    return next(iter(matches.values()))
 
 
 def resolve_artifact(store, target: str) -> dict:

@@ -8,10 +8,10 @@ question end-to-end:
   :func:`repro.transform.block_loop` over a point algorithm, first with
   dependence information alone, then (optionally) with the Sec. 5.2
   commutativity oracle, and returns a :class:`Verdict`;
-- :func:`repro.blockability.driver.commutativity_oracle` — the pattern-
-  matching oracle built from :mod:`repro.analysis.commutativity`: a
-  preventing dependence may be ignored when it connects a row-interchange
-  group with a whole-column-update group on the same array.
+- :func:`repro.analysis.commutativity.commutativity_oracle` (re-exported
+  here) — the pattern-matching oracle: a preventing dependence may be
+  ignored when it connects a row-interchange group with a
+  whole-column-update group on the same array.
 
 The paper's findings, reproduced by ``tests/blockability`` and the Sec. 5
 benchmarks:
@@ -27,11 +27,7 @@ QR via Givens rotations                     no known block form; still
 ==========================================  =================================
 """
 
-from repro.blockability.driver import (
-    BlockabilityResult,
-    Verdict,
-    classify,
-    commutativity_oracle,
-)
+from repro.analysis.commutativity import commutativity_oracle
+from repro.blockability.driver import BlockabilityResult, Verdict, classify
 
 __all__ = ["BlockabilityResult", "Verdict", "classify", "commutativity_oracle"]

@@ -13,15 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.commutativity import (
-    match_column_update,
-    match_row_interchange,
-    operations_commute,
-)
-from repro.analysis.dependence import Dependence
-from repro.analysis.graph import _top_stmt_of
 from repro.ir.expr import ExprLike
-from repro.ir.stmt import Loop, Procedure, Stmt
+from repro.ir.stmt import Procedure
 from repro.pipeline.manager import PassManager, PassSpec
 from repro.symbolic.assume import Assumptions
 from repro.transform.blocking import BlockingReport
@@ -49,34 +42,6 @@ class BlockabilityResult:
         if self.report:
             lines += [f"  {s}" for s in self.report.steps]
         return "\n".join(lines)
-
-
-def _match_group(stmt: Stmt):
-    """Classify a top-level statement of the loop body as a known
-    operation group, if possible."""
-    if not isinstance(stmt, Loop):
-        return None
-    got = match_row_interchange(stmt)
-    if got is not None:
-        return got
-    return match_column_update(stmt)
-
-
-def commutativity_oracle(proc: Procedure, loop: Loop, dep: Dependence) -> bool:
-    """May ``dep`` be ignored for distribution of ``loop``?
-
-    True exactly when its endpoints live in two *different* top-level
-    statement groups of the loop body that match known commuting
-    operations (row interchange vs whole-column update, Sec. 5.2).
-    """
-    u = _top_stmt_of(dep.source, loop)
-    v = _top_stmt_of(dep.sink, loop)
-    if u is None or v is None or u is v:
-        return False
-    gu, gv = _match_group(u), _match_group(v)
-    if gu is None or gv is None:
-        return False
-    return operations_commute(gu, gv)
 
 
 def classify(

@@ -14,11 +14,12 @@ pre/postchecks and IR re-verification.  ``--out PATH`` writes a
 ``repro.check/1`` report (diagnostics + rule catalogue + lint
 verdicts; shape: :data:`repro.check.report.SHAPE`).
 
-With ``--store``, the run participates in the content-addressed
-artifact store: the enveloped report lands there under a request
-pointer keyed by the checked workload set, and a repeated invocation
-over the same set short-circuits to the stored report instead of
-re-deriving anything (``--fresh`` forces recomputation).
+With ``--store`` the enveloped report also lands in the
+content-addressed artifact store, where ``repro artifacts
+ls|cat|validate`` see it.  Every run rechecks: a verdict is only as
+fresh as the code it judged.  Store-backed reuse of a check is the
+served ``check`` job (``repro serve|daemon submit --kind check``), keyed
+by IR fingerprint, resolved recipe and context facts.
 
 Exit status: 0 when no error-severity diagnostic was produced, 1 when
 at least one was, 2 for usage errors (unknown workload).
@@ -29,7 +30,7 @@ from __future__ import annotations
 from repro import cli
 from repro.check import audit_workload
 from repro.check.diagnostics import RULES, Severity, errors_in
-from repro.check.report import SCHEMA, build_report
+from repro.check.report import build_report
 from repro.errors import PipelineError
 from repro.pipeline.workloads import available_workloads
 
@@ -48,12 +49,8 @@ def register(sub) -> None:
     cli.output_flags(p, out="repro.check/1 report")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalogue and exit")
-    cli.store_flags(
-        p,
-        store="publish the report to the content-addressed "
-        "artifact store and resume from it on a repeat run",
-        fresh="with --store: ignore a stored report, recheck",
-    )
+    cli.store_flags(p, store="publish the report to the content-addressed "
+                    "artifact store")
     p.set_defaults(fn=run)
 
 
@@ -71,17 +68,6 @@ def run(args) -> int:
         raise PipelineError(
             "name at least one WORKLOAD (or use --all / --rules)"
         )
-
-    store = cli.open_store(args)
-    request = ("check-report", tuple(names))
-    env = cli.resumed(args, store, SCHEMA, request)
-    if env is not None:
-        summary = env["payload"].get("summary", {})
-        print(f"resumed from store ({env['digest'][:12]}): "
-              f"{summary.get('error', 0)} error(s), "
-              f"{summary.get('warning', 0)} warning(s) over "
-              f"{len(names)} workload(s)")
-        return 1 if summary.get("error") else 0
 
     diagnostics: list = []
     verdicts: list = []
@@ -102,13 +88,14 @@ def run(args) -> int:
         if errs:
             status = 1
 
+    store = cli.open_store(args)
     if args.out or store is not None:
         report = build_report(
             diagnostics,
             verdicts=verdicts,
             meta={"tool": __package__, "workloads": ",".join(names)},
         )
-        cli.emit(args, report, store=store, request=request)
+        cli.emit(args, report, store=store)
         if store is not None:
             print("report published to the artifact store")
     return status

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
 from repro.analysis.feasibility import direction_feasible
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.refs import collect_accesses
 from repro.check.diagnostics import Diagnostic, Severity, diag
-from repro.check.oracle import dependence_commutes
 from repro.ir.expr import Const, Var, free_vars
 from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Assign, If, Loop, Procedure
@@ -384,7 +384,7 @@ def _post_distribute(before, after, ctx, options):
     sg = graph.statement_graph(loop)
     drop = None
     if options.get("commutativity"):
-        drop = lambda d: dependence_commutes(before, loop, d)  # noqa: E731
+        drop = lambda d: commutativity_oracle(before, loop, d)  # noqa: E731
         sg = graph.statement_graph(loop, drop_dep=drop)
     sccs = [sorted(c) for c in nx.strongly_connected_components(sg) if len(c) > 1]
     if not sccs:

@@ -45,12 +45,12 @@ from typing import Optional
 
 import networkx as nx
 
+from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
 from repro.check.legality import swap_witnesses
-from repro.check.oracle import dependence_commutes
 from repro.errors import AnalysisError
 from repro.ir.expr import free_vars
 from repro.ir.pretty import fmt_expr
@@ -184,7 +184,7 @@ def _escaped_loops(
     argument (distribution only — the ``max_splits=0`` regime)."""
     drop = None
     if use_commutativity:
-        drop = lambda d: dependence_commutes(proc, loop, d)  # noqa: E731
+        drop = lambda d: commutativity_oracle(proc, loop, d)  # noqa: E731
     sg = graph.statement_graph(loop, drop_dep=drop)
     out: list[Loop] = []
     for scc in nx.strongly_connected_components(sg):

@@ -9,7 +9,7 @@ report     regenerate the EXPERIMENTS.md tables (T1-T5)      (markdown)
 obs        profile a workload: spans, metrics, misses        ``repro.obs/1``
 check      verify IR, check legality, lint blockability      ``repro.check/1``
 par        loop-parallelism detector and race sanitizer      ``repro.par/1``
-serve      batch jobs on a worker pool over the store        ``repro.serve/1``
+serve      batch jobs on a worker pool over the store        ``repro.serve.store/1``
 daemon     resident compile service (start/stop/submit)      ``repro.daemon.status/1``
 load       open-loop load generator against the daemon       ``repro.serve.load/1``
 matrix     experiment grids swept over the store             ``repro.matrix/1``
@@ -26,8 +26,7 @@ this module owns everything they share:
   parser is built, so ``repro daemon start`` imports the daemon and
   nothing else.
 - **the shared flag groups** — store (``--store-dir``, ``--store`` /
-  ``--no-store``, ``--fresh`` where a whole report resumes from the
-  store: ``check``, ``obs``; ``--db`` for the perf history), pool
+  ``--no-store``; ``--db`` for the perf history), pool
   (``--workers/-j``, ``--retries``, ``--backoff``), observe (``--obs PATH``,
   ``--chrome-trace PATH``) and output (``--out PATH`` writes the
   enveloped artifact, ``--json`` prints JSON on stdout), plus
@@ -48,7 +47,7 @@ import contextlib
 import json
 import sys
 from importlib import import_module
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.errors import PipelineError, ReproError
 
@@ -123,10 +122,9 @@ def main(argv: Optional[list] = None) -> int:
 # ---- shared flag groups ----------------------------------------------------
 
 
-def store_flags(p, *, store: str = "", no_store: bool = False,
-                fresh: str = "") -> None:
-    """``--store-dir``; ``store``/``fresh`` are the help texts of the
-    opt-in ``--store`` and of ``--fresh``."""
+def store_flags(p, *, store: str = "", no_store: bool = False) -> None:
+    """``--store-dir``; ``store`` is the help text of the opt-in
+    ``--store``."""
     p.add_argument("--store-dir", metavar="DIR",
                    help="artifact store root (default .repro-cache/ or "
                    "$REPRO_CACHE_DIR)")
@@ -135,8 +133,6 @@ def store_flags(p, *, store: str = "", no_store: bool = False,
     if no_store:
         p.add_argument("--no-store", action="store_true",
                        help="compute everything; skip the artifact store")
-    if fresh:
-        p.add_argument("--fresh", action="store_true", help=fresh)
 
 
 def db_flag(p) -> None:
@@ -253,8 +249,7 @@ def observed(args, meta: dict) -> Iterator[dict]:
               "(open at https://ui.perfetto.dev)")
 
 
-def emit(args, doc: dict, store=None, request: Any = None,
-         what: str = "report") -> dict:
+def emit(args, doc: dict, store=None, what: str = "report") -> dict:
     """Envelope ``doc`` and validate it — the one validation, before any
     byte is written; an invalid document raises
     :class:`~repro.errors.ArtifactError`, which :func:`main` turns into
@@ -263,26 +258,10 @@ def emit(args, doc: dict, store=None, request: Any = None,
     from repro.artifacts import publish
 
     out = getattr(args, "out", None)
-    env = publish(out, doc, producer=args.producer, store=store,
-                  request=request)
+    env = publish(out, doc, producer=args.producer, store=store)
     if getattr(args, "json", False):
         print(json.dumps(env, indent=2))
     elif out:
         print(f"{what} written to {out}")
     return env
 
-
-def resumed(args, store, schema_id: str, request: Any,
-            what: str = "report") -> Optional[dict]:
-    """The artifact ``store`` holds for ``request`` (copied to ``--out``),
-    or None when the command has to run: no store, ``--fresh``, or
-    nothing stored yet."""
-    if store is None or args.fresh:
-        return None
-    from repro.artifacts import get_for_request, write_file
-
-    env = get_for_request(store, schema_id, request)
-    if env is not None and args.out:
-        write_file(args.out, env)
-        print(f"{what} written to {args.out}")
-    return env

@@ -364,22 +364,9 @@ class Daemon:
     def _finish(self, req: _Request, outcome) -> None:
         service_s = time.perf_counter() - req.arrived
         body = {
-            "status": outcome.status,
+            **outcome.to_dict(),  # the same row ``serve submit --json`` prints
             "source": "store" if outcome.status == "hit" else "pool",
-            "kind": req.spec.kind,
-            "label": req.spec.display,
-            "digest": outcome.digest,
-            "attempts": outcome.attempts,
-            "worker": outcome.worker,
-            "wall_s": round(outcome.wall_s, 4),
-            "queue_wait_s": round(outcome.queue_wait_s, 4),
             "service_s": round(service_s, 4),
-            "error": outcome.error,
-            "result": (
-                {k: v for k, v in outcome.value.items() if k != "ir"}
-                if isinstance(outcome.value, dict)
-                else None
-            ),
         }
         with self._lock:
             self._outstanding -= 1

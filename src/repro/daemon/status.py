@@ -29,8 +29,8 @@ What each field means (the checked structure is :data:`SHAPE`):
                   'hit_s': ..., 'computed_s': ...}
     }
 
-``requests.completed`` counts resolved pool outcomes by their
-``repro.serve/1`` status vocabulary; ``memory_hits`` are answered
+``requests.completed`` counts resolved pool outcomes by the pool's
+status vocabulary (:data:`repro.serve.pool.STATUSES`); ``memory_hits`` are answered
 before the scheduler ever sees them, so they appear under
 ``requests.memory_hits`` (and in ``latency.hit_s``) but not under
 ``completed``.  :func:`flatten_status` emits ``daemon:*`` perf

@@ -18,12 +18,9 @@ The Chrome trace loads directly in Perfetto (https://ui.perfetto.dev →
 "Open trace file"); the ``--out`` JSON follows the ``repro.obs/1`` schema
 (:mod:`repro.obs.export`) and is written enveloped and validated.  With
 ``--store`` the enveloped profile also lands in the content-addressed
-artifact store under a request pointer (workload, passes, sizes, scale,
-seed), and a repeated profiling request resumes from the stored
-artifact instead of re-running the pipeline and simulator (``--fresh``
-forces a re-run; ``--chrome-trace`` always runs — traces are not
-stored).  Exit status: 0 on success, 1 when the emitted metrics fail
-validation, 2 for usage errors.
+artifact store (``repro artifacts ls|cat`` see it); every invocation
+profiles afresh.  Exit status: 0 on success, 1 when the emitted metrics
+fail validation, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -61,12 +58,8 @@ def register(sub) -> None:
     cli.observe_flags(p, obs=False)
     cli.output_flags(p, out="repro.obs/1 metrics profile")
     p.add_argument("--list", action="store_true", help="list workloads and exit")
-    cli.store_flags(
-        p,
-        store="publish the metrics profile to the content-addressed "
-        "artifact store and resume from it on a repeat run",
-        fresh="with --store: ignore a stored profile, re-profile",
-    )
+    cli.store_flags(p, store="publish the metrics profile to the "
+                    "content-addressed artifact store")
     p.set_defaults(fn=run)
 
 
@@ -177,16 +170,6 @@ def run(args) -> int:
     )
     proc = workload.build()
 
-    store = cli.open_store(args)
-    request = ("obs-profile", workload.name, args.passes or "",
-               tuple(sorted(sizes.items())), args.scale, args.seed)
-    if not args.chrome_trace:
-        env = cli.resumed(args, store, export.SCHEMA, request, what="metrics")
-        if env is not None:
-            print(f"profile resumed from store ({env['digest'][:12]}); "
-                  "use --fresh to re-profile")
-            return 0
-
     obs_obj = obs_core.Obs()
     with obs_core.enabled(obs_obj):
         result = manager.run(proc)
@@ -201,6 +184,7 @@ def run(args) -> int:
         export.write_json(args.chrome_trace, export.chrome_trace(obs_obj))
         print(f"\nchrome trace written to {args.chrome_trace} "
               "(open at https://ui.perfetto.dev)")
+    store = cli.open_store(args)
     if args.out or store is not None:
         doc = export.metrics(
             obs_obj,
@@ -214,7 +198,7 @@ def run(args) -> int:
         env = envelope(doc, producer=args.producer)
         problems = validate_document(env)
         if not problems:
-            publish(args.out, env, store=store, request=request)
+            publish(args.out, env, store=store)
         elif args.out:
             # an invalid profile is still written for offline inspection,
             # but never published to the store

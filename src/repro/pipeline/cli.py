@@ -9,10 +9,11 @@ Examples::
     python -m repro pipeline --algorithm conv --verify --print-ir
     python -m repro pipeline --algorithm givens --cache-stats
 
-Exit status: 0 on success, 1 when differential verification fails, 2 for
-usage errors (unknown algorithm/pass, bad sizes, infeasible pass under
-``--on-infeasible raise``).  The trace file is written even when
-verification fails, so the failing span is inspectable offline.
+Exit status: 0 on success, 1 when differential verification or a
+``--check`` legality check fails, 2 for usage errors (unknown
+algorithm/pass, bad sizes, infeasible pass under ``--on-infeasible
+raise``).  The trace file is written even when verification or the check
+fails, so the failing span is inspectable offline.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.ir.pretty import to_fortran
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.manager import PassManager, PipelineResult
 from repro.pipeline.passes import available_passes
+from repro.pipeline.trace import CHECK_FAILED
 from repro.pipeline.verify import DifferentialVerifier
 from repro.pipeline.workloads import available_workloads, get_workload
 
@@ -33,14 +35,14 @@ from repro.pipeline.workloads import available_workloads, get_workload
 def _span_line(span) -> str:
     mark = {
         "applied": "+", "noop": ".", "infeasible": "-", "error": "!",
-        "check-failed": "!",
+        CHECK_FAILED: "!",
     }[span.status]
     cached = " (cached)" if span.cached else ""
     delta = span.ir_size_after - span.ir_size_before
     extra = ""
     if span.status == "infeasible":
         extra = f"  [{span.detail.get('reason', '')}]"
-    elif span.status in ("error", "check-failed"):
+    elif span.status in ("error", CHECK_FAILED):
         extra = f"  [{span.error}]"
     verified = "  verified" if span.verify and span.verify.get("ok") else ""
     return (

@@ -50,7 +50,7 @@ from repro.ir.stmt import Procedure
 from repro.obs import core as _obs
 from repro.pipeline.cache import GLOBAL_CACHE, AnalysisCache, installed
 from repro.pipeline.passes import get_pass
-from repro.pipeline.trace import build_trace
+from repro.pipeline.trace import CHECK_FAILED, build_trace
 from repro.pipeline.verify import DifferentialVerifier
 from repro.symbolic.assume import Assumptions
 
@@ -80,7 +80,7 @@ class SpanRecord:
 
     index: int
     name: str
-    status: str = "pending"  # applied | noop | infeasible | error
+    status: str = "pending"  # then one of pipeline.trace's _STATUSES
     wall_s: float = 0.0
     t_start: float = 0.0  # perf_counter at span open (obs export; not in trace)
     cached: bool = False
@@ -202,7 +202,7 @@ class PassManager:
                 if not errs:
                     return
                 if span is not None:
-                    span.status = "check-failed"
+                    span.status = CHECK_FAILED
                     span.error = errs[0].message
                     span.detail = {
                         **span.detail,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import PipelineError, TransformError
@@ -458,9 +459,6 @@ def _distribute_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOut
     local = context_for_path(proc, loop, ctx)
     drop_dep = None
     if options.get("commutativity"):
-        # deferred: blockability imports the manager at module level
-        from repro.blockability.driver import commutativity_oracle
-
         drop_dep = lambda dep: commutativity_oracle(proc, loop, dep)  # noqa: E731
     new, pieces = distribute(proc, loop, local, drop_dep=drop_dep)
     return PassOutcome(
@@ -499,8 +497,6 @@ def _block_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
     factor = options.get("factor", "KS")
     ignore_dep = options.get("ignore_dep")
     if ignore_dep is None and options.get("commutativity"):
-        from repro.blockability.driver import commutativity_oracle
-
         ignore_dep = commutativity_oracle
     local = ctx.copy()  # block_loop grows its ctx; keep the manager's copy clean
     new, report = block_loop(

@@ -14,7 +14,8 @@ Payload schema (version 1; written enveloped — see
         {
           'index': 0,
           'pass': 'block',
-          'status': 'applied',            # applied|noop|infeasible|error
+          'status': 'applied',            # applied|noop|infeasible|error|
+                                          # check-failed
           'wall_s': 1.32,
           'cached': false,
           'input_fingerprint': 'ba77...', # sha256 of the input IR
@@ -47,7 +48,11 @@ from repro.artifacts.shape import enum
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.manager import SpanRecord
 
-_STATUSES = ("applied", "noop", "infeasible", "error")
+#: the span a ``--check`` run stopped at: an error-severity finding, which
+#: the span embeds under ``detail.check``
+CHECK_FAILED = "check-failed"
+
+_STATUSES = ("applied", "noop", "infeasible", "error", CHECK_FAILED)
 
 
 def span_to_dict(span: "SpanRecord") -> dict:

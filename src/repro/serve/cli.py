@@ -10,7 +10,7 @@ Subcommands::
 Examples::
 
     python -m repro serve submit lu_nopivot conv --workers 4 --check
-    python -m repro serve submit lu_nopivot --kind execute --out report.json
+    python -m repro serve submit lu_nopivot --kind execute --json
     python -m repro serve batch jobs.json --workers 8 --obs serve_obs.json
     python -m repro serve stats
     python -m repro serve gc --max-entries 512 --max-age-s 604800
@@ -21,9 +21,16 @@ A batch file is either a list of job-spec objects or ``{"jobs":
 factor), ``check``, ``timeout_s``, ``max_retries``, ``use_store``,
 ``label``.
 
+Output is one line per *deduplicated* job (N identical submissions are
+one row, ``x N``), then the pool and store counters; ``--json`` prints
+the rows instead, one JSON object per line — the row ``daemon submit
+--json`` prints (:meth:`repro.serve.pool.JobOutcome.to_dict`).  A
+batch's durable record is its ``--obs`` profile (status counts, wall
+and queue-wait histograms, one ``job:<label>`` span per job: a validated
+``repro.obs/1`` that ``perf record`` ingests); its results are in the store.
+
 Exit status: 0 when every job lands (``hit``/``computed``/``retried``),
-1 when any job is ``timeout`` or ``failed``, 2 for usage errors.  The
-report file is written either way, so failures are inspectable offline.
+1 when any job is ``timeout`` or ``failed``, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -32,9 +39,10 @@ import json
 
 from repro import cli
 from repro.errors import PipelineError
+from repro.obs import core as _obs
 from repro.serve.jobs import SUBMIT_KINDS, JobSpec
-from repro.serve.pool import STATUSES
-from repro.serve.service import build_store_ops, run_batch
+from repro.serve.pool import STATUSES, WorkerPool
+from repro.serve.store import build_store_ops
 
 
 def register(sub) -> None:
@@ -80,7 +88,7 @@ def register(sub) -> None:
     for q in (submit, batch):
         cli.pool_flags(q)
         cli.store_flags(q, no_store=True)
-        cli.output_flags(q, out="repro.serve/1 report")
+        cli.output_flags(q, json=True)
         cli.observe_flags(q)
 
     stats = cmds.add_parser("stats", help="print artifact-store statistics")
@@ -133,8 +141,8 @@ def _specs_from_batch(path: str) -> list[JobSpec]:
     return [JobSpec.from_dict(entry) for entry in doc]
 
 
-def _print_report(report: dict) -> None:
-    for job in report["jobs"]:
+def _print_rows(rows: list[dict], pool: dict, store) -> None:
+    for job in rows:
         worker = f"w{job['worker']}" if job["worker"] is not None else "--"
         dedup = f"  x{job['submissions']}" if job["submissions"] > 1 else ""
         tail = f"  [{job['error']}]" if job["error"] else ""
@@ -143,54 +151,46 @@ def _print_report(report: dict) -> None:
             f"{job['wall_s'] * 1000:9.1f} ms  {worker}  "
             f"attempt {job['attempts']}{dedup}{tail}"
         )
-    s = report["summary"]
-    parts = [f"{s[k]} {k}" for k in STATUSES if s[k]]
-    util = report["pool"].get("utilization")
-    util_txt = f", pool utilization {util:.0%}" if util is not None else ""
-    print(f"{s['total']} job(s): {', '.join(parts) or 'none'} "
-          f"in {report['elapsed_s']:.2f}s{util_txt}")
-    wall = report.get("latency", {}).get("wall_s", {})
-    if wall.get("count"):
-        print(
-            f"latency: p50 {wall['p50'] * 1000:.1f} ms / "
-            f"p95 {wall['p95'] * 1000:.1f} ms / "
-            f"p99 {wall['p99'] * 1000:.1f} ms "
-            f"(max {wall['max'] * 1000:.1f} ms over {wall['count']} job(s))"
-        )
-    for entry in report["pool"].get("per_worker", []):
+    parts = [f"{pool['jobs'][k]} {k}" for k in STATUSES if pool["jobs"].get(k)]
+    print(f"{len(rows)} job(s): {', '.join(parts) or 'none'} "
+          f"in {pool['elapsed_s']:.2f}s, "
+          f"pool utilization {pool['utilization']:.0%}")
+    for entry in pool["per_worker"]:
         if not entry["jobs"] and not entry["busy_s"]:
             continue
-        u = entry.get("utilization")
-        u_txt = f"  ({u:.0%} busy)" if u is not None else ""
         print(f"  worker {entry['worker']}: {entry['jobs']} job(s), "
-              f"{entry['busy_s']:.2f}s busy{u_txt}")
-    store = report["store"]
-    if store.get("enabled"):
+              f"{entry['busy_s']:.2f}s busy  ({entry['utilization']:.0%} busy)")
+    if store is not None:
+        on_disk = store.stats()
+        # workers publish through their own store instances: their
+        # writes are the rows' ``stored`` flags, not this counter
+        writes = on_disk["writes"] + sum(job["stored"] for job in rows)
         print(
-            f"store: {store['hits']} hits / {store['misses']} misses, "
-            f"{store['writes']} writes, {store['entries']} entries "
-            f"({store['bytes']} bytes) at {store['root']}"
+            f"store: {on_disk['hits']} hits / {on_disk['misses']} misses, "
+            f"{writes} writes, {on_disk['entries']} entries "
+            f"({on_disk['bytes']} bytes) at {on_disk['root']}"
         )
 
 
 def _run_jobs(args, specs: list[JobSpec]) -> int:
     store = cli.open_store(args)
-    meta = {"tool": __package__, "command": args.command}
-    with cli.observed(args, meta):
-        report = run_batch(
-            specs,
-            workers=args.workers,
-            store=store,
-            max_retries=args.retries,
-            backoff_s=args.backoff,
-            meta=meta,
-        )
-    _print_report(report)
-    if args.out:
-        # land the report in the same store the batch ran against (the
-        # stats snapshot inside it predates this write, on purpose)
-        cli.emit(args, report, store=store)
-    return 0 if report["summary"]["ok"] == report["summary"]["total"] else 1
+    with cli.observed(args, {"tool": __package__, "command": args.command}):
+        with WorkerPool(
+            workers=args.workers, store=store,
+            max_retries=args.retries, backoff_s=args.backoff,
+        ) as pool:
+            for spec in specs:
+                pool.submit(spec)
+            outcomes = pool.drain()  # one per distinct job: duplicates coalesce
+            stats = pool.stats()
+        _obs.observe("serve.pool.utilization", stats["utilization"])
+    rows = [outcome.to_dict() for outcome in outcomes]
+    if args.json:
+        for row in rows:
+            print(json.dumps(row))
+    else:
+        _print_rows(rows, stats, store)
+    return 0 if all(outcome.ok for outcome in outcomes) else 1
 
 
 def _cmd_stats(args) -> int:

@@ -34,7 +34,8 @@ same computation: the pool coalesces them in flight and the store
 short-circuits them across processes.
 
 Results are **plain JSON-serializable dicts**, so they cross process
-boundaries, live in the store, and embed in ``repro.serve/1`` reports
+boundaries, live in the store, and embed in job rows
+(:meth:`JobOutcome.to_dict <repro.serve.pool.JobOutcome.to_dict>`)
 without translation.
 
 Error discipline: :class:`~repro.errors.ReproError` subclasses
@@ -50,7 +51,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.artifacts.shape import check, nullable
 from repro.errors import PipelineError, ReproError
@@ -234,17 +235,26 @@ def execute_job(spec: JobSpec) -> dict:
     return result
 
 
-def _fresh_cache():
-    from repro.pipeline.cache import AnalysisCache
-
-    return AnalysisCache()
-
-
-def _derive_summary(result) -> dict:
+def _run_derive(spec: JobSpec) -> dict:
+    """``derive`` and ``execute``: one derivation; ``execute`` adds
+    differential execution — every applied pass's output is interpreted
+    and compared against the reference run."""
     from repro.ir.fingerprint import ir_fingerprint
     from repro.ir.pretty import to_fortran
+    from repro.pipeline import derive
+    from repro.pipeline.cache import AnalysisCache
 
-    return {
+    execute = spec.kind == "execute"
+    result = derive(
+        spec.workload,
+        passes=list(spec.passes) if spec.passes is not None else None,
+        unroll=spec.options.get("unroll"),
+        factor=spec.options.get("factor"),
+        cache=AnalysisCache(),
+        check=spec.check,
+        verify=execute,
+    )
+    out = {
         "workload": result.trace["algorithm"],
         "passes": [s.name for s in result.spans],
         "statuses": [s.status for s in result.spans],
@@ -252,45 +262,14 @@ def _derive_summary(result) -> dict:
         "fingerprint": ir_fingerprint(result.procedure),
         "ir": to_fortran(result.procedure),
     }
-
-
-def _run_derive(spec: JobSpec) -> dict:
-    from repro.pipeline import derive
-
-    result = derive(
-        spec.workload,
-        passes=list(spec.passes) if spec.passes is not None else None,
-        unroll=spec.options.get("unroll"),
-        factor=spec.options.get("factor"),
-        cache=_fresh_cache(),
-        check=spec.check,
-    )
-    out = _derive_summary(result)
-    if spec.check:
+    if execute:
+        out["verified"] = all(
+            (s.verify or {}).get("ok", False)
+            for s in result.spans
+            if s.status == "applied"
+        )
+    elif spec.check:
         out["check_diagnostics"] = len(result.check_diagnostics)
-    return out
-
-
-def _run_execute(spec: JobSpec) -> dict:
-    """Derive with differential execution: every applied pass's output is
-    interpreted and compared against the reference run."""
-    from repro.pipeline import derive
-
-    result = derive(
-        spec.workload,
-        passes=list(spec.passes) if spec.passes is not None else None,
-        unroll=spec.options.get("unroll"),
-        factor=spec.options.get("factor"),
-        cache=_fresh_cache(),
-        check=spec.check,
-        verify=True,
-    )
-    out = _derive_summary(result)
-    out["verified"] = all(
-        (s.verify or {}).get("ok", False)
-        for s in result.spans
-        if s.status == "applied"
-    )
     return out
 
 
@@ -380,7 +359,7 @@ def _run_cell(spec: JobSpec) -> dict:
 _EXECUTORS = {
     "derive": _run_derive,
     "check": _run_check,
-    "execute": _run_execute,
+    "execute": _run_derive,
     "table": _run_table,
     "cell": _run_cell,
     "probe": _run_probe,

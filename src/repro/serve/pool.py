@@ -47,19 +47,26 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.obs import core as _obs
 from repro.obs import snapshot as _snap
-from repro.serve.jobs import TERMINAL_ERRORS, JobSpec, execute_job, job_key
+from repro.serve.jobs import (
+    TERMINAL_ERRORS,
+    JobSpec,
+    execute_job,
+    job_key,
+    result_fingerprint,
+)
 from repro.serve.store import ArtifactStore, key_digest
 
 #: statuses of a job that produced its value
 OK_STATUSES = ("hit", "computed", "retried")
 
-#: terminal job statuses as they appear in ``repro.serve/1`` reports
+#: terminal job statuses as they appear in job rows
 STATUSES = OK_STATUSES + ("timeout", "failed", "cancelled")
 
 _POLL_S = 0.02
@@ -89,6 +96,33 @@ class JobOutcome:
     @property
     def ok(self) -> bool:
         return self.status in OK_STATUSES
+
+    def to_dict(self) -> dict:
+        """The job row: what ``serve submit|batch`` print per job and what
+        the daemon answers a request with.  One row per *deduplicated*
+        job (N identical submissions are one row with ``submissions:
+        N``); ``result`` is the job value with the bulky ``ir`` text
+        elided — the ``fingerprint`` keeps its identity."""
+        result = None
+        if isinstance(self.value, dict):
+            result = {k: v for k, v in self.value.items() if k != "ir"}
+        return {
+            "id": self.job_id,
+            "label": self.spec.display,
+            "kind": self.spec.kind,
+            "workload": self.spec.workload,
+            "digest": self.digest,
+            "status": self.status,
+            "attempts": self.attempts,  # 0 for a store hit
+            "submissions": self.submissions,
+            "worker": self.worker,
+            "wall_s": round(self.wall_s, 4),  # final attempt's execution
+            "queue_wait_s": round(self.queue_wait_s, 4),
+            "stored": self.stored,  # a worker published it to the store
+            "fingerprint": result_fingerprint(self.value),
+            "error": self.error,
+            "result": result,
+        }
 
 
 class JobHandle:
@@ -223,6 +257,7 @@ class WorkerPool:
         self._inflight: dict[str, _Job] = {}  # digest -> unresolved job
         self._pending: list[_Job] = []
         self._closed = False
+        self._created = time.perf_counter()
         self.respawns = 0
         self.coalesced = 0
         self.busy_s = 0.0  # parent-measured worker-occupied seconds
@@ -536,18 +571,25 @@ class WorkerPool:
 
     # ---- stats ------------------------------------------------------------
     def stats(self) -> dict:
+        """Counters so far; ``utilization`` is worker-occupied time over
+        the wall time the lanes have existed (since the pool was created)."""
+        elapsed = max(time.perf_counter() - self._created, 1e-9)
         return {
             "workers": self.workers,
             "max_retries": self.max_retries,
             "backoff_s": self.backoff_s,
             "respawns": self.respawns,
             "coalesced": self.coalesced,
+            "jobs": dict(Counter(job.outcome.status for job in self._jobs)),
             "busy_s": round(self.busy_s, 4),
+            "elapsed_s": round(elapsed, 4),
+            "utilization": round(self.busy_s / (self.workers * elapsed), 4),
             "per_worker": [
                 {
                     "worker": slot,
                     "jobs": ws["jobs"],
                     "busy_s": round(ws["busy_s"], 4),
+                    "utilization": round(ws["busy_s"] / elapsed, 4),
                 }
                 for slot, ws in enumerate(self.worker_stats)
             ],

@@ -42,6 +42,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
+from repro.artifacts.flatten import Sink
+from repro.artifacts.registry import SERVE_STORE
+from repro.artifacts.shape import enum, nullable
 from repro.obs import core as _obs
 
 #: bump to invalidate every existing artifact (participates in the digest)
@@ -293,3 +296,51 @@ class _Corrupt:
 
 
 _CORRUPT = _Corrupt()
+
+
+# ---------------------------------------------------------------------------
+# store maintenance records (the ``serve stats`` / ``serve gc`` subcommands)
+# ---------------------------------------------------------------------------
+
+def build_store_ops(op: str, store: ArtifactStore,
+                    gc: Optional[dict] = None) -> dict:
+    """The ``repro.serve.store/1`` payload for one maintenance
+    operation: a ``stats`` snapshot, or a ``gc`` outcome
+    (:meth:`ArtifactStore.gc`'s summary) plus the post-collection
+    snapshot."""
+    stats = store.stats()
+    return {
+        "schema": SERVE_STORE,
+        "op": op,
+        "store": {k: stats[k] for k in
+                  ("root", "schema_version", "entries", "bytes")},
+        "gc": gc,
+    }
+
+
+STORE_SHAPE = {
+    "op": enum("stats", "gc"),
+    "store": {"root": str, "entries": int, "bytes": int},
+    "gc": nullable({"removed": int, "kept": int}),
+}
+
+
+def store_invariants(doc: dict) -> list[str]:
+    """A ``gc`` record carries its ``gc`` outcome."""
+    if doc["op"] == "gc" and doc.get("gc") is None:
+        return ["gc: missing, but op is 'gc'"]
+    return []
+
+
+def flatten_store_ops(doc: dict) -> dict:
+    """Flat perf metrics for a store-maintenance payload — the
+    registered perf ingestion hook for ``repro.serve.store/1``."""
+    sink = Sink()
+    store = doc.get("store") or {}
+    for key in ("entries", "bytes"):
+        sink.put(f"store:{key}", store.get(key))
+    gc = doc.get("gc")
+    if isinstance(gc, dict):
+        for key in ("removed", "kept"):
+            sink.put(f"store:gc.{key}", gc.get(key))
+    return sink.metrics

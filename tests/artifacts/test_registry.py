@@ -17,7 +17,6 @@ from repro.artifacts.registry import (
     PIPELINE_BENCH,
     PIPELINE_TRACE,
     SERVE_LOAD,
-    SERVE_REPORT,
     SERVE_STORE,
 )
 from repro.artifacts.validate import (
@@ -32,7 +31,7 @@ from repro.errors import ArtifactError
 
 ALL_IDS = (
     PIPELINE_TRACE, PIPELINE_BENCH, OBS_METRICS, OBS_SNAPSHOT,
-    CHECK_REPORT, SERVE_REPORT, MATRIX_REPORT, PERF_GATE, PERF_BASELINE,
+    CHECK_REPORT, MATRIX_REPORT, PERF_GATE, PERF_BASELINE,
     PAR_REPORT, DAEMON_STATUS, SERVE_LOAD, SERVE_STORE,
 )
 

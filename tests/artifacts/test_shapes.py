@@ -1,4 +1,4 @@
-"""The one payload checker: the shape walker, the thirteen declared
+"""The one payload checker: the shape walker, the twelve declared
 shapes, and the invariants that run behind them.
 
 Four things are pinned here: the walker's notation and message form; the
@@ -135,7 +135,7 @@ class TestBoundary:
                     validate=False)
 
 
-# ---- valid payloads of all thirteen kinds ----------------------------------
+# ---- valid payloads of all twelve kinds ------------------------------------
 
 
 def _fresh_payloads(tmp_path) -> dict:
@@ -151,9 +151,7 @@ def _fresh_payloads(tmp_path) -> dict:
     from repro.perf import gate
     from repro.pipeline import derive
     from repro.pipeline.workloads import get_workload
-    from repro.serve.jobs import JobSpec
-    from repro.serve.service import build_store_ops, run_batch
-    from repro.serve.store import ArtifactStore
+    from repro.serve.store import ArtifactStore, build_store_ops
 
     store = ArtifactStore(str(tmp_path / "store"))
     workload = get_workload("matmul")
@@ -174,9 +172,6 @@ def _fresh_payloads(tmp_path) -> dict:
         registry.CHECK_REPORT: check_report(
             [diag("ir/zero-step", "p/DO I", "DO I has step 0")],
             verdicts=[LintResult("p", "K", "blockable", "escapes")]),
-        registry.SERVE_REPORT: run_batch(
-            [JobSpec(kind="probe", options={"action": "ok"}, timeout_s=30.0)],
-            workers=1),
         registry.PERF_GATE: gate.compare(
             {"m": 2.0, "n": 1.0, "new": 1.0}, {"m": 1.0, "n": 1.0},
             threshold_pct=0),
@@ -189,7 +184,7 @@ def _fresh_payloads(tmp_path) -> dict:
 
 @pytest.fixture(scope="module")
 def envelopes(tmp_path_factory) -> dict:
-    """``{schema id: valid envelope}`` for all thirteen kinds."""
+    """``{schema id: valid envelope}`` for all twelve kinds."""
     envs = {}
     for name in COMMITTED:
         env = json.loads((ROOT / name).read_text(encoding="utf-8"))
@@ -266,7 +261,6 @@ FORMER_CRASHES = [
     (registry.MATRIX_REPORT, ("run", "hit"), "x", "run.hit"),
     (registry.PAR_REPORT, ("workloads", 0, "loops", 0, "verdict"), ["serial"],
      "workloads[0].loops[0].verdict"),
-    (registry.SERVE_REPORT, ("pool", "per_worker", 0), 3, "pool.per_worker[0]"),
     (registry.OBS_METRICS, ("histograms", "h"), 3, "histograms.h"),
     (registry.OBS_METRICS, ("attribution",), 3, "attribution"),
 ]
@@ -292,10 +286,6 @@ TRIPS = [
     (registry.CHECK_REPORT, ("summary", "error"), 7, "summary.error is 7"),
     (registry.CHECK_REPORT, ("diagnostics", 0, "rule"), "ir/made-up",
      "uncatalogued rule"),
-    (registry.SERVE_REPORT, ("summary", "computed"), 5, "summary.computed is 5"),
-    (registry.SERVE_REPORT, ("summary", "total"), 9, "summary.total is 9"),
-    (registry.SERVE_REPORT, ("jobs", 0, "status"), "failed",
-     "jobs[0] is failed but carries no error"),
     (registry.MATRIX_REPORT, ("rows", 0, "status"), "failed",
      "rows[0] is failed but carries no error"),
     (registry.MATRIX_REPORT, ("rows", 0, "speedup"), None, "has no speedup"),

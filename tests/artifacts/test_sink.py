@@ -1,4 +1,4 @@
-"""The store sink: content addressing, request pointers, publish()."""
+"""The store sink: content addressing (the one key space), publish()."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.artifacts import (
     envelope,
     find_artifact,
     get_artifact,
-    get_for_request,
     list_artifacts,
     payload_of,
     publish,
@@ -48,21 +47,18 @@ class TestContentAddressing:
         assert get_artifact(store, PERF_BASELINE, "ff" * 32) is None
 
 
-class TestRequestPointers:
-    def test_request_pointer_resolves_to_the_envelope(self, store):
-        env = envelope(baseline_payload(), producer="t")
-        request = ("profile", "lu_nopivot", (("N", 16),))
-        put_artifact(store, env, request=request)
-        assert get_for_request(store, PERF_BASELINE, request) == env
-        assert get_for_request(store, PERF_BASELINE, ("other",)) is None
+class TestOneKeySpace:
+    def test_a_publish_is_exactly_one_store_entry(self, store):
+        env = publish(None, baseline_payload(), producer="t", store=store)
+        assert store.stats()["entries"] == 1
+        (row,) = list_artifacts(store)
+        assert (row["schema"], row["digest"]) == (PERF_BASELINE, env["digest"])
 
-    def test_pointers_are_not_listed_as_content(self, store):
-        env = envelope(baseline_payload(), producer="t")
-        put_artifact(store, env, request=("r",))
-        rows = list_artifacts(store)
-        assert len(rows) == 1
-        assert rows[0]["digest"] == env["digest"]
-        assert rows[0]["schema"] == PERF_BASELINE
+    def test_job_results_sharing_the_store_are_not_listed(self, store):
+        store.put(("derive", "fp", ()), {"fingerprint": "ab", "ir": "DO ..."})
+        put_artifact(store, envelope(baseline_payload(), producer="t"))
+        assert store.stats()["entries"] == 2
+        assert len(list_artifacts(store)) == 1
 
 
 class TestFindArtifact:
@@ -83,11 +79,10 @@ class TestPublish:
     def test_publish_envelopes_writes_and_lands(self, store, tmp_path):
         path = tmp_path / "base.json"
         env = publish(str(path), baseline_payload(), producer="t",
-                      store=store, request=("r",))
+                      store=store)
         assert payload_of(env) == baseline_payload()
         assert path.exists()
         assert get_artifact(store, PERF_BASELINE, env["digest"]) == env
-        assert get_for_request(store, PERF_BASELINE, ("r",)) == env
 
     def test_publish_validates_by_default(self, tmp_path):
         bad = {"schema": PERF_BASELINE, "metrics": {"x": "slow"}}

@@ -6,6 +6,8 @@ variant builder yields a semantically equivalent program — on small sizes,
 so the whole file stays quick.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ import repro.bench.experiments as E
 from repro.algorithms import (
     aconv_ir,
     conv_ir,
+    lu_pivot_block_fig8_ir,
     lu_pivot_point_ir,
     lu_point_ir,
     matmul_guarded_ir,
@@ -93,6 +96,21 @@ class TestVariantBuilders:
         assert_equivalent(
             lu_pivot_point_ir(), E.lu_pivot_one_plus(), {"N": 13, "KS": 4}, exact=True
         )
+
+    def test_derived_block_lu_pivot(self):
+        """T4's column "1": the derived Fig. 8 computes what the point
+        algorithm does and, through the simulator, is indistinguishable
+        from the hand transcription it is the derivation of."""
+        derived = E.derived_block_lu_pivot()
+        assert_equivalent(
+            lu_pivot_point_ir(), derived, {"N": 13, "KS": 4}, exact=False
+        )
+        machine, sizes = scaled_machine(4), {"N": 40, "KS": 8}
+        got, want = (
+            dataclasses.replace(measure(proc, sizes, machine), wall_seconds=0)
+            for proc in (derived, lu_pivot_block_fig8_ir())
+        )
+        assert got == want and got.tlb_misses > 0
 
     def test_matmul_variants(self):
         b = sparse_b(18, 0.15, run_len=4).astype(np.float32)

@@ -56,3 +56,34 @@ def test_report_carries_par_classifications(tmp_path):
     rules = {d["rule"] for d in doc["diagnostics"]}
     assert "lint/par-parallel" in rules
     assert "lint/par-reduction" in rules
+
+
+def test_store_publishes_one_entry_and_every_run_rechecks(
+    tmp_path, monkeypatch, capsys
+):
+    """``--store`` lands the report under its content address and nothing
+    else; a repeat run is never answered from a name-keyed copy — edit
+    what a workload means and the verdict follows."""
+    from repro.artifacts import list_artifacts
+    from repro.check import cli as check_cli
+    from repro.check.diagnostics import diag
+    from repro.serve.store import ArtifactStore
+
+    argv = ["conv", "--store", "--store-dir", str(tmp_path / "cache")]
+    store = ArtifactStore(str(tmp_path / "cache"))
+    for _ in range(2):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "conv" in out and "diagnostic(s), 0 error(s)" in out
+        assert "resumed" not in out
+        assert store.stats()["entries"] == 1  # same payload, same address
+    (row,) = list_artifacts(store)
+    assert row["schema"] == "repro.check/1"
+
+    audit = check_cli.audit_workload
+    monkeypatch.setattr(check_cli, "audit_workload", lambda name: (
+        audit(name)[0] + [diag("ir/zero-step", "p/DO I", "DO I has step 0")],
+        []))
+    assert main(argv) == 1  # not a stored "0 error(s)"
+    assert "1 error(s)" in capsys.readouterr().out
+    assert store.stats()["entries"] == 2

@@ -69,3 +69,45 @@ def test_bench_cli_check_flag_ok(tmp_path, capsys):
     path = tmp_path / "bench.json"
     assert repro_main(["bench", str(path), "--check"]) == 0
     assert path.exists()
+
+
+def test_failed_check_trace_publishes_validates_and_flattens(tmp_path):
+    """The partial result handed over "for offline triage" can actually be
+    written: ``check-failed`` is in the trace's status vocabulary."""
+    from repro.artifacts import publish, registry, validate_document
+    from repro.pipeline.trace import CHECK_FAILED, SCHEMA
+
+    mgr = PassManager(
+        [PassSpec("block", {"loop": "K", "factor": "KS", "max_splits": 0})],
+        ctx=N2, check=True,
+    )
+    with pytest.raises(CheckError) as exc:
+        mgr.run(lu_point_ir())
+    trace = exc.value.result.trace
+    assert [s["status"] for s in trace["spans"]] == [CHECK_FAILED]
+    env = publish(str(tmp_path / "t.json"), trace, producer="test")
+    assert validate_document(env) == []
+    flat = registry.get(SCHEMA).flatten(trace)
+    assert flat["passes.count"] == 1 and "pass:block.wall_s" in flat
+
+
+def test_pipeline_cli_failed_check_exits_1_with_the_trace_on_disk(
+    tmp_path, monkeypatch, capsys
+):
+    import json
+
+    from repro.artifacts import validate_document
+    from repro.pipeline.workloads import get_workload
+
+    block = get_workload("lu_nopivot").pass_options["block"]
+    monkeypatch.setitem(block, "max_splits", 0)  # an illegal block config
+    path = tmp_path / "t.json"
+    assert repro_main(["pipeline", "-a", "lu_nopivot", "-p", "block",
+                       "--check", "--trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "CHECK FAILED" in captured.err
+    assert "! 0: block" in captured.out and "check-failed" in captured.out
+    env = json.loads(path.read_text())
+    assert validate_document(env) == []
+    (span,) = env["payload"]["spans"]
+    assert span["status"] == "check-failed" and span["detail"]["check"]

@@ -13,6 +13,7 @@ from repro.daemon import Daemon, DaemonConfig
 from repro.daemon import state as dstate
 from repro.daemon.status import flatten_status
 from repro.errors import DaemonError
+from repro.serve import ArtifactStore, JobSpec, WorkerPool
 
 
 @pytest.fixture
@@ -60,6 +61,34 @@ class TestRequests:
         assert warm.body["source"] == "memory"
         assert warm.body["attempts"] == 0
         assert warm.body["digest"] == cold.body["digest"]
+
+    def test_reply_is_the_batch_row_plus_source_and_service_s(
+        self, store_dir, tmp_path
+    ):
+        """One spec through both front ends, on a cold and then a warm
+        store: the daemon answers with ``JobOutcome.to_dict()`` — the row
+        ``serve submit --json`` prints — and only gains keys."""
+        job = {"kind": "derive", "workload": "matmul"}
+        clocks = {"wall_s", "queue_wait_s"}
+        d = make_daemon(store_dir, mem_cache=0)  # warm = the store, not RAM
+        try:
+            for status, source in (("computed", "pool"), ("hit", "store")):
+                with WorkerPool(
+                    workers=1, store=ArtifactStore(str(tmp_path / "batch"))
+                ) as pool:
+                    (outcome,) = pool.run([JobSpec.from_dict(job)])
+                row = outcome.to_dict()
+                reply = submit(d, job).body
+                assert row["status"] == reply["status"] == status
+                assert reply["source"] == source
+                assert set(reply) == set(row) | {"source", "service_s"}
+                for result in (row["result"], reply["result"]):
+                    result.pop("elapsed_s")  # the worker's own clock
+                for key in set(row) - clocks - {"id"}:
+                    assert reply[key] == row[key], key
+        finally:
+            d.request_drain()
+            assert d.wait_stopped(30.0)
 
     def test_bad_request_diagnostic(self, daemon):
         for kind in ("nope", "par_shard"):  # one that never existed, one removed

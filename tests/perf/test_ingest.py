@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.artifacts import envelope, validate_document
@@ -90,23 +92,28 @@ class TestOtherSchemas:
         assert m["span:pass:block.total_s"] == 0.5
         assert m["machine.cache.misses"] == 7.0
 
-    def test_serve_report(self):
-        doc = {
-            "schema": "repro.serve/1",
-            "jobs": [{"label": "derive:matmul", "wall_s": 0.02,
-                      "queue_wait_s": 0.001, "status": "computed"}],
-            "summary": {"computed": 1, "total": 1, "ok": 1},
-            "pool": {"busy_s": 0.02, "utilization": 0.4},
-            "latency": {"wall_s": {"count": 1, "mean": 0.02, "p50": 0.02,
-                                   "p95": 0.02, "p99": 0.02, "max": 0.02,
-                                   "min": 0.02, "total": 0.02}},
-            "elapsed_s": 0.05,
-        }
-        m = ingest.flatten(enveloped(doc))
-        assert m["job:derive:matmul.wall_s"] == 0.02
-        assert m["jobs.computed"] == 1.0
-        assert m["pool.utilization"] == 0.4
-        assert m["latency.wall_s.p99"] == 0.02
+    def test_serve_report(self, tmp_path):
+        """What a serve batch reports to perf is its ``--obs`` profile:
+        status counters, latency histograms, one span per job."""
+        from repro import cli
+
+        obs = tmp_path / "serve_obs.json"
+        specs = tmp_path / "jobs.json"
+        specs.write_text(json.dumps([
+            {"kind": "probe", "options": {"value": i}, "label": f"p{i}"}
+            for i in (1, 2)
+        ]))
+        assert cli.main(["serve", "batch", str(specs), "--workers", "1",
+                         "--no-store", "--obs", str(obs)]) == 0
+        m = ingest.flatten(ingest.load_artifact(str(obs)))
+        assert m["counter:serve.job.computed"] == 2.0
+        assert m["hist:serve.job_wall_s.count"] == 2.0
+        assert m["hist:serve.job_wall_s.p95"] > 0
+        assert m["hist:serve.queue_wait_s.count"] == 2.0
+        assert m["hist:serve.pool.utilization.count"] == 1.0
+        assert {"span:job:p1.total_s", "span:job:p2.total_s"} <= set(m)
+        assert not any(name.startswith(("job:", "jobs.", "pool.", "latency."))
+                       for name in m)
 
     def test_matrix_report(self):
         doc = {

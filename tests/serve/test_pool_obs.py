@@ -12,7 +12,7 @@ from repro.artifacts import registry
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.service import SCHEMA, run_batch
+from repro.serve.pool import WorkerPool
 
 SPECS = [
     JobSpec(kind="derive", workload="matmul", timeout_s=120.0),
@@ -20,16 +20,22 @@ SPECS = [
 ]
 
 
+def run_batch():
+    """``(outcomes, pool.stats())`` of SPECS on two workers, no store."""
+    with WorkerPool(workers=2, store=None) as pool:
+        return pool.run(list(SPECS)), pool.stats()
+
+
 def observed_batch():
     with obs_core.enabled() as o:
-        report = run_batch(SPECS, workers=2, store=None)
-    return o, report
+        outcomes, stats = run_batch()
+    return o, outcomes, stats
 
 
 class TestWorkerObservation:
     def test_worker_spans_reach_the_parent_timeline(self):
-        o, report = observed_batch()
-        assert all(j["status"] == "computed" for j in report["jobs"])
+        o, outcomes, _ = observed_batch()
+        assert all(out.status == "computed" for out in outcomes)
         lanes = {s.lane for s in o.spans if s.lane is not None}
         assert lanes  # at least one worker contributed spans
         assert lanes <= {"w0", "w1"}
@@ -43,7 +49,7 @@ class TestWorkerObservation:
         assert roots == {"job:derive:matmul", "job:derive:aconv"}
 
     def test_chrome_trace_has_one_pid_lane_per_worker(self):
-        o, _ = observed_batch()
+        o, _, _ = observed_batch()
         trace = obs_export.chrome_trace(o)
         events = trace["traceEvents"]
         lanes = sorted({s.lane for s in o.spans if s.lane is not None})
@@ -57,11 +63,7 @@ class TestWorkerObservation:
         assert lane_names == {f"repro worker {lane}" for lane in lanes}
 
     def test_parent_counters_are_parent_plus_worker_sums(self):
-        with obs_core.enabled() as o:
-            from repro.serve.pool import WorkerPool
-
-            with WorkerPool(workers=2, store=None) as pool:
-                outcomes = pool.run(list(SPECS))
+        o, outcomes, _ = observed_batch()
         snaps = [out.obs for out in outcomes]
         assert all(isinstance(s, dict) for s in snaps)
         worker_sums: dict = {}
@@ -78,23 +80,28 @@ class TestWorkerObservation:
             assert o.counters[name] == worker_sums[name]
 
     def test_outcome_snapshot_rides_the_result_queue(self):
-        _, report = observed_batch()
-        assert registry.get(SCHEMA).validate_payload(report) == []
+        _, outcomes, _ = observed_batch()
+        validate = registry.get(registry.OBS_SNAPSHOT).validate_payload
+        for out in outcomes:
+            assert validate(out.obs) == []
+            assert "obs" not in out.to_dict()  # the row stays a row
 
     def test_report_surfaces_per_worker_and_latency(self):
-        _, report = observed_batch()
-        per_worker = report["pool"]["per_worker"]
+        o, _, stats = observed_batch()
+        per_worker = stats["per_worker"]
         assert [e["worker"] for e in per_worker] == [0, 1]
         assert sum(e["jobs"] for e in per_worker) == 2
         busy = [e for e in per_worker if e["jobs"]]
         assert all(e["busy_s"] > 0 for e in busy)
         assert all(0 <= e["utilization"] <= 1 for e in busy)
-        wall = report["latency"]["wall_s"]
+        # the latency summaries live in the observer, once
+        wall = o.histograms["serve.job_wall_s"].summary()
         assert wall["count"] == 2
         assert wall["min"] <= wall["p50"] <= wall["p95"] <= wall["max"]
-        assert report["latency"]["queue_wait_s"]["count"] == 2
+        assert o.histograms["serve.queue_wait_s"].count == 2
 
     def test_unobserved_run_ships_no_snapshots(self):
-        report = run_batch(SPECS, workers=2, store=None)
-        assert all(j["status"] == "computed" for j in report["jobs"])
+        outcomes, _ = run_batch()
+        assert all(out.status == "computed" for out in outcomes)
+        assert all(out.obs is None for out in outcomes)
         assert obs_core.current() is None

@@ -1,4 +1,4 @@
-"""``python -m repro serve``: submit/batch/stats/gc, exit codes, artifacts."""
+"""``python -m repro serve``: submit/batch/stats/gc, exit codes, rows."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro import cli
 from repro.artifacts import is_envelope, payload_of, validate_document
-from repro.artifacts.registry import OBS_METRICS, SERVE_STORE
+from repro.artifacts.registry import SERVE_STORE
 from repro.serve.store import ArtifactStore
 
 
@@ -26,20 +26,44 @@ def submit(store_dir, *extra) -> int:
                  "--store-dir", store_dir, *extra])
 
 
+def json_rows(text: str) -> list[dict]:
+    """The rows ``--json`` printed (other stdout lines are notices)."""
+    return [json.loads(line) for line in text.splitlines()
+            if line.startswith("{")]
+
+
 class TestSubmit:
     def test_cold_then_warm_writes_a_valid_report(self, store_dir, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert submit(store_dir, "--out", str(out)) == 0
-        env = json.loads(out.read_text())
+        """The batch's report: ``--json`` rows on stdout, and the ``--obs``
+        profile as its validated artifact."""
+        obs = tmp_path / "obs.json"
+        assert submit(store_dir, "--json", "--obs", str(obs)) == 0
+        (cold,) = json_rows(capsys.readouterr().out)
+        assert cold["status"] == "computed" and cold["stored"] is True
+        assert "ir" not in cold["result"]
+        env = json.loads(obs.read_text())
         assert is_envelope(env) and validate_document(env) == []
-        report = payload_of(env)
-        assert report["jobs"][0]["status"] == "computed"
-        assert "report written to" in capsys.readouterr().out
+        assert payload_of(env)["counters"]["serve.job.computed"] == 1
 
-        assert submit(store_dir, "--out", str(out)) == 0
-        warm = payload_of(json.loads(out.read_text()))
-        assert warm["jobs"][0]["status"] == "hit"
-        assert warm["jobs"][0]["fingerprint"] == report["jobs"][0]["fingerprint"]
+        assert submit(store_dir, "--json") == 0  # a fresh pool and store
+        (warm,) = json_rows(capsys.readouterr().out)
+        assert warm["status"] == "hit" and warm["attempts"] == 0
+        for key in ("digest", "fingerprint", "result"):
+            assert warm[key] == cold[key]
+
+    def test_text_output_keeps_its_lines(self, store_dir, capsys):
+        assert submit(store_dir) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["computed", "derive:matmul"]
+        assert lines[1].startswith("1 job(s): 1 computed in ")
+        assert "pool utilization" in lines[1]
+        assert lines[2].startswith("  worker 0: 1 job(s), ")
+        assert lines[3].startswith("store: 0 hits / 1 misses, 1 writes, "
+                                   "1 entries")
+        assert submit(store_dir) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:2] == ["hit", "derive:matmul"]
+        assert lines[-1].startswith("store: 1 hits / 0 misses, 0 writes, ")
 
     def test_repeat_submissions_deduplicate(self, store_dir, capsys):
         assert submit(store_dir, "--repeat", "3", "--no-store") == 0
@@ -53,11 +77,19 @@ class TestSubmit:
         assert "error:" in capsys.readouterr().err
 
     def test_obs_profile_written(self, store_dir, tmp_path):
+        """The profile carries what the deleted report re-counted: status
+        counts, one latency observation per executed job, utilization."""
         obs_path = tmp_path / "obs.json"
-        assert submit(store_dir, "--no-store", "--obs", str(obs_path)) == 0
+        assert main(["submit", "matmul", "aconv", "--workers", "2",
+                     "--no-store", "--obs", str(obs_path)]) == 0
         env = json.loads(obs_path.read_text())
-        assert is_envelope(env)
-        assert payload_of(env)["schema"] == OBS_METRICS
+        assert is_envelope(env) and validate_document(env) == []
+        doc = payload_of(env)
+        assert doc["counters"]["serve.job.computed"] == 2
+        for name in ("serve.job_wall_s", "serve.queue_wait_s"):
+            assert doc["histograms"][name]["count"] == 2
+        assert doc["histograms"]["serve.pool.utilization"]["count"] == 1
+        assert {"job:derive:matmul", "job:derive:aconv"} <= set(doc["spans"])
 
 
 class TestBatch:
@@ -92,10 +124,12 @@ class TestBatch:
                  "label": "survivor"},
             ],
         )
-        assert main(["batch", path, "--workers", "1",
+        assert main(["batch", path, "--workers", "1", "--json",
                      "--store-dir", store_dir]) == 1
-        text = capsys.readouterr().out
-        assert "failed" in text and "computed" in text  # pool survived
+        doomed, survivor = json_rows(capsys.readouterr().out)
+        assert doomed["status"] == "failed"
+        assert "probe terminal failure" in doomed["error"]
+        assert survivor["status"] == "computed"  # pool survived
 
     def test_malformed_batch_file_is_a_usage_error(self, tmp_path, store_dir, capsys):
         path = tmp_path / "bad.json"

@@ -1,24 +1,22 @@
-"""run_batch and the ``repro.serve/1`` report: shape, validation, obs."""
+"""What a batch reports: job rows (``JobOutcome.to_dict``), ``pool.stats()``
+and the observer — each fact recorded once, no ``repro.serve/1`` report."""
 
 from __future__ import annotations
 
-import json
-
-from repro.artifacts import (
-    envelope,
-    is_envelope,
-    payload_of,
-    publish,
-    registry,
-    validate_document,
-)
-from repro.artifacts.validate import RULE_STALE_VERSION
+from repro.artifacts import envelope, registry, validate_document
+from repro.artifacts.validate import RULE_UNKNOWN_SCHEMA
 from repro.obs import core as obs_core
+from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.service import SCHEMA, run_batch
+from repro.serve.pool import OK_STATUSES, WorkerPool
 from repro.serve.store import ArtifactStore
 
-validate_payload = registry.get(SCHEMA).validate_payload
+#: every key of a job row, in order — the daemon's reply adds two more
+ROW_KEYS = [
+    "id", "label", "kind", "workload", "digest", "status", "attempts",
+    "submissions", "worker", "wall_s", "queue_wait_s", "stored",
+    "fingerprint", "error", "result",
+]
 
 
 def probe(**options) -> JobSpec:
@@ -26,143 +24,118 @@ def probe(**options) -> JobSpec:
     return JobSpec(kind="probe", options=options, timeout_s=10.0)
 
 
+def run_batch(specs, workers=1, store=None, max_retries=2):
+    """What ``serve submit|batch`` do: submit, drain, rows + pool stats."""
+    with WorkerPool(workers=workers, store=store,
+                    max_retries=max_retries) as pool:
+        for spec in specs:
+            pool.submit(spec)
+        rows = [outcome.to_dict() for outcome in pool.drain()]
+        return rows, pool.stats()
+
+
 class TestRunBatch:
     def test_report_is_valid_and_complete(self):
-        report = run_batch(
-            [probe(value=1), probe(value=2)],
-            workers=2,
-            meta={"tool": "test", "build": 7},
-        )
-        assert validate_payload(report) == []
-        assert report["schema"] == SCHEMA
-        assert report["meta"] == {"tool": "test", "build": "7"}  # stringified
-        assert report["summary"]["computed"] == 2
-        assert report["summary"]["ok"] == report["summary"]["total"] == 2
-        assert report["pool"]["workers"] == 2
-        assert report["pool"]["utilization"] is not None
-        assert report["store"] == {"enabled": False}
-        for job in report["jobs"]:
-            assert job["status"] == "computed"
-            assert job["wall_s"] > 0
-            assert job["result"]["probe"] in (1, 2)
+        rows, stats = run_batch([probe(value=1), probe(value=2)], workers=2)
+        assert [row["id"] for row in rows] == [0, 1]
+        for row in rows:
+            assert list(row) == ROW_KEYS
+            assert row["status"] == "computed"
+            assert row["kind"] == "probe" and row["label"] == "probe:-"
+            assert row["wall_s"] > 0
+            assert row["result"]["probe"] in (1, 2)
+            assert row["stored"] is False and row["fingerprint"] is None
+        assert stats["jobs"] == {"computed": 2}
+        assert stats["workers"] == 2
+        assert 0 < stats["utilization"] <= 1
+        assert stats["elapsed_s"] > 0
 
     def test_one_row_per_deduplicated_job(self):
         spec = probe(value="same")
-        report = run_batch([spec, spec, spec], workers=1)
-        assert validate_payload(report) == []
-        assert len(report["jobs"]) == 1
-        assert report["jobs"][0]["submissions"] == 3
-        assert report["pool"]["coalesced"] == 2
+        rows, stats = run_batch([spec, spec, spec])
+        assert len(rows) == 1
+        assert rows[0]["submissions"] == 3
+        assert stats["coalesced"] == 2
+        assert stats["jobs"] == {"computed": 1}
 
     def test_failures_carry_their_error_and_flip_ok(self):
-        report = run_batch(
-            [probe(action="terminal"), probe(value="fine")],
-            workers=1,
-            max_retries=0,
-        )
-        assert validate_payload(report) == []
-        assert report["summary"]["failed"] == 1
-        assert report["summary"]["ok"] == 1
-        by_status = {j["status"]: j for j in report["jobs"]}
+        rows, stats = run_batch(
+            [probe(action="terminal"), probe(value="fine")], max_retries=0)
+        assert stats["jobs"] == {"failed": 1, "computed": 1}
+        by_status = {row["status"]: row for row in rows}
         assert "PipelineError" in by_status["failed"]["error"]
-        assert by_status["computed"]["error"] is None
+        assert by_status["failed"]["result"] is None
+        assert by_status["computed"]["error"] is None  # the pool survived
+        assert [row["status"] in OK_STATUSES for row in rows] == [False, True]
 
     def test_store_run_reports_worker_writes_and_then_hits(self, tmp_path):
         spec = JobSpec(workload="matmul", timeout_s=60.0)
-        cold = run_batch([spec], workers=1, store=ArtifactStore(str(tmp_path)))
-        assert cold["jobs"][0]["status"] == "computed"
-        assert cold["jobs"][0]["stored"] is True
-        # the write happened in the worker; the report folds it in
-        assert cold["store"]["writes"] == 1
-        assert cold["store"]["entries"] == 1
+        store = ArtifactStore(str(tmp_path))
+        (cold,), _ = run_batch([spec], store=store)
+        assert cold["status"] == "computed"
+        assert cold["stored"] is True  # the write happened in the worker
+        assert store.stats()["writes"] == 0
+        assert store.stats()["entries"] == 1
 
-        warm = run_batch([spec], workers=1, store=ArtifactStore(str(tmp_path)))
-        assert warm["jobs"][0]["status"] == "hit"
-        assert warm["jobs"][0]["attempts"] == 0
-        assert warm["store"]["hits"] == 1
-        assert warm["store"]["writes"] == 0
-        assert (
-            warm["jobs"][0]["fingerprint"] == cold["jobs"][0]["fingerprint"]
-        )
+        store = ArtifactStore(str(tmp_path))
+        (warm,), stats = run_batch([spec], store=store)
+        assert warm["status"] == "hit"
+        assert warm["attempts"] == 0 and warm["worker"] is None
+        assert warm["stored"] is False
+        assert store.stats()["hits"] == 1
+        assert store.stats()["entries"] == 1
+        assert stats["jobs"] == {"hit": 1} and stats["busy_s"] == 0
+        for key in ("digest", "fingerprint", "result"):
+            assert warm[key] == cold[key]
 
     def test_result_rows_elide_the_ir_payload(self, tmp_path):
         spec = JobSpec(workload="matmul", timeout_s=60.0)
-        report = run_batch([spec], workers=1, store=ArtifactStore(str(tmp_path)))
-        row = report["jobs"][0]
-        assert "ir" not in row["result"]  # reports stay skimmable
-        assert row["fingerprint"]  # ...but the identity survives
+        with WorkerPool(workers=1, store=ArtifactStore(str(tmp_path))) as pool:
+            (outcome,) = pool.run([spec])
+        row = outcome.to_dict()
+        assert "DO " in outcome.value["ir"]
+        assert "ir" not in row["result"]  # rows stay skimmable
+        assert row["fingerprint"] == outcome.value["fingerprint"]
+        assert row["result"] == {k: v for k, v in outcome.value.items()
+                                 if k != "ir"}
 
     def test_obs_counters_mirror_the_batch(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
         spec = JobSpec(workload="matmul", timeout_s=60.0)
+        specs = [spec, probe(value=1), probe(action="terminal")]
         with obs_core.enabled() as o:
-            run_batch([spec], workers=1, store=store)
-            run_batch([spec], workers=1, store=ArtifactStore(str(tmp_path)))
-        assert o.counters["serve.job.computed"] == 1
-        assert o.counters["serve.job.hit"] == 1
-        assert o.counters["serve.store.miss"] == 1
-        assert o.counters["serve.store.hit"] == 1
-        assert o.histograms["serve.pool.utilization"].count == 2
-        assert any(s.cat == "serve.job" for s in o.spans)
+            _, cold = run_batch(specs, store=ArtifactStore(str(tmp_path)),
+                                max_retries=0)
+            _, warm = run_batch(specs, store=ArtifactStore(str(tmp_path)),
+                                max_retries=0)
+        assert cold["jobs"] == {"computed": 2, "failed": 1}
+        assert warm["jobs"] == {"hit": 2, "failed": 1}
+        assert o.counters["serve.job.computed"] == 2
+        assert o.counters["serve.job.hit"] == 2
+        assert o.counters["serve.job.failed"] == 2
+        assert o.counters["serve.store.miss"] == 4  # 3 cold + the failure
+        assert o.counters["serve.store.hit"] == 2
+        # one observation per executed job: hits never reach a worker
+        assert o.histograms["serve.job_wall_s"].count == 4
+        assert o.histograms["serve.queue_wait_s"].count == 4
+        # one span per resolved job, hit or not
+        spans = [s.name for s in o.spans if s.cat == "serve.job"]
+        assert sorted(spans) == sorted(2 * [f"job:{s.display}" for s in specs])
 
 
 class TestValidateReport:
-    def good(self) -> dict:
-        return run_batch([probe(value="v")], workers=1)
+    """A batch's durable, validated record is its ``--obs`` profile."""
 
     def test_accepts_the_real_thing(self):
-        assert validate_payload(self.good()) == []
-
-    def test_rejects_non_objects(self):
-        assert validate_payload([]) == ["payload: want object, got list"]
+        with obs_core.enabled() as o:
+            run_batch([probe(value="v")])
+        doc = obs_export.metrics(o, meta={"tool": "test"})
+        assert registry.get(registry.OBS_METRICS).validate_payload(doc) == []
+        assert doc["counters"]["serve.job.computed"] == 1
+        assert doc["histograms"]["serve.job_wall_s"]["count"] == 1
+        assert doc["spans"]["job:probe:-"]["count"] >= 1
 
     def test_rejects_wrong_schema(self):
-        # schema identity is the envelope layer's job now
-        doc = self.good()
-        doc["schema"] = "repro.serve/99"
-        problems = validate_document(envelope(doc, producer="test"))
-        assert [p.rule for p in problems] == [RULE_STALE_VERSION]
-
-    def test_rejects_missing_sections(self):
-        doc = self.good()
-        del doc["pool"]
-        del doc["jobs"]
-        problems = validate_payload(doc)
-        assert "pool: missing" in problems
-        assert "jobs: missing" in problems
-
-    def test_rejects_unknown_status(self):
-        doc = self.good()
-        doc["jobs"][0]["status"] = "vanished"
-        assert any(p.startswith("jobs[0].status: want one of")
-                   for p in validate_payload(doc))
-
-    def test_rejects_failure_without_error(self):
-        doc = self.good()
-        doc["jobs"][0]["status"] = "failed"
-        doc["jobs"][0]["error"] = None
-        problems = validate_payload(doc)
-        assert any("carries no error" in p for p in problems)
-
-    def test_rejects_summary_mismatch(self):
-        doc = self.good()
-        doc["summary"]["computed"] = 5
-        doc["summary"]["total"] = 9
-        problems = validate_payload(doc)
-        assert any("summary.total" in p for p in problems)
-        assert any("summary.computed" in p for p in problems)
-
-    def test_rejects_missing_job_fields(self):
-        doc = self.good()
-        del doc["jobs"][0]["wall_s"]
-        assert "jobs[0].wall_s: missing" in validate_payload(doc)
-
-
-def test_write_report_roundtrips(tmp_path):
-    report = run_batch([probe(value="v")], workers=1)
-    path = tmp_path / "report.json"
-    publish(str(path), report, producer="repro.serve")
-    doc = json.loads(path.read_text())
-    assert is_envelope(doc)
-    assert payload_of(doc) == json.loads(json.dumps(report))
-    assert path.read_text().endswith("\n")
+        # there is no reader for the report old batches wrote
+        old = {"schema": "repro.serve/1", "jobs": [], "summary": {"total": 0}}
+        problems = validate_document(envelope(old, producer="test"))
+        assert [p.rule for p in problems] == [RULE_UNKNOWN_SCHEMA]
