@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro.analysis.feasibility import memo_query
@@ -163,7 +162,7 @@ def _test_dimension(
         ca, cb = sub_a.coeffs[k], sub_b.coeffs[k]
         if ca == cb:
             # strong SIV: ca*i + ra = ca*i' + rb -> i' - i = (ra - rb)/ca
-            d = diff_rest * Fraction(1, ca)
+            d = diff_rest / ca
             dc = d.constant_value()
             if dc is None:
                 return {}, {k}  # symbolic distance: unknown

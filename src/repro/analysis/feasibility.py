@@ -17,11 +17,12 @@ iteration space.
 - any extra facts from the assumption context,
 
 over distinct source/sink copies of the loop variables, and decides
-rational satisfiability by Fourier–Motzkin elimination (exact Fraction
-arithmetic; integer-strictness via the ``x < y  ==  x <= y - 1`` tightening
-on integral constraints).  Rational feasibility over-approximates integer
-feasibility, so "infeasible" is a *proof* of independence — the direction
-the legality checks consume — while "feasible" stays conservative.
+rational satisfiability by Fourier–Motzkin elimination (exact arithmetic:
+rows of ints stay ints under ``cp*kn + cn*kp``; integer-strictness via the
+``x < y  ==  x <= y - 1`` tightening on integral constraints).  Rational
+feasibility over-approximates integer feasibility, so "infeasible" is a
+*proof* of independence — the direction the legality checks consume —
+while "feasible" stays conservative.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def _feasible_uncached(constraints: Sequence[Affine]) -> bool:
                 neg.append(c)
             else:
                 rem.append(c)
+        if len(rem) + len(pos) * len(neg) > _MAX_CONSTRAINTS:
+            return True  # give up soundly, before building the product
         new = rem
         for cp in pos:
             kp = cp.coeff(var)
@@ -125,8 +128,6 @@ def _feasible_uncached(constraints: Sequence[Affine]) -> bool:
                 combo = cp * kn + cn * kp
                 new.append(combo)
         work = _dedup(new)
-        if len(work) > _MAX_CONSTRAINTS:
-            return True  # give up soundly
 
 
 def _bound_constraints(

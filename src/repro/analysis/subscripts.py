@@ -69,6 +69,6 @@ def analyze_subscript(expr: Expr, index_vars: Sequence[str]) -> SubscriptInfo:
     # Any *other* loop-variable-like symbol in `rest` is fine: it is either
     # a symbolic parameter or an outer variable not under test, both of
     # which the dependence tests handle symbolically.
-    if not all(c.denominator == 1 for _, c in rest.coeffs) or rest.const.denominator != 1:
+    if not rest.is_integral():
         return SubscriptInfo(expr, index_vars, affine=False)
     return SubscriptInfo(expr, index_vars, affine=True, coeffs=tuple(coeffs), rest=rest)

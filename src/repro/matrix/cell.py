@@ -95,6 +95,7 @@ def cell_key(spec) -> tuple:
     """The ``job_key`` tail for a ``cell`` spec (see module docstring)."""
     from repro.ir.fingerprint import ir_fingerprint
     from repro.pipeline.workloads import get_workload
+    from repro.serve.store import facts_component
 
     opts = normalize_options(spec.options)
     workload = get_workload(spec.workload)
@@ -108,7 +109,7 @@ def cell_key(spec) -> tuple:
     return (
         ir_fingerprint(workload.build()),
         recipe,
-        workload.context(None).facts_key(),
+        facts_component(workload.context(None)),
         geometry,
         (("n", opts["n"]), ("b", opts["b"])),
     )

@@ -184,6 +184,7 @@ def _build_key(spec: JobSpec) -> tuple:
         return base + cell_key(spec)
     from repro.ir.fingerprint import ir_fingerprint
     from repro.pipeline.workloads import get_workload
+    from repro.serve.store import facts_component
 
     workload = get_workload(spec.workload)
     unroll = spec.options.get("unroll")
@@ -200,7 +201,7 @@ def _build_key(spec: JobSpec) -> tuple:
     return base + (
         ir_fingerprint(workload.build()),
         recipe,
-        workload.context(unroll).facts_key(),
+        facts_component(workload.context(unroll)),
         bool(spec.check),
     )
 

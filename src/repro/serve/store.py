@@ -80,6 +80,19 @@ def _canon(obj: Any):
     raise TypeError(f"cannot canonicalize {type(obj).__name__} in a store key")
 
 
+def facts_component(ctx) -> tuple:
+    """``ctx.facts_key()`` as a store-key component: every number a
+    ``Fraction``, so :func:`_canon` spells it ``("q", n, d)`` — the text
+    every existing store is keyed under — whatever type ``Affine`` holds."""
+
+    def q(obj):
+        if isinstance(obj, tuple):
+            return tuple(q(v) for v in obj)
+        return obj if isinstance(obj, str) else Fraction(obj)
+
+    return q(ctx.facts_key())
+
+
 def key_digest(key: Any, schema_version: int = SCHEMA_VERSION) -> str:
     """sha256 hex name of ``key`` under ``schema_version`` — the address
     shared by store files, in-flight pool jobs and matrix report rows."""

@@ -1,6 +1,9 @@
-"""Canonical affine (linear) forms with exact rational coefficients.
+"""Canonical affine (linear) forms, exact and integer-first.
 
-An :class:`Affine` is ``const + sum(coeffs[v] * v)``.  Conversion from IR
+An :class:`Affine` is ``const + sum(coeffs[v] * v)``.  Subscripts and loop
+bounds are integers, so every stored number is a machine ``int`` and turns
+into a ``Fraction`` only where a division makes it non-integral (and back
+the moment it is integral again).  Conversion from IR
 expressions (:func:`to_affine`) succeeds exactly when the expression is
 affine in its variables: sums, differences, products with a constant side,
 and integer division by a constant that exactly divides every coefficient.
@@ -29,41 +32,49 @@ from repro.ir.expr import (
 Rat = Union[int, Fraction]
 
 
+def _num(x: Rat) -> Rat:
+    """The one stored form of a number: an ``int`` when integral, else a
+    ``Fraction`` — never a ``Fraction`` of denominator 1, never a float."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"affine forms are exact: {x!r} is not an int or a Fraction")
+    return int(x) if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Affine:
     """Immutable affine form: ``const + Σ coeffs[v]·v``.
 
-    ``coeffs`` never stores zero coefficients; equality is exact.
+    Canonical: names sorted, no zero coefficient, every number as
+    :func:`_num` stores it — so equality and hashing are structural.
     """
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[str, Rat], ...]
+    const: Rat
 
     # ---- construction ---------------------------------------------------
     @staticmethod
     def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> "Affine":
-        items = []
+        items = ()
         if coeffs:
-            for name in sorted(coeffs):
-                c = Fraction(coeffs[name])
-                if c != 0:
-                    items.append((name, c))
-        return Affine(tuple(items), Fraction(const))
+            items = tuple((n, _num(coeffs[n])) for n in sorted(coeffs) if coeffs[n])
+        return Affine(items, _num(const))
 
     @staticmethod
     def constant(value: Rat) -> "Affine":
-        return Affine((), Fraction(value))
+        return Affine((), _num(value))
 
     @staticmethod
     def variable(name: str) -> "Affine":
-        return Affine(((name, Fraction(1)),), Fraction(0))
+        return Affine(((name, 1),), 0)
 
     # ---- inspection ------------------------------------------------------
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Rat:
         for n, c in self.coeffs:
             if n == name:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def variables(self) -> frozenset[str]:
@@ -73,44 +84,41 @@ class Affine:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Rat]:
         return self.const if self.is_constant else None
 
     def is_integral(self) -> bool:
         """True when all coefficients and the constant are integers."""
-        return self.const.denominator == 1 and all(c.denominator == 1 for _, c in self.coeffs)
+        return type(self.const) is int and all(type(c) is int for _, c in self.coeffs)
 
     # ---- arithmetic ------------------------------------------------------
-    def _as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
     def __add__(self, other: "Affine | Rat") -> "Affine":
         if isinstance(other, (int, Fraction)):
-            return Affine(self.coeffs, self.const + other)
-        d = self._as_dict()
+            return Affine(self.coeffs, _num(self.const + other))
+        d = dict(self.coeffs)
         for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
+            d[n] = d.get(n, 0) + c
         return Affine.make(d, self.const + other.const)
 
-    def __radd__(self, other: Rat) -> "Affine":
-        return self + other
+    __radd__ = __add__
 
     def __sub__(self, other: "Affine | Rat") -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.coeffs, self.const - other)
-        return self + (other * -1)
+        return self + other * -1
 
     def __rsub__(self, other: Rat) -> "Affine":
         return (self * -1) + other
 
     def __mul__(self, k: Rat) -> "Affine":
-        k = Fraction(k)
-        if k == 0:
-            return Affine.constant(0)
-        return Affine(tuple((n, c * k) for n, c in self.coeffs), self.const * k)
+        if not k:
+            return Affine((), 0)
+        return Affine(tuple((n, _num(c * k)) for n, c in self.coeffs), _num(self.const * k))
 
-    def __rmul__(self, k: Rat) -> "Affine":
-        return self * k
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: Rat) -> "Affine":
+        """Exact division — the one place a ``Fraction`` is born (and only
+        when ``k`` is not ±1; never ``c / k`` on a coefficient: a float)."""
+        return self * (k if abs(k) == 1 else Fraction(1) / k)
 
     def __neg__(self) -> "Affine":
         return self * -1
@@ -119,18 +127,12 @@ class Affine:
         """Replace variables by affine forms."""
         out = Affine.constant(self.const)
         for n, c in self.coeffs:
-            if n in mapping:
-                out = out + mapping[n] * c
-            else:
-                out = out + Affine.make({n: c})
+            out = out + (mapping[n] * c if n in mapping else Affine(((n, c),), 0))
         return out
 
-    def eval(self, env: Mapping[str, Rat]) -> Fraction:
+    def eval(self, env: Mapping[str, Rat]) -> Rat:
         """Evaluate with every variable bound (KeyError otherwise)."""
-        total = self.const
-        for n, c in self.coeffs:
-            total += c * Fraction(env[n])
-        return total
+        return _num(sum((c * _num(env[n]) for n, c in self.coeffs), self.const))
 
     def __repr__(self) -> str:
         parts = []
@@ -181,9 +183,9 @@ def to_affine(e: Expr) -> Optional[Affine]:
         rc = r.constant_value()
         if rc is None or rc == 0:
             return None
-        q = l * Fraction(1, int(rc)) if rc.denominator == 1 else None
-        if q is None:
+        if type(rc) is not int:
             return None
+        q = l / rc
         return q if q.is_integral() else None
     return None
 
@@ -196,7 +198,6 @@ def from_affine(a: Affine) -> Expr:
     """
     if not a.is_integral():
         raise ValueError(f"cannot render non-integral affine form {a!r}")
-    expr: Expr = Const(int(a.const)) if not a.coeffs else None  # type: ignore[assignment]
     terms: list[Expr] = []
     for n, c in a.coeffs:
         ci = int(c)
@@ -212,20 +213,3 @@ def from_affine(a: Affine) -> Expr:
     elif ci < 0:
         out = e_sub(out, Const(-ci))
     return out
-
-
-def affine_equal(e1: Expr, e2: Expr) -> Optional[bool]:
-    """Structurally-independent equality: True/False when both convert to
-    affine form, None when either is not affine."""
-    a1, a2 = to_affine(e1), to_affine(e2)
-    if a1 is None or a2 is None:
-        return None
-    return a1 == a2
-
-
-def affine_diff(e1: Expr, e2: Expr) -> Optional[Affine]:
-    """``e1 - e2`` as an affine form, or None."""
-    a1, a2 = to_affine(e1), to_affine(e2)
-    if a1 is None or a2 is None:
-        return None
-    return a1 - a2

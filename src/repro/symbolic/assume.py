@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from repro.ir.expr import Expr
-from repro.symbolic.affine import Affine, to_affine
+from repro.symbolic.affine import Affine, Rat, to_affine
 
 _MAX_DEPTH = 5
 _MEMO_CAP = 8192  # answers kept per context; cleared when full
@@ -92,18 +92,12 @@ class Assumptions:
         self._memo.clear()
         for name, coeff in aff.coeffs:
             rest = aff - Affine.make({name: coeff})
-            if coeff > 0:
-                # name >= -rest / coeff
-                bound = -rest * (Fraction(1) / coeff)
-                self._lo.setdefault(name, [])
-                if bound not in self._lo[name]:
-                    self._lo[name].append(bound)
-            else:
-                # name <= rest / (-coeff)
-                bound = rest * (Fraction(1) / (-coeff))
-                self._hi.setdefault(name, [])
-                if bound not in self._hi[name]:
-                    self._hi[name].append(bound)
+            # coeff·name >= -rest: a lower bound -rest/coeff on name, an
+            # upper one when coeff < 0
+            bound = rest / -coeff
+            bounds = (self._lo if coeff > 0 else self._hi).setdefault(name, [])
+            if bound not in bounds:
+                bounds.append(bound)
 
     def bounds_of(self, name: str) -> tuple[tuple[Affine, ...], tuple[Affine, ...]]:
         """The stored (lower, upper) affine bounds on ``name``, read-only."""
@@ -125,7 +119,7 @@ class Assumptions:
                 if bs
             )
 
-        return (side(self._lo), side(self._hi))
+        return self.memo("facts_key", lambda: (side(self._lo), side(self._hi)))
 
     # ---- decisions --------------------------------------------------------
     def memo(self, key, compute):
@@ -146,7 +140,7 @@ class Assumptions:
         self._memo[key] = value
         return value
 
-    def _const_bounds(self, aff: Affine, want_upper: bool, depth: int, seen: frozenset[str]) -> list[Fraction]:
+    def _const_bounds(self, aff: Affine, want_upper: bool, depth: int, seen: frozenset[str]) -> list[Rat]:
         """Constant candidates bounding ``aff`` from above (or below)."""
         if aff.is_constant:
             return [aff.const]
@@ -158,7 +152,7 @@ class Assumptions:
             return []
         want_var_upper = (coeff > 0) == want_upper
         candidates = (self._hi if want_var_upper else self._lo).get(name, [])
-        out: list[Fraction] = []
+        out: list[Rat] = []
         rest = aff - Affine.make({name: coeff})
         for bound in candidates:
             substituted = rest + bound * coeff
@@ -167,12 +161,12 @@ class Assumptions:
             )
         return out
 
-    def _best_bound(self, e, want_upper: bool) -> Optional[Fraction]:
+    def _best_bound(self, e, want_upper: bool) -> Optional[Rat]:
         aff = self._coerce(e)
         if aff is None:
             return None
 
-        def best() -> Optional[Fraction]:
+        def best() -> Optional[Rat]:
             vals = self._const_bounds(aff, want_upper, _MAX_DEPTH, frozenset())
             if not vals:
                 return None
@@ -180,11 +174,11 @@ class Assumptions:
 
         return self.memo(("bound", want_upper, aff), best)
 
-    def lower_bound(self, e) -> Optional[Fraction]:
+    def lower_bound(self, e) -> Optional[Rat]:
         """Best provable constant lower bound, or None."""
         return self._best_bound(e, want_upper=False)
 
-    def upper_bound(self, e) -> Optional[Fraction]:
+    def upper_bound(self, e) -> Optional[Rat]:
         """Best provable constant upper bound, or None."""
         return self._best_bound(e, want_upper=True)
 

@@ -1,5 +1,7 @@
 """Iteration-space shape classification and FM feasibility."""
 
+import time
+
 from repro.analysis.feasibility import direction_feasible, feasible
 from repro.analysis.refs import collect_accesses
 from repro.analysis.shape import LoopShape, classify_loop_shape
@@ -81,6 +83,24 @@ class TestFMCore:
     def test_satisfiable_system(self):
         cons = [self.a({"x": 1}, -1), self.a({"y": 1, "x": -1}), self.a({"y": -1}, 100)]
         assert feasible(cons)
+
+    def test_blow_up_is_refused_before_it_is_built(self, monkeypatch):
+        # x >= 5000 + i and x <= j, 2 000 rows each: infeasible, but one
+        # round would combine 4 M pairs — inside the 4 000-row guard going
+        # in, far past it coming out.  The sound answer is "cannot rule out"
+        # and it must cost nothing.
+        combined = []
+        real = Affine.__mul__
+        monkeypatch.setattr(
+            Affine, "__mul__", lambda a, k: combined.append(k) or real(a, k))
+        cons = [self.a({"x": 1}, -5000 - i) for i in range(2000)]
+        cons += [self.a({"x": -1}, j) for j in range(2000)]
+        t0 = time.perf_counter()
+        assert feasible(cons)
+        assert combined == [] and time.perf_counter() - t0 < 1.0
+        # the same shape under the guard is still decided exactly
+        assert not feasible(cons[:60] + cons[-60:])
+        assert len(combined) == 2 * 60 * 60
 
 
 class TestDirectionFeasible:

@@ -83,3 +83,16 @@ def by_array_counts(tracer) -> dict[str, dict[str, int]]:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def assert_canonical(a) -> None:
+    """An :class:`~repro.symbolic.affine.Affine` in its one stored form:
+    names sorted, no zero coefficient, every number an ``int`` or a proper
+    ``Fraction`` — never ``Fraction(n, 1)``, never a float."""
+    from fractions import Fraction
+
+    names = [n for n, _ in a.coeffs]
+    assert names == sorted(set(names))
+    for c in [c for _, c in a.coeffs] + [a.const]:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    assert all(c != 0 for _, c in a.coeffs)

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.errors import PipelineError
+from repro.matrix.grid import GridSpec, cell_spec
 from repro.serve.jobs import JobSpec, execute_job, job_key, result_fingerprint
-from repro.serve.store import ArtifactStore
+from repro.serve.store import ArtifactStore, key_digest
+
+ROOT = Path(__file__).resolve().parents[2]
+
+#: derive / check / execute store digests (first 16 hex) at a5cd79e, when
+#: every Affine coefficient in the context facts was still a Fraction
+PARENT_DIGESTS = {
+    "aconv": ("9109d0ca1cacaa8b", "f4194a16d24842d7", "1c1563e970ab016c"),
+    "conv": ("014fecc71da0201f", "057ee94d27f8185d", "ad11075df74f767e"),
+    "givens": ("0dfa930632c5b483", "13e4f38db177881a", "6b5b4357b63895ca"),
+    "lu_nopivot": ("22bfb3f1264be4a8", "193c03be480f66b5", "0813cba3c163c143"),
+    "lu_pivot": ("c3b2561064246563", "7e5f591b84027ef0", "2e8813a63bea0f33"),
+    "matmul": ("2b5948b00ed57da6", "9861a9ac32d3d9e7", "8703d188f9677697"),
+}
 
 
 class TestJobSpec:
@@ -62,6 +78,26 @@ class TestJobKey:
         assert job_key(base) != job_key(JobSpec(workload="lu_nopivot", passes=("split",)))
         assert job_key(base) != job_key(JobSpec(workload="lu_nopivot", check=True))
         assert job_key(base) != job_key(JobSpec(kind="execute", workload="lu_nopivot"))
+
+    @pytest.mark.parametrize("workload", sorted(PARENT_DIGESTS))
+    def test_store_keys_do_not_move_with_the_number_type(self, workload):
+        """The key text spells every fact number ``("q", n, d)`` whatever
+        ``Affine`` holds in memory: an existing store stays warm."""
+        got = tuple(
+            self.digest(JobSpec(kind=kind, workload=workload))[:16]
+            for kind in ("derive", "check", "execute")
+        )
+        assert got == PARENT_DIGESTS[workload]
+
+    def test_committed_sweep_still_addresses_its_own_artifacts(self):
+        """The 24 row digests of ``BENCH_matrix.json``, recomputed from its
+        grid by ``job_key`` + ``key_digest`` alone (no cell is executed)."""
+        grid = json.loads((ROOT / "examples" / "matrix_demo_grid.json").read_text())
+        rows = json.loads((ROOT / "BENCH_matrix.json").read_text())["payload"]["rows"]
+        cells = GridSpec.from_json(grid).cells()
+        recomputed = sorted(key_digest(job_key(cell_spec(c))) for c in cells)
+        assert len(cells) == 24
+        assert recomputed == sorted(r["digest"] for r in rows)
 
     def test_probe_keys_on_options_only(self):
         a = JobSpec(kind="probe", options={"action": "ok", "value": 1})

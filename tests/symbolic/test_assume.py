@@ -1,12 +1,16 @@
 """Assumption contexts: bound derivation and sign decisions."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sections import expr_range
 from repro.ir.expr import Const, Min, Var
+from repro.serve.store import canonical_key, facts_component, key_digest
 from repro.symbolic import assume
 from repro.symbolic.assume import Assumptions
 from repro.symbolic.simplify import _EMPTY, prove_lt
+from tests.conftest import assert_canonical
 
 
 class TestBasicFacts:
@@ -86,6 +90,60 @@ class TestForLoopNest:
     def test_builder(self):
         ctx = Assumptions.for_loop_nest([("I", 1, Var("N")), ("J", Var("I"), Var("N"))])
         assert ctx.is_nonneg(Var("J") - 1) is True  # J >= I >= 1
+
+
+class TestRationalFacts:
+    """A coefficient other than ±1 is the one place a ``Fraction`` is born
+    (``_add_fact`` divides by it).  Answers, ``facts_key()`` and the store
+    key text are pinned from the all-``Fraction`` parent (a5cd79e)."""
+
+    @staticmethod
+    def ctx() -> Assumptions:
+        ctx = Assumptions().assume_le(Var("I") * 2, Var("N"))  # 2*I <= N
+        ctx.assume_ge(Var("J") * 3, Var("N") + 1)  # 3*J >= N + 1
+        return ctx.assume_range("N", 4, 10)
+
+    def test_bounds_and_comparisons(self):
+        ctx = self.ctx()
+        assert repr(ctx.bounds_of("I")) == "((), (1/2*N,))"
+        assert repr(ctx.bounds_of("J")) == "((1/3*N + 1/3,), ())"
+        assert repr(ctx.bounds_of("N")) == "((2*I, 4), (3*J + -1, 10))"
+        assert ctx.upper_bound(Var("I")) == 5
+        assert ctx.lower_bound(Var("J")) == Fraction(5, 3)
+        assert ctx.upper_bound(Var("I") * 2) == 10
+        assert ctx.lower_bound(Var("J") * 3 - Var("N")) == 1
+        assert [ctx.compare(Var("I"), 5), ctx.compare(Var("I"), 6)] == ["<=", "<"]
+        assert [ctx.compare(Var("J"), 1), ctx.compare(Var("J"), Fraction(5, 3))] == [">", ">="]
+        assert ctx.compare(Var("I") * 2, Var("N")) == "<="
+
+    def test_every_stored_bound_is_canonical(self):
+        # 2*I <= 4*N + 2: the division by 2 gives I <= 2*N + 1, ints again
+        ctx = self.ctx().assume_le(Var("I") * 2, Var("N") * 4 + 2)
+        assert repr(ctx.bounds_of("I")[1]) == "(1/2*N, 2*N + 1)"
+        for name in "IJN":
+            for bound in sum(ctx.bounds_of(name), ()):
+                assert_canonical(bound)
+
+    def test_facts_key_and_store_key_text_did_not_move(self):
+        ctx, q = self.ctx(), Fraction
+        parent = (
+            (("J", (((("N", q(1, 3)),), q(1, 3)),)),
+             ("N", (((), q(4, 1)), ((("I", q(2, 1)),), q(0, 1))))),
+            (("I", (((("N", q(1, 2)),), q(0, 1)),)),
+             ("N", (((), q(10, 1)), ((("J", q(3, 1)),), q(-1, 1))))),
+        )
+        assert ctx.facts_key() == parent and hash(ctx.facts_key()) == hash(parent)
+        assert canonical_key(facts_component(ctx)) == canonical_key(parent) == (
+            "('t', ('t', ('t', 'J', ('t', ('t', ('t', ('t', 'N', ('q', 1, 3))), "
+            "('q', 1, 3)))), ('t', 'N', ('t', ('t', ('t',), ('q', 4, 1)), ('t', "
+            "('t', ('t', 'I', ('q', 2, 1))), ('q', 0, 1))))), ('t', ('t', 'I', "
+            "('t', ('t', ('t', ('t', 'N', ('q', 1, 2))), ('q', 0, 1)))), ('t', 'N', "
+            "('t', ('t', ('t',), ('q', 10, 1)), ('t', ('t', ('t', 'J', ('q', 3, 1))), "
+            "('q', -1, 1))))))"
+        )
+        assert key_digest(("ctx", facts_component(ctx))) == (
+            "07e4f661f01fb4e438fa90130525ee5ac09883b6c950504fbdc9919b3c5f026f"
+        )
 
 
 class TestMemo:
