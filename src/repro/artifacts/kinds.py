@@ -39,11 +39,6 @@ _r.register(
     description="observability profile (counters, histograms, attribution)",
 )
 _r.register(
-    _r.OBS_SNAPSHOT,
-    shape="repro.obs.snapshot:SHAPE",
-    description="portable single-observer snapshot (cross-process merge unit)",
-)
-_r.register(
     _r.CHECK_REPORT,
     shape="repro.check.report:SHAPE",
     invariants="repro.check.report:invariants",

@@ -37,7 +37,6 @@ from repro.errors import ArtifactError
 PIPELINE_TRACE = "repro.pipeline/1"
 PIPELINE_BENCH = "repro.pipeline.bench/1"
 OBS_METRICS = "repro.obs/1"
-OBS_SNAPSHOT = "repro.obs.snapshot/1"
 CHECK_REPORT = "repro.check/1"
 MATRIX_REPORT = "repro.matrix/1"
 PERF_GATE = "repro.perf.gate/1"

@@ -40,11 +40,10 @@ from repro.errors import TransformError
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import Compare, Const, Var
 from repro.ir.stmt import ArrayDecl, Loop, Procedure
-from repro.ir.visit import find_loops, loop_by_var
+from repro.ir.visit import loop_by_var
 from repro.machine.model import MachineModel, RS6000_540, scaled_machine
 from repro.symbolic.assume import Assumptions
-from repro.transform import if_inspect, scalar_replace, unroll_and_jam
-from repro.transform.base import sole_inner_loop
+from repro.transform import scalar_replace, unroll_and_jam
 
 #: default geometry scale: problem dims /4, cache /16, line /4 — an exact
 #: divisor of the paper's geometry (blocks 32/64 -> 8/16, 128B lines ->
@@ -186,16 +185,11 @@ def matmul_uj_naive(u: int = 4) -> Procedure:
 @functools.lru_cache(maxsize=None)
 def matmul_ujif(u: int = 4) -> Procedure:
     """IF-inspection then unroll-and-jam of the executor (paper's
-    "UJ+IF"), plus scalar replacement of the now-unguarded accumulators."""
-    proc = matmul_guarded_ir()
-    k = loop_by_var(proc.body, "K")
-    ctx = context_for_path(proc, k, Assumptions().assume_ge("N", 1))
-    proc, executor = if_inspect(proc, k, ctx)
-    exec_live = next(l for l in find_loops(proc) if l == executor)
-    k_exec = sole_inner_loop(exec_live)
-    proc = unroll_and_jam(proc, k_exec, u, Assumptions().assume_ge("N", 1))
-    proc, _ = scalar_replace(proc, Assumptions().assume_ge("N", 1))
-    return proc
+    "UJ+IF"), plus scalar replacement of the now-unguarded accumulators —
+    the ``matmul`` workload's default pipeline."""
+    from repro.pipeline import derive
+
+    return derive("matmul", unroll=u).procedure
 
 
 # ---------------------------------------------------------------------------

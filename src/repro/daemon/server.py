@@ -13,8 +13,12 @@ Threading model — the part that keeps this deadlock-free:
   :class:`~repro.serve.pool.WorkerPool` (which is not thread-safe): it
   drains the incoming queue, submits specs (store hits resolve right at
   submit), polls the pool, and resolves requests by setting their
-  events.  Worker obs snapshots merge here, onto the scheduler's clock,
-  exactly as in batch mode.
+  events.  Each worker's observer merges here, onto the scheduler's
+  clock, exactly as in batch mode.
+
+One set of books: what ``/v1/status`` counts is recorded once, under the
+daemon lock, in the daemon-lifetime observer (``daemon.requests.*``,
+``daemon.completed.*``, ``daemon.latency.*``), which the status reads.
 
 Admission control: ``queue_limit`` bounds *outstanding* work — requests
 accepted but not yet resolved, queued or running.  A request arriving
@@ -31,7 +35,7 @@ store, so the *retry* will be a hit.
 
 Graceful drain: ``request_drain()`` (SIGTERM, ``stop``, or ``POST
 /v1/shutdown``) stops admission (503 ``daemon/draining``), lets
-in-flight jobs finish, flushes the daemon-lifetime obs snapshot, writes
+in-flight jobs finish, flushes the daemon-lifetime observer, writes
 the final status next to the state file, closes the pool, and removes
 the endpoint record.  Nothing warm is lost: the store is on disk, so a
 restarted daemon replays the same requests with ``attempts = 0``.
@@ -63,11 +67,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.artifacts.shape import check, nullable
+from repro.daemon.status import LATENCY_KEYS, REQUEST_FIELDS
 from repro.errors import DaemonError, ReproError
 from repro.obs import core as _obs
 from repro.obs import export as _obs_export
 from repro.serve.jobs import JobSpec, job_key
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import STATUSES, WorkerPool
 from repro.serve.store import ArtifactStore
 
 RULE_BAD_REQUEST = "daemon/bad-request"
@@ -144,16 +149,9 @@ class Daemon:
         self._server: Optional[ThreadingHTTPServer] = None
         self._scheduler_thread: Optional[threading.Thread] = None
         self._server_thread: Optional[threading.Thread] = None
-        self._obs = _obs.Obs()  # daemon-lifetime observer
+        self._obs = _obs.Obs()  # daemon-lifetime observer: the only books
         self._mem: "collections.OrderedDict[str, dict]" = collections.OrderedDict()
-        self._mem_hits = 0
         self._digests: dict[str, str] = {}  # canonical spec json -> digest
-        self.requests = {key: 0 for key in
-                         ("received", "accepted", "shed", "rejected",
-                          "deadline", "memory_hits")}
-        self.completed: dict[str, int] = {}
-        self.latency = {key: _obs.Histogram()
-                        for key in ("request_s", "hit_s", "computed_s")}
         self._pool_stats: dict = {"workers": self.config.workers,
                                   "per_worker": []}
 
@@ -216,7 +214,7 @@ class Daemon:
         """Admission control + request wait; returns (http status, body).
         Runs on an HTTP handler thread — must never touch the pool."""
         with self._lock:
-            self.requests["received"] += 1
+            self._obs.count("daemon.requests.received")
         try:
             # everything that can be wrong with a request is wrong here, on
             # the handler thread: the key is built now (and remembered on
@@ -235,12 +233,12 @@ class Daemon:
             digest = self._digest_of(spec)
         except ReproError as e:
             with self._lock:
-                self.requests["rejected"] += 1
+                self._obs.count("daemon.requests.rejected")
             return 400, _error_body(RULE_BAD_REQUEST, str(e))
 
         if self._draining.is_set():
             with self._lock:
-                self.requests["rejected"] += 1
+                self._obs.count("daemon.requests.rejected")
             return 503, _error_body(
                 RULE_DRAINING, "daemon is draining; not accepting jobs"
             )
@@ -252,8 +250,7 @@ class Daemon:
 
         with self._lock:
             if self._outstanding >= self.config.queue_limit:
-                self.requests["shed"] += 1
-                self._obs.count("daemon.request.shed")
+                self._obs.count("daemon.requests.shed")
                 return 429, _error_body(
                     RULE_SATURATED,
                     f"outstanding-work window is full "
@@ -263,15 +260,14 @@ class Daemon:
                     limit=self.config.queue_limit,
                 )
             self._outstanding += 1
-            self.requests["accepted"] += 1
+            self._obs.count("daemon.requests.accepted")
 
         req = _Request(spec, deadline_s)
         self._incoming.put(req)
         if not req.event.wait(deadline_s):
             req.abandoned = True  # scheduler still resolves + decrements
             with self._lock:
-                self.requests["deadline"] += 1
-                self._obs.count("daemon.request.deadline")
+                self._obs.count("daemon.requests.deadline")
             return 504, _error_body(
                 RULE_DEADLINE,
                 f"request outlived its {deadline_s:g}s deadline "
@@ -285,12 +281,10 @@ class Daemon:
             if body is None:
                 return None
             self._mem.move_to_end(digest)
-            self._mem_hits += 1
-            self.requests["accepted"] += 1
-            self.requests["memory_hits"] += 1
-            self.latency["request_s"].observe(0.0)
-            self.latency["hit_s"].observe(0.0)
-            self._obs.count("daemon.mem_cache.hit")
+            self._obs.count("daemon.requests.accepted")
+            self._obs.count("daemon.requests.memory_hits")
+            self._obs.observe("daemon.latency.request_s", 0.0)
+            self._obs.observe("daemon.latency.hit_s", 0.0)
         out = dict(body)
         out.update(status="hit", source="memory", attempts=0, service_s=0.0)
         return out
@@ -370,14 +364,12 @@ class Daemon:
         }
         with self._lock:
             self._outstanding -= 1
-            self.completed[outcome.status] = (
-                self.completed.get(outcome.status, 0) + 1
-            )
-            self.latency["request_s"].observe(service_s)
+            self._obs.count(f"daemon.completed.{outcome.status}")
+            self._obs.observe("daemon.latency.request_s", service_s)
             if outcome.status == "hit":
-                self.latency["hit_s"].observe(service_s)
+                self._obs.observe("daemon.latency.hit_s", service_s)
             elif outcome.ok:
-                self.latency["computed_s"].observe(service_s)
+                self._obs.observe("daemon.latency.computed_s", service_s)
             if (
                 outcome.ok
                 and self.config.mem_cache
@@ -391,8 +383,6 @@ class Daemon:
                 self._mem.move_to_end(outcome.digest)
                 while len(self._mem) > self.config.mem_cache:
                     self._mem.popitem(last=False)
-        _obs.count(f"daemon.request.{outcome.status}")
-        _obs.observe("daemon.request_s", service_s)
         req.http_status = 200
         req.body = body
         req.event.set()
@@ -419,7 +409,7 @@ class Daemon:
                 continue
             with self._lock:
                 self._outstanding -= 1
-                self.requests["rejected"] += 1
+                self._obs.count("daemon.requests.rejected")
             req.http_status = 503
             req.body = _error_body(
                 RULE_DRAINING, "daemon drained before the job was scheduled"
@@ -428,11 +418,9 @@ class Daemon:
 
         out = self.config.obs_out or str(self.store.root / "daemon_obs.json")
         try:
-            publish(
-                out,
-                _obs_export.metrics(self._obs, meta={"tool": __package__}),
-                producer="repro.obs",
-            )
+            with self._lock:  # handler threads may still be counting
+                doc = _obs_export.metrics(self._obs, meta={"tool": __package__})
+            publish(out, doc, producer="repro.obs")
         except Exception:
             pass  # a failed flush must not block the drain
         try:
@@ -455,17 +443,20 @@ class Daemon:
     def status_payload(self) -> dict:
         from repro.artifacts.registry import DAEMON_STATUS
 
+        # fixed names only: the scheduler thread grows these dicts unlocked
+        counters, histograms = self._obs.counters, self._obs.histograms
         with self._lock:
-            requests = dict(self.requests)
-            requests["completed"] = dict(self.completed)
-            latency = {k: h.summary() for k, h in self.latency.items()}
-            mem = {
-                "entries": len(self._mem),
-                "capacity": self.config.mem_cache,
-                "hits": self._mem_hits,
+            requests = {field: counters.get(f"daemon.requests.{field}", 0)
+                        for field in REQUEST_FIELDS}
+            requests["completed"] = {
+                status: n for status in STATUSES
+                if (n := counters.get(f"daemon.completed.{status}"))
             }
-            outstanding = self._outstanding
-        pool_stats = dict(self._pool_stats)
+            latency = {
+                key: histograms.get(f"daemon.latency.{key}", _obs.Histogram()).summary()
+                for key in LATENCY_KEYS
+            }
+            entries, outstanding = len(self._mem), self._outstanding
         return {
             "schema": DAEMON_STATUS,
             "state": self.state,
@@ -482,8 +473,9 @@ class Daemon:
             "requests": requests,
             "queue": {"outstanding": outstanding,
                       "limit": self.config.queue_limit},
-            "mem_cache": mem,
-            "pool": pool_stats,
+            "mem_cache": {"entries": entries, "capacity": self.config.mem_cache,
+                          "hits": requests["memory_hits"]},
+            "pool": dict(self._pool_stats),
             "store": self.store.stats(),
             "latency": latency,
         }

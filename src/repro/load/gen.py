@@ -28,6 +28,7 @@ import threading
 import time
 from typing import Optional
 
+from repro.artifacts.shape import check, nullable
 from repro.errors import LoadError
 from repro.obs.core import Histogram
 from repro.serve.pool import OK_STATUSES, STATUSES
@@ -41,34 +42,24 @@ _DRAIN_GRACE_S = 30.0
 
 
 def check_grid(grid: dict) -> dict:
-    """Normalize and sanity-check a grid; :class:`LoadError` on nonsense."""
-    if not isinstance(grid, dict):
-        raise LoadError("grid must be a JSON object")
-    steps = grid.get("steps")
-    if not isinstance(steps, list) or not steps:
-        raise LoadError("grid needs a non-empty 'steps' list")
-    for i, step in enumerate(steps):
-        if not isinstance(step, dict):
-            raise LoadError(f"grid steps[{i}] is not an object")
-        rate = step.get("rate")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            raise LoadError(f"grid steps[{i}].rate must be > 0")
-        dur = step.get("duration_s", 2.0)
-        if not isinstance(dur, (int, float)) or dur <= 0:
-            raise LoadError(f"grid steps[{i}].duration_s must be > 0")
-        step["duration_s"] = float(dur)
-    mix = grid.get("mix")
-    if not isinstance(mix, list) or not mix:
-        raise LoadError("grid needs a non-empty 'mix' list")
-    for i, entry in enumerate(mix):
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("job"), dict
-        ):
-            raise LoadError(f"grid mix[{i}] needs a 'job' object")
-        weight = entry.get("weight", 1)
-        if not isinstance(weight, int) or weight < 1:
-            raise LoadError(f"grid mix[{i}].weight must be an integer >= 1")
-        entry["weight"] = weight
+    """Normalize and sanity-check a grid against :data:`GRID_SHAPE`;
+    :class:`LoadError` naming every problem's path on nonsense."""
+    problems = check(grid, GRID_SHAPE, "grid")
+    if not problems:  # omitted and null fields take their defaults
+        problems = [f"grid.{key}: want a non-empty list"
+                    for key in ("steps", "mix") if not grid[key]]
+        for i, step in enumerate(grid["steps"]):
+            dur = step.get("duration_s")
+            step["duration_s"] = 2.0 if dur is None else float(dur)
+            problems += [f"grid.steps[{i}].{field}: must be > 0"
+                         for field in ("rate", "duration_s") if step[field] <= 0]
+        for i, entry in enumerate(grid["mix"]):
+            if entry.get("weight") is None:
+                entry["weight"] = 1
+            if entry["weight"] < 1:
+                problems.append(f"grid.mix[{i}].weight: must be >= 1")
+    if problems:
+        raise LoadError(f"bad grid: {'; '.join(problems)}")
     return grid
 
 
@@ -86,18 +77,18 @@ class _StepStats:
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.outcomes: dict[str, int] = {}
-        self.latency = {key: Histogram() for key in _report.LATENCY_KEYS}
+        self.latency_s = {key: Histogram() for key in _report.LATENCY_KEYS}
 
     def record(self, outcome: str, elapsed_s: float,
                warm: Histogram, cold: Histogram) -> None:
         with self.lock:
             self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-            self.latency["request_s"].observe(elapsed_s)
+            self.latency_s["request_s"].observe(elapsed_s)
             if outcome == "hit":
-                self.latency["hit_s"].observe(elapsed_s)
+                self.latency_s["hit_s"].observe(elapsed_s)
                 warm.observe(elapsed_s)
             elif outcome in OK_STATUSES:
-                self.latency["computed_s"].observe(elapsed_s)
+                self.latency_s["computed_s"].observe(elapsed_s)
                 cold.observe(elapsed_s)
 
 
@@ -178,7 +169,7 @@ def run_grid(
             "offered": offered,
             "sent": len(threads),
             "outcomes": dict(sorted(stats.outcomes.items())),
-            "latency": {k: h.summary() for k, h in stats.latency.items()},
+            "latency": {k: h.summary() for k, h in stats.latency_s.items()},
             "throughput": round(resolved / elapsed, 2) if elapsed else 0.0,
         }
         steps_out.append(row)
@@ -200,6 +191,14 @@ def run_grid(
         elapsed_s=time.perf_counter() - t_run,
     )
 
+
+#: a load grid as JSON (:func:`check_grid`); ``duration_s`` defaults to 2 s
+#: and ``weight`` to 1
+GRID_SHAPE = {
+    "steps": [{"rate": float, "duration_s": nullable(float)}],
+    "mix": [{"job": dict, "weight": nullable(int), "unique": nullable(bool)}],
+    "deadline_s": nullable(float),
+}
 
 #: named grids usable anywhere a grid file is accepted.  ``quick`` is
 #: the CI smoke ramp; ``bench`` produced the committed BENCH_serve.json.

@@ -6,14 +6,13 @@ Zero-dependency observability for the whole reproduction stack:
   behind a context-var "active observer"; near-zero cost when disabled.
   The analysis engines (dependence, Fourier–Motzkin), the pass manager,
   the interpreter, and the cache-simulator glue all report into it.
+  Serve workers observe their own jobs and ship the :class:`Obs` itself
+  back through the result queues; the parent folds it in with
+  :meth:`Obs.merge` (counters summed, histograms folded, spans aligned
+  onto the parent clock and tagged with a per-worker lane).
 - :mod:`repro.obs.attribution` — the per-loop / per-statement / per-array
   miss and dirty-eviction breakdowns, counted per static site of the
   address stream the cache simulator consumes.
-- :mod:`repro.obs.snapshot` — the portable (JSON) form of an observer:
-  serve workers observe their own jobs and ship snapshots back through
-  the result queues; the parent merges them (counters summed, histograms
-  folded, spans aligned onto the parent clock and tagged with a
-  per-worker lane).
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto; one pid lane per merged worker) and the ``repro.obs/1``
   metrics schema, with its declared shape.
@@ -48,9 +47,6 @@ from repro.obs.export import (
     metrics,
     write_json,
 )
-# note: the snapshot() builder itself stays in repro.obs.snapshot so the
-# submodule name is not shadowed by a same-named function attribute
-from repro.obs.snapshot import merge, restore
 
 __all__ = [
     "Histogram",
@@ -62,10 +58,8 @@ __all__ = [
     "count",
     "current",
     "enabled",
-    "merge",
     "metrics",
     "observe",
-    "restore",
     "span",
     "stmt_label",
     "write_json",

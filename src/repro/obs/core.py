@@ -7,10 +7,10 @@ One :class:`Obs` object collects everything a run produces:
 - **histograms** — named value streams summarized online (count / total /
   min / max; latencies in seconds by convention, suffix ``_s``);
 - **spans** — timed intervals, either opened with the :meth:`Obs.span`
-  context manager (nesting tracked through a stack, so the Chrome trace
-  shows the hierarchy) or reported after the fact with :meth:`Obs.event`
-  for code that already measured itself (the pass manager's
-  :class:`~repro.pipeline.manager.SpanRecord`).
+  context manager (nested spans nest in time, which is how the Chrome
+  trace shows the hierarchy) or reported after the fact with
+  :meth:`Obs.event` for code that already measured itself (the pass
+  manager's :class:`~repro.pipeline.manager.SpanRecord`).
 
 The *active* observer is held in a :class:`contextvars.ContextVar`;
 instrumented modules call the module-level :func:`current`, :func:`count`,
@@ -24,10 +24,11 @@ into it without import cycles.
 
 from __future__ import annotations
 
+import copy
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 
@@ -35,20 +36,16 @@ from typing import Iterator, Optional
 class SpanEvent:
     """One finished timed interval.
 
-    ``ts``/``dur`` are seconds relative to the owning :class:`Obs` epoch;
-    ``depth`` is the nesting level at the time the span was *open* (0 for
-    roots), used by the text profile — the Chrome exporter reconstructs
-    nesting from the timestamps instead.  ``lane`` names the process the
-    span was recorded in (None = this process); merged worker snapshots
-    carry their pool slot here and the Chrome exporter renders one pid
-    lane per distinct value.
+    ``ts``/``dur`` are seconds relative to the owning :class:`Obs` epoch.
+    ``lane`` names the process the span was recorded in (None = this
+    process); spans merged from a worker's observer carry their pool slot
+    here and the Chrome exporter renders one pid lane per distinct value.
     """
 
     name: str
     cat: str
     ts: float
     dur: float
-    depth: int
     args: dict = field(default_factory=dict)
     lane: Optional[str] = None
 
@@ -125,26 +122,6 @@ class _P2:
         hi = min(lo + 1, len(ordered) - 1)
         return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "heights": list(self.heights),
-            "positions": list(self.positions) if self.positions else None,
-            "desired": list(self.desired) if self.desired else None,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "_P2":
-        est = _P2(float(doc["p"]))
-        est.heights = [float(v) for v in doc["heights"]]
-        est.positions = (
-            [float(v) for v in doc["positions"]] if doc.get("positions") else None
-        )
-        est.desired = (
-            [float(v) for v in doc["desired"]] if doc.get("desired") else None
-        )
-        return est
-
 
 class Histogram:
     """Online summary of a value stream: count, total, min, max, and
@@ -197,28 +174,6 @@ class Histogram:
             out[name] = self.quantile(name)
         return out
 
-    # ---- snapshot form -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Full portable state (counts + quantile-estimator markers)."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "quantiles": [est.to_dict() for est in self._quantiles],
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Histogram":
-        h = Histogram()
-        h.count = int(doc["count"])
-        h.total = float(doc["total"])
-        h.min = float(doc["min"]) if doc.get("min") is not None else float("inf")
-        h.max = float(doc["max"]) if doc.get("max") is not None else float("-inf")
-        if doc.get("quantiles"):
-            h._quantiles = tuple(_P2.from_dict(q) for q in doc["quantiles"])
-        return h
-
     def merge(self, other: "Histogram") -> None:
         """Fold ``other`` in: count/total/min/max are exact; the quantile
         markers combine by count-weighted height averaging at matched
@@ -230,9 +185,7 @@ class Histogram:
             self.total = other.total
             self.min = other.min
             self.max = other.max
-            self._quantiles = tuple(
-                _P2.from_dict(est.to_dict()) for est in other._quantiles
-            )
+            self._quantiles = copy.deepcopy(other._quantiles)
             return
         merged = []
         for mine, theirs in zip(self._quantiles, other._quantiles):
@@ -247,7 +200,7 @@ class Histogram:
 def _merge_p2(a: _P2, b: _P2, count_a: int, count_b: int) -> _P2:
     """Combine two P² states over disjoint streams of the given sizes."""
     if b.positions is None:  # b's exact buffer replays losslessly into a
-        out = _P2.from_dict(a.to_dict())
+        out = copy.deepcopy(a)
         for v in b.heights:
             out.observe(v)
         return out
@@ -276,7 +229,6 @@ class Obs:
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, Histogram] = {}
         self.spans: list[SpanEvent] = []
-        self._depth = 0
 
     # ---- counters / histograms -------------------------------------------
     def count(self, name: str, n: int = 1) -> None:
@@ -294,20 +246,43 @@ class Obs:
         """Open a nested span; yields the (mutable) args dict so outcome
         attributes can be attached before the span closes."""
         t0 = self._clock()
-        depth = self._depth
-        self._depth = depth + 1
         try:
             yield args
         finally:
-            self._depth = depth
             self.spans.append(
-                SpanEvent(name, cat, t0 - self.epoch, self._clock() - t0, depth, args)
+                SpanEvent(name, cat, t0 - self.epoch, self._clock() - t0, args)
             )
 
     def event(self, name: str, cat: str = "", start: float = 0.0, dur: float = 0.0, **args) -> None:
         """Report an interval timed elsewhere; ``start`` is an absolute
         value of this observer's clock (``time.perf_counter`` by default)."""
-        self.spans.append(SpanEvent(name, cat, start - self.epoch, dur, self._depth, args))
+        self.spans.append(SpanEvent(name, cat, start - self.epoch, dur, args))
+
+    def merge(
+        self,
+        other: "Obs",
+        anchor_s: Optional[float] = None,
+        lane: Optional[str] = None,
+    ) -> None:
+        """Fold ``other`` (a worker's observer, unpickled) into this one.
+
+        ``anchor_s`` is the absolute time on *this* clock that ``other``'s
+        epoch maps onto (default: no shift); ``lane`` tags every merged
+        span that carries none.  Counters sum exactly; histograms merge
+        exactly in count/total/min/max, approximately in the quantiles.
+        """
+        offset = (anchor_s - self.epoch) if anchor_s is not None else 0.0
+        for name, n in other.counters.items():
+            self.count(name, n)
+        for name, theirs in other.histograms.items():
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            hist.merge(theirs)
+        for s in other.spans:
+            self.spans.append(replace(
+                s, ts=s.ts + offset, lane=lane if s.lane is None else s.lane
+            ))
 
     # ---- summaries ---------------------------------------------------------
     def span_summary(self) -> dict[str, dict]:

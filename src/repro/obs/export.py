@@ -59,7 +59,7 @@ def chrome_trace(obs: Obs) -> dict:
     """Chrome trace-event JSON for the run's spans.
 
     Spans recorded in this process (``lane is None``) render as pid 1;
-    spans merged from worker snapshots (:mod:`repro.obs.snapshot`) carry
+    spans merged from a worker's observer (:meth:`Obs.merge`) carry
     a lane name and each distinct lane gets its own pid, so a pool run
     shows one timeline row per worker process.  Nesting within a lane is
     positional, from timestamps.

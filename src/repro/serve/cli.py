@@ -179,11 +179,12 @@ def _run_jobs(args, specs: list[JobSpec]) -> int:
             workers=args.workers, store=store,
             max_retries=args.retries, backoff_s=args.backoff,
         ) as pool:
-            for spec in specs:
-                pool.submit(spec)
-            outcomes = pool.drain()  # one per distinct job: duplicates coalesce
+            handles = [pool.submit(spec) for spec in specs]
+            pool.drain()
             stats = pool.stats()
         _obs.observe("serve.pool.utilization", stats["utilization"])
+    # one row per distinct job: duplicate submissions share one outcome
+    outcomes = list({h.outcome.job_id: h.outcome for h in handles}.values())
     rows = [outcome.to_dict() for outcome in outcomes]
     if args.json:
         for row in rows:

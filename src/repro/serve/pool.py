@@ -32,19 +32,22 @@ Everything mirrors into :mod:`repro.obs` when an observer is active:
 ``serve.store.hit/miss``, ``serve.job.<status>``, queue-wait and
 wall-time histograms, one span event per finished job.  Observation
 also **crosses the process boundary**: when the parent is observing at
-assignment time, the task message tells the worker to activate its own
-observer around the job, snapshot it (:mod:`repro.obs.snapshot`), and
-ship the snapshot back with the result.  The parent merges each
-snapshot into its observer — counters summed, histograms folded, spans
-aligned onto the parent clock at the job's assignment time and tagged
-with the worker's lane (``w<slot>``) — so exported Chrome traces get
-one pid lane per worker and metrics cover the work that actually
-dominates a pool run's wall time.
+assignment time, the worker observes the job itself and ships that
+:class:`~repro.obs.core.Obs` back beside the result; the parent folds it
+in with :meth:`Obs.merge`, spans aligned onto the parent clock at the
+job's assignment time and tagged with the worker's lane (``w<slot>``),
+so exported Chrome traces get one pid lane per worker.
+
+A worker pickles its result itself, where a failure is the job's and not
+a silently dropped message: a value that will not pickle fails the job,
+an observer that will not pickle is dropped (``serve.obs.dropped``).
+A resolved job leaves only a status count; callers keep their handles.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import queue as queue_mod
 import time
 from collections import Counter
@@ -53,7 +56,6 @@ from typing import Iterator, Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.obs import core as _obs
-from repro.obs import snapshot as _snap
 from repro.serve.jobs import (
     TERMINAL_ERRORS,
     JobSpec,
@@ -89,9 +91,6 @@ class JobOutcome:
     queue_wait_s: float = 0.0
     submissions: int = 1
     stored: bool = False
-    #: the worker-side obs snapshot (repro.obs.snapshot/1) of the final
-    #: accepted attempt, when the parent was observing; None otherwise
-    obs: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -193,6 +192,7 @@ def _worker_main(slot: int, gen: int, task_q, result_q, store_args) -> None:
         job_id, attempt, spec, key, observing = item
         t0 = time.perf_counter()
         obs_obj = _obs.Obs() if observing else None
+        stored = False
         try:
             if obs_obj is not None:
                 with _obs.enabled(obs_obj):
@@ -200,35 +200,33 @@ def _worker_main(slot: int, gen: int, task_q, result_q, store_args) -> None:
             else:
                 value = execute_job(spec)
         except TERMINAL_ERRORS as e:
-            result_q.put((slot, gen, job_id, attempt, "fail", None,
-                          f"{type(e).__name__}: {e}", time.perf_counter() - t0,
-                          _maybe_snapshot(obs_obj)))
-            continue
+            kind, payload = "fail", f"{type(e).__name__}: {e}"
         except BaseException as e:
-            result_q.put((slot, gen, job_id, attempt, "error", None,
-                          f"{type(e).__name__}: {e}", time.perf_counter() - t0,
-                          _maybe_snapshot(obs_obj)))
-            continue
-        stored = False
-        if store is not None and key is not None:
+            kind, payload = "error", f"{type(e).__name__}: {e}"
+        else:
+            try:
+                kind, payload = "ok", pickle.dumps(value)
+            except Exception as e:  # the same value never pickles: no retry
+                kind, payload = "fail", f"unpicklable result: {type(e).__name__}: {e}"
+        if kind == "ok" and store is not None and key is not None:
             try:
                 store.put(key, value)
                 stored = True
             except Exception:
                 pass  # a sick store costs durability, never the job
-        result_q.put((slot, gen, job_id, attempt, "ok", (value, stored),
-                      None, time.perf_counter() - t0, _maybe_snapshot(obs_obj)))
+        result_q.put((slot, gen, job_id, attempt, kind, payload, stored,
+                      time.perf_counter() - t0, _pickled(obs_obj)))
 
 
-def _maybe_snapshot(obs_obj) -> Optional[dict]:
-    """Snapshot a worker-side observer; a failed snapshot (unpicklable
-    span arg etc.) costs observability, never the job result."""
+def _pickled(obs_obj) -> Optional[bytes]:
+    """The worker's observer as bytes; ``b""`` when it will not pickle —
+    that costs the observation, never the job."""
     if obs_obj is None:
         return None
     try:
-        return _snap.snapshot(obs_obj)
+        return pickle.dumps(obs_obj)
     except Exception:
-        return None
+        return b""
 
 
 class WorkerPool:
@@ -253,7 +251,8 @@ class WorkerPool:
         )
         self._slots: list[Optional[_Worker]] = [None] * workers
         self._gen = 0
-        self._jobs: list[_Job] = []
+        self._submitted = 0  # job ids handed out
+        self._resolved: Counter = Counter()  # status -> resolved jobs
         self._inflight: dict[str, _Job] = {}  # digest -> unresolved job
         self._pending: list[_Job] = []
         self._closed = False
@@ -283,7 +282,7 @@ class WorkerPool:
 
         job = _Job(
             outcome=JobOutcome(
-                job_id=len(self._jobs), spec=spec, digest=digest
+                job_id=self._submitted, spec=spec, digest=digest
             ),
             key=key if (spec.use_store and self.store is not None) else None,
             submitted_at=time.perf_counter(),
@@ -291,7 +290,7 @@ class WorkerPool:
                 spec.max_retries if spec.max_retries is not None else self.max_retries
             ),
         )
-        self._jobs.append(job)
+        self._submitted += 1
 
         if spec.use_store and self.store is not None:
             hit, value = self.store.get(key)
@@ -300,7 +299,7 @@ class WorkerPool:
                 job.outcome.value = value
                 job.outcome.attempts = 0
                 _obs.count("serve.store.hit")
-                self._report_obs(job)
+                self._record(job)
                 return JobHandle(self, job)
             _obs.count("serve.store.miss")
 
@@ -316,11 +315,10 @@ class WorkerPool:
         return [h.outcome for h in handles]
 
     # ---- scheduling -------------------------------------------------------
-    def drain(self) -> list[JobOutcome]:
+    def drain(self) -> None:
         """Block until every submitted job is resolved."""
         while self._inflight:
             self.poll()
-        return [j.outcome for j in self._jobs]
 
     def as_resolved(self, handles: Sequence[JobHandle]) -> Iterator[JobHandle]:
         """Yield each of ``handles`` once its job is resolved, polling in
@@ -392,7 +390,7 @@ class WorkerPool:
                 except (OSError, EOFError):
                     break  # queue died with its process; _reap_deaths handles
                 got = True
-                slot, gen, job_id, attempt, kind, payload, error, wall, snap = msg
+                slot, gen, job_id, attempt, kind, payload, stored, wall, obs = msg
                 if worker.gen != gen:
                     continue  # stale: posted by a process we already killed
                 job = worker.job
@@ -405,21 +403,20 @@ class WorkerPool:
                 self.worker_stats[slot]["busy_s"] += occupied
                 if attempt != job.outcome.attempts:
                     continue
-                self._merge_worker_obs(job, slot, snap)
+                self._merge_worker_obs(job, slot, obs)
                 if kind == "ok":
-                    value, stored = payload
-                    job.outcome.value = value
+                    job.outcome.value = pickle.loads(payload)
                     job.outcome.stored = stored
                     job.outcome.wall_s = wall
                     self._resolve(
                         job, "computed" if job.outcome.attempts == 1 else "retried"
                     )
                 elif kind == "fail":  # deterministic: no retry
-                    job.outcome.error = error
+                    job.outcome.error = payload
                     job.outcome.wall_s = wall
                     self._resolve(job, "failed")
                 else:  # retryable error raised inside the job
-                    self._retry_or_fail(job, error, terminal_status="failed")
+                    self._retry_or_fail(job, payload, terminal_status="failed")
         if block and not got:
             time.sleep(_POLL_S)
 
@@ -434,7 +431,7 @@ class WorkerPool:
                 continue
             self.busy_s += now - job.assigned_at
             self.worker_stats[slot]["busy_s"] += now - job.assigned_at
-            self._kill(slot)
+            self._respawn(slot)  # killing and respawning are one motion
             self._retry_or_fail(
                 job,
                 f"timed out after {job.spec.timeout_s:g}s",
@@ -460,19 +457,16 @@ class WorkerPool:
                 terminal_status="failed",
             )
 
-    def _merge_worker_obs(self, job: _Job, slot: int, snap) -> None:
-        """Fold a worker's obs snapshot into the parent observer, anchored
-        at the moment the job was handed to the worker (parent clock)."""
-        if snap is None:
-            return
-        job.outcome.obs = snap
+    def _merge_worker_obs(self, job: _Job, slot: int, blob) -> None:
+        """Fold a worker's pickled observer (``b""``: it would not pickle)
+        in, anchored when the job was handed to the worker."""
         o = _obs.current()
-        if o is None:
+        if o is None or blob is None:
             return
-        try:
-            _snap.merge(o, snap, anchor_s=job.assigned_at, lane=f"w{slot}")
-        except Exception:
-            _obs.count("serve.obs.merge_failed")
+        if not blob:
+            o.count("serve.obs.dropped")
+            return
+        o.merge(pickle.loads(blob), anchor_s=job.assigned_at, lane=f"w{slot}")
 
     # ---- resolution -------------------------------------------------------
     def _retry_or_fail(self, job: _Job, error: str, terminal_status: str) -> None:
@@ -493,11 +487,13 @@ class WorkerPool:
             job.outcome.error = None
         self._inflight.pop(job.outcome.digest, None)
         _obs.observe("serve.job_wall_s", job.outcome.wall_s)
-        self._report_obs(job)
+        self._record(job)
 
-    def _report_obs(self, job: _Job) -> None:
+    def _record(self, job: _Job) -> None:
+        """Count a resolved job; the pool keeps no reference to it."""
         o = _obs.current()
         out = job.outcome
+        self._resolved[out.status] += 1
         _obs.count(f"serve.job.{out.status}")
         if o is not None:
             o.event(
@@ -540,9 +536,6 @@ class WorkerPool:
         self._slots[slot] = worker
         return worker
 
-    def _kill(self, slot: int) -> None:
-        self._respawn(slot)  # killing and respawning are one motion here
-
     def close(self) -> None:
         self._closed = True
         for worker in self._slots:
@@ -580,7 +573,8 @@ class WorkerPool:
             "backoff_s": self.backoff_s,
             "respawns": self.respawns,
             "coalesced": self.coalesced,
-            "jobs": dict(Counter(job.outcome.status for job in self._jobs)),
+            "jobs": {**self._resolved,
+                     **({"pending": len(self._inflight)} if self._inflight else {})},
             "busy_s": round(self.busy_s, 4),
             "elapsed_s": round(elapsed, 4),
             "utilization": round(self.busy_s / (self.workers * elapsed), 4),

@@ -10,7 +10,6 @@ from repro.artifacts.registry import (
     DAEMON_STATUS,
     MATRIX_REPORT,
     OBS_METRICS,
-    OBS_SNAPSHOT,
     PAR_REPORT,
     PERF_BASELINE,
     PERF_GATE,
@@ -30,7 +29,7 @@ from repro.artifacts.validate import (
 from repro.errors import ArtifactError
 
 ALL_IDS = (
-    PIPELINE_TRACE, PIPELINE_BENCH, OBS_METRICS, OBS_SNAPSHOT,
+    PIPELINE_TRACE, PIPELINE_BENCH, OBS_METRICS,
     CHECK_REPORT, MATRIX_REPORT, PERF_GATE, PERF_BASELINE,
     PAR_REPORT, DAEMON_STATUS, SERVE_LOAD, SERVE_STORE,
 )
@@ -43,6 +42,7 @@ def baseline_payload() -> dict:
 class TestBuiltinKinds:
     def test_every_subsystem_schema_is_registered(self):
         assert set(registry.known_ids()) == set(ALL_IDS)
+        assert len(ALL_IDS) == 11
 
     def test_every_kind_has_a_resolvable_validator(self):
         for schema_id in ALL_IDS:
@@ -50,12 +50,11 @@ class TestBuiltinKinds:
             assert callable(kind.validate_payload), schema_id
 
     def test_flatten_hooks_resolve_where_registered(self):
-        # snapshots and gate verdicts have no perf timeline; all other
-        # kinds must be ingestible by ``repro.perf record``
-        no_timeline = {OBS_SNAPSHOT, PERF_GATE}
+        # gate verdicts have no perf timeline; all other kinds must be
+        # ingestible by ``repro.perf record``
         for schema_id in ALL_IDS:
             kind = registry.get(schema_id)
-            if schema_id in no_timeline:
+            if schema_id == PERF_GATE:
                 assert kind.flatten is None, schema_id
             else:
                 assert callable(kind.flatten), schema_id

@@ -1,4 +1,4 @@
-"""The one payload checker: the shape walker, the twelve declared
+"""The one payload checker: the shape walker, the eleven declared
 shapes, and the invariants that run behind them.
 
 Four things are pinned here: the walker's notation and message form; the
@@ -110,15 +110,15 @@ class TestBoundary:
         assert callable(shape.check)
         # the artifacts layer calls it for every artifact (payloads through
         # the registry, the envelope in validate_document): every subsystem
-        # declares data for the walker and none walks.  The two other
+        # declares data for the walker and none walks.  The three other
         # callers are where JSON that is not an artifact enters: a job
-        # spec, and the daemon's request around one
+        # spec, the daemon's request around one, and a load grid
         callers = sorted(
             str(p.relative_to(SRC)) for p in SRC.rglob("*.py")
             if "import check" in p.read_text(encoding="utf-8")
         )
         assert callers == ["artifacts/registry.py", "artifacts/validate.py",
-                           "daemon/server.py", "serve/jobs.py"]
+                           "daemon/server.py", "load/gen.py", "serve/jobs.py"]
 
     def test_every_registered_id_resolves_a_shape(self):
         for schema_id in registry.known_ids():
@@ -135,7 +135,7 @@ class TestBoundary:
                     validate=False)
 
 
-# ---- valid payloads of all twelve kinds ------------------------------------
+# ---- valid payloads of all eleven kinds ------------------------------------
 
 
 def _fresh_payloads(tmp_path) -> dict:
@@ -147,7 +147,6 @@ def _fresh_payloads(tmp_path) -> dict:
     from repro.machine.model import scaled_machine
     from repro.machine.tracer import trace_procedure
     from repro.obs import core, export
-    from repro.obs.snapshot import snapshot
     from repro.perf import gate
     from repro.pipeline import derive
     from repro.pipeline.workloads import get_workload
@@ -168,7 +167,6 @@ def _fresh_payloads(tmp_path) -> dict:
             o, meta={"workload": "matmul"}, attribution=tracer.attribution,
             analysis_cache=trace["cache"], machine_cache=tracer.stats,
             machine_tlb=tracer.tlb_stats),
-        registry.OBS_SNAPSHOT: snapshot(o),
         registry.CHECK_REPORT: check_report(
             [diag("ir/zero-step", "p/DO I", "DO I has step 0")],
             verdicts=[LintResult("p", "K", "blockable", "escapes")]),
@@ -184,7 +182,7 @@ def _fresh_payloads(tmp_path) -> dict:
 
 @pytest.fixture(scope="module")
 def envelopes(tmp_path_factory) -> dict:
-    """``{schema id: valid envelope}`` for all twelve kinds."""
+    """``{schema id: valid envelope}`` for all eleven kinds."""
     envs = {}
     for name in COMMITTED:
         env = json.loads((ROOT / name).read_text(encoding="utf-8"))

@@ -119,6 +119,14 @@ class TestVariantBuilders:
                 matmul_guarded_ir(), variant, {"N": 18}, arrays={"B": b}, exact=True
             )
 
+    def test_ujif_is_the_matmul_derivation(self):
+        # the fingerprint the hand-chained if_inspect -> unroll_and_jam ->
+        # scalar_replace route produced at u = 4, before T2 asked derive()
+        from repro.ir.fingerprint import ir_fingerprint
+
+        assert ir_fingerprint(E.matmul_ujif(4)) == (
+            "2f36a1a98e0cdda3053501e91fdf29f4218edd506bf96063ef5d3b84ba5a9295")
+
     @pytest.mark.parametrize("kind,point", [("aconv", aconv_ir()), ("conv", conv_ir())])
     def test_conv_transformed(self, kind, point):
         sizes = {"N1": 42, "N2": 36, "N3": 42, "DT": 0.5}

@@ -233,7 +233,7 @@ class TestAdmission:
 
     @staticmethod
     def assert_healthy(d: Daemon) -> None:
-        r = d.requests
+        r = d.status_payload()["requests"]
         assert r["received"] == r["accepted"] + r["rejected"] + r["shed"], r
         assert d._scheduler_thread.is_alive()
         after = submit(d, probe(value="after the table"))
@@ -267,6 +267,12 @@ class TestSaturation:
             assert served, "the window's worth of jobs must still resolve"
             # shed responses carry the window occupancy for client backoff
             assert all(r.body["error"]["limit"] == 2 for r in shed)
+            # eight handler threads and the scheduler wrote one set of
+            # books; a lost update would break these sums
+            books = d.status_payload()["requests"]
+            assert books["received"] == 8 == books["accepted"] + books["shed"]
+            assert books["shed"] == len(shed)
+            assert sum(books["completed"].values()) == len(served)
         finally:
             d.request_drain()
             assert d.wait_stopped(30.0)
@@ -364,6 +370,43 @@ class TestStatus:
         assert validate([]) == ["payload: want object, got list"]
         problems = validate({"state": "confused"})
         assert "state: want one of running|draining, got 'confused'" in problems
+
+    def test_one_set_of_books(self, store_dir):
+        """Cold, memory-hit, rejected, deadline and shed requests.  The
+        literals are what the status reported when the daemon still kept
+        a second set of books beside its observer; the ``daemon.*``
+        counters flushed to ``daemon_obs.json`` are the same numbers."""
+        d = make_daemon(store_dir, queue_limit=1)
+        slow = {**probe(seconds=1.0, nonce="slow"), "use_store": False}
+        replies = [
+            submit(d, probe(value=1)),                  # cold: computed
+            submit(d, probe(value=1)),                  # memory hit
+            submit(d, {"kind": "nope", "workload": "t"}),  # rejected
+            submit(d, slow, deadline_s=0.2),            # outlives its deadline
+            submit(d, probe(value=2)),                  # window full: shed
+        ]
+        assert [r.status for r in replies] == [200, 200, 400, 504, 429]
+        d.request_drain()
+        assert d.wait_stopped(30.0)
+        status = d.status_payload()
+        assert status["requests"] == {
+            "received": 5, "accepted": 3, "shed": 1, "rejected": 1,
+            "deadline": 1, "memory_hits": 1, "completed": {"computed": 2},
+        }
+        assert {k: h["count"] for k, h in status["latency"].items()} == {
+            "request_s": 3, "hit_s": 1, "computed_s": 2}
+        assert status["mem_cache"]["hits"] == 1
+
+        env = json.loads((d.store.root / "daemon_obs.json").read_text())
+        flushed = payload_of(env)
+        counters = flushed["counters"]
+        for field, n in status["requests"].items():
+            if field != "completed":
+                assert counters.get(f"daemon.requests.{field}", 0) == n, field
+        assert {k.split(".")[-1]: n for k, n in counters.items()
+                if k.startswith("daemon.completed.")} == {"computed": 2}
+        for key, summary in status["latency"].items():
+            assert flushed["histograms"][f"daemon.latency.{key}"] == summary
 
     def test_final_status_written_on_drain(self, store_dir):
         d = make_daemon(store_dir)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.artifacts import envelope, registry, validate_document
@@ -31,6 +33,17 @@ class TestGrid:
         with pytest.raises(LoadError, match="weight"):
             check_grid({"steps": [{"rate": 1}],
                         "mix": [{"job": {}, "weight": 0}]})
+
+    @pytest.mark.parametrize("patch,path", [
+        ({"steps": [{"rate": True}]}, "grid.steps[0].rate: want number"),
+        ({"mix": [{"job": {}, "weight": True}]},
+         "grid.mix[0].weight: want integer"),
+        ({"deadline_s": "soon"}, "grid.deadline_s: want number"),
+    ])
+    def test_rejects_mistyped_fields_by_path(self, patch, path):
+        grid = {"steps": [{"rate": 1}], "mix": [{"job": {}}], **patch}
+        with pytest.raises(LoadError, match=re.escape(path)):
+            check_grid(grid)
 
     def test_weighted_schedule_is_deterministic(self):
         mix = [{"job": {"a": 1}, "weight": 3}, {"job": {"b": 2}, "weight": 1}]

@@ -1,13 +1,13 @@
-"""repro.obs.snapshot: portable form, restore, cross-clock merge."""
+"""A worker's observer crossing a process boundary: pickled as itself,
+restored in the parent, folded in with ``Obs.merge`` across clocks."""
 
 from __future__ import annotations
 
 import json
+import pickle
+import time
 
-import pytest
-
-from repro.obs import core
-from repro.obs.snapshot import SCHEMA, merge, restore, snapshot
+from repro.obs import core, export
 
 
 def ticking_clock(step: float = 1.0):
@@ -33,38 +33,25 @@ def observed(clock=None) -> core.Obs:
     return o
 
 
-class TestRoundtrip:
-    def test_snapshot_is_json_serializable(self):
-        doc = snapshot(observed())
-        assert doc["schema"] == SCHEMA
-        assert json.loads(json.dumps(doc)) == doc
+def spans_of(o: core.Obs) -> list:
+    return [(s.name, s.cat, s.ts, s.dur, s.args, s.lane) for s in o.spans]
 
+
+class TestRoundtrip:
     def test_restore_preserves_everything(self):
-        doc = snapshot(observed())
-        back = restore(doc, clock=ticking_clock())
+        # what the pool does: pickle in the worker, restore in the parent
+        # (the default clock, ``time.perf_counter``, pickles by name)
+        orig = observed(clock=time.perf_counter)
+        orig.spans[0].lane = "w3"
+        back = pickle.loads(pickle.dumps(orig))
         assert back.counters == {"dep.queries": 3}
         h = back.histograms["lat_s"]
         assert (h.count, h.total, h.min, h.max) == (3, 7.0, 1.0, 4.0)
         assert h.quantile("p50") == 2.0  # exact: still in the P2 buffer
-        inner, outer = back.spans
-        assert (inner.name, inner.depth) == ("inner", 1)
-        assert (outer.name, outer.depth) == ("outer", 0)
-        assert outer.args == {"status": "applied"}
+        assert back.epoch == orig.epoch
         # span timestamps stay epoch-relative through the roundtrip
-        orig = observed()
-        assert [(s.ts, s.dur) for s in back.spans] == [
-            (s.ts, s.dur) for s in orig.spans
-        ]
-
-    def test_restore_then_snapshot_is_identity(self):
-        doc = snapshot(observed())
-        assert snapshot(restore(doc, clock=ticking_clock())) == doc
-
-    def test_rejects_foreign_documents(self):
-        with pytest.raises(ValueError):
-            restore({"schema": "repro.obs/1"})
-        with pytest.raises(ValueError):
-            merge(core.Obs(), {"spans": []})
+        assert spans_of(back) == spans_of(orig)
+        assert pickle.dumps(back) == pickle.dumps(orig)
 
 
 class TestMerge:
@@ -72,7 +59,7 @@ class TestMerge:
         parent = core.Obs(clock=ticking_clock())
         parent.count("dep.queries", 10)
         parent.count("parent.only")
-        merge(parent, snapshot(observed()))
+        parent.merge(observed())
         assert parent.counters == {
             "dep.queries": 13,
             "parent.only": 1,
@@ -82,7 +69,7 @@ class TestMerge:
         parent = core.Obs(clock=ticking_clock())
         for v in (0.5, 8.0):
             parent.observe("lat_s", v)
-        merge(parent, snapshot(observed()))
+        parent.merge(observed())
         h = parent.histograms["lat_s"]
         assert (h.count, h.total, h.min, h.max) == (5, 15.5, 0.5, 8.0)
         # all five observations still fit the exact buffer
@@ -95,11 +82,12 @@ class TestMerge:
         child = core.Obs(clock=ticking_clock(0.5))      # epoch 0.0, own domain
         with child.span("job:x", cat="serve.worker"):   # ts 0.5, dur 0.5
             pass
-        merge(parent, snapshot(child), anchor_s=10.0, lane="w1")
+        parent.merge(child, anchor_s=10.0, lane="w1")
         (s,) = parent.spans
         assert s.ts == 10.5  # anchor + child-relative time
         assert s.dur == 0.5
         assert s.lane == "w1"
+        assert child.spans[0].ts == 0.5 and child.spans[0].lane is None
 
     def test_anchor_is_parent_clock_absolute(self):
         clock = ticking_clock()
@@ -107,7 +95,7 @@ class TestMerge:
         parent.epoch = 3.0              # pretend the parent started later
         child = core.Obs(clock=ticking_clock())
         child.event("e", start=1.0, dur=0.25)
-        merge(parent, snapshot(child), anchor_s=10.0)
+        parent.merge(child, anchor_s=10.0)
         (s,) = parent.spans
         # child-relative 1.0 lands at parent-relative (10.0 - 3.0) + 1.0
         assert s.ts == 8.0
@@ -116,27 +104,26 @@ class TestMerge:
         parent = core.Obs(clock=ticking_clock())
         child = observed()
         child.spans[0].lane = "w9"  # already tagged: do not overwrite
-        merge(parent, snapshot(child), lane="w0")
+        parent.merge(child, lane="w0")
         inner, outer = parent.spans
-        assert inner.depth == 1 and outer.depth == 0
+        # nesting is positional: the inner span lies inside the outer one
+        assert outer.ts < inner.ts and inner.ts + inner.dur < outer.ts + outer.dur
         assert inner.lane == "w9"
         assert outer.lane == "w0"
 
     def test_merge_without_anchor_keeps_child_times(self):
         parent = core.Obs(clock=ticking_clock())
-        merge(parent, snapshot(observed()))
+        parent.merge(observed())
         orig = observed()
         assert [s.ts for s in parent.spans] == [s.ts for s in orig.spans]
 
 
 class TestChromeExport:
     def test_merged_spans_get_their_own_pid_lane(self):
-        from repro.obs.export import chrome_trace
-
         parent = observed()
-        merge(parent, snapshot(observed()), anchor_s=0.0, lane="w0")
-        merge(parent, snapshot(observed()), anchor_s=0.0, lane="w1")
-        trace = chrome_trace(parent)
+        parent.merge(observed(), anchor_s=0.0, lane="w0")
+        parent.merge(observed(), anchor_s=0.0, lane="w1")
+        trace = export.chrome_trace(parent)
         pids = {e["pid"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert pids == {1, 2, 3}
         names = {
@@ -145,3 +132,77 @@ class TestChromeExport:
             if e["name"] == "process_name"
         }
         assert names == {"repro", "repro worker w0", "repro worker w1"}
+
+
+# ---- same observations as the JSON snapshot path it replaced ---------------
+
+#: ``export.metrics`` and ``export.chrome_trace`` of the merge below, as
+#: recorded when a worker's observer still crossed the queue as a JSON
+#: snapshot (``repro.obs.snapshot/1``) and merged from that
+RECORDED = json.loads("""
+{"chrome": {"displayTimeUnit": "ms", "otherData": {"schema": "repro.obs/1"},
+ "traceEvents": [
+  {"args": {"name": "repro"}, "name": "process_name", "ph": "M",
+   "pid": 1, "tid": 1},
+  {"args": {"name": "pipeline+simulator"}, "name": "thread_name", "ph": "M",
+   "pid": 1, "tid": 1},
+  {"args": {"name": "repro worker w1"}, "name": "process_name", "ph": "M",
+   "pid": 2, "tid": 1},
+  {"args": {"name": "repro worker w9"}, "name": "process_name", "ph": "M",
+   "pid": 3, "tid": 1},
+  {"args": {}, "cat": "serve", "dur": 1000000.0, "name": "serve", "ph": "X",
+   "pid": 1, "tid": 1, "ts": 1000000.0},
+  {"args": {}, "cat": "t", "dur": 125000.0, "name": "tagged", "ph": "X",
+   "pid": 3, "tid": 1, "ts": 10250000.0},
+  {"args": {"kind": "derive"}, "cat": "serve.worker", "dur": 1500000.0,
+   "name": "job:x", "ph": "X", "pid": 2, "tid": 1, "ts": 10500000.0},
+  {"args": {"status": "applied"}, "cat": "pipeline", "dur": 500000.0,
+   "name": "pass:block", "ph": "X", "pid": 2, "tid": 1, "ts": 11000000.0}]},
+ "metrics": {
+  "analysis_cache": {},
+  "attribution": null,
+  "counters": {"dep.queries": 13, "parent.only": 1,
+               "pipeline.pass.applied": 1},
+  "histograms": {
+   "child_only_s": {"count": 2, "max": 0.75, "mean": 0.5, "min": 0.25,
+                    "p50": 0.5, "p95": 0.725, "p99": 0.745, "total": 1.0},
+   "lat_s": {"count": 13, "max": 64.0, "mean": 11.673076923076923,
+             "min": 0.25, "p50": 4.461538461538462, "p95": 7.213675213675213,
+             "p99": 7.213675213675213, "total": 151.75}},
+  "machine": {"cache": null, "tlb": null},
+  "meta": {"tool": "test"},
+  "schema": "repro.obs/1",
+  "spans": {
+   "job:x": {"count": 1, "max_s": 1.5, "total_s": 1.5},
+   "pass:block": {"count": 1, "max_s": 0.5, "total_s": 0.5},
+   "serve": {"count": 1, "max_s": 1.0, "total_s": 1.0},
+   "tagged": {"count": 1, "max_s": 0.125, "total_s": 0.125}}}}
+""")
+
+
+def test_merge_reproduces_the_recorded_observations():
+    child = core.Obs(clock=ticking_clock(0.5))
+    child.count("dep.queries", 3)
+    child.count("pipeline.pass.applied")
+    for v in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 0.5):  # P² markers are live
+        child.observe("lat_s", v)
+    for v in (0.75, 0.25):  # a histogram the parent does not have
+        child.observe("child_only_s", v)
+    with child.span("job:x", cat="serve.worker", kind="derive"):
+        with child.span("pass:block", cat="pipeline", status="applied"):
+            pass
+    child.event("tagged", cat="t", start=child.epoch + 0.25, dur=0.125)
+    child.spans[-1].lane = "w9"
+
+    parent = core.Obs(clock=ticking_clock())
+    parent.count("dep.queries", 10)
+    parent.count("parent.only")
+    for v in (0.25, 64.0, 3.0, 5.0, 7.0, 9.0):
+        parent.observe("lat_s", v)
+    with parent.span("serve", cat="serve"):
+        pass
+
+    parent.merge(child, anchor_s=10.0, lane="w1")
+    got = {"metrics": export.metrics(parent, meta={"tool": "test"}),
+           "chrome": export.chrome_trace(parent)}
+    assert json.loads(json.dumps(got)) == RECORDED

@@ -16,11 +16,15 @@ the single-CPU CI runner; CPU-bound speedup is asserted nowhere here.
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 
 import pytest
 
 from repro.errors import PipelineError
+from repro.obs import core as obs_core
+from repro.serve import jobs
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import WorkerPool
 from repro.serve.store import ArtifactStore
@@ -89,13 +93,61 @@ class TestDedup:
         assert out.status == "computed"
         assert out.submissions == 5
         assert pool.coalesced == 4
-        assert len(pool._jobs) == 1  # exactly one computation ran
+        assert pool.stats()["jobs"] == {"computed": 1}  # one computation ran
 
     def test_different_specs_do_not_coalesce(self):
         with WorkerPool(workers=1) as pool:
             pool.run([probe(value=1), probe(value=2)])
             assert pool.coalesced == 0
-            assert len(pool._jobs) == 2
+            assert pool.stats()["jobs"] == {"computed": 2}
+
+
+class TestBoundedMemory:
+    def test_resolved_jobs_are_forgotten_but_counted(self):
+        with WorkerPool(workers=1) as pool:
+            refs = [weakref.ref(pool.run([probe(value=i)])[0])
+                    for i in range(5)]
+            gc.collect()
+            # the handles are gone, so are the outcomes: the pool kept none
+            assert [ref() for ref in refs] == [None] * 5
+            assert pool.stats()["jobs"] == {"computed": 5}
+
+    def test_pending_jobs_are_counted(self):
+        with WorkerPool(workers=1) as pool:
+            handle = pool.submit(probe(value="later"))
+            assert pool.stats()["jobs"] == {"pending": 1}
+            pool.drain()
+            assert handle.outcome.status == "computed"
+            assert pool.stats()["jobs"] == {"computed": 1}
+
+
+def _span_with_a_function(spec: JobSpec) -> dict:
+    with obs_core.span("probe:fn", cat="test", fn=lambda: None):
+        return {"probe": "kept"}
+
+
+class TestUnpicklableOutput:
+    """A worker pickles its own result message, so what will not pickle
+    is the job's outcome, never a lost message and a timeout."""
+
+    def test_unpicklable_observer_is_dropped_and_the_job_kept(self, monkeypatch):
+        # the pool forks: workers inherit the patched executor table
+        monkeypatch.setitem(jobs._EXECUTORS, "probe", _span_with_a_function)
+        spec = JobSpec(kind="probe", timeout_s=3.0, max_retries=0)
+        with obs_core.enabled() as o:
+            out, _ = run_one(spec)
+        assert out.status == "computed"
+        assert out.value["probe"] == "kept"
+        assert o.counters["serve.obs.dropped"] == 1
+        assert not [s for s in o.spans if s.lane is not None]
+
+    def test_unpicklable_value_fails_without_retry(self, monkeypatch):
+        monkeypatch.setitem(jobs._EXECUTORS, "probe",
+                            lambda spec: {"probe": lambda: None})
+        out, _ = run_one(JobSpec(kind="probe", timeout_s=3.0), max_retries=1)
+        assert out.status == "failed"
+        assert out.attempts == 1
+        assert out.error.startswith("unpicklable result: ")
 
 
 class TestCancellation:

@@ -1,4 +1,4 @@
-"""Cross-process observation: worker snapshots merged into the parent.
+"""Cross-process observation: each worker's observer merged into the parent.
 
 Runs a real 2-worker batch under an active observer and asserts the
 tentpole invariants: worker-side pass spans appear on the parent
@@ -8,7 +8,8 @@ parent's so nothing a worker counted is lost.
 
 from __future__ import annotations
 
-from repro.artifacts import registry
+import pickle
+
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
@@ -32,6 +33,20 @@ def observed_batch():
     return o, outcomes, stats
 
 
+def shipped(monkeypatch) -> list:
+    """Every observer a worker ships with its result (pickled; None when
+    unobserved), recorded as the parent folds it in."""
+    seen = []
+    fold = WorkerPool._merge_worker_obs
+
+    def spy(self, job, slot, blob):
+        seen.append(blob)
+        fold(self, job, slot, blob)
+
+    monkeypatch.setattr(WorkerPool, "_merge_worker_obs", spy)
+    return seen
+
+
 class TestWorkerObservation:
     def test_worker_spans_reach_the_parent_timeline(self):
         o, outcomes, _ = observed_batch()
@@ -43,10 +58,16 @@ class TestWorkerObservation:
             s for s in o.spans if s.lane is not None and s.name.startswith("pass:")
         ]
         assert worker_passes  # the pipeline ran *inside* the workers
-        roots = {
-            s.name for s in o.spans if s.lane is not None and s.depth == 0
-        }
-        assert roots == {"job:derive:matmul", "job:derive:aconv"}
+        # the roots of the worker lanes are the job spans: every other
+        # worker span lies inside one of them
+        roots = [s for s in o.spans
+                 if s.lane is not None and s.name.startswith("job:")]
+        assert sorted(s.name for s in roots) == [
+            "job:derive:aconv", "job:derive:matmul"]
+        for s in o.spans:
+            if s.lane is not None and s not in roots:
+                assert any(r.lane == s.lane and r.ts <= s.ts
+                           and s.ts + s.dur <= r.ts + r.dur for r in roots)
 
     def test_chrome_trace_has_one_pid_lane_per_worker(self):
         o, _, _ = observed_batch()
@@ -62,13 +83,14 @@ class TestWorkerObservation:
         }
         assert lane_names == {f"repro worker {lane}" for lane in lanes}
 
-    def test_parent_counters_are_parent_plus_worker_sums(self):
+    def test_parent_counters_are_parent_plus_worker_sums(self, monkeypatch):
+        blobs = shipped(monkeypatch)
         o, outcomes, _ = observed_batch()
-        snaps = [out.obs for out in outcomes]
-        assert all(isinstance(s, dict) for s in snaps)
+        workers = [pickle.loads(blob) for blob in blobs]
+        assert len(workers) == len(outcomes)
         worker_sums: dict = {}
-        for snap in snaps:
-            for name, n in snap["counters"].items():
+        for w in workers:
+            for name, n in w.counters.items():
                 worker_sums[name] = worker_sums.get(name, 0) + n
         # everything a worker counted must appear, fully, in the parent
         assert worker_sums  # the workers did count something
@@ -79,11 +101,17 @@ class TestWorkerObservation:
         for name in [n for n in worker_sums if n.startswith("pipeline.")]:
             assert o.counters[name] == worker_sums[name]
 
-    def test_outcome_snapshot_rides_the_result_queue(self):
+    def test_outcome_snapshot_rides_the_result_queue(self, monkeypatch):
+        # the worker's observer rides beside its result as the Obs itself
+        blobs = shipped(monkeypatch)
         _, outcomes, _ = observed_batch()
-        validate = registry.get(registry.OBS_SNAPSHOT).validate_payload
+        assert len(blobs) == len(outcomes)
+        for blob in blobs:
+            worker = pickle.loads(blob)
+            assert isinstance(worker, obs_core.Obs)
+            assert [s.name for s in worker.spans if s.name.startswith("job:")]
         for out in outcomes:
-            assert validate(out.obs) == []
+            assert not hasattr(out, "obs")
             assert "obs" not in out.to_dict()  # the row stays a row
 
     def test_report_surfaces_per_worker_and_latency(self):
@@ -100,8 +128,9 @@ class TestWorkerObservation:
         assert wall["min"] <= wall["p50"] <= wall["p95"] <= wall["max"]
         assert o.histograms["serve.queue_wait_s"].count == 2
 
-    def test_unobserved_run_ships_no_snapshots(self):
+    def test_unobserved_run_ships_no_snapshots(self, monkeypatch):
+        blobs = shipped(monkeypatch)
         outcomes, _ = run_batch()
         assert all(out.status == "computed" for out in outcomes)
-        assert all(out.obs is None for out in outcomes)
+        assert blobs == [None] * len(outcomes)
         assert obs_core.current() is None

@@ -28,9 +28,10 @@ def run_batch(specs, workers=1, store=None, max_retries=2):
     """What ``serve submit|batch`` do: submit, drain, rows + pool stats."""
     with WorkerPool(workers=workers, store=store,
                     max_retries=max_retries) as pool:
-        for spec in specs:
-            pool.submit(spec)
-        rows = [outcome.to_dict() for outcome in pool.drain()]
+        handles = [pool.submit(spec) for spec in specs]
+        pool.drain()
+        outcomes = {h.outcome.job_id: h.outcome for h in handles}
+        rows = [outcome.to_dict() for outcome in outcomes.values()]
         return rows, pool.stats()
 
 
