@@ -3,11 +3,12 @@
 Deliberately minimal: tags are held per set in an insertion-ordered dict
 (LRU first, MRU last), driven either one element touch at a time
 (``access(addr, is_write)``) or a chunk of the trace at a time
-(``access_many(addrs, writes)``) — the two share the state and may be
-interleaved freely.  Geometry is validated up front
-(:class:`repro.errors.MachineError` on nonsense), and the write policy is
-write-back / write-allocate — the policy of the RS/6000's data cache and
-of essentially every machine the paper targets.
+(``access_many(addrs, writes)``, which radix-sorts a chunk by set, ``line &
+(n_sets - 1)``, and replays it set by set, misses alone recorded) — the two
+share the state and may be interleaved freely.  Geometry is validated up
+front (:class:`repro.errors.MachineError` on nonsense), and the write
+policy is write-back / write-allocate — the policy of the RS/6000's data
+cache and of essentially every machine the paper targets.
 
 The simulator is exact for the properties the reproduction needs:
 
@@ -21,6 +22,7 @@ The simulator is exact for the properties the reproduction needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -148,6 +150,7 @@ class Cache:
         self.stats = CacheStats()
         self._line_shift = config.line_bytes.bit_length() - 1
         self._n_sets = config.n_sets
+        self._set_mask = config.n_sets - 1  # a power of two: set = line & mask
         self._ways = config.ways
         self._sets: list[dict[int, bool]] = [{} for _ in range(self._n_sets)]
 
@@ -159,7 +162,7 @@ class Cache:
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Touch one byte address; returns True on hit."""
         line = addr >> self._line_shift
-        ways = self._sets[line % self._n_sets]
+        ways = self._sets[line & self._set_mask]
         st = self.stats
         st.accesses += 1
         if is_write:
@@ -190,12 +193,14 @@ class Cache:
         zip(addrs, writes)]``, state and statistics included, for any split
         of a trace into calls.
         Sets are independent, so the chunk is stable-sorted by set and each
-        set sees its own accesses in program order.  Within a set, a run of
-        consecutive accesses to one line collapses to a single LRU update:
-        the run's first access alone decides hit or miss (and evicts), every
-        later one finds the line it just left at MRU and hits, and the line
-        ends at MRU with dirty = previous dirty OR any write of the run.
-        Only the surviving runs go through the Python loop.
+        set sees its own accesses in program order (the key is ``line &
+        (n_sets - 1)`` in the narrowest unsigned type: up to 2**16 sets numpy
+        radix-sorts it).  Within a set, a run of consecutive accesses to one
+        line collapses to a single LRU update: the run's first access alone
+        decides hit or miss (and evicts), every later one finds the line it
+        just left at MRU and hits, and the line ends at MRU with dirty =
+        previous dirty OR any write of the run.  Only the surviving runs go
+        through the Python loop, one set at a time, recording misses alone.
 
         A cache of one set (every TLB) goes further, because there runs do
         not collapse when a loop alternates between two or three pages.  Take
@@ -228,7 +233,9 @@ class Cache:
         lines = np.asarray(addrs, dtype=np.int64) >> self._line_shift
         writes = np.asarray(writes, dtype=bool)
         if self._n_sets > 1:
-            order = np.argsort(lines % self._n_sets, kind="stable")
+            # the narrowest key: at 8 or 16 bits numpy's stable sort is a radix sort
+            key = (lines & self._set_mask).astype(np.min_scalar_type(self._set_mask))
+            order = np.argsort(key, kind="stable")
             lines, dirtying = lines[order], writes[order]
         else:
             order, dirtying = None, writes
@@ -236,52 +243,58 @@ class Cache:
         starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
         run_lines = lines[starts]
         run_writes = np.logical_or.reduceat(dirtying, starts)
+        missed, dirty = [], []  # run positions
         if self._n_sets == 1:
-            outcomes = np.empty(len(starts), dtype=np.uint8)
-            self._windows(run_lines, run_writes, outcomes)
+            self._windows(run_lines, run_writes, 0, missed, dirty)
         else:
-            outcomes = np.array(self._replay(run_lines, run_writes), dtype=np.uint8)
+            lines_of, writes_of = run_lines.tolist(), run_writes.tolist()
+            sets = run_lines & self._set_mask
+            edges = (np.flatnonzero(sets[1:] != sets[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + edges, edges + [len(lines_of)]):
+                set_missed, set_dirty = self._replay(lines_of[lo:hi], writes_of[lo:hi])
+                missed += [lo + i for i in set_missed]
+                dirty += [lo + i for i in set_dirty]
 
         first = starts if order is None else order[starts]
-        miss[first] = outcomes > 0
-        wrote_back[first] = outcomes == 2
+        miss[first[missed]] = True
+        wrote_back[first[dirty]] = True
         st = self.stats
         n_writes = int(np.count_nonzero(writes))
         st.accesses += n
         st.writes += n_writes
         st.reads += n - n_writes
-        st.misses += int(np.count_nonzero(miss))
-        st.writebacks += int(np.count_nonzero(wrote_back))
+        st.misses += len(missed)
+        st.writebacks += len(dirty)
         return miss, wrote_back
 
-    def _replay(self, lines: np.ndarray, writes: np.ndarray) -> list[int]:
-        """One LRU update per access; per access 0 for a hit, 1 for a miss,
-        2 for a miss that evicted a dirty line."""
-        sets, n_sets, capacity = self._sets, self._n_sets, self._ways
-        outcomes = []
-        outcome = outcomes.append
-        for line, is_write in zip(lines.tolist(), writes.tolist()):
-            ways = sets[line % n_sets]
+    def _replay(self, lines: list[int], writes: list[bool]) -> tuple[list[int], list[int]]:
+        """One LRU update per access, for accesses to one set; returns the
+        positions of those that miss and of those that evict a dirty line."""
+        missed, dirty = [], []
+        ways, capacity = self._sets[lines[0] & self._set_mask], self._ways
+        for i, line, is_write in zip(count(), lines, writes):
             if line in ways:
                 ways[line] = ways.pop(line) or is_write  # move to MRU (end)
-                outcome(0)
                 continue
+            missed.append(i)
             if len(ways) >= capacity and ways.pop(next(iter(ways))):
-                outcome(2)
-            else:
-                outcome(1)
+                dirty.append(i)
             ways[line] = is_write
-        return outcomes
+        return missed, dirty
 
-    def _windows(self, lines: np.ndarray, writes: np.ndarray, outcomes: np.ndarray) -> None:
-        """:meth:`_replay` for a cache of one set, into ``outcomes``.  A
-        stretch that touches at most ``ways`` distinct lines is a *window*:
-        it is settled by replaying those lines alone, in first-touch and
-        then in last-touch order (:meth:`access_many` has the argument).
-        One that touches too many is halved, a short one is replayed."""
+    def _windows(self, lines: np.ndarray, writes: np.ndarray, offset: int,
+                 missed: list[int], dirty: list[int]) -> None:
+        """:meth:`_replay` for a cache of one set, adding the positions it
+        reports, plus ``offset``, to ``missed`` and ``dirty``.  A stretch
+        that touches at most ``ways`` distinct lines is a *window*: it is
+        settled by replaying those lines alone, in first-touch and then in
+        last-touch order (:meth:`access_many` has the argument).  One that
+        touches too many is halved, a short one is replayed."""
         m = len(lines)
         if m < WINDOW_FLOOR:
-            outcomes[:] = self._replay(lines, writes)
+            stretch_missed, stretch_dirty = self._replay(lines.tolist(), writes.tolist())
+            missed += [offset + i for i in stretch_missed]
+            dirty += [offset + i for i in stretch_dirty]
             return
         lowest = int(lines.min())
         rel = lines - lowest
@@ -300,20 +313,21 @@ class Cache:
                 wrote[rel[writes]] = True
                 by_first = touched[np.argsort(first[touched])]
                 by_last = touched[np.argsort(last[touched])]
-                outcomes[:] = 0
-                outcomes[first[by_first]] = self._replay(
-                    by_first + lowest, np.zeros(len(touched), dtype=bool)
-                )
-                self._replay(by_last + lowest, wrote[by_last])  # all hits
+                window_missed, window_dirty = self._replay(
+                    (by_first + lowest).tolist(), [False] * len(touched))
+                self._replay((by_last + lowest).tolist(), wrote[by_last].tolist())  # all hits
+                positions = first[by_first] + offset
+                missed += positions[window_missed].tolist()
+                dirty += positions[window_dirty].tolist()
                 return
         half = m // 2
-        self._windows(lines[:half], writes[:half], outcomes[:half])
-        self._windows(lines[half:], writes[half:], outcomes[half:])
+        self._windows(lines[:half], writes[:half], offset, missed, dirty)
+        self._windows(lines[half:], writes[half:], offset + half, missed, dirty)
 
     def contains(self, addr: int) -> bool:
         """Non-mutating lookup (no LRU update, no counters)."""
         line = addr >> self._line_shift
-        return line in self._sets[line % self._n_sets]
+        return line in self._sets[line & self._set_mask]
 
     @property
     def resident_lines(self) -> int:

@@ -1,64 +1,54 @@
 """Compile loop IR to Python functions.
 
-The generated code is a faithful transliteration of the Fortran semantics —
-1-based subscripts become 0-based numpy indexing, ``DO`` becomes ``range``
-(bounds evaluated once, zero-trip legal), integer division truncates toward
-zero — in three flavours that share one statement lowering and differ only
-in how an array load/store is emitted:
+The generated code transliterates the Fortran semantics — 1-based subscripts
+become 0-based indexing, ``DO`` becomes ``range`` (bounds evaluated once,
+zero-trip legal), integer division truncates toward zero — in three flavours
+that share one statement lowering and differ in how a load/store is emitted:
 
-- **plain**: direct numpy element indexing, used for wall-clock timing;
+- **plain**: direct element indexing (``float64`` elements through a
+  memoryview, :func:`_elements`), used for wall-clock timing;
 - **traced**: every load/store is routed through ``_ld``/``_st`` callbacks
   so a :class:`Tracer` can observe the exact element-touch sequence the
   equivalent Fortran program would issue;
 - **stream** (:func:`compile_stream`): the same sequence as byte addresses
   in a buffer that is handed to a consumer in chunks — what the cache
-  simulator runs on.  A touch appends its address in-line; an innermost loop
-  whose touches are an affine lattice appends all of them at once.
+  simulator runs on.
 
-Stream encoding (private to this module; consumers get decoded arrays).
-Every ``ArrayRef`` occurrence in the procedure is a numbered static *site*,
-and one event is one ``int64``: ``site << shift | 2*address | is_write``,
-with ``shift`` just wide enough for the layout's last byte — events of the
-sizes simulated here stay below ``2**30``, where CPython's integer
-arithmetic is fastest (a fixed 40-bit shift costs the kernel about 30 %).
-The kernel receives, per array, the doubled strides of the layout's affine
-address map and, per site, the doubled offset of its array with the site
-number already in the high bits (``event == _o3 + I*_s_A_0 + J*_s_A_1`` for
-1-based ``I, J`` at site 3), so a load is
-``(_ap(_o3 + I*_s_A_0 + J*_s_A_1) or A[I - 1, J - 1])``:
-``array('q').append`` returns ``None``, so the event is recorded and then
-the element is the value of the expression, and Python's own left-to-right
-evaluation and ``and``/``or`` short-circuiting order the events exactly as
-they order the ``_ld`` calls of the traced flavour — inside loop bounds and
-guards too.  A store evaluates the loads in its target subscripts, then the
-right-hand side, then records its event ``+ 1`` and assigns, which is the
-order ``_st(name, (subscripts,), rhs)`` evaluates its arguments in.  The
-source depends on the procedure only, not on sizes or layout.
+Stream encoding (private; consumers get decoded arrays).  Every ``ArrayRef``
+occurrence is a numbered static *site*, and one event is one ``int64``:
+``site << shift | 2*address | is_write``, with ``shift`` just wide enough for
+the layout's last byte (events of the sizes simulated here stay below
+``2**30``, where CPython's integer arithmetic is fastest).  The kernel gets,
+per array, the doubled strides of the layout's affine address map and, per
+site, the doubled offset of its array with the site number in the high bits,
+so a load at site 3 is ``(_ap(_o3 + I*_s_A_0 + J*_s_A_1) or A[I - 1, J - 1])``:
+``array('q').append`` returns ``None``, so the event is recorded and the
+element is the expression's value, and Python's left-to-right evaluation and
+``and``/``or`` short-circuiting order the events exactly as they order the
+traced flavour's ``_ld`` calls, in loop bounds and guards too.  A store
+evaluates the loads in its target's subscripts, then the right-hand side,
+then records its event ``+ 1`` and assigns: the order in which ``_st(name,
+(subscripts,), rhs)`` evaluates its arguments.  The source depends on the
+procedure only, not on sizes or layout.
 
-Block form.  An innermost ``DO`` qualifies when its body is assignments only
-(no ``IF``, and no ``AND``/``OR`` over a load, which could skip it) and every
-subscript in it is ``c + var*d`` with ``c`` and ``d`` fixed while the loop
-runs: built from integer constants, the loop variable, names the body does
-not assign, and ``+ - *`` — no array load, division, ``MOD``, ``MIN`` or
-``MAX``, nothing quadratic in the variable (:func:`_coefficient`).  Which
-elements such a loop touches, and in what order, then depends on no array
-value: iteration ``k`` issues, for the body's sites ``j`` in today's order,
-``event_j(first) + k*step*d_j``.  So the loop is lowered as: evaluate the
-range once (loads in its bounds and step are per-touch events and come first,
-as before); if it is not empty, append the ``trips × sites`` events as one
-block — iteration-major, ``+ 1`` on stores, built as ``[k, 1] @ [steps,
-firsts]`` from two tuples of Python integers (one numpy call a block, about
-2 µs, so even LU's blocked update with at most ``KS`` trips gains); then run
-the body in the *plain* flavour, which computes every value, and anything
-that steers an outer loop or guard, exactly as before.  Sites are numbered
-as they always were.  Every other loop keeps the per-touch form: a body with
-a guard (givens' ``J`` loop, the guarded matmul's ``K`` loop), a subscript
-that is loaded (``A(IP(K))``) or assigned in the body, any loop that is not
-innermost.  It is a choice of lowering made from the IR alone, with no
-switch; arithmetic stays scalar.
+Block form.  An innermost ``DO`` whose body is assignments only (no ``IF``,
+no ``AND``/``OR`` over a load, which could skip it) and whose every
+subscript is ``c + var*d``, ``c`` and ``d`` fixed while it runs
+(:func:`_coefficient`), touches elements that depend on no array value:
+iteration ``k`` issues, per site ``j`` in order, ``event_j(first) +
+k*step*d_j``.  Once its range is evaluated (loads in the bounds are
+per-touch events and come first), its ``trips × sites`` events are appended
+as one block, ``[k, 1] @ [steps, firsts]`` in one numpy call.  Then the body
+runs once over all iterations as array statements when no element one
+iteration writes is touched by another — :meth:`_Arrays.lower` decides what
+the IR can, :func:`_disjoint` the rest on the block's ``(first, step)``
+addresses — and as the plain scalar loop otherwise.  Every other loop keeps
+the per-touch form: a guard in the body (givens' ``J`` loop, the guarded
+matmul's ``K`` loop), a subscript that is loaded (``A(IP(K))``) or assigned
+in the body, a loop that is not innermost.  There is no switch.
 
 The interpreter (:mod:`repro.runtime.interpreter`) defines the semantics;
-the test suite cross-checks the two engines statement-for-statement on every
+the test suite cross-checks the engines statement-for-statement on every
 algorithm in the repository.
 """
 
@@ -88,6 +78,7 @@ from repro.ir.expr import (
     Var,
     ZERO,
     add,
+    free_vars,
     mul,
     sub,
 )
@@ -110,10 +101,29 @@ _INTRINSIC_NAMES = {
 
 
 def _div(a, b):
-    """Fortran '/': integer division when both operands are integers."""
+    """Fortran '/': integer division when both operands are integers, else
+    IEEE's quotient, numpy's where a Python float's division by zero raises."""
     if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
         return idiv(int(a), int(b))
-    return a / b
+    try:
+        return a / b
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.float64(a) / b
+
+
+def _pow(a, b):
+    """Fortran '**', IEEE's where a float is involved: numpy's overflow to
+    ``inf`` and ``nan`` where Python's float power raises or turns complex."""
+    try:
+        power = a**b
+        if not isinstance(power, complex):
+            return power
+    except (OverflowError, ZeroDivisionError):
+        if not (isinstance(a, float) or isinstance(b, float)):
+            raise
+    with np.errstate(all="ignore"):
+        return np.float64(a) ** b
 
 
 def _mod(a, b):
@@ -155,12 +165,14 @@ class _Plain:
     def store(self, ref: ArrayRef, gen: Callable[[Expr], str], rhs: Expr) -> list[str]:
         return [f"{self.load(ref, gen)} = {gen(rhs)}"]
 
-    def loop(self, stmt: Loop, rng: str, lower_body: Callable[[int], None]) -> list[str]:
-        """The lines that open ``stmt`` over ``rng``, the last of them its
-        ``for``.  ``lower_body(k)`` lowers the body ``k`` levels below the
-        first of those lines."""
-        lower_body(1)
-        return [f"for {stmt.var} in {rng}:"]
+    def loop(self, stmt: Loop, rng: str, lower_body: Callable[[], list[str]]) -> list[str]:
+        """The lines that run ``stmt`` over ``rng``; ``lower_body()`` lowers
+        the body (once) and returns its lines, indented from column 0."""
+        return [f"for {stmt.var} in {rng}:"] + _indent(lower_body())
+
+
+def _indent(lines: list[str], levels: int = 1) -> list[str]:
+    return ["    " * levels + l for l in lines]
 
 
 class _Callbacks(_Plain):
@@ -208,9 +220,113 @@ class _Block(NamedTuple):
 
     coefficients: dict[ArrayRef, list[Expr]]
     """Per reference in the body, the :func:`_coefficient` of each subscript."""
-    events: list[tuple[str, str]]
-    """Per site of the body, in the order lowered: its event in the
-    iteration at hand, and what one more of the loop variable adds to it."""
+    events: list[tuple[str, str, str, bool]]
+    """Per site of the body, in the order lowered: its event in the iteration
+    at hand, what one more of the loop variable adds, its array, if a store."""
+
+
+def _elementwise(e: Expr, var: str, unset: set[str]) -> bool:
+    """Whether ``e`` computes, for all iterations of a loop over ``var`` at
+    once, what it computes in each: it is built from constants, names,
+    elements and ``+ - * /``, reads ``var`` only in subscripts (meanwhile
+    ``var`` holds its first value) and reads no scalar of ``unset``, which
+    the body assigns later (the value it reads is the previous
+    iteration's)."""
+    if isinstance(e, Var):
+        return e.name != var and e.name not in unset
+    if isinstance(e, BinOp):
+        operands = (e.left, e.right)
+        return e.op in ("+", "-", "*", "/") and all(_elementwise(x, var, unset) for x in operands)
+    return isinstance(e, (Const, ArrayRef))
+
+
+def _disjoint(trips: int, steps: Sequence[int], firsts: Sequence[int],
+              pairs: Sequence[tuple[int, int]], address_bits: int) -> bool:
+    """Whether no iteration of a block touches an element that another
+    writes.  Site ``n`` touches the event ``firsts[n] + k*steps[n]`` in
+    iteration ``k`` below ``trips``; each pair is a store and a site on its
+    array, the store itself included.  Exact, by one divisibility test, when
+    the pair's steps are equal or one is zero; other steps count as a
+    conflict."""
+    if trips < 2:
+        return True
+    for s, t in pairs:
+        gap = ((firsts[t] & address_bits) >> 1) - ((firsts[s] & address_bits) >> 1)
+        step, other = steps[s] >> 1, steps[t] >> 1
+        if step == other:  # (k - k') * step == gap
+            touches = gap == 0 if step == 0 else gap % step == 0 and 0 < abs(gap // step) < trips
+        elif step == 0 or other == 0:
+            # the moving site is on the fixed one's element in iteration
+            # gap / moving, and every other iteration touches the fixed one
+            moving, gap = (step, gap) if other == 0 else (other, -gap)
+            touches = gap % moving == 0 and 0 <= gap // moving < trips
+        else:
+            touches = True
+        if touches:
+            return False
+    return True
+
+
+def _span(start: int, step: int, trips: int):
+    """The 0-based subscripts ``start + k*step``, ``k`` below ``trips``, as
+    a basic slice (a zero step: the one index repeated)."""
+    if step == 0:
+        return [start] * trips
+    stop = start + trips * step
+    return slice(start, stop if stop >= 0 else None, step)
+
+
+class _Arrays:
+    """A block's body as array statements, run once for all its iterations.
+    The loop variable holds its first value meanwhile, and a subscript that
+    moves with it is a slice over every iteration's element (:func:`_span`).
+    An array is the ndarray ``_n_<name>``: element by element, ``<name>``
+    may be a memoryview."""
+
+    def __init__(self, loop: Loop, coefficients: dict[ArrayRef, list[Expr]]):
+        self.loop, self.coefficients = loop, coefficients
+        self.spans: dict[str, str] = {}  # "start, step" -> the slice's name
+
+    def load(self, ref, gen):
+        subs = []
+        for i, d in zip(ref.index, self.coefficients[ref]):
+            if self.loop.var in free_vars(i):
+                step = gen(d) if self.loop.step == ONE else f"{gen(d)}*_r.step"
+                subs.append(self.spans.setdefault(f"{gen(i)} - 1, {step}", f"_i{len(self.spans)}"))
+            else:
+                subs.append(f"{gen(i)} - 1")
+        return f"_n_{ref.array}[{', '.join(subs)}]"
+
+    def lower(self, dtypes: Mapping[str, str]) -> Optional[list[str]]:
+        """The statements, then the loop's final scalars; ``None`` where the
+        IR rules them out: an array that is not floating point (an integer
+        vector would divide without truncating), a reference with two
+        subscripts that move (a diagonal is no slice), a store to one element
+        throughout (an output dependence), a value that is not
+        :func:`_elementwise`.  A slice is a view, so a scalar assigned one
+        gets a copy, private as in the loop."""
+        var = self.loop.var
+        for ref in self.coefficients:
+            moving = sum(var in free_vars(i) for i in ref.index)
+            if not dtypes[ref.array].startswith("f") or moving > 1:
+                return None
+        body = [s for s in self.loop.body if isinstance(s, Assign)]
+        scalars = list(dict.fromkeys(s.target.name for s in body if isinstance(s.target, Var)))
+        unset, gen, lines = set(scalars), _ExprGen(self).gen, []
+        for s in body:
+            if not _elementwise(s.value, var, unset):
+                return None
+            if isinstance(s.target, ArrayRef):
+                if all(d == ZERO for d in self.coefficients[s.target]):
+                    return None
+                lines.append(f"{self.load(s.target, gen)} = {gen(s.value)}")
+                continue
+            view = isinstance(s.value, ArrayRef) and var in free_vars(s.value)
+            lines.append(f"{s.target.name} = {gen(s.value)}{'.copy()' if view else ''}")
+            unset.discard(s.target.name)
+        spans = [f"{name} = _span({key}, len(_r))" for key, name in self.spans.items()]
+        last = [f"{v} = {v}[-1] if isinstance({v}, np.ndarray) else {v}" for v in scalars]
+        return spans + lines + [f"{var} = _r[-1]"] + last
 
 
 class _Stream(_Plain):
@@ -230,6 +346,7 @@ class _Stream(_Plain):
         self._strides = tuple(
             f"_s_{a.name}_{k}" for a in proc.arrays for k in range(len(a.dims))
         )
+        self._dtypes = {a.name: a.dtype for a in proc.arrays}
         self.sites: list[Site] = []
         self._temps = count()
         self._block: Optional[_Block] = None  # set while such a loop's body is lowered
@@ -237,7 +354,8 @@ class _Stream(_Plain):
     @property
     def kernel_args(self) -> tuple[str, ...]:
         offsets = tuple(f"_o{n}" for n in range(len(self.sites)))
-        return ("_ap", "_buf", "_flush", "_blk") + self._strides + offsets
+        ndarrays = tuple(f"_n_{a}" for a in self._dtypes)
+        return ("_ap", "_buf", "_flush", "_blk") + ndarrays + self._strides + offsets
 
     @staticmethod
     def _block_of(loop: Loop) -> Optional[_Block]:
@@ -269,22 +387,29 @@ class _Stream(_Plain):
         self._block = self._block_of(stmt)
         if self._block is None:
             return super().loop(stmt, rng, lower_body)
-        lower_body(2)
-        events, self._block = self._block.events, None
+        block, body = self._block, lower_body()
+        self._block = None
         if stmt.step == ONE:
-            steps = ", ".join(step for _, step in events)
+            steps = ", ".join(step for _, step, _, _ in block.events)
         else:
-            steps = ", ".join(f"({step})*_r.step" for _, step in events)
-        firsts = ", ".join(first for first, _ in events)
-        return [
-            f"_r = {rng}",
-            "if _r:",
-            f"    {stmt.var} = _r[0]",
-            f"    _blk(len(_r), (({steps},), ({firsts},)))",
-            f"    for {stmt.var} in _r:",
+            steps = ", ".join(f"({step})*_r.step" for _, step, _, _ in block.events)
+        firsts = ", ".join(first for first, _, _, _ in block.events)
+        events = f"_blk(len(_r), (({steps},), ({firsts},))"
+        opening = [f"_r = {rng}", "if _r:", f"    {stmt.var} = _r[0]"]
+        arrays = _Arrays(stmt, block.coefficients).lower(self._dtypes)
+        if arrays is None:
+            return opening + [f"    {events})", f"    for {stmt.var} in _r:"] + _indent(body, 2)
+        pairs = tuple((s, t) for s, (*_, array, write) in enumerate(block.events) if write
+                      for t, (*_, other, _) in enumerate(block.events) if other == array)
+        return opening + [
+            f"    if {events}, {pairs}):",
+            *_indent(arrays, 2),
+            "    else:",
+            f"        for {stmt.var} in _r:",
+            *_indent(body, 3),
         ]
 
-    def _touch(self, ref: ArrayRef, gen, write: str) -> None:
+    def _touch(self, ref: ArrayRef, gen, write: bool) -> None:
         """Number the site of ``ref`` in the block being lowered."""
         step = [
             f"_s_{ref.array}_{k}" if d == ONE else f"{gen(d)}*_s_{ref.array}_{k}"
@@ -292,7 +417,9 @@ class _Stream(_Plain):
             if d != ZERO
         ]
         first = self._event(ref.array, [gen(i) for i in ref.index])
-        self._block.events.append((first + write, " + ".join(step) or "0"))
+        self._block.events.append(
+            (first + " + 1" if write else first, " + ".join(step) or "0", ref.array, write)
+        )
 
     def _event(self, array: str, subs: Sequence[str]) -> str:
         offset = f"_o{len(self.sites)}"
@@ -313,7 +440,7 @@ class _Stream(_Plain):
 
     def load(self, ref, gen):
         if self._block is not None:
-            self._touch(ref, gen, "")
+            self._touch(ref, gen, False)
             return super().load(ref, gen)
         subs = self._subscripts(ref, gen)
         first = [f"{temp} := {src}" if temp else src for src, temp in subs]
@@ -323,7 +450,7 @@ class _Stream(_Plain):
     def store(self, ref, gen, rhs):
         if self._block is not None:
             value = gen(rhs)  # its loads come before the store
-            self._touch(ref, gen, " + 1")
+            self._touch(ref, gen, True)
             return [f"{super().load(ref, gen)} = {value}"]
         subs = self._subscripts(ref, gen)
         bound = [temp or src for src, temp in subs]
@@ -353,6 +480,8 @@ class _ExprGen:
             l, r = self.gen(e.left), self.gen(e.right)
             if e.op == "/":
                 return f"_div({l}, {r})"
+            if e.op == "**":
+                return f"_pow({l}, {r})"
             return f"({l} {e.op} {r})"
         if isinstance(e, IntDiv):
             return f"_idiv({self.gen(e.left)}, {self.gen(e.right)})"
@@ -375,25 +504,21 @@ class _ExprGen:
         raise SemanticsError(f"unknown expression {type(e).__name__}")  # pragma: no cover
 
 
-def _gen_body(
-    body, gen: _ExprGen, lines: list[str], depth: int, path: tuple[str, ...] = ()
-) -> None:
-    pad = "    " * depth
-    if not body:
-        lines.append(pad + "pass")
-        return
+def _gen_body(body, gen: _ExprGen, path: tuple[str, ...] = ()) -> list[str]:
+    """The lines of ``body``, indented from column 0."""
+    lines: list[str] = []
     emitted = False
     for stmt in body:
         if isinstance(stmt, Comment):
-            lines.append(pad + f"# {stmt.text}")
+            lines.append(f"# {stmt.text}")
             continue
         emitted = True
         gen.access.at = (path, stmt)
         if isinstance(stmt, Assign):
             if isinstance(stmt.target, ArrayRef):
-                lines.extend(pad + l for l in gen.access.store(stmt.target, gen.gen, stmt.value))
+                lines.extend(gen.access.store(stmt.target, gen.gen, stmt.value))
             else:
-                lines.append(pad + f"{stmt.target.name} = {gen.gen(stmt.value)}")
+                lines.append(f"{stmt.target.name} = {gen.gen(stmt.value)}")
         elif isinstance(stmt, Loop):
             lo, hi = gen.gen(stmt.lo), gen.gen(stmt.hi)
             if stmt.step == ONE:
@@ -406,33 +531,27 @@ def _gen_body(
                     f"range({lo}, {hi} + (1 if (_step := {gen.gen(stmt.step)}) > 0 else -1), "
                     f"_step or _zero_step('{stmt.var}'))"
                 )
-            body: list[str] = []
-            opening = gen.access.loop(
-                stmt,
-                rng,
-                lambda k: _gen_body(stmt.body, gen, body, depth + k, path + (stmt.var,)),
-            )
-            lines.extend(pad + l for l in opening)
-            lines.extend(body)
+            lower = lambda: _gen_body(stmt.body, gen, path + (stmt.var,))  # noqa: E731
+            lines.extend(gen.access.loop(stmt, rng, lower))
             if gen.access.flush and find_loops(stmt.body):
-                lines.append(pad + "    " + gen.access.flush)
+                lines.append("    " + gen.access.flush)
         elif isinstance(stmt, If):
-            lines.append(pad + f"if {gen.gen(stmt.cond)}:")
-            _gen_body(stmt.then, gen, lines, depth + 1, path)
+            lines.append(f"if {gen.gen(stmt.cond)}:")
+            lines.extend(_indent(_gen_body(stmt.then, gen, path)))
             if stmt.els:
-                lines.append(pad + "else:")
-                _gen_body(stmt.els, gen, lines, depth + 1, path)
+                lines.append("else:")
+                lines.extend(_indent(_gen_body(stmt.els, gen, path)))
         elif isinstance(stmt, (BlockLoop, InLoop)):
             raise SemanticsError("BLOCK DO / IN DO must be lowered before codegen")
         else:  # pragma: no cover - defensive
             raise SemanticsError(f"unknown statement {type(stmt).__name__}")
     if not emitted:
-        lines.append(pad + "pass")
+        lines.append("pass")
+    return lines
 
 
 def _source(proc: Procedure, access: _Plain) -> str:
-    lines: list[str] = []
-    _gen_body(proc.body, _ExprGen(access), lines, 1)
+    lines = _indent(_gen_body(proc.body, _ExprGen(access)))
     args = list(proc.params) + [a.name for a in proc.arrays] + list(access.kernel_args)
     return "\n".join([f"def _kernel({', '.join(args)}):"] + lines) + "\n"
 
@@ -455,12 +574,28 @@ def _compile(proc: Procedure, src: str) -> Callable:
         "_zero_step": _zero_step,
         "_idiv": idiv,
         "_div": _div,
+        "_pow": _pow,
+        "_span": _span,
         "_mod": _mod,
         "_sqrt": math.sqrt,
         "np": np,
     }
     exec(compile(src, f"<repro:{proc.name}>", "exec"), namespace)
     return namespace["_kernel"]
+
+
+def _elements(proc: Procedure, env: dict) -> list:
+    """The parameters, then the arrays as single elements are read and
+    written through: ``float64`` as a memoryview (Python floats, cheaper
+    than numpy scalars, same IEEE arithmetic) unless the procedure has a
+    ``float32`` array too (next to which a Python float is a weak operand,
+    NEP 50); others as themselves, so ``float32`` rounds after each
+    operation and integers stay the interpreter's."""
+    views = all(a.dtype != "f4" for a in proc.arrays)
+    return [env[p] for p in proc.params] + [
+        memoryview(env[a.name]) if views and a.dtype == "f8" else env[a.name]
+        for a in proc.arrays
+    ]
 
 
 def compile_procedure(proc: Procedure, traced: bool = False) -> Callable:
@@ -480,32 +615,23 @@ def compile_procedure(proc: Procedure, traced: bool = False) -> Callable:
         seed: int = 0,
     ) -> dict:
         env = make_env(proc, sizes, arrays, seed=seed)
-        call = [env[p] for p in proc.params] + [env[a.name] for a in proc.arrays]
-        if traced:
-            data = {a.name: env[a.name] for a in proc.arrays}
-            if tracer is None:
+        if not traced:
+            if tracer is not None:
+                raise ValueError("tracer requires traced=True compilation")
+            kernel(*_elements(proc, env))
+            return env
+        data = {a.name: env[a.name] for a in proc.arrays}
+        trace = tracer.access if tracer is not None else lambda *touch: None
 
-                def _ld(name, idx):
-                    return data[name][tuple(i - 1 for i in idx)]
+        def _ld(name, idx):
+            trace(name, idx, False)
+            return data[name][tuple(i - 1 for i in idx)]
 
-                def _st(name, idx, value):
-                    data[name][tuple(i - 1 for i in idx)] = value
+        def _st(name, idx, value):
+            trace(name, idx, True)
+            data[name][tuple(i - 1 for i in idx)] = value
 
-            else:
-                trace = tracer.access
-
-                def _ld(name, idx):
-                    trace(name, idx, False)
-                    return data[name][tuple(i - 1 for i in idx)]
-
-                def _st(name, idx, value):
-                    trace(name, idx, True)
-                    data[name][tuple(i - 1 for i in idx)] = value
-
-            call += [_ld, _st]
-        elif tracer is not None:
-            raise ValueError("tracer requires traced=True compilation")
-        kernel(*call)
+        kernel(*[env[p] for p in proc.params], *data.values(), _ld, _st)
         return env
 
     run.source = src  # type: ignore[attr-defined]
@@ -565,8 +691,9 @@ def compile_stream(proc: Procedure) -> Callable:
 
         ramp = np.ones((0, 2), dtype=np.int64)  # rows [k, 1]
 
-        def block(trips: int, steps_and_firsts) -> None:
-            """Append ``firsts + k*steps`` for ``k`` below ``trips``."""
+        def block(trips: int, steps_and_firsts, pairs=None) -> bool:
+            """Append ``firsts + k*steps`` for ``k`` below ``trips``; with
+            ``pairs``, whether the block may run as array statements."""
             nonlocal ramp
             if trips > len(ramp):
                 ramp = np.ones((max(trips, 2 * len(ramp)), 2), dtype=np.int64)
@@ -575,9 +702,10 @@ def compile_stream(proc: Procedure) -> Callable:
             # does in ``buf.append``
             events = np.matmul(ramp[:trips], steps_and_firsts, dtype=np.int64)
             buf.frombytes(events.tobytes())
+            return pairs is not None and _disjoint(trips, *steps_and_firsts, pairs, address_bits)
 
-        call = [env[p] for p in proc.params] + [env[a.name] for a in proc.arrays]
-        call += [buf.append, buf, flush, block]
+        call = _elements(proc, env) + [buf.append, buf, flush, block]
+        call += [env[a.name] for a in proc.arrays]
         offsets = {}
         for a in proc.arrays:
             offset, strides = layout.affine(a.name)

@@ -137,6 +137,34 @@ class TestBatchEqualsPerAccess:
         assert big.stats.misses <= small.stats.misses
 
 
+class TestBatchAtEveryKeyWidth:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_sets=st.sampled_from([2, 32, 2**16, 2**17]),
+           assoc=st.sampled_from([1, 2, 4, 8]), split=splits)
+    def test_flags_and_sets_equal_access(self, data, n_sets, assoc, split):
+        """``access_many`` sorts by set on the narrowest key that holds it
+        (8 bits up to 256 sets, 16 to 2**16, 32 beyond): on either side of
+        each width, per-access miss and write-back flags, counters and every
+        set's LRU order and dirty bits equal ``access``'s, on traces that
+        crowd up to ten lines into the first set, the middle one (which has
+        the first's low 16 bits at 2**17 sets) and sets above it."""
+        above = st.integers(n_sets // 2, n_sets - 1) | st.just(n_sets - 1)
+        sets = [0, n_sets // 2] + data.draw(st.lists(above, max_size=2))
+        touches = data.draw(st.lists(
+            st.tuples(st.sampled_from(sets), st.integers(0, 9), st.integers(0, 31), st.booleans()),
+            min_size=1, max_size=300))
+        trace = [((tag * n_sets + s) * 32 + byte, w) for s, tag, byte, w in touches]
+        config = CacheConfig(n_sets * assoc * 32, 32, assoc)
+        reference, mixed = Cache(config), Cache(config)
+        assert drive(mixed, trace, split) == one_by_one(reference, trace)
+        assert mixed.stats == reference.stats
+
+        def resident(cache):  # every nonempty set: LRU order and dirty bits
+            return {n: list(s.items()) for n, s in enumerate(cache._sets) if s}
+
+        assert resident(mixed) == resident(reference)
+
+
 # One-set caches (every TLB), whose ``access_many`` settles a long stretch
 # over few distinct lines as a window.  ``(ways, 32 * ways, 32, 0)`` is fully
 # associative; ``(4, 128, 32, 4)`` is one set by its associativity.

@@ -294,6 +294,75 @@ class TestZeroStep:
         assert "_zero_step" in compile_procedure(self._proc(Var("Z"))).source
 
 
+class TestIEEEParity:
+    """Interpreter, plain and stream leave byte-identical arrays where IEEE
+    arithmetic leaves the finite numbers: a division by ``+0.0``, ``-0.0``
+    and ``0/0``, a power that overflows, and ``float32`` arithmetic, which
+    rounds after every operation.  A compiled flavour may read an element as
+    a Python float, whose division by zero and overflowing power raise."""
+
+    @staticmethod
+    def engines(proc, sizes, arrays):
+        layout = Layout.for_procedure(proc, sizes, line_bytes=32)
+        envs = [
+            execute(proc, sizes, arrays=arrays),
+            compile_procedure(proc)(sizes, arrays=arrays),
+            compile_stream(proc)(sizes, layout, lambda *chunk: None, arrays=arrays),
+        ]
+        for a in proc.arrays:
+            assert len({env[a.name].tobytes() for env in envs}) == 1, a.name
+        return envs[0]
+
+    @staticmethod
+    def loop(target, value, n, dtype="f8"):
+        arrays = tuple(ArrayDecl(x, (Const(n),), dtype=dtype) for x in "ABC")
+        return Procedure("ieee", (), arrays, (do("I", 1, n - 1, assign(target, value)),))
+
+    @pytest.mark.parametrize("start, b", [
+        (1.0, [0.0, -0.0, 0.0, 2.0]),
+        (-1.0, [-0.0, 0.0, 3.0, -0.0]),
+        (0.0, [0.0, -0.0, 0.0, 0.0]),  # 0/0, then NaN over zeros
+    ])
+    def test_division_by_zero_along_a_carried_chain(self, start, b):
+        # A(I+1) = A(I) / B(I): each iteration reads the last one's store
+        p = self.loop(ref("A", Var("I") + 1), BinOp("/", ref("A", "I"), ref("B", "I")), 5)
+        a = np.array([start, 7.0, 7.0, 7.0, 7.0])
+        env = self.engines(p, {}, {"A": a, "B": np.array(b + [1.0]), "C": np.zeros(5)})
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(4):
+                a[i + 1] = a[i] / b[i]
+        assert env["A"].tobytes() == a.tobytes()
+
+    def test_division_by_zero_in_place(self):
+        # A(I) = A(I) / B(I): no iteration touches another's element
+        p = self.loop(ref("A", "I"), BinOp("/", ref("A", "I"), ref("B", "I")), 5)
+        a, b = np.array([1.0, -1.0, 0.0, 2.0, 5.0]), np.array([0.0, -0.0, 0.0, -0.0, 1.0])
+        env = self.engines(p, {}, {"A": a, "B": b, "C": np.zeros(5)})
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a[:4] /= b[:4]
+        assert env["A"].tobytes() == a.tobytes()
+        assert np.isnan(a[2]) and a[[0, 1, 3]].tolist() == [np.inf, np.inf, -np.inf]
+
+    def test_power_overflows_to_infinity(self):
+        p = self.loop(ref("A", Var("I") + 1), BinOp("**", ref("A", "I"), Const(400.0)), 4)
+        env = self.engines(p, {}, {"A": np.array([10.0, 0.0, 0.0, 0.0])})
+        assert env["A"].tolist() == [10.0, np.inf, np.inf, np.inf]
+
+    def test_float32_rounds_after_every_operation(self):
+        # inputs where float32 rounding after the product differs from one
+        # rounding of the double result
+        rng, c, a, b = np.random.default_rng(1), [], [], []
+        while len(c) < 6:
+            x, y, z = rng.uniform(-1.0, 1.0, 3).astype(np.float32)
+            if np.float32(x + np.float32(y * z)) != np.float32(float(x) + float(y) * float(z)):
+                c, a, b = c + [x], a + [y], b + [z]
+        arrays = {"A": np.array(a + [0.0]), "B": np.array(b + [0.0]), "C": np.array(c + [0.0])}
+        p = self.loop(ref("C", "I"), ref("C", "I") + ref("A", "I") * ref("B", "I"), 7, dtype="f4")
+        env = self.engines(p, {}, arrays)
+        expect = [np.float32(x + np.float32(y * z)) for x, y, z in zip(c, a, b)]
+        assert env["C"][:6].tolist() == expect
+
+
 class TestTracedAgreement:
     def test_access_sequences_identical(self):
         p = Procedure(

@@ -5,14 +5,17 @@ reference on a matrix of hand-built edge cases."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import Call, Compare, Const, IntDiv, LogicalOp, Min, Var
+from repro.ir.expr import BinOp, Call, Compare, Const, IntDiv, LogicalOp, Min, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.machine import Layout
 from repro.pipeline import available_workloads, derive, get_workload
+from repro.runtime import codegen
 from repro.runtime.codegen import CHUNK, compile_procedure, compile_stream
 from repro.runtime.interpreter import execute, make_env
+from tests.conftest import RecordingTracer
 
 WORKLOADS = [w.name for w in available_workloads()]
 
@@ -191,6 +194,145 @@ def test_block_lowering_equals_the_per_touch_reference(case, recording_tracer):
     assert run.source.count(BLOCK) == blocks, run.source
     if case != "zero-trip":
         assert recorder.events
+
+
+ARRAY_PATH = "if _blk("  # a block whose body may run as array statements
+
+
+def array_path_checks(monkeypatch):
+    """Wrap the run-time half of the array-path decision; returns the list
+    of ``(trips, steps, firsts, address_bits, verdict)`` it is called with."""
+    calls, check = [], codegen._disjoint
+
+    def recorded(trips, steps, firsts, pairs, address_bits):
+        verdict = check(trips, steps, firsts, pairs, address_bits)
+        calls.append((trips, steps, firsts, address_bits, verdict))
+        return verdict
+
+    monkeypatch.setattr(codegen, "_disjoint", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name, variant, sizes, blocks", [
+    ("lu_nopivot", "point", {"N": 20}, 19 + 190),  # both I loops, for every K and J
+    ("lu_nopivot", "derived", None, None),  # the panel's I loops, never the trailing KK loop
+    ("givens", "point", None, None),  # the K loop
+    ("matmul", "point", None, "B"),  # the I loop, once for every nonzero B(K,J)
+    ("matmul", "derived", None, None),  # the I loops of both K loops
+    ("conv", "point", None, 0),  # F3(I) is the same element in every K
+    ("conv", "derived", None, 0),  # the F3 accumulators are carried
+    ("givens", "derived", None, 0),  # A(L,K) is the same element in every J
+])
+def test_which_blocks_run_as_array_statements(name, variant, sizes, blocks, monkeypatch):
+    """A check that refuses everything fails here instead of only costing
+    time: every block of the loops the simulated traces owe their speed to
+    runs as array statements, and an order-sensitive loop never does."""
+    proc = get_workload(name).build() if variant == "point" else derive(name).procedure
+    defaults = get_workload(name).sizes_for()
+    sizes = sizes or {p: defaults[p] for p in proc.params}
+    arrays = inputs(proc, sizes) if name == "matmul" else None
+    calls = array_path_checks(monkeypatch)
+    run = compile_stream(proc)
+    run(sizes, Layout.for_procedure(proc, sizes, line_bytes=32), lambda *chunk: None,
+        arrays=arrays)
+    verdicts = [verdict for *_, verdict in calls]
+    if blocks == 0:
+        assert ARRAY_PATH not in run.source and verdicts == []
+        return
+    assert verdicts and all(verdicts)
+    if blocks == "B":
+        assert len(verdicts) == np.count_nonzero(arrays["B"])
+    elif blocks:
+        assert len(verdicts) == blocks
+    if name == "lu_nopivot" and variant == "derived":
+        assert run.source.count(BLOCK) == 3 and run.source.count(ARRAY_PATH) == 2
+
+
+I, T = Var("I"), Var("T0")
+
+
+def loop_over(*body, lo=1, hi=10, step=1, n=24):
+    """``DO I = lo, hi, step`` over 1-D arrays A, B and a 2-D array M,
+    between the scalars' values before it and a record of them after it."""
+    before = (assign("T0", 0.5), assign("T1", 2.0), assign("I", 0))
+    after = (assign(ref("M", 1, 1), "T0"), assign(ref("M", 1, 2), "T1"),
+             assign(ref("M", 2, 1), I))
+    arrays = (F8("A", n), F8("B", n), F8("M", n, n))
+    return Procedure("one_loop", (), arrays, before + (do("I", lo, hi, *body, step=step),) + after)
+
+
+@st.composite
+def one_loop(draw):
+    """Every subscript either moves with I, as a*I + c, or is fixed; a value
+    reads elements, constants, the scalars T0 and T1 (perhaps before the
+    body assigns them) and now and then I itself."""
+    step = draw(st.sampled_from([1, -1, 2, -2]))
+    trips = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    span = max(trips - 1, 0) * abs(step)
+    first = 1 + draw(st.integers(0, 3)) + (span if step < 0 else 0)
+    low, high = (first, first + span) if step > 0 else (first - span, first)
+    n = 2 * span + 6  # every subscript below stays in 1..n
+
+    def subscript():
+        a = draw(st.sampled_from([0, 1, 1, 2, -1]))
+        if a == 0:
+            return Const(draw(st.integers(1, n)))
+        return I * a + (1 - min(a * low, a * high) + draw(st.integers(0, 2)))
+
+    def element():
+        array = draw(st.sampled_from("ABM"))
+        return ref(array, subscript(), *([subscript()] if array == "M" else []))
+
+    def term():
+        kind = draw(st.sampled_from(["element", "element", "const", "scalar", "I"]))
+        if kind == "const":
+            return Const(draw(st.sampled_from([0.5, 1.5, 3.0])))
+        return {"element": element, "scalar": lambda: Var(draw(st.sampled_from(["T0", "T1"]))),
+                "I": lambda: I}[kind]()
+
+    def value():
+        left, op = term(), draw(st.sampled_from(["+", "-", "*", "/", None]))
+        return left if op is None else BinOp(op, left, element() if op == "/" else term())
+
+    body = [assign(element() if draw(st.booleans()) else Var(draw(st.sampled_from(["T0", "T1"]))),
+                   value()) for _ in range(draw(st.integers(1, 3)))]
+    last = first + (trips - 1) * step if trips else first - step
+    return loop_over(*body, lo=first, hi=last, step=step, n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(proc=one_loop())
+@example(proc=loop_over(assign(ref("A", I + 1), ref("A", "I") * 1.5)))  # carried
+@example(proc=loop_over(assign(ref("A", "I"), ref("A", I + 2) + 1.0)))  # carried, anti
+@example(proc=loop_over(assign(ref("A", I * 2), ref("A", "I") + 1.0)))  # strided
+@example(proc=loop_over(assign(ref("M", "I", 3), ref("M", 3, "I") + 1.0)))
+@example(proc=loop_over(assign(ref("M", "I", 3), ref("M", "I", 3) / ref("M", 3, 3)), lo=4))
+@example(proc=loop_over(assign(ref("A", 3), ref("A", 3) + ref("B", "I"))))  # one target
+@example(proc=loop_over(  # a private temporary: a swap
+    assign(T, ref("A", "I")), assign(ref("A", "I"), ref("B", "I") * 0.5),
+    assign(ref("B", "I"), T + ref("A", "I")), lo=20, hi=2, step=-2))
+def test_array_statements_are_the_scalar_loop(proc):
+    """Whichever way a block's body runs, the stream, the callback trace, the
+    interpreter and the plain flavour agree byte for byte; and when it runs
+    as array statements, brute force over the block's touched elements
+    finds none that one iteration writes and another touches."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = array_path_checks(patch)
+        assert_stream_is_the_reference(proc, {}, RecordingTracer(), seed=3)
+    plain, interpreted = compile_procedure(proc)({}, seed=3), execute(proc, {}, seed=3)
+    for a in proc.arrays:
+        assert plain[a.name].tobytes() == interpreted[a.name].tobytes(), a.name
+    for trips, steps, firsts, address_bits, verdict in calls:
+        if not verdict:
+            continue
+        writers, touchers = {}, {}
+        for first, step in zip(firsts, steps):
+            for k in range(trips):
+                address = ((first & address_bits) >> 1) + k * (step >> 1)
+                touchers.setdefault(address, set()).add(k)
+                if first & 1:
+                    writers.setdefault(address, set()).add(k)
+        assert not any(len(touchers[address]) > 1 for address in writers), proc
 
 
 def test_a_subscript_that_is_no_integer_fails_in_a_block_too():
