@@ -12,9 +12,13 @@ Threading model — the part that keeps this deadlock-free:
 - **The scheduler thread** is the *only* owner of the
   :class:`~repro.serve.pool.WorkerPool` (which is not thread-safe): it
   drains the incoming queue, submits specs (store hits resolve right at
-  submit), polls the pool, and resolves requests by setting their
-  events.  Each worker's observer merges here, onto the scheduler's
-  clock, exactly as in batch mode.
+  submit), and resolves requests by setting their events.  Between
+  those it sleeps in the pool's one wait, which ends on a worker's
+  result or death, the nearest job deadline or backoff gate, or a byte
+  on the daemon's wake pipe — written by admission after it enqueues a
+  request, by a handler abandoning one, and by a drain.  Nothing polls
+  on a clock.  Each worker's observer merges here, onto the
+  scheduler's clock, exactly as in batch mode.
 
 One set of books: what ``/v1/status`` counts is recorded once, under the
 daemon lock, in the daemon-lifetime observer (``daemon.requests.*``,
@@ -57,6 +61,7 @@ rule id                     fires when
 from __future__ import annotations
 
 import collections
+import contextlib
 import json
 import os
 import queue as queue_mod
@@ -141,8 +146,11 @@ class Daemon:
         self.store = ArtifactStore(self.config.store_dir)
         self.started_s = 0.0  # epoch; set by start()
         self._epoch = 0.0  # perf_counter at start
-        self._lock = threading.Lock()  # counters, mem cache, obs writes
-        self._incoming: "queue_mod.Queue[Optional[_Request]]" = queue_mod.Queue()
+        self._lock = threading.RLock()  # counters, mem cache, obs, wake pipe
+        self._incoming: "queue_mod.Queue[_Request]" = queue_mod.Queue()
+        self._wake_r, self._wake_w = os.pipe()  # see _wake; closed by _finalize
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._outstanding = 0
         self._draining = threading.Event()
         self._stopped = threading.Event()
@@ -197,9 +205,16 @@ class Daemon:
     def request_drain(self) -> None:
         """Begin a graceful shutdown; returns immediately.  The scheduler
         finishes in-flight jobs, flushes obs, and unwinds the rest."""
-        if not self._draining.is_set():
-            self._draining.set()
-            self._incoming.put(None)  # wake the scheduler
+        self._draining.set()
+        self._wake()
+
+    def _wake(self) -> None:
+        """End the scheduler's wait: one byte down the wake pipe.  The
+        write never blocks, and a full pipe is already a wake-up.  The lock
+        is reentrant because a signal handler may run this mid-section."""
+        with self._lock, contextlib.suppress(BlockingIOError):
+            if self._wake_w is not None:  # None once _finalize closed it
+                os.write(self._wake_w, b"!")
 
     def wait_stopped(self, timeout: Optional[float] = None) -> bool:
         return self._stopped.wait(timeout)
@@ -264,8 +279,10 @@ class Daemon:
 
         req = _Request(spec, deadline_s)
         self._incoming.put(req)
+        self._wake()  # after the put: see _scheduler_loop
         if not req.event.wait(deadline_s):
             req.abandoned = True  # scheduler still resolves + decrements
+            self._wake()  # so it cancels the job if it is still queued
             with self._lock:
                 self._obs.count("daemon.requests.deadline")
             return 504, _error_body(
@@ -318,41 +335,36 @@ class Daemon:
             backoff_s=self.config.backoff_s,
         ) as pool:
             while True:
-                # 1. admit everything queued since the last tick
+                # 1. empty the wake pipe, *then* admit everything queued.
+                # Admission puts before it writes, so a byte landing after
+                # this read belongs to a request the reads below may miss,
+                # and it leaves the pipe readable: the wait in 2 returns at
+                # once.  No wake-up is lost.
+                with contextlib.suppress(BlockingIOError):
+                    while os.read(self._wake_r, 4096):
+                        pass
                 while True:
                     try:
                         req = self._incoming.get_nowait()
                     except queue_mod.Empty:
                         break
-                    if req is None:
-                        continue  # drain wake-up marker
                     handle = pool.submit(req.spec)
                     if handle.done:  # disk-store hit resolved at submit
                         self._finish(req, handle.outcome)
                     else:
                         active.append((req, handle))
-                # 2. run the pool one tick and harvest resolutions
-                if active:
-                    pool.poll()
-                    still = []
-                    for req, handle in active:
-                        if handle.done:
-                            self._finish(req, handle.outcome)
-                        elif req.abandoned and handle.cancel():
-                            self._finish(req, handle.outcome)
-                        else:
-                            still.append((req, handle))
-                    active = still
-                    self._trim_spans()
-                elif self._draining.is_set():
+                if not active and self._draining.is_set():
                     break
-                else:
-                    try:  # idle: sleep on the queue instead of spinning
-                        req = self._incoming.get(timeout=0.2)
-                        if req is not None:
-                            self._incoming.put(req)
-                    except queue_mod.Empty:
-                        pass
+                # 2. wait for an event and harvest resolutions
+                pool.poll(wake=self._wake_r)
+                still = []
+                for req, handle in active:
+                    if handle.done or (req.abandoned and handle.cancel()):
+                        self._finish(req, handle.outcome)
+                    else:
+                        still.append((req, handle))
+                active = still
+                self._trim_spans()
             self._pool_stats = pool.stats()
 
     def _finish(self, req: _Request, outcome) -> None:
@@ -405,8 +417,6 @@ class Daemon:
                 req = self._incoming.get_nowait()
             except queue_mod.Empty:
                 break
-            if req is None:
-                continue
             with self._lock:
                 self._outstanding -= 1
                 self._obs.count("daemon.requests.rejected")
@@ -437,6 +447,10 @@ class Daemon:
             if self._server_thread is not None:
                 self._server_thread.join(5.0)
             self._server.server_close()
+        with self._lock:  # no late _wake writes into a reused descriptor
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            self._wake_w = None
         self._stopped.set()
 
     # ---- status ------------------------------------------------------------

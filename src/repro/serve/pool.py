@@ -1,12 +1,16 @@
 """A fault-isolating ``multiprocessing`` worker pool for pipeline jobs.
 
 The pool owns N single-purpose worker processes, each looping over a
-private task queue and posting to one shared result queue.  The parent
-is the only scheduler: it assigns a job to a specific idle worker (so
-it always knows who is computing what), stamps a deadline from the
-job's ``timeout_s``, and on every poll tick
+private task queue and answering down a private result pipe.  The
+parent is the only scheduler: it assigns a job to a specific idle
+worker (so it always knows who is computing what) and stamps a deadline
+from the job's ``timeout_s``.  Then it blocks in one
+:func:`multiprocessing.connection.wait` until something happens — a
+result pipe turns readable, a busy worker's process sentinel fires, the
+nearest deadline or backoff gate comes due, or the caller's wake-up
+readable turns readable — and acts on it.  Nothing polls on a clock:
 
-- **collects** finished attempts (success, deterministic failure, or
+- it **collects** finished attempts (success, deterministic failure, or
   retryable error),
 - **kills and respawns** workers whose deadline passed (the job is
   retried with exponential backoff, up to the retry budget, then
@@ -18,9 +22,8 @@ job's ``timeout_s``, and on every poll tick
 Retry policy: ``max_retries`` is the number of *re*-executions after
 the first attempt; :data:`repro.serve.jobs.TERMINAL_ERRORS`
 (deterministic compiler verdicts like a failed ``--check`` gate) are
-never retried.  A respawned worker gets a fresh task queue and a new
-generation number, so results from a killed process are recognized as
-stale and dropped.
+never retried.  A respawned worker gets a fresh task queue and result
+pipe, so nothing a killed process wrote can reach its successor.
 
 Deduplication: submissions are keyed by their artifact-store digest;
 an identical in-flight job coalesces into the existing one (one
@@ -48,10 +51,10 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue as queue_mod
 import time
 from collections import Counter
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Iterator, Optional, Sequence
 
 from repro.errors import PipelineError
@@ -71,8 +74,8 @@ OK_STATUSES = ("hit", "computed", "retried")
 #: terminal job statuses as they appear in job rows
 STATUSES = OK_STATUSES + ("timeout", "failed", "cancelled")
 
-_POLL_S = 0.02
 _KILL_GRACE_S = 0.5
+_MAX_WAIT_S = 86_400.0  # one wait's longest timeout; a later deadline waits again
 
 
 @dataclass
@@ -159,37 +162,36 @@ class _Job:
 
 
 class _Worker:
-    """One slot: a live process + its private queues + a generation.
+    """One slot: a live process + its private task queue and result pipe.
 
-    Both queues are per-worker on purpose: SIGKILL-ing a process that
+    Both channels are per-worker on purpose: SIGKILL-ing a process that
     holds a shared queue's feeder lock could wedge every other worker,
-    while a private queue dies (unused) with its process.
+    while a private channel dies (unused) with its process.
     """
 
-    __slots__ = ("slot", "gen", "process", "task_q", "result_q", "job")
+    __slots__ = ("process", "task_q", "results", "job")
 
-    def __init__(self, slot: int, gen: int, ctx, store_args) -> None:
-        self.slot = slot
-        self.gen = gen
+    def __init__(self, slot: int, ctx, store_args) -> None:
         self.job: Optional[_Job] = None
         self.task_q = ctx.Queue()
-        self.result_q = ctx.Queue()
+        self.results, results_w = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(slot, gen, self.task_q, self.result_q, store_args),
+            args=(self.task_q, results_w, store_args),
             daemon=True,
             name=f"repro-serve-worker-{slot}",
         )
         self.process.start()
+        results_w.close()  # the worker's is the only write end
 
 
-def _worker_main(slot: int, gen: int, task_q, result_q, store_args) -> None:
+def _worker_main(task_q, results, store_args) -> None:
     store = ArtifactStore(*store_args) if store_args is not None else None
     while True:
         item = task_q.get()
         if item is None:
             return
-        job_id, attempt, spec, key, observing = item
+        job_id, spec, key, observing = item
         t0 = time.perf_counter()
         obs_obj = _obs.Obs() if observing else None
         stored = False
@@ -214,8 +216,8 @@ def _worker_main(slot: int, gen: int, task_q, result_q, store_args) -> None:
                 stored = True
             except Exception:
                 pass  # a sick store costs durability, never the job
-        result_q.put((slot, gen, job_id, attempt, kind, payload, stored,
-                      time.perf_counter() - t0, _pickled(obs_obj)))
+        results.send((job_id, kind, payload, stored, time.perf_counter() - t0,
+                      _pickled(obs_obj)))
 
 
 def _pickled(obs_obj) -> Optional[bytes]:
@@ -250,7 +252,6 @@ class WorkerPool:
             "fork" if "fork" in methods else methods[0]
         )
         self._slots: list[Optional[_Worker]] = [None] * workers
-        self._gen = 0
         self._submitted = 0  # job ids handed out
         self._resolved: Counter = Counter()  # status -> resolved jobs
         self._inflight: dict[str, _Job] = {}  # digest -> unresolved job
@@ -324,7 +325,7 @@ class WorkerPool:
         """Yield each of ``handles`` once its job is resolved, polling in
         between — for drivers (``repro.matrix``) that act on outcomes as
         they land instead of after a full :meth:`drain`.  Everything
-        already resolved is yielded before the next tick."""
+        already resolved is yielded before the next wait."""
         pending = list(handles)
         while pending:
             still = []
@@ -337,14 +338,26 @@ class WorkerPool:
                 self.poll()
             pending = still
 
-    def poll(self) -> None:
-        """One scheduler tick: assign pending jobs, collect finished
-        attempts, reap timeouts and dead workers.  Blocks for at most the
-        internal poll interval."""
+    def poll(self, wake=None) -> None:
+        """One scheduler step: assign pending jobs, block until an event,
+        then collect finished attempts and reap overdue and dead workers.
+        The events: a worker's result, a busy worker's death (its process
+        sentinel), the nearest job deadline or backoff gate, and ``wake``
+        (any readable ``connection.wait`` takes; the caller empties it)
+        turning readable.  Idle and without ``wake``, it never returns."""
         self._assign()
-        self._collect(block=True)
-        self._reap_timeouts()
-        self._reap_deaths()
+        now = time.perf_counter()
+        busy = [w for w in self._slots if w is not None and w.job is not None]
+        due = [w.job.assigned_at + w.job.spec.timeout_s - now for w in busy]
+        due += [j.not_before - now for j in self._pending if j.not_before > now]
+        ready = [w.results for w in self._slots
+                 if w is not None and not w.results.closed]
+        ready += [w.process.sentinel for w in busy] + [wake] * (wake is not None)
+        # the cap first: min() then skips a NaN timeout_s, and an infinite or
+        # huge one cannot overflow poll(2)'s millisecond timeout
+        wait(ready, max(0.0, min([_MAX_WAIT_S] + due)) if due else None)
+        self._collect()
+        self._reap()
 
     def _assign(self) -> None:
         if not self._pending:
@@ -373,36 +386,27 @@ class WorkerPool:
             job.outcome.worker = slot
             worker.job = job
             worker.task_q.put(
-                (job.outcome.job_id, job.outcome.attempts, job.spec, job.key,
-                 _obs.current() is not None)
+                (job.outcome.job_id, job.spec, job.key, _obs.current() is not None)
             )
 
-    def _collect(self, block: bool) -> None:
-        got = False
-        for worker in list(self._slots):
-            if worker is None:
+    def _collect(self) -> None:
+        for slot, worker in enumerate(self._slots):
+            if worker is None or worker.results.closed:
                 continue
-            while True:
+            while worker.results.poll():
                 try:
-                    msg = worker.result_q.get_nowait()
-                except queue_mod.Empty:
-                    break
+                    job_id, kind, payload, stored, wall, obs = worker.results.recv()
                 except (OSError, EOFError):
-                    break  # queue died with its process; _reap_deaths handles
-                got = True
-                slot, gen, job_id, attempt, kind, payload, stored, wall, obs = msg
-                if worker.gen != gen:
-                    continue  # stale: posted by a process we already killed
+                    worker.results.close()  # died with its process: _reap acts
+                    break
                 job = worker.job
                 if job is None or job.outcome.job_id != job_id:
-                    continue  # stale: a prior attempt of a reassigned job
+                    continue  # a result for no job this worker was handed
                 worker.job = None
                 occupied = time.perf_counter() - job.assigned_at
                 self.busy_s += occupied
                 self.worker_stats[slot]["jobs"] += 1
                 self.worker_stats[slot]["busy_s"] += occupied
-                if attempt != job.outcome.attempts:
-                    continue
                 self._merge_worker_obs(job, slot, obs)
                 if kind == "ok":
                     job.outcome.value = pickle.loads(payload)
@@ -417,45 +421,26 @@ class WorkerPool:
                     self._resolve(job, "failed")
                 else:  # retryable error raised inside the job
                     self._retry_or_fail(job, payload, terminal_status="failed")
-        if block and not got:
-            time.sleep(_POLL_S)
 
-    def _reap_timeouts(self) -> None:
+    def _reap(self) -> None:
+        """Kill and respawn each worker past its job's deadline, respawn
+        each one that died mid-job; the job retries or resolves."""
         now = time.perf_counter()
-        for slot in range(self.workers):
-            worker = self._slots[slot]
-            if worker is None or worker.job is None:
+        for slot, worker in enumerate(self._slots):
+            job = worker.job if worker is not None else None
+            if job is None:
                 continue
-            job = worker.job
-            if now - job.assigned_at < job.spec.timeout_s:
+            if now - job.assigned_at >= job.spec.timeout_s:
+                error, status = f"timed out after {job.spec.timeout_s:g}s", "timeout"
+            elif not worker.process.is_alive():
+                error = f"worker died mid-job (exitcode {worker.process.exitcode})"
+                status = "failed"
+            else:
                 continue
             self.busy_s += now - job.assigned_at
             self.worker_stats[slot]["busy_s"] += now - job.assigned_at
             self._respawn(slot)  # killing and respawning are one motion
-            self._retry_or_fail(
-                job,
-                f"timed out after {job.spec.timeout_s:g}s",
-                terminal_status="timeout",
-            )
-
-    def _reap_deaths(self) -> None:
-        for slot in range(self.workers):
-            worker = self._slots[slot]
-            if worker is None or worker.job is None:
-                continue
-            if worker.process.is_alive():
-                continue
-            job = worker.job
-            occupied = time.perf_counter() - job.assigned_at
-            self.busy_s += occupied
-            self.worker_stats[slot]["busy_s"] += occupied
-            exitcode = worker.process.exitcode
-            self._respawn(slot)
-            self._retry_or_fail(
-                job,
-                f"worker died mid-job (exitcode {exitcode})",
-                terminal_status="failed",
-            )
+            self._retry_or_fail(job, error, terminal_status=status)
 
     def _merge_worker_obs(self, job: _Job, slot: int, blob) -> None:
         """Fold a worker's pickled observer (``b""``: it would not pickle)
@@ -510,7 +495,9 @@ class WorkerPool:
         if job.outcome.status != "pending" or job not in self._pending:
             return False
         self._pending.remove(job)
-        job.outcome.error = "cancelled before execution"
+        n = job.outcome.attempts  # > 0: waiting out a retry backoff
+        job.outcome.error = (f"cancelled after {n} attempt(s): {job.outcome.error}"
+                             if n else "cancelled before execution")
         self._resolve(job, "cancelled")
         return True
 
@@ -526,13 +513,12 @@ class WorkerPool:
         if old is not None and count:
             self.respawns += 1
             _obs.count("serve.worker.respawn")
-        self._gen += 1
         store_args = (
             (str(self.store.root), self.store.schema_version)
             if self.store is not None
             else None
         )
-        worker = _Worker(slot, self._gen, self._ctx, store_args)
+        worker = _Worker(slot, self._ctx, store_args)
         self._slots[slot] = worker
         return worker
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -288,7 +292,6 @@ class TestDrainAndRestart:
 
         t = threading.Thread(target=fire)
         t.start()
-        import time
         time.sleep(0.15)  # let the job reach the worker
         d.request_drain()
         t.join(30.0)
@@ -341,6 +344,75 @@ class TestDrainAndRestart:
                                   "host": "127.0.0.1", "port": 1})
         assert dstate.read_state(root) is None
         assert not dstate.state_path(root).exists()
+
+
+class TestWakeups:
+    """The scheduler sleeps in one wait that a request, a drain, a worker's
+    result or a deadline ends: nothing waits out a clock tick."""
+
+    def test_a_no_op_request_costs_no_tick(self, daemon):
+        submit(daemon, probe(nonce="fork"))  # the first job forks the worker
+        service = []
+        for i in range(20):
+            job = {**probe(), "workload": f"noop-{i}"}  # never a memory hit
+            reply = submit(daemon, job)
+            assert reply.body["status"] == "computed", reply.body
+            service.append(reply.body["service_s"])
+        # under one 20 ms tick: no fixed sleep sits between hand-out and reply
+        assert statistics.median(service) < 0.005, service
+
+    def test_a_request_arriving_mid_job_is_handed_out_when_it_ends(self, daemon):
+        submit(daemon, probe(nonce="fork"))
+        box = {}
+
+        def slow():
+            box["sent"] = time.perf_counter()
+            box["reply"] = submit(daemon, probe(seconds=0.3, nonce="slow"))
+
+        t = threading.Thread(target=slow)
+        t.start()
+        time.sleep(0.1)  # the slow probe runs; the scheduler is in its wait
+        sent = time.perf_counter()
+        fast = submit(daemon, probe(nonce="fast")).body
+        t.join(30.0)
+        assert not t.is_alive()
+        first = box["reply"].body
+        assert first["status"] == fast["status"] == "computed"
+        # the slow probe's worker finished at send + queue wait + wall; the
+        # fast one was handed out at its own finish less its execution
+        ended = box["sent"] + first["queue_wait_s"] + first["wall_s"]
+        handed = sent + fast["service_s"] - fast["wall_s"]
+        assert handed - ended < 0.010, (first, fast)
+
+    def test_a_full_wake_pipe_still_wakes(self, store_dir):
+        d = Daemon(DaemonConfig(workers=1, store_dir=store_dir))
+        assert not os.get_blocking(d._wake_w)  # else the fill below hangs
+        with contextlib.suppress(BlockingIOError):
+            while True:  # past the pipe buffer; nothing reads until start()
+                os.write(d._wake_w, b"x" * 4096)
+        woke, wake = threading.Event(), d._wake
+        d._wake = lambda: (wake(), woke.set())
+        box = []
+        t = threading.Thread(
+            target=lambda: box.append(d.handle_submit({"job": probe(value="full")})))
+        t.start()
+        assert woke.wait(10.0)  # the write into a full pipe returned
+        d.start()
+        try:
+            t.join(30.0)
+            assert not t.is_alive()
+            ((status, body),) = box
+            assert status == 200 and body["status"] == "computed", body
+        finally:
+            d.request_drain()
+            assert d.wait_stopped(30.0)
+
+    def test_draining_an_idle_daemon_is_prompt(self, store_dir):
+        d = make_daemon(store_dir)
+        t0 = time.perf_counter()
+        d.request_drain()
+        assert d.wait_stopped(30.0)
+        assert time.perf_counter() - t0 < 0.1  # no idle timeout to wait out
 
 
 class TestStatus:

@@ -17,14 +17,17 @@ the single-CPU CI runner; CPU-bound speedup is asserted nowhere here.
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.errors import PipelineError
 from repro.obs import core as obs_core
 from repro.serve import jobs
+from repro.serve import pool as pool_module
 from repro.serve.jobs import JobSpec
 from repro.serve.pool import WorkerPool
 from repro.serve.store import ArtifactStore
@@ -160,8 +163,24 @@ class TestCancellation:
             pool.drain()
         assert keep.outcome.status == "computed"
         assert drop.outcome.status == "cancelled"
+        assert drop.outcome.error == "cancelled before execution"
+        assert drop.outcome.attempts == 0
         assert not drop.outcome.ok
         assert keep.cancel() is False  # finished jobs are untouchable
+
+    def test_cancelling_a_job_in_retry_backoff_keeps_its_last_error(self):
+        # a minute of backoff: after its first attempt the job certainly
+        # sits re-queued, which is where the daemon cancels an abandoned one
+        with WorkerPool(workers=1, max_retries=1, backoff_s=60.0) as pool:
+            handle = pool.submit(probe(action="raise", message="first try"))
+            while handle.outcome.error is None:
+                pool.poll()  # returns when the attempt's result lands
+            assert handle.outcome.status == "pending"
+            assert handle.cancel() is True
+        out = handle.outcome
+        assert out.status == "cancelled"
+        assert out.attempts == 1
+        assert out.error == "cancelled after 1 attempt(s): RuntimeError: first try"
 
 
 class TestFaultInjection:
@@ -200,11 +219,18 @@ class TestFaultInjection:
             options={"action": "hang", "hang_s": 60.0},
             timeout_s=0.25,
         )
-        out, pool = run_one(spec, max_retries=1)
+        with WorkerPool(workers=1, max_retries=1, backoff_s=0.01) as pool:
+            pool.run([probe()])  # forks the worker
+            t0 = time.perf_counter()
+            (out,) = pool.run([spec])
+            elapsed = time.perf_counter() - t0
         assert out.status == "timeout"
         assert out.attempts == 2
         assert "timed out after 0.25s" in out.error
         assert pool.respawns >= 1
+        # the hung job is the only traffic: each deadline and the backoff
+        # gate end the wait themselves (one with no timeout never returns)
+        assert elapsed < 2 * 0.25 + 0.01 + 0.15, elapsed
 
     def test_spec_max_retries_overrides_the_pool_default(self):
         spec = JobSpec(kind="probe", options={"action": "raise"}, max_retries=0)
@@ -218,6 +244,40 @@ class TestFaultInjection:
         assert bad.status == "failed"
         assert good.status == "computed"
         assert good.value["probe"] == "after"
+
+
+class TestEventDrivenWait:
+    """The pool sleeps in one wait that the event itself ends — a result,
+    a worker's death, a deadline — never in a clock tick."""
+
+    def test_a_no_op_round_trip_costs_no_tick(self):
+        with WorkerPool(workers=1) as pool:
+            pool.run([probe()])  # forks the worker
+            trips = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                (out,) = pool.run([probe()])
+                trips.append(time.perf_counter() - t0)
+                assert out.status == "computed"
+        # under one 20 ms tick: no fixed sleep sits between hand-out and collect
+        assert statistics.median(trips) < 0.005, trips
+
+    @pytest.mark.parametrize("timeout_s", [1e300, float("inf"), float("nan")])
+    def test_an_unbounded_timeout_never_fires(self, timeout_s):
+        # request JSON may carry any of these; none may break the wait
+        spec = JobSpec(kind="probe", options={"seconds": 0.05}, timeout_s=timeout_s)
+        out, _ = run_one(spec)
+        assert out.status == "computed"
+
+    def test_a_killed_worker_is_reaped_through_its_sentinel(self):
+        out, pool = run_one(probe(action="kill"), max_retries=0)
+        assert out.status == "failed"
+        assert out.attempts == 1
+        assert "worker died mid-job" in out.error
+        assert pool.respawns == 1
+        # nothing in the pool sleeps: the death itself ended the wait
+        source = Path(pool_module.__file__).read_text(encoding="utf-8")
+        assert "sleep" not in source and "_POLL_S" not in source
 
 
 class TestStoreIntegration:
