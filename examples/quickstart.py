@@ -7,7 +7,7 @@ the simulated machine.
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis.dependence import all_dependences
+from repro.analysis.dependence import all_dependences, render_witness
 from repro.analysis.reuse import reuse_report
 from repro.bench.harness import measure
 from repro.ir import ArrayDecl, Procedure, Var, assign, do, ref, to_fortran
@@ -36,7 +36,7 @@ def main() -> None:
     # --- 2. what does the compiler see? ----------------------------------
     print("\ndependences:")
     for dep in all_dependences(proc):
-        print("  ", dep.describe())
+        print("  ", render_witness(dep.witness()))
     inner = loop_by_var(proc.body, "I")
     print("\nreuse w.r.t. the I loop:")
     for acc, kind in reuse_report(inner).entries:

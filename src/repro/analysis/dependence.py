@@ -34,8 +34,10 @@ from repro.analysis.feasibility import memo_query
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.sections import expr_range, ranges_for_loops
 from repro.analysis.subscripts import analyze_subscript
+from repro.artifacts import shape
 from repro.obs.core import count as _obs_count
 from repro.ir.expr import free_vars
+from repro.ir.pretty import fmt_expr, fmt_stmt
 from repro.ir.stmt import Loop, Procedure, Stmt
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
@@ -96,14 +98,63 @@ class Dependence:
                 return loop
         return None
 
-    def describe(self) -> str:
-        vec = ",".join(d if d != "<" else f"<({dist})" if dist is not None else "<"
-                       for d, dist in zip(self.direction, self.distance))
-        return (
-            f"{self.kind.value} dep on {self.array}: "
-            f"{self.source.ref!r}@{self.source.position} -> "
-            f"{self.sink.ref!r}@{self.sink.position} [{vec}]"
-        )
+    def witness(self) -> dict:
+        """This edge as data: the :data:`WITNESS` record every verdict
+        names its dependence by."""
+        src, snk = self.source, self.sink
+        return {
+            "kind": self.kind.value,
+            "array": self.array,
+            "source": {"stmt": fmt_stmt(src.stmt), "ref": fmt_expr(src.ref)},
+            "sink": {"stmt": fmt_stmt(snk.stmt), "ref": fmt_expr(snk.ref)},
+            "loops": [l.var for l in self.loops],
+            "direction": list(self.direction),
+            "distance": list(self.distance),
+        }
+
+
+#: :meth:`Dependence.witness` as a shape fragment (see :mod:`repro.artifacts.shape`)
+WITNESS = {
+    "kind": shape.enum(*(k.value for k in DependenceKind)),
+    "array": str,
+    "source": {"stmt": str, "ref": str},
+    "sink": {"stmt": str, "ref": str},
+    "loops": [str],
+    "direction": [shape.enum("<", "=", ">", "*")],
+    "distance": [shape.nullable(int)],
+}
+
+#: what a verdict names when no edge is to blame, by ``kind``: par's scalar
+#: recurrence and operators, the linter's imperfect nest's statement
+NON_EDGE_WITNESS = {
+    "scalar": {"scalar": str},
+    "mixed-ops": {"ops": [str]},
+    "imperfect-nest": {"stmt": str},
+}
+
+
+def witness_problems(w, path: str) -> list[str]:
+    """Shape findings for a witness of any form (empty = well formed or
+    absent)."""
+    if w is None:
+        return []
+    kind = w.get("kind") if isinstance(w, dict) else None
+    return shape.check(w, NON_EDGE_WITNESS.get(str(kind), WITNESS), path)
+
+
+def render_witness(w: dict) -> str:
+    """The one text form of a witness, edge record or not."""
+    if w["kind"] == "scalar":
+        return f"scalar recurrence on {w['scalar']}"
+    if w["kind"] == "mixed-ops":
+        return f"non-commuting accumulation operators {{{', '.join(w['ops'])}}}"
+    if w["kind"] == "imperfect-nest":
+        return f"an inner loop sits under {w['stmt']}"
+    vec = ", ".join(f"{loop}:{d}" + ("" if dist in (None, 0) else f"({dist})")
+                    for loop, d, dist in zip(w["loops"], w["direction"], w["distance"]))
+    src, snk = w["source"], w["sink"]
+    return (f"{w['kind']} dependence on {w['array']}: {src['ref']} in \"{src['stmt']}\" "
+            f"-> {snk['ref']} in \"{snk['stmt']}\", direction ({vec})")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ _r.register(
     shape="repro.check.report:SHAPE",
     invariants="repro.check.report:invariants",
     flatten="repro.check.report:flatten_report",
-    description="static-check report (diagnostics, rule catalogue, verdicts)",
+    description="static-check report (diagnostics with witnesses, rule catalogue)",
 )
 _r.register(
     _r.MATRIX_REPORT,

@@ -50,8 +50,8 @@ def audit_workload(name: str) -> tuple[list[Diagnostic], list[LintResult]]:
     """The whole stack over one registered workload — what ``repro check
     NAME`` and the served ``check`` job both report: verify the freshly
     built IR, lint every outermost loop for blockability (the verdicts,
-    also mirrored as ``lint/*`` diagnostics) and every loop for
-    parallelism, then re-derive the default pipeline under ``check=True``
+    returned beside their ``lint/*`` diagnostics for the served job's
+    rows) and every loop for parallelism, then re-derive the default pipeline under ``check=True``
     so each pass is bracketed by legality pre/postchecks."""
     workload = get_workload(name)
     ctx = workload.context(None)

@@ -11,8 +11,8 @@ structural invariants, (2) lints every outermost loop for
 blockability, and (3) re-derives the workload's default pass pipeline
 under ``check=True`` so every pass is bracketed by legality
 pre/postchecks and IR re-verification.  ``--out PATH`` writes a
-``repro.check/1`` report (diagnostics + rule catalogue + lint
-verdicts; shape: :data:`repro.check.report.SHAPE`).
+``repro.check/1`` report (diagnostics, lint verdicts among them, and
+the rule catalogue; shape: :data:`repro.check.report.SHAPE`).
 
 With ``--store`` the enveloped report also lands in the
 content-addressed artifact store, where ``repro artifacts
@@ -70,12 +70,10 @@ def run(args) -> int:
         )
 
     diagnostics: list = []
-    verdicts: list = []
     status = 0
     for name in names:
         new, new_verdicts = audit_workload(name)
         diagnostics += new
-        verdicts += new_verdicts
         errs = errors_in(new)
         verdict_part = "; ".join(
             f"DO {v.loop_var}: {v.verdict}" for v in new_verdicts
@@ -92,7 +90,6 @@ def run(args) -> int:
     if args.out or store is not None:
         report = build_report(
             diagnostics,
-            verdicts=verdicts,
             meta={"tool": __package__, "workloads": ",".join(names)},
         )
         cli.emit(args, report, store=store)

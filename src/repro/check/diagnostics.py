@@ -2,7 +2,8 @@
 
 Every finding the checker produces is a :class:`Diagnostic`: a rule id
 from the catalogue below, a severity, an IR path locating the construct,
-and a human-readable message.  Rule ids are stable strings of the form
+a human-readable message and, when it blames an edge or a statement,
+that witness record.  Rule ids are stable strings of the form
 ``<layer>/<slug>`` where the layer names the subsystem that owns the
 invariant:
 
@@ -20,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
+
+from repro.analysis.dependence import render_witness
 
 
 class Severity(str, Enum):
@@ -38,23 +42,27 @@ class Severity(str, Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One checker finding."""
+    """One checker finding; ``witness`` is the record of what the finding
+    blames (:data:`repro.analysis.dependence.WITNESS`), when it names one."""
 
     rule: str
     severity: Severity
     path: str
     message: str
+    witness: Optional[dict] = field(default=None, hash=False)
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "message": self.message,
-        }
+        doc = {"rule": self.rule, "severity": self.severity.value,
+               "path": self.path, "message": self.message}
+        if self.witness is not None:
+            doc["witness"] = self.witness
+        return doc
 
     def pretty(self) -> str:
-        return f"{self.severity.value}[{self.rule}] {self.path}: {self.message}"
+        text = f"{self.severity.value}[{self.rule}] {self.path}: {self.message}"
+        if self.witness is not None:
+            text += f"; witness: {render_witness(self.witness)}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -134,8 +142,9 @@ RULES: dict[str, Rule] = _catalogue(
          "the loop nest is blockable only with Sec. 5.2 commutativity "
          "knowledge"),
     Rule("lint/not-blockable", Severity.WARNING,
-         "no statement escapes the dependence cycle: the nest is not "
-         "blockable, the preventing dependence is named"),
+         "no inner loop both escapes the dependence cycle and admits the "
+         "strip innermost: the nest is not blockable, the witness names "
+         "the preventing dependence or the obstructing statement"),
     # ---- lint/par-* : loop-parallelism classifications (repro.par) -------
     Rule("lint/par-parallel", Severity.INFO,
          "the loop carries no dependence: iterations may run concurrently "
@@ -149,19 +158,11 @@ RULES: dict[str, Rule] = _catalogue(
 )
 
 
-def rule(rule_id: str) -> Rule:
-    try:
-        return RULES[rule_id]
-    except KeyError:  # pragma: no cover - programming error
-        raise KeyError(f"unknown check rule {rule_id!r}") from None
-
-
 def diag(rule_id: str, path: str, message: str,
-         severity: Severity | None = None) -> Diagnostic:
-    """Build a diagnostic for a catalogued rule (severity defaults to the
-    catalogue's)."""
-    r = rule(rule_id)
-    return Diagnostic(rule_id, severity or r.severity, path, message)
+         witness: Optional[dict] = None) -> Diagnostic:
+    """Build a diagnostic for a catalogued rule, at the catalogue's
+    severity."""
+    return Diagnostic(rule_id, RULES[rule_id].severity, path, message, witness)
 
 
 def errors_in(diagnostics) -> list[Diagnostic]:

@@ -36,16 +36,18 @@ error-severity findings).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
+from repro.analysis.dependence import Dependence, DependenceKind
 from repro.analysis.feasibility import direction_feasible
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.refs import collect_accesses
 from repro.check.diagnostics import Diagnostic, Severity, diag
 from repro.ir.expr import Const, Var, free_vars
-from repro.ir.pretty import fmt_expr
+from repro.ir.pretty import fmt_expr, fmt_stmt
 from repro.ir.stmt import Assign, If, Loop, Procedure
 from repro.ir.visit import find_loops, walk_stmts
 from repro.obs import core as _obs
@@ -63,23 +65,15 @@ def _target_loop(proc: Procedure, options: dict) -> Optional[Loop]:
     return next((l for l in loops if l.var == var), None)
 
 
-def _dep_str(dep) -> str:
-    kind = getattr(dep.kind, "value", dep.kind)
-    return (
-        f"{kind} dependence on {dep.array} "
-        f"({fmt_expr(dep.source.ref)} -> {fmt_expr(dep.sink.ref)}, "
-        f"direction {','.join(dep.direction)})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # the (<, >) direction-vector rule, shared by interchange and jam
 # ---------------------------------------------------------------------------
 
 def swap_witnesses(proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions):
-    """Yield the array of every access pair under ``inner`` with a
-    dependence realizable as ``(=,...,=,<,>)`` at (outer, inner).  Lazy, so
-    the linter can stop at the first."""
+    """Yield, for every access pair under ``inner`` with a dependence
+    realizable as ``(=,...,=,<,>)`` at (outer, inner), that edge (entries
+    the rule leaves open are ``*``).  Lazy, so the linter can stop at the
+    first."""
     accs = [a for a in collect_accesses(proc) if any(l is inner for l in a.loops)]
     for i in range(len(accs)):
         for j in range(i, len(accs)):
@@ -96,25 +90,32 @@ def swap_witnesses(proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions):
             for k in range(p):
                 dirs[k] = "="
             dirs[p], dirs[q] = "<", ">"
-            if direction_feasible(a, b, dirs, common, ctx) or (
-                a is not b and direction_feasible(b, a, dirs, common, ctx)
-            ):
-                yield a.array
+            if direction_feasible(a, b, dirs, common, ctx):
+                src, snk = a, b
+            elif a is not b and direction_feasible(b, a, dirs, common, ctx):
+                src, snk = b, a
+            else:
+                continue
+            yield Dependence(
+                src, snk, DependenceKind.of(src.is_write, snk.is_write), common,
+                tuple(0 if d == "=" else None for d in dirs), tuple(dirs),
+            )
 
 
 def _swap_violations(
     proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions, rule_id: str
 ) -> list[Diagnostic]:
-    """One diagnostic per :func:`swap_witnesses` pair."""
+    """One diagnostic per :func:`swap_witnesses` edge."""
     path = f"{proc.name}/DO {outer.var}/DO {inner.var}"
     return [
         diag(
             rule_id, path,
-            f"dependence on {array} is realizable with "
-            f"({outer.var}:<, {inner.var}:>) — reordering "
-            f"{outer.var}/{inner.var} iterations reverses it",
+            f"a dependence is realizable with ({outer.var}:<, "
+            f"{inner.var}:>) — reordering {outer.var}/{inner.var} "
+            f"iterations reverses it",
+            dep.witness(),
         )
-        for array in swap_witnesses(proc, outer, inner, ctx)
+        for dep in swap_witnesses(proc, outer, inner, ctx)
     ]
 
 
@@ -197,7 +198,7 @@ def _pre_block(proc, ctx, options):
         return out
     if not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
         return out  # innermost loop: blocking is a plain strip-mine, legal
-    from repro.check.linter import _escaped_loops
+    from repro.check.linter import _escaped_loops, _why_not_blockable
 
     local = context_for_path(proc, loop, ctx)
     graph = DependenceGraph(proc, local)
@@ -211,21 +212,23 @@ def _pre_block(proc, ctx, options):
     # optionally after the commutativity oracle drops recognized
     # dependences.
     carve = max_splits > 0
-    if _escaped_loops(proc, loop, graph, local,
-                      use_commutativity=False, allow_carve=carve):
+    escaped, obstacle = _escaped_loops(proc, loop, graph, local,
+                                       use_commutativity=False, allow_carve=carve)
+    if escaped:
         return out
-    if commutativity_on and _escaped_loops(
-        proc, loop, graph, local, use_commutativity=True, allow_carve=carve
-    ):
-        return out
-    preventing = graph.preventing_dependences(loop)
-    named = f": {_dep_str(preventing[0])}" if preventing else ""
+    if commutativity_on:
+        escaped, obstacle = _escaped_loops(
+            proc, loop, graph, local, use_commutativity=True, allow_carve=carve
+        )
+        if escaped:
+            return out
+    reason, witness = _why_not_blockable(loop, graph, obstacle)
     out.append(diag(
         "legal/block-carried-recurrence",
         f"{proc.name}/DO {loop.var}",
-        f"no inner loop of DO {loop.var} escapes the carried recurrence "
-        f"(splits budget {max_splits}, commutativity "
-        f"{'on' if commutativity_on else 'off'}){named}",
+        f"{reason} (splits budget {max_splits}, commutativity "
+        f"{'on' if commutativity_on else 'off'})",
+        witness,
     ))
     return out
 
@@ -296,7 +299,8 @@ def _par_marker_violations(proc, ctx) -> list[Diagnostic]:
             if carried:
                 out.append(diag(
                     "legal/par-carried-dep", path,
-                    f"marked PARALLEL but carries {_dep_str(carried[0])}",
+                    "marked PARALLEL but carries a dependence across "
+                    "iterations", carried[0].witness(),
                 ))
             elif hazards:
                 out.append(diag(
@@ -314,8 +318,8 @@ def _par_marker_violations(proc, ctx) -> list[Diagnostic]:
                 if red is None or end.ref != red.target:
                     out.append(diag(
                         "legal/par-reduction-shape", path,
-                        f"carried {_dep_str(dep)} is not absorbed by an "
-                        "acc = acc op term accumulation",
+                        "a carried dependence is not absorbed by an "
+                        "acc = acc op term accumulation", dep.witness(),
                     ))
                     break
                 ops.append(red.op)
@@ -381,11 +385,10 @@ def _post_distribute(before, after, ctx, options):
         return []
     local = context_for_path(before, loop, ctx)
     graph = DependenceGraph(before, local)
-    sg = graph.statement_graph(loop)
     drop = None
     if options.get("commutativity"):
         drop = lambda d: commutativity_oracle(before, loop, d)  # noqa: E731
-        sg = graph.statement_graph(loop, drop_dep=drop)
+    sg = graph.statement_graph(loop, drop_dep=drop)
     sccs = [sorted(c) for c in nx.strongly_connected_components(sg) if len(c) > 1]
     if not sccs:
         return []
@@ -401,13 +404,7 @@ def _post_distribute(before, after, ctx, options):
                     homes.add(pi)
                     break
         if len(homes) > 1:
-            stmts = ", ".join(
-                fmt_expr(loop.body[k].target)
-                if isinstance(loop.body[k], Assign)
-                else f"DO {loop.body[k].var}"
-                for k in scc
-                if isinstance(loop.body[k], (Assign, Loop))
-            )
+            stmts = "; ".join(fmt_stmt(loop.body[k]) for k in scc)
             out.append(diag(
                 "legal/distribution-cycle",
                 f"{before.name}/DO {loop.var}",
@@ -504,7 +501,7 @@ def precheck_for_pipeline(
     out = precheck(name, proc, ctx, options)
     if name in SELF_GUARDING:
         out = [
-            Diagnostic(d.rule, Severity.WARNING, d.path, d.message)
+            replace(d, severity=Severity.WARNING)
             if d.severity == Severity.ERROR else d
             for d in out
         ]

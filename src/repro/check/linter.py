@@ -29,8 +29,11 @@ the escape analysis distilled from the Sec. 3–5 derivations:
    the Sec. 5.2 commutativity oracle dropping recognized
    row-interchange/column-update dependences — LU with partial pivoting
    becomes blockable exactly here.
-4. Otherwise the nest is not blockable; the diagnostic names a
-   transformation-preventing dependence.
+4. Otherwise the nest is not blockable.  The reason names the predicate
+   that failed and the witness what it blames: the statement an
+   imperfect nest buries its inner loop under, the ``(<, >)`` edge an
+   interchange on the way down would reverse, or — when no inner loop
+   escapes the cycle at all — a transformation-preventing dependence.
 
 The verdict strings deliberately equal
 :class:`repro.blockability.driver.Verdict` values so
@@ -40,7 +43,7 @@ transforming driver agree (single source of truth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import networkx as nx
@@ -53,13 +56,13 @@ from repro.check.diagnostics import Diagnostic, diag
 from repro.check.legality import swap_witnesses
 from repro.errors import AnalysisError
 from repro.ir.expr import free_vars
-from repro.ir.pretty import fmt_expr
+from repro.ir.pretty import fmt_stmt
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import walk_stmts
 from repro.obs import core as _obs
 from repro.pipeline.cache import scoped as _analysis_cache
 from repro.symbolic.assume import Assumptions
-from repro.transform.base import sole_inner_loop
+from repro.transform.base import non_comment, sole_inner_loop
 
 #: Verdict strings; equal to ``repro.blockability.driver.Verdict`` values.
 BLOCKABLE = "blockable"
@@ -82,16 +85,15 @@ class LintResult:
     verdict: str
     reason: str
     escapes: tuple[str, ...] = ()  #: loop statements that escape the cycle
-    preventing: Optional[str] = None  #: named preventing dependence
+    #: witness of what prevents blocking: an edge or the obstructing statement
+    preventing: Optional[dict] = None
 
     def diagnostic(self) -> Diagnostic:
-        msg = self.reason
-        if self.preventing:
-            msg += f"; preventing dependence: {self.preventing}"
         return diag(
             _VERDICT_RULE[self.verdict],
             f"{self.procedure}/DO {self.loop_var}",
-            msg,
+            self.reason,
+            self.preventing,
         )
 
 
@@ -149,44 +151,42 @@ def _carvable(n, stmt, scc, sg, loop, local, direction) -> bool:
     return False
 
 
-def _sink_blocked(proc, target, inner, local) -> bool:
-    """Is some dependence realizable with direction ``(target:<,
-    inner:>)``?  If so the strip of ``target`` cannot legally
-    interchange past ``inner``."""
-    return next(swap_witnesses(proc, target, inner, local), None) is not None
+def _sink_obstacle(proc, target, stmt, local) -> Optional[tuple[str, dict]]:
+    """(reason, witness) why the strip of ``target`` cannot sink to the
+    innermost position of ``stmt``, or None when it can: an inner loop
+    buried under a conditional or among siblings (Givens, Sec. 5.4:
+    ``DO K`` lives inside ``IF (A(J,L) .NE. 0.0)``) names that statement;
+    a ``(<, >)`` interchange on the way down names the edge it reverses."""
+    chain = [stmt]
+    while (nxt := sole_inner_loop(chain[-1])) is not None:
+        chain.append(nxt)
+    body = non_comment(chain[-1].body)
+    if any(isinstance(s, Loop) for s in walk_stmts(body)):
+        at = next((s for s in body if not isinstance(s, Loop)), body[-1])
+        return (f"DO {stmt.var} escapes every dependence cycle, but the nest "
+                f"under it is too imperfect for the strip of DO {target.var} "
+                f"to sink through", {"kind": "imperfect-nest", "stmt": fmt_stmt(at)})
+    for inner in chain:
+        dep = next(swap_witnesses(proc, target, inner, local), None)
+        if dep is not None:
+            return (f"DO {stmt.var} escapes every dependence cycle, but the strip "
+                    f"of DO {target.var} cannot interchange past DO {inner.var}",
+                    dep.witness())
+    return None
 
 
-def _sink_chain(stmt) -> Optional[list]:
-    """The loops the strip must interchange past to reach the innermost
-    position of ``stmt``, or ``None`` when the nest is too imperfect to
-    sink through — an inner loop buried under a conditional or among
-    sibling statements cannot receive the strip (the Givens Sec. 5.4
-    obstruction: ``DO K`` lives inside ``IF (A(J,L) .NE. 0.0)``)."""
-    chain = []
-    cur = stmt
-    while True:
-        chain.append(cur)
-        nxt = sole_inner_loop(cur)
-        if nxt is not None:
-            cur = nxt
-            continue
-        if any(isinstance(s, Loop) for s in walk_stmts(cur.body)):
-            return None
-        return chain
-
-
-def _escaped_loops(
-    proc, loop, graph, local, use_commutativity, allow_carve=True
-) -> list[Loop]:
+def _escaped_loops(proc, loop, graph, local, use_commutativity, allow_carve=True):
     """Loop statements of ``loop.body`` that escape every dependence
-    cycle *and* admit the strip loop innermost;
-    ``allow_carve=False`` disables the index-set-split region
-    argument (distribution only — the ``max_splits=0`` regime)."""
+    cycle *and* admit the strip loop innermost, and the first
+    :func:`_sink_obstacle` of one that only escapes the cycle (or None);
+    ``allow_carve=False`` disables the index-set-split region argument
+    (distribution only — the ``max_splits=0`` regime)."""
     drop = None
     if use_commutativity:
         drop = lambda d: commutativity_oracle(proc, loop, d)  # noqa: E731
     sg = graph.statement_graph(loop, drop_dep=drop)
     out: list[Loop] = []
+    obstacle = None
     for scc in nx.strongly_connected_components(sg):
         for n in scc:
             stmt = sg.nodes[n]["stmt"]
@@ -203,23 +203,24 @@ def _escaped_loops(
                 continue
             # Escaping the cycle lets the strip loop *enter* the
             # statement; blocking also needs it to sink to the
-            # innermost position — the nest must be perfect enough to
-            # sink through, and every interchange on the way down must
-            # pass the (<, >) direction-vector rule.
-            chain = _sink_chain(stmt)
-            if chain is not None and not any(
-                _sink_blocked(proc, loop, l, local) for l in chain
-            ):
+            # innermost position.
+            why = _sink_obstacle(proc, loop, stmt, local)
+            if why is None:
                 out.append(stmt)
-    return out
+            elif obstacle is None:
+                obstacle = why
+    return out, obstacle
 
 
-def _dep_str(dep) -> str:
-    kind = getattr(dep.kind, "value", dep.kind)
-    return (
-        f"{kind} on {dep.array} ({fmt_expr(dep.source.ref)} -> "
-        f"{fmt_expr(dep.sink.ref)}, direction {','.join(dep.direction)})"
-    )
+def _why_not_blockable(loop, graph, obstacle) -> tuple[str, Optional[dict]]:
+    """The predicate a not-blockable ``loop`` failed, and its witness:
+    the sink obstacle :func:`_escaped_loops` met, else the dependence
+    cycle no inner loop escapes, named by a preventing edge."""
+    if obstacle is not None:
+        return obstacle
+    preventing = graph.preventing_dependences(loop)
+    return (f"no inner loop of DO {loop.var} escapes the dependence cycle",
+            preventing[0].witness() if preventing else None)
 
 
 def lint_loop(
@@ -250,18 +251,17 @@ def _lint_loop(proc, loop, ctx, allow_commutativity) -> LintResult:
             f"sink the strip below",
         )
     graph = DependenceGraph(proc, local)
-    escaped = _escaped_loops(proc, loop, graph, local, use_commutativity=False)
+    escaped, obstacle = _escaped_loops(proc, loop, graph, local, use_commutativity=False)
     if escaped:
         return LintResult(
             proc.name, loop.var, BLOCKABLE,
             f"inner loop(s) {', '.join(f'DO {l.var}' for l in escaped)} "
             f"escape every dependence cycle by distribution and "
             f"index-set splitting",
-            escapes=tuple(f"DO {l.var} = {fmt_expr(l.lo)}, {fmt_expr(l.hi)}"
-                          for l in escaped),
+            escapes=tuple(fmt_stmt(l) for l in escaped),
         )
     if allow_commutativity:
-        escaped = _escaped_loops(
+        escaped, obstacle = _escaped_loops(
             proc, loop, graph, local, use_commutativity=True
         )
         if escaped:
@@ -271,16 +271,10 @@ def _lint_loop(proc, loop, ctx, allow_commutativity) -> LintResult:
                 f"{', '.join(f'DO {l.var}' for l in escaped)} escape only "
                 f"when Sec. 5.2 commutativity drops the "
                 f"row-interchange/column-update dependences",
-                escapes=tuple(f"DO {l.var} = {fmt_expr(l.lo)}, {fmt_expr(l.hi)}"
-                              for l in escaped),
+                escapes=tuple(fmt_stmt(l) for l in escaped),
             )
-    preventing = graph.preventing_dependences(loop)
-    named = _dep_str(preventing[0]) if preventing else None
-    return LintResult(
-        proc.name, loop.var, NOT_BLOCKABLE,
-        f"no inner loop of DO {loop.var} escapes the dependence cycle",
-        preventing=named,
-    )
+    reason, witness = _why_not_blockable(loop, graph, obstacle)
+    return LintResult(proc.name, loop.var, NOT_BLOCKABLE, reason, preventing=witness)
 
 
 def lint_blockability(
@@ -315,8 +309,8 @@ def lint_parallelism(proc: Procedure,
 
     Thin adapter over :func:`repro.par.detect.classify_procedure`: the
     verdict (PARALLEL / REDUCTION / SERIAL) becomes the rule id, the
-    reason becomes the message, and a SERIAL verdict's witness names the
-    blocking dependence edge and its direction vector.
+    reason becomes the message, and a SERIAL verdict's witness becomes
+    the diagnostic's.
     """
     from repro.par.detect import classify_procedure
 
@@ -324,24 +318,8 @@ def lint_parallelism(proc: Procedure,
     with _obs.span(f"lint:par:{proc.name}", cat="check"):
         for v in classify_procedure(proc, ctx):
             msg = v.reason
-            if v.witness:
-                w = v.witness
-                if "array" in w:
-                    msg += (
-                        f"; witness: {w['kind']} dependence on {w['array']} "
-                        f"({w['source']} -> {w['sink']}, "
-                        f"direction {'/'.join(w['direction'])})"
-                    )
-                elif "scalar" in w:
-                    msg += f"; witness: scalar recurrence on {w['scalar']}"
-                elif "ops" in w:
-                    msg += (
-                        "; witness: non-commuting accumulation operators "
-                        f"{{{', '.join(w['ops'])}}}"
-                    )
             if v.reductions:
                 msg += f"; accumulators: {', '.join(v.reductions)}"
-            path = "/".join(v.path)
             out.append(diag(_PAR_RULE[v.verdict],
-                            f"{proc.name}/DO {path}", msg))
+                            f"{proc.name}/DO {'/'.join(v.path)}", msg, v.witness))
     return out

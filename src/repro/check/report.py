@@ -6,18 +6,19 @@
       'schema': 'repro.check/1',
       'meta': {'workloads': 'lu_nopivot,givens', ...},   # free-form strings
       'rules': {'ir/zero-step': {'severity', 'summary'}, ...},
-      'diagnostics': [{'rule', 'severity', 'path', 'message'}, ...],
-      'summary': {'error': 0, 'warning': 1, 'info': 3},
-      'verdicts': [{'procedure', 'loop', 'verdict', 'reason',
-                    'preventing': str|null}, ...]
+      'diagnostics': [{'rule', 'severity', 'path', 'message',
+                       'witness'?}, ...],
+      'summary': {'error': 0, 'warning': 1, 'info': 3}
     }
 
 ``rules`` embeds the catalogue so a report is self-describing;
-``summary`` counts diagnostics by severity; ``verdicts`` carries the
-linter's blockability classifications (also mirrored as ``lint/*``
-diagnostics).  :data:`SHAPE` is the checked structure and
-:func:`invariants` the recount over it; the ``check-smoke`` CI job
-validates a report over the shipped workloads.
+``summary`` counts diagnostics by severity.  The linter's verdicts are
+its ``lint/*`` diagnostics (rule = verdict, path = procedure and loop),
+and a diagnostic that blames something carries its ``witness`` (an
+edge is the :data:`~repro.analysis.dependence.WITNESS` record).
+:data:`SHAPE` is the checked structure and :func:`invariants` the
+recount over it; the ``check-smoke`` CI job validates a report over the
+shipped workloads.
 Reports are written enveloped (see :mod:`repro.artifacts`); schema
 identity and digest live in the envelope layer.
 """
@@ -26,23 +27,17 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.analysis.dependence import witness_problems
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import CHECK_REPORT as SCHEMA
-from repro.artifacts.shape import enum
+from repro.artifacts.shape import enum, nullable
 from repro.check.diagnostics import RULES, Diagnostic, Severity
-from repro.check.linter import (
-    BLOCKABLE,
-    BLOCKABLE_WITH_COMMUTATIVITY,
-    NOT_BLOCKABLE,
-    LintResult,
-)
 
 _SEVERITIES = tuple(s.value for s in Severity)
 
 
 def build_report(
     diagnostics: Iterable[Diagnostic],
-    verdicts: Iterable[LintResult] = (),
     meta: Optional[dict] = None,
 ) -> dict:
     diags = list(diagnostics)
@@ -58,16 +53,6 @@ def build_report(
         },
         "diagnostics": [d.to_dict() for d in diags],
         "summary": summary,
-        "verdicts": [
-            {
-                "procedure": v.procedure,
-                "loop": v.loop_var,
-                "verdict": v.verdict,
-                "reason": v.reason,
-                "preventing": v.preventing,
-            }
-            for v in verdicts
-        ],
     }
 
 
@@ -75,21 +60,14 @@ SHAPE = {
     "meta": dict,
     "rules": dict,
     "diagnostics": [{"rule": str, "severity": enum(*_SEVERITIES),
-                     "path": str, "message": str}],
+                     "path": str, "message": str, "witness": nullable(dict)}],
     "summary": {severity: int for severity in _SEVERITIES},
-    "verdicts": [{
-        "procedure": str,
-        "loop": str,
-        "verdict": enum(BLOCKABLE, BLOCKABLE_WITH_COMMUTATIVITY,
-                        NOT_BLOCKABLE),
-        "reason": str,
-    }],
 }
 
 
 def invariants(doc: dict) -> list[str]:
-    """Every diagnostic cites a catalogued rule, and ``summary`` recounts
-    the diagnostics by severity."""
+    """Every diagnostic cites a catalogued rule and any witness is well
+    formed, and ``summary`` recounts the diagnostics by severity."""
     errors = []
     counted = {severity: 0 for severity in _SEVERITIES}
     for k, d in enumerate(doc["diagnostics"]):
@@ -98,6 +76,7 @@ def invariants(doc: dict) -> list[str]:
             errors.append(
                 f"diagnostics[{k}] cites uncatalogued rule {d['rule']!r}"
             )
+        errors += witness_problems(d.get("witness"), f"diagnostics[{k}].witness")
     for severity, n in counted.items():
         if doc["summary"][severity] != n:
             errors.append(
@@ -109,9 +88,9 @@ def invariants(doc: dict) -> list[str]:
 
 def flatten_report(doc: dict) -> dict:
     """Flat perf metrics for a check-report payload — the registered
-    perf ingestion hook for :data:`SCHEMA`.  Severity counts, per-rule
-    diagnostic counts, and verdict counts: enough to see a check run get
-    noisier (or quieter) over time."""
+    perf ingestion hook for :data:`SCHEMA`.  Severity counts and per-rule
+    diagnostic counts (``rule:lint/*`` are the verdict counts): enough to
+    see a check run get noisier (or quieter) over time."""
     sink = Sink()
     for sev, count in sorted((doc.get("summary") or {}).items()):
         sink.put(f"diagnostics.{sev}", count)
@@ -121,10 +100,4 @@ def flatten_report(doc: dict) -> dict:
             by_rule[d["rule"]] = by_rule.get(d["rule"], 0) + 1
     for rule, count in sorted(by_rule.items()):
         sink.put(f"rule:{rule}", count)
-    by_verdict: dict = {}
-    for v in doc.get("verdicts") or []:
-        if isinstance(v, dict) and isinstance(v.get("verdict"), str):
-            by_verdict[v["verdict"]] = by_verdict.get(v["verdict"], 0) + 1
-    for verdict, count in sorted(by_verdict.items()):
-        sink.put(f"verdict.{verdict}", count)
     return sink.metrics

@@ -47,7 +47,7 @@ from repro.ir.stmt import (
 )
 from repro.ir.build import assign, block_do, do, in_do, ref, sym
 from repro.ir.fingerprint import ir_fingerprint, ir_size
-from repro.ir.pretty import to_fortran, to_pseudocode
+from repro.ir.pretty import to_fortran
 from repro.ir.visit import (
     NodeTransformer,
     NodeVisitor,
@@ -98,7 +98,6 @@ __all__ = [
     "substitute",
     "sym",
     "to_fortran",
-    "to_pseudocode",
     "walk_exprs",
     "walk_stmts",
 ]

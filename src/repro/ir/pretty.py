@@ -1,4 +1,5 @@
-"""Pretty printers: Fortran-style and compact pseudocode.
+"""Pretty printers: Fortran-style text for a procedure, a statement or
+one line of one.
 
 ``to_fortran`` emits structured Fortran-90-flavoured text (DO/ENDDO rather
 than labeled CONTINUE) that matches the paper's listings closely enough for
@@ -145,7 +146,7 @@ def to_fortran(node: Procedure | Stmt | Sequence[Stmt]) -> str:
     return "\n".join(lines)
 
 
-def to_pseudocode(node: Procedure | Stmt | Sequence[Stmt]) -> str:
-    """One-statement-per-line compact rendering used in test diffs."""
-    text = to_fortran(node)
-    return "\n".join(line.rstrip() for line in text.splitlines())
+def fmt_stmt(stmt: Stmt) -> str:
+    """One line for a statement: an assignment whole, a compound
+    statement by its header (``IF (...) THEN``, ``DO I = 1, N``)."""
+    return to_fortran(stmt).split("\n", 1)[0]

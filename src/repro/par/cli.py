@@ -28,6 +28,7 @@ Exit status: 0 on success, 1 on sanitizer conflicts, 2 for usage errors
 from __future__ import annotations
 
 from repro import cli
+from repro.analysis.dependence import render_witness
 from repro.errors import ReproError
 from repro.par.detect import annotate_procedure, classify_procedure, verdict_counts
 from repro.par.report import build_report, build_workload_entry
@@ -61,11 +62,8 @@ def _cmd_classify(args) -> int:
             if v.reductions:
                 line += f" [{', '.join(v.reductions)}]"
             print(line)
-            if v.witness and "array" in v.witness:
-                w = v.witness
-                print(f"            witness: {w['kind']} dep on {w['array']} "
-                      f"({w['source']} -> {w['sink']}, "
-                      f"direction {'/'.join(w['direction'])})")
+            if v.witness:
+                print(f"            witness: {render_witness(v.witness)}")
     if args.out:
         cli.emit(args, build_report(entries, meta={"mode": "classify"}))
     return 0

@@ -12,8 +12,9 @@ dependences allow:
   mutually commuting operators: iterations commute up to floating-point
   reassociation;
 - ``SERIAL`` — anything else, with a concrete *witness*: the blocking
-  dependence edge, its statements, and its direction vector (or the
-  scalar recurrence that blocks).
+  dependence edge's record (:meth:`~repro.analysis.dependence.Dependence.witness`
+  — statements, references, direction vector), or the scalar recurrence
+  or non-commuting operators that block.
 
 The test is sound, not exact, in the same direction as the underlying
 dependence tester (:mod:`repro.analysis.dependence`): an unknown ``*``
@@ -42,8 +43,8 @@ from repro.analysis.context import context_for_path
 from repro.analysis.dependence import Dependence, all_dependences
 from repro.analysis.graph import _scalars_written, _upward_exposed_scalars
 from repro.ir.expr import Var, free_vars
-from repro.ir.pretty import fmt_expr, to_fortran
-from repro.ir.stmt import Assign, If, Loop, ParallelLoop, Procedure, Stmt
+from repro.ir.pretty import fmt_expr
+from repro.ir.stmt import Assign, If, Loop, ParallelLoop, Procedure
 from repro.ir.visit import NodeTransformer, find_loops, loop_path, walk_stmts
 from repro.symbolic.assume import Assumptions
 
@@ -94,25 +95,6 @@ def loop_carried(dep: Dependence, loop: Loop) -> bool:
                 return False
             return all(d in ("=", "*") for d in dep.direction[:j])
     return False
-
-
-def _stmt_line(stmt: Stmt) -> str:
-    text = to_fortran(stmt)
-    first = text.splitlines()[0].strip()
-    return first
-
-
-def dependence_witness(dep: Dependence) -> dict:
-    """Serializable description of a blocking dependence edge."""
-    return {
-        "kind": dep.kind.value,
-        "array": dep.array,
-        "direction": list(dep.direction),
-        "distance": [d for d in dep.distance],
-        "loops": [l.var for l in dep.loops],
-        "source": _stmt_line(dep.source.stmt),
-        "sink": _stmt_line(dep.sink.stmt),
-    }
 
 
 def _endpoint_reduction(acc) -> Optional[ReductionUpdate]:
@@ -211,7 +193,7 @@ def classify_loop(
                     path,
                     SERIAL,
                     f"loop-carried {dep.kind.value} dependence on {dep.array}",
-                    witness=dependence_witness(dep),
+                    witness=dep.witness(),
                 )
             ops.append(red.op)
             accumulators.append(fmt_expr(red.target))

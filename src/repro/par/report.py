@@ -18,7 +18,9 @@
     }
 
 ``workloads`` carries the static detector's per-loop verdicts with the
-SERIAL witnesses, plus each workload's dynamic sanitizer outcome;
+SERIAL witnesses (an edge is the
+:data:`~repro.analysis.dependence.WITNESS` record), plus each
+workload's dynamic sanitizer outcome;
 ``totals`` aggregates the verdict and conflict counts.
 :data:`SHAPE` is the checked structure and :func:`invariants` the
 recount rules over it; :func:`flatten_report` emits
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
+from repro.analysis.dependence import witness_problems
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PAR_REPORT as SCHEMA
 from repro.artifacts.shape import enum, nullable
@@ -92,9 +95,9 @@ SHAPE = {
 
 
 def invariants(doc: dict) -> list[str]:
-    """A serial loop names its witness, ``clean`` means no conflicts, and
-    every count is a recount: ``counts`` of its loops, ``totals`` of the
-    workloads."""
+    """A serial loop names a well-formed witness, ``clean`` means no
+    conflicts, and every count is a recount: ``counts`` of its loops,
+    ``totals`` of the workloads."""
     errors = []
     counted = {v: 0 for v in VERDICTS}
     conflicts = 0
@@ -106,6 +109,8 @@ def invariants(doc: dict) -> list[str]:
                 errors.append(
                     f"workloads[{k}].loops[{j}] is serial but names no witness"
                 )
+            errors += witness_problems(loop.get("witness"),
+                                       f"workloads[{k}].loops[{j}].witness")
         for verdict in VERDICTS:
             counted[verdict] += got[verdict]
             if entry["counts"][verdict] != got[verdict]:

@@ -26,8 +26,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.ir.pretty import to_fortran
-from repro.ir.stmt import Assign, ParallelLoop, Procedure, Stmt
+from repro.ir.pretty import fmt_stmt
+from repro.ir.stmt import ParallelLoop, Procedure, Stmt
 from repro.ir.visit import walk_stmts
 from repro.runtime.interpreter import Interpreter, make_env
 
@@ -83,10 +83,6 @@ class _Frame:
         self.shadow: dict = {}
 
 
-def _stmt_line(stmt: Stmt) -> str:
-    return to_fortran(stmt).splitlines()[0].strip()
-
-
 class RaceSanitizer(Interpreter):
     """Interpreter that monitors ``PARALLEL DO`` iterations for races.
 
@@ -101,7 +97,9 @@ class RaceSanitizer(Interpreter):
         self.conflicts: list[RaceConflict] = []
         self.max_conflicts = max_conflicts
         self._frames: list[_Frame] = []
-        self._cur_stmt = ""
+        # the statement whose own expressions are being evaluated; kept as
+        # the node and rendered only when a conflict names it
+        self._cur_stmt: Optional[Stmt] = None
         self._seen: set = set()
 
     # ---- recording -------------------------------------------------------
@@ -118,8 +116,8 @@ class RaceSanitizer(Interpreter):
                 index=idx,
                 iter_a=other_iter,
                 iter_b=frame.iter,
-                stmt_a=other_stmt or "",
-                stmt_b=self._cur_stmt,
+                stmt_a=fmt_stmt(other_stmt),
+                stmt_b=fmt_stmt(self._cur_stmt),
             )
         )
 
@@ -159,8 +157,9 @@ class RaceSanitizer(Interpreter):
         self.env[ref.array][tuple(i - 1 for i in idx)] = value
 
     def _stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign) and self._frames:
-            self._cur_stmt = _stmt_line(stmt)
+        # before the statement's own loads: an IF condition or a loop
+        # bound is charged to its IF or DO line, not the last assignment
+        self._cur_stmt = stmt
         if isinstance(stmt, ParallelLoop) and stmt.kind == "parallel":
             self._frames.append(_Frame(stmt))
             try:

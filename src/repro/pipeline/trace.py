@@ -22,7 +22,9 @@ Payload schema (version 1; written enveloped — see
           'output_fingerprint': '19c2...',
           'ir_size_before': 50,
           'ir_size_after': 154,
-          'detail': {...},                # pass-specific, JSON only
+          'detail': {...},                # pass-specific, JSON only; a
+                                          # --check run's findings under
+                                          # 'check', each with its witness
           'verify': {...} | null,         # differential-check summary
           'error': null | 'message',
           'snapshot': null | 'DO K = ...' # pretty IR when requested
@@ -41,9 +43,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from repro.analysis.dependence import witness_problems
 from repro.artifacts.flatten import Sink, cache_stats
 from repro.artifacts.registry import PIPELINE_TRACE as SCHEMA
-from repro.artifacts.shape import enum
+from repro.artifacts.shape import enum, nullable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.manager import SpanRecord
@@ -95,17 +98,24 @@ def build_trace(
 
 SHAPE = {
     "passes": [str],
-    "spans": [{"pass": str, "status": enum(*_STATUSES)}],
+    "spans": [{"pass": str, "status": enum(*_STATUSES),
+               "detail": nullable({"check": nullable([dict])})}],
     "cache": dict,
 }
 
 
 def invariants(trace: dict) -> list[str]:
-    """One span per pass attempted."""
+    """One span per pass attempted, and every witness a span's check
+    findings carry is well formed."""
     passes, spans = len(trace["passes"]), len(trace["spans"])
+    errors = []
     if passes != spans:
-        return [f"passes lists {passes} names but there are {spans} spans"]
-    return []
+        errors.append(f"passes lists {passes} names but there are {spans} spans")
+    for i, span in enumerate(trace["spans"]):
+        for k, d in enumerate((span.get("detail") or {}).get("check") or ()):
+            errors += witness_problems(d.get("witness"),
+                                       f"spans[{i}].detail.check[{k}].witness")
+    return errors
 
 
 def flatten_trace(trace: dict) -> dict:

@@ -1,6 +1,11 @@
 """Dependence testing: classic cases plus the paper's own examples."""
 
-from repro.analysis.dependence import DependenceKind, all_dependences, dependences_between
+from repro.analysis.dependence import (
+    DependenceKind,
+    all_dependences,
+    dependences_between,
+    render_witness,
+)
 from repro.analysis.refs import collect_accesses
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Var
@@ -161,8 +166,10 @@ class TestOrientation:
 
     def test_describe_is_printable(self):
         l = do("I", 1, "N", assign(ref("A", "I"), ref("A", Var("I") - 1)))
-        for d in deps_of((l,)):
-            assert "dep on A" in d.describe()
+        (d,) = deps_of((l,))
+        assert render_witness(d.witness()) == (
+            'flow dependence on A: A(I) in "A(I) = A(I - 1)" -> '
+            'A(I - 1) in "A(I) = A(I - 1)", direction (I:<(1))')
 
 
 class TestWithin:

@@ -140,10 +140,13 @@ class TestBoundary:
 
 def _fresh_payloads(tmp_path) -> dict:
     """One freshly built payload for each kind with no committed file."""
+    from repro.analysis.dependence import all_dependences
     from repro.check import build_report as check_report
     from repro.check.diagnostics import diag
     from repro.check.linter import LintResult
     from repro.daemon import Daemon, DaemonConfig
+    from repro.ir.build import assign, do, ref
+    from repro.ir.expr import Const, Var
     from repro.machine.model import scaled_machine
     from repro.machine.tracer import trace_procedure
     from repro.obs import core, export
@@ -154,6 +157,9 @@ def _fresh_payloads(tmp_path) -> dict:
 
     store = ArtifactStore(str(tmp_path / "store"))
     workload = get_workload("matmul")
+    # B(I) = B(I-1): a flow edge, for a diagnostic that carries a witness
+    (edge,) = all_dependences(do("I", 2, "N", assign(
+        ref("B", "I"), ref("B", Var("I") - Const(1)))))
     o = core.Obs()
     with core.enabled(o):
         core.count("c")
@@ -167,9 +173,11 @@ def _fresh_payloads(tmp_path) -> dict:
             o, meta={"workload": "matmul"}, attribution=tracer.attribution,
             analysis_cache=trace["cache"], machine_cache=tracer.stats,
             machine_tlb=tracer.tlb_stats),
-        registry.CHECK_REPORT: check_report(
-            [diag("ir/zero-step", "p/DO I", "DO I has step 0")],
-            verdicts=[LintResult("p", "K", "blockable", "escapes")]),
+        registry.CHECK_REPORT: check_report([
+            diag("ir/zero-step", "p/DO I", "DO I has step 0"),
+            LintResult("p", "I", "not-blockable", "cycle",
+                       preventing=edge.witness()).diagnostic(),
+        ]),
         registry.PERF_GATE: gate.compare(
             {"m": 2.0, "n": 1.0, "new": 1.0}, {"m": 1.0, "n": 1.0},
             threshold_pct=0),
@@ -284,6 +292,8 @@ TRIPS = [
     (registry.CHECK_REPORT, ("summary", "error"), 7, "summary.error is 7"),
     (registry.CHECK_REPORT, ("diagnostics", 0, "rule"), "ir/made-up",
      "uncatalogued rule"),
+    (registry.CHECK_REPORT, ("diagnostics", 1, "witness", "direction"), ["?"],
+     "diagnostics[1].witness.direction[0]: want one of"),
     (registry.MATRIX_REPORT, ("rows", 0, "status"), "failed",
      "rows[0] is failed but carries no error"),
     (registry.MATRIX_REPORT, ("rows", 0, "speedup"), None, "has no speedup"),
@@ -302,6 +312,8 @@ TRIPS = [
      "contradicts"),
     (registry.PAR_REPORT, ("workloads", 3, "loops", 0, "witness"), None,
      "workloads[3].loops[0] is serial but names no witness"),
+    (registry.PAR_REPORT, ("workloads", 3, "loops", 0, "witness", "source"),
+     "A(I, K)", "workloads[3].loops[0].witness.source: want object"),
     (registry.OBS_METRICS, ("attribution", "totals", "writes"), -1,
      "writes"),
     (registry.OBS_METRICS, ("machine", "cache", "misses"), -1,

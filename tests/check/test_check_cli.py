@@ -40,7 +40,10 @@ def test_lu_nopivot_clean_with_report(tmp_path, capsys):
     assert validate_document(env) == []
     doc = payload_of(env)
     assert doc["summary"]["error"] == 0
-    assert any(v["verdict"] == "blockable" for v in doc["verdicts"])
+    # the verdict is its lint/* diagnostic: rule and path say it all
+    assert ("lint/blockable", "lu_point/DO K") in {
+        (d["rule"], d["path"]) for d in doc["diagnostics"]}
+    assert "verdicts" not in doc
 
 
 def test_two_workloads_one_invocation(capsys):

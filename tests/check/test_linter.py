@@ -40,7 +40,10 @@ def test_lu_pivot_not_blockable_without_commutativity():
     r = lint_loop(lu_pivot_point_ir(), "K", ctx=N2,
                   allow_commutativity=False)
     assert r.verdict == NOT_BLOCKABLE
-    assert r.preventing  # names a transformation-preventing dependence
+    # names the cycle, and the row-interchange edge that closes it
+    assert r.reason == "no inner loop of DO K escapes the dependence cycle"
+    w = r.preventing
+    assert (w["array"], w["source"]["ref"], w["sink"]["ref"]) == ("A", "A(IMAX, K)", "A(K, J)")
 
 
 def test_householder_not_blockable():
@@ -54,6 +57,39 @@ def test_givens_not_blockable():
     # loop cannot sink through the imperfect nest
     r = lint_loop(givens_point_ir(), "L", ctx=MN)
     assert r.verdict == NOT_BLOCKABLE
+
+
+@pytest.mark.parametrize("name,loop,inner,guard", [
+    ("givens", "L", "J", "IF (A(J, L) .NE. 0.0) THEN"),
+    ("matmul", "J", "K", "IF (B(K, J) .NE. 0.0) THEN"),
+])
+def test_not_blockable_names_the_imperfect_nest(name, loop, inner, guard):
+    """The inner loop is alone in its SCC, so it escapes every cycle; what
+    fails is sinking the strip through the IF it buries its own inner loop
+    under — the reason says so and the witness is that IF."""
+    from repro.pipeline.workloads import get_workload
+
+    w = get_workload(name)
+    r = lint_loop(w.build(), loop, ctx=w.context(None))
+    assert r.verdict == NOT_BLOCKABLE
+    assert r.reason == (
+        f"DO {inner} escapes every dependence cycle, but the nest under it "
+        f"is too imperfect for the strip of DO {loop} to sink through")
+    assert r.preventing == {"kind": "imperfect-nest", "stmt": guard}
+    assert r.diagnostic().pretty().endswith(f"; witness: an inner loop sits under {guard}")
+
+
+def test_not_blockable_names_the_edge_an_interchange_reverses():
+    # A(I,J) = A(I-1,J+1): DO J escapes (there is no cycle) and the nest is
+    # perfect, but the strip of DO I cannot pass DO J: (<, >)
+    p = Procedure("p", ("N",), (ArrayDecl("A", (Var("N"), Var("N"))),), (
+        do("I", 2, "N", do("J", 1, Var("N") - Const(1), assign(
+            ref("A", "I", "J"),
+            ref("A", Var("I") - Const(1), Var("J") + Const(1)) + Const(1)))),))
+    r = lint_loop(p, "I", ctx=N2)
+    assert r.verdict == NOT_BLOCKABLE
+    assert r.reason.endswith("the strip of DO I cannot interchange past DO J")
+    assert (r.preventing["kind"], r.preventing["direction"]) == ("flow", ["<", ">"])
 
 
 def test_lint_asks_each_direction_query_once(monkeypatch):
@@ -146,9 +182,9 @@ def test_lint_par_serial_names_the_witness_edge():
     w = get_workload("lu_nopivot")
     diags = lint_parallelism(w.build(), w.context(None))
     serial = [d for d in diags if d.rule == "lint/par-serial"]
-    assert serial
-    assert any("witness" in d.message and "direction" in d.message
-               for d in serial)
+    assert serial and all(d.witness["array"] == "A" for d in serial)
+    assert all("witness: anti dependence on A" in d.pretty() for d in serial)
+    assert all("direction (" in d.pretty() for d in serial)
 
 
 def test_par_rules_in_catalogue():

@@ -14,28 +14,28 @@ from repro.artifacts import (
 from repro.artifacts.validate import RULE_STALE_VERSION
 from repro.check import SCHEMA, build_report
 from repro.check.diagnostics import diag
-from repro.check.linter import LintResult
 
 validate_payload = registry.get(SCHEMA).validate_payload
+
+NEST = {"kind": "imperfect-nest", "stmt": "IF (B(K) .NE. 0.0) THEN"}
 
 
 def sample_report():
     diags = [
         diag("ir/zero-step", "p/DO I", "DO I has step 0"),
-        diag("lint/blockable", "p/DO K", "escapes"),
+        diag("lint/not-blockable", "p/DO K", "too imperfect", NEST),
     ]
-    verdicts = [LintResult("p", "K", "blockable", "escapes")]
-    return build_report(diags, verdicts=verdicts,
-                        meta={"tool": "test", "n": 3})
+    return build_report(diags, meta={"tool": "test", "n": 3})
 
 
 def test_built_report_is_valid():
     doc = sample_report()
     assert doc["schema"] == SCHEMA
     assert validate_payload(doc) == []
-    assert doc["summary"] == {"error": 1, "warning": 0, "info": 1}
+    assert doc["summary"] == {"error": 1, "warning": 1, "info": 0}
     assert doc["meta"]["n"] == "3"  # meta values are coerced to strings
-    assert doc["verdicts"][0]["loop"] == "K"
+    assert "witness" not in doc["diagnostics"][0]  # only when it names one
+    assert doc["diagnostics"][1]["witness"] == NEST
 
 
 def test_report_survives_json_round_trip(tmp_path):
@@ -75,11 +75,12 @@ def test_bad_severity_rejected():
                for p in validate_payload(doc))
 
 
-def test_bad_verdict_rejected():
+def test_malformed_witness_rejected():
     doc = sample_report()
-    doc["verdicts"][0]["verdict"] = "maybe"
-    assert any(p.startswith("verdicts[0].verdict: want one of")
-               for p in validate_payload(doc))
+    doc["diagnostics"][1]["witness"] = {"kind": "imperfect-nest"}
+    assert validate_payload(doc) == ["diagnostics[1].witness.stmt: missing"]
+    doc["diagnostics"][1]["witness"] = {"kind": "flow", "array": "A"}
+    assert "diagnostics[1].witness.source: missing" in validate_payload(doc)
 
 
 def test_missing_fields_rejected():

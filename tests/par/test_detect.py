@@ -53,7 +53,9 @@ class TestElementwise:
         w = v.witness
         assert w["array"] == "B"
         assert w["loops"] == ["I"]
-        assert "B(I)" in w["source"] or "B(I)" in w["sink"]
+        stmt = "B(I) = B(I - 1) + 1.0"
+        assert w["source"] == {"stmt": stmt, "ref": "B(I)"}
+        assert w["sink"] == {"stmt": stmt, "ref": "B(I - 1)"}
 
     def test_inner_parallel_outer_serial(self):
         # A(I,J) = A(I-1,J): I carries, J does not

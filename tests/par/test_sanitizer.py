@@ -6,8 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SemanticsError
-from repro.ir.build import assign, do, parallel_do, ref
-from repro.ir.expr import Const, Var
+from repro.ir.build import assign, do, if_, parallel_do, ref
+from repro.ir.expr import Compare, Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.par.detect import PARALLEL, annotate_procedure, classify_procedure
 from repro.par.sanitizer import CONFLICT_RULE, sanitize
@@ -73,6 +73,32 @@ class TestConflictKinds:
         assert len(doc["iterations"]) == 2
         assert doc["stmt_a"] and doc["stmt_b"]
         assert "B(" in c.describe()
+
+    def test_a_load_in_an_if_condition_is_charged_to_the_if(self):
+        # iteration I reads A(I+1) in the condition; iteration I+1 then
+        # writes A(I+1): the read belongs to the IF line, not to the
+        # assignment that ran just before it
+        p = proc_of(parallel_do("I", 1, Var("N") - Const(1),
+                                assign(ref("B", "I"), Const(2.0)),
+                                if_(Compare("gt", ref("A", Var("I") + Const(1), 1),
+                                            Const(0.0)),
+                                    assign(ref("A", "I", 1), ref("B", "I")))))
+        anti = [c for c in sanitize(p, SIZES).conflicts if c.kind == "anti"]
+        assert anti
+        assert {(c.stmt_a, c.stmt_b) for c in anti} == {
+            ("IF (A(I + 1, 1) .GT. 0.0) THEN", "A(I, 1) = B(I)")}
+
+    def test_a_clean_run_renders_no_statement(self, monkeypatch):
+        from repro.par import sanitizer
+
+        rendered = []
+        monkeypatch.setattr(sanitizer, "fmt_stmt",
+                            lambda s: rendered.append(s) or "")
+        w = get_workload("matmul")
+        marked, _ = annotate_procedure(w.build(), w.context(None))
+        r = sanitize(marked, dict(w.verify_sizes), seed=0)
+        assert r.clean and r.loops_checked
+        assert rendered == []
 
 
 class TestExemptionsAndScope:

@@ -147,9 +147,12 @@ class TestExecutor:
         assert any(d["rule"].startswith("lint/par-") for d in report["diagnostics"])
         assert served["errors"] == report["summary"]["error"]
         assert served["warnings"] == report["summary"]["warning"]
-        assert served["verdicts"] == [
-            {k: v[k] for k in ("loop", "verdict", "reason")} for v in report["verdicts"]
-        ]
+        # the report's verdicts are its lint/* diagnostics
+        lint = [d for d in report["diagnostics"]
+                if d["rule"] in ("lint/blockable", "lint/not-blockable")]
+        assert [(f"givens_point/DO {v['loop']}", f"lint/{v['verdict']}", v["reason"])
+                for v in served["verdicts"]] == [
+            (d["path"], d["rule"], d["message"]) for d in lint]
 
     def test_probe_ok(self):
         value = execute_job(JobSpec(kind="probe", options={"action": "ok"}))
