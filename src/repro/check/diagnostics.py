@@ -24,6 +24,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.analysis.dependence import render_witness
+from repro.obs import core as _obs
 
 
 class Severity(str, Enum):
@@ -167,3 +168,13 @@ def diag(rule_id: str, path: str, message: str,
 
 def errors_in(diagnostics) -> list[Diagnostic]:
     return [d for d in diagnostics if d.severity == Severity.ERROR]
+
+
+def counted(diagnostics: list) -> list:
+    """Add ``diagnostics`` to the active observer's ``check.diagnostics``
+    and ``check.rule.*`` counters (the one place they are counted, for
+    fresh and replayed findings alike); returns them."""
+    _obs.count("check.diagnostics", len(diagnostics))
+    for d in diagnostics:
+        _obs.count(f"check.rule.{d.rule}")
+    return diagnostics

@@ -45,7 +45,7 @@ from repro.analysis.dependence import Dependence, DependenceKind
 from repro.analysis.feasibility import direction_feasible
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.refs import collect_accesses
-from repro.check.diagnostics import Diagnostic, Severity, diag
+from repro.check.diagnostics import Diagnostic, Severity, counted, diag
 from repro.ir.expr import Const, Var, free_vars
 from repro.ir.pretty import fmt_expr, fmt_stmt
 from repro.ir.stmt import Assign, If, Loop, Procedure
@@ -476,11 +476,8 @@ def precheck(
     if fn is None:
         return []
     with _obs.span(f"check:legality:{name}", cat="check") as args:
-        out = fn(proc, ctx or Assumptions(), options or {})
+        out = counted(fn(proc, ctx or Assumptions(), options or {}))
         args["diagnostics"] = len(out)
-        _obs.count("check.diagnostics", len(out))
-        for d in out:
-            _obs.count(f"check.rule.{d.rule}")
     return out
 
 
@@ -517,9 +514,6 @@ def postcheck(
     if fn is None:
         return []
     with _obs.span(f"check:legality:{name}", cat="check") as args:
-        out = fn(before, after, ctx or Assumptions(), options or {})
+        out = counted(fn(before, after, ctx or Assumptions(), options or {}))
         args["diagnostics"] = len(out)
-        _obs.count("check.diagnostics", len(out))
-        for d in out:
-            _obs.count(f"check.rule.{d.rule}")
     return out

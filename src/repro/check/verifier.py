@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.check.diagnostics import Diagnostic, diag
+from repro.check.diagnostics import Diagnostic, counted, diag
 from repro.ir.expr import ArrayRef, Call, Const, Expr, Var, free_vars
 from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import (
@@ -226,8 +226,5 @@ def verify_ir(
     with _obs.span("check:verify_ir", cat="check", procedure=proc.name) as args:
         scope = _Scope(proc, ctx or Assumptions())
         _check_body(proc.body, scope, proc.name)
-        args["diagnostics"] = len(scope.out)
-        _obs.count("check.diagnostics", len(scope.out))
-        for d in scope.out:
-            _obs.count(f"check.rule.{d.rule}")
+        args["diagnostics"] = len(counted(scope.out))
     return scope.out

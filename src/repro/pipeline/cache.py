@@ -24,7 +24,10 @@ Keying discipline — this is the part that must not be fudged:
   :meth:`Assumptions.facts_key`) and shared across equal trees, which
   is where the second-derivation-of-the-same-procedure wins come from.
 - ``passes`` maps ``(pass name, options, input fingerprint, context
-  facts)`` to the pass's full outcome; see the manager.
+  facts)`` to the pass's outcome and, once a checked run judged it, its
+  check findings; see the manager.  Off the counted regions, the
+  fingerprint memo also holds ``ir_size`` and ``verified`` input
+  ``verify_ir`` findings.
 
 Install the hooks with :func:`install`/:func:`uninstall` or the
 :func:`installed` context manager; the manager does this around every
@@ -40,11 +43,19 @@ from typing import Callable, Optional
 from repro.analysis import dependence as _dependence
 from repro.analysis import feasibility as _feasibility
 from repro.analysis import sections as _sections
-from repro.ir.fingerprint import ir_fingerprint
+from repro.ir.fingerprint import ir_fingerprint, ir_size
 from repro.symbolic.assume import Assumptions
 
 _FP_MEMO_CAP = 8192
 _REGION_CAP = 65536
+
+
+def bounded_put(memo: dict, key, value):
+    """``memo[key] = value`` (returned); a full ``memo`` is emptied first."""
+    if len(memo) >= _FP_MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class CacheRegion:
@@ -132,20 +143,29 @@ class AnalysisCache:
         self.feasibility = CacheRegion("feasibility", cap)
         self.sections = CacheRegion("sections", cap)
         self.passes = CacheRegion("passes", cap)
-        # id -> (node, fingerprint); the node reference keeps the id valid.
-        self._fp_memo: dict[int, tuple[object, str]] = {}
+        # id -> [node, fingerprint, size or None]; the node keeps the id valid.
+        self._fp_memo: dict[int, list] = {}
+        # (fingerprint, context facts) -> the input's verify_ir findings
+        self.verified: dict = {}
 
-    # ---- fingerprint memo -------------------------------------------------
+    # ---- identity memo ----------------------------------------------------
+    def _slot(self, node) -> list:
+        got = self._fp_memo.get(id(node))
+        if got is None or got[0] is not node:
+            got = [node, ir_fingerprint(node), None]
+            bounded_put(self._fp_memo, id(node), got)
+        return got
+
     def fingerprint(self, node) -> str:
         """``ir_fingerprint`` memoized per node object."""
-        got = self._fp_memo.get(id(node))
-        if got is not None and got[0] is node:
-            return got[1]
-        fp = ir_fingerprint(node)
-        if len(self._fp_memo) >= _FP_MEMO_CAP:
-            self._fp_memo.clear()
-        self._fp_memo[id(node)] = (node, fp)
-        return fp
+        return self._slot(node)[1]
+
+    def size(self, node) -> int:
+        """``ir_size`` memoized beside the fingerprint, walked on first ask."""
+        slot = self._slot(node)
+        if slot[2] is None:
+            slot[2] = ir_size(node)
+        return slot[2]
 
     # ---- key builders -----------------------------------------------------
     @staticmethod
@@ -224,6 +244,7 @@ class AnalysisCache:
         for name in self.REGIONS:
             getattr(self, name).clear()
         self._fp_memo.clear()
+        self.verified.clear()
 
 
 GLOBAL_CACHE = AnalysisCache()

@@ -29,8 +29,11 @@ Three behaviours worth knowing:
   :class:`~repro.pipeline.cache.AnalysisCache` ``passes`` region keyed by
   (pass, options, input fingerprint, context facts) — rerunning a
   derivation on an equal procedure replays instantly, and the underlying
-  dependence/feasibility/section queries are cached too.  Passes with
-  non-serializable options (callables) are never memoized;
+  dependence/feasibility/section queries are cached too.  A hit under
+  ``check=True`` also replays the pass's legality and ``verify_ir``
+  findings, counted but not re-derived, and IR sizes come from the
+  fingerprint memo.  Passes with non-serializable options (callables)
+  are never memoized;
 - **context flow**: the manager owns the running :class:`Assumptions`;
   passes return ``ctx_facts`` (e.g. ``KS >= 2`` after symbolic strip
   mining) which are applied on both cache hits and misses, so a cached
@@ -44,11 +47,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.errors import CheckError, PipelineError, TransformError, VerificationError
-from repro.ir.fingerprint import ir_size
 from repro.ir.pretty import to_fortran
 from repro.ir.stmt import Procedure
 from repro.obs import core as _obs
-from repro.pipeline.cache import GLOBAL_CACHE, AnalysisCache, installed
+from repro.pipeline.cache import GLOBAL_CACHE, AnalysisCache, bounded_put, installed
 from repro.pipeline.passes import get_pass
 from repro.pipeline.trace import CHECK_FAILED, build_trace
 from repro.pipeline.verify import DifferentialVerifier
@@ -191,7 +193,7 @@ class PassManager:
         pending: list = []  # this pass's check findings, for span.detail
 
         if self.check:
-            from repro.check.diagnostics import errors_in
+            from repro.check.diagnostics import counted, errors_in
             from repro.check.legality import postcheck, precheck_for_pipeline
             from repro.check.verifier import verify_ir
 
@@ -214,86 +216,74 @@ class PassManager:
                 err.result = finish()
                 raise err
 
-            absorb(verify_ir(proc, ctx), "input IR")
+            # the input's findings are a function of (fingerprint, facts)
+            vkey = (self.cache.fingerprint(proc), ctx.facts_key())
+            found = self.cache.verified.get(vkey)
+            if found is None:
+                found = bounded_put(self.cache.verified, vkey, verify_ir(proc, ctx))
+            else:
+                counted(found)
+            absorb(found, "input IR")
 
         with installed(self.cache):
             for index, spec in enumerate(self.specs):
                 pdef = get_pass(spec.name)
                 span = SpanRecord(index=index, name=spec.name)
+                # until the pass applies, its output is its input
                 span.input_fingerprint = self.cache.fingerprint(current)
-                span.ir_size_before = ir_size(current)
+                span.output_fingerprint = span.input_fingerprint
+                span.ir_size_before = span.ir_size_after = self.cache.size(current)
                 spans.append(span)
-                t0 = time.perf_counter()
-                span.t_start = t0
+                t0 = span.t_start = time.perf_counter()
 
+                failure = cause = None
                 reason = pdef.precheck(current, ctx, spec.options)
                 if reason is not None:
                     span.status = "infeasible"
                     span.detail = {"reason": reason}
-                    span.output_fingerprint = span.input_fingerprint
-                    span.ir_size_after = span.ir_size_before
+                    failure = f"infeasible: {reason}"
+                else:
+                    okey = _options_key(spec.options)
+                    memo_key, hit, entry = None, False, None
+                    if okey is not None:
+                        memo_key = (spec.name, okey, span.input_fingerprint, ctx.facts_key())
+                        hit, entry = self.cache.passes.peek(memo_key)
+                    # entry: [procedure, applied, detail, ctx_facts, artifact,
+                    # (precheck, postcheck) findings once a checked run judged it]
+                    judged = hit and entry[5] is not None
+                    if self.check:
+                        pending = pre = (
+                            counted(entry[5][0]) if judged else
+                            precheck_for_pipeline(spec.name, current, ctx, spec.options)
+                        )
+                        absorb(pre, f"pass {spec.name!r} legality precheck", span)
+                    if hit:
+                        span.cached = True
+                    else:
+                        try:
+                            outcome = pdef.run(current, ctx, spec.options)
+                        except TransformError as e:
+                            span.status = "error"
+                            span.error = str(e)
+                            failure, cause = f"failed: {e}", e
+                        else:
+                            entry = [outcome.procedure, outcome.applied,
+                                     outcome.detail, outcome.ctx_facts,
+                                     outcome.artifact, None]
+                            if memo_key is not None:
+                                self.cache.passes.put(memo_key, entry)
+
+                if failure is not None:
                     span.wall_s = time.perf_counter() - t0
                     if self.on_infeasible == "raise":
-                        err = PipelineError(
-                            f"pass {spec.name!r} infeasible: {reason}"
-                        )
+                        err = PipelineError(f"pass {spec.name!r} {failure}")
                         err.result = finish()
-                        raise err
+                        raise err from cause
                     if self.on_infeasible == "stop":
                         stopped = True
                         break
                     continue
-
-                if self.check:
-                    pending = list(
-                        precheck_for_pipeline(spec.name, current, ctx, spec.options)
-                    )
-                    absorb(pending, f"pass {spec.name!r} legality precheck", span)
-
-                okey = _options_key(spec.options)
-                memo_key = None
-                if okey is not None:
-                    memo_key = (
-                        spec.name,
-                        okey,
-                        span.input_fingerprint,
-                        ctx.facts_key(),
-                    )
-                    hit, value = self.cache.passes.peek(memo_key)
-                else:
-                    hit, value = False, None
-
-                if hit:
-                    new, applied, detail, ctx_facts, artifact = value
-                    span.cached = True
-                else:
-                    try:
-                        outcome = pdef.run(current, ctx, spec.options)
-                    except TransformError as e:
-                        span.status = "error"
-                        span.error = str(e)
-                        span.output_fingerprint = span.input_fingerprint
-                        span.ir_size_after = span.ir_size_before
-                        span.wall_s = time.perf_counter() - t0
-                        if self.on_infeasible == "raise":
-                            err = PipelineError(
-                                f"pass {spec.name!r} failed: {e}"
-                            )
-                            err.result = finish()
-                            raise err from e
-                        if self.on_infeasible == "stop":
-                            stopped = True
-                            break
-                        continue
-                    new = outcome.procedure
-                    applied = outcome.applied
-                    detail = outcome.detail
-                    ctx_facts = outcome.ctx_facts
-                    artifact = outcome.artifact
-                    if memo_key is not None:
-                        self.cache.passes.put(
-                            memo_key, (new, applied, detail, ctx_facts, artifact)
-                        )
+                new, applied, detail, ctx_facts, artifact, findings = entry
 
                 # context facts apply on hits and misses alike
                 for kind, left, right in ctx_facts:
@@ -310,20 +300,23 @@ class PassManager:
                 span.detail = detail
                 span.artifact = artifact
                 span.output_fingerprint = self.cache.fingerprint(current)
-                span.ir_size_after = ir_size(current)
+                span.ir_size_after = self.cache.size(current)
                 span.wall_s = time.perf_counter() - t0
                 if self.trace_snapshots:
                     span.snapshot = to_fortran(current)
 
                 if self.check:
-                    post: list = []
-                    if span.status == "applied":
+                    if judged:
+                        post = counted(findings[1])
+                    elif applied:
                         post = postcheck(
                             spec.name, before_proc, current, ctx, spec.options
-                        )
-                        post = post + verify_ir(current, ctx)
-                    pending = pending + post
+                        ) + verify_ir(current, ctx)
+                    else:
+                        post = []
+                    pending = pre + post
                     absorb(post, f"pass {spec.name!r} postcheck", span)
+                    entry[5] = (pre, post)
                     if pending:
                         span.detail = {
                             **span.detail,

@@ -314,7 +314,7 @@ def _jam_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[
 
 def _jam_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
     outer_var = _opt_loop_var(proc, options)
-    u = int(options.get("unroll", 4))
+    u = options.get("unroll", 4)
     # Snapshot targets before any unrolling: UJ introduces remainder
     # pre-loops over the same variable that must not be unrolled again.
     targets = [

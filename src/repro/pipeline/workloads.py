@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro import algorithms as alg
 from repro.errors import PipelineError
 from repro.ir.expr import Var
 from repro.ir.stmt import Procedure
@@ -47,6 +48,7 @@ class Workload:
     ) -> list[tuple]:
         """(name, options) pairs for the requested (or default) passes,
         with the workload's bindings and any overrides applied."""
+        unroll = self._unroll(unroll)
         names = list(names) if names else list(self.default_passes)
         specs = []
         for name in names:
@@ -59,7 +61,14 @@ class Workload:
         return specs
 
     def context(self, unroll: Optional[int] = None) -> Assumptions:
-        return self.assumptions(unroll if unroll is not None else self.unroll)
+        return self.assumptions(self._unroll(unroll) or self.unroll)
+
+    def _unroll(self, unroll):
+        """``unroll`` if None or a factor jam can use: an int >= 1, not a bool."""
+        if unroll is None or type(unroll) is int and unroll >= 1:
+            return unroll
+        raise PipelineError(f"workload {self.name!r}: unroll must be an int >= 1, "
+                            f"got {unroll!r}")
 
     def sizes_for(
         self, n: Optional[int] = None, b: Optional[int] = None
@@ -114,42 +123,6 @@ def available_workloads() -> list[Workload]:
 # the paper's workloads
 # ---------------------------------------------------------------------------
 
-def _build_lu() -> Procedure:
-    from repro.algorithms import lu_point_ir
-
-    return lu_point_ir()
-
-
-def _build_lu_pivot() -> Procedure:
-    from repro.algorithms import lu_pivot_point_ir
-
-    return lu_pivot_point_ir()
-
-
-def _build_givens() -> Procedure:
-    from repro.algorithms import givens_point_ir
-
-    return givens_point_ir()
-
-
-def _build_conv() -> Procedure:
-    from repro.algorithms import conv_ir
-
-    return conv_ir()
-
-
-def _build_aconv() -> Procedure:
-    from repro.algorithms import aconv_ir
-
-    return aconv_ir()
-
-
-def _build_matmul() -> Procedure:
-    from repro.algorithms import matmul_guarded_ir
-
-    return matmul_guarded_ir()
-
-
 # Size factories: map (n, b) to each workload's symbol vocabulary.  A
 # None argument falls back to the verify_sizes value, so a factory at
 # (None, None) reproduces verify_sizes exactly (asserted in tests).
@@ -195,7 +168,7 @@ register(
     Workload(
         name="lu_nopivot",
         title="LU decomposition without pivoting (Sec. 5.1, Fig. 6)",
-        build=_build_lu,
+        build=alg.lu_point_ir,
         assumptions=lambda u: Assumptions().assume_ge("N", 2),
         pass_options={
             "split": {"loop": "K"},
@@ -215,7 +188,7 @@ register(
     Workload(
         name="lu_pivot",
         title="LU decomposition with partial pivoting (Sec. 5.2, Fig. 8)",
-        build=_build_lu_pivot,
+        build=alg.lu_pivot_point_ir,
         assumptions=lambda u: Assumptions().assume_ge("N", 2),
         pass_options={
             "block": {"loop": "K", "factor": "KS", "commutativity": True},
@@ -234,7 +207,7 @@ register(
     Workload(
         name="givens",
         title="QR decomposition with Givens rotations (Sec. 5.4, Fig. 10)",
-        build=_build_givens,
+        build=alg.givens_point_ir,
         assumptions=lambda u: Assumptions().assume_ge("M", 2).assume_le("N", "M"),
         pass_options={
             "jam": {"loop": "J", "unroll": 4},
@@ -250,7 +223,7 @@ register(
     Workload(
         name="conv",
         title="time-series convolution (Sec. 3.2)",
-        build=_build_conv,
+        build=alg.conv_ir,
         assumptions=_conv_assumptions,
         pass_options={
             "split": {"loop": "I"},
@@ -267,7 +240,7 @@ register(
     Workload(
         name="aconv",
         title="auto-convolution (Sec. 3.2)",
-        build=_build_aconv,
+        build=alg.aconv_ir,
         assumptions=_conv_assumptions,
         pass_options={
             "split": {"loop": "I"},
@@ -284,7 +257,7 @@ register(
     Workload(
         name="matmul",
         title="guarded matrix multiply (Sec. 4, IF-inspection)",
-        build=_build_matmul,
+        build=alg.matmul_guarded_ir,
         assumptions=lambda u: Assumptions().assume_ge("N", 1),
         pass_options={
             "if_inspection": {"loop": "K"},

@@ -115,6 +115,21 @@ class TestJobKey:
         with pytest.raises(PipelineError):
             job_key(JobSpec(workload="no_such_workload"))
 
+    @pytest.mark.parametrize("unroll", [2.5, "4", 0, -1, True])
+    def test_unroll_must_be_an_int_of_at_least_one(self, unroll):
+        """Keyed and run alike: no coercion to 2 or 4, no silent no-op jam
+        under a context built from the raw value."""
+        spec = JobSpec.from_dict({"workload": "conv", "options": {"unroll": unroll}})
+        with pytest.raises(PipelineError, match="unroll must be an int >= 1"):
+            job_key(spec)
+        with pytest.raises(PipelineError, match="unroll must be an int >= 1"):
+            execute_job(spec)
+
+    def test_a_usable_unroll_is_keyed_and_run(self):
+        spec = JobSpec(workload="conv", options={"unroll": 2})
+        assert job_key(spec) != job_key(JobSpec(workload="conv"))
+        assert "jam" in execute_job(spec)["passes"]
+
 
 class TestExecutor:
     def test_derive_returns_the_serializable_summary(self):
