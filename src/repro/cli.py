@@ -26,7 +26,7 @@ this module owns everything they share:
   parser is built, so ``repro daemon start`` imports the daemon and
   nothing else.
 - **the shared flag groups** — store (``--store-dir``, ``--store`` /
-  ``--no-store``; ``--db`` for the perf history), pool
+  ``--no-store``), pool
   (``--workers/-j``, ``--retries``, ``--backoff``), observe (``--obs PATH``,
   ``--chrome-trace PATH``) and output (``--out PATH`` writes the
   enveloped artifact, ``--json`` prints JSON on stdout), plus
@@ -133,13 +133,6 @@ def store_flags(p, *, store: str = "", no_store: bool = False) -> None:
     if no_store:
         p.add_argument("--no-store", action="store_true",
                        help="compute everything; skip the artifact store")
-
-
-def db_flag(p) -> None:
-    """``--db``: the sqlite run-history database kept next to the store."""
-    p.add_argument("--db", metavar="PATH",
-                   help="sqlite database (default perf.db under "
-                   ".repro-cache/ or $REPRO_CACHE_DIR)")
 
 
 def open_store(args):

@@ -76,9 +76,9 @@ class MatrixError(ReproError):
 
 
 class PerfError(ReproError):
-    """The run-history database (:mod:`repro.perf`) was asked something
-    it cannot answer: an unknown artifact schema, a selector matching no
-    recorded run, a malformed baseline file, or a bad database.
+    """The run history (:mod:`repro.perf`) was asked something it
+    cannot answer: an unknown artifact schema, a selector matching no
+    recorded run, a malformed baseline file, or an unwritable store.
 
     ``problems`` carries the structured rows when the cause was an
     artifact file failing validation (see :class:`ArtifactError`)."""

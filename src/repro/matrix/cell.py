@@ -16,9 +16,12 @@ no cross-row joins to answer "did blocking help *here*".
 
 :func:`cell_key` is the store-key contribution consumed by
 :func:`repro.serve.jobs.job_key`: ``(input-IR fingerprint, resolved
-recipe, context facts, geometry facts, size facts)``.  Geometry
+recipe, context facts, geometry facts, size bindings)``.  Geometry
 participates explicitly so two cells differing only in cache size / line
-/ associativity / TLB can never collide onto one cached artifact.
+/ associativity / TLB can never collide onto one cached artifact.  Sizes
+participate as the bindings ``sizes_for(n, b)`` makes, not as the raw
+``(n, b)``: matmul and conv read no ``b``, so their cells that differ
+only in ``b`` are one computation under one digest.
 
 Derivations inside a cell run against a per-process analysis cache
 (worker processes persist across jobs), so a sweep that re-derives the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from repro.errors import MatrixError
+from repro.errors import MatrixError, ReproError
 from repro.matrix.grid import DEFAULTS, FACTOR_ORDER, GEOMETRY_FACTORS
 
 #: result-row fields filled from the simulation
@@ -106,12 +109,16 @@ def cell_key(spec) -> tuple:
         for name, options in specs
     )
     geometry = tuple((g, opts[g]) for g in GEOMETRY_FACTORS)
+    try:
+        sizes = tuple(sorted(workload.sizes_for(opts["n"], opts["b"]).items()))
+    except ReproError:  # the cell fails in its worker; key what it asked for
+        sizes = (("n", opts["n"]), ("b", opts["b"]))
     return (
         ir_fingerprint(workload.build()),
         recipe,
         facts_component(workload.context(None)),
         geometry,
-        (("n", opts["n"]), ("b", opts["b"])),
+        sizes,
     )
 
 

@@ -20,27 +20,32 @@ Examples::
     python -m repro perf gate t2.json --baseline main \\
         --metrics 'pass:*.ir_size_after' --threshold 0
 
+A recorded run is a ``repro.perf.baseline/1`` envelope in the artifact
+store (``--store-dir``); ``record --out`` also writes it to a file, and
+``gate --baseline`` takes such a file or a run selector (a file path
+wins) — CI gates against the committed ``benchmarks/perf_baseline.json``,
+so the gate is reproducible on a fresh checkout with an empty store.
+
 ``gate`` exit codes: 0 ok (improved / within noise), 1 regressed,
-2 usage error, 3 no baseline to compare against.  ``--baseline-file``
-gates against a committed ``repro.perf.baseline/1`` snapshot instead of
-the local database — that is what CI does, so the gate is reproducible
-on a fresh checkout with an empty cache dir.
+2 usage error, 3 no baseline to compare against.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
 from typing import Optional
 
 from repro import cli
-from repro.artifacts import publish
+from repro.artifacts import write_file
 from repro.errors import PerfError
 from repro.perf import gate as gate_mod
 from repro.perf import ingest
-from repro.perf.db import PerfDB
+
+_SELECTOR = "run selector: label, latest, latest~N, or digest prefix"
 
 
 def register(sub) -> None:
@@ -56,9 +61,8 @@ def register(sub) -> None:
     record.add_argument("artifact", metavar="ARTIFACT.json")
     record.add_argument("--git-sha", metavar="SHA",
                         help="record this commit id (default: ask git)")
-    record.add_argument("--baseline-out", metavar="PATH",
-                        help="also write the flattened metrics as a "
-                        "committable repro.perf.baseline/1 file")
+    cli.output_flags(record, out="run (a committable repro.perf.baseline/1 "
+                     "document)", json=True)
     record.set_defaults(fn=_cmd_record)
 
     runs = cmds.add_parser("runs", help="list recorded runs")
@@ -66,8 +70,7 @@ def register(sub) -> None:
 
     diff = cmds.add_parser("diff", help="per-metric deltas between two "
                            "recorded runs")
-    diff.add_argument("a", metavar="RUN_A",
-                      help="run selector: id, label, latest, latest~N")
+    diff.add_argument("a", metavar="RUN_A", help=_SELECTOR)
     diff.add_argument("b", metavar="RUN_B")
     diff.set_defaults(fn=_cmd_diff)
 
@@ -76,19 +79,16 @@ def register(sub) -> None:
                        help="exact metric name (see 'diff' output or "
                        "--list for names)")
     trend.add_argument("--list", action="store_true",
-                       help="treat METRIC as a SQL LIKE pattern and list "
-                       "matching metric names instead")
+                       help="treat METRIC as comma-separated glob patterns "
+                       "(as --metrics) and list matching metric names instead")
     trend.set_defaults(fn=_cmd_trend)
 
     g = cmds.add_parser("gate", help="compare an artifact against a "
                         "baseline; exit code is the verdict")
     g.add_argument("artifact", metavar="ARTIFACT.json")
-    g.add_argument("--baseline", metavar="SELECTOR",
-                   help="baseline run in the database (id, label, "
-                   "latest, latest~N)")
-    g.add_argument("--baseline-file", metavar="PATH",
-                   help="baseline from a committed repro.perf.baseline/1 "
-                   "file instead of the database")
+    g.add_argument("--baseline", required=True, metavar="FILE|RUN",
+                   help="a repro.perf.baseline/1 file, or a recorded "
+                   f"run ({_SELECTOR}); a file path wins")
     g.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
                    help="noise threshold in percent; increases beyond it "
                    "regress, decreases beyond it improve (default 10; use "
@@ -104,22 +104,43 @@ def register(sub) -> None:
                        "most recent run in selectors)")
     for q in (runs, trend):
         q.add_argument("--limit", type=int, default=20, metavar="N",
-                       help="show the newest N entries (default 20)")
+                       help="show the newest N >= 1 entries (default 20)")
     for q in (diff, g):
         q.add_argument("--metrics", default="*", metavar="PATTERNS",
                        help="comma-separated glob patterns selecting tracked "
                        "metrics (default '*'; e.g. 'pass:*.wall_s,elapsed_s')")
-    for q in (record, runs, diff, trend):
+    for q in (runs, diff, trend):
         cli.output_flags(q, json=True)
     for q in (record, runs, diff, trend, g):
-        cli.db_flag(q)
+        cli.store_flags(q)
 
 
-def _patterns(args) -> list[str]:
-    pats = [s.strip() for s in args.metrics.split(",") if s.strip()]
+def _split(text: str, flag: str) -> list[str]:
+    pats = [s.strip() for s in text.split(",") if s.strip()]
     if not pats:
-        raise PerfError("--metrics selected nothing")
+        raise PerfError(f"{flag} selected nothing")
     return pats
+
+
+def _history(args) -> list[dict]:
+    """The store's runs, oldest first; corrupt entries are reported."""
+    store = cli.open_store(args)
+    found = ingest.runs(store)
+    if store.corrupt:
+        print(f"warning: skipped {store.corrupt} corrupt store entr"
+              f"{'y' if store.corrupt == 1 else 'ies'}", file=sys.stderr)
+    return found
+
+
+def _newest(rows: list, args) -> list:
+    if args.limit < 1:
+        raise PerfError(f"--limit must be >= 1, got {args.limit}")
+    return rows[-args.limit:]
+
+
+def _summary(run: dict) -> dict:
+    """A run row with its metric count in place of the metrics."""
+    return dict(run, metrics=len(run["metrics"]))
 
 
 def _git_sha() -> Optional[str]:
@@ -141,43 +162,34 @@ def _fmt_value(v: Optional[float]) -> str:
     return f"{v:.6g}"
 
 
+def _when(created_s: float) -> str:
+    return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(created_s))
+
+
 # ---- subcommands -----------------------------------------------------------
 
 
 def _cmd_record(args) -> int:
     doc = ingest.load_artifact(args.artifact)
-    with PerfDB(args.db) as db:
-        run = db.record(
-            doc,
-            label=args.label,
-            source=args.artifact,
-            git_sha=args.git_sha or _git_sha(),
-        )
-    if args.baseline_out:
-        base = gate_mod.baseline_doc(
-            ingest.flatten(doc),
-            meta={
-                "source": args.artifact,
-                "artifact_schema": run["artifact_schema"],
-                "git_sha": run["git_sha"] or "",
-                "created_s": run["created_s"],
-            },
-        )
-        publish(args.baseline_out, base, producer=args.producer)
+    env = ingest.record(cli.open_store(args), doc, label=args.label,
+                        source=args.artifact,
+                        git_sha=args.git_sha or _git_sha())
+    if args.out:
+        write_file(args.out, env)
+    run = _summary(ingest.run_of(env))
     if args.json:
         print(json.dumps(run, indent=2))
     else:
         label = f" label={args.label!r}" if args.label else ""
-        print(f"recorded run #{run['id']}{label}: {run['metrics']} metrics "
-              f"from {run['artifact_schema']} ({args.artifact})")
-        if args.baseline_out:
-            print(f"baseline written to {args.baseline_out}")
+        print(f"recorded run {run['id'][:12]}{label}: {run['metrics']} "
+              f"metrics from {run['artifact_schema']} ({args.artifact})")
+        if args.out:
+            print(f"run written to {args.out}")
     return 0
 
 
 def _cmd_runs(args) -> int:
-    with PerfDB(args.db) as db:
-        rows = db.runs(limit=args.limit)
+    rows = [_summary(r) for r in _newest(_history(args), args)]
     if args.json:
         print(json.dumps(rows, indent=2))
         return 0
@@ -185,25 +197,23 @@ def _cmd_runs(args) -> int:
         print("no recorded runs")
         return 0
     for r in rows:
-        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(r["created_s"]))
         label = f"  [{r['label']}]" if r["label"] else ""
         sha = f"  @{r['git_sha']}" if r["git_sha"] else ""
-        print(f"  #{r['id']:<4} {when}  {r['artifact_schema']:<24}"
-              f"{label}{sha}  {r['source']}")
+        print(f"  {r['id'][:12]}  {_when(r['created_s'])}  "
+              f"{r['artifact_schema']:<24}{label}{sha}  {r['source']}")
     return 0
 
 
 def _cmd_diff(args) -> int:
-    patterns = _patterns(args)
-    with PerfDB(args.db) as db:
-        ra, rb = db.run(args.a), db.run(args.b)
-        ma, mb = db.metrics_for(ra["id"]), db.metrics_for(rb["id"])
-    rows = gate_mod.diff(ma, mb, patterns)
+    patterns = _split(args.metrics, "--metrics")
+    history = _history(args)
+    ra, rb = ingest.select(history, args.a), ingest.select(history, args.b)
+    rows = gate_mod.diff(ra["metrics"], rb["metrics"], patterns)
     if args.json:
         print(json.dumps({"a": ra["id"], "b": rb["id"], "rows": rows},
                          indent=2))
         return 0
-    print(f"run #{ra['id']} -> #{rb['id']} ({len(rows)} metric(s))")
+    print(f"run {ra['id'][:12]} -> {rb['id'][:12]} ({len(rows)} metric(s))")
     for row in rows:
         pct = f"{row['pct']:+8.2f}%" if row["pct"] is not None else "       --"
         print(f"  {row['metric']:<44} {_fmt_value(row['a']):>12} -> "
@@ -212,20 +222,27 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_trend(args) -> int:
-    with PerfDB(args.db) as db:
-        if args.list:
-            names = db.metric_names(like=args.metric)
-            if args.json:
-                print(json.dumps(names, indent=2))
-            else:
-                for name in names:
-                    print(f"  {name}")
-            return 0
-        points = db.history(args.metric, limit=args.limit)
+    history = _history(args)
+    if args.list:
+        names = gate_mod.tracked(
+            {name for r in history for name in r["metrics"]},
+            _split(args.metric, "METRIC"),
+        )
+        if args.json:
+            print(json.dumps(names, indent=2))
+        else:
+            for name in names:
+                print(f"  {name}")
+        return 0
+    points = _newest([
+        {"run_id": r["id"], "label": r["label"], "git_sha": r["git_sha"],
+         "created_s": r["created_s"], "value": r["metrics"][args.metric]}
+        for r in history if args.metric in r["metrics"]
+    ], args)
     if not points:
         raise PerfError(
             f"no recorded values for metric {args.metric!r} "
-            "(try --list with a LIKE pattern, e.g. 'pass:%')"
+            "(try --list with a glob pattern, e.g. 'pass:*')"
         )
     if args.json:
         print(json.dumps({"metric": args.metric, "points": points}, indent=2))
@@ -236,39 +253,33 @@ def _cmd_trend(args) -> int:
           f"min {_fmt_value(lo)}, max {_fmt_value(hi)}, "
           f"latest {_fmt_value(values[-1])}")
     for prev, p in zip([None] + points[:-1], points):
-        when = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(p["created_s"]))
         label = f"  [{p['label']}]" if p["label"] else ""
         step = ""
         if prev is not None and prev["value"] != 0:
             step = f"  ({100.0 * (p['value'] - prev['value']) / abs(prev['value']):+.1f}%)"
-        print(f"  #{p['run_id']:<4} {when}  {_fmt_value(p['value']):>12}"
-              f"{step}{label}")
+        print(f"  {p['run_id'][:12]}  {_when(p['created_s'])}  "
+              f"{_fmt_value(p['value']):>12}{step}{label}")
     return 0
 
 
 def _cmd_gate(args) -> int:
-    if (args.baseline is None) == (args.baseline_file is None):
-        raise PerfError("gate needs exactly one of --baseline / --baseline-file")
-    patterns = _patterns(args)
+    patterns = _split(args.metrics, "--metrics")
     doc = ingest.load_artifact(args.artifact)
     current = ingest.flatten(doc)
-    if args.baseline_file is not None:
-        baseline = gate_mod.read_baseline(args.baseline_file)
+    if os.path.exists(args.baseline):
+        baseline = gate_mod.read_baseline(args.baseline)
     else:
-        with PerfDB(args.db) as db:
-            try:
-                base_run = db.run(args.baseline)
-            except PerfError as e:
-                print(f"no baseline: {e}", file=sys.stderr)
-                return gate_mod.EXIT_NO_BASELINE
-            baseline = db.metrics_for(base_run["id"])
+        try:
+            baseline = ingest.select(_history(args), args.baseline)["metrics"]
+        except PerfError as e:
+            print(f"no baseline: {e}", file=sys.stderr)
+            return gate_mod.EXIT_NO_BASELINE
     result = gate_mod.compare(
         current, baseline, patterns=patterns, threshold_pct=args.threshold
     )
     if args.record:
-        with PerfDB(args.db) as db:
-            db.record(doc, label=args.label, source=args.artifact,
-                      git_sha=_git_sha())
+        ingest.record(cli.open_store(args), doc, label=args.label,
+                      source=args.artifact, git_sha=_git_sha())
     _print_gate(result)
     if args.out:
         cli.emit(args, result, what="gate verdict")

@@ -29,10 +29,10 @@ Exit-code contract (the CI interface; tested in ``tests/perf``)::
     2   usage    bad invocation, unreadable artifact, unknown schema
     3   no-baseline  baseline missing, or no tracked metric had one
 
-Baselines come from a recorded run (``--baseline SELECTOR``) or from a
-committed **baseline file** (``--baseline-file``), payload schema
-``repro.perf.baseline/1`` (written enveloped — see
-:mod:`repro.artifacts`)::
+A baseline is a recorded run or a committed **baseline file** — one
+document kind, payload schema ``repro.perf.baseline/1`` (written
+enveloped — see :mod:`repro.artifacts`); ``--baseline`` takes a file
+path or a run selector, and a file path wins::
 
     {'schema': 'repro.perf.baseline/1',
      'meta': {...},

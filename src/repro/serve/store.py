@@ -45,6 +45,7 @@ from typing import Any, Iterator, Optional
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import SERVE_STORE
 from repro.artifacts.shape import enum, nullable
+from repro.errors import PipelineError
 from repro.obs import core as _obs
 
 #: bump to invalidate every existing artifact (participates in the digest)
@@ -271,7 +272,12 @@ class ArtifactStore:
         max_entries: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ) -> dict:
-        """Prune by age and/or count (oldest first); returns a summary."""
+        """Prune by age and/or count (oldest first); returns a summary.
+        A negative bound is a :class:`PipelineError`: it would prune
+        everything."""
+        for flag, bound in (("max_entries", max_entries), ("max_age_s", max_age_s)):
+            if bound is not None and bound < 0:
+                raise PipelineError(f"gc: {flag} must be >= 0, got {bound}")
         entries = self._entries()
         doomed: list[Path] = []
         if max_age_s is not None:

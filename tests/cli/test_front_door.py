@@ -32,7 +32,7 @@ ENV = {"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"}
 
 #: flags the core declares once for everybody (repro.cli's flag groups)
 SHARED_FLAGS = (
-    "--store-dir", "--store", "--no-store", "--db",
+    "--store-dir", "--store", "--no-store",
     "--workers", "--retries", "--backoff",
     "--obs", "--chrome-trace",
     "--out", "--json",
@@ -72,7 +72,7 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 23_922
+        ceiling = 23_746
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )
@@ -100,9 +100,10 @@ class TestBoundary:
                 if m.startswith("serve/")] == []
 
     def test_one_database_three_cache_tiers(self):
-        """The matrix results database and the base class it shared with
-        ``perf.db`` are gone: a sweep's memory is the artifact store."""
-        assert _modules_containing("sqlite3") == ["perf/db.py"]
+        """The one database left, ``perf.db``, is gone too: a sweep's
+        memory and the run history both live in the artifact store."""
+        assert _modules_containing("sqlite3") == []
+        assert not (SRC / "perf" / "db.py").exists()
         assert not (SRC / "matrix" / "db.py").exists()
         assert not (SRC / "artifacts" / "sqlitedb.py").exists()
 
@@ -202,16 +203,16 @@ EXIT_CODES = [
     # 0: ok
     (0, ["pipeline", "--list-passes"]),
     (0, ["artifacts", "validate", "{tmp}/good.json"]),
-    (0, ["perf", "gate", "{tmp}/good.json", "--baseline-file",
-         "{tmp}/base.json", *GATE]),
+    (0, ["perf", "gate", "{tmp}/good.json", "--baseline", "{tmp}/base.json",
+         *GATE]),
     # 1: a verdict
     (1, ["pipeline", "-a", "conv", "-p", "shrink", "--verify"]),   # verification
     (1, ["check", "matmul"]),                                      # check error
     (1, ["par", "sanitize", "matmul"]),                            # race conflict
     (1, ["serve", "batch", "{tmp}/doomed.json", "--workers", "1",
          "--no-store"]),                                           # failed job
-    (1, ["perf", "gate", "{tmp}/grown.json", "--baseline-file",
-         "{tmp}/base.json", *GATE]),                               # regressed
+    (1, ["perf", "gate", "{tmp}/grown.json", "--baseline", "{tmp}/base.json",
+         *GATE]),                                                  # regressed
     (1, ["artifacts", "validate", "{tmp}/bare.json"]),             # invalid doc
     (1, ["artifacts", "validate", "{tmp}/broken.json"]),           # bad payload
     # 2: usage, ReproError, unknown command, removed flag
@@ -220,6 +221,8 @@ EXIT_CODES = [
     (2, ["pipeline"]),                                 # --algorithm required
     (2, ["check", "nonesuch"]),                        # unknown workload
     (2, ["serve", "submit"]),                          # argparse: no WORKLOAD
+    (2, ["serve", "gc", "--max-entries", "-1"]),       # would empty the store
+    (2, ["serve", "gc", "--max-age-s", "-10"]),
     (2, ["bench", "{tmp}/b.json", "--jobs", "2"]),     # the pool fork is gone
     (2, ["matrix", "resume"]),                         # the matrix db is gone:
     (2, ["matrix", "status"]),                         # argparse knows neither
@@ -231,10 +234,22 @@ EXIT_CODES = [
     (2, ["matrix", "report", "{tmp}/good.json"]),      # not a matrix artifact
     (2, ["matrix", "report", "{tmp}/broken.json"]),    # invalid artifact file
     (2, ["perf", "record", "{tmp}/bare.json"]),        # bare payload
-    (2, ["perf", "gate", "{tmp}/bare.json", "--baseline-file",
-         "{tmp}/base.json"]),
+    (2, ["perf", "gate", "{tmp}/bare.json", "--baseline", "{tmp}/base.json"]),
     (2, ["perf", "gate", "{tmp}/good.json"]),          # no baseline source
     (2, ["perf", "record", "{tmp}/broken.json"]),      # invalid artifact file
+    (2, ["perf", "gate", "{tmp}/broken.json", "--baseline", "{tmp}/base.json"]),
+    (2, ["perf", "runs", "--limit", "0"]),             # the newest N >= 1
+    (2, ["perf", "trend", "pass:block.wall_s", "--limit", "0"]),
+    # perf.db is gone, and with it the second spelling of every gate line
+    # above and of the committable run file
+    (2, ["perf", "runs", "--db", "x"]),
+    (2, ["perf", "record", "{tmp}/good.json", "--baseline-out", "{tmp}/z.json"]),
+    (2, ["perf", "gate", "{tmp}/good.json", "--baseline-file",
+         "{tmp}/base.json", *GATE]),
+    (2, ["perf", "gate", "{tmp}/grown.json", "--baseline-file",
+         "{tmp}/base.json", *GATE]),
+    (2, ["perf", "gate", "{tmp}/bare.json", "--baseline-file",
+         "{tmp}/base.json"]),
     (2, ["perf", "gate", "{tmp}/broken.json", "--baseline-file",
          "{tmp}/base.json"]),
     (2, ["artifacts", "cat", "{tmp}/absent.json"]),
@@ -257,7 +272,7 @@ def test_exit_code_contract(world, want, argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["artifacts", "validate", "{tmp}/broken.json"],
     ["perf", "record", "{tmp}/broken.json"],
-    ["perf", "gate", "{tmp}/broken.json", "--baseline-file", "{tmp}/base.json"],
+    ["perf", "gate", "{tmp}/broken.json", "--baseline", "{tmp}/base.json"],
     ["matrix", "report", "{tmp}/broken.json"],
 ], ids=["artifacts validate", "perf record", "perf gate", "matrix report"])
 def test_shape_broken_file_is_reported_as_payload_rows(world, argv, capsys):

@@ -1,8 +1,9 @@
 """Cell execution and content-addressing.
 
-The digest tests are the satellite-2 regression: the cache geometry is
-part of the store key, so two cells differing only in geometry (or in
-``n``/``b``) can never collide onto one cached artifact.
+The digest tests pin the store key: the cache geometry is part of it, so
+two cells differing only in geometry can never collide onto one cached
+artifact, and the sizes are part of it as the bindings they make, so
+two cells that bind the same sizes are one artifact.
 """
 
 from __future__ import annotations
@@ -32,9 +33,19 @@ class TestDigest:
         assert digest_of(page_bytes=512) != base
 
     def test_sizes_change_the_digest(self):
-        base = digest_of()
-        assert digest_of(n=8) != base
-        assert digest_of(b=2) != base
+        assert digest_of(n=8) != digest_of()
+        # lu_nopivot binds b as KS
+        assert digest_of(workload="lu_nopivot", b=2) != digest_of(
+            workload="lu_nopivot")
+
+    def test_a_b_the_sizes_do_not_read_is_one_digest(self):
+        """A cell is keyed by the sizes it binds: matmul and conv read no
+        ``b``, so cells differing only in ``b`` are one computation."""
+        for workload in ("matmul", "conv"):
+            assert digest_of(workload=workload, n=8, b=2) == digest_of(
+                workload=workload, n=8, b=4)
+        # and n=None is the verify size, spelled out or not
+        assert digest_of() == digest_of(n=12)
 
     def test_recipe_changes_the_digest(self):
         assert digest_of(recipe="point") != digest_of()

@@ -10,7 +10,7 @@ from repro import cli
 from repro.artifacts import is_envelope, payload_of, validate_document
 from repro.matrix.report import SCHEMA
 
-GRID = ["--factor", "workload=matmul", "--factor", "b=2,4",
+GRID = ["--factor", "workload=lu_nopivot", "--factor", "b=2,4",
         "--factor", "cache_kb=1,2", "--factor", "n=8"]
 
 
@@ -57,7 +57,7 @@ class TestRun:
     def test_spec_file_and_progress(self, cachedir, capsys):
         spec = cachedir / "grid.json"
         spec.write_text(json.dumps(
-            {"factors": {"workload": ["matmul"], "b": [2, 4], "n": [8]}}
+            {"factors": {"workload": ["lu_nopivot"], "b": [2, 4], "n": [8]}}
         ))
         rc = run_cli("run", str(spec), "--workers", "1", "--progress",
                      "--out", str(cachedir / "r.json"))

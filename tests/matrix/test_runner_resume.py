@@ -24,7 +24,7 @@ STABLE = ("digest",) + FACTOR_ORDER + RESULT_FIELDS
 
 def grid() -> GridSpec:
     return GridSpec.from_factors(
-        {"workload": ["matmul"], "b": [2, 4], "cache_kb": [1, 2], "n": [8]}
+        {"workload": ["lu_nopivot"], "b": [2, 4], "cache_kb": [1, 2], "n": [8]}
     )
 
 

@@ -163,8 +163,14 @@ class TestDispatch:
             with pytest.raises(PerfError, match=RULE_MALFORMED):
                 ingest.flatten(bare)
 
-    def test_digest_is_content_addressed(self):
+    def test_digest_is_content_addressed(self, tmp_path):
+        """A run names its artifact by the envelope digest."""
+        from repro.serve.store import ArtifactStore
+
+        store = ArtifactStore(str(tmp_path))
         a, b = pipeline_doc(), pipeline_doc()
-        assert ingest.artifact_digest(a) == ingest.artifact_digest(b)
         c = pipeline_doc(block_wall=0.6)
-        assert ingest.artifact_digest(a) != ingest.artifact_digest(c)
+        digests = [ingest.run_of(ingest.record(store, doc))["artifact_digest"]
+                   for doc in (a, b, c)]
+        assert digests == [a["digest"], b["digest"], c["digest"]]
+        assert a["digest"] == b["digest"] != c["digest"]

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.errors import PipelineError
 from repro.serve.store import (
     _CORRUPT,
     _MAGIC,
@@ -184,6 +185,15 @@ class TestMaintenance:
     def test_gc_without_limits_is_a_no_op(self, store):
         self.put_n(store, 2)
         assert store.gc() == {"removed": 0, "kept": 2}
+
+    @pytest.mark.parametrize("bound", [{"max_entries": -1}, {"max_age_s": -10}])
+    def test_a_negative_bound_is_refused_not_a_wipe(self, store, bound):
+        """The store holds the run history too: a sign typo must not
+        prune every entry."""
+        self.put_n(store, 3)
+        with pytest.raises(PipelineError, match="must be >= 0"):
+            store.gc(**bound)
+        assert store.stats()["entries"] == 3
 
     def test_clear_removes_everything(self, store):
         self.put_n(store, 3)
