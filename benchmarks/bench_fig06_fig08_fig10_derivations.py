@@ -12,31 +12,30 @@ compiler must derive
   transcription.
 """
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (
     givens_optimized_ir,
-    givens_point_ir,
     lu_block_fig6_ir,
     lu_pivot_point_ir,
     lu_point_ir,
 )
-from repro.blockability import Verdict, classify
-from repro.blockability.givens import optimize_givens
+from repro.check import lint_loop
+from repro.check.linter import BLOCKABLE, BLOCKABLE_WITH_COMMUTATIVITY
 from repro.ir.pretty import to_fortran
 from repro.ir.stmt import Loop
 from repro.ir.visit import find_loops, loop_by_var
+from repro.pipeline import derive
 from repro.runtime.validate import assert_equivalent
 from repro.symbolic.assume import Assumptions
 
+N2 = Assumptions().assume_ge("N", 2)
+
 
 def test_fig06_block_lu_derived(benchmark, show):
-    def derive():
-        return classify(lu_point_ir(), "K", "KS", ctx=Assumptions().assume_ge("N", 2))
-
-    res = benchmark.pedantic(derive, rounds=1, iterations=1)
-    assert res.verdict == Verdict.BLOCKABLE
+    assert lint_loop(lu_point_ir(), "K", ctx=N2).verdict == BLOCKABLE
+    res = benchmark.pedantic(lambda: derive("lu_nopivot"), rounds=1, iterations=1)
+    assert res.artifact("block").blocked_innermost >= 1
     derived = res.procedure
     show(
         "Figure 6: block LU derived from the point algorithm",
@@ -58,14 +57,10 @@ def test_fig06_block_lu_derived(benchmark, show):
 
 @pytest.mark.slow
 def test_fig08_block_lu_pivot_derived(benchmark, show):
-    def derive():
-        return classify(
-            lu_pivot_point_ir(), "K", "KS", ctx=Assumptions().assume_ge("N", 2)
-        )
-
-    res = benchmark.pedantic(derive, rounds=1, iterations=1)
-    assert res.verdict == Verdict.BLOCKABLE_WITH_COMMUTATIVITY
-    assert res.report.used_commutativity
+    lint = lint_loop(lu_pivot_point_ir(), "K", ctx=N2)
+    assert lint.verdict == BLOCKABLE_WITH_COMMUTATIVITY
+    res = benchmark.pedantic(lambda: derive("lu_pivot"), rounds=1, iterations=1)
+    assert res.artifact("block").used_commutativity
     derived = res.procedure
     show("Figure 8: block LU with partial pivoting (derived)", to_fortran(derived))
     # Fig. 8 structure: the point algorithm stays in the KK panel
@@ -77,15 +72,13 @@ def test_fig08_block_lu_pivot_derived(benchmark, show):
     assert [l.var for l in find_loops(top_loops[-1])] == ["J", "I", "KK"]
     # bitwise equivalence with the point algorithm (commuted row swaps and
     # column updates perform identical per-element arithmetic)
-    assert_equivalent(lu_pivot_point_ir(), derived, {"N": 12, "KS": 4}, exact=False)
-    assert_equivalent(lu_pivot_point_ir(), derived, {"N": 11, "KS": 3}, exact=False)
+    assert_equivalent(lu_pivot_point_ir(), derived, {"N": 12, "KS": 4})
+    assert_equivalent(lu_pivot_point_ir(), derived, {"N": 11, "KS": 3})
 
 
 def test_fig10_givens_derived_node_for_node(benchmark, show):
-    ctx = Assumptions().assume_ge("M", 2).assume_le("N", "M")
-
     derived = benchmark.pedantic(
-        lambda: optimize_givens(givens_point_ir(), ctx), rounds=1, iterations=1
+        lambda: derive("givens").procedure, rounds=1, iterations=1
     )
     show("Figure 10: optimized Givens QR (derived)", to_fortran(derived))
     # node-for-node equality with the paper transcription

@@ -3,7 +3,7 @@
 Two halves of the paper's argument, both regenerated:
 
 1. the compiler, with every tool it has (IndexSetSplit, commutativity),
-   fails to sink the strip loop — verdict NOT_BLOCKABLE;
+   fails to sink the strip loop — verdict not-blockable;
 2. the block algorithm *exists* mathematically (compact WY) but performs
    auxiliary computation (the T matrix, the W workspace) with no
    counterpart in the point algorithm — quantified here by counting the
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import householder_block_ref, householder_point_ir, householder_ref
-from repro.blockability import Verdict, classify
+from repro.check import lint_loop
+from repro.check.linter import NOT_BLOCKABLE
 from repro.symbolic.assume import Assumptions
 
 
@@ -22,12 +23,12 @@ def test_householder_not_blockable(benchmark, show):
     ctx = Assumptions().assume_ge("M", 2).assume_ge("N", 2).assume_le("N", "M")
 
     res = benchmark.pedantic(
-        lambda: classify(householder_point_ir(), "K", "KS", ctx=ctx),
+        lambda: lint_loop(householder_point_ir(), "K", ctx=ctx),
         rounds=1,
         iterations=1,
     )
-    show("Sec. 5.3 verdict", res.describe().splitlines()[0])
-    assert res.verdict == Verdict.NOT_BLOCKABLE
+    show("Sec. 5.3 verdict", f"verdict: {res.verdict}")
+    assert res.verdict == NOT_BLOCKABLE
 
 
 def test_householder_block_needs_extra_computation(benchmark, show):

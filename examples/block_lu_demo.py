@@ -1,9 +1,9 @@
 """Deriving LAPACK's block LU from the natural point algorithm (Sec. 5.1).
 
 The point algorithm is written the way a numerical analyst would write it —
-as Fortran text.  The compiler front end parses it, the blockability driver
-derives Figure 6, and the result is validated numerically and measured on
-the simulated memory hierarchy.
+as Fortran text.  The compiler front end parses it, the linter gives the
+Sec. 5 verdict, the blocking driver derives Figure 6, and the result is
+validated numerically and measured on the simulated memory hierarchy.
 
 Run:  python examples/block_lu_demo.py
 """
@@ -12,12 +12,13 @@ import numpy as np
 
 from repro.algorithms import lu_ref
 from repro.bench.harness import measure
-from repro.blockability import Verdict, classify
+from repro.check import lint_loop
 from repro.frontend import parse_procedure
 from repro.ir import to_fortran
 from repro.machine.model import scaled_machine
 from repro.runtime import compile_procedure
 from repro.symbolic.assume import Assumptions
+from repro.transform import block_loop
 
 POINT_LU = """
 SUBROUTINE LU(N)
@@ -38,12 +39,13 @@ def main() -> None:
     print(to_fortran(point))
 
     # --- the blockability study ------------------------------------------
-    result = classify(point, "K", "KS", ctx=Assumptions().assume_ge("N", 2))
-    print(f"\nverdict: {result.verdict.value}")
-    for step in result.report.steps:
+    ctx = Assumptions().assume_ge("N", 2)
+    verdict = lint_loop(point, "K", ctx=ctx).verdict
+    print(f"\nverdict: {verdict}")
+    assert verdict == "blockable"
+    block, report = block_loop(point, "K", "KS", ctx=ctx)
+    for step in report.steps:
         print("  *", step)
-    assert result.verdict == Verdict.BLOCKABLE
-    block = result.procedure
     print("\nderived block algorithm (the paper's Figure 6):")
     print(to_fortran(block))
 
@@ -52,7 +54,8 @@ def main() -> None:
     rng = np.random.default_rng(0)
     a0 = rng.uniform(0.5, 1.5, (n, n)) + np.eye(n) * n
     got = compile_procedure(block)({"N": n, "KS": ks}, arrays={"A": a0})["A"]
-    assert np.array_equal(got, compile_procedure(point)({"N": n}, arrays={"A": a0})["A"])
+    want = compile_procedure(point)({"N": n}, arrays={"A": a0})["A"]
+    assert got.tobytes() == want.tobytes()
     assert np.allclose(got, lu_ref(a0))
     l = np.tril(got, -1) + np.eye(n)
     u = np.triu(got)

@@ -2,7 +2,7 @@
 
 No block algorithm exists for Givens QR; the paper instead derives a
 memory-friendly form with index-set splitting, scalar expansion, fused
-IF-inspection and interchange.  This demo runs the derivation pipeline,
+IF-inspection and interchange.  This demo runs the ``givens_opt`` pass,
 prints the result (which matches the paper's Fig. 10 node for node),
 checks bitwise equivalence, and shows the stride story on the cache model.
 
@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.algorithms import givens_optimized_ir, givens_point_ir, givens_ref
 from repro.bench.harness import measure
-from repro.blockability.givens import optimize_givens
 from repro.ir import to_fortran
 from repro.machine.model import scaled_machine
+from repro.pipeline import derive
 from repro.runtime import compile_procedure
 from repro.symbolic.assume import Assumptions
 from repro.transform import scalar_replace
@@ -26,11 +26,10 @@ def main() -> None:
     print("Figure 9 — the point algorithm:")
     print(to_fortran(point))
 
-    log: list[str] = []
-    ctx = Assumptions().assume_ge("M", 2).assume_le("N", "M")
-    optimized = optimize_givens(point, ctx, log)
+    result = derive("givens")
+    optimized = result.procedure
     print("\nderivation steps:")
-    for s in log:
+    for s in result.span("givens_opt").detail["steps"]:
         print("  *", s)
     print("\nderived program (= the paper's Figure 10):")
     print(to_fortran(optimized))
@@ -43,12 +42,13 @@ def main() -> None:
     a0[rng.uniform(size=(m, n)) < 0.2] = 0.0  # exercise the zero guard
     r1 = compile_procedure(point)({"M": m, "N": n}, arrays={"A": a0})["A"]
     r2 = compile_procedure(optimized)({"M": m, "N": n}, arrays={"A": a0})["A"]
-    assert np.array_equal(r1, r2)
+    assert r1.tobytes() == r2.tobytes()
     assert np.allclose(r1, givens_ref(a0))
     print(f"\nbitwise equivalence checked at {m}x{n} (with zero guards)")
 
     # --- why it is faster: strides ----------------------------------------
     machine = scaled_machine(4)
+    ctx = Assumptions().assume_ge("M", 2).assume_le("N", "M")
     measured, _ = scalar_replace(optimized, ctx)  # registers, like f77 -O
     size = 96
     a = np.asfortranarray(rng.uniform(0.1, 1.0, (size, size)))

@@ -14,9 +14,11 @@ behaviour:
 - :mod:`repro.transform` — strip mining, (triangular) interchange,
   distribution, **index-set splitting**, (triangular) unroll-and-jam,
   scalar replacement/expansion, IF-inspection, and the blocking driver;
-- :mod:`repro.blockability` — the Sec. 5 study: BLOCKABLE /
-  BLOCKABLE_WITH_COMMUTATIVITY / NOT_BLOCKABLE verdicts, plus the Givens
-  pipeline;
+- :mod:`repro.pipeline` — named passes and workloads: ``derive`` runs a
+  recipe and differentially verifies it byte for byte;
+- :mod:`repro.check` — IR verification, legality, and the Sec. 5
+  verdict (``lint_loop``: blockable / blockable-with-commutativity /
+  not-blockable);
 - :mod:`repro.lang` — lowering of ``BLOCK DO`` / ``IN DO`` / ``LAST()``
   with machine-driven blocking-factor choice;
 - :mod:`repro.machine` — set-associative cache + TLB simulation, Fortran
@@ -30,7 +32,8 @@ behaviour:
 
 Quick taste::
 
-    >>> from repro import parse_procedure, classify
+    >>> from repro import parse_procedure
+    >>> from repro.check import lint_loop
     >>> proc = parse_procedure('''
     ... SUBROUTINE LU(N)
     ...   DOUBLE PRECISION A(N,N)
@@ -42,11 +45,10 @@ Quick taste::
     ... 10      A(I,J) = A(I,J) - A(I,K) * A(K,J)
     ... END
     ... ''')
-    >>> classify(proc, "K", "KS").verdict.value
+    >>> lint_loop(proc, "K").verdict
     'blockable'
 """
 
-from repro.blockability import BlockabilityResult, Verdict, classify
 from repro.errors import (
     AnalysisError,
     MachineError,
@@ -66,7 +68,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AnalysisError",
-    "BlockabilityResult",
     "MachineError",
     "MachineModel",
     "ParseError",
@@ -75,10 +76,8 @@ __all__ = [
     "ReproError",
     "SemanticsError",
     "TransformError",
-    "Verdict",
     "assert_equivalent",
     "block_loop",
-    "classify",
     "compile_procedure",
     "execute",
     "lower_extensions",

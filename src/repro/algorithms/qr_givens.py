@@ -16,9 +16,9 @@ algorithm is known; the optimized form (Fig. 10) instead combines
    ``A(J,K)`` and an invariant ``A(L,K)``.
 
 ``givens_optimized_ir`` transcribes Fig. 10 (with the inspection
-bookkeeping the paper sketches as a comment written out); the pipeline in
-:mod:`repro.blockability.givens` *derives* the same structure with the
-generic transformations.
+bookkeeping the paper sketches as a comment written out); the
+``givens_opt`` pass (``derive("givens")``) *derives* the same structure
+with the generic transformations.
 """
 
 from __future__ import annotations

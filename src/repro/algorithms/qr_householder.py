@@ -9,7 +9,7 @@ do not exist in the point algorithm, so no dependence-based reordering of
 the point code can produce it.  Accordingly this module provides:
 
 - :func:`householder_point_ir` — the point algorithm in IR, the input to
-  the blockability classifier (expected verdict: NOT_BLOCKABLE);
+  the blockability linter (expected verdict: not-blockable);
 - :func:`householder_ref` — numpy oracle for the point algorithm;
 - :func:`householder_block_ref` — the WY-aggregated block algorithm
   (with the T matrix), written directly in numpy.  It exists to

@@ -22,14 +22,16 @@ permutations and whole-column updates":
 - :func:`operations_commute` — the registry query asked when a
   transformation-preventing dependence connects two matched groups;
 - :func:`commutativity_oracle` — that question per dependence: the one
-  oracle the ``block``/``distribute`` passes, the blockability driver and
-  :mod:`repro.check`'s linter and legality recheck all consult.
+  oracle the ``block``/``distribute`` passes and :mod:`repro.check`'s
+  linter and legality recheck all consult.
 
-Soundness note: commuting a row interchange past a column update reorders
-*floating-point-identical* operations onto permuted rows; results are
-bitwise equal in exact arithmetic and equal up to roundoff reassociation
-in floating point.  The validator therefore compares the pivoted block LU
-against the point algorithm with a tolerance rather than bit-exactly.
+Soundness note: a row interchange is pure data movement — it copies whole
+rows and computes nothing.  Commuting it past a column update therefore
+changes which row an element's operations land in, never which operations
+it sees or their order: every element of the pivoted block LU undergoes
+the same multiplications and subtractions, in the same sequence, as in the
+point algorithm.  Nothing is reassociated, so the derived program is
+bitwise equal to the point algorithm, and the validator compares bytes.
 """
 
 from __future__ import annotations

@@ -9,9 +9,8 @@ numbers and ours, plus ``assert_*`` helpers encoding the *shape* claims
 (who wins, roughly by how much, where the crossovers are).
 
 The variant constructions call the actual compiler — pass pipelines run
-through :mod:`repro.pipeline` (``derive``) and the blockability driver —
-not hand-written blocked code, wherever the paper claims compiler
-derivability; hand transcriptions (Figs. 6/8/10) serve as the comparators
+through :mod:`repro.pipeline` (``derive``) — not hand-written blocked
+code, wherever the paper claims compiler derivability; hand transcriptions (Figs. 6/8/10) serve as the comparators
 the derived code is checked against.  Routing the derivations through the
 pass manager gives every table tracing and analysis caching for free.
 """

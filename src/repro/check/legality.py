@@ -427,8 +427,10 @@ def _adjacent_same_var_pairs(proc):
 
 
 def _post_split(before, after, ctx, options):
-    """Pieces the split created must partition the original range: a
-    right piece must start at ``left.hi + 1``.  Only *provably* wrong
+    """Pieces the split created must partition the original range: each
+    piece must have unit step (``left.hi + 1`` is off a strided loop's
+    lattice), and a right piece must start at ``left.hi + 1``.  Only
+    *provably* wrong
     meeting points are flagged (``compare`` yields a strict inequality
     — overlap or gap); symbolic bounds the assumption context cannot
     order, such as trapezoid MIN/MAX endpoints, stay silent.  Pairs of
@@ -444,6 +446,16 @@ def _post_split(before, after, ctx, options):
         if var is not None and left.var != var:
             continue
         if (left.var, left.lo, left.hi, right.lo, right.hi) in preexisting:
+            continue
+        strided = next((p for p in (left, right) if p.step != Const(1)), None)
+        if strided is not None:
+            out.append(diag(
+                "legal/split-partition",
+                f"{after.name}/DO {left.var}",
+                f"a piece of DO {left.var} has step {fmt_expr(strided.step)}: "
+                f"the second piece starts at {fmt_expr(right.lo)}, off the "
+                f"original iteration lattice",
+            ))
             continue
         if ctx.compare(right.lo, left.hi + Const(1)) in ("<", ">"):
             out.append(diag(

@@ -35,10 +35,11 @@ the escape analysis distilled from the Sec. 3–5 derivations:
    interchange on the way down would reverse, or — when no inner loop
    escapes the cycle at all — a transformation-preventing dependence.
 
-The verdict strings deliberately equal
-:class:`repro.blockability.driver.Verdict` values so
-``tests/blockability/test_verdicts.py`` can assert the linter and the
-transforming driver agree (single source of truth).
+This is the one verdict: the ``block`` pass derives the program, and
+``tests/check/test_lint_is_block.py`` holds the two to the same answer —
+``blockable`` when a strip loop reaches the innermost position on
+dependences alone, ``blockable-with-commutativity`` when it needs the
+oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from repro.pipeline.cache import scoped as _analysis_cache
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import non_comment, sole_inner_loop
 
-#: Verdict strings; equal to ``repro.blockability.driver.Verdict`` values.
+#: The Sec. 5 taxonomy; the suffixes of the ``lint/*`` verdict rules.
 BLOCKABLE = "blockable"
 BLOCKABLE_WITH_COMMUTATIVITY = "blockable-with-commutativity"
 NOT_BLOCKABLE = "not-blockable"

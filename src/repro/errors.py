@@ -43,9 +43,10 @@ class ArtifactError(ReproError):
 class TransformError(ReproError):
     """A transformation's safety preconditions do not hold.
 
-    This is the signal the blockability driver converts into a verdict:
-    a :class:`TransformError` means "a dependence-respecting compiler must
-    refuse here", which is data, not failure.
+    A :class:`TransformError` means "a dependence-respecting compiler
+    must refuse here", which is data, not failure: the ``block`` pass
+    records the refusal in its report, and a pipeline reports the span
+    as an error rather than crashing.
     """
 
 

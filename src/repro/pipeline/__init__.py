@@ -1,11 +1,13 @@
 """The instrumented, cached pass-pipeline subsystem (``repro.pipeline``).
 
 Sits between :mod:`repro.transform` (the individual source-to-source
-transformations) and :mod:`repro.blockability` / :mod:`repro.bench` (the
-study drivers): pass sequences that used to be hand-coded per derivation
-are declared as data, run through a :class:`PassManager`, and come back
-with per-pass timing, IR deltas, analysis-cache statistics, JSON traces,
-and optional differential verification.
+transformations) and :mod:`repro.bench` (the experiments): pass
+sequences that used to be hand-coded per derivation are declared as
+data, run through a :class:`PassManager`, and come back with per-pass
+timing, IR deltas, analysis-cache statistics, JSON traces, and optional
+byte-for-byte differential verification.  ``derive`` is the one way a
+program is derived: ``result.artifact("block")`` is the ``block`` pass's
+:class:`~repro.transform.blocking.BlockingReport`.
 
 Quick use::
 
@@ -80,11 +82,7 @@ def derive(
     """
     workload = get_workload(algorithm)
     proc = workload.build()
-    verifier = (
-        DifferentialVerifier(proc, workload.verify_sizes, exact=workload.exact)
-        if verify
-        else None
-    )
+    verifier = DifferentialVerifier(proc, workload.verify_sizes) if verify else None
     manager = PassManager(
         workload.resolve_specs(passes, unroll=unroll, factor=factor),
         ctx=workload.context(unroll),

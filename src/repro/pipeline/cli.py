@@ -126,7 +126,7 @@ def run(args) -> int:
     verifier = None
     if args.verify:
         sizes = {**workload.verify_sizes, **cli.parse_sizes(args.sizes)}
-        verifier = DifferentialVerifier(proc, sizes, exact=workload.exact)
+        verifier = DifferentialVerifier(proc, sizes)
 
     manager = PassManager(
         specs,

@@ -1,7 +1,7 @@
 """Named, introspectable passes over the existing transformations.
 
 Every transformation in :mod:`repro.transform` (plus the composed Givens
-treatment from :mod:`repro.blockability.givens`) is wrapped as a *pass*:
+treatment, ``givens_opt``) is wrapped as a *pass*:
 a named unit with a declared precondition check, a uniform ``run``
 signature, and a structured :class:`PassOutcome`.  The
 :class:`~repro.pipeline.manager.PassManager` sequences passes by name;
@@ -36,7 +36,9 @@ from repro.transform import (
     if_inspect,
     index_set_split_for_dependence,
     interchange,
+    scalar_expand,
     scalar_replace,
+    split_index_set,
     split_trapezoid_max,
     split_trapezoid_min,
     strip_mine,
@@ -44,6 +46,8 @@ from repro.transform import (
     triangular_unroll_jam,
 )
 from repro.transform.base import non_comment, sole_inner_loop
+from repro.transform.if_inspection import guarded_distribute_with_inspection
+from repro.transform.index_set_split import eliminate_single_trip
 
 
 @dataclass(frozen=True)
@@ -550,21 +554,71 @@ register(
 
 
 # ---------------------------------------------------------------------------
-# givens_opt — the composed Sec. 5.4 treatment
+# givens_opt — the composed Sec. 5.4 treatment (Fig. 9 -> Fig. 10)
 # ---------------------------------------------------------------------------
+#
+# No block algorithm is known for Givens QR; the paper instead fixes its
+# memory behaviour with the same toolkit.  Interchanging J innermost gives
+# stride-one A(J,K) and an invariant A(L,K), but the interchange is blocked
+# by (a) a recurrence that exists only for the element A(L,L), (b) scalars
+# C/S carried from the rotation setup into the sweep, and (c) the guard,
+# whose operand the rotation itself zeroes.  The pass removes them in the
+# paper's order: index-set split of K at L (then unroll the peel, the A1/A2
+# block), scalar expansion of C, S, distribution of J with fused
+# IF-inspection, and two interchanges putting K outermost over (JN, J).
+
+def _givens_sweep(proc: Procedure) -> Optional[Loop]:
+    """The K sweep of Fig. 9's single guarded rotation body under the
+    one loop over J, or None when ``proc`` does not have that shape."""
+    try:
+        j_loop = loop_by_var(proc.body, "J")
+    except (KeyError, ValueError):
+        return None
+    body = non_comment(j_loop.body)
+    if len(body) != 1 or not isinstance(body[0], If):
+        return None
+    return next((s for s in non_comment(body[0].then) if isinstance(s, Loop)), None)
+
 
 def _givens_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    if not find_loops(proc):
-        return "procedure has no loops"
+    if _givens_sweep(proc) is None:
+        return "expected Fig. 9: one DO J whose body is a guarded rotation with a K sweep"
     return None
 
 
 def _givens_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    from repro.blockability.givens import optimize_givens
+    steps: list[str] = []
+    k_loop = _givens_sweep(proc)
+    # 1. IndexSetSplit of K at L: the A(L,L) recurrence is confined to the
+    #    first iteration, which is then fully unrolled.
+    proc, (peel, _rest) = split_index_set(
+        proc, k_loop, k_loop.lo, context_for_path(proc, k_loop, ctx))
+    steps.append(f"index-set split {k_loop.var} at {k_loop.lo!r} (A(L,L) recurrence)")
+    peel = next(l for l in find_loops(proc) if l == peel)
+    proc = eliminate_single_trip(proc, peel, context_for_path(proc, peel, ctx))
+    steps.append("unrolled the peeled first iteration (the A1/A2 block)")
 
-    log: list[str] = []
-    new = optimize_givens(proc, ctx, log=log)
-    return PassOutcome(new, new != proc, {"steps": log})
+    # 2. scalar expansion of the rotation coefficients over J
+    proc = scalar_expand(proc, loop_by_var(proc.body, "J"), ("C", "S"))
+    steps.append("scalar-expanded C, S -> C(J), S(J)")
+
+    # 3. distribution of J with fused IF-inspection
+    j_loop = loop_by_var(proc.body, "J")
+    then = non_comment(j_loop.body)[0].then
+    split_at = next(k for k, s in enumerate(then) if isinstance(s, Loop))
+    proc, executor = guarded_distribute_with_inspection(
+        proc, j_loop, split_at, context_for_path(proc, j_loop, ctx))
+    steps.append("distributed J with fused IF-inspection (guard operand is zeroed)")
+
+    # 4. interchange J past K, then JN past K: K becomes outermost of the
+    #    executor, giving stride-one A(J,K) and invariant A(L,K).
+    inner_j = sole_inner_loop(next(l for l in find_loops(proc) if l == executor))
+    proc = interchange(proc, inner_j, context_for_path(proc, inner_j, ctx))
+    steps.append("interchanged J inside K")
+    executor = next(l for l in find_loops(proc) if l.var == executor.var)
+    proc = interchange(proc, executor, context_for_path(proc, executor, ctx))
+    steps.append("interchanged JN inside K (K now outermost of the sweep)")
+    return PassOutcome(proc, True, {"steps": steps})
 
 
 register(
@@ -573,7 +627,8 @@ register(
         "the composed Givens QR treatment (Sec. 5.4): distribution, "
         "interchange, fusion back to Fig. 10 form",
         options=(),
-        precondition="procedure has loops",
+        precondition="Fig. 9's shape: one loop over J whose body is a "
+        "guarded rotation containing the K sweep",
     ),
     _givens_precheck,
     _givens_run,

@@ -7,10 +7,9 @@ procedure on small reproducible inputs and checks it two ways:
    interpreter run of the *same* procedure must agree bit-for-bit — this
    catches codegen/interpreter divergence independently of any
    transformation;
-2. **vs. reference**: the transformed procedure must agree with the
-   original point algorithm on every array the reference owns — exactly
-   for pure reorderings, within tolerance for reassociating
-   transformations (``exact=False``, e.g. commutativity-based pivoting).
+2. **vs. reference**: the transformed procedure must leave the same
+   bytes as the original point algorithm in every array the reference
+   owns — no pass reassociates arithmetic, so there is no tolerance.
 
 The first pass whose output fails either check raises
 :class:`~repro.errors.VerificationError` naming that pass, which is the
@@ -43,17 +42,11 @@ class DifferentialVerifier:
         self,
         reference: Procedure,
         sizes: Mapping[str, int],
-        exact: bool = True,
-        rtol: float = 1e-10,
-        atol: float = 1e-12,
         seed: int = 0,
         arrays: Optional[Mapping[str, np.ndarray]] = None,
     ) -> None:
         self.reference = reference
         self.sizes = dict(sizes)
-        self.exact = exact
-        self.rtol = rtol
-        self.atol = atol
         self.seed = seed
         self.arrays = arrays
         self._ref_env: Optional[dict] = None
@@ -77,8 +70,7 @@ class DifferentialVerifier:
 
         proc_arrays = [a.name for a in proc.arrays]
         for name in proc_arrays:
-            # engines must agree exactly regardless of the tolerance regime
-            problem = compare_arrays(env_it[name], env_cg[name], name, True, 0, 0)
+            problem = compare_arrays(env_it[name], env_cg[name], name)
             if problem:
                 raise VerificationError(
                     f"pass {label!r}: codegen and interpreter disagree — {problem}"
@@ -95,16 +87,13 @@ class DifferentialVerifier:
                 f"pass {label!r}: no arrays shared with the reference"
             )
         for name in shared:
-            problem = compare_arrays(
-                ref_env[name], env_cg[name], name, self.exact, self.rtol, self.atol
-            )
+            problem = compare_arrays(ref_env[name], env_cg[name], name)
             if problem:
                 raise VerificationError(
                     f"pass {label!r}: diverges from reference — {problem}"
                 )
         return {
             "sizes": self.sizes,
-            "exact": self.exact,
             "engines": ["codegen", "interp"],
             "arrays": shared,
             "ok": True,

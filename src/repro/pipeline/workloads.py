@@ -3,7 +3,7 @@
 A workload packages what the CLI and the experiment layer need to run a
 derivation by name: the point algorithm builder, the paper's assumption
 context, per-pass default options (which loop to block, by what factor,
-what to unroll), small verification sizes, and the tolerance regime.
+what to unroll), and small verification sizes.
 
 ``--algorithm lu_nopivot --passes split,block,jam`` resolves each pass
 name against :attr:`Workload.pass_options`, so the same pass vocabulary
@@ -31,7 +31,6 @@ class Workload:
     pass_options: dict = field(default_factory=dict)  # pass name -> options
     default_passes: tuple = ()
     verify_sizes: dict = field(default_factory=dict)
-    exact: bool = True
     unroll: int = 4
     #: (problem size n, blocking factor b) -> concrete symbol bindings;
     #: must reproduce ``verify_sizes`` exactly at ``(None, None)`` so
@@ -179,7 +178,6 @@ register(
         },
         default_passes=("block",),
         verify_sizes={"N": 13, "KS": 4},
-        exact=True,
         size_factory=_lu_sizes,
     )
 )
@@ -198,8 +196,6 @@ register(
         default_passes=("block",),
         verify_sizes={"N": 13, "KS": 4},
         size_factory=_lu_sizes,
-        # commuting column updates past row interchanges reassociates
-        exact=False,
     )
 )
 
@@ -214,7 +210,6 @@ register(
         },
         default_passes=("givens_opt",),
         verify_sizes={"M": 10, "N": 8},
-        exact=True,
         size_factory=_givens_sizes,
     )
 )
@@ -231,7 +226,6 @@ register(
         },
         default_passes=("split", "jam", "scalars"),
         verify_sizes={"N1": 24, "N2": 18, "N3": 20, "DT": 0.5},
-        exact=True,
         size_factory=_conv_sizes,
     )
 )
@@ -248,7 +242,6 @@ register(
         },
         default_passes=("split", "jam", "scalars"),
         verify_sizes={"N1": 24, "N2": 18, "N3": 20, "DT": 0.5},
-        exact=True,
         size_factory=_conv_sizes,
     )
 )
@@ -265,7 +258,6 @@ register(
         },
         default_passes=("if_inspection", "jam", "scalars"),
         verify_sizes={"N": 12},
-        exact=True,
         size_factory=_matmul_sizes,
     )
 )

@@ -15,8 +15,8 @@ Both use Fortran semantics: 1-based subscripts, column-major layout
 (numpy ``order='F'``), DO-loop trip counts computed once at loop entry.
 
 :mod:`repro.runtime.validate` runs original and transformed procedures on
-the same random inputs and asserts (near-)equality — the property every
-transformation in this package must preserve.
+the same random inputs and asserts they leave the same bytes — the
+property every transformation in this package must preserve.
 """
 
 from repro.runtime.codegen import compile_procedure, compile_stream, generate_source

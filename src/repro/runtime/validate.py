@@ -1,19 +1,14 @@
 """Semantic-equivalence checking between point and transformed procedures.
 
 Every transformation in this package must preserve observable behaviour:
-given identical inputs, the final contents of every array must match.  Two
-tolerance regimes exist:
-
-- ``exact=True``: bit-identical results.  Reordering transformations that
-  only re-sequence *independent* iterations (strip mining, interchange of
-  fully permutable loops, distribution, index-set splitting, IF-inspection,
-  scalar replacement) change nothing about each element's computation, so
-  they must be exact.
-- ``exact=False``: floating-point-tolerant comparison for transformations
-  that reassociate or commute operations (the commutativity-based block LU
-  with partial pivoting performs the same column updates in a different
-  order relative to row interchanges; the *values* are mathematically equal
-  but may differ in the last ulps).
+given identical inputs, the final contents of every array must be the
+same bytes.  No transformation reassociates arithmetic: strip mining,
+interchange, distribution, index-set splitting, IF-inspection, scalar
+replacement and expansion only re-sequence independent iterations, and
+Sec. 5.2's commutativity moves whole-row swaps, which are pure data
+movement, so each element sees the same operations in the same order.
+Equality is therefore bitwise — a NaN equals the NaN it came from, and
+``-0.0`` is not ``+0.0``.
 """
 
 from __future__ import annotations
@@ -37,25 +32,26 @@ def run_on_random(
     return compile_procedure(proc)(sizes, arrays=arrays, seed=seed)
 
 
-def compare_arrays(
-    ref: np.ndarray, new: np.ndarray, name: str, exact: bool, rtol: float, atol: float
-) -> Optional[str]:
-    """How ``new`` differs from ``ref`` under the tolerance regime, or
+def compare_arrays(ref: np.ndarray, new: np.ndarray, name: str) -> Optional[str]:
+    """How ``new`` differs from ``ref`` in dtype, shape or bytes, or
     ``None`` when it does not."""
+    if ref.dtype != new.dtype:
+        return f"{name}: dtype {ref.dtype} != {new.dtype}"
     if ref.shape != new.shape:
         return f"{name}: shape {ref.shape} != {new.shape}"
-    if exact:
-        if not np.array_equal(ref, new):
-            bad = int(np.sum(ref != new))
-            first = tuple(np.argwhere(ref != new)[0])
-            return (
-                f"{name}: {bad} elements differ (exact); first at "
-                f"{tuple(int(i) + 1 for i in first)}: {ref[first]} vs {new[first]}"
-            )
-    elif not np.allclose(ref, new, rtol=rtol, atol=atol):
-        err = float(np.max(np.abs(ref - new)))
-        return f"{name}: max abs diff {err:.3e} exceeds tolerance"
-    return None
+    if ref.tobytes() == new.tobytes():
+        return None
+    elements = ref.shape + (ref.dtype.itemsize,)
+    differ = np.any(
+        np.ascontiguousarray(ref).view(np.uint8).reshape(elements)
+        != np.ascontiguousarray(new).view(np.uint8).reshape(elements),
+        axis=-1,
+    )
+    first = tuple(np.argwhere(differ)[0])
+    return (
+        f"{name}: {int(differ.sum())} elements differ bitwise; first at "
+        f"{tuple(int(i) + 1 for i in first)}: {ref[first]} vs {new[first]}"
+    )
 
 
 def assert_equivalent(
@@ -63,12 +59,10 @@ def assert_equivalent(
     transformed: Procedure,
     sizes: Mapping[str, int],
     seed: int = 0,
-    exact: bool = True,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     arrays: Optional[Mapping[str, np.ndarray]] = None,
 ) -> None:
-    """Raise AssertionError unless the two procedures agree on all arrays.
+    """Raise AssertionError unless the two procedures leave the same bytes
+    in every array.
 
     Arrays present in only one procedure (compiler-introduced temporaries
     like IF-inspection's KLB/KUB or scalar-expansion workspace) are ignored;
@@ -80,6 +74,6 @@ def assert_equivalent(
     if not shared:
         raise AssertionError("procedures share no arrays; nothing to compare")
     for name in shared:
-        problem = compare_arrays(env_ref[name], env_new[name], name, exact, rtol, atol)
+        problem = compare_arrays(env_ref[name], env_new[name], name)
         if problem:
             raise AssertionError(problem)

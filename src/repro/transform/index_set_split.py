@@ -114,6 +114,10 @@ def split_trapezoid_min(
     inner = sole_inner_loop(outer)
     if inner is None:
         raise TransformError("trapezoid splitting needs a perfectly nested inner loop")
+    if outer.step != Const(1):
+        # the second piece starts at the crossover + 1, which is off the
+        # lattice lo, lo+step, ... of a strided loop
+        raise TransformError("trapezoid splitting requires unit step")
     shape = classify_loop_shape(inner, outer.var)
     if shape.kind != LoopShape.TRAPEZOIDAL_MIN or shape.hi is None:
         raise TransformError(
@@ -127,8 +131,8 @@ def split_trapezoid_min(
 
     tri_inner = Loop(inner.var, inner.lo, simplify(Const(a) * Var(outer.var) + beta, ctx), inner.body, step=inner.step)
     rect_inner = Loop(inner.var, inner.lo, simplify(invariant, ctx), inner.body, step=inner.step)
-    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (tri_inner,), step=outer.step)
-    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (rect_inner,), step=outer.step)
+    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (tri_inner,))
+    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (rect_inner,))
     return replace_loop(proc, outer, (first, second)), (first, second)
 
 
@@ -145,6 +149,8 @@ def split_trapezoid_max(
     inner = sole_inner_loop(outer)
     if inner is None:
         raise TransformError("trapezoid splitting needs a perfectly nested inner loop")
+    if outer.step != Const(1):
+        raise TransformError("trapezoid splitting requires unit step")
     shape = classify_loop_shape(inner, outer.var)
     if shape.kind != LoopShape.TRAPEZOIDAL_MAX or shape.lo is None or not shape.lo.invariant_arms:
         raise TransformError(
@@ -160,8 +166,8 @@ def split_trapezoid_max(
     coupled_inner = Loop(
         inner.var, simplify(Const(a) * Var(outer.var) + beta, ctx), inner.hi, inner.body, step=inner.step
     )
-    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (rect_inner,), step=outer.step)
-    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (coupled_inner,), step=outer.step)
+    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (rect_inner,))
+    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (coupled_inner,))
     return replace_loop(proc, outer, (first, second)), (first, second)
 
 

@@ -107,16 +107,11 @@ class TestOrientationFiltering:
         writes genuinely flow into later swaps: without commutativity the
         KK loop must remain one recurrence (no illegal distribution)."""
         from repro.algorithms import lu_pivot_point_ir
-        from repro.blockability import Verdict, classify
+        from repro.transform.blocking import block_loop
 
-        res = classify(
-            lu_pivot_point_ir(),
-            "K",
-            "KS",
-            ctx=Assumptions().assume_ge("N", 2),
-            allow_commutativity=False,
-        )
-        assert res.verdict == Verdict.NOT_BLOCKABLE
+        base = Assumptions().assume_ge("N", 2)
+        out, report = block_loop(lu_pivot_point_ir(), "K", "KS", ctx=base)
+        assert report.blocked_innermost == 0  # the recurrence stays whole
 
 
 class TestMinMaxBoundReasoning:

@@ -1,47 +1,39 @@
-"""Details of the Givens optimization pipeline (Sec. 5.4)."""
+"""Details of the Givens optimization pass (``givens_opt``, Sec. 5.4)."""
 
 import numpy as np
-import pytest
 
 from repro.algorithms import givens_point_ir
-from repro.analysis.refs import collect_accesses
-from repro.blockability.givens import optimize_givens
-from repro.errors import TransformError
-from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import ArrayRef, Compare, Const, Var
+from repro.ir.build import assign, do, ref
+from repro.ir.expr import Var
 from repro.ir.stmt import ArrayDecl, If, Loop, Procedure
 from repro.ir.visit import find_loops, loop_by_var, walk_stmts
 from repro.machine.model import scaled_machine
 from repro.machine.tracer import trace_procedure
+from repro.pipeline import PassManager, PassSpec, derive
 from repro.symbolic.assume import Assumptions
 
 
-def ctx():
-    return Assumptions().assume_ge("M", 2).assume_le("N", "M")
+def optimized():
+    return derive("givens").procedure
 
 
 class TestPipelineSteps:
     def test_log_records_paper_order(self):
-        log = []
-        optimize_givens(givens_point_ir(), ctx(), log)
-        text = " | ".join(log)
+        text = " | ".join(derive("givens").span("givens_opt").detail["steps"])
         assert text.index("index-set split") < text.index("scalar-expanded")
         assert text.index("scalar-expanded") < text.index("IF-inspection")
         assert text.index("IF-inspection") < text.index("interchanged J inside K")
 
     def test_rotation_coefficients_become_arrays(self):
-        out = optimize_givens(givens_point_ir(), ctx())
-        assert {"C", "S"} <= out.array_names
+        assert {"C", "S"} <= optimized().array_names
 
     def test_executor_loop_order_is_k_jn_j(self):
-        out = optimize_givens(givens_point_ir(), ctx())
-        l_loop = loop_by_var(out.body, "L")
+        l_loop = loop_by_var(optimized().body, "L")
         k = next(s for s in l_loop.body if isinstance(s, Loop) and s.var == "K")
         assert [l.var for l in find_loops(k)] == ["K", "JN", "J"]
 
     def test_executor_is_guard_free(self):
-        out = optimize_givens(givens_point_ir(), ctx())
-        l_loop = loop_by_var(out.body, "L")
+        l_loop = loop_by_var(optimized().body, "L")
         k = next(s for s in l_loop.body if isinstance(s, Loop) and s.var == "K")
         assert not any(isinstance(s, If) for s in walk_stmts(k.body))
 
@@ -50,8 +42,9 @@ class TestPipelineSteps:
             "x", ("N",), (ArrayDecl("A", (Var("N"),)),),
             (do("J", 1, "N", assign(ref("A", "J"), 0.0)),),
         )
-        with pytest.raises((TransformError, KeyError)):
-            optimize_givens(p, Assumptions())
+        span = PassManager([PassSpec("givens_opt")], ctx=Assumptions()).run(p).spans[0]
+        assert span.status == "infeasible"
+        assert "Fig. 9" in span.detail["reason"]
 
 
 class TestMemoryBehaviour:

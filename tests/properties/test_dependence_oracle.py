@@ -11,6 +11,10 @@ The same enumeration checks Fourier–Motzkin: a direction vector realised
 by two enumerated iterations may never be declared infeasible.
 """
 
+import itertools
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.context import context_for_path
@@ -19,7 +23,9 @@ from repro.analysis.feasibility import direction_feasible
 from repro.analysis.refs import collect_accesses
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Max, Min, Var
-from repro.runtime.interpreter import Interpreter
+from repro.ir.stmt import ArrayDecl, Procedure
+from repro.runtime.interpreter import execute
+from tests.properties.domain import Domain
 
 subscript = st.tuples(
     st.integers(min_value=-2, max_value=2),  # coefficient of I
@@ -78,17 +84,34 @@ def enumerate_events(nest, subs):
     """(ref_label, element, is_write, time, (i, j)) for every iteration of
     the nest's actual iteration space, in evaluation order: the two reads,
     then the write."""
-    (inner,) = nest.body
     w, r1, r2 = subs
     events = []
     t = 0
-    for i in range(nest.lo.value, nest.hi.value + 1):
-        at_i = Interpreter({"I": i})
-        for j in range(at_i.eval(inner.lo), at_i.eval(inner.hi) + 1):
-            for kind, sub in (("r", r1), ("r", r2), ("w", w)):
-                events.append((label(kind, sub), ci_eval(sub, i, j), kind == "w", t, (i, j)))
-                t += 1
+    for i, j in Domain.of(nest).points():
+        for kind, sub in (("r", r1), ("r", r2), ("w", w)):
+            events.append((label(kind, sub), ci_eval(sub, i, j), kind == "w", t, (i, j)))
+            t += 1
     return events
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_domain_counts_what_the_interpreter_runs(shape):
+    """``len(Domain)`` of every Sec. 3 shape equals the number of times
+    the interpreter executes the nest's body."""
+    count = ref("C", Const(1))
+    for n, b, m, k in itertools.product((1, 3, 5), (-1, 0, 1), (1, 3, 5), (0, 2)):
+        lo, hi = SHAPES[shape](b, m, k)
+        nest = do("I", 1, n, do("J", lo, hi, assign(count, count + 1.0)))
+        proc = Procedure("count", (), (ArrayDecl("C", (Const(1),)),), (nest,))
+        brute = execute(proc, {}, arrays={"C": np.zeros(1)})["C"][0]
+        assert len(Domain.of(nest)) == brute, (shape, n, b, m, k)
+
+
+def test_domain_equality_is_by_points():
+    body = assign(ref("A", Const(1)), Const(0.0))
+    tri = Domain.of(do("I", 1, 4, do("J", Var("I"), 4, body)))
+    assert tri == Domain.of(do("I", 1, 4, do("J", Max((Var("I"), Const(1))), 4, body)))
+    assert tri != Domain.of(do("I", 1, 4, do("J", 1, 4, body)))
 
 
 def ci_eval(sub, i, j):

@@ -6,12 +6,18 @@ import pytest
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.pipeline.verify import DifferentialVerifier
 from repro.runtime.interpreter import execute
 from repro.runtime.validate import assert_equivalent, run_on_random
 
 
 def proc_with(body, name="p"):
     return Procedure(name, ("N",), (ArrayDecl("A", (Var("N"),)),), body)
+
+
+def two_arrays(body):
+    n = (Var("N"),)
+    return Procedure("p", ("N",), (ArrayDecl("A", n), ArrayDecl("B", n)), body)
 
 
 class TestAssertEquivalent:
@@ -25,12 +31,18 @@ class TestAssertEquivalent:
         p1 = proc_with((do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") * 2.0)),))
         assert_equivalent(p1, p1.with_body(p1.body), {"N": 4})
 
-    def test_tolerant_mode(self):
-        p1 = proc_with((do("I", 1, "N", assign(ref("A", "I"), (ref("A", "I") + 1.0) + 1e-13)),))
-        p2 = proc_with((do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") + 1.0)),))
-        with pytest.raises(AssertionError):
-            assert_equivalent(p1, p2, {"N": 4}, exact=True)
-        assert_equivalent(p1, p2, {"N": 4}, exact=False, atol=1e-10)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_equals_the_nan_it_came_from(self):
+        p = two_arrays((do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") / ref("B", "I"))),))
+        zeros = np.zeros(4)
+        assert_equivalent(p, p, {"N": 4}, arrays={"A": zeros, "B": zeros})
+        DifferentialVerifier(p, {"N": 4}, arrays={"A": zeros, "B": zeros}).check(p, "identity")
+
+    def test_negative_zero_is_not_zero(self):
+        p1 = two_arrays((do("I", 1, "N", assign(ref("A", "I"), ref("B", "I") * 0.0)),))
+        p2 = two_arrays((do("I", 1, "N", assign(ref("A", "I"), 0.0)),))
+        with pytest.raises(AssertionError, match=r"4 elements differ .*first at \(1,\): -0.0 vs 0.0"):
+            assert_equivalent(p1, p2, {"N": 4}, arrays={"B": -np.ones(4)})
 
     def test_compiler_temporaries_ignored(self):
         p1 = proc_with((do("I", 1, "N", assign(ref("A", "I"), ref("A", "I") + 1.0)),))
