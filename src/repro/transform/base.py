@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.expr import Expr, Var
+from repro.ir.expr import ArrayRef, Expr, Var
 from repro.ir.stmt import Comment, Loop, Procedure, Stmt
 from repro.ir.visit import walk_exprs, walk_stmts
 
@@ -18,8 +18,6 @@ def used_names(proc: Procedure | Stmt | Sequence[Stmt]) -> set[str]:
     for e in walk_exprs(proc):
         if isinstance(e, Var):
             names.add(e.name)
-        from repro.ir.expr import ArrayRef
-
         if isinstance(e, ArrayRef):
             names.add(e.array)
     for s in walk_stmts(proc):

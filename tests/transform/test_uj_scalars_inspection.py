@@ -171,6 +171,48 @@ class TestScalarReplacement:
         out, reports = scalar_replace(p)
         assert not any(("B", (Var("J"),)) in r.replaced for r in reports)
 
+    def test_subscript_through_an_assigned_scalar_stays_in_memory(self):
+        # K = I moves A(K) every iteration: hoisting its load above DO I
+        # would read A(K) before K is set, and collapsing it to one load at
+        # the body top would read it before the assignment
+        nest = do(
+            "J", 1, "N",
+            do("I", 1, "N",
+               assign("K", Var("I")),
+               assign(ref("A", "K"), ref("A", "K") + 1.0)),
+        )
+        p = Procedure("t", ("N",), (ArrayDecl("A", (Var("N"),)),), (nest,))
+        out, reports = scalar_replace(p)
+        assert (out, reports) == (p, [])
+        assert_equivalent(p, out, {"N": 5})
+
+    @pytest.mark.xfail(strict=True, raises=IndexError, reason=(
+        "open: an invariant load is hoisted above a loop that may run no "
+        "trip, so it touches A(N+1), which the point program never does"))
+    def test_a_zero_trip_loop_hoists_no_load(self):
+        nest = do(
+            "I", 1, "N",
+            do("J", Var("I") + 1, "N",
+               assign(ref("B", "J"), ref("B", "J") + ref("A", Var("I") + 1))),
+        )
+        p = Procedure("t", ("N",), (ArrayDecl("A", (Var("N"),)), ArrayDecl("B", (Var("N"),))),
+                      (nest,))
+        out, _ = scalar_replace(p)
+        assert_equivalent(p, out, {"N": 5})
+
+    def test_twin_loops_are_left_alone(self):
+        # two structurally equal innermost loops are both left as they are
+        twin = do("I", 1, "N", assign(ref("A", "I", "J"), ref("A", "I", "J") + ref("B", "J")))
+        p = mat_proc(do("J", 1, "N", twin, twin))
+        assert scalar_replace(p) == (p, [])
+        # a third, different inner loop between them is still replaced
+        other = do("I", 1, "N", assign(ref("A", "I", "J"), ref("A", "I", "J") * ref("B", "J")))
+        p = mat_proc(do("J", 1, "N", twin, other, twin))
+        out, reports = scalar_replace(p)
+        body = loop_by_var(out.body, "J").body
+        assert len(reports) == 1 and (body[0], body[-1]) == (twin, twin)
+        assert_equivalent(p, out, {"N": 6, "M": 2})
+
 
 class TestScalarExpansion:
     def test_expansion_semantics(self):
