@@ -3,7 +3,7 @@
 One tool for every artifact the stack emits, loose files and store
 entries alike::
 
-    python -m repro artifacts validate BENCH_pipeline.json trace.json
+    python -m repro artifacts validate BENCH_matrix.json trace.json
     python -m repro artifacts validate --store          # every store artifact
     python -m repro artifacts ls                        # store inventory
     python -m repro artifacts ls report.json trace.json

@@ -25,13 +25,6 @@ _r.register(
     description="per-pass pipeline trace (spans, fingerprints, cache stats)",
 )
 _r.register(
-    _r.PIPELINE_BENCH,
-    shape="repro.pipeline.bench:SHAPE",
-    invariants="repro.pipeline.bench:invariants",
-    flatten="repro.pipeline.bench:flatten_bench",
-    description="pipeline benchmark table (cold vs warm analysis cache)",
-)
-_r.register(
     _r.OBS_METRICS,
     shape="repro.obs.export:SHAPE",
     invariants="repro.obs.export:invariants",

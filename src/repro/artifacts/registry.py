@@ -35,7 +35,6 @@ from repro.errors import ArtifactError
 # ---- schema ids (the only place these strings are defined) -----------------
 
 PIPELINE_TRACE = "repro.pipeline/1"
-PIPELINE_BENCH = "repro.pipeline.bench/1"
 OBS_METRICS = "repro.obs/1"
 CHECK_REPORT = "repro.check/1"
 MATRIX_REPORT = "repro.matrix/1"

@@ -4,7 +4,6 @@
 command    what it does                                      artifact
 =========  ================================================  =======================
 pipeline   run a pass pipeline over one algorithm            ``repro.pipeline/1``
-bench      cold vs warm pipeline benchmark                   ``repro.pipeline.bench/1``
 report     regenerate the EXPERIMENTS.md tables (T1-T5)      (markdown)
 obs        profile a workload: spans, metrics, misses        ``repro.obs/1``
 check      verify IR, check legality, lint blockability      ``repro.check/1``
@@ -55,8 +54,6 @@ from repro.errors import PipelineError, ReproError
 COMMANDS = {
     "pipeline": ("repro.pipeline.cli",
                  "run a pass pipeline over one of the paper's algorithms"),
-    "bench": ("repro.pipeline.bench",
-              "cold vs warm pipeline benchmark (BENCH_pipeline.json)"),
     "report": ("repro.bench.report",
                "regenerate the EXPERIMENTS.md tables (T1-T5)"),
     "obs": ("repro.obs.cli",
@@ -107,8 +104,7 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as e:  # argparse: 0 after --help, 2 on a usage error
         return int(e.code or 0)
     args.argv = argv
-    # what emit() stamps on envelopes: the package for a */cli.py module,
-    # the module itself for bench ("repro.pipeline.bench")
+    # what emit() stamps on envelopes: the package of its */cli.py module
     args.producer = module_name.removesuffix(".cli")
     try:
         return args.fn(args)
@@ -198,19 +194,30 @@ def sizes_flag(p) -> None:
     p.add_argument("--sizes", help="override problem sizes, e.g. N=16,KS=4")
 
 
-def parse_sizes(text: Optional[str]) -> dict:
-    sizes: dict = {}
-    for part in (text or "").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise PipelineError(f"bad --sizes entry {part!r} (want NAME=VALUE)")
-        name, value = part.split("=", 1)
+def resolve_sizes(text: Optional[str], workload, factor: Optional[str] = None) -> dict:
+    """``workload.verify_sizes`` with the ``--sizes`` overrides in ``text``,
+    checked before any pass runs: a name is one of those sizes or the
+    ``--factor`` name, and a size that is an integer by default (or the
+    factor) takes an integer >= 1."""
+    sizes = dict(workload.verify_sizes)
+    known = sorted(sizes)
+    if factor and factor.isidentifier() and factor not in sizes:
+        known.append(factor)
+    for part in filter(None, (p.strip() for p in (text or "").split(","))):
+        name, eq, value = (s.strip() for s in part.partition("="))
+        if not eq or name not in known:
+            raise PipelineError(f"bad --sizes entry {part!r}: want NAME=VALUE "
+                                f"with NAME one of {', '.join(known)}")
+        real = isinstance(sizes.get(name), float)
         try:
-            sizes[name.strip()] = float(value) if "." in value else int(value)
+            number = float(value) if real else int(value)
         except ValueError:
-            raise PipelineError(f"bad --sizes value {value!r}") from None
+            number = None
+        if number is None or not real and number < 1:
+            want = "a number" if real else "an integer >= 1"
+            raise PipelineError(f"bad --sizes value {name}={value!r}: want {want} "
+                                f"(sizes: {', '.join(known)})")
+        sizes[name] = number
     return sizes
 
 

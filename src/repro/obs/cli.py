@@ -161,8 +161,8 @@ def run(args) -> int:
         raise PipelineError("a workload name is required (or --list)")
 
     workload = get_workload(args.workload)
+    sizes = cli.resolve_sizes(args.sizes, workload)
     specs = workload.resolve_specs(cli.split_passes(args.passes))
-    sizes = {**workload.verify_sizes, **cli.parse_sizes(args.sizes)}
     machine = scaled_machine(args.scale)
     manager = PassManager(
         specs, ctx=workload.context(None), cache=AnalysisCache(),

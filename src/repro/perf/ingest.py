@@ -35,7 +35,6 @@ prefix                  meaning
 ``hist:<name>.*``       histogram summary fields (mean/p50/p95/p99/...)
 ``span:<name>.*``       span aggregates (``total_s``, ``count``,
                         ``max_s``); a served job is ``span:job:<label>``
-``bench:<label>.*``     pipeline-bench entries (``cold_s``, ``warm_s``)
 ``cell:<...>.*``        matrix cells, keyed by workload/recipe/geometry
 ======================  =================================================
 

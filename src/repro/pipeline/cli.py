@@ -117,16 +117,14 @@ def run(args) -> int:
         raise PipelineError("--algorithm is required (or --list-algorithms)")
 
     workload = get_workload(args.algorithm)
+    sizes = cli.resolve_sizes(args.sizes, workload, factor=args.factor)
     specs = workload.resolve_specs(
         cli.split_passes(args.passes), unroll=args.unroll, factor=args.factor
     )
     ctx = workload.context(args.unroll)
     proc = workload.build()
 
-    verifier = None
-    if args.verify:
-        sizes = {**workload.verify_sizes, **cli.parse_sizes(args.sizes)}
-        verifier = DifferentialVerifier(proc, sizes)
+    verifier = DifferentialVerifier(proc, sizes) if args.verify else None
 
     manager = PassManager(
         specs,

@@ -13,7 +13,6 @@ from repro.artifacts.registry import (
     PAR_REPORT,
     PERF_BASELINE,
     PERF_GATE,
-    PIPELINE_BENCH,
     PIPELINE_TRACE,
     SERVE_LOAD,
     SERVE_STORE,
@@ -29,7 +28,7 @@ from repro.artifacts.validate import (
 from repro.errors import ArtifactError
 
 ALL_IDS = (
-    PIPELINE_TRACE, PIPELINE_BENCH, OBS_METRICS,
+    PIPELINE_TRACE, OBS_METRICS,
     CHECK_REPORT, MATRIX_REPORT, PERF_GATE, PERF_BASELINE,
     PAR_REPORT, DAEMON_STATUS, SERVE_LOAD, SERVE_STORE,
 )
@@ -42,7 +41,7 @@ def baseline_payload() -> dict:
 class TestBuiltinKinds:
     def test_every_subsystem_schema_is_registered(self):
         assert set(registry.known_ids()) == set(ALL_IDS)
-        assert len(ALL_IDS) == 11
+        assert len(ALL_IDS) == 10
 
     def test_every_kind_has_a_resolvable_validator(self):
         for schema_id in ALL_IDS:

@@ -1,4 +1,4 @@
-"""The one payload checker: the shape walker, the eleven declared
+"""The one payload checker: the shape walker, the ten declared
 shapes, and the invariants that run behind them.
 
 Four things are pinned here: the walker's notation and message form; the
@@ -26,10 +26,8 @@ from repro.obs.core import Histogram
 SRC = Path(repro.__file__).parent
 ROOT = SRC.parent.parent
 
-COMMITTED = (
-    "BENCH_matrix.json", "BENCH_par.json", "BENCH_pipeline.json",
-    "BENCH_serve.json", "benchmarks/perf_baseline.json",
-)
+#: every committed artifact: the ``BENCH_*.json`` files and the perf baseline
+COMMITTED = (*sorted(ROOT.glob("BENCH_*.json")), ROOT / "benchmarks" / "perf_baseline.json")
 
 
 # ---- the walker ------------------------------------------------------------
@@ -135,7 +133,7 @@ class TestBoundary:
                     validate=False)
 
 
-# ---- valid payloads of all eleven kinds ------------------------------------
+# ---- valid payloads of all ten kinds ---------------------------------------
 
 
 def _fresh_payloads(tmp_path) -> dict:
@@ -190,10 +188,10 @@ def _fresh_payloads(tmp_path) -> dict:
 
 @pytest.fixture(scope="module")
 def envelopes(tmp_path_factory) -> dict:
-    """``{schema id: valid envelope}`` for all eleven kinds."""
+    """``{schema id: valid envelope}`` for all ten kinds."""
     envs = {}
-    for name in COMMITTED:
-        env = json.loads((ROOT / name).read_text(encoding="utf-8"))
+    for path in COMMITTED:
+        env = json.loads(path.read_text(encoding="utf-8"))
         envs[f"{env['schema']}/{env['schema_version']}"] = env
     fresh = _fresh_payloads(tmp_path_factory.mktemp("shapes"))
     for schema_id, payload in fresh.items():
@@ -319,7 +317,6 @@ TRIPS = [
     (registry.OBS_METRICS, ("machine", "cache", "misses"), -1,
      "machine cache misses"),
     (registry.PIPELINE_TRACE, ("passes",), [], "passes lists 0 names"),
-    (registry.PIPELINE_BENCH, ("workloads",), {}, "workloads: empty"),
     (registry.PERF_GATE, ("exit_code",), 0, "exit_code is 0, want 1"),
     (registry.PERF_GATE, ("counts", "regressed"), 3, "counts.regressed is 3"),
     (registry.DAEMON_STATUS, ("requests", "completed"), {"vanished": 1},

@@ -8,6 +8,7 @@ from repro.algorithms import lu_point_ir
 from repro.errors import CheckError
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
+from repro.ir.fingerprint import ir_fingerprint
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.pipeline import PassManager, PassSpec, derive
 from repro.pipeline.cache import AnalysisCache
@@ -65,10 +66,24 @@ def test_pipeline_cli_check_flag_ok(capsys):
     assert "lu_nopivot" in out
 
 
-def test_bench_cli_check_flag_ok(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    assert repro_main(["bench", str(path), "--check"]) == 0
-    assert path.exists()
+@pytest.mark.parametrize("name, passes", [
+    ("lu_nopivot", None),
+    ("lu_nopivot", ("split", "block", "jam")),
+    ("givens", ("givens_opt", "scalars")),
+    ("conv", None),
+    ("aconv", None),
+    ("matmul", None),
+])
+def test_checked_recipe_is_clean_cold_and_replays_warm(name, passes):
+    """A checked derive has no error, and its re-derive against the same
+    cache is the same program with every applied pass taken from the memo."""
+    cache = AnalysisCache()
+    cold = derive(name, passes=passes, cache=cache, check=True)
+    assert [d for d in cold.check_diagnostics if d.severity.value == "error"] == []
+    warm = derive(name, passes=passes, cache=cache, check=True)
+    assert ir_fingerprint(warm.procedure) == ir_fingerprint(cold.procedure)
+    applied = [s for s in warm.spans if s.status == "applied"]
+    assert applied and all(s.cached for s in applied)
 
 
 def test_failed_check_trace_publishes_validates_and_flattens(tmp_path):

@@ -19,7 +19,9 @@ import pytest
 
 import repro
 from repro import cli
-from repro.artifacts import payload_digest, payload_of, publish, write_file
+from repro.artifacts import (
+    envelope, payload_digest, publish, registry, validate_document, write_file,
+)
 from repro.check.diagnostics import diag
 from repro.ir.build import assign, ref
 from repro.ir.expr import Const, Var
@@ -72,7 +74,7 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 23_552
+        ceiling = 23_371
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )
@@ -83,10 +85,8 @@ class TestBoundary:
         form of an observation: the second renderings, the request-pointer
         copies, the batch report kind and the JSON observer snapshot stay
         deleted."""
-        from repro.artifacts import registry
-
         ids = registry.known_ids()
-        assert len(ids) == 11 and "repro.serve/1" not in ids
+        assert len(ids) == 10 and "repro.serve/1" not in ids
         assert "repro.obs.snapshot/1" not in ids
         assert not (SRC / "obs" / "snapshot.py").exists()
         for gone in ("artifact-request", "get_for_request", "def resumed",
@@ -114,6 +114,19 @@ class TestBoundary:
         assert list((SRC / "blockability").glob("*.py")) == []
         for gone in ("rtol", "atol", "allclose"):
             assert _modules_containing(gone) == [], gone
+
+    def test_no_second_budget_tool(self):
+        """Blockbench is the one cold/warm measurement of the derive path:
+        the ``bench`` command, its artifact kind and its committed file
+        stay deleted, and a document of that kind is any unknown schema."""
+        assert "bench" not in cli.COMMANDS and cli.main(["bench"]) == 2
+        ids = registry.known_ids()
+        assert len(ids) == 10 and "repro.pipeline.bench/1" not in ids
+        assert not (SRC.parent.parent / "BENCH_pipeline.json").exists()
+        doc = envelope({"schema": "repro.pipeline.bench/1", "workloads": {}},
+                       producer="test")
+        assert [p.rule for p in validate_document(doc)] == [
+            "artifact/unknown-schema"]
 
     def test_one_spelling_of_the_ok_statuses(self):
         assert _modules_containing('"hit", "computed", "retried"') == [
@@ -231,7 +244,7 @@ EXIT_CODES = [
     (2, ["serve", "submit"]),                          # argparse: no WORKLOAD
     (2, ["serve", "gc", "--max-entries", "-1"]),       # would empty the store
     (2, ["serve", "gc", "--max-age-s", "-10"]),
-    (2, ["bench", "{tmp}/b.json", "--jobs", "2"]),     # the pool fork is gone
+    (2, ["bench", "{tmp}/b.json", "--jobs", "2"]),     # the command is gone
     (2, ["matrix", "resume"]),                         # the matrix db is gone:
     (2, ["matrix", "status"]),                         # argparse knows neither
     (2, ["matrix", "run", "--factor", "workload=matmul", "--db", "x"]),
@@ -358,21 +371,3 @@ class TestRoutes:
         assert proc.returncode != 0
         assert "No module named" in proc.stderr
 
-
-# ---- the bench command (moved from tests/serve/test_bench_pool.py) ---------
-
-
-def test_bench_writes_the_cold_warm_artifact(tmp_path, monkeypatch):
-    from repro.pipeline import bench
-
-    monkeypatch.setattr(bench, "BENCH_WORKLOADS", (
-        ("matmul", "matmul", None, False),
-        ("aconv", "aconv", None, False),
-    ))
-    path = tmp_path / "BENCH_pipeline.json"
-    assert cli.main(["bench", str(path)]) == 0
-    doc = payload_of(json.loads(path.read_text()))
-    assert doc["mode"] == "inprocess"
-    for data in doc["workloads"].values():
-        assert {"cold", "warm", "warm_speedup"} <= set(data)
-    assert "evictions" in doc["cache"]["passes"]

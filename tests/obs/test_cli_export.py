@@ -190,6 +190,11 @@ class TestCliErrors:
         assert main(["conv", "--sizes", "N1"]) == 2
         assert "--sizes" in capsys.readouterr().err
 
+    def test_unknown_size_is_usage_error(self, capsys):
+        assert main(["lu_nopivot", "--sizes", "Q=3"]) == 2
+        err = capsys.readouterr().err
+        assert "'Q=3'" in err and "KS, N" in err
+
 
 @pytest.mark.slow
 class TestParVerdictColumn:

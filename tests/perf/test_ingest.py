@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from repro.artifacts import envelope, validate_document
+from repro.artifacts import envelope
 from repro.artifacts.envelope import RULE_MALFORMED
-from repro.artifacts.validate import RULE_PAYLOAD
 from repro.errors import PerfError
 from repro.perf import ingest
 
@@ -135,22 +134,6 @@ class TestOtherSchemas:
         assert m["summary.speedup.p50"] == 1.2
         assert m["cell:lu_nopivot:blocked:n64:b16.speedup"] == 1.4
         assert "cell:lu_nopivot:blocked:n64:b32.speedup" not in m
-
-    def test_bench_both_modes(self):
-        classic = {
-            "schema": "repro.pipeline.bench/1",
-            "mode": "inprocess",
-            "workloads": {"matmul": {"cold": {"elapsed_s": 0.2},
-                                     "warm": {"elapsed_s": 0.01},
-                                     "warm_speedup": 20.0}},
-            "cache": {},
-        }
-        mc = ingest.flatten(enveloped(classic))
-        assert mc["bench:matmul.cold_s"] == 0.2
-        assert mc["bench:matmul.warm_s"] == 0.01
-        # the pool mode is gone: its document shape no longer validates
-        pool = dict(classic, mode="pool")
-        assert RULE_PAYLOAD in {p.rule for p in validate_document(enveloped(pool))}
 
 
 class TestDispatch:

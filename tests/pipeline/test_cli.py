@@ -44,6 +44,26 @@ class TestUsageErrors:
         assert main(["-a", "conv", "--verify", "--sizes", "N1"]) == 2
         assert "bad --sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["-a", "lu_nopivot", "--sizes", "Q=3", "--verify"], "'Q=3'"),  # a typo
+        (["-a", "lu_nopivot", "--sizes", "N=abc"], "N='abc'"),  # without --verify
+        (["-a", "lu_nopivot", "--sizes", "KS=0", "--verify"], "KS='0'"),
+        (["-a", "conv", "--sizes", "N1=3.5", "--verify"], "N1='3.5'"),
+    ], ids=["unknown-name", "not-a-number", "zero", "fraction"])
+    def test_bad_sizes_are_usage_errors_before_any_pass(self, argv, named, capsys):
+        """Not ignored, and not a verdict against a correct pass."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad --sizes" in captured.err and named in captured.err
+        assert "KS, N" in captured.err or "DT, N1, N2, N3" in captured.err
+        assert "pass(es)" not in captured.out
+
+    def test_sizes_a_real_size_and_the_factor_name(self, capsys):
+        assert main(["-a", "conv", "-p", "split", "--sizes", "DT=0.25", "--verify"]) == 0
+        assert main(["-a", "lu_nopivot", "-p", "block", "--factor", "KB",
+                     "--sizes", "KB=3,N=10", "--verify"]) == 0
+        assert "verified" in capsys.readouterr().out
+
 
 class TestDerivationRun:
     def test_conv_default_pipeline_with_trace(self, tmp_path, capsys):
