@@ -25,7 +25,7 @@ from repro.analysis.dependence import (
     all_dependences,
     dependences_between,
 )
-from repro.analysis.graph import DependenceGraph, recurrences_in
+from repro.analysis.graph import DependenceGraph
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.sections import Section, Triplet, section_of_ref
 from repro.analysis.shape import LoopShape, ShapeInfo, classify_loop_shape
@@ -46,6 +46,5 @@ __all__ = [
     "classify_loop_shape",
     "collect_accesses",
     "dependences_between",
-    "recurrences_in",
     "section_of_ref",
 ]

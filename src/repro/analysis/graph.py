@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from repro.analysis.dependence import Dependence, all_dependences, dependences_between
-from repro.analysis.feasibility import direction_feasible
+from repro.analysis.feasibility import direction_feasible, memo_query
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.ir.expr import Var, free_vars
 from repro.ir.stmt import Assign, If, Loop, Procedure, Stmt
@@ -98,6 +98,49 @@ def _upward_exposed_scalars(stmt: Stmt) -> set[str]:
     return exposed
 
 
+# Optional memoization hook, installed by repro.pipeline.cache, called as
+# ``hook(loop, ctx, compute)``: the Dependence records hold node references
+# compared by identity, so an answer is reused only for the same loop object.
+_memo_hook = None
+
+
+def _relative_deps_uncached(loop: Loop, ctx: Assumptions) -> list[Dependence]:
+    accs = collect_accesses(loop)  # every one has ``loop`` outermost
+    out: list[Dependence] = []
+    for i in range(len(accs)):
+        for j in range(i, len(accs)):
+            for d in dependences_between(accs[i], accs[j], ctx, within=loop):
+                if _orientation_possible(d, ctx):
+                    out.append(d)
+    return out
+
+
+def _orientation_possible(d: Dependence, ctx: Assumptions) -> bool:
+    dirs = d.direction
+    first = next((k for k, x in enumerate(dirs) if x != "="), None)
+    if first is None or dirs[first] == "<":
+        return True  # exact loop-independent or exact leading distance
+    # leading '*': the orientation is real if it can be carried at some
+    # level, or realized loop-independently in textual order.
+    pinned = tuple(
+        l.var for l in d.source.common_loops(d.sink) if not any(c is l for c in d.loops)
+    )
+    n = len(dirs)
+    for j in range(n):
+        if any(dirs[k] == "<" for k in range(j)):
+            break  # an exact '<' outside position j contradicts '=' there
+        if dirs[j] not in ("<", "*"):
+            continue
+        cand = ["="] * j + ["<"] + ["*"] * (n - j - 1)
+        if direction_feasible(d.source, d.sink, cand, d.loops, ctx, pinned):
+            return True
+    if all(x in ("=", "*") for x in dirs) and d.source.position <= d.sink.position:
+        cand = ["="] * n
+        if direction_feasible(d.source, d.sink, cand, d.loops, ctx, pinned):
+            return True
+    return False
+
+
 class DependenceGraph:
     """Dependences of a region plus graph views over them."""
 
@@ -121,40 +164,11 @@ class DependenceGraph:
         testing on the Fourier–Motzkin backend); impossible orientations
         are dropped.  This is what breaks the false recurrence between
         block LU's panel and its trailing update after index-set
-        splitting."""
-        accs = collect_accesses(loop)  # every one has ``loop`` outermost
-        out: list[Dependence] = []
-        for i in range(len(accs)):
-            for j in range(i, len(accs)):
-                for d in dependences_between(accs[i], accs[j], self.ctx, within=loop):
-                    if self._orientation_possible(d):
-                        out.append(d)
-        return out
-
-    def _orientation_possible(self, d: Dependence) -> bool:
-        dirs = d.direction
-        first = next((k for k, x in enumerate(dirs) if x != "="), None)
-        if first is None or dirs[first] == "<":
-            return True  # exact loop-independent or exact leading distance
-        # leading '*': the orientation is real if it can be carried at some
-        # level, or realized loop-independently in textual order.
-        pinned = tuple(
-            l.var for l in d.source.common_loops(d.sink) if not any(c is l for c in d.loops)
+        splitting.  Observed as ``graph.relative_deps.*`` (see
+        :func:`memo_query`)."""
+        return memo_query(
+            _memo_hook, _relative_deps_uncached, (loop, self.ctx), "graph.relative_deps"
         )
-        n = len(dirs)
-        for j in range(n):
-            if any(dirs[k] == "<" for k in range(j)):
-                break  # an exact '<' outside position j contradicts '=' there
-            if dirs[j] not in ("<", "*"):
-                continue
-            cand = ["="] * j + ["<"] + ["*"] * (n - j - 1)
-            if direction_feasible(d.source, d.sink, cand, d.loops, self.ctx, pinned):
-                return True
-        if all(x in ("=", "*") for x in dirs) and d.source.position <= d.sink.position:
-            cand = ["="] * n
-            if direction_feasible(d.source, d.sink, cand, d.loops, self.ctx, pinned):
-                return True
-        return False
 
     def statement_graph(self, loop: Loop, drop_dep=None) -> nx.MultiDiGraph:
         """Graph over the *direct children* of ``loop.body`` for
@@ -222,12 +236,3 @@ class DependenceGraph:
                     prevent.append(data["dep"])
         return prevent
 
-
-def recurrences_in(
-    loop: Loop,
-    root: Procedure | Stmt | None = None,
-    ctx: Optional[Assumptions] = None,
-) -> list[list[Stmt]]:
-    """Recurrence statement groups of ``loop`` (convenience wrapper)."""
-    graph = DependenceGraph(root if root is not None else loop, ctx)
-    return [grp for grp in graph.recurrence_components(loop) if len(grp) > 1]

@@ -194,15 +194,21 @@ def sizes_flag(p) -> None:
     p.add_argument("--sizes", help="override problem sizes, e.g. N=16,KS=4")
 
 
-def resolve_sizes(text: Optional[str], workload, factor: Optional[str] = None) -> dict:
+def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[str] = None) -> dict:
     """``workload.verify_sizes`` with the ``--sizes`` overrides in ``text``,
     checked before any pass runs: a name is one of those sizes or the
-    ``--factor`` name, and a size that is an integer by default (or the
-    factor) takes an integer >= 1."""
+    ``--factor`` name, a size that is an integer by default (or the
+    factor) takes an integer >= 1, and an overridden size satisfies every
+    bound the run's context ``ctx`` (``workload.context(unroll)``) stores
+    on it."""
+    from repro.ir.pretty import fmt_expr
+    from repro.symbolic.affine import from_affine
+
     sizes = dict(workload.verify_sizes)
     known = sorted(sizes)
     if factor and factor.isidentifier() and factor not in sizes:
         known.append(factor)
+    given: list[str] = []
     for part in filter(None, (p.strip() for p in (text or "").split(","))):
         name, eq, value = (s.strip() for s in part.partition("="))
         if not eq or name not in known:
@@ -218,6 +224,18 @@ def resolve_sizes(text: Optional[str], workload, factor: Optional[str] = None) -
             raise PipelineError(f"bad --sizes value {name}={value!r}: want {want} "
                                 f"(sizes: {', '.join(known)})")
         sizes[name] = number
+        given.append(name)
+    for name in given:  # a fact over several names is stored on each
+        lows, highs = ctx.bounds_of(name)
+        for op, bound in [(">=", b) for b in lows] + [("<=", b) for b in highs]:
+            try:
+                limit = bound.eval(sizes)
+            except KeyError:
+                continue  # names a symbol the sizes leave free
+            if sizes[name] < limit if op == ">=" else sizes[name] > limit:
+                with_ = "".join(f", {n}={sizes[n]}" for n, _ in bound.coeffs)
+                raise PipelineError(f"bad --sizes: {name}={sizes[name]}{with_} breaks the "
+                                    f"workload's fact {name} {op} {fmt_expr(from_affine(bound))}")
     return sizes
 
 

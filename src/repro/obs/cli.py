@@ -161,11 +161,12 @@ def run(args) -> int:
         raise PipelineError("a workload name is required (or --list)")
 
     workload = get_workload(args.workload)
-    sizes = cli.resolve_sizes(args.sizes, workload)
+    ctx = workload.context(None)
+    sizes = cli.resolve_sizes(args.sizes, workload, ctx)
     specs = workload.resolve_specs(cli.split_passes(args.passes))
     machine = scaled_machine(args.scale)
     manager = PassManager(
-        specs, ctx=workload.context(None), cache=AnalysisCache(),
+        specs, ctx=ctx, cache=AnalysisCache(),
         algorithm=workload.name,
     )
     proc = workload.build()

@@ -28,6 +28,10 @@ Keying discipline — this is the part that must not be fudged:
   check findings; see the manager.  Off the counted regions, the
   fingerprint memo also holds ``ir_size`` and ``verified`` input
   ``verify_ir`` findings.
+- ``relative``, also uncounted, holds each loop's relative dependences
+  (the statement graph's edges) per loop *object* and context facts,
+  pinned like ``dependence``: distribution, IndexSetSplit and the linter
+  ask for them several times per loop.
 
 Install the hooks with :func:`install`/:func:`uninstall` or the
 :func:`installed` context manager; the manager does this around every
@@ -42,6 +46,7 @@ from typing import Callable, Optional
 
 from repro.analysis import dependence as _dependence
 from repro.analysis import feasibility as _feasibility
+from repro.analysis import graph as _graph
 from repro.analysis import sections as _sections
 from repro.ir.fingerprint import ir_fingerprint, ir_size
 from repro.symbolic.assume import Assumptions
@@ -147,6 +152,8 @@ class AnalysisCache:
         self._fp_memo: dict[int, list] = {}
         # (fingerprint, context facts) -> the input's verify_ir findings
         self.verified: dict = {}
+        # (id(loop), context facts) -> (loop, its relative dependences)
+        self.relative: dict = {}
 
     # ---- identity memo ----------------------------------------------------
     def _slot(self, node) -> list:
@@ -193,6 +200,14 @@ class AnalysisCache:
         value = compute(root, ctx, include_input)
         self.dependence.put(key, (root, value))
         return list(value)
+
+    def _relative_hook(self, loop, ctx, compute):
+        # pinned like the dependence region: the loop keeps the id valid
+        key = (id(loop), self._ctx_key(ctx))
+        entry = self.relative.get(key)
+        if entry is None:
+            entry = bounded_put(self.relative, key, (loop, compute(loop, ctx)))
+        return list(entry[1])
 
     def _feasible_hook(self, constraints, compute):
         key = tuple((c.coeffs, c.const) for c in constraints)
@@ -245,6 +260,7 @@ class AnalysisCache:
             getattr(self, name).clear()
         self._fp_memo.clear()
         self.verified.clear()
+        self.relative.clear()
 
 
 GLOBAL_CACHE = AnalysisCache()
@@ -261,22 +277,25 @@ def install(cache: AnalysisCache) -> None:
             _feasibility._feasible_memo_hook,
             _feasibility._direction_memo_hook,
             _sections._memo_hook,
+            _graph._memo_hook,
         )
     )
     _dependence._memo_hook = cache._dep_hook
     _feasibility._feasible_memo_hook = cache._feasible_hook
     _feasibility._direction_memo_hook = cache._direction_hook
     _sections._memo_hook = cache._section_hook
+    _graph._memo_hook = cache._relative_hook
 
 
 def uninstall() -> None:
     """Restore the hooks from before the matching :func:`install`."""
-    prev = _hook_stack.pop() if _hook_stack else (None, None, None, None)
+    prev = _hook_stack.pop() if _hook_stack else (None,) * 5
     (
         _dependence._memo_hook,
         _feasibility._feasible_memo_hook,
         _feasibility._direction_memo_hook,
         _sections._memo_hook,
+        _graph._memo_hook,
     ) = prev
 
 

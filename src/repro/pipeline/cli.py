@@ -117,11 +117,11 @@ def run(args) -> int:
         raise PipelineError("--algorithm is required (or --list-algorithms)")
 
     workload = get_workload(args.algorithm)
-    sizes = cli.resolve_sizes(args.sizes, workload, factor=args.factor)
+    ctx = workload.context(args.unroll)
+    sizes = cli.resolve_sizes(args.sizes, workload, ctx, factor=args.factor)
     specs = workload.resolve_specs(
         cli.split_passes(args.passes), unroll=args.unroll, factor=args.factor
     )
-    ctx = workload.context(args.unroll)
     proc = workload.build()
 
     verifier = DifferentialVerifier(proc, sizes) if args.verify else None

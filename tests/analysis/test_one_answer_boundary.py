@@ -62,12 +62,14 @@ def test_the_region_loop_is_searched_for_in_one_place():
 
 def test_memo_dispatch_is_written_once():
     # hook-or-compute, observed-or-not: no analysis calls its own memo hook
-    # (sections' unobserved one aside), the three observed ones go through
+    # (sections' unobserved one aside), the four observed ones go through
     # memo_query
     assert {m: n for m, n in hits(r"_memo_hook\(").items() if m.startswith("analysis/")} == {
         "analysis/sections.py": 1,
     }
-    assert hits(r"memo_query\(") == {"analysis/feasibility.py": 3, "analysis/dependence.py": 1}
+    assert hits(r"memo_query\(") == {
+        "analysis/feasibility.py": 3, "analysis/dependence.py": 1, "analysis/graph.py": 1,
+    }
 
 
 def nest():

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.algorithms import lu_point_ir
 from repro.analysis import dependence as dep_mod
 from repro.analysis import feasibility as feas_mod
+from repro.analysis import graph as graph_mod
 from repro.analysis import sections as sec_mod
+from repro.analysis.context import context_for_path
 from repro.analysis.dependence import all_dependences
 from repro.analysis.feasibility import feasible
+from repro.analysis.graph import DependenceGraph
+from repro.ir.visit import find_loops
+from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache, installed, uninstall
 from repro.pipeline.manager import run_passes
+from repro.pipeline.workloads import available_workloads, get_workload
 from repro.symbolic.affine import Affine
 from repro.symbolic.assume import Assumptions
 
@@ -64,6 +72,50 @@ class TestFeasibilityRegion:
         assert cache.feasibility.misses == 1
 
 
+def edges(deps) -> list[tuple]:
+    """A relative dependence list edge by edge: source and sink statement
+    (by identity), array, direction, distance."""
+    return [(id(d.source.stmt), id(d.sink.stmt), d.array, d.direction, d.distance)
+            for d in deps]
+
+
+class TestRelativeMemo:
+    """``relative_deps`` is memoized per (loop object, context facts), off
+    the counted regions: the answer is the one an uncached recomputation
+    gives, and only the same loop under the same facts may share it."""
+
+    @pytest.mark.parametrize("name", [w.name for w in available_workloads()])
+    def test_memoized_answer_equals_an_uncached_recomputation(self, name):
+        w = get_workload(name)
+        cache = AnalysisCache()
+        derived = derive(name, cache=cache).procedure  # fills the memo
+        for proc in (w.build(), derived):
+            for loop in find_loops(proc):
+                ctx = context_for_path(proc, loop, w.context(None))
+                with installed(cache):
+                    DependenceGraph(proc, ctx).relative_deps(loop)
+                    memoized = DependenceGraph(proc, ctx).relative_deps(loop)
+                assert edges(memoized) == edges(graph_mod._relative_deps_uncached(loop, ctx))
+
+    def test_equal_loops_and_added_facts_do_not_share(self):
+        cache = AnalysisCache()
+        (a,), (b,) = lu_point_ir().body, lu_point_ir().body
+        assert a == b and a is not b
+        with installed(cache):
+            first = DependenceGraph((a,), lu_ctx()).relative_deps(a)
+            first.append("sentinel")  # each answer is a fresh list
+            assert "sentinel" not in DependenceGraph((a,), lu_ctx()).relative_deps(a)
+            assert len(cache.relative) == 1
+            DependenceGraph((b,), lu_ctx()).relative_deps(b)
+            assert len(cache.relative) == 2
+            DependenceGraph((a,), lu_ctx().assume_ge("N", 3)).relative_deps(a)
+            assert len(cache.relative) == 3
+        # off the counted regions: stats() keeps its five
+        assert tuple(cache.stats()) == AnalysisCache.REGIONS
+        cache.clear()
+        assert not cache.relative
+
+
 class TestPassRegion:
     SPEC = [("block", {"loop": "K", "factor": "KS"})]
 
@@ -113,6 +165,7 @@ class TestInstallation:
         (feas_mod, "_feasible_memo_hook"),
         (feas_mod, "_direction_memo_hook"),
         (sec_mod, "_memo_hook"),
+        (graph_mod, "_memo_hook"),
     ]
 
     def test_hooks_restored_after_context_exit(self):
@@ -134,6 +187,17 @@ class TestInstallation:
             all_dependences(p.body[0], lu_ctx())
             assert outer.dependence.misses == 1  # outer saw nothing inner did
         assert dep_mod._memo_hook is None
+
+    def test_nested_installs_keep_relative_deps_apart(self):
+        outer, inner = AnalysisCache(), AnalysisCache()
+        (loop,) = lu_point_ir().body
+        with installed(outer):
+            with installed(inner):
+                DependenceGraph((loop,), lu_ctx()).relative_deps(loop)
+            assert (len(inner.relative), len(outer.relative)) == (1, 0)
+            DependenceGraph((loop,), lu_ctx()).relative_deps(loop)
+            assert len(outer.relative) == 1
+        assert graph_mod._memo_hook is None
 
     def test_unbalanced_uninstall_resets_to_bare_hooks(self):
         # tolerated (reset to None), so a leaked install can't wedge the

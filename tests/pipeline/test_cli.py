@@ -58,7 +58,21 @@ class TestUsageErrors:
         assert "KS, N" in captured.err or "DT, N1, N2, N3" in captured.err
         assert "pass(es)" not in captured.out
 
+    @pytest.mark.parametrize("argv, fact", [
+        (["pipeline", "-a", "conv", "--sizes", "N1=16", "--verify"], "N1 >= N2 + 1"),
+        (["pipeline", "-a", "conv", "--sizes", "N2=30"], "N2 <= N1 - 1"),
+        (["obs", "conv", "--sizes", "N1=16"], "N1 >= N2 + 1"),
+    ], ids=["N1-below-N2-and-N3", "N2-above-N1", "through-obs"])
+    def test_sizes_breaking_a_stored_fact_are_usage_errors(self, argv, fact, capsys):
+        """``N1=16`` was reported as ``split`` failing verification: the
+        sizes broke the workload's own assumptions, not the pass."""
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "bad --sizes" in captured.err and f"fact {fact}" in captured.err
+        assert "pass(es)" not in captured.out and "verif" not in captured.err
+
     def test_sizes_a_real_size_and_the_factor_name(self, capsys):
+        assert main(["-a", "conv", "-p", "split", "--sizes", "N1=30", "--verify"]) == 0
         assert main(["-a", "conv", "-p", "split", "--sizes", "DT=0.25", "--verify"]) == 0
         assert main(["-a", "lu_nopivot", "-p", "block", "--factor", "KB",
                      "--sizes", "KB=3,N=10", "--verify"]) == 0

@@ -6,11 +6,16 @@ range evaluations for 72; these pin evaluations == distinct questions.
 Before the integer-first ``Affine`` the same derivation built 511 230
 ``Fraction`` objects (lu_nopivot: 85 686, 103 954 with its lint verdict)
 for rationals that never occurred; the last test pins that count.
+Before the relative-dependence memo one cold ``derive("lu_pivot")``
+asked for a loop's relative dependences 40 times and computed them each
+time, for 8 distinct (loop, context facts) pairs (lu_nopivot: 8 for 3).
 """
 
 from fractions import Fraction
 
-from repro.analysis import sections
+import pytest
+
+from repro.analysis import graph, sections
 from repro.check import lint_blockability
 from repro.pipeline import AnalysisCache, derive
 from repro.pipeline.workloads import get_workload
@@ -63,3 +68,28 @@ def test_derive_and_its_verdict_construct_no_fraction(monkeypatch):
     # and the wrapper does count: a rational appears exactly where asked for
     assert type((Affine.variable("I") * Fraction(1, 2)).coeff("I")) is Fraction
     assert made
+
+
+@pytest.mark.parametrize("name, asked, pairs", [("lu_nopivot", 8, 3), ("lu_pivot", 40, 8)])
+def test_derive_computes_each_loops_relative_deps_once(name, asked, pairs, monkeypatch):
+    """Distribution, IndexSetSplit's preventing edges and the
+    commutativity retry all ask for the statement graph of the same
+    strip loop: the memo computes it once per (loop id, facts_key)."""
+    asks, computed, alive = [], [], []
+    real_ask = graph.DependenceGraph.relative_deps
+    real_compute = graph._relative_deps_uncached
+
+    def ask(self, loop):
+        asks.append(1)
+        return real_ask(self, loop)
+
+    def compute(loop, ctx):
+        alive.append(loop)
+        computed.append((id(loop), ctx.facts_key()))
+        return real_compute(loop, ctx)
+
+    monkeypatch.setattr(graph.DependenceGraph, "relative_deps", ask)
+    monkeypatch.setattr(graph, "_relative_deps_uncached", compute)
+    derive(name, cache=AnalysisCache())
+    assert len(asks) == asked
+    assert len(computed) == len(set(computed)) == pairs
