@@ -23,7 +23,7 @@ Two views matter and they differ:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import networkx as nx
 
@@ -44,23 +44,10 @@ def _top_stmt_of(acc: RefAccess, loop: Loop) -> Stmt:
     return inside[1] if len(inside) > 1 else acc.stmt
 
 
-def _position_in_body(stmt: Stmt, body: Sequence[Stmt]) -> Optional[int]:
-    # direct child, or nested (under an If) within a direct child
-    for k, s in enumerate(body):
-        if s is stmt:
-            return k
-        for inner in walk_stmts(s):
-            if inner is stmt:
-                return k
-    return None
-
-
-def _scalars_written(stmt: Stmt) -> set[str]:
-    out = set()
-    for s in walk_stmts(stmt):
-        if isinstance(s, Assign) and isinstance(s.target, Var):
-            out.add(s.target.name)
-    return out
+def _scalars_written(stmts: Iterable[Stmt]) -> set[str]:
+    """Scalar names assigned by any of ``stmts`` (pass ``walk_stmts(s)``
+    for everything under ``s``)."""
+    return {s.target.name for s in stmts if isinstance(s, Assign) and isinstance(s.target, Var)}
 
 
 def _upward_exposed_scalars(stmt: Stmt) -> set[str]:
@@ -181,19 +168,26 @@ class DependenceGraph:
         body = loop.body
         for k, s in enumerate(body):
             g.add_node(k, stmt=s)
+        # one walk of each child: the identity map from every statement
+        # under it (the child included) to its index, first child winning
+        walked = [tuple(walk_stmts(s)) for s in body]
+        child: dict[int, int] = {}
+        for k, stmts in enumerate(walked):
+            for inner in stmts:
+                child.setdefault(id(inner), k)
         for d in self.relative_deps(loop):
             if drop_dep is not None and drop_dep(d):
                 continue
-            u = _position_in_body(_top_stmt_of(d.source, loop), body)
-            v = _position_in_body(_top_stmt_of(d.sink, loop), body)
+            u = child.get(id(_top_stmt_of(d.source, loop)))
+            v = child.get(id(_top_stmt_of(d.sink, loop)))
             if u is None or v is None or u == v:
                 continue
             g.add_edge(u, v, dep=d)
         # scalar flow: a scalar written in one child and upward-exposed
         # (read before any local write) in another orders them within an
         # iteration and carries values across iterations.
-        writes = [(_scalars_written(s)) for s in body]
-        loop_vars = {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
+        writes = [_scalars_written(stmts) for stmts in walked]
+        loop_vars = {l.var for stmts in walked for l in stmts if isinstance(l, Loop)}
         loop_vars.add(loop.var)
         reads = [_upward_exposed_scalars(s) - loop_vars for s in body]
         for u in range(len(body)):

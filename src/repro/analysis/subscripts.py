@@ -59,13 +59,13 @@ def analyze_subscript(expr: Expr, index_vars: Sequence[str]) -> SubscriptInfo:
     if aff is None:
         return SubscriptInfo(expr, index_vars, affine=False)
     coeffs: list[int] = []
-    rest = aff
     for v in index_vars:
         c = aff.coeff(v)
         if c.denominator != 1:
             return SubscriptInfo(expr, index_vars, affine=False)
         coeffs.append(int(c))
-        rest = rest - Affine.make({v: c})
+    # dropping terms keeps the form canonical: one construction
+    rest = Affine(tuple(t for t in aff.coeffs if t[0] not in index_vars), aff.const)
     # Any *other* loop-variable-like symbol in `rest` is fine: it is either
     # a symbolic parameter or an outer variable not under test, both of
     # which the dependence tests handle symbolically.

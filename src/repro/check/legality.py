@@ -291,7 +291,7 @@ def _par_marker_violations(proc, ctx) -> list[Diagnostic]:
         carried = [d for d in all_dependences(proc, local) if _par_carried(d, loop)]
         loop_vars = {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
         hazards = sorted(
-            (_scalars_written(loop) & _upward_exposed_scalars(loop)) - loop_vars
+            (_scalars_written(walk_stmts(loop)) & _upward_exposed_scalars(loop)) - loop_vars
         )
         kw = "PARALLEL DO" if loop.kind == "parallel" else "PARALLEL REDUCTION DO"
         path = f"{proc.name}/{kw} {loop.var}"

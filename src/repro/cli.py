@@ -194,7 +194,7 @@ def sizes_flag(p) -> None:
     p.add_argument("--sizes", help="override problem sizes, e.g. N=16,KS=4")
 
 
-def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[str] = None) -> dict:
+def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[int | str] = None) -> dict:
     """``workload.verify_sizes`` with the ``--sizes`` overrides in ``text``,
     checked before any pass runs: a name is one of those sizes or the
     ``--factor`` name, a size that is an integer by default (or the
@@ -206,7 +206,7 @@ def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[str] = No
 
     sizes = dict(workload.verify_sizes)
     known = sorted(sizes)
-    if factor and factor.isidentifier() and factor not in sizes:
+    if isinstance(factor, str) and factor not in sizes:
         known.append(factor)
     given: list[str] = []
     for part in filter(None, (p.strip() for p in (text or "").split(","))):

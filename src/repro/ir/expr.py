@@ -2,7 +2,9 @@
 
 Expressions are immutable (frozen dataclasses) so they can be shared freely
 between the original and transformed programs, hashed into dependence-graph
-keys, and compared structurally with ``==``.
+keys, and compared structurally with ``==``.  They are slotted: a
+derivation keeps thousands of nodes, and each computes its structural hash
+once and keeps it (:func:`_remember_hash`).
 
 Arithmetic follows Fortran conventions where it matters:
 
@@ -36,7 +38,7 @@ class Expr:
     for an IR-level equality test).
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __add__(self, other: "ExprLike") -> "Expr":
         return add(self, as_expr(other))
@@ -83,10 +85,31 @@ class Expr:
         return Compare("ne", self, as_expr(other))
 
 
+def _remember_hash(cls: type) -> type:
+    """Keep ``cls``'s structural hash on each node once computed, in the
+    ``_hash`` slot: memo keys hash whole trees.  The value is unchanged.
+    Not a field, so fingerprints never see it, and the slotted frozen
+    dataclass pickles and copies its fields only, so the hash never
+    reaches a process with another string-hash seed."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 ExprLike = Union[Expr, int, float, str]
 
 
-@dataclass(frozen=True, eq=False)
+@_remember_hash
+@dataclass(frozen=True, eq=False, slots=True)
 class Const(Expr):
     """Integer or floating literal. ``Const(0)`` and ``Const(0.0)`` differ:
     equality and hash are strict about integer-vs-float (Python's own
@@ -108,7 +131,8 @@ class Const(Expr):
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Var(Expr):
     """Scalar variable or loop induction variable, by name.
 
@@ -122,7 +146,8 @@ class Var(Expr):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class BinOp(Expr):
     """Binary arithmetic: op in {'+', '-', '*', '/', '**'}.
 
@@ -141,7 +166,8 @@ class BinOp(Expr):
             raise ValueError(f"bad BinOp op {self.op!r}")
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class IntDiv(Expr):
     """Fortran integer division: truncate toward zero."""
 
@@ -149,7 +175,8 @@ class IntDiv(Expr):
     right: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Min(Expr):
     """n-ary MIN intrinsic."""
 
@@ -160,7 +187,8 @@ class Min(Expr):
             raise ValueError("Min needs at least two arguments")
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Max(Expr):
     """n-ary MAX intrinsic."""
 
@@ -171,7 +199,8 @@ class Max(Expr):
             raise ValueError("Max needs at least two arguments")
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Call(Expr):
     """Intrinsic function call (SQRT, DSQRT, ABS, MOD, ...)."""
 
@@ -179,7 +208,8 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class ArrayRef(Expr):
     """Subscripted array reference ``A(e1, ..., ek)``.
 
@@ -203,7 +233,8 @@ class ArrayRef(Expr):
         return f"ArrayRef({self.array!r}, {list(self.index)!r})"
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Compare(Expr):
     """Relational operator: op in {'eq','ne','lt','le','gt','ge'}."""
 
@@ -222,7 +253,8 @@ class Compare(Expr):
         return Compare(self.NEGATION[self.op], self.left, self.right)
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class LogicalOp(Expr):
     """n-ary .AND. / .OR. over boolean expressions."""
 
@@ -236,7 +268,8 @@ class LogicalOp(Expr):
             raise ValueError("LogicalOp needs at least two arguments")
 
 
-@dataclass(frozen=True, eq=True)
+@_remember_hash
+@dataclass(frozen=True, eq=True, slots=True)
 class Not(Expr):
     """Boolean negation (.NOT.)."""
 

@@ -94,8 +94,11 @@ def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
 
 
 def walk_exprs(root: BodyLike | Expr) -> Iterator[Expr]:
-    """Yield every expression node, pre-order, across a statement tree or a
-    single expression."""
+    """Yield every expression node across a statement tree or a single
+    expression, each node before its children.  The order is not
+    left-to-right: children come right to left, and the last statement's
+    expressions first — match nodes by identity or structure, never by
+    position."""
     pending: list[Expr] = []
     if isinstance(root, Expr):
         pending.append(root)

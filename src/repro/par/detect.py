@@ -171,7 +171,7 @@ def classify_loop(
     # an iteration carry values across iterations (unless pure reductions).
     loop_vars = {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
     hazards = sorted(
-        (_scalars_written(loop) & _upward_exposed_scalars(loop)) - loop_vars
+        (_scalars_written(walk_stmts(loop)) & _upward_exposed_scalars(loop)) - loop_vars
     )
 
     if not carried and not hazards:

@@ -67,7 +67,7 @@ def derive(
     algorithm: str,
     passes: Optional[list] = None,
     unroll: Optional[int] = None,
-    factor: Optional[str] = None,
+    factor: Optional[int | str] = None,
     verify: bool = False,
     cache: Optional[AnalysisCache] = None,
     on_infeasible: str = "skip",

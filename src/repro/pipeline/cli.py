@@ -79,7 +79,8 @@ def register(sub) -> None:
         help="policy for passes whose preconditions fail (default: skip)",
     )
     p.add_argument("--unroll", type=int, help="override the jam unroll factor")
-    p.add_argument("--factor", help="override the block/stripmine factor")
+    p.add_argument("--factor", type=_factor_arg,
+                   help="override the block/stripmine factor: an integer >= 1 or a symbol name")
     cli.sizes_flag(p)
     p.add_argument(
         "--snapshots",
@@ -97,6 +98,12 @@ def register(sub) -> None:
     )
     p.add_argument("--list-passes", action="store_true", help="list passes and exit")
     p.set_defaults(fn=run)
+
+
+def _factor_arg(text: str) -> int | str:
+    """A digit string is a numeric factor; anything else stays a name
+    for :meth:`Workload.resolve_specs` to accept or refuse."""
+    return int(text) if text.isdecimal() else text
 
 
 def run(args) -> int:
@@ -118,10 +125,10 @@ def run(args) -> int:
 
     workload = get_workload(args.algorithm)
     ctx = workload.context(args.unroll)
-    sizes = cli.resolve_sizes(args.sizes, workload, ctx, factor=args.factor)
     specs = workload.resolve_specs(
         cli.split_passes(args.passes), unroll=args.unroll, factor=args.factor
     )
+    sizes = cli.resolve_sizes(args.sizes, workload, ctx, factor=args.factor)
     proc = workload.build()
 
     verifier = DifferentialVerifier(proc, sizes) if args.verify else None

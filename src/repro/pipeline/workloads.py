@@ -43,11 +43,12 @@ class Workload:
         self,
         names: Optional[list] = None,
         unroll: Optional[int] = None,
-        factor: Optional[str] = None,
+        factor: Optional[int | str] = None,
     ) -> list[tuple]:
         """(name, options) pairs for the requested (or default) passes,
         with the workload's bindings and any overrides applied."""
         unroll = self._unroll(unroll)
+        factor = self._factor(factor)
         names = list(names) if names else list(self.default_passes)
         specs = []
         for name in names:
@@ -68,6 +69,15 @@ class Workload:
             return unroll
         raise PipelineError(f"workload {self.name!r}: unroll must be an int >= 1, "
                             f"got {unroll!r}")
+
+    def _factor(self, factor):
+        """``factor`` if None or a factor block/stripmine can use: an int
+        >= 1 (not a bool), or a symbol name such as ``KS``."""
+        if (factor is None or type(factor) is int and factor >= 1
+                or type(factor) is str and factor.isidentifier()):
+            return factor
+        raise PipelineError(f"workload {self.name!r}: factor must be an int >= 1 or a "
+                            f"symbol name, got {factor!r}")
 
     def sizes_for(
         self, n: Optional[int] = None, b: Optional[int] = None

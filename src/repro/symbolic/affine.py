@@ -14,7 +14,6 @@ analyzable" has one definition across the compiler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -42,24 +41,53 @@ def _num(x: Rat) -> Rat:
     return int(x) if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
 class Affine:
     """Immutable affine form: ``const + Σ coeffs[v]·v``.
 
     Canonical: names sorted, no zero coefficient, every number as
     :func:`_num` stores it — so equality and hashing are structural.
+    Slotted, not a frozen dataclass, because derivations build ~10⁵ of
+    them.  The hash is kept once computed but never pickled
+    (:meth:`__reduce__`): string hashes differ between processes.
     """
+
+    __slots__ = ("coeffs", "const", "_hash")
 
     coeffs: tuple[tuple[str, Rat], ...]
     const: Rat
 
+    def __init__(self, coeffs: tuple[tuple[str, Rat], ...], const: Rat) -> None:
+        _set_coeffs(self, coeffs)
+        _set_const(self, const)
+        _set_hash(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Affine is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Affine is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Affine:
+            return NotImplemented
+        return self.const == other.const and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.coeffs, self.const))
+            _set_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        return (Affine, (self.coeffs, self.const))
+
     # ---- construction ---------------------------------------------------
     @staticmethod
     def make(coeffs: Mapping[str, Rat] | None = None, const: Rat = 0) -> "Affine":
-        items = ()
-        if coeffs:
-            items = tuple((n, _num(coeffs[n])) for n in sorted(coeffs) if coeffs[n])
-        return Affine(items, _num(const))
+        if not coeffs:
+            return Affine((), _num(const))
+        return Affine(tuple([(n, _num(c)) for n, c in sorted(coeffs.items()) if c]), _num(const))
 
     @staticmethod
     def constant(value: Rat) -> "Affine":
@@ -92,18 +120,31 @@ class Affine:
         return type(self.const) is int and all(type(c) is int for _, c in self.coeffs)
 
     # ---- arithmetic ------------------------------------------------------
+    # ``type(x) is`` before the ABC ``isinstance``, and no dict-and-sort
+    # when a side is constant: these run ~10⁵ times per derivation.
+    def _plus(self, other: "Affine | Rat", sign: int) -> "Affine":
+        """``self + sign·other``, ``sign`` being ±1."""
+        if other.__class__ is Affine:
+            const = self.const + sign * other.const
+            if not other.coeffs:
+                return Affine(self.coeffs, _num(const))
+            if not self.coeffs and sign == 1:
+                return Affine(other.coeffs, _num(const))
+            d = dict(self.coeffs)
+            for n, c in other.coeffs:
+                d[n] = d.get(n, 0) + sign * c
+            return Affine.make(d, const)
+        if type(other) is int or isinstance(other, (int, Fraction)):
+            return Affine(self.coeffs, _num(self.const + sign * other))
+        return NotImplemented
+
     def __add__(self, other: "Affine | Rat") -> "Affine":
-        if isinstance(other, (int, Fraction)):
-            return Affine(self.coeffs, _num(self.const + other))
-        d = dict(self.coeffs)
-        for n, c in other.coeffs:
-            d[n] = d.get(n, 0) + c
-        return Affine.make(d, self.const + other.const)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Affine | Rat") -> "Affine":
-        return self + other * -1
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Rat) -> "Affine":
         return (self * -1) + other
@@ -111,7 +152,9 @@ class Affine:
     def __mul__(self, k: Rat) -> "Affine":
         if not k:
             return Affine((), 0)
-        return Affine(tuple((n, _num(c * k)) for n, c in self.coeffs), _num(self.const * k))
+        if k == 1 and type(k) is int:
+            return self
+        return Affine(tuple([(n, _num(c * k)) for n, c in self.coeffs]), _num(self.const * k))
 
     __rmul__ = __mul__
 
@@ -125,10 +168,17 @@ class Affine:
 
     def substitute(self, mapping: Mapping[str, "Affine"]) -> "Affine":
         """Replace variables by affine forms."""
-        out = Affine.constant(self.const)
+        d: dict[str, Rat] = {}
+        const = self.const
         for n, c in self.coeffs:
-            out = out + (mapping[n] * c if n in mapping else Affine(((n, c),), 0))
-        return out
+            if n in mapping:
+                by = mapping[n]
+                const += by.const * c
+                for m, e in by.coeffs:
+                    d[m] = d.get(m, 0) + e * c
+            else:
+                d[n] = d.get(n, 0) + c
+        return Affine.make(d, const)
 
     def eval(self, env: Mapping[str, Rat]) -> Rat:
         """Evaluate with every variable bound (KeyError otherwise)."""
@@ -141,6 +191,12 @@ class Affine:
         if self.const != 0 or not parts:
             parts.append(str(self.const))
         return " + ".join(parts)
+
+
+# the slot descriptors' own setters: ``__setattr__`` refuses every write
+_set_coeffs = Affine.coeffs.__set__
+_set_const = Affine.const.__set__
+_set_hash = Affine._hash.__set__
 
 
 def to_affine(e: Expr) -> Optional[Affine]:

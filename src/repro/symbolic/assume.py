@@ -153,7 +153,7 @@ class Assumptions:
         want_var_upper = (coeff > 0) == want_upper
         candidates = (self._hi if want_var_upper else self._lo).get(name, [])
         out: list[Rat] = []
-        rest = aff - Affine.make({name: coeff})
+        rest = Affine(aff.coeffs[1:], aff.const)  # still canonical
         for bound in candidates:
             substituted = rest + bound * coeff
             out.extend(

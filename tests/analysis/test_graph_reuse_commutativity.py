@@ -76,6 +76,23 @@ class TestRecurrences:
         scalar_edges = [(u, v) for u, v, d in sg.edges(data=True) if "scalar" in d]
         assert (0, 1) not in scalar_edges
 
+    def test_statement_graph_walks_each_child_once(self, monkeypatch):
+        """One walk per direct child per call, however many dependence
+        endpoints it must place (it used to re-walk for every one)."""
+        import repro.analysis.graph as graph
+        from repro.algorithms import lu_point_ir
+
+        proc = lu_point_ir()
+        k = loop_by_var(proc, "K")
+        g = DependenceGraph(proc, context_for_path(proc, k))
+        endpoints = 2 * len(g.relative_deps(k))
+        assert endpoints > 2 * len(k.body)
+        walked = []
+        real = graph.walk_stmts
+        monkeypatch.setattr(graph, "walk_stmts", lambda root: walked.append(root) or real(root))
+        g.statement_graph(k)
+        assert sorted(map(id, walked)) == sorted(map(id, k.body))
+
 
 class TestContext:
     def test_path_context_ignores_siblings(self):

@@ -96,3 +96,46 @@ def assert_canonical(a) -> None:
     for c in [c for _, c in a.coeffs] + [a.const]:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
     assert all(c != 0 for _, c in a.coeffs)
+
+
+def lookup_across_hash_seeds(build: str) -> list:
+    """Where objects hashed and pickled under one hash seed land in a dict
+    built under another.
+
+    ``build`` is Python source binding ``OBJS``, a list of hashable
+    objects.  One process (``PYTHONHASHSEED=1``) builds them, hashes each
+    (so anything that remembers a hash has one), and pickles the list; a
+    second (``PYTHONHASHSEED=2``) unpickles it and looks each object up in
+    a dict keyed by equal objects it built itself.  Returns the dict
+    values found, ``None`` for a miss: ``list(range(len(OBJS)))`` when no
+    stale hash crossed."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {"PYTHONPATH": str(Path(repro.__file__).parent.parent), "PATH": os.environ.get("PATH", "")}
+    produce = build + "\nimport pickle, sys\nfor o in OBJS: hash(o)\nsys.stdout.buffer.write(pickle.dumps(OBJS))\n"
+    consume = build + (
+        "\nimport json, pickle, sys\nloaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "table = {o: k for k, o in enumerate(OBJS)}\nprint(json.dumps([table.get(o) for o in loaded]))\n"
+    )
+    blob = subprocess.run([sys.executable, "-c", produce], env={**env, "PYTHONHASHSEED": "1"},
+                          capture_output=True, check=True, timeout=60).stdout
+    out = subprocess.run([sys.executable, "-c", consume], env={**env, "PYTHONHASHSEED": "2"},
+                         input=blob, capture_output=True, check=True, timeout=60).stdout
+    return json.loads(out)
+
+
+class CountingName(str):
+    """A name whose every ``hash`` is counted in ``CountingName.hashes``:
+    it shows how often a value built on it recomputes its own hash."""
+
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountingName.hashes += 1
+        return str.__hash__(self)

@@ -142,12 +142,14 @@ CONV = {"kind": "derive", "workload": "conv"}
 #: (body, HTTP status): the twelve malformed bodies of the issue that found
 #: the bug — the first one killed the scheduler thread, the next eight were a
 #: traceback and a dropped connection — a null deadline, which is legal, and
-#: unroll factors jam cannot use, which used to be coerced or ignored
+#: unroll factors jam cannot use, which used to be coerced or ignored, and a
+#: block factor that used to become a symbol named ``4x``
 MALFORMED = [
     ({"job": {**CONV, "options": {"unroll": 2.5}}}, 400),
     ({"job": {**CONV, "options": {"unroll": "4"}}}, 400),
     ({"job": {**CONV, "options": {"unroll": 0}}}, 400),
     ({"job": {**CONV, "options": {"unroll": True}}}, 400),
+    ({"job": {**CONV, "options": {"factor": "4x"}}}, 400),
     ({"job": {"kind": "derive", "workload": "nope", "use_store": False}}, 400),
     ({"job": {"kind": "derive", "workload": "nope"}}, 400),
     ({"job": {**CONV, "timeout_s": "abc"}}, 400),

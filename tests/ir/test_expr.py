@@ -1,5 +1,9 @@
 """Expression node construction, smart constructors, operator overloads."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.ir.expr import (
@@ -22,6 +26,7 @@ from repro.ir.expr import (
     smin,
     sub,
 )
+from tests.conftest import CountingName, lookup_across_hash_seeds
 
 
 class TestConstruction:
@@ -149,3 +154,57 @@ class TestFreeVars:
 
     def test_array_name_not_included(self):
         assert free_vars(ArrayRef("A", (Var("I"),))) == {"I"}
+
+
+class TestRememberedHash:
+    """Each node computes its structural hash once and keeps it outside
+    its fields, its pickles and its copies."""
+
+    def tree(self):
+        i = Var("I")
+        return ArrayRef("A", (add(i, 1), Min((i, Var("N"))), Call("ABS", (i - 2,))))
+
+    def test_hash_computed_once_and_reused_by_parents(self):
+        leaf = Var(CountingName("I"))
+        CountingName.hashes = 0
+        for _ in range(5):
+            hash(leaf)
+        assert CountingName.hashes == 1
+        tree = BinOp("*", add(leaf, 1), Not(Compare("lt", leaf, Const(3))))
+        for _ in range(5):
+            hash(tree)
+        assert CountingName.hashes == 1
+
+    def test_kept_hash_is_no_field(self):
+        t = self.tree()
+        hash(t)
+        assert [f.name for f in dataclasses.fields(t)] == ["array", "index"]
+        for twin in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert not hasattr(twin, "_hash")
+
+    def test_copies_hash_like_fresh_equal_objects(self):
+        t = self.tree()
+        hash(t)
+        twins = [copy.deepcopy(t), copy.copy(t), pickle.loads(pickle.dumps(t)),
+                 dataclasses.replace(t, array="A")]
+        for twin in twins:
+            fresh = self.tree()
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert {fresh: "found"}[twin] == "found"
+        other = dataclasses.replace(t, array="B")
+        assert other != t and hash(other) != hash(t)
+
+    def test_const_stays_strict_about_int_and_float(self):
+        zero, fzero = Const(0), Const(0.0)
+        assert zero != fzero and hash(zero) != hash(fzero)
+        assert len({zero: 1, fzero: 2, Const(0): 3}) == 2
+        assert BinOp("+", Var("I"), zero) != BinOp("+", Var("I"), fzero)
+
+    def test_pickled_under_one_hash_seed_found_under_another(self):
+        build = (
+            "from repro.ir.expr import ArrayRef, Call, Const, Min, Var, add\n"
+            "i = Var('I')\n"
+            "OBJS = [i, Const(0), Const(0.0), add(i, Var('KS')),\n"
+            "        ArrayRef('A', (add(i, 1), Min((i, Var('N'))), Call('ABS', (i - 2,))))]\n"
+        )
+        assert lookup_across_hash_seeds(build) == [0, 1, 2, 3, 4]

@@ -71,6 +71,18 @@ class TestUsageErrors:
         assert "bad --sizes" in captured.err and f"fact {fact}" in captured.err
         assert "pass(es)" not in captured.out and "verif" not in captured.err
 
+    @pytest.mark.parametrize("factor, named", [
+        ("0", "got 0"), ("-4", "got '-4'"), ("2.5", "got '2.5'"), ("4x", "got '4x'"),
+    ])
+    def test_a_factor_block_cannot_use_is_a_usage_error_before_any_pass(
+            self, factor, named, capsys):
+        """``--factor 4x`` reached ``block`` as a symbol named ``4x``, and
+        ``--verify`` then blamed the pass for the unparsable program."""
+        assert main(["-a", "lu_nopivot", "-p", "block", "--factor", factor, "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert "factor must be an int >= 1 or a symbol name" in captured.err
+        assert named in captured.err and "pass(es)" not in captured.out
+
     def test_sizes_a_real_size_and_the_factor_name(self, capsys):
         assert main(["-a", "conv", "-p", "split", "--sizes", "N1=30", "--verify"]) == 0
         assert main(["-a", "conv", "-p", "split", "--sizes", "DT=0.25", "--verify"]) == 0
@@ -80,6 +92,21 @@ class TestUsageErrors:
 
 
 class TestDerivationRun:
+    def test_a_numeric_factor_is_the_library_s_numeric_factor(self, tmp_path, capsys):
+        """``--factor 4`` is ``derive(factor=4)``, not a parameter named
+        ``4`` (``SUBROUTINE lu_point(N, 4)``, ``DO K = 1, N - 1, 4``)."""
+        from repro.ir.fingerprint import ir_fingerprint
+        from repro.pipeline import derive
+
+        trace = tmp_path / "t.json"
+        assert main(["-a", "lu_nopivot", "--factor", "4", "--check", "--verify",
+                     "--print-ir", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "block          applied" in out and "SUBROUTINE lu_point(N)" in out
+        span = payload_of(json.loads(trace.read_text()))["spans"][-1]
+        want = ir_fingerprint(derive("lu_nopivot", factor=4).procedure)
+        assert span["output_fingerprint"] == want
+
     def test_conv_default_pipeline_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         rc = main(

@@ -134,6 +134,16 @@ class TestJobKey:
         with pytest.raises(PipelineError, match="unroll must be an int >= 1"):
             execute_job(spec)
 
+    @pytest.mark.parametrize("factor", [2.5, "4", "4x", 0, -4, True])
+    def test_factor_must_be_an_int_of_at_least_one_or_a_name(self, factor):
+        """Failed terminally at keying, not a float ``VerificationError``
+        or an ``error`` span from inside the ``block`` pass."""
+        spec = JobSpec.from_dict({"workload": "lu_nopivot", "options": {"factor": factor}})
+        with pytest.raises(PipelineError, match="factor must be an int >= 1"):
+            job_key(spec)
+        with pytest.raises(PipelineError, match="factor must be an int >= 1"):
+            execute_job(spec)
+
     def test_a_usable_unroll_is_keyed_and_run(self):
         spec = JobSpec(workload="conv", options={"unroll": 2})
         assert job_key(spec) != job_key(JobSpec(workload="conv"))

@@ -1,5 +1,7 @@
 """Affine form conversion and arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir.expr import BinOp, Const, IntDiv, Min, Var
 from repro.symbolic.affine import Affine, from_affine, to_affine
-from tests.conftest import assert_canonical
+from tests.conftest import CountingName, assert_canonical, lookup_across_hash_seeds
 
 
 class TestAffineAlgebra:
@@ -154,6 +156,54 @@ def run(prog) -> tuple[Affine, tuple]:
     exact = all(c % k == 0 for c in list(m[0].values()) + [m[1]])
     assert (q is not None) == exact
     return (q, _combine(_model({}, 0), m, Fraction(1, k))) if exact else (a, m)
+
+
+class TestValueHazards:
+    """A slotted value with a kept hash: immutable, equal only to its own
+    kind, hashed once, and never carrying that hash to another process."""
+
+    def test_assignment_and_deletion_raise(self):
+        a = Affine.make({"I": 2}, 1)
+        for attack in (
+            lambda: setattr(a, "const", 5),
+            lambda: setattr(a, "coeffs", ()),
+            lambda: setattr(a, "_hash", 0),
+            lambda: setattr(a, "extra", 1),
+            lambda: delattr(a, "const"),
+        ):
+            with pytest.raises(AttributeError):
+                attack()
+        assert a == Affine.make({"I": 2}, 1)
+
+    def test_never_equal_to_its_tuple(self):
+        a = Affine.make({"I": 2}, 1)
+        assert a != (a.coeffs, a.const)
+        assert a != a.coeffs and (a.coeffs, a.const) != a
+        assert Affine.constant(0) != 0
+
+    def test_hash_computed_once(self):
+        a = Affine(((CountingName("I"), 1),), 0)
+        CountingName.hashes = 0
+        for _ in range(5):
+            hash(a)
+        assert CountingName.hashes == 1
+
+    def test_copies_hash_like_fresh_equal_objects(self):
+        a = Affine.make({"I": 2, "N": Fraction(1, 3)}, -1)
+        hash(a)
+        for twin in (copy.deepcopy(a), copy.copy(a), pickle.loads(pickle.dumps(a))):
+            fresh = Affine.make({"I": 2, "N": Fraction(1, 3)}, -1)
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert {fresh: "found"}[twin] == "found"
+
+    def test_pickled_under_one_hash_seed_found_under_another(self):
+        build = (
+            "from fractions import Fraction\n"
+            "from repro.symbolic.affine import Affine\n"
+            "OBJS = [Affine.make({'I': 2, 'KS': -1}, 3), Affine.variable('N'),\n"
+            "        Affine.make({'J': Fraction(1, 2)}, 0), Affine.constant(7)]\n"
+        )
+        assert lookup_across_hash_seeds(build) == [0, 1, 2, 3]
 
 
 class TestRepresentation:
