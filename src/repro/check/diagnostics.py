@@ -126,8 +126,8 @@ RULES: dict[str, Rule] = _catalogue(
          "unroll-and-jam across an outer-carried dependence that the "
          "fused copies would reverse"),
     Rule("legal/block-carried-recurrence", Severity.ERROR,
-         "blocking over a transformation-preventing dependence with no "
-         "index-set split or commutativity resolution available"),
+         "a block whose result, read back, has no strip loop innermost "
+         "under a target with inner loops"),
     Rule("legal/if-inspection-shape", Severity.ERROR,
          "IF-inspection of a loop whose body is not a single IF-THEN"),
     Rule("legal/par-carried-dep", Severity.ERROR,

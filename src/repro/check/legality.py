@@ -12,11 +12,11 @@ weakened, a missed direction vector) is caught by redundancy:
   dependence is realizable with direction ``(=,...,=,<,>)`` on the
   (outer, inner) pair, tested in the true iteration space
   (Fourier–Motzkin, bounds included);
-- **stripmine / block** — unit-step and factor sanity; for ``block``
-  additionally the Sec. 3/5 resolution argument (shared with the
-  linter's escape analysis): some inner loop of the target must escape
-  every dependence cycle by distribution plus index-set splitting
-  (when the split budget allows) or commutativity knowledge;
+- **stripmine / block** — unit-step and factor sanity; ``block`` is
+  then judged on its *result*: a target with inner loops must have a
+  strip loop innermost (``place_strips``, the driver's own count), so
+  the check cannot veto a derivation that blocks, and only a refused one
+  asks :func:`repro.check.linter.why_not_blockable` why;
 - **distribute** — the Allen–Kennedy condition, checked on the *result*:
   statements of one strongly connected component (recurrence) of the
   original statement graph must land in the same piece;
@@ -52,7 +52,8 @@ from repro.ir.stmt import Assign, If, Loop, Procedure
 from repro.ir.visit import find_loops, walk_stmts
 from repro.obs import core as _obs
 from repro.symbolic.assume import Assumptions
-from repro.transform.base import non_comment, sole_inner_loop
+from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
+from repro.transform.blocking import place_strips
 
 import networkx as nx
 
@@ -191,48 +192,6 @@ def _pre_stripmine(proc, ctx, options):
     return out
 
 
-def _pre_block(proc, ctx, options):
-    out = _pre_stripmine(proc, ctx, options)
-    loop = _target_loop(proc, options)
-    if loop is None or out:
-        return out
-    if not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
-        return out  # innermost loop: blocking is a plain strip-mine, legal
-    from repro.check.linter import _escaped_loops, _why_not_blockable
-
-    local = context_for_path(proc, loop, ctx)
-    graph = DependenceGraph(proc, local)
-    max_splits = int(options.get("max_splits", 6))
-    commutativity_on = bool(options.get("commutativity")) or (
-        options.get("ignore_dep") is not None
-    )
-    # Sec. 3/5 resolution argument, shared with the linter: blocking is
-    # legal when some inner loop escapes every dependence cycle by
-    # distribution plus (if the budget allows) index-set splitting,
-    # optionally after the commutativity oracle drops recognized
-    # dependences.
-    carve = max_splits > 0
-    escaped, obstacle = _escaped_loops(proc, loop, graph, local,
-                                       use_commutativity=False, allow_carve=carve)
-    if escaped:
-        return out
-    if commutativity_on:
-        escaped, obstacle = _escaped_loops(
-            proc, loop, graph, local, use_commutativity=True, allow_carve=carve
-        )
-        if escaped:
-            return out
-    reason, witness = _why_not_blockable(loop, graph, obstacle)
-    out.append(diag(
-        "legal/block-carried-recurrence",
-        f"{proc.name}/DO {loop.var}",
-        f"{reason} (splits budget {max_splits}, commutativity "
-        f"{'on' if commutativity_on else 'off'})",
-        witness,
-    ))
-    return out
-
-
 def _pre_ifinsp(proc, ctx, options):
     var = options.get("loop")
     if var is None:
@@ -367,7 +326,7 @@ _PRECHECKS = {
     "interchange": _pre_interchange,
     "jam": _pre_jam,
     "stripmine": _pre_stripmine,
-    "block": _pre_block,
+    "block": _pre_stripmine,
     "if_inspection": _pre_ifinsp,
     "parallelize": _pre_parallelize,
 }
@@ -412,6 +371,27 @@ def _post_distribute(before, after, ctx, options):
                 f"{len(homes)} loops — the dependence cycle is broken",
             ))
     return out
+
+
+def _post_block(before, after, ctx, options):
+    """Did a strip loop of a target with inner loops reach the innermost
+    position?  The strip loop is found by the name ``strip_mine`` gives it."""
+    loop = _target_loop(before, options)
+    if loop is None or not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
+        return []  # innermost target: blocking is a plain strip-mine, legal
+    if place_strips(after, loop.var, fresh_var(loop.var, used_names(before)))[0]:
+        return []
+    from repro.check.linter import why_not_blockable
+
+    commutativity = bool(options.get("commutativity"))
+    reason, witness = why_not_blockable(before, loop, ctx, commutativity)
+    return [diag(
+        "legal/block-carried-recurrence",
+        f"{before.name}/DO {loop.var}",
+        f"{reason} (splits budget {int(options.get('max_splits', 6))}, "
+        f"commutativity {'on' if commutativity else 'off'})",
+        witness,
+    )]
 
 
 def _adjacent_same_var_pairs(proc):
@@ -469,6 +449,7 @@ def _post_split(before, after, ctx, options):
 
 
 _POSTCHECKS = {
+    "block": _post_block,
     "distribute": _post_distribute,
     "split": _post_split,
     "parallelize": _post_parallelize,

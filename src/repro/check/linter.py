@@ -4,8 +4,10 @@ A *static* classifier for the paper's central question — can this loop
 nest be blocked? — that never runs a transformation.  The criterion is
 the escape analysis distilled from the Sec. 3–5 derivations:
 
-1. An innermost target loop is not blockable: blocking means sinking the
-   strip loop below some inner loop, and there is nothing to sink below.
+1. A target loop with a non-unit step is not blockable: blocking
+   strip-mines it, which needs step 1.  Nor is an innermost one:
+   blocking means sinking the strip loop below some inner loop, and
+   there is nothing to sink below.
 2. Otherwise build the target loop's statement graph (the distribution
    view of :class:`~repro.analysis.graph.DependenceGraph`).  A
    loop-statement *escapes* when distribution followed by index-set
@@ -39,7 +41,8 @@ This is the one verdict: the ``block`` pass derives the program, and
 ``tests/check/test_lint_is_block.py`` holds the two to the same answer —
 ``blockable`` when a strip loop reaches the innermost position on
 dependences alone, ``blockable-with-commutativity`` when it needs the
-oracle.
+oracle.  When the checked ``block`` pass finds its result unblocked, its
+finding explains why with :func:`why_not_blockable`.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
 from repro.check.legality import swap_witnesses
 from repro.errors import AnalysisError
-from repro.ir.expr import free_vars
-from repro.ir.pretty import fmt_stmt
+from repro.ir.expr import Const, free_vars
+from repro.ir.pretty import fmt_expr, fmt_stmt
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import walk_stmts
 from repro.obs import core as _obs
@@ -176,12 +179,10 @@ def _sink_obstacle(proc, target, stmt, local) -> Optional[tuple[str, dict]]:
     return None
 
 
-def _escaped_loops(proc, loop, graph, local, use_commutativity, allow_carve=True):
+def _escaped_loops(proc, loop, graph, local, use_commutativity):
     """Loop statements of ``loop.body`` that escape every dependence
     cycle *and* admit the strip loop innermost, and the first
-    :func:`_sink_obstacle` of one that only escapes the cycle (or None);
-    ``allow_carve=False`` disables the index-set-split region argument
-    (distribution only — the ``max_splits=0`` regime)."""
+    :func:`_sink_obstacle` of one that only escapes the cycle (or None)."""
     drop = None
     if use_commutativity:
         drop = lambda d: commutativity_oracle(proc, loop, d)  # noqa: E731
@@ -195,10 +196,8 @@ def _escaped_loops(proc, loop, graph, local, use_commutativity, allow_carve=True
                 continue
             escaped = (
                 len(scc) == 1
-                or (allow_carve and (
-                    _carvable(n, stmt, scc, sg, loop, local, "out")
-                    or _carvable(n, stmt, scc, sg, loop, local, "in")
-                ))
+                or _carvable(n, stmt, scc, sg, loop, local, "out")
+                or _carvable(n, stmt, scc, sg, loop, local, "in")
             )
             if not escaped:
                 continue
@@ -213,15 +212,21 @@ def _escaped_loops(proc, loop, graph, local, use_commutativity, allow_carve=True
     return out, obstacle
 
 
-def _why_not_blockable(loop, graph, obstacle) -> tuple[str, Optional[dict]]:
-    """The predicate a not-blockable ``loop`` failed, and its witness:
-    the sink obstacle :func:`_escaped_loops` met, else the dependence
-    cycle no inner loop escapes, named by a preventing edge."""
-    if obstacle is not None:
-        return obstacle
-    preventing = graph.preventing_dependences(loop)
-    return (f"no inner loop of DO {loop.var} escapes the dependence cycle",
-            preventing[0].witness() if preventing else None)
+def why_not_blockable(
+    proc: Procedure, loop: Loop, ctx: Assumptions, allow_commutativity: bool
+) -> tuple[str, Optional[dict]]:
+    """Why the ``block`` pass left no strip loop of ``loop`` innermost, as
+    the checked pass reports it: the linter's reason and witness when it
+    says not-blockable too, else ``loop``'s first transformation-preventing
+    edge (its first dependence when no cycle has one).  Only a refused
+    ``block`` asks, so a clean checked run does no analysis for it."""
+    result = _lint_loop(proc, loop, ctx, allow_commutativity)
+    if result.verdict == NOT_BLOCKABLE:
+        return result.reason, result.preventing
+    graph = DependenceGraph(proc, context_for_path(proc, loop, ctx))
+    deps = graph.preventing_dependences(loop) or graph.relative_deps(loop)
+    return (f"no strip loop of DO {loop.var} reached the innermost position",
+            deps[0].witness() if deps else None)
 
 
 def lint_loop(
@@ -244,6 +249,12 @@ def lint_loop(
 
 
 def _lint_loop(proc, loop, ctx, allow_commutativity) -> LintResult:
+    if loop.step != Const(1):
+        return LintResult(
+            proc.name, loop.var, NOT_BLOCKABLE,
+            f"DO {loop.var} has step {fmt_expr(loop.step)} — blocking "
+            f"strip-mines it, which needs step 1",
+        )
     local = context_for_path(proc, loop, ctx or Assumptions())
     if not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
         return LintResult(
@@ -274,7 +285,11 @@ def _lint_loop(proc, loop, ctx, allow_commutativity) -> LintResult:
                 f"row-interchange/column-update dependences",
                 escapes=tuple(fmt_stmt(l) for l in escaped),
             )
-    reason, witness = _why_not_blockable(loop, graph, obstacle)
+    if obstacle is None:
+        preventing = graph.preventing_dependences(loop)
+        obstacle = (f"no inner loop of DO {loop.var} escapes the dependence cycle",
+                    preventing[0].witness() if preventing else None)
+    reason, witness = obstacle
     return LintResult(proc.name, loop.var, NOT_BLOCKABLE, reason, preventing=witness)
 
 

@@ -499,17 +499,13 @@ def _block_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optiona
 def _block_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
     var = _opt_loop_var(proc, options)
     factor = options.get("factor", "KS")
-    ignore_dep = options.get("ignore_dep")
-    if ignore_dep is None and options.get("commutativity"):
-        ignore_dep = commutativity_oracle
     local = ctx.copy()  # block_loop grows its ctx; keep the manager's copy clean
     new, report = block_loop(
         proc,
         var,
         factor,
         ctx=local,
-        ignore_dep=ignore_dep,
-        max_rounds=int(options.get("max_rounds", 64)),
+        ignore_dep=commutativity_oracle if options.get("commutativity") else None,
         max_splits=int(options.get("max_splits", 6)),
     )
     facts = ()
@@ -538,14 +534,7 @@ register(
         "block",
         "strip-mine-and-interchange blocking (distribution, Fig. 3 "
         "splitting, and scalar expansion as needed)",
-        options=(
-            "loop",
-            "factor",
-            "commutativity",
-            "ignore_dep",
-            "max_rounds",
-            "max_splits",
-        ),
+        options=("loop", "factor", "commutativity", "max_splits"),
         precondition="target loop exists and has unit step",
     ),
     _block_precheck,

@@ -18,9 +18,11 @@ paper's study does by hand:
      is — that piece remains "point", exactly like the factorization panel
      of block LU (Fig. 6).
 
-The returned :class:`BlockingReport` records every step taken and whether
-any strip loop reached the innermost position — the raw material for the
-Sec. 5 blockability verdicts.
+The returned :class:`BlockingReport` records every step taken and how many
+strip loops reached the innermost position — the raw material for the
+Sec. 5 blockability verdicts.  :func:`place_strips` counts them from the
+program alone; it is the one definition of "blocked", and the checked
+``block`` pass judges its result by it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
 from repro.ir.expr import ExprLike, Var, as_expr
 from repro.ir.stmt import Loop, Procedure
-from repro.ir.visit import find_loops, loop_by_var, walk_stmts
+from repro.ir.visit import find_loops, loop_by_var, loop_path, walk_stmts
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import non_comment, sole_inner_loop
 from repro.transform.distribution import ScalarFlowError, distribute
@@ -124,26 +126,29 @@ def block_loop(
     else:
         report.log("round limit reached")
 
-    from repro.ir.visit import loop_path
+    report.blocked_innermost, report.residual_point_loops = place_strips(
+        proc, sm.block_var, sm.strip_var
+    )
+    return proc, report
 
+
+def place_strips(proc: Procedure, block_var: str, strip_var: str) -> tuple[int, int]:
+    """(blocked, residual) counts of the ``strip_var`` loops in ``proc``:
+    blocked when innermost *and* sunk below another loop under the
+    ``block_var`` loop (right under it is just strip mining, which
+    captures no reuse), else a residual point loop."""
+    blocked = residual = 0
     for cand in find_loops(proc):
-        if cand.var != sm.strip_var:
+        if cand.var != strip_var:
             continue
         if _is_innermost(cand):
-            # "blocked" only counts when the strip loop actually sank below
-            # at least one other loop — a strip loop sitting directly under
-            # its block loop is just strip mining, which captures no reuse.
             path = loop_path(proc, cand)
-            at_block = next(
-                (k for k, l in enumerate(path) if l.var == sm.block_var), None
-            )
+            at_block = next((k for k, l in enumerate(path) if l.var == block_var), None)
             if at_block is not None and len(path) - at_block >= 3:
-                report.blocked_innermost += 1
-            else:
-                report.residual_point_loops += 1
-        else:
-            report.residual_point_loops += 1
-    return proc, report
+                blocked += 1
+                continue
+        residual += 1
+    return blocked, residual
 
 
 def _signature(loop: Loop) -> tuple:
@@ -266,7 +271,6 @@ def _attack_recurrence(
     if splits_done >= max_splits:
         report.log("split budget exhausted; leaving recurrence in place")
         return None
-    from repro.ir.visit import loop_path
     from repro.transform.index_set_split import split_rank_key
 
     allowed = frozenset(proc.params)

@@ -9,6 +9,7 @@ from repro.check.legality import precheck_for_pipeline
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import Compare, Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.pipeline.manager import run_passes
 from repro.symbolic.assume import Assumptions
 
 
@@ -106,8 +107,12 @@ def test_block_lu_with_split_budget_is_legal():
 
 
 def test_block_over_carried_recurrence_without_split_flagged():
-    diags = precheck("block", lu_point_ir(), N2,
-                     {"loop": "K", "factor": "KS", "max_splits": 0})
+    """``block`` is judged on its result: with no split budget no strip
+    loop of LU's DO K reaches the innermost position."""
+    options = {"loop": "K", "factor": "KS", "max_splits": 0}
+    assert precheck("block", lu_point_ir(), N2, options) == []
+    after = run_passes(lu_point_ir(), [("block", options)], ctx=N2).procedure
+    diags = postcheck("block", lu_point_ir(), after, N2, options)
     assert "legal/block-carried-recurrence" in rules_of(diags)
     assert all(d.severity == Severity.ERROR for d in diags)
 

@@ -2,9 +2,13 @@
 pre/postchecks and IR re-verification, failing fast with structured
 diagnostics, and the CLIs expose it."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms import lu_point_ir
+from repro.check.diagnostics import errors_in
 from repro.errors import CheckError
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
@@ -53,6 +57,29 @@ def test_illegal_block_config_fails_fast_with_rule():
     span = exc.value.result.spans[0]
     assert span.status == "check-failed"
     assert "check" in span.detail
+
+
+@pytest.mark.parametrize("name, stmt", [
+    ("matmul", "IF (B(K, J) .NE. 0.0) THEN"),
+    ("givens", "IF (A(J, L) .NE. 0.0) THEN"),
+])
+def test_a_refused_block_keeps_the_imperfect_nest_witness(name, stmt):
+    with pytest.raises(CheckError) as exc:
+        derive(name, ["block"], cache=AnalysisCache(), check=True)
+    (d,) = errors_in(exc.value.diagnostics)
+    assert d.rule == "legal/block-carried-recurrence"
+    assert d.witness == {"kind": "imperfect-nest", "stmt": stmt}
+
+
+@pytest.mark.parametrize("name", ["lu_nopivot", "lu_pivot"])
+def test_a_clean_checked_derive_asks_what_an_unchecked_one_does(name):
+    """``block`` is judged on its result, so checking it adds no analysis
+    query: the misses are blockbench's pinned unchecked ones."""
+    expected = Path(__file__).parents[2] / "benchmarks" / "blockbench" / "expected.json"
+    pinned = json.loads(expected.read_text())["cache_misses"][name]
+    cache = AnalysisCache()
+    derive(name, cache=cache, check=True)
+    assert {region: s["misses"] for region, s in cache.stats().items()} == pinned
 
 
 def test_check_off_does_not_populate_diagnostics():

@@ -13,6 +13,7 @@ from repro.analysis.context import context_for_path
 from repro.analysis.dependence import all_dependences
 from repro.analysis.feasibility import feasible
 from repro.analysis.graph import DependenceGraph
+from repro.ir.expr import Var
 from repro.ir.visit import find_loops
 from repro.pipeline import derive
 from repro.pipeline.cache import AnalysisCache, installed, uninstall
@@ -152,7 +153,7 @@ class TestPassRegion:
 
     def test_unserializable_option_skips_memoization(self):
         cache = AnalysisCache()
-        spec = [("block", {"loop": "K", "factor": "KS", "ignore_dep": lambda p, l, d: False})]
+        spec = [("block", {"loop": "K", "factor": Var("KS")})]
         run_passes(lu_point_ir(), spec, ctx=lu_ctx(), cache=cache)
         run_passes(lu_point_ir(), spec, ctx=lu_ctx(), cache=cache)
         assert cache.passes.hits == 0

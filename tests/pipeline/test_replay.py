@@ -151,7 +151,8 @@ def test_each_unroll_keeps_its_own_findings(order):
 
 def test_a_callable_option_is_judged_on_every_run():
     w = get_workload("lu_nopivot")
-    opts = {**w.pass_options["block"], "ignore_dep": lambda p, l, d: False}
+    # an IR node, like a callable, is not a JSON scalar: no memo key
+    opts = {**w.pass_options["block"], "factor": Var("KS")}
     cache = AnalysisCache()
     for _ in range(2):
         result, o = observed(lambda: run_passes(

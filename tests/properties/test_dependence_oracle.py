@@ -24,6 +24,7 @@ from repro.analysis.refs import collect_accesses
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Max, Min, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.ir.visit import substitute
 from repro.runtime.interpreter import execute
 from tests.properties.domain import Domain
 
@@ -71,6 +72,40 @@ def nests(draw, shapes=("rectangular",)):
         ref("A", build_expr(*r1)) + ref("A", build_expr(*r2)),
     )
     return do("I", 1, n, do("J", lo, hi, body)), (w, r1, r2)
+
+
+@st.composite
+def deep_nests(draw):
+    """DO I [/ DO J [/ DO L]] with one or two statements per body: ``DO
+    I`` steps by 1, 2 or -1, each inner loop takes a ``SHAPES`` shape
+    coupled to its parent, and every statement is ``A(w) = A(r1) +
+    A(r2)`` with affine subscripts in the loops around it."""
+    names = ("I", "J", "L")[: draw(st.integers(min_value=1, max_value=3))]
+
+    def statement(depth):
+        def sub():
+            e = Const(draw(st.integers(min_value=-3, max_value=9)))
+            for v in names[:depth]:
+                e = Const(draw(st.integers(min_value=-2, max_value=2))) * Var(v) + e
+            return e
+
+        return assign(ref("A", sub()), ref("A", sub()) + ref("A", sub()))
+
+    body = [statement(len(names)) for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+    for depth in range(len(names) - 1, 0, -1):
+        bounds = SHAPES[draw(st.sampled_from(tuple(SHAPES)))](
+            draw(st.integers(min_value=-1, max_value=1)),
+            draw(st.integers(min_value=1, max_value=5)),
+            draw(st.integers(min_value=0, max_value=2)),
+        )
+        parent = {"I": Var(names[depth - 1])}
+        body = [do(names[depth], *(substitute(e, parent) for e in bounds), *body)]
+        side = draw(st.sampled_from((None, "before", "after")))
+        if side is not None:
+            body.insert(0 if side == "before" else 1, statement(depth))
+    n = draw(st.integers(min_value=1, max_value=5))
+    step = draw(st.sampled_from((1, 2, -1)))
+    return do("I", n, 1, *body, step=-1) if step == -1 else do("I", 1, n, *body, step=step)
 
 
 def label(kind, sub):
