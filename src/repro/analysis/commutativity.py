@@ -117,36 +117,36 @@ def match_row_interchange(loop: Loop) -> Optional[RowInterchange]:
     return RowInterchange(a.array, r1, r2, loop)
 
 
-def _is_rank1_update(assign: Assign, i_var: str, j_var: str) -> Optional[tuple[str, Expr]]:
-    """Match ``A(I,J) = A(I,J) ± A(I,k) * A(k,J)``; returns (array, k)."""
+def _is_rank1_update(assign: Assign, i_var: str) -> Optional[tuple[str, Expr, Expr]]:
+    """Match ``A(I,j) = A(I,j) ± A(I,k) * A(k,j)`` over the row variable
+    ``I``; returns (array, j, k), neither subscript mentioning ``I``."""
     t = assign.target
-    if not (isinstance(t, ArrayRef) and len(t.index) == 2 and t.index == (Var(i_var), Var(j_var))):
+    if not (isinstance(t, ArrayRef) and len(t.index) == 2 and t.index[0] == Var(i_var)):
+        return None
+    j = t.index[1]
+    if i_var in free_vars(j):
         return None
     v = assign.value
-    if not (isinstance(v, BinOp) and v.op in ("+", "-")):
-        return None
-    if v.left != t:
+    if not (isinstance(v, BinOp) and v.op in ("+", "-") and v.left == t):
         return None
     prod = v.right
     if not (isinstance(prod, BinOp) and prod.op == "*"):
         return None
     x, y = prod.left, prod.right
-    if not (isinstance(x, ArrayRef) and isinstance(y, ArrayRef)):
+    if not (isinstance(x, ArrayRef) and isinstance(y, ArrayRef) and x.array == t.array and y.array == t.array):
         return None
-    if x.array != t.array or y.array != t.array:
-        return None
-    # A(I,k) * A(k,J) in either order
+    # A(I,k) * A(k,j) in either order
     for mult, pivot in ((x, y), (y, x)):
         if (
             len(mult.index) == 2
             and mult.index[0] == Var(i_var)
             and len(pivot.index) == 2
-            and pivot.index[1] == Var(j_var)
+            and pivot.index[1] == j
             and mult.index[1] == pivot.index[0]
         ):
             k = mult.index[1]
-            if i_var not in free_vars(k) and j_var not in free_vars(k):
-                return t.array, k
+            if i_var not in free_vars(k):
+                return t.array, j, k
     return None
 
 
@@ -170,56 +170,26 @@ def _is_column_scale(assign: Assign, i_var: str) -> Optional[tuple[str, Expr]]:
 def match_column_update(loop: Loop) -> Optional[ColumnUpdate]:
     """Recognize a whole-column update nest rooted at ``loop``.
 
-    Accepts ``DO J ... DO I ... rank1`` (outer column sweep) and the
-    single-loop column scale ``DO I ... A(I,k)=A(I,k)/A(k,k)``.
+    Accepts ``DO J ... DO I ... rank1`` (outer column sweep), the inner
+    ``DO I`` of a rank-1 update alone (its column variable is outer,
+    symbolic here), and the single-loop column scale
+    ``DO I ... A(I,k)=A(I,k)/A(k,k)``.
     """
     body = _strip_guards(loop.body)
     if len(body) == 1 and isinstance(body[0], Loop):
         inner = body[0]
         ibody = _strip_guards(inner.body)
         if len(ibody) == 1 and isinstance(ibody[0], Assign):
-            got = _is_rank1_update(ibody[0], inner.var, loop.var)
-            if got is not None:
-                return ColumnUpdate(got[0], got[1], loop)
+            got = _is_rank1_update(ibody[0], inner.var)
+            if got is not None and got[1] == Var(loop.var) and loop.var not in free_vars(got[2]):
+                return ColumnUpdate(got[0], got[2], loop)
     if len(body) == 1 and isinstance(body[0], Assign):
         got = _is_column_scale(body[0], loop.var)
         if got is not None:
             return ColumnUpdate(got[0], got[1], loop)
-        got2 = _is_rank1_update_one_level(body[0], loop.var)
-        if got2 is not None:
-            return ColumnUpdate(got2[0], got2[1], loop)
-    return None
-
-
-def _is_rank1_update_one_level(assign: Assign, i_var: str) -> Optional[tuple[str, Expr]]:
-    """Rank-1 update where the column variable is an *outer* (symbolic
-    here) variable: matches the inner I loop alone."""
-    t = assign.target
-    if not (isinstance(t, ArrayRef) and len(t.index) == 2 and t.index[0] == Var(i_var)):
-        return None
-    j = t.index[1]
-    if i_var in free_vars(j):
-        return None
-    v = assign.value
-    if not (isinstance(v, BinOp) and v.op in ("+", "-") and v.left == t):
-        return None
-    prod = v.right
-    if not (isinstance(prod, BinOp) and prod.op == "*"):
-        return None
-    x, y = prod.left, prod.right
-    if not (isinstance(x, ArrayRef) and isinstance(y, ArrayRef) and x.array == t.array and y.array == t.array):
-        return None
-    for mult, pivot in ((x, y), (y, x)):
-        if (
-            len(mult.index) == 2
-            and mult.index[0] == Var(i_var)
-            and len(pivot.index) == 2
-            and pivot.index[1] == j
-            and mult.index[1] == pivot.index[0]
-        ):
-            k = mult.index[1]
-            if i_var not in free_vars(k):
-                return t.array, k
+        got = _is_rank1_update(body[0], loop.var)
+        if got is not None:
+            return ColumnUpdate(got[0], got[2], loop)
     return None
 
 

@@ -39,8 +39,7 @@ from repro.transform import (
     scalar_expand,
     scalar_replace,
     split_index_set,
-    split_trapezoid_max,
-    split_trapezoid_min,
+    split_trapezoid,
     strip_mine,
     unroll_and_jam,
     triangular_unroll_jam,
@@ -184,18 +183,8 @@ def _split_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
         for l in find_loops(proc):
             if l.var != outer_var:
                 continue
-            inner = sole_inner_loop(l)
-            if inner is None:
-                continue
-            shape = classify_loop_shape(inner, outer_var)
-            local = context_for_path(proc, l, ctx)
             try:
-                if shape.kind == LoopShape.TRAPEZOIDAL_MIN:
-                    proc, _pieces = split_trapezoid_min(proc, l, local)
-                elif shape.kind == LoopShape.TRAPEZOIDAL_MAX:
-                    proc, _pieces = split_trapezoid_max(proc, l, local)
-                else:
-                    continue
+                proc, _pieces = split_trapezoid(proc, l, context_for_path(proc, l, ctx))
             except TransformError:
                 continue
             changed = True
@@ -302,16 +291,20 @@ register(
 # jam — unroll-and-jam every eligible (outer_var, inner) nest
 # ---------------------------------------------------------------------------
 
-def _jam_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    var = _opt_loop_var(proc, options)
-    if var is None:
-        return "procedure has no loops"
-    targets = [
+def _jam_targets(proc: Procedure, var: Optional[str]) -> list[Loop]:
+    """The unit-step loops over ``var`` with a sole inner loop."""
+    return [
         l
         for l in find_loops(proc)
         if l.var == var and l.step == Const(1) and sole_inner_loop(l) is not None
     ]
-    if not targets:
+
+
+def _jam_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
+    var = _opt_loop_var(proc, options)
+    if var is None:
+        return "procedure has no loops"
+    if not _jam_targets(proc, var):
         return f"no unit-step loop over {var!r} with a sole inner loop"
     return None
 
@@ -321,11 +314,7 @@ def _jam_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
     u = options.get("unroll", 4)
     # Snapshot targets before any unrolling: UJ introduces remainder
     # pre-loops over the same variable that must not be unrolled again.
-    targets = [
-        l
-        for l in find_loops(proc)
-        if l.var == outer_var and l.step == Const(1) and sole_inner_loop(l) is not None
-    ]
+    targets = _jam_targets(proc, outer_var)
     jammed, skipped = [], []
     for target in targets:
         live = next((l for l in find_loops(proc) if l == target), None)

@@ -31,8 +31,7 @@ from repro.transform.index_set_split import (
     index_set_split_for_dependence,
     peel_first_iteration,
     split_index_set,
-    split_trapezoid_max,
-    split_trapezoid_min,
+    split_trapezoid,
 )
 from repro.transform.interchange import interchange
 from repro.transform.scalars import scalar_expand, scalar_replace
@@ -50,8 +49,7 @@ __all__ = [
     "scalar_expand",
     "scalar_replace",
     "split_index_set",
-    "split_trapezoid_max",
-    "split_trapezoid_min",
+    "split_trapezoid",
     "strip_mine",
     "triangular_unroll_jam",
     "unroll_and_jam",

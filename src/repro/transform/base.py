@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.expr import ArrayRef, Expr, Var
+from repro.errors import TransformError
+from repro.ir.expr import ArrayRef, Const, Expr, IntDiv, Var
 from repro.ir.stmt import Comment, Loop, Procedure, Stmt
 from repro.ir.visit import walk_exprs, walk_stmts
+from repro.symbolic.assume import Assumptions
 
 
 def used_names(proc: Procedure | Stmt | Sequence[Stmt]) -> set[str]:
@@ -57,3 +59,17 @@ def sole_inner_loop(loop: Loop) -> Loop | None:
     if len(body) == 1 and isinstance(body[0], Loop):
         return body[0]
     return None
+
+
+def floor_div(num: Expr, alpha: int, ctx: Assumptions) -> Expr:
+    """``floor(num / alpha)`` for ``alpha >= 1``.  Fortran ``/`` truncates
+    toward zero, which floors only a nonnegative numerator: anything the
+    context cannot prove nonnegative is refused."""
+    if alpha == 1:
+        return num
+    if ctx.is_nonneg(num) is not True:
+        raise TransformError(
+            f"dividing {num!r} by {alpha} needs a provably nonnegative "
+            "numerator (Fortran division truncates toward zero)"
+        )
+    return IntDiv(num, Const(alpha))

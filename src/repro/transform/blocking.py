@@ -35,7 +35,7 @@ from repro.analysis.dependence import Dependence
 from repro.analysis.graph import DependenceGraph
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
-from repro.ir.expr import ExprLike, Var, as_expr
+from repro.ir.expr import Expr, ExprLike, Var, as_expr
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import find_loops, loop_by_var, loop_path, walk_stmts
 from repro.symbolic.assume import Assumptions
@@ -43,8 +43,7 @@ from repro.transform.base import non_comment, sole_inner_loop
 from repro.transform.distribution import ScalarFlowError, distribute
 from repro.transform.index_set_split import (
     index_set_split_for_dependence,
-    split_trapezoid_max,
-    split_trapezoid_min,
+    split_trapezoid,
 )
 from repro.transform.interchange import interchange
 from repro.transform.scalars import scalar_expand
@@ -68,6 +67,9 @@ class BlockingReport:
     used_scalar_expansion: bool = False
     blocked_innermost: int = 0  # strip loops that reached innermost position
     residual_point_loops: int = 0  # strip loops left in place (recurrences)
+    #: (loop var, point) of every IndexSetSplit applied: its length is
+    #: what ``max_splits`` budgets, its keys what a repeated split matches
+    splits: list[tuple[str, Expr]] = field(default_factory=list)
 
     def log(self, msg: str) -> None:
         self.steps.append(msg)
@@ -170,10 +172,7 @@ def _advance(
         shape = classify_loop_shape(inner, loop.var)
         if shape.kind in (LoopShape.TRAPEZOIDAL_MIN, LoopShape.TRAPEZOIDAL_MAX):
             try:
-                if shape.kind == LoopShape.TRAPEZOIDAL_MIN:
-                    new_proc, _ = split_trapezoid_min(proc, loop, ctx)
-                else:
-                    new_proc, _ = split_trapezoid_max(proc, loop, ctx)
+                new_proc, _ = split_trapezoid(proc, loop, ctx)
                 report.log(
                     f"split trapezoidal nest ({loop.var}, {inner.var}) into "
                     "triangle + rectangle"
@@ -267,8 +266,7 @@ def _attack_recurrence(
     # Fig. 3: IndexSetSplit on each preventing dependence — cleanest
     # first: compile-time boundaries before data-dependent ones, then
     # fewest differing section dimensions.
-    splits_done = sum(1 for st in report.steps if st.startswith("IndexSetSplit: split"))
-    if splits_done >= max_splits:
+    if len(report.splits) >= max_splits:
         report.log("split budget exhausted; leaving recurrence in place")
         return None
     from repro.transform.index_set_split import split_rank_key
@@ -281,25 +279,18 @@ def _attack_recurrence(
     allowed |= {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
 
     ranked = sorted(preventing, key=lambda d: split_rank_key(loop, d, allowed, ctx))
-    applied = {
-        st.split("(sections", 1)[0]
-        for st in report.steps
-        if st.startswith("IndexSetSplit: split")
-    }
     for dep in ranked:
         try:
             new_proc, reports = index_set_split_for_dependence(proc, loop, dep, ctx)
         except TransformError as e2:
             report.log(f"IndexSetSplit on {dep.array}: {e2}")
             continue
-        summary = (
-            f"IndexSetSplit: split {reports[0].loop_var} at {reports[0].point!r} "
-        )
-        if summary in applied:
+        if (reports[0].loop_var, reports[0].point) in report.splits:
             report.log(f"skipping repeated split of {reports[0].loop_var}")
             continue
         report.used_index_set_split = True
         for r in reports:
+            report.splits.append((r.loop_var, r.point))
             report.log(
                 f"IndexSetSplit: split {r.loop_var} at {r.point!r} "
                 f"(sections {r.source_section.pretty()} vs "

@@ -26,7 +26,10 @@ ranges::
         <nest>
 
 The executor's K loop has guard-free, contiguous ranges, so
-unroll-and-jam (and any other blocking) applies to it.
+unroll-and-jam (and any other blocking) applies to it.  Fig. 10 fuses the
+same inspector with distribution: :func:`guarded_distribute_with_inspection`
+keeps the first part of the guarded body in the recording loop.  Both
+call one builder, ``_inspect``.
 
 Safety: the inspector pre-evaluates every guard, so the nest must not
 write anything the guard reads — checked here, with element-disjointness
@@ -96,26 +99,25 @@ def _provably_disjoint(gref: ArrayRef, wref: ArrayRef, loop: Loop, acc, ctx) -> 
     return False
 
 
-def if_inspect(
-    proc: Procedure,
-    loop: Loop,
-    ctx: Optional[Assumptions] = None,
-) -> tuple[Procedure, Loop]:
-    """Apply IF-inspection to ``loop``, whose body must be a single
-    IF-THEN (no ELSE).  Returns the new procedure and the executor's range
-    loop (the ``KN`` loop) for further transformation."""
-    ctx = ctx or Assumptions()
+def _guarded_body(loop: Loop, what: str) -> tuple[Expr, tuple[Stmt, ...]]:
+    """The guard and THEN branch of ``loop``'s one IF-THEN body."""
     body = non_comment(loop.body)
     if len(body) != 1 or not isinstance(body[0], If) or body[0].els:
-        raise TransformError("IF-inspection needs a loop whose body is one IF-THEN")
-    if loop.step != Const(1):
-        raise TransformError("IF-inspection requires unit step")
-    guard = body[0].cond
-    then = body[0].then
-    if loop.var not in free_vars(guard):
-        raise TransformError("guard is invariant in the loop; hoist it instead")
-    _check_guard_stable(guard, loop, then, ctx)
+        raise TransformError(f"{what} needs a loop whose body is one IF-THEN")
+    return body[0].cond, body[0].then
 
+
+def _inspect(
+    proc: Procedure,
+    loop: Loop,
+    guard: Expr,
+    recorded: tuple[Stmt, ...],
+    executed: tuple[Stmt, ...],
+    ctx: Assumptions,
+) -> tuple[Procedure, Loop]:
+    """Replace ``loop`` by the Fig. 4 inspector, which runs ``recorded``
+    under the guard while it records the ``[KLB, KUB]`` ranges, and the
+    executor, which runs ``executed`` over those ranges."""
     taken = used_names(proc)
     k = loop.var
     kc = fresh_var(f"{k}C", taken, style="plain")
@@ -135,6 +137,16 @@ def if_inspect(
         )
 
     true_, false_ = Const(1), Const(0)
+
+    def close_range(last: Expr) -> If:
+        return If(
+            Compare("eq", Var(flag), true_),
+            (
+                Assign(ArrayRef(kub, (Var(kc),)), last),
+                Assign(Var(flag), false_),
+            ),
+        )
+
     open_range = If(
         Compare("eq", Var(flag), false_),
         (
@@ -143,20 +155,9 @@ def if_inspect(
             Assign(Var(flag), true_),
         ),
     )
-    close_range = If(
-        Compare("eq", Var(flag), true_),
-        (
-            Assign(ArrayRef(kub, (Var(kc),)), Var(k) - 1),
-            Assign(Var(flag), false_),
-        ),
-    )
-    inspector = Loop(k, loop.lo, loop.hi, (If(guard, (open_range,), (close_range,)),))
-    close_last = If(
-        Compare("eq", Var(flag), true_),
-        (
-            Assign(ArrayRef(kub, (Var(kc),)), loop.hi),
-            Assign(Var(flag), false_),
-        ),
+    inspector = Loop(
+        k, loop.lo, loop.hi,
+        (If(guard, (open_range,) + recorded, (close_range(Var(k) - 1),)),),
     )
     # The MAX/MIN clamps are semantically redundant (recorded ranges lie
     # inside [lo, hi] by construction) but give downstream dependence
@@ -166,7 +167,7 @@ def if_inspect(
         k,
         smax(ArrayRef(klb, (Var(kn),)), loop.lo),
         smin(ArrayRef(kub, (Var(kn),)), loop.hi),
-        then,
+        executed,
     )
     executor = Loop(kn, Const(1), Var(kc), (executor_inner,))
 
@@ -174,7 +175,7 @@ def if_inspect(
         Assign(Var(flag), false_),
         Assign(Var(kc), Const(0)),
         inspector,
-        close_last,
+        close_range(loop.hi),
         executor,
     ]
     new_proc = replace_loop(proc, loop, replacement)
@@ -182,6 +183,24 @@ def if_inspect(
         ArrayDecl(klb, (extent,), dtype="i8"), ArrayDecl(kub, (extent,), dtype="i8")
     )
     return new_proc, executor
+
+
+def if_inspect(
+    proc: Procedure,
+    loop: Loop,
+    ctx: Optional[Assumptions] = None,
+) -> tuple[Procedure, Loop]:
+    """Apply IF-inspection to ``loop``, whose body must be a single
+    IF-THEN (no ELSE).  Returns the new procedure and the executor's range
+    loop (the ``KN`` loop) for further transformation."""
+    ctx = ctx or Assumptions()
+    guard, then = _guarded_body(loop, "IF-inspection")
+    if loop.step != Const(1):
+        raise TransformError("IF-inspection requires unit step")
+    if loop.var not in free_vars(guard):
+        raise TransformError("guard is invariant in the loop; hoist it instead")
+    _check_guard_stable(guard, loop, then, ctx)
+    return _inspect(proc, loop, guard, (), then, ctx)
 
 
 def guarded_distribute_with_inspection(
@@ -204,22 +223,16 @@ def guarded_distribute_with_inspection(
     exempt — inspection removes the re-evaluation).
     """
     ctx = ctx or Assumptions()
-    body = non_comment(loop.body)
-    if len(body) != 1 or not isinstance(body[0], If) or body[0].els:
-        raise TransformError("guarded distribution needs a loop whose body is one IF-THEN")
-    guard = body[0].cond
-    then = body[0].then
+    guard, then = _guarded_body(loop, "guarded distribution")
     if not (0 < split_at < len(then)):
         raise TransformError("split point must partition the IF body")
-    part1, part2 = then[:split_at], then[split_at:]
+    part1, part2 = tuple(then[:split_at]), tuple(then[split_at:])
 
     # trial distribution legality on the guard-split form
     from repro.analysis.graph import DependenceGraph
-    from repro.ir.stmt import Procedure as _P
-    from repro.ir.visit import replace_loop as _replace
 
     trial_loop = Loop(loop.var, loop.lo, loop.hi, (If(guard, part1), If(guard, part2)))
-    trial = _replace(proc, loop, trial_loop)
+    trial = replace_loop(proc, loop, trial_loop)
     graph = DependenceGraph(trial, ctx)
     comps = graph.recurrence_components(trial_loop)
     if len(comps) != 2:
@@ -230,65 +243,4 @@ def guarded_distribute_with_inspection(
     order = [id(c[0]) for c in comps]
     if order != [id(trial_loop.body[0]), id(trial_loop.body[1])]:
         raise TransformError("guarded distribution: pieces cannot keep their order")
-
-    taken = used_names(proc)
-    k = loop.var
-    kc = fresh_var(f"{k}C", taken, style="plain")
-    klb = fresh_var(f"{k}LB", taken, style="plain")
-    kub = fresh_var(f"{k}UB", taken, style="plain")
-    kn = fresh_var(f"{k}N", taken, style="plain")
-    flag = fresh_var("FLAG", taken, style="plain")
-    extent = simplify(loop.hi, ctx)
-    outside = free_vars(extent) - set(proc.params)
-    if outside:
-        raise TransformError(
-            f"inspection range-array extent {extent!r} mentions non-parameters "
-            f"{sorted(outside)}"
-        )
-
-    true_, false_ = Const(1), Const(0)
-    open_range = If(
-        Compare("eq", Var(flag), false_),
-        (
-            Assign(Var(kc), Var(kc) + 1),
-            Assign(ArrayRef(klb, (Var(kc),)), Var(k)),
-            Assign(Var(flag), true_),
-        ),
-    )
-    close_range = If(
-        Compare("eq", Var(flag), true_),
-        (
-            Assign(ArrayRef(kub, (Var(kc),)), Var(k) - 1),
-            Assign(Var(flag), false_),
-        ),
-    )
-    recording_loop = Loop(
-        k, loop.lo, loop.hi,
-        (If(guard, (open_range,) + tuple(part1), (close_range,)),),
-    )
-    close_last = If(
-        Compare("eq", Var(flag), true_),
-        (
-            Assign(ArrayRef(kub, (Var(kc),)), loop.hi),
-            Assign(Var(flag), false_),
-        ),
-    )
-    executor_inner = Loop(
-        k,
-        smax(ArrayRef(klb, (Var(kn),)), loop.lo),
-        smin(ArrayRef(kub, (Var(kn),)), loop.hi),
-        part2,
-    )
-    executor = Loop(kn, Const(1), Var(kc), (executor_inner,))
-    replacement = [
-        Assign(Var(flag), false_),
-        Assign(Var(kc), Const(0)),
-        recording_loop,
-        close_last,
-        executor,
-    ]
-    new_proc = replace_loop(proc, loop, replacement)
-    new_proc = new_proc.adding_arrays(
-        ArrayDecl(klb, (extent,), dtype="i8"), ArrayDecl(kub, (extent,), dtype="i8")
-    )
-    return new_proc, executor
+    return _inspect(proc, loop, guard, part1, part2, ctx)

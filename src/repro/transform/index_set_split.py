@@ -5,9 +5,9 @@ Three entry points, in increasing sophistication:
 - :func:`split_index_set` — the mechanical transformation: one loop
   becomes two over ``[lo, MIN(hi,P)]`` and ``[MAX(lo,P+1), hi]``.
   Execution order is unchanged; always legal.
-- :func:`split_trapezoid_min` / :func:`split_trapezoid_max` — Sec. 3.2:
-  split an *outer* loop at the crossover point where a MIN upper bound
-  (resp. MAX lower bound) of the inner loop switches arms, turning one
+- :func:`split_trapezoid` — Sec. 3.2: split an *outer* loop at the
+  crossover point where a MIN upper bound (or a MAX lower bound, its
+  mirror) of the inner loop switches arms, turning one
   trapezoidal nest into a triangular nest plus a rectangular nest, each of
   which the blocking machinery already handles.
 - :func:`index_set_split_for_dependence` — Procedure IndexSetSplit
@@ -35,12 +35,12 @@ from repro.analysis.sections import (
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.analysis.subscripts import analyze_subscript
 from repro.errors import TransformError
-from repro.ir.expr import Const, Expr, IntDiv, Var, as_expr, ExprLike, smax, smin
+from repro.ir.expr import Const, Expr, Var, as_expr, ExprLike, smax, smin
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import replace_loop
 from repro.symbolic.assume import Assumptions
 from repro.symbolic.simplify import prove_eq, simplify
-from repro.transform.base import sole_inner_loop
+from repro.transform.base import floor_div, sole_inner_loop
 
 
 def split_index_set(
@@ -98,17 +98,19 @@ def eliminate_single_trip(
 # Sec. 3.2: trapezoids
 # ---------------------------------------------------------------------------
 
-def split_trapezoid_min(
+def split_trapezoid(
     proc: Procedure,
     outer: Loop,
     ctx: Optional[Assumptions] = None,
 ) -> tuple[Procedure, tuple[Loop, Loop]]:
-    """Split ``outer`` where its inner loop's ``MIN`` upper bound switches
-    from the coupled arm to the invariant arm.
+    """Split ``outer`` where its inner loop's trapezoidal bound switches
+    from the coupled arm to the invariant arm (``alpha > 0``).
 
-    ``DO I = lo,hi / DO J = L, MIN(alpha*I+beta, N)`` becomes a triangular
-    nest for ``I <= (N-beta)/alpha`` and a rectangular nest beyond
-    (``alpha > 0``; the paper's Sec. 3.2 case).
+    A ``MIN`` upper bound (the paper's case): ``DO I = lo,hi / DO J = L,
+    MIN(alpha*I+beta, N)`` becomes a triangular nest for ``I <=
+    (N-beta)/alpha`` and a rectangular nest beyond.  A ``MAX`` lower bound
+    mirrors it: the rectangle (lower bound = invariant ``L``) comes first,
+    the rhomboidal/triangular part after the crossover ``(L-beta)/alpha``.
     """
     ctx = ctx or Assumptions()
     inner = sole_inner_loop(outer)
@@ -119,64 +121,32 @@ def split_trapezoid_min(
         # lattice lo, lo+step, ... of a strided loop
         raise TransformError("trapezoid splitting requires unit step")
     shape = classify_loop_shape(inner, outer.var)
-    if shape.kind != LoopShape.TRAPEZOIDAL_MIN or shape.hi is None:
+    if shape.kind == LoopShape.TRAPEZOIDAL_MIN:
+        bound, clamp = shape.hi, smin
+    elif shape.kind == LoopShape.TRAPEZOIDAL_MAX:
+        bound, clamp = shape.lo, smax
+    else:
         raise TransformError(
-            f"inner loop {inner.var} has no MIN-trapezoidal upper bound in {outer.var}"
+            f"inner loop {inner.var} has no MIN/MAX-trapezoidal bound in {outer.var}"
         )
-    a, beta = shape.hi.alpha, shape.hi.beta
+    a, beta = bound.alpha, bound.beta
     if a <= 0:
         raise TransformError("trapezoid splitting implemented for alpha > 0")
-    invariant = smin(*shape.hi.invariant_arms) if len(shape.hi.invariant_arms) > 1 else shape.hi.invariant_arms[0]
-    crossover = _floor_quot(invariant - beta, a)
-
-    tri_inner = Loop(inner.var, inner.lo, simplify(Const(a) * Var(outer.var) + beta, ctx), inner.body, step=inner.step)
-    rect_inner = Loop(inner.var, inner.lo, simplify(invariant, ctx), inner.body, step=inner.step)
-    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (tri_inner,))
-    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (rect_inner,))
-    return replace_loop(proc, outer, (first, second)), (first, second)
-
-
-def split_trapezoid_max(
-    proc: Procedure,
-    outer: Loop,
-    ctx: Optional[Assumptions] = None,
-) -> tuple[Procedure, tuple[Loop, Loop]]:
-    """Mirror of :func:`split_trapezoid_min` for a ``MAX`` lower bound:
-    the rectangle (lower bound = invariant ``L``) comes first, the
-    rhomboidal/triangular part after the crossover ``(L-beta)/alpha``
-    (``alpha > 0``)."""
-    ctx = ctx or Assumptions()
-    inner = sole_inner_loop(outer)
-    if inner is None:
-        raise TransformError("trapezoid splitting needs a perfectly nested inner loop")
-    if outer.step != Const(1):
-        raise TransformError("trapezoid splitting requires unit step")
-    shape = classify_loop_shape(inner, outer.var)
-    if shape.kind != LoopShape.TRAPEZOIDAL_MAX or shape.lo is None or not shape.lo.invariant_arms:
-        raise TransformError(
-            f"inner loop {inner.var} has no MAX-trapezoidal lower bound in {outer.var}"
-        )
-    a, beta = shape.lo.alpha, shape.lo.beta
-    if a <= 0:
-        raise TransformError("trapezoid splitting implemented for alpha > 0")
-    invariant = smax(*shape.lo.invariant_arms) if len(shape.lo.invariant_arms) > 1 else shape.lo.invariant_arms[0]
-    crossover = _floor_quot(invariant - beta, a)
-
-    rect_inner = Loop(inner.var, simplify(invariant, ctx), inner.hi, inner.body, step=inner.step)
-    coupled_inner = Loop(
-        inner.var, simplify(Const(a) * Var(outer.var) + beta, ctx), inner.hi, inner.body, step=inner.step
+    arms = bound.invariant_arms
+    invariant = clamp(*arms) if len(arms) > 1 else arms[0]
+    crossover = floor_div(invariant - beta, a, ctx)
+    coupled = simplify(Const(a) * Var(outer.var) + beta, ctx)
+    invariant = simplify(invariant, ctx)
+    if clamp is smin:  # triangle, then rectangle
+        pieces = ((inner.lo, coupled), (inner.lo, invariant))
+    else:  # rectangle, then the coupled part
+        pieces = ((invariant, inner.hi), (coupled, inner.hi))
+    first_in, second_in = (
+        Loop(inner.var, lo, hi, inner.body, step=inner.step) for lo, hi in pieces
     )
-    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (rect_inner,))
-    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (coupled_inner,))
+    first = Loop(outer.var, outer.lo, simplify(smin(outer.hi, crossover), ctx), (first_in,))
+    second = Loop(outer.var, simplify(smax(outer.lo, crossover + 1), ctx), outer.hi, (second_in,))
     return replace_loop(proc, outer, (first, second)), (first, second)
-
-
-def _floor_quot(num: Expr, a: int) -> Expr:
-    """``floor(num / a)`` for ``a > 0`` and nonnegative numerators (the
-    iteration-space geometry guarantees the sign in our uses)."""
-    if a == 1:
-        return num
-    return IntDiv(num, Const(a))
 
 
 # ---------------------------------------------------------------------------

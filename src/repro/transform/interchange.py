@@ -25,7 +25,8 @@ Bound rewrites implement the paper's derivation:
 
 Trapezoidal bounds are *not* handled here — Sec. 3.2 splits them into
 triangular + rectangular pieces first (see
-:func:`repro.transform.index_set_split.split_trapezoid_min`).
+:func:`repro.transform.index_set_split.split_trapezoid`, one builder for
+the MIN and MAX cases).
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from repro.analysis.feasibility import direction_feasible
 from repro.analysis.refs import collect_accesses
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
-from repro.ir.expr import Const, Expr, IntDiv, Var, free_vars, smax, smin
+from repro.ir.expr import Const, Expr, Var, free_vars, smax, smin
 from repro.ir.stmt import Assign, Loop, Procedure
 from repro.ir.visit import replace_loop, walk_stmts
 from repro.symbolic.assume import Assumptions
 from repro.symbolic.simplify import simplify
-from repro.transform.base import sole_inner_loop
+from repro.transform.base import floor_div, sole_inner_loop
 
 
 def swap_violation(
@@ -96,26 +97,9 @@ def check_interchange_legal(
         )
 
 
-def _floor_div(num: Expr, alpha: int, ctx: Assumptions) -> Expr:
-    if alpha == 1:
-        return num
-    if ctx.is_nonneg(num) is not True:
-        raise TransformError(
-            f"triangular interchange with alpha={alpha} needs a provably "
-            "nonnegative numerator (Fortran division truncates toward zero)"
-        )
-    return IntDiv(num, Const(alpha))
-
-
 def _ceil_div(num: Expr, alpha: int, ctx: Assumptions) -> Expr:
-    if alpha == 1:
-        return num
-    if ctx.is_nonneg(num) is not True:
-        raise TransformError(
-            f"triangular interchange with alpha={alpha} needs a provably "
-            "nonnegative numerator (Fortran division truncates toward zero)"
-        )
-    return IntDiv(num + Const(alpha - 1), Const(alpha))
+    """``ceil(num / alpha) = floor((num + alpha - 1) / alpha)``."""
+    return num if alpha == 1 else floor_div(num + Const(alpha - 1), alpha, ctx)
 
 
 def interchange(
@@ -157,7 +141,7 @@ def interchange(
                 Const(a) * lo_o + beta,
                 inner.hi,
                 lo_o,
-                smin(_floor_div(Var(inner.var) - beta, a, ctx), hi_o),
+                smin(floor_div(Var(inner.var) - beta, a, ctx), hi_o),
             )
         elif a == -1:
             # J >= beta - O  =>  O >= beta - J

@@ -17,8 +17,10 @@ For triangular inner loops (``J`` from ``alpha*II + beta``, ``alpha = 1``)
 index set of ``J`` is split at ``(I+IS-1)+beta`` into the triangular
 head — left as a small (II, J) nest — and the rectangular region, whose
 trip count no longer depends on ``II`` and which is therefore unrolled.
-Rhomboidal inner loops (``J`` in ``[II+a, II+b]``, the adjoint-convolution
-shape) additionally get an unrolled-boundary *tail* nest ([Car92]).
+A coupled upper bound mirrors the head as a *tail* nest; rhomboidal inner
+loops (``J`` in ``[II+a, II+b]``, the adjoint-convolution shape) get both
+([Car92]).  Both functions share one remainder pre-loop and one builder
+of the unrolled copies.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from typing import Optional
 
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
-from repro.ir.expr import Call, Const, Var, free_vars, smin
+from repro.ir.expr import Call, Const, Expr, Var, free_vars, smin
 from repro.ir.stmt import Loop, Procedure, Stmt
 from repro.ir.visit import replace_loop, substitute, walk_stmts
 from repro.symbolic.assume import Assumptions
-from repro.symbolic.simplify import simplify
-from repro.transform.base import non_comment, sole_inner_loop
+from repro.symbolic.simplify import prove_le, simplify
+from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
 from repro.transform.interchange import swap_violation
 
 
@@ -50,6 +52,19 @@ def _check_jam_legal(proc: Procedure, loop: Loop, ctx: Assumptions) -> None:
                 )
 
 
+def _copies(body: tuple[Stmt, ...], var: str, u: int) -> tuple[Stmt, ...]:
+    """``u`` copies of ``body``, the k-th with ``var`` shifted by k."""
+    return tuple(s for k in range(u) for s in substitute(body, {var: Var(var) + k}))
+
+
+def _remainder(loop: Loop, body: tuple[Stmt, ...], u: int, ctx: Assumptions) -> tuple[Loop, Expr]:
+    """The pre-loop of ``MOD(trips, u)`` plain iterations of ``body``
+    (Sec. 2.3), and the first iteration left for the unrolled loop."""
+    extra = Call("MOD", (loop.hi - loop.lo + 1, Const(u)))
+    pre = Loop(loop.var, loop.lo, simplify(loop.lo + extra - 1, ctx), body)
+    return pre, simplify(loop.lo + extra, ctx)
+
+
 def _jam(body: tuple[Stmt, ...], var: str, copies: int) -> tuple[Stmt, ...]:
     """Fuse ``copies`` unrolled instances of ``body``.
 
@@ -61,10 +76,7 @@ def _jam(body: tuple[Stmt, ...], var: str, copies: int) -> tuple[Stmt, ...]:
         l = inner[0]
         if var not in free_vars(l.lo) | free_vars(l.hi) | free_vars(l.step):
             return (Loop(l.var, l.lo, l.hi, _jam(l.body, var, copies), step=l.step),)
-    out: list[Stmt] = []
-    for k in range(copies):
-        out.extend(substitute(body, {var: Var(var) + k}))
-    return tuple(out)
+    return _copies(body, var, copies)
 
 
 def unroll_and_jam(
@@ -81,15 +93,9 @@ def unroll_and_jam(
     ctx = ctx or Assumptions()
     _check_jam_legal(proc, loop, ctx)
 
-    trips = loop.hi - loop.lo + 1
-    extra = Call("MOD", (trips, Const(factor)))
-    pre = Loop(loop.var, loop.lo, simplify(loop.lo + extra - 1, ctx), loop.body)
+    pre, main_lo = _remainder(loop, loop.body, factor, ctx)
     main = Loop(
-        loop.var,
-        simplify(loop.lo + extra, ctx),
-        loop.hi,
-        _jam(loop.body, loop.var, factor),
-        step=Const(factor),
+        loop.var, main_lo, loop.hi, _jam(loop.body, loop.var, factor), step=Const(factor)
     )
     return replace_loop(proc, loop, (pre, main))
 
@@ -103,13 +109,14 @@ def triangular_unroll_jam(
     """Sec. 3.1 unroll-and-jam for coupled inner bounds (``alpha = 1``).
 
     ``loop`` must perfectly contain one inner loop whose lower bound is
-    ``loop.var + beta`` (triangular) and whose upper bound is either
-    invariant (triangular) or ``loop.var + beta_hi`` (rhomboidal).
-    Produces, per outer block of ``factor`` iterations::
+    ``loop.var + beta`` and whose upper bound is invariant (triangular),
+    whose upper bound is ``loop.var + beta`` and lower bound invariant
+    (upper triangular, the mirror), or both (rhomboidal).  Produces, per
+    outer block of ``factor`` iterations::
 
-        head  — (II, J) nest over the lower triangle;
+        head  — (II, J) nest over the lower triangle (lower bound coupled);
         mid   — jammed rectangle, J independent of II, body unrolled;
-        tail  — (II, J) nest over the upper triangle (rhomboidal only).
+        tail  — (II, J) nest over the upper triangle (upper bound coupled).
     """
     if factor < 2:
         raise TransformError("unroll factor must be >= 2")
@@ -122,18 +129,13 @@ def triangular_unroll_jam(
     _check_jam_legal(proc, loop, ctx)
 
     shape = classify_loop_shape(inner, loop.var)
-    v = loop.var
-    u = factor
+    v, u, j = loop.var, factor, inner.var
     if shape.kind == LoopShape.TRIANGULAR_HI and shape.hi.alpha == 1:
-        return _upper_triangular_uj(proc, loop, inner, shape.hi.beta, u, ctx)
-    if shape.kind == LoopShape.TRIANGULAR_LO and shape.lo.alpha == 1:
-        beta_lo, hi_inv = shape.lo.beta, inner.hi
-        rhomboidal = False
+        beta_lo, beta_hi = None, shape.hi.beta
+    elif shape.kind == LoopShape.TRIANGULAR_LO and shape.lo.alpha == 1:
+        beta_lo, beta_hi = shape.lo.beta, None
     elif shape.kind == LoopShape.RHOMBOIDAL and shape.lo.alpha == 1:
         beta_lo, beta_hi = shape.lo.beta, shape.hi.beta
-        rhomboidal = True
-        from repro.symbolic.simplify import prove_le
-
         # The head/mid/tail decomposition needs the band at least as wide
         # as the unroll factor, else head and tail would overlap.
         if not prove_le(Const(u - 1), beta_hi - beta_lo, ctx):
@@ -147,91 +149,38 @@ def triangular_unroll_jam(
             "(alpha must be 1; see [Car92] for extensions)"
         )
 
-    trips = loop.hi - loop.lo + 1
-    extra = Call("MOD", (trips, Const(u)))
-    pre = Loop(v, loop.lo, simplify(loop.lo + extra - 1, ctx), (inner,))
-    main_lo = simplify(loop.lo + extra, ctx)
-
-    from repro.transform.base import fresh_var, used_names
-
+    pre, main_lo = _remainder(loop, (inner,), u, ctx)
     ii = fresh_var(v, used_names(proc))
-    body = inner.body
-    body_ii = substitute(body, {v: Var(ii)})
-    j = inner.var
+    body_ii = substitute(inner.body, {v: Var(ii)})
+    # the rectangle every copy of the block executes: J from the last
+    # copy's lower bound to the first copy's upper bound
+    mid_lo, mid_hi = inner.lo, inner.hi
     blocks: list[Stmt] = []
-
-    # head: J below the common rectangle, per-II triangular sweep over the
-    # first u-1 strip iterations (the last one starts at the rectangle).
-    rect_lo = Var(v) + (u - 1) + beta_lo  # first J every copy executes
-    head_hi_arm = rect_lo - 1
-    if rhomboidal:
-        head_inner_hi = smin(head_hi_arm, Var(ii) + beta_hi)
-    else:
-        head_inner_hi = smin(head_hi_arm, inner.hi)
-    head = Loop(
-        ii,
-        Var(v),
-        simplify(Var(v) + (u - 2), ctx),
-        (Loop(j, Var(ii) + beta_lo, simplify(head_inner_hi, ctx), body_ii),),
-    )
-    blocks.append(head)
-
+    if beta_lo is not None:
+        # head: J below the rectangle, per-II triangular sweep over the
+        # first u-1 strip iterations (the last one starts at the rectangle).
+        rect_lo = Var(v) + (u - 1) + beta_lo
+        row_hi = inner.hi if beta_hi is None else Var(ii) + beta_hi
+        blocks.append(Loop(
+            ii,
+            Var(v),
+            simplify(Var(v) + (u - 2), ctx),
+            (Loop(j, Var(ii) + beta_lo, simplify(smin(rect_lo - 1, row_hi), ctx), body_ii),),
+        ))
+        mid_lo = simplify(rect_lo, ctx)
+    if beta_hi is not None:
+        mid_hi = Var(v) + beta_hi
     # mid: the rectangle, trip count independent of the strip index ->
     # unroll the strip completely and jam.
-    mid_hi = Var(v) + beta_hi if rhomboidal else inner.hi
-    mid_body: list[Stmt] = []
-    for k in range(u):
-        mid_body.extend(substitute(body, {v: Var(v) + k}))
-    blocks.append(Loop(j, simplify(rect_lo, ctx), simplify(mid_hi, ctx), tuple(mid_body)))
-
-    # tail (rhomboidal): J above the rectangle, per-II triangular sweep
-    if rhomboidal:
-        tail = Loop(
+    blocks.append(Loop(j, mid_lo, simplify(mid_hi, ctx), _copies(inner.body, v, u)))
+    if beta_hi is not None:
+        # tail: J above the rectangle, per-II triangular sweep
+        blocks.append(Loop(
             ii,
             Var(v) + 1,
             simplify(Var(v) + (u - 1), ctx),
             (Loop(j, simplify(Var(v) + beta_hi + 1, ctx), Var(ii) + beta_hi, body_ii),),
-        )
-        blocks.append(tail)
+        ))
 
     main = Loop(v, main_lo, loop.hi, tuple(blocks), step=Const(u))
-    return replace_loop(proc, loop, (pre, main))
-
-
-def _upper_triangular_uj(
-    proc: Procedure,
-    loop: Loop,
-    inner: Loop,
-    beta_hi,
-    u: int,
-    ctx: Assumptions,
-) -> Procedure:
-    """Sec. 3.1 mirrored for an upper-coupled bound: ``J <= loop.var +
-    beta``.  The rectangle ``[lo, v + beta]`` is common to every copy of
-    the block (its first iteration has the smallest bound), the per-copy
-    triangle ``[v + beta + 1, II + beta]`` trails."""
-    from repro.transform.base import fresh_var, used_names
-
-    v = loop.var
-    trips = loop.hi - loop.lo + 1
-    extra = Call("MOD", (trips, Const(u)))
-    pre = Loop(v, loop.lo, simplify(loop.lo + extra - 1, ctx), (inner,))
-    main_lo = simplify(loop.lo + extra, ctx)
-
-    ii = fresh_var(v, used_names(proc))
-    body = inner.body
-    body_ii = substitute(body, {v: Var(ii)})
-    j = inner.var
-
-    mid_body: list[Stmt] = []
-    for k in range(u):
-        mid_body.extend(substitute(body, {v: Var(v) + k}))
-    mid = Loop(j, inner.lo, simplify(Var(v) + beta_hi, ctx), tuple(mid_body))
-    tail = Loop(
-        ii,
-        Var(v) + 1,
-        simplify(Var(v) + (u - 1), ctx),
-        (Loop(j, simplify(Var(v) + beta_hi + 1, ctx), Var(ii) + beta_hi, body_ii),),
-    )
-    main = Loop(v, main_lo, loop.hi, (mid, tail), step=Const(u))
     return replace_loop(proc, loop, (pre, main))

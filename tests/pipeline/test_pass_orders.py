@@ -20,7 +20,7 @@ from repro.ir.expr import Const, Var
 from repro.ir.stmt import Loop
 from repro.pipeline import AnalysisCache, available_workloads, derive
 from repro.symbolic.assume import Assumptions
-from repro.transform import split_trapezoid_max, split_trapezoid_min, strip_mine
+from repro.transform import split_trapezoid, strip_mine
 
 WORKLOADS = [w.name for w in available_workloads()]
 
@@ -52,11 +52,10 @@ def strip_mined_lu():
     return proc, ctx.assume_ge("KS", 2)
 
 
-@pytest.mark.parametrize("splitter", [split_trapezoid_min, split_trapezoid_max])
-def test_trapezoid_splitters_refuse_a_strided_outer_loop(splitter):
+def test_trapezoid_split_refuses_a_strided_outer_loop():
     proc, ctx = strip_mined_lu()
     with pytest.raises(TransformError, match="unit step"):
-        splitter(proc, proc.body[0], ctx)
+        split_trapezoid(proc, proc.body[0], ctx)
 
 
 def test_stripmine_then_split_keeps_the_bytes():

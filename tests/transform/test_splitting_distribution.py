@@ -15,8 +15,7 @@ from repro.transform.index_set_split import (
     index_set_split_for_dependence,
     peel_first_iteration,
     split_index_set,
-    split_trapezoid_max,
-    split_trapezoid_min,
+    split_trapezoid,
 )
 
 
@@ -76,7 +75,7 @@ class TestTrapezoids:
                    assign(ref("A", "K"), ref("A", "K") + 1.0))
         outer = do("I", 1, "N", inner)
         p = Procedure("t", ("N", "N1"), (ArrayDecl("A", (Var("N") + 2,)),), (outer,))
-        out, (tri, rect) = split_trapezoid_min(p, outer)
+        out, (tri, rect) = split_trapezoid(p, outer)
         from repro.analysis.shape import LoopShape, classify_loop_shape
 
         assert classify_loop_shape(tri.body[0], "I").kind == LoopShape.TRIANGULAR_HI
@@ -89,7 +88,7 @@ class TestTrapezoids:
                    assign(ref("A", "K"), ref("A", "K") + 1.0))
         outer = do("I", 1, "N", inner)
         p = Procedure("t", ("N", "N1"), (ArrayDecl("A", (Var("N1"),)),), (outer,))
-        out, (rect, coupled) = split_trapezoid_max(p, outer)
+        out, (rect, coupled) = split_trapezoid(p, outer)
         for (n, n1) in ((9, 7), (4, 12)):
             assert_equivalent(p, out, {"N": n, "N1": n1})
 
@@ -98,7 +97,30 @@ class TestTrapezoids:
         outer = do("I", 1, "N", inner)
         p = Procedure("t", ("N", "N1"), (ArrayDecl("A", (Var("N1"),)),), (outer,))
         with pytest.raises(TransformError):
-            split_trapezoid_min(p, outer)
+            split_trapezoid(p, outer)
+
+    def _steep(self, lo):
+        """``DO I = lo, N / DO J = 1, MIN(2*I+5, M)``: the crossover
+        ``(M-5)/2`` has a numerator of either sign.  ``A`` has room past
+        ``M``, so a piece running too far shows as a byte difference."""
+        inner = do("J", 1, Min((Const(2) * Var("I") + 5, Var("M"))),
+                   assign(ref("A", "J"), ref("A", "J") + 1.0))
+        outer = do("I", lo, "N", inner)
+        return Procedure("t", ("N", "M"), (ArrayDecl("A", (Var("M") + 8,)),), (outer,)), outer
+
+    def test_negative_crossover_numerator_is_refused(self):
+        """Fortran ``/`` truncates toward zero: at M = 2, ``(2-5)/2`` is -1
+        where the floor is -2, so a split there ran I = -1 over J = 1..3,
+        past M, and A(3) differed.  Unprovable signs are refused."""
+        p, outer = self._steep(-5)
+        with pytest.raises(TransformError, match="nonnegative numerator"):
+            split_trapezoid(p, outer)
+
+    def test_proved_crossover_numerator_splits(self):
+        p, outer = self._steep(1)
+        out, _ = split_trapezoid(p, outer, Assumptions().assume_ge("M", 5))
+        for n, m in ((3, 5), (3, 8), (9, 6), (4, 20)):
+            assert_equivalent(p, out, {"N": n, "M": m})
 
 
 class TestDistribution:
