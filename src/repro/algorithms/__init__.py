@@ -9,6 +9,14 @@ Every listing in the paper exists here twice:
   directly, the independent oracle the test suite validates both IR
   engines against.
 
+Each family of listings is built from shared steps, as the paper derives
+one listing from another: the five LU programs from one elimination step
+(Fig. 8 is Fig. 6's panel plus Fig. 7's pivot step; Sorensen's stand-in
+reorders Fig. 6's trailing update), Figs. 9/10 from one rotation, the two
+convolutions from one kernel, and the two guarded matmuls from one nest
+that differs in where the guard sits.  The numpy references share nothing
+with the builders.
+
 Modules: :mod:`repro.algorithms.lu` (Sec. 5.1–5.2),
 :mod:`repro.algorithms.qr_householder` (Sec. 5.3),
 :mod:`repro.algorithms.qr_givens` (Sec. 5.4),
@@ -26,7 +34,12 @@ from repro.algorithms.lu import (
     lu_ref,
     lu_sorensen_ir,
 )
-from repro.algorithms.matmul import matmul_guarded_ir, matmul_ref, sparse_b
+from repro.algorithms.matmul import (
+    matmul_guard_inner_ir,
+    matmul_guarded_ir,
+    matmul_ref,
+    sparse_b,
+)
 from repro.algorithms.qr_givens import givens_optimized_ir, givens_point_ir, givens_ref
 from repro.algorithms.qr_householder import (
     householder_block_ref,
@@ -52,6 +65,7 @@ __all__ = [
     "lu_point_ir",
     "lu_ref",
     "lu_sorensen_ir",
+    "matmul_guard_inner_ir",
     "matmul_guarded_ir",
     "matmul_ref",
     "sparse_b",

@@ -31,10 +31,9 @@ from repro.ir.expr import Var, smax, smin
 from repro.ir.stmt import ArrayDecl, Procedure
 
 
-def aconv_ir(name: str = "aconv") -> Procedure:
-    """Adjoint convolution: rhomboidal ``K`` in ``[I, I+N2]`` clipped by
-    ``N1``.  1-based: I in 1..N3, K in I..MIN(I+N2, N1), F2 index K-I+1."""
-    I, K = Var("I"), Var("K")
+def _kernel(name: str, k_lo, k_hi, f2) -> Procedure:
+    """``F3(I) = F3(I) + DT*F1(K)*F2(f2)`` for I in 1..N3 and K in
+    ``k_lo..k_hi``: the two kernels differ only in those three."""
     return Procedure(
         name,
         ("N1", "N2", "N3"),
@@ -50,16 +49,23 @@ def aconv_ir(name: str = "aconv") -> Procedure:
                 "N3",
                 do(
                     "K",
-                    "I",
-                    smin(I + Var("N2"), Var("N1")),
+                    k_lo,
+                    k_hi,
                     assign(
                         ref("F3", "I"),
-                        ref("F3", "I") + Var("DT") * ref("F1", "K") * ref("F2", K - I + 1),
+                        ref("F3", "I") + Var("DT") * ref("F1", "K") * ref("F2", f2),
                     ),
                 ),
             ),
         ),
     ).adding_params("DT")
+
+
+def aconv_ir(name: str = "aconv") -> Procedure:
+    """Adjoint convolution: rhomboidal ``K`` in ``[I, I+N2]`` clipped by
+    ``N1``.  1-based: I in 1..N3, K in I..MIN(I+N2, N1), F2 index K-I+1."""
+    I, K = Var("I"), Var("K")
+    return _kernel(name, "I", smin(I + Var("N2"), Var("N1")), K - I + 1)
 
 
 def aconv_ref(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, dt: float) -> np.ndarray:
@@ -78,31 +84,7 @@ def conv_ir(name: str = "conv") -> Procedure:
     """Convolution: doubly-trapezoidal ``K`` in
     ``[MAX(1, I-N2), MIN(I, N1)]`` with ``F2(I-K+1)`` (1-based shift)."""
     I, K = Var("I"), Var("K")
-    return Procedure(
-        name,
-        ("N1", "N2", "N3"),
-        (
-            ArrayDecl("F1", (Var("N1"),)),
-            ArrayDecl("F2", (Var("N2") + 1,)),
-            ArrayDecl("F3", (Var("N3"),)),
-        ),
-        (
-            do(
-                "I",
-                1,
-                "N3",
-                do(
-                    "K",
-                    smax(1, I - Var("N2")),
-                    smin(I, Var("N1")),
-                    assign(
-                        ref("F3", "I"),
-                        ref("F3", "I") + Var("DT") * ref("F1", "K") * ref("F2", I - K + 1),
-                    ),
-                ),
-            ),
-        ),
-    ).adding_params("DT")
+    return _kernel(name, smax(1, I - Var("N2")), smin(I, Var("N1")), I - K + 1)
 
 
 def conv_ref(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, dt: float) -> np.ndarray:

@@ -1,19 +1,25 @@
 """LU decomposition: point and block, with and without partial pivoting
 (paper Secs. 5.1–5.2, Figs. 6–8).
 
-The point algorithms are exact transcriptions of the paper's listings.
-The block listings (Fig. 6 / Fig. 8) are transcribed with the MIN/MAX
-clamps the paper elides for exposition (the paper's bare ``K+KS-1`` bounds
-assume the block size divides the problem); with dividing sizes the two
-are iteration-for-iteration identical, and the figure benchmarks check
-that our *compiler-derived* block algorithms match these transcriptions.
+The listings share their steps, as the paper derives them from each
+other.  One elimination step (scale column ``K`` below the diagonal, then
+update the columns to its right) is the whole body of the point algorithm
+(Sec. 5.1); Fig. 7 puts its pivot search and row interchange in front of
+it.  The block algorithms run that point step on the block columns ``KK``
+of one ``K`` block, then the aggregated trailing update: Fig. 8 is Fig. 6's
+panel plus Fig. 7's pivot step, "the point algorithm on the block columns".
+The block listings carry the MIN/MAX clamps the paper elides for
+exposition (its bare ``K+KS-1`` bounds assume the block size divides the
+problem); with dividing sizes the two are iteration-for-iteration
+identical, and the figure benchmarks check that our *compiler-derived*
+block algorithms match these transcriptions.
 
 ``lu_sorensen_ir`` stands in for the hand-coded blocked routine by
-Sorensen the paper calls "1" (we do not have his source): the same Fig. 6
-block structure with the trailing update ordered (J, KK, I) — a natural
-hand-coded choice with BLAS-2 flavour.  The substitution is recorded in
-DESIGN.md; the paper itself measures "1" and "2" within a few percent of
-each other, which our cache model reproduces.
+Sorensen the paper calls "1" (we do not have his source): Fig. 6 with the
+trailing update reordered (J, KK, I) — a natural hand-coded choice with
+BLAS-2 flavour.  The substitution is recorded in DESIGN.md; the paper
+itself measures "1" and "2" within a few percent of each other, which our
+cache model reproduces.
 """
 
 from __future__ import annotations
@@ -22,170 +28,110 @@ import numpy as np
 
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import Call, Compare, Var, smin
-from repro.ir.stmt import ArrayDecl, Procedure
+from repro.ir.stmt import ArrayDecl, Assign, Procedure
+
+
+def _update(i: str, j: str, k: str) -> Assign:
+    """``A(I,J) = A(I,J) - A(I,K) * A(K,J)``, the rank-1 update statement."""
+    return assign(ref("A", i, j), ref("A", i, j) - ref("A", i, k) * ref("A", k, j))
+
+
+def _eliminate(k: str, j_hi) -> tuple:
+    """Scale column ``k`` below the diagonal, then update columns
+    ``k+1..j_hi`` with it."""
+    lo = Var(k) + 1
+    return (
+        do("I", lo, "N", assign(ref("A", "I", k), ref("A", "I", k) / ref("A", k, k))),
+        do("J", lo, j_hi, do("I", lo, "N", _update("I", "J", k))),
+    )
+
+
+def _pivot(k: str) -> tuple:
+    """Fig. 7's pivot step on column ``k``: the IMAX search from the
+    diagonal down, then the whole-row interchange (statements 25/30)."""
+    def abs_a(i):
+        return Call("ABS", (ref("A", i, k),))
+
+    return (
+        assign("IMAX", Var(k)),
+        assign("PMAX", abs_a("IMAX")),
+        do(
+            "I",
+            Var(k) + 1,
+            "N",
+            if_(
+                Compare("gt", abs_a("I"), Var("PMAX")),
+                [assign("PMAX", abs_a("I")), assign("IMAX", "I")],
+            ),
+        ),
+        do(
+            "J",
+            1,
+            "N",
+            assign("TAU", ref("A", k, "J")),
+            assign(ref("A", k, "J"), ref("A", "IMAX", "J")),
+            assign(ref("A", "IMAX", "J"), "TAU"),
+        ),
+    )
+
+
+def _point_lu(name: str, pivot: bool) -> Procedure:
+    """The point algorithm: one elimination step per column ``K``,
+    after Fig. 7's pivot step when ``pivot``."""
+    N = Var("N")
+    step = _pivot("K") if pivot else ()
+    return Procedure(
+        name,
+        ("N",),
+        (ArrayDecl("A", (N, N)),),
+        (do("K", 1, N - 1, *step, *_eliminate("K", "N")),),
+    )
+
+
+def _block_lu(name: str, pivot: bool, sorensen: bool) -> Procedure:
+    """A block LU: the point step on the block columns ``KK`` of a
+    ``KS``-wide block (the panel), then the trailing update of the columns
+    right of it, ordered (J, I, KK) as in Figs. 6/8 or (J, KK, I) for
+    Sorensen's stand-in."""
+    K, KK, I, N, KS = (Var(v) for v in ("K", "KK", "I", "N", "KS"))
+    kk_hi = smin(K + KS - 1, N - 1)
+    step = _pivot("KK") if pivot else ()
+    if sorensen:
+        trailing = do("KK", "K", kk_hi, do("I", KK + 1, "N", _update("I", "J", "KK")))
+    else:
+        kk_to_i = do("KK", "K", smin(I - 1, K + KS - 1), _update("I", "J", "KK"))
+        trailing = do("I", K + 1, "N", kk_to_i)
+    return Procedure(
+        name,
+        ("N", "KS"),
+        (ArrayDecl("A", (N, N)),),
+        (
+            do(
+                "K",
+                1,
+                N - 1,
+                do("KK", "K", kk_hi, *step, *_eliminate("KK", kk_hi)),
+                do("J", smin(K + KS, N), "N", trailing),
+                step="KS",
+            ),
+        ),
+    )
 
 
 def lu_point_ir(name: str = "lu_point") -> Procedure:
     """Point LU without pivoting (Sec. 5.1 listing, before strip mining)."""
-    return Procedure(
-        name,
-        ("N",),
-        (ArrayDecl("A", (Var("N"), Var("N"))),),
-        (
-            do(
-                "K",
-                1,
-                Var("N") - 1,
-                do(
-                    "I",
-                    Var("K") + 1,
-                    "N",
-                    assign(ref("A", "I", "K"), ref("A", "I", "K") / ref("A", "K", "K")),
-                ),
-                do(
-                    "J",
-                    Var("K") + 1,
-                    "N",
-                    do(
-                        "I",
-                        Var("K") + 1,
-                        "N",
-                        assign(
-                            ref("A", "I", "J"),
-                            ref("A", "I", "J") - ref("A", "I", "K") * ref("A", "K", "J"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
+    return _point_lu(name, pivot=False)
 
 
 def lu_block_fig6_ir(name: str = "lu_block_fig6") -> Procedure:
     """Figure 6: the best block LU, as published (clamps added)."""
-    K, KK, I, J, N, KS = (Var(v) for v in ("K", "KK", "I", "J", "N", "KS"))
-    kk_hi = smin(K + Var("KS") - 1, N - 1)
-    return Procedure(
-        name,
-        ("N", "KS"),
-        (ArrayDecl("A", (N, N)),),
-        (
-            do(
-                "K",
-                1,
-                N - 1,
-                do(
-                    "KK",
-                    "K",
-                    kk_hi,
-                    do(
-                        "I",
-                        KK + 1,
-                        "N",
-                        assign(ref("A", "I", "KK"), ref("A", "I", "KK") / ref("A", "KK", "KK")),
-                    ),
-                    do(
-                        "J",
-                        KK + 1,
-                        kk_hi,
-                        do(
-                            "I",
-                            KK + 1,
-                            "N",
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                do(
-                    "J",
-                    smin(K + Var("KS"), N),
-                    "N",
-                    do(
-                        "I",
-                        K + 1,
-                        "N",
-                        do(
-                            "KK",
-                            "K",
-                            smin(I - 1, K + Var("KS") - 1),
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                step="KS",
-            ),
-        ),
-    )
+    return _block_lu(name, pivot=False, sorensen=False)
 
 
 def lu_sorensen_ir(name: str = "lu_block_sorensen") -> Procedure:
-    """Stand-in for Sorensen's hand-blocked LU ("1"): Fig. 6 structure
-    with a (J, KK, I) trailing update (see module docstring)."""
-    K, KK, I, J, N = (Var(v) for v in ("K", "KK", "I", "J", "N"))
-    kk_hi = smin(K + Var("KS") - 1, N - 1)
-    return Procedure(
-        name,
-        ("N", "KS"),
-        (ArrayDecl("A", (N, N)),),
-        (
-            do(
-                "K",
-                1,
-                N - 1,
-                do(
-                    "KK",
-                    "K",
-                    kk_hi,
-                    do(
-                        "I",
-                        KK + 1,
-                        "N",
-                        assign(ref("A", "I", "KK"), ref("A", "I", "KK") / ref("A", "KK", "KK")),
-                    ),
-                    do(
-                        "J",
-                        KK + 1,
-                        kk_hi,
-                        do(
-                            "I",
-                            KK + 1,
-                            "N",
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                do(
-                    "J",
-                    smin(K + Var("KS"), N),
-                    "N",
-                    do(
-                        "KK",
-                        "K",
-                        kk_hi,
-                        do(
-                            "I",
-                            KK + 1,
-                            "N",
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                step="KS",
-            ),
-        ),
-    )
+    """Stand-in for Sorensen's hand-blocked LU ("1"): Fig. 6 with a
+    (J, KK, I) trailing update (see module docstring)."""
+    return _block_lu(name, pivot=False, sorensen=True)
 
 
 def lu_ref(a: np.ndarray) -> np.ndarray:
@@ -203,141 +149,15 @@ def lu_ref(a: np.ndarray) -> np.ndarray:
 # partial pivoting (Sec. 5.2)
 # ---------------------------------------------------------------------------
 
-def _pivot_search(col: str, lo, n="N"):
-    """IR for the IMAX search over column ``col`` from row ``lo``."""
-    return [
-        assign("IMAX", Var(lo) if isinstance(lo, str) else lo),
-        assign("PMAX", Call("ABS", (ref("A", "IMAX", col),))),
-        do(
-            "I",
-            (Var(lo) if isinstance(lo, str) else lo) + 1,
-            n,
-            if_(
-                Compare("gt", Call("ABS", (ref("A", "I", col),)), Var("PMAX")),
-                [
-                    assign("PMAX", Call("ABS", (ref("A", "I", col),))),
-                    assign("IMAX", "I"),
-                ],
-            ),
-        ),
-    ]
-
-
-def _row_swap(row: str, col_lo=1, col_hi="N"):
-    """IR for the whole-row interchange (Fig. 7 statements 25/30)."""
-    return do(
-        "J",
-        col_lo,
-        col_hi,
-        assign("TAU", ref("A", row, "J")),
-        assign(ref("A", row, "J"), ref("A", "IMAX", "J")),
-        assign(ref("A", "IMAX", "J"), "TAU"),
-    )
-
-
 def lu_pivot_point_ir(name: str = "lu_pivot_point") -> Procedure:
     """Figure 7: point LU with partial pivoting (pivot search explicit)."""
-    K, N = Var("K"), Var("N")
-    return Procedure(
-        name,
-        ("N",),
-        (ArrayDecl("A", (N, N)),),
-        (
-            do(
-                "K",
-                1,
-                N - 1,
-                *_pivot_search("K", "K"),
-                _row_swap("K"),
-                do(
-                    "I",
-                    K + 1,
-                    "N",
-                    assign(ref("A", "I", "K"), ref("A", "I", "K") / ref("A", "K", "K")),
-                ),
-                do(
-                    "J",
-                    K + 1,
-                    "N",
-                    do(
-                        "I",
-                        K + 1,
-                        "N",
-                        assign(
-                            ref("A", "I", "J"),
-                            ref("A", "I", "J") - ref("A", "I", "K") * ref("A", "K", "J"),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
+    return _point_lu(name, pivot=True)
 
 
 def lu_pivot_block_fig8_ir(name: str = "lu_pivot_block_fig8") -> Procedure:
     """Figure 8: block LU with partial pivoting — the point algorithm on
     the block columns, then the aggregated trailing update."""
-    K, KK, I, J, N = (Var(v) for v in ("K", "KK", "I", "J", "N"))
-    kk_hi = smin(K + Var("KS") - 1, N - 1)
-    return Procedure(
-        name,
-        ("N", "KS"),
-        (ArrayDecl("A", (N, N)),),
-        (
-            do(
-                "K",
-                1,
-                N - 1,
-                do(
-                    "KK",
-                    "K",
-                    kk_hi,
-                    *_pivot_search("KK", "KK"),
-                    _row_swap("KK"),
-                    do(
-                        "I",
-                        KK + 1,
-                        "N",
-                        assign(ref("A", "I", "KK"), ref("A", "I", "KK") / ref("A", "KK", "KK")),
-                    ),
-                    do(
-                        "J",
-                        KK + 1,
-                        kk_hi,
-                        do(
-                            "I",
-                            KK + 1,
-                            "N",
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                do(
-                    "J",
-                    smin(K + Var("KS"), N),
-                    "N",
-                    do(
-                        "I",
-                        K + 1,
-                        "N",
-                        do(
-                            "KK",
-                            "K",
-                            smin(I - 1, K + Var("KS") - 1),
-                            assign(
-                                ref("A", "I", "J"),
-                                ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"),
-                            ),
-                        ),
-                    ),
-                ),
-                step="KS",
-            ),
-        ),
-    )
+    return _block_lu(name, pivot=True, sorensen=False)
 
 
 def lu_pivot_ref(a: np.ndarray) -> np.ndarray:

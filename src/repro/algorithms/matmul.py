@@ -11,9 +11,11 @@ is zero::
     20  CONTINUE
 
 The front end normalizes the GOTO guard to a structured IF-THEN, which is
-how :func:`matmul_guarded_ir` builds it directly.  The Sec. 4 experiment
-varies the *frequency* of nonzeros in B; :func:`sparse_b` generates the
-matching operand (a B whose entries are nonzero with probability ``freq``,
+how :func:`matmul_guarded_ir` builds it directly;
+:func:`matmul_guard_inner_ir` moves the guard inside the I sweep, the
+starting point of the paper's plain unroll-and-jam ("UJ") comparator.  The
+Sec. 4 experiment varies the *frequency* of nonzeros in B; :func:`sparse_b`
+generates the matching operand (a B whose entries are nonzero with probability ``freq``,
 clustered into runs so the inspector's ranges resemble banded/blocked
 sparsity rather than salt-and-pepper noise — runs are what make
 IF-inspection's range encoding effective, per the paper's "if the ranges
@@ -29,9 +31,19 @@ from repro.ir.expr import Compare, Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 
 
-def matmul_guarded_ir(name: str = "matmul_guarded", dtype: str = "f4") -> Procedure:
-    """The Sec. 4 guarded matrix multiply (REAL, like the paper's run)."""
+def _matmul(name: str, dtype: str, guard_inner: bool) -> Procedure:
+    """``C = C + A*B`` over (J, K, I) with the ``B(K,J) .NE. 0`` guard
+    around the I sweep, or inside it when ``guard_inner``."""
     N = Var("N")
+
+    def guarded(stmt):
+        return if_(Compare("ne", ref("B", "K", "J"), Const(0.0)), [stmt])
+
+    update = assign(
+        ref("C", "I", "J"),
+        ref("C", "I", "J") + ref("A", "I", "K") * ref("B", "K", "J"),
+    )
+    k_body = do("I", 1, "N", guarded(update)) if guard_inner else guarded(do("I", 1, "N", update))
     return Procedure(
         name,
         ("N",),
@@ -40,33 +52,19 @@ def matmul_guarded_ir(name: str = "matmul_guarded", dtype: str = "f4") -> Proced
             ArrayDecl("B", (N, N), dtype=dtype),
             ArrayDecl("C", (N, N), dtype=dtype),
         ),
-        (
-            do(
-                "J",
-                1,
-                "N",
-                do(
-                    "K",
-                    1,
-                    "N",
-                    if_(
-                        Compare("ne", ref("B", "K", "J"), Const(0.0)),
-                        [
-                            do(
-                                "I",
-                                1,
-                                "N",
-                                assign(
-                                    ref("C", "I", "J"),
-                                    ref("C", "I", "J") + ref("A", "I", "K") * ref("B", "K", "J"),
-                                ),
-                            )
-                        ],
-                    ),
-                ),
-            ),
-        ),
+        (do("J", 1, "N", do("K", 1, "N", k_body)),),
     )
+
+
+def matmul_guarded_ir(name: str = "matmul_guarded", dtype: str = "f4") -> Procedure:
+    """The Sec. 4 guarded matrix multiply (REAL, like the paper's run)."""
+    return _matmul(name, dtype, guard_inner=False)
+
+
+def matmul_guard_inner_ir(name: str = "matmul_guard_inner") -> Procedure:
+    """The guard replicated in the innermost loop — the starting point of
+    the paper's (slower) plain-UJ comparator."""
+    return _matmul(name, "f4", guard_inner=True)
 
 
 def matmul_ref(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -16,7 +16,10 @@ algorithm is known; the optimized form (Fig. 10) instead combines
    ``A(J,K)`` and an invariant ``A(L,K)``.
 
 ``givens_optimized_ir`` transcribes Fig. 10 (with the inspection
-bookkeeping the paper sketches as a comment written out); the
+bookkeeping the paper sketches as a comment written out).  Both listings
+build the rotation from the same two steps: its coefficients, and the
+rotation of rows L and J at one column (Fig. 9's K sweep; Fig. 10's split-
+off column L in the first sweep and the interchanged K sweep after).  The
 ``givens_opt`` pass (``derive("givens")``) *derives* the same structure
 with the generic transformations.
 """
@@ -26,30 +29,38 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import Call, Compare, Const, Var
+from repro.ir.expr import Call, Compare, Const, Var, smax, smin
 from repro.ir.stmt import ArrayDecl, Procedure
 
 
-def givens_point_ir(name: str = "givens_point") -> Procedure:
-    """Figure 9 (GOTO guard normalized to IF-THEN)."""
-    L, J, K = Var("L"), Var("J"), Var("K")
-    rot = [
+def _coefficients(c, s) -> list:
+    """The rotation zeroing ``A(J,L)`` against ``A(L,L)``: DEN, then the
+    coefficients into ``c`` and ``s`` (scalars in Fig. 9, the expanded
+    ``C(J)``/``S(J)`` in Fig. 10)."""
+    return [
         assign("DEN", Call("DSQRT", (
             ref("A", "L", "L") * ref("A", "L", "L")
             + ref("A", "J", "L") * ref("A", "J", "L"),
         ))),
-        assign("C", ref("A", "L", "L") / Var("DEN")),
-        assign("S", ref("A", "J", "L") / Var("DEN")),
-        do(
-            "K",
-            "L",
-            "N",
-            assign("A1", ref("A", "L", "K")),
-            assign("A2", ref("A", "J", "K")),
-            assign(ref("A", "L", "K"), Var("C") * Var("A1") + Var("S") * Var("A2")),
-            assign(ref("A", "J", "K"), Const(0.0) - Var("S") * Var("A1") + Var("C") * Var("A2")),
-        ),
+        assign(c, ref("A", "L", "L") / Var("DEN")),
+        assign(s, ref("A", "J", "L") / Var("DEN")),
     ]
+
+
+def _rotate(col, c, s) -> list:
+    """Rotate rows L and J at column ``col`` by ``c`` and ``s``."""
+    return [
+        assign("A1", ref("A", "L", col)),
+        assign("A2", ref("A", "J", col)),
+        assign(ref("A", "L", col), c * Var("A1") + s * Var("A2")),
+        assign(ref("A", "J", col), Const(0.0) - s * Var("A1") + c * Var("A2")),
+    ]
+
+
+def givens_point_ir(name: str = "givens_point") -> Procedure:
+    """Figure 9 (GOTO guard normalized to IF-THEN)."""
+    C, S = Var("C"), Var("S")
+    rot = [*_coefficients(C, S), do("K", "L", "N", *_rotate("K", C, S))]
     return Procedure(
         name,
         ("M", "N"),
@@ -61,7 +72,7 @@ def givens_point_ir(name: str = "givens_point") -> Procedure:
                 "N",
                 do(
                     "J",
-                    L + 1,
+                    Var("L") + 1,
                     "M",
                     if_(Compare("ne", ref("A", "J", "L"), Const(0.0)), rot),
                 ),
@@ -76,7 +87,8 @@ def givens_optimized_ir(name: str = "givens_opt") -> Procedure:
     Logical FLAG is modeled as INTEGER 0/1; the executor's J bounds carry
     the redundant MAX/MIN clamps our compiler emits (see
     ``repro.transform.if_inspection``)."""
-    L, J, K, JN = Var("L"), Var("J"), Var("K"), Var("JN")
+    L, J = Var("L"), Var("J")
+    C, S = ref("C", "J"), ref("S", "J")
     guard = Compare("ne", ref("A", "J", "L"), Const(0.0))
     open_range = if_(
         Compare("eq", Var("FLAG"), Const(0)),
@@ -97,36 +109,12 @@ def givens_optimized_ir(name: str = "givens_opt") -> Procedure:
         "J",
         L + 1,
         "M",
-        if_(
-            guard,
-            [
-                open_range,
-                assign("DEN", Call("DSQRT", (
-                    ref("A", "L", "L") * ref("A", "L", "L")
-                    + ref("A", "J", "L") * ref("A", "J", "L"),
-                ))),
-                assign(ref("C", "J"), ref("A", "L", "L") / Var("DEN")),
-                assign(ref("S", "J"), ref("A", "J", "L") / Var("DEN")),
-                assign("A1", ref("A", "L", "L")),
-                assign("A2", ref("A", "J", "L")),
-                assign(
-                    ref("A", "L", "L"),
-                    ref("C", "J") * Var("A1") + ref("S", "J") * Var("A2"),
-                ),
-                assign(
-                    ref("A", "J", "L"),
-                    Const(0.0) - ref("S", "J") * Var("A1") + ref("C", "J") * Var("A2"),
-                ),
-            ],
-            [close_range],
-        ),
+        if_(guard, [open_range, *_coefficients(C, S), *_rotate("L", C, S)], [close_range]),
     )
     close_last = if_(
         Compare("eq", Var("FLAG"), Const(1)),
         [assign(ref("JUB", "JC"), "M"), assign("FLAG", Const(0))],
     )
-    from repro.ir.expr import smax, smin
-
     executor = do(
         "K",
         L + 1,
@@ -139,16 +127,7 @@ def givens_optimized_ir(name: str = "givens_opt") -> Procedure:
                 "J",
                 smax(ref("JLB", "JN"), L + 1),
                 smin(ref("JUB", "JN"), Var("M")),
-                assign("A1", ref("A", "L", "K")),
-                assign("A2", ref("A", "J", "K")),
-                assign(
-                    ref("A", "L", "K"),
-                    ref("C", "J") * Var("A1") + ref("S", "J") * Var("A2"),
-                ),
-                assign(
-                    ref("A", "J", "K"),
-                    Const(0.0) - ref("S", "J") * Var("A1") + ref("C", "J") * Var("A2"),
-                ),
+                *_rotate("K", C, S),
             ),
         ),
     )

@@ -30,15 +30,14 @@ from repro.algorithms import (
     lu_pivot_point_ir,
     lu_point_ir,
     lu_sorensen_ir,
+    matmul_guard_inner_ir,
     matmul_guarded_ir,
     sparse_b,
 )
 from repro.analysis.context import context_for_path
 from repro.bench.harness import Table, measure
 from repro.errors import TransformError
-from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import Compare, Const, Var
-from repro.ir.stmt import ArrayDecl, Loop, Procedure
+from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import loop_by_var
 from repro.machine.model import MachineModel, RS6000_540, scaled_machine
 from repro.symbolic.assume import Assumptions
@@ -77,7 +76,7 @@ def derived_block_lu() -> Procedure:
 @functools.lru_cache(maxsize=None)
 def derived_block_lu_pivot() -> Procedure:
     """Fig. 8, derived from the point algorithm with the commutativity
-    oracle (one cold derivation, ~2 s)."""
+    oracle (one cold derivation, under half a second)."""
     from repro.pipeline import derive
 
     result = derive("lu_pivot")
@@ -130,47 +129,6 @@ def lu_pivot_one_plus() -> Procedure:
 # ---------------------------------------------------------------------------
 # matmul variants (Sec. 4)
 # ---------------------------------------------------------------------------
-
-def matmul_guard_inner_ir(name: str = "matmul_guard_inner") -> Procedure:
-    """The guard replicated in the innermost loop — the starting point of
-    the paper's (slower) plain-UJ comparator."""
-    N = Var("N")
-    return Procedure(
-        name,
-        ("N",),
-        (
-            ArrayDecl("A", (N, N), dtype="f4"),
-            ArrayDecl("B", (N, N), dtype="f4"),
-            ArrayDecl("C", (N, N), dtype="f4"),
-        ),
-        (
-            do(
-                "J",
-                1,
-                "N",
-                do(
-                    "K",
-                    1,
-                    "N",
-                    do(
-                        "I",
-                        1,
-                        "N",
-                        if_(
-                            Compare("ne", ref("B", "K", "J"), Const(0.0)),
-                            [
-                                assign(
-                                    ref("C", "I", "J"),
-                                    ref("C", "I", "J") + ref("A", "I", "K") * ref("B", "K", "J"),
-                                )
-                            ],
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
 
 @functools.lru_cache(maxsize=None)
 def matmul_uj_naive(u: int = 4) -> Procedure:
@@ -319,89 +277,76 @@ def table_t2_if_inspection(
     return t
 
 
-def table_t3_lu(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
-    """Sec. 5.1 table: LU without pivoting — Point, "1" (hand-blocked),
-    "2" (compiler-derived Fig. 6), "2+" (derived + UJ + scalar repl.)."""
+def _lu_table(
+    title: str,
+    paper_ref: str,
+    scale: int,
+    machine: Optional[MachineModel],
+    point: Procedure,
+    variants: dict,
+    paper: dict,
+    note: str,
+) -> Table:
+    """A Sec. 5 LU table: ``point`` once per size, each blocked variant in
+    ``variants`` (column suffix -> procedure; the last one is the
+    speedup's) per size and block.  ``paper`` maps (size, block) to the
+    paper's (point, *variants, speedup) seconds."""
     machine = machine or scaled_machine(scale)
     t = Table(
-        title="T3: LU decomposition without pivoting",
-        paper_ref="Sec. 5.1 table (double precision)",
+        title=title,
+        paper_ref=paper_ref,
         machine=f"{machine.describe()} (scale 1/{scale})",
         columns=(
-            "size", "block", "paper_point_s", "paper_1_s", "paper_2_s", "paper_2p_s",
-            "paper_speedup", "modeled_point", "modeled_1", "modeled_2", "modeled_2p",
+            "size", "block", "paper_point_s", *(f"paper_{v}_s" for v in variants),
+            "paper_speedup", "modeled_point", *(f"modeled_{v}" for v in variants),
             "modeled_speedup",
         ),
     )
-    point = lu_point_ir()
-    blocked = {
-        "1": lu_sorensen_ir(),
-        "2": derived_block_lu(),
-        "2+": lu_two_plus(),
-    }
+    last = list(variants)[-1]
     for size in (300, 500):
         n = scaled_size(size, scale)
-        got = {"point": measure(point, {"N": n}, machine)}  # no KS: once per size
+        point_s = measure(point, {"N": n}, machine).modeled_seconds  # no KS: once per size
         for block in (32, 64):
             ks = scaled_block(block, scale)
-            for key, proc in blocked.items():
-                got[key] = measure(proc, {"N": n, "KS": ks}, machine)
-            pp, p1, p2, p2p, ps = PAPER_T3[(size, block)]
+            got = {v: measure(proc, {"N": n, "KS": ks}, machine).modeled_seconds
+                   for v, proc in variants.items()}
+            pp, *published, ps = paper[(size, block)]
             t.add(
-                size=size, block=block,
-                paper_point_s=pp, paper_1_s=p1, paper_2_s=p2, paper_2p_s=p2p,
-                paper_speedup=ps,
-                modeled_point=got["point"].modeled_seconds,
-                modeled_1=got["1"].modeled_seconds,
-                modeled_2=got["2"].modeled_seconds,
-                modeled_2p=got["2+"].modeled_seconds,
-                modeled_speedup=got["point"].modeled_seconds / got["2+"].modeled_seconds,
+                size=size, block=block, paper_point_s=pp,
+                **{f"paper_{v}_s": s for v, s in zip(variants, published)},
+                paper_speedup=ps, modeled_point=point_s,
+                **{f"modeled_{v}": s for v, s in got.items()},
+                modeled_speedup=point_s / got[last],
             )
-    t.notes.append('"2" is the compiler-derived Fig. 6; "1" stands in for the Sorensen hand code (DESIGN.md)')
+    t.notes.append(note)
     return t
+
+
+def table_t3_lu(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
+    """Sec. 5.1 table: LU without pivoting — Point, "1" (hand-blocked),
+    "2" (compiler-derived Fig. 6), "2+" (derived + UJ + scalar repl.)."""
+    return _lu_table(
+        "T3: LU decomposition without pivoting", "Sec. 5.1 table (double precision)",
+        scale, machine, lu_point_ir(),
+        {"1": lu_sorensen_ir(), "2": derived_block_lu(), "2p": lu_two_plus()},
+        PAPER_T3,
+        '"2" is the compiler-derived Fig. 6; "1" stands in for the Sorensen hand code (DESIGN.md)',
+    )
 
 
 def table_t4_lu_pivot(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
     """Sec. 5.2 table: LU with partial pivoting — Point, "1" (the
     compiler-derived Fig. 8), "1+" (the Fig. 8 listing + UJ + scalar
     replacement)."""
-    machine = machine or scaled_machine(scale)
-    t = Table(
-        title="T4: LU decomposition with partial pivoting",
-        paper_ref="Sec. 5.2 table (double precision)",
-        machine=f"{machine.describe()} (scale 1/{scale})",
-        columns=(
-            "size", "block", "paper_point_s", "paper_1_s", "paper_1p_s", "paper_speedup",
-            "modeled_point", "modeled_1", "modeled_1p", "modeled_speedup",
-        ),
-    )
-    point = lu_pivot_point_ir()
-    blocked = {
-        "1": derived_block_lu_pivot(),
-        "1+": lu_pivot_one_plus(),
-    }
-    for size in (300, 500):
-        n = scaled_size(size, scale)
-        got = {"point": measure(point, {"N": n}, machine)}  # no KS: once per size
-        for block in (32, 64):
-            ks = scaled_block(block, scale)
-            for key, proc in blocked.items():
-                got[key] = measure(proc, {"N": n, "KS": ks}, machine)
-            pp, p1, p1p, ps = PAPER_T4[(size, block)]
-            t.add(
-                size=size, block=block,
-                paper_point_s=pp, paper_1_s=p1, paper_1p_s=p1p, paper_speedup=ps,
-                modeled_point=got["point"].modeled_seconds,
-                modeled_1=got["1"].modeled_seconds,
-                modeled_1p=got["1+"].modeled_seconds,
-                modeled_speedup=got["point"].modeled_seconds / got["1+"].modeled_seconds,
-            )
-    t.notes.append(
+    return _lu_table(
+        "T4: LU decomposition with partial pivoting", "Sec. 5.2 table (double precision)",
+        scale, machine, lu_pivot_point_ir(),
+        {"1": derived_block_lu_pivot(), "1p": lu_pivot_one_plus()},
+        PAPER_T4,
         '"1" is the compiler-derived Fig. 8 (commutativity oracle); "1+" is '
         "built on the hand transcription of the Fig. 8 listing, the reference "
-        "the derivation is tested against"
+        "the derivation is tested against",
     )
-    return t
 
 
 def table_t5_givens(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:

@@ -3,18 +3,23 @@
 Figures 1, 2 and 5 are *diagrams* in the paper; these helpers regenerate
 them from the actual analyses: Fig. 1 by enumerating the strip-mined
 triangular iteration space, Figs. 2 and 5 from computed array sections.
-The code-listing figures (3, 4, 6, 7–11) are regenerated by running the
+Both programs are strip-mined by the compiler from their point loops (Sec.
+3.3's from its Fortran listing, Fig. 5's from the point LU).  The
+code-listing figures (3, 4, 6, 7–11) are regenerated by running the
 compiler; see the corresponding ``benchmarks/bench_fig*.py``.
 """
 
 from __future__ import annotations
 
+from repro.algorithms import lu_point_ir
 from repro.analysis.refs import collect_accesses
 from repro.analysis.sections import Section, section_of_ref
-from repro.ir.build import assign, do, ref
-from repro.ir.expr import Min, Var
-from repro.ir.stmt import ArrayDecl, Procedure
+from repro.frontend import parse_procedure
+from repro.ir.expr import Var
+from repro.ir.stmt import Loop, Procedure
+from repro.ir.visit import loop_by_var
 from repro.symbolic.assume import Assumptions
+from repro.transform import strip_mine
 
 
 def figure1_iteration_space(n: int = 12, strip: int = 4, alpha: int = 1, beta: int = 0):
@@ -42,17 +47,30 @@ def figure1_iteration_space(n: int = 12, strip: int = 4, alpha: int = 1, beta: i
     return points, "\n".join(lines)
 
 
-def sec33_procedure() -> tuple[Procedure, object]:
+#: Sec. 3.3's loop before strip mining
+SEC33_POINT = """\
+      SUBROUTINE sec33(N, IS)
+      DOUBLE PRECISION A(N), T(N)
+      DO I = 1, N
+        T(I) = A(I)
+        DO K = I, N
+          A(K) = A(K) + T(I)
+        ENDDO
+      ENDDO
+      END
+"""
+
+
+def _strip_mined(proc: Procedure, var: str, factor: str) -> tuple[Procedure, Loop]:
+    """``proc`` with loop ``var`` strip-mined by ``factor`` into
+    ``{var}{var}``; returns (procedure, strip loop)."""
+    proc, _info = strip_mine(proc, loop_by_var(proc.body, var), factor, strip_var=var + var)
+    return proc, loop_by_var(proc.body, var + var)
+
+
+def sec33_procedure() -> tuple[Procedure, Loop]:
     """The Sec. 3.3 strip-mined example; returns (procedure, II loop)."""
-    s1 = assign(ref("T", "II"), ref("A", "II"))
-    s2 = do("K", "II", "N", assign(ref("A", "K"), ref("A", "K") + ref("T", "II")))
-    ii = do("II", "I", Min((Var("I") + Var("IS") - 1, Var("N"))), s1, s2)
-    proc = Procedure(
-        "sec33", ("N", "IS"),
-        (ArrayDecl("A", (Var("N"),)), ArrayDecl("T", (Var("N"),))),
-        (do("I", 1, "N", ii, step="IS"),),
-    )
-    return proc, ii
+    return _strip_mined(parse_procedure(SEC33_POINT), "I", "IS")
 
 
 def figure2_sections() -> dict[str, Section]:
@@ -74,24 +92,7 @@ def figure2_sections() -> dict[str, Section]:
 def figure5_sections() -> dict[str, Section]:
     """Fig. 5: sections of A over a whole KK block of strip-mined LU —
     statement 20 (the panel) vs statement 10 (the trailing update)."""
-    from repro.ir.expr import Min as _Min
-
-    kk_hi = _Min((Var("K") + Var("KS") - 1, Var("N") - 1))
-    scale = do(
-        "I", Var("KK") + 1, "N",
-        assign(ref("A", "I", "KK"), ref("A", "I", "KK") / ref("A", "KK", "KK")),
-    )
-    update = do(
-        "J", Var("KK") + 1, "N",
-        do("I", Var("KK") + 1, "N",
-           assign(ref("A", "I", "J"),
-                  ref("A", "I", "J") - ref("A", "I", "KK") * ref("A", "KK", "J"))),
-    )
-    kk = do("KK", "K", kk_hi, scale, update)
-    proc = Procedure(
-        "lu", ("N", "KS"), (ArrayDecl("A", (Var("N"), Var("N"))),),
-        (do("K", 1, Var("N") - 1, kk, step="KS"),),
-    )
+    proc, kk = _strip_mined(lu_point_ir(), "K", "KS")
     ctx = Assumptions().assume_ge("KS", 2).assume_ge("K", 1)
     accs = collect_accesses(proc)
     stmt20_w = next(a for a in accs if a.is_write and a.ref.index == (Var("I"), Var("KK")))

@@ -4,12 +4,12 @@ paper numbers vs measured.
 Run:  python -m repro report [--progress] [--only TABLE]
       [--workers N] [--obs OUT.json] [output-path]
 
-Takes several minutes (every variant of every table is traced through the
-cache simulator; the Fig. 8 derivation alone is ~1 minute of Fourier–
-Motzkin-checked restructuring).  ``--progress`` prints one line per table
-as it lands, so a long run is distinguishable from a hang.  A table
-builder that raises is reported and the run exits nonzero; surviving
-tables are still written.
+Every variant of every table is traced through the cache simulator; the
+footer of EXPERIMENTS.md records how long that took (about 12 s), and the
+cold Fig. 8 derivation adds under half a second of Fourier–Motzkin-checked
+restructuring.  ``--progress`` prints one line per table as it lands, so
+a long run is distinguishable from a hang.  A table builder that raises is
+reported and the run exits nonzero; surviving tables are still written.
 
 ``--only TABLE`` builds just the tables whose name contains TABLE (case-
 insensitive, e.g. ``--only T1``) — the fast path CI smoke jobs use.  A
@@ -17,10 +17,10 @@ filtered run refuses to overwrite the default EXPERIMENTS.md, since that
 file documents the *full* table set; give an explicit output path.
 
 ``--workers N`` builds the tables as ``table`` jobs on an N-worker
-:mod:`repro.serve` pool, one process per table, so the multi-minute
-regeneration spreads across cores; a table builder that raises (or
-hangs past its timeout) is reported as a failure exactly like a raising
-builder in the serial path.
+:mod:`repro.serve` pool, one process per table, so the regeneration
+spreads across cores; a table builder that raises (or hangs past its
+timeout) is reported as a failure exactly like a raising builder in the
+serial path.
 
 ``--obs OUT.json`` runs the whole regeneration under :mod:`repro.obs`
 observation and writes a ``repro.obs/1`` metrics profile (derivation pass

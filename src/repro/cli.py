@@ -201,9 +201,6 @@ def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[int | str
     factor) takes an integer >= 1, and an overridden size satisfies every
     bound the run's context ``ctx`` (``workload.context(unroll)``) stores
     on it."""
-    from repro.ir.pretty import fmt_expr
-    from repro.symbolic.affine import from_affine
-
     sizes = dict(workload.verify_sizes)
     known = sorted(sizes)
     if isinstance(factor, str) and factor not in sizes:
@@ -225,17 +222,7 @@ def resolve_sizes(text: Optional[str], workload, ctx, factor: Optional[int | str
                                 f"(sizes: {', '.join(known)})")
         sizes[name] = number
         given.append(name)
-    for name in given:  # a fact over several names is stored on each
-        lows, highs = ctx.bounds_of(name)
-        for op, bound in [(">=", b) for b in lows] + [("<=", b) for b in highs]:
-            try:
-                limit = bound.eval(sizes)
-            except KeyError:
-                continue  # names a symbol the sizes leave free
-            if sizes[name] < limit if op == ">=" else sizes[name] > limit:
-                with_ = "".join(f", {n}={sizes[n]}" for n, _ in bound.coeffs)
-                raise PipelineError(f"bad --sizes: {name}={sizes[name]}{with_} breaks the "
-                                    f"workload's fact {name} {op} {fmt_expr(from_affine(bound))}")
+    workload.check_facts(sizes, given, ctx, "bad --sizes")
     return sizes
 
 

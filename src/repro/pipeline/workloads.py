@@ -18,7 +18,9 @@ from typing import Callable, Optional
 from repro import algorithms as alg
 from repro.errors import PipelineError
 from repro.ir.expr import Var
+from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Procedure
+from repro.symbolic.affine import from_affine
 from repro.symbolic.assume import Assumptions
 
 
@@ -87,7 +89,9 @@ class Workload:
 
         Grid cells bind sizes through this method, so varying n or b
         never requires touching the (symbolic) IR: the builder output is
-        identical, only the runtime binding moves.
+        identical, only the runtime binding moves.  Bindings that break
+        a fact the workload's context stores are refused, as ``--sizes``
+        refuses them (:meth:`check_facts`).
         """
         if n is None and b is None:
             return dict(self.verify_sizes)
@@ -104,7 +108,27 @@ class Workload:
             raise PipelineError(
                 f"workload {self.name!r}: blocking factor b must be >= 1, got {b}"
             )
-        return self.size_factory(n, b)
+        sizes = self.size_factory(n, b)
+        self.check_facts(sizes, sizes, self.context(), f"workload {self.name!r} at n={n}, b={b}")
+        return sizes
+
+    def check_facts(self, sizes: dict, names, ctx: Assumptions, bad: str) -> None:
+        """Raise :class:`PipelineError` ``"{bad}: ..."`` when the binding
+        of one of ``names`` in ``sizes`` breaks a bound that ``ctx``
+        (``self.context(unroll)``) stores on it; a bound over a symbol
+        ``sizes`` leaves free is not checked."""
+        for name in names:  # a fact over several names is stored on each
+            lows, highs = ctx.bounds_of(name)
+            for op, bound in [(">=", b) for b in lows] + [("<=", b) for b in highs]:
+                try:
+                    limit = bound.eval(sizes)
+                except KeyError:
+                    continue
+                if sizes[name] < limit if op == ">=" else sizes[name] > limit:
+                    with_ = "".join(f", {n}={sizes[n]}" for n, _ in bound.coeffs)
+                    fact = f"{name} {op} {fmt_expr(from_affine(bound))}"
+                    raise PipelineError(
+                        f"{bad}: {name}={sizes[name]}{with_} breaks the workload's fact {fact}")
 
 
 _REGISTRY: dict[str, Workload] = {}
@@ -148,8 +172,9 @@ def _givens_sizes(n, b) -> dict:
 def _conv_sizes(n, b) -> dict:
     if n is None:
         return {"N1": 24, "N2": 18, "N3": 20, "DT": 0.5}
-    # keep the registered assumptions honest: N2 in [unroll, N1-1],
-    # N3 <= N1, at the verify-size proportions (3/4 and 5/6 of N1)
+    # N2 in [4, N1-1] and N3 <= N1 at the verify-size proportions (3/4
+    # and 5/6 of N1); at n=4, N2=3 breaks the registered N2 >= unroll and
+    # sizes_for refuses it
     return {
         "N1": n,
         "N2": min(n - 1, max(4, (3 * n) // 4)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import MatrixError
+from repro.errors import MatrixError, PipelineError
 from repro.matrix.cell import RESULT_FIELDS, normalize_options, resolve_recipe
 from repro.matrix.grid import GridSpec, cell_spec
 from repro.serve.jobs import execute_job, job_key
@@ -100,3 +100,18 @@ class TestRunCell:
         assert row["passes"] == []
         assert row["speedup"] == 1.0
         assert row["refs"] == row["base_refs"]
+
+    def test_a_size_that_breaks_a_stored_fact_fails_before_deriving(self, monkeypatch):
+        """``conv n=4`` binds N2=3 against the registered N2 >= 4: the cell
+        fails on its sizes, not in a derivation run outside its facts."""
+        import repro.pipeline
+
+        def derive(*args, **kwargs):
+            raise AssertionError("derived with sizes that break the facts")
+
+        monkeypatch.setattr(repro.pipeline, "derive", derive)
+        spec = cell_spec(
+            GridSpec.from_factors({"workload": ["conv"], "n": [4]}).cells()[0]
+        )
+        with pytest.raises(PipelineError, match="N2=3 breaks"):
+            execute_job(spec)

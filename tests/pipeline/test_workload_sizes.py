@@ -48,6 +48,15 @@ class TestParameterized:
         assert 0 < sizes["N3"] <= 16
         assert 0 < sizes["N2"] < 16
 
+    @pytest.mark.parametrize("name", ["conv", "aconv"])
+    def test_a_size_that_breaks_a_stored_fact_is_refused(self, name):
+        """At n=4 the conv factory binds N2=3, below the registered
+        N2 >= 4 (unroll 4); ``--sizes`` refused that binding and
+        ``sizes_for`` handed it on."""
+        with pytest.raises(PipelineError, match="N2=3 breaks the workload's fact N2 >= 4"):
+            get_workload(name).sizes_for(4)
+        assert get_workload(name).sizes_for(5)["N2"] == 4
+
     def test_givens_keeps_tall_shape(self):
         sizes = get_workload("givens").sizes_for(12)
         assert sizes == {"M": 12, "N": 10}
