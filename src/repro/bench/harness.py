@@ -34,13 +34,10 @@ def measure(
     machine: MachineModel,
     arrays: Optional[Mapping] = None,
     seed: int = 0,
-    dtype_override: Optional[str] = None,
 ) -> MeasureResult:
     """Trace ``proc`` through ``machine``'s cache; model the time."""
     t0 = time.perf_counter()
-    tracer = trace_procedure(
-        proc, sizes, machine, arrays=arrays, seed=seed, dtype_override=dtype_override
-    )
+    tracer = trace_procedure(proc, sizes, machine, arrays=arrays, seed=seed)
     wall = time.perf_counter() - t0
     st: CacheStats = tracer.stats
     tlb_st = tracer.tlb_stats

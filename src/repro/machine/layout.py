@@ -4,7 +4,7 @@ Maps 1-based multi-indices to byte addresses under column-major order,
 matching what a Fortran compiler would emit for the paper's kernels.  Each
 array gets a line-aligned base address; consecutive arrays are padded apart
 by one line so distinct arrays never share a cache line (the conservative
-layout; an optional ``pad_elements`` knob exists for conflict studies).
+layout).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.errors import MachineError
-from repro.ir.stmt import ArrayDecl, Procedure
+from repro.ir.stmt import Procedure
 
 
 class Layout:
@@ -29,7 +29,6 @@ class Layout:
         itemsizes: Mapping[str, int] | int = 8,
         line_bytes: int = 128,
         base: int = 0,
-        pad_elements: int = 0,
     ):
         self.shapes: dict[str, tuple[int, ...]] = {}
         self.itemsize: dict[str, int] = {}
@@ -51,7 +50,7 @@ class Layout:
             self.itemsize[name] = isz
             self._strides[name] = tuple(strides)
             self.base_addr[name] = addr
-            addr += acc + pad_elements * isz
+            addr += acc
             addr = (addr + line_bytes - 1) // line_bytes * line_bytes + line_bytes
 
     @classmethod
@@ -60,14 +59,9 @@ class Layout:
         proc: Procedure,
         sizes: Mapping[str, int],
         line_bytes: int = 128,
-        dtype_override: str | None = None,
     ) -> "Layout":
-        """Layout every declared array of ``proc`` at concrete ``sizes``.
-
-        ``dtype_override`` forces a uniform element size (the paper's
-        matmul experiment uses REAL*4 while the LU/QR experiments use
-        DOUBLE PRECISION).
-        """
+        """Layout every declared array of ``proc`` at concrete ``sizes``,
+        each element the size of its declared type."""
         from repro.runtime.interpreter import Interpreter
 
         interp = Interpreter(dict(sizes))
@@ -75,10 +69,7 @@ class Layout:
         itemsizes: dict[str, int] = {}
         for decl in proc.arrays:
             shapes[decl.name] = tuple(int(interp.eval(d)) for d in decl.dims)
-            if dtype_override is not None:
-                itemsizes[decl.name] = ArrayDecl(decl.name, decl.dims, dtype_override).itemsize
-            else:
-                itemsizes[decl.name] = decl.itemsize
+            itemsizes[decl.name] = decl.itemsize
         return cls(shapes, itemsizes, line_bytes=line_bytes)
 
     def address(self, name: str, index: Sequence[int]) -> int:

@@ -84,7 +84,6 @@ def trace_procedure(
     machine: MachineModel,
     arrays: Optional[Mapping] = None,
     seed: int = 0,
-    dtype_override: str | None = None,
     attribute: bool = False,
 ) -> CacheTracer:
     """Run ``proc`` (compiled to an address stream that the simulator
@@ -95,9 +94,7 @@ def trace_procedure(
     ``attribute=True`` fills ``tracer.attribution`` with the
     per-loop/statement/array miss breakdown.
     """
-    layout = Layout.for_procedure(
-        proc, sizes, line_bytes=machine.cache.line_bytes, dtype_override=dtype_override
-    )
+    layout = Layout.for_procedure(proc, sizes, line_bytes=machine.cache.line_bytes)
     run = compile_stream(proc)
     attribution = None
     if attribute:

@@ -42,10 +42,30 @@ as one block, ``[k, 1] @ [steps, firsts]`` in one numpy call.  Then the body
 runs once over all iterations as array statements when no element one
 iteration writes is touched by another — :meth:`_Arrays.lower` decides what
 the IR can, :func:`_disjoint` the rest on the block's ``(first, step)``
-addresses — and as the plain scalar loop otherwise.  Every other loop keeps
-the per-touch form: a guard in the body (givens' ``J`` loop, the guarded
-matmul's ``K`` loop), a subscript that is loaded (``A(IP(K))``) or assigned
-in the body, a loop that is not innermost.  There is no switch.
+addresses — and as the plain scalar loop otherwise.  Every other innermost
+loop keeps the per-touch form: a guard in the body (givens' ``J`` loop, the
+guarded matmul's ``K`` loop), a subscript that is loaded (``A(IP(K))``) or
+assigned in the body.  There is no switch.
+
+Lane form.  A loop whose iterations are translates of the first is a *lane
+loop*: the nearest loop around innermost loops that all stay out of array
+statements (a carried scalar, a store to one element throughout), whose
+body is assignments and loops with no ``IF``, whose inner bounds and steps
+read neither its variable nor anything the body assigns, whose every
+subscript is ``c + var*d`` with ``d`` fixed throughout and every store
+moving with ``var``, and whose body :class:`_Arrays` can run on slices of
+``var`` (lu.derived's trailing ``J`` loop, givens.derived's ``K`` loop,
+:meth:`_Stream._lane_of`).  Then every lane (iteration) runs the same
+trips, and lane ``k``'s ``n``-th event is lane 0's moved by ``k*step`` of
+its site.  Lane 0 runs as any body does, without flushing, and leaves its
+events in the buffer; :func:`_disjoint` then decides, on the interval of
+each site's lane-0 elements, whether any lane touches an element that
+another writes.  If none does, lanes 1.. append lane 0's events moved by
+``k*step`` (the block product again, in groups of about ``CHUNK``) and run
+as array statements on a slice of ``var``, inner loops kept; else they run
+as lane 0 did.  The events are those of the loop, in order, either way;
+and as no lane reads what another writes, each written element gets the
+same operations in the same order, so the bytes are the loop's too.
 
 The interpreter (:mod:`repro.runtime.interpreter`) defines the semantics;
 the test suite cross-checks the engines statement-for-statement on every
@@ -83,7 +103,7 @@ from repro.ir.expr import (
     sub,
 )
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
-from repro.ir.visit import array_refs, find_loops, walk_exprs
+from repro.ir.visit import array_refs, find_loops, walk_exprs, walk_stmts
 from repro.runtime.interpreter import Tracer, idiv, make_env
 
 _PY_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -135,10 +155,11 @@ def _mod(a, b):
 CHUNK = 8192
 """Events a stream kernel buffers before it hands them to the consumer.
 Checked at the end of every non-innermost loop body, so a buffer overshoots
-by at most one innermost loop nest.  A constant, not a knob: every count is
-independent of it (the consumer is exact for any split of the stream), host
-time is flat from 4 Ki to 16 Ki, and beyond that a larger buffer only adds
-resident memory (DESIGN.md §4 has the measurements)."""
+by at most one innermost loop nest, and before each group of lanes that a
+lane loop appends, so by at most one lane.  A constant, not a knob: every
+count is independent of it (the consumer is exact for any split of the
+stream), host time is flat from 4 Ki to 16 Ki, and beyond that a larger
+buffer only adds resident memory (DESIGN.md §4 has the measurements)."""
 
 Site = tuple[tuple[str, ...], Stmt, str]
 """Where an ``ArrayRef`` occurrence sits: the enclosing loop variables
@@ -216,7 +237,8 @@ def _coefficient(e: Expr, var: str, varying: frozenset[str]) -> Optional[Expr]:
 
 
 class _Block(NamedTuple):
-    """An innermost loop that is being lowered as one block of events."""
+    """An innermost loop that is being lowered as one block of events, or a
+    lane loop whose body is."""
 
     coefficients: dict[ArrayRef, list[Expr]]
     """Per reference in the body, the :func:`_coefficient` of each subscript."""
@@ -240,29 +262,51 @@ def _elementwise(e: Expr, var: str, unset: set[str]) -> bool:
     return isinstance(e, (Const, ArrayRef))
 
 
-def _disjoint(trips: int, steps: Sequence[int], firsts: Sequence[int],
-              pairs: Sequence[tuple[int, int]], address_bits: int) -> bool:
-    """Whether no iteration of a block touches an element that another
-    writes.  Site ``n`` touches the event ``firsts[n] + k*steps[n]`` in
-    iteration ``k`` below ``trips``; each pair is a store and a site on its
-    array, the store itself included.  Exact, by one divisibility test, when
-    the pair's steps are equal or one is zero; other steps count as a
-    conflict."""
+def _disjoint(trips: int, steps: Sequence[int], lows: Sequence[int],
+              pairs: Sequence[tuple[int, int]], address_bits: int,
+              highs: Optional[Sequence[int]] = None) -> bool:
+    """Whether no iteration of a block, or lane of a lane loop, touches an
+    element that another writes.  Site ``n`` touches the event ``lows[n] +
+    k*steps[n]`` in iteration ``k`` below ``trips``, or, in a lane, events
+    from ``lows[n] + k*steps[n]`` to ``highs[n] + k*steps[n]``; each pair is
+    a store and a site on its array, the store itself included.  A pair
+    meets where the gap between its elements in one iteration is ``m*step``:
+    for equal steps, ``m = k - k'`` is not zero; for a moving site and a
+    fixed one, the moving one is on the fixed one's element in iteration
+    ``m`` and every other iteration touches that element.  With one event
+    per site the gap is one number and the test exact; over lane 0's
+    interval of gaps, a multiple anywhere in it counts, which is sound.
+    Other steps count as a conflict."""
     if trips < 2:
         return True
+    if highs is None:
+        highs = lows
     for s, t in pairs:
-        gap = ((firsts[t] & address_bits) >> 1) - ((firsts[s] & address_bits) >> 1)
+        low = ((lows[t] & address_bits) >> 1) - ((highs[s] & address_bits) >> 1)
+        high = ((highs[t] & address_bits) >> 1) - ((lows[s] & address_bits) >> 1)
         step, other = steps[s] >> 1, steps[t] >> 1
-        if step == other:  # (k - k') * step == gap
-            touches = gap == 0 if step == 0 else gap % step == 0 and 0 < abs(gap // step) < trips
-        elif step == 0 or other == 0:
-            # the moving site is on the fixed one's element in iteration
-            # gap / moving, and every other iteration touches the fixed one
-            moving, gap = (step, gap) if other == 0 else (other, -gap)
-            touches = gap % moving == 0 and 0 <= gap // moving < trips
+        if step == other:  # the gaps' distances from 0, m from 1 on
+            if step == 0:
+                if low <= 0 <= high:
+                    return False
+                continue
+            first = 1
+            if step < 0:
+                step = -step
+            if high < 0:
+                low, high = -high, -low
+            elif -low > high:
+                high = -low
+        elif step == 0 or other == 0:  # a positive moving step, m from 0 on
+            first = 0
+            if step == 0:
+                low, high, step = -high, -low, other
+            if step < 0:
+                low, high, step = -high, -low, -step
         else:
-            touches = True
-        if touches:
+            return False
+        least, most = -(-low // step), high // step  # m*step in [low, high]
+        if least <= most and least < trips and most >= first:
             return False
     return True
 
@@ -277,24 +321,31 @@ def _span(start: int, step: int, trips: int):
 
 
 class _Arrays:
-    """A block's body as array statements, run once for all its iterations.
-    The loop variable holds its first value meanwhile, and a subscript that
-    moves with it is a slice over every iteration's element (:func:`_span`).
-    An array is the ndarray ``_n_<name>``: element by element, ``<name>``
-    may be a memoryview."""
+    """A block's body, or the body of a lane loop's lanes after the first,
+    as array statements run once for all its iterations.  The loop variable
+    holds its first value meanwhile, and a subscript that moves with it is a
+    slice over every iteration's element (:func:`_span`), computed once
+    unless it also moves with a loop inside.  An array is the ndarray
+    ``_n_<name>``: element by element, ``<name>`` may be a memoryview."""
 
     def __init__(self, loop: Loop, coefficients: dict[ArrayRef, list[Expr]]):
         self.loop, self.coefficients = loop, coefficients
         self.spans: dict[str, str] = {}  # "start, step" -> the slice's name
+        self.inner = frozenset(inner.var for inner in find_loops(loop.body))
 
     def load(self, ref, gen):
         subs = []
-        for i, d in zip(ref.index, self.coefficients[ref]):
-            if self.loop.var in free_vars(i):
-                step = gen(d) if self.loop.step == ONE else f"{gen(d)}*_r.step"
-                subs.append(self.spans.setdefault(f"{gen(i)} - 1, {step}", f"_i{len(self.spans)}"))
-            else:
+        for k, i in enumerate(ref.index):
+            if self.loop.var not in free_vars(i):  # fixed, or a load in a bound
                 subs.append(f"{gen(i)} - 1")
+                continue
+            d = gen(self.coefficients[ref][k])
+            step = d if self.loop.step == ONE else f"{d}*_r.step"
+            key = f"{gen(i)} - 1, {step}"
+            if self.inner & free_vars(i):
+                subs.append(f"_span({key}, len(_r))")
+            else:
+                subs.append(self.spans.setdefault(key, f"_i{len(self.spans)}"))
         return f"_n_{ref.array}[{', '.join(subs)}]"
 
     def lower(self, dtypes: Mapping[str, str]) -> Optional[list[str]]:
@@ -305,34 +356,55 @@ class _Arrays:
         throughout (an output dependence), a value that is not
         :func:`_elementwise`.  A slice is a view, so a scalar assigned one
         gets a copy, private as in the loop."""
-        var = self.loop.var
         for ref in self.coefficients:
-            moving = sum(var in free_vars(i) for i in ref.index)
+            moving = sum(self.loop.var in free_vars(i) for i in ref.index)
             if not dtypes[ref.array].startswith("f") or moving > 1:
                 return None
-        body = [s for s in self.loop.body if isinstance(s, Assign)]
-        scalars = list(dict.fromkeys(s.target.name for s in body if isinstance(s.target, Var)))
-        unset, gen, lines = set(scalars), _ExprGen(self).gen, []
-        for s in body:
-            if not _elementwise(s.value, var, unset):
-                return None
-            if isinstance(s.target, ArrayRef):
-                if all(d == ZERO for d in self.coefficients[s.target]):
-                    return None
-                lines.append(f"{self.load(s.target, gen)} = {gen(s.value)}")
-                continue
-            view = isinstance(s.value, ArrayRef) and var in free_vars(s.value)
-            lines.append(f"{s.target.name} = {gen(s.value)}{'.copy()' if view else ''}")
-            unset.discard(s.target.name)
+        scalars = list(dict.fromkeys(s.target.name for s in walk_stmts(self.loop.body)
+                                     if isinstance(s, Assign) and isinstance(s.target, Var)))
+        lines = self._statements(self.loop.body, set(scalars), _ExprGen(self).gen)
+        if lines is None:
+            return None
         spans = [f"{name} = _span({key}, len(_r))" for key, name in self.spans.items()]
-        last = [f"{v} = {v}[-1] if isinstance({v}, np.ndarray) else {v}" for v in scalars]
-        return spans + lines + [f"{var} = _r[-1]"] + last
+        top = {s.target.name for s in self.loop.body
+               if isinstance(s, Assign) and isinstance(s.target, Var)}
+        last = []
+        for v in scalars:
+            line = f"{v} = {v}[-1] if isinstance({v}, np.ndarray) else {v}"
+            # a scalar that only loops assign is unbound if none ran a trip
+            last += [line] if v in top else ["try:", f"    {line}", "except NameError:", "    pass"]
+        return spans + lines + [f"{self.loop.var} = _r[-1]"] + last
+
+    def _statements(self, body, unset: set[str], gen) -> Optional[list[str]]:
+        """The lines of ``body``, whose statements may read no scalar of
+        ``unset`` before they assign it; a scalar that a loop assigns stays
+        unset after it, which may run no trip."""
+        lines: list[str] = []
+        for s in body:
+            if isinstance(s, Loop):
+                inner = self._statements(s.body, set(unset), gen)
+                if inner is None:
+                    return None
+                lines += [f"for {s.var} in {_range(s, gen)}:", *_indent(inner)]
+            elif isinstance(s, Assign):
+                if not _elementwise(s.value, self.loop.var, unset):
+                    return None
+                if isinstance(s.target, ArrayRef):
+                    if all(d == ZERO for d in self.coefficients[s.target]):
+                        return None
+                    lines.append(f"{self.load(s.target, gen)} = {gen(s.value)}")
+                    continue
+                view = isinstance(s.value, ArrayRef) and self.loop.var in free_vars(s.value)
+                lines.append(f"{s.target.name} = {gen(s.value)}{'.copy()' if view else ''}")
+                unset.discard(s.target.name)
+        return lines or ["pass"]
 
 
 class _Stream(_Plain):
     """Every touch appends its event to ``_buf`` in-line, or a whole
-    innermost loop appends its events as one block (the module docstring has
-    the encoding, the ordering argument and the rule for a block).
+    innermost loop appends its events as one block, or the lanes of a lane
+    loop after the first append the first's events, shifted (the module
+    docstring has the encoding, the ordering argument and the rules).
     ``sites`` lists the touches in the order they were lowered, which within
     a statement is the order they execute in.
 
@@ -350,12 +422,13 @@ class _Stream(_Plain):
         self.sites: list[Site] = []
         self._temps = count()
         self._block: Optional[_Block] = None  # set while such a loop's body is lowered
+        self._lane: Optional[_Block] = None  # set while a lane loop's body is lowered
 
     @property
     def kernel_args(self) -> tuple[str, ...]:
         offsets = tuple(f"_o{n}" for n in range(len(self.sites)))
         ndarrays = tuple(f"_n_{a}" for a in self._dtypes)
-        return ("_ap", "_buf", "_flush", "_blk") + ndarrays + self._strides + offsets
+        return ("_ap", "_buf", "_flush", "_blk", "_lanes") + ndarrays + self._strides + offsets
 
     @staticmethod
     def _block_of(loop: Loop) -> Optional[_Block]:
@@ -383,52 +456,113 @@ class _Stream(_Plain):
             return None
         return _Block(coefficients, [])
 
+    def _refused(self, loop: Loop) -> bool:
+        """Whether ``loop``, an innermost one, never runs as array statements."""
+        block = self._block_of(loop)
+        return block is None or _Arrays(loop, block.coefficients).lower(self._dtypes) is None
+
+    def _lane_of(self, loop: Loop) -> Optional[tuple[dict[ArrayRef, list[Expr]], list[str]]]:
+        """The coefficients and the array statements of ``loop``'s lanes if
+        it is a lane loop: assignments and loops inside, the same trips in
+        every lane, every subscript ``c + var*d`` with ``d`` fixed
+        throughout, every store moving, every innermost loop refused as
+        array statements and none of the loops between a lane loop, and
+        lanes that :class:`_Arrays` admits."""
+        inner = find_loops(loop.body)
+        bounds = [free_vars(e) for m in inner for e in (m.lo, m.hi, m.step)]
+        if not inner or any(loop.var in reads for reads in bounds):
+            return None
+        stmts = list(walk_stmts(loop.body))
+        if not all(isinstance(s, (Assign, Loop, Comment)) for s in stmts):
+            return None
+        assigns = [s for s in stmts if isinstance(s, Assign)]
+        assigned = frozenset(s.target.name for s in assigns if isinstance(s.target, Var))
+        written = {s.target.array for s in assigns if isinstance(s.target, ArrayRef)}
+        variables = {m.var for m in inner} | {loop.var}
+        if assigned & variables or any(reads & assigned for reads in bounds) or any(
+            r.array in written for m in inner for e in (m.lo, m.hi, m.step) for r in array_refs(e)
+        ):
+            return None
+        coefficients = {}
+        for ref in array_refs(assigns):
+            coefficients[ref] = [_coefficient(i, loop.var, assigned) for i in ref.index]
+            if any(d is None or free_vars(d) & variables for d in coefficients[ref]):
+                return None
+        # a store that stays put refuses the lanes before the inner blocks
+        # are tried as array statements, which costs more
+        if not coefficients or any(all(d == ZERO for d in coefficients[s.target])
+                                   for s in assigns if isinstance(s.target, ArrayRef)):
+            return None
+        if not all(self._refused(m) for m in inner if not find_loops(m.body)):
+            return None
+        if any(self._lane_of(m) for m in inner if find_loops(m.body)):
+            return None
+        arrays = _Arrays(loop, coefficients).lower(self._dtypes)
+        return None if arrays is None else (coefficients, arrays)
+
     def loop(self, stmt, rng, lower_body):
+        lane = None if self._lane is not None else self._lane_of(stmt)
+        if lane is not None:
+            return self._lane_loop(stmt, rng, lower_body, *lane)
         self._block = self._block_of(stmt)
         if self._block is None:
             return super().loop(stmt, rng, lower_body)
         block, body = self._block, lower_body()
         self._block = None
-        if stmt.step == ONE:
-            steps = ", ".join(step for _, step, _, _ in block.events)
-        else:
-            steps = ", ".join(f"({step})*_r.step" for _, step, _, _ in block.events)
         firsts = ", ".join(first for first, _, _, _ in block.events)
-        events = f"_blk(len(_r), (({steps},), ({firsts},))"
+        events = f"_blk(len(_r), (({_steps(block.events, stmt, '_r')},), ({firsts},))"
         opening = [f"_r = {rng}", "if _r:", f"    {stmt.var} = _r[0]"]
         arrays = _Arrays(stmt, block.coefficients).lower(self._dtypes)
         if arrays is None:
             return opening + [f"    {events})", f"    for {stmt.var} in _r:"] + _indent(body, 2)
-        pairs = tuple((s, t) for s, (*_, array, write) in enumerate(block.events) if write
-                      for t, (*_, other, _) in enumerate(block.events) if other == array)
         return opening + [
-            f"    if {events}, {pairs}):",
+            f"    if {events}, {_pairs(block.events)}):",
             *_indent(arrays, 2),
             "    else:",
             f"        for {stmt.var} in _r:",
             *_indent(body, 3),
         ]
 
-    def _touch(self, ref: ArrayRef, gen, write: bool) -> None:
-        """Number the site of ``ref`` in the block being lowered."""
-        step = [
-            f"_s_{ref.array}_{k}" if d == ONE else f"{gen(d)}*_s_{ref.array}_{k}"
-            for k, d in enumerate(self._block.coefficients[ref])
-            if d != ZERO
+    def _lane_loop(self, stmt, rng, lower_body, coefficients, arrays) -> list[str]:
+        """Lane 0 as the body runs anywhere, without flushing; then, if
+        ``_lanes`` admits them, the other lanes' events and array
+        statements, else the other iterations as lane 0 ran."""
+        first = len(self.sites)
+        self._lane = _Block(coefficients, [])
+        lane, body = self._lane, lower_body()
+        self._lane = None
+        steps = _steps(lane.events, stmt, "_l")
+        return [
+            f"_l = {rng}",
+            "if _l:",
+            f"    {stmt.var} = _l[0]",
+            "    _m = len(_buf)",
+            *_indent([line for line in body if line.strip() != self.flush]),
+            f"    if _lanes(len(_l), _m, {first}, ({steps},), {_pairs(lane.events)}):",
+            "        _r = _l[1:]",
+            f"        {stmt.var} = _r[0]",
+            *_indent(arrays, 2),
+            "    else:",
+            f"        for {stmt.var} in _l[1:]:",
+            *_indent(body, 3),
         ]
-        first = self._event(ref.array, [gen(i) for i in ref.index])
-        self._block.events.append(
-            (first + " + 1" if write else first, " + ".join(step) or "0", ref.array, write)
-        )
 
-    def _event(self, array: str, subs: Sequence[str]) -> str:
+    def _event(self, ref: ArrayRef, subs: Sequence[str], write: bool) -> str:
+        """Number the site of ``ref`` and return its event, which the block
+        or lane being lowered records with what one more of its loop
+        variable adds."""
         offset = f"_o{len(self.sites)}"
-        self.sites.append((*self.at, array))
+        self.sites.append((*self.at, ref.array))
         terms = [
-            f"{i}*_s_{array}_{k}" if i.isalnum() else f"({i})*_s_{array}_{k}"
+            f"{i}*_s_{ref.array}_{k}" if i.isalnum() else f"({i})*_s_{ref.array}_{k}"
             for k, i in enumerate(subs)
         ]
-        return " + ".join([offset] + terms)
+        event = " + ".join([offset] + terms) + (" + 1" if write else "")
+        for form in (self._block, self._lane):
+            if form is not None:
+                step = _address_step(ref, form.coefficients.get(ref, ()))
+                form.events.append((event, step, ref.array, write))
+        return event
 
     def _subscripts(self, ref, gen) -> list[tuple[str, Optional[str]]]:
         """Per subscript: its source, and the temporary to bind it to if it
@@ -440,17 +574,17 @@ class _Stream(_Plain):
 
     def load(self, ref, gen):
         if self._block is not None:
-            self._touch(ref, gen, False)
+            self._event(ref, [gen(i) for i in ref.index], False)
             return super().load(ref, gen)
         subs = self._subscripts(ref, gen)
         first = [f"{temp} := {src}" if temp else src for src, temp in subs]
         again = [temp or src for src, temp in subs]
-        return f"(_ap({self._event(ref.array, first)}) or {self.element(ref.array, again)})"
+        return f"(_ap({self._event(ref, first, False)}) or {self.element(ref.array, again)})"
 
     def store(self, ref, gen, rhs):
         if self._block is not None:
             value = gen(rhs)  # its loads come before the store
-            self._touch(ref, gen, True)
+            self._event(ref, [gen(i) for i in ref.index], True)
             return [f"{super().load(ref, gen)} = {value}"]
         subs = self._subscripts(ref, gen)
         bound = [temp or src for src, temp in subs]
@@ -458,9 +592,36 @@ class _Stream(_Plain):
         hoisted = [f"{temp} = {src}" for src, temp in subs if temp]
         return hoisted + [
             f"_v = {gen(rhs)}",
-            f"_ap({self._event(ref.array, bound)} + 1)",
+            f"_ap({self._event(ref, bound, True)})",
             f"{self.element(ref.array, bound)} = _v",
         ]
+
+
+def _address_step(ref: ArrayRef, coefficients: Sequence[Expr]) -> str:
+    """What one more of a loop variable adds to the event of ``ref``, given
+    the :func:`_coefficient` of each subscript (none for a load in a bound,
+    which never moves)."""
+    gen = _ExprGen(_Plain()).gen
+    terms = [
+        f"_s_{ref.array}_{k}" if d == ONE else f"{gen(d)}*_s_{ref.array}_{k}"
+        for k, d in enumerate(coefficients)
+        if d != ZERO
+    ]
+    return " + ".join(terms) or "0"
+
+
+def _steps(events, loop: Loop, rng: str) -> str:
+    """Per site of ``events``, what one more iteration of ``loop`` over the
+    range ``rng`` adds to its event."""
+    if loop.step == ONE:
+        return ", ".join(step for _, step, _, _ in events)
+    return ", ".join(f"({step})*{rng}.step" for _, step, _, _ in events)
+
+
+def _pairs(events) -> tuple[tuple[int, int], ...]:
+    """Per store of ``events``, it and every site on its array."""
+    return tuple((s, t) for s, (*_, array, write) in enumerate(events) if write
+                 for t, (*_, other, _) in enumerate(events) if other == array)
 
 
 class _ExprGen:
@@ -504,6 +665,19 @@ class _ExprGen:
         raise SemanticsError(f"unknown expression {type(e).__name__}")  # pragma: no cover
 
 
+def _range(loop: Loop, gen: Callable[[Expr], str]) -> str:
+    """The ``range`` a ``DO`` runs over.  Fortran trip count: works for
+    negative steps too because ``range()`` stops before crossing the bound
+    in step direction.  The step is evaluated once, after the bounds."""
+    lo, hi = gen(loop.lo), gen(loop.hi)
+    if loop.step == ONE:
+        return f"range({lo}, {hi} + 1)"
+    return (
+        f"range({lo}, {hi} + (1 if (_step := {gen(loop.step)}) > 0 else -1), "
+        f"_step or _zero_step('{loop.var}'))"
+    )
+
+
 def _gen_body(body, gen: _ExprGen, path: tuple[str, ...] = ()) -> list[str]:
     """The lines of ``body``, indented from column 0."""
     lines: list[str] = []
@@ -520,19 +694,8 @@ def _gen_body(body, gen: _ExprGen, path: tuple[str, ...] = ()) -> list[str]:
             else:
                 lines.append(f"{stmt.target.name} = {gen.gen(stmt.value)}")
         elif isinstance(stmt, Loop):
-            lo, hi = gen.gen(stmt.lo), gen.gen(stmt.hi)
-            if stmt.step == ONE:
-                rng = f"range({lo}, {hi} + 1)"
-            else:
-                # Fortran trip count: works for negative steps too because
-                # range() stops before crossing the bound in step direction.
-                # The step is evaluated once, after the bounds.
-                rng = (
-                    f"range({lo}, {hi} + (1 if (_step := {gen.gen(stmt.step)}) > 0 else -1), "
-                    f"_step or _zero_step('{stmt.var}'))"
-                )
             lower = lambda: _gen_body(stmt.body, gen, path + (stmt.var,))  # noqa: E731
-            lines.extend(gen.access.loop(stmt, rng, lower))
+            lines.extend(gen.access.loop(stmt, _range(stmt, gen.gen), lower))
             if gen.access.flush and find_loops(stmt.body):
                 lines.append("    " + gen.access.flush)
         elif isinstance(stmt, If):
@@ -645,8 +808,9 @@ def compile_stream(proc: Procedure) -> Callable:
     ``layout`` gives each array's affine address map (``layout.affine(name)``,
     see :class:`repro.machine.layout.Layout`).  ``consume(addresses,
     is_write, sites)`` is called with three equal-length numpy arrays
-    (``int64``, ``bool``, ``int64``) per chunk of at most about ``CHUNK``
-    touches; the chunks, in order, are the program's element-touch sequence,
+    (``int64``, ``bool``, ``int64``) per chunk of ``CHUNK`` touches and at
+    most one innermost loop nest or one lane loop's lane more; the chunks,
+    in order, are the program's element-touch sequence,
     and ``sites`` indexes ``run.sites``, the :data:`Site` of every
     ``ArrayRef`` occurrence.  Environment handling and the return value are
     those of :func:`compile_procedure`.
@@ -704,7 +868,37 @@ def compile_stream(proc: Procedure) -> Callable:
             buf.frombytes(events.tobytes())
             return pairs is not None and _disjoint(trips, *steps_and_firsts, pairs, address_bits)
 
-        call = _elements(proc, env) + [buf.append, buf, flush, block]
+        def lanes(trips: int, mark: int, first: int, steps, pairs) -> bool:
+            """Lane 0 of a lane loop appended ``buf[mark:]``, touches of the
+            sites from ``first`` on, and lane ``k`` touches each moved by
+            ``k*steps[site - first]``.  If no lane touches an element that
+            another writes, append the other lanes' events and say so."""
+            if trips < 2:
+                return False
+            events = np.frombuffer(buf[mark:], dtype=np.int64)
+            if not len(events):
+                return True  # no lane touches anything
+            # per site, its lowest and highest event (an event's high bits
+            # are its site's number)
+            ordered = np.sort(events)
+            at = np.searchsorted(ordered, np.arange(first, first + len(steps) + 1) << shift)
+            lows = ordered[np.minimum(at[:-1], len(ordered) - 1)].tolist()
+            highs = ordered[at[1:] - 1].tolist()
+            touched = (at[1:] > at[:-1]).tolist()
+            pairs = [(s, t) for s, t in pairs if touched[s] and touched[t]]
+            if not _disjoint(trips, steps, lows, pairs, address_bits, highs):
+                return False
+            moves = np.array(steps, dtype=np.int64)[(events >> shift) - first]
+            k = 1
+            while k < trips:
+                if len(buf) > CHUNK:
+                    flush()
+                group = min(trips - k, (CHUNK - len(buf)) // len(events) + 1)
+                block(group, (moves, events + k * moves))
+                k += group
+            return True
+
+        call = _elements(proc, env) + [buf.append, buf, flush, block, lanes]
         call += [env[a.name] for a in proc.arrays]
         offsets = {}
         for a in proc.arrays:

@@ -49,11 +49,6 @@ class TestLayout:
         assert lay.itemsize["K"] == 8
         assert lay.footprint_bytes("A") == 24
 
-    def test_dtype_override(self):
-        p = Procedure("t", ("N",), (ArrayDecl("A", (Var("N"),), "f8"),), (assign(ref("A", 1), 0.0),))
-        lay = Layout.for_procedure(p, {"N": 4}, dtype_override="f4")
-        assert lay.itemsize["A"] == 4
-
 
 class TestCostModel:
     def test_cycles_composition(self):

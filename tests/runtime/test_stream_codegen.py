@@ -1,12 +1,15 @@
 """The address-stream flavour against the callback flavour and the
 interpreter, on every registered workload, point and compiler-derived, and
-its block lowering of affine innermost loops against that per-touch
-reference on a matrix of hand-built edge cases."""
+its block lowering of affine innermost loops and lane lowering of the loops
+around them against that per-touch reference on hand-built edge cases."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import algorithms as alg
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import BinOp, Call, Compare, Const, IntDiv, LogicalOp, Min, Var
 from repro.ir.stmt import ArrayDecl, Procedure
@@ -201,16 +204,23 @@ ARRAY_PATH = "if _blk("  # a block whose body may run as array statements
 
 def array_path_checks(monkeypatch):
     """Wrap the run-time half of the array-path decision; returns the list
-    of ``(trips, steps, firsts, address_bits, verdict)`` it is called with."""
+    of ``(trips, steps, lows, highs, address_bits, verdict)`` it is called
+    with: ``highs`` is ``None`` for a block, which touches one event per
+    site, and lane 0's highest events for a lane loop."""
     calls, check = [], codegen._disjoint
 
-    def recorded(trips, steps, firsts, pairs, address_bits):
-        verdict = check(trips, steps, firsts, pairs, address_bits)
-        calls.append((trips, steps, firsts, address_bits, verdict))
+    def recorded(trips, steps, lows, pairs, address_bits, highs=None):
+        verdict = check(trips, steps, lows, pairs, address_bits, highs)
+        calls.append((trips, steps, lows, highs, address_bits, verdict))
         return verdict
 
     monkeypatch.setattr(codegen, "_disjoint", recorded)
     return calls
+
+
+def verdicts_of(calls, lanes=False):
+    """The verdicts on blocks, or with ``lanes`` on lane loops."""
+    return [verdict for *_, highs, _, verdict in calls if (highs is not None) == lanes]
 
 
 @pytest.mark.parametrize("name, variant, sizes, blocks", [
@@ -235,7 +245,7 @@ def test_which_blocks_run_as_array_statements(name, variant, sizes, blocks, monk
     run = compile_stream(proc)
     run(sizes, Layout.for_procedure(proc, sizes, line_bytes=32), lambda *chunk: None,
         arrays=arrays)
-    verdicts = [verdict for *_, verdict in calls]
+    verdicts = verdicts_of(calls)
     if blocks == 0:
         assert ARRAY_PATH not in run.source and verdicts == []
         return
@@ -245,7 +255,85 @@ def test_which_blocks_run_as_array_statements(name, variant, sizes, blocks, monk
     elif blocks:
         assert len(verdicts) == blocks
     if name == "lu_nopivot" and variant == "derived":
-        assert run.source.count(BLOCK) == 3 and run.source.count(ARRAY_PATH) == 2
+        # the trailing KK block is written twice: in the lane loop's first
+        # lane and in its per-touch fallback for the others
+        assert run.source.count(BLOCK) == 4 and run.source.count(ARRAY_PATH) == 2
+
+
+#: what a lane loop's first lane calls before the others run
+LANES = "_lanes("
+
+PRODUCT = assign(ref("B", "I", "J"), ref("B", "I", "J") + ref("A", "I", "K") * ref("A", "K", "J"))
+
+#: ``DO J = 1, 4 / DO I = 1, 4 / <inner>``, the J loop's per-iteration
+#: events shifted copies of the first's unless a static rule says no; and
+#: the loops that should run as lanes, with the run-time check's verdicts
+LANE_NESTS = {
+    "columns": (do("K", 1, "I", PRODUCT), ["J"], [True]),
+    "columns-that-overlap": (do("K", 1, "I", assign(
+        ref("B", "I", "J"), ref("B", "I", "J") + ref("B", "I", "K") * ref("A", "K", "J"))),
+        ["J"], [False]),
+    "lanes-that-touch-nothing": (do("K", 1, Var("I") - 4, PRODUCT), ["J"], []),
+    "scalar-that-no-trip-assigns": (do("K", 1, Var("I") - 4, assign("U", ref("A", "K", "J")),
+                                       assign(ref("B", "I", "J"), Var("U"))), ["J"], []),
+    "bound-reads-the-lane-variable": (do("K", 1, Min((Var("I"), Var("J"))), PRODUCT), [], []),
+    "bound-loads-what-the-body-writes": (
+        do("K", 1, Min((Var("I"), Call("INT", (ref("B", 1, 1),)))), PRODUCT), [], []),
+    "scalar-carried-between-iterations": (do("K", 1, "I", assign(
+        ref("B", "I", "J"), ref("B", "I", "J") + Var("T") * ref("A", "K", "J")),
+        assign("T", ref("A", "I", "K"))), [], []),
+    "if-in-the-body": (
+        if_(Compare("gt", ref("A", "I", "J"), Const(0.5)), do("K", 1, "I", PRODUCT)), [], []),
+}
+
+#: the simulated traces' point programs (blockbench's ``simulate``)
+SIMULATED = {"lu_nopivot": alg.lu_point_ir, "givens": alg.givens_point_ir,
+             "matmul": alg.matmul_guarded_ir, "conv": alg.conv_ir}
+#: the lane loops of the simulated traces; conv's run no trip, as
+#: ``DO I = N1 + 1, MIN(N3, N2 + 1)`` does wherever ``N1 >= N2 + 1``
+LANE_LOOPS = {"lu_nopivot.derived": ["J"], "givens.derived": ["K"], "conv.derived": ["I", "I"]}
+
+
+def lane_loops(source):
+    """Per lane loop of ``source``, its variable and its lines."""
+    return [(var, text) for _, var, text in re.findall(
+        r"^( *)_l = .*\n\1if _l:\n\1    (\w+) = _l\[0\]\n((?:\1    .*\n)*)", source, re.M)]
+
+
+@pytest.mark.parametrize("case", [f"{name}.{variant}" for name in SIMULATED
+                                  for variant in ("point", "derived")] + list(LANE_NESTS))
+def test_which_loops_run_as_lanes(case, monkeypatch):
+    """Of the simulated traces, exactly lu.derived's trailing ``DO J`` and
+    givens.derived's ``DO K`` run their iterations after the first as
+    lanes, and the run-time check admits them every time; no lane loop
+    holds a block that may run as array statements.  On the small nests,
+    each static rule keeps the J loop per iteration (every inner bound
+    reads I, so the I loop is no lane loop either), and the run-time check
+    refuses lanes that touch each other's columns."""
+    if case in LANE_NESTS:
+        inner, want, verdicts = LANE_NESTS[case]
+        proc = Procedure(case.replace("-", "_"), (), (F8("A", 4, 4), F8("B", 4, 4)),
+                         (assign("T", 0.5), do("J", 1, 4, do("I", 1, 4, inner))))
+        sizes, arrays = {}, {"B": np.full((4, 4), 2.5)}
+    else:
+        name, variant = case.split(".")
+        proc = SIMULATED[name]() if variant == "point" else derive(name).procedure
+        defaults = get_workload(name).sizes_for()
+        sizes = {p: defaults[p] for p in proc.params}
+        arrays = inputs(proc, sizes) if name == "matmul" else None
+        want = LANE_LOOPS.get(case, [])
+        verdicts = None
+    calls = array_path_checks(monkeypatch)
+    run = assert_stream_is_the_reference(proc, sizes, RecordingTracer(), arrays=arrays)
+    lanes = lane_loops(run.source)
+    assert [var for var, _ in lanes] == want and run.source.count(LANES) == len(want)
+    assert not any(ARRAY_PATH in text for _, text in lanes)
+    checked = verdicts_of(calls, lanes=True)
+    if verdicts is None:  # a simulated trace
+        runs = case in ("lu_nopivot.derived", "givens.derived")
+        assert bool(checked) == runs
+        verdicts = [True] * len(checked)
+    assert checked == verdicts
 
 
 I, T = Var("I"), Var("T0")
@@ -322,7 +410,8 @@ def test_array_statements_are_the_scalar_loop(proc):
     plain, interpreted = compile_procedure(proc)({}, seed=3), execute(proc, {}, seed=3)
     for a in proc.arrays:
         assert plain[a.name].tobytes() == interpreted[a.name].tobytes(), a.name
-    for trips, steps, firsts, address_bits, verdict in calls:
+    for trips, steps, firsts, highs, address_bits, verdict in calls:
+        assert highs is None  # one loop: no lanes
         if not verdict:
             continue
         writers, touchers = {}, {}
@@ -345,21 +434,38 @@ def test_a_subscript_that_is_no_integer_fails_in_a_block_too():
         run({"H": 0.5}, layout, lambda *chunk: None)
 
 
-def test_chunks_are_bounded_and_in_order(recording_tracer):
-    """A run long enough to flush many times: chunks overshoot ``CHUNK`` by
-    at most the innermost nest's touches, and concatenate to the trace."""
-    w = get_workload("lu_nopivot")
-    proc, sizes = w.build(), {"N": 40}
+def chunks_in_order(proc, sizes, recorder):
+    """The stream's chunks of ``proc``, once their concatenation is checked
+    against the trace; and the stream runner."""
     layout = Layout.for_procedure(proc, sizes, line_bytes=32)
-    recorder, chunks = recording_tracer(), []
+    chunks = []
     compile_procedure(proc, traced=True)(sizes, tracer=recorder)
-    compile_stream(proc)(sizes, layout, lambda a, w, _: chunks.append((a, w)))
+    run = compile_stream(proc)
+    run(sizes, layout, lambda a, w, _: chunks.append((a, w)))
     assert len(chunks) > 4
-    assert max(len(a) for a, _ in chunks) <= CHUNK + 4 * sizes["N"]
     assert all(a.dtype == np.int64 and w.dtype == bool for a, w in chunks)
     assert np.concatenate([a for a, _ in chunks]).tolist() == [
         layout.address(a, i) for a, i, _ in recorder.events]
     assert np.concatenate([w for _, w in chunks]).tolist() == [w for *_, w in recorder.events]
+    return [len(a) for a, _ in chunks], run
+
+
+def test_chunks_are_bounded_and_in_order(recording_tracer):
+    """A run long enough to flush many times: chunks overshoot ``CHUNK`` by
+    at most the innermost nest's touches, and concatenate to the trace."""
+    sizes = {"N": 40}
+    chunks, _ = chunks_in_order(get_workload("lu_nopivot").build(), sizes, recording_tracer())
+    assert max(chunks) <= CHUNK + 4 * sizes["N"]
+
+
+def test_lane_chunks_are_bounded_and_in_order(recording_tracer):
+    """lu.derived's trailing update is a lane loop: its first lane is
+    appended without a flush and the others in groups, so a chunk
+    overshoots by at most one lane (``DO I / DO KK``, four touches) more."""
+    sizes = {"N": 40, "KS": 8}
+    chunks, run = chunks_in_order(derive("lu_nopivot").procedure, sizes, recording_tracer())
+    assert LANES in run.source
+    assert max(chunks) <= CHUNK + 4 * sizes["N"] + 4 * sizes["N"] * sizes["KS"]
 
 
 def test_source_depends_on_the_procedure_only():
