@@ -4,8 +4,11 @@ Loop distribution (and therefore blocking, which distributes before
 interchanging) is governed by the condensation of this graph: statements in
 the same strongly connected component form a *recurrence* and must stay in
 one loop; components can be split into separate loops in topological order
-(Allen–Kennedy).  The graph is built on networkx so SCC/condensation come
-from a vetted implementation.
+(Allen–Kennedy).  The graph is a small in-house multigraph,
+:class:`StatementGraph`; its SCCs come from a line-for-line port of
+networkx 3.x's non-recursive Tarjan, so components and their order are
+networkx's, and ``tests/properties/test_statement_graph_port.py`` holds
+the port to networkx (a test-only dependency) on random multigraphs.
 
 Two views matter and they differ:
 
@@ -23,9 +26,8 @@ Two views matter and they differ:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
-
-import networkx as nx
+import heapq
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.analysis.dependence import Dependence, all_dependences, dependences_between
 from repro.analysis.feasibility import direction_feasible, memo_query
@@ -157,17 +159,15 @@ class DependenceGraph:
             _memo_hook, _relative_deps_uncached, (loop, self.ctx), "graph.relative_deps"
         )
 
-    def statement_graph(self, loop: Loop, drop_dep=None) -> nx.MultiDiGraph:
+    def statement_graph(self, loop: Loop, drop_dep=None) -> StatementGraph:
         """Graph over the *direct children* of ``loop.body`` for
         distribution decisions (see module docstring).
 
         ``drop_dep``: optional predicate; dependences it accepts are left
         out of the graph — the hook through which Sec. 5.2's commutativity
         knowledge ignores the row-interchange/column-update recurrence."""
-        g = nx.MultiDiGraph()
         body = loop.body
-        for k, s in enumerate(body):
-            g.add_node(k, stmt=s)
+        g = StatementGraph(body)
         # one walk of each child: the identity map from every statement
         # under it (the child included) to its index, first child winning
         walked = [tuple(walk_stmts(s)) for s in body]
@@ -200,33 +200,112 @@ class DependenceGraph:
         return g
 
     def recurrence_components(self, loop: Loop, drop_dep=None) -> list[list[Stmt]]:
-        """Partition of ``loop.body`` into minimal distribution units, in a
-        legal execution order.  A unit with more than one statement is a
-        recurrence."""
-        g = self.statement_graph(loop, drop_dep=drop_dep)
-        sccs = list(nx.strongly_connected_components(g))
-        cond = nx.condensation(g, scc=sccs)
-        # Stable order: topological, ties broken by first textual member.
-        order = list(
-            nx.lexicographical_topological_sort(cond, key=lambda c: min(cond.nodes[c]["members"]))
-        )
-        out: list[list[Stmt]] = []
-        for comp_id in order:
-            members = sorted(cond.nodes[comp_id]["members"])
-            out.append([loop.body[k] for k in members])
-        return out
+        """:func:`recurrence_components` of ``loop``'s statement graph."""
+        return recurrence_components(self.statement_graph(loop, drop_dep=drop_dep))
 
     def preventing_dependences(self, loop: Loop, drop_dep=None) -> list[Dependence]:
-        """Array dependences participating in a cross-statement cycle of
-        ``loop``'s statement graph — the "transformation-preventing
-        dependences" of Procedure IndexSetSplit (Fig. 3)."""
-        g = self.statement_graph(loop, drop_dep=drop_dep)
-        prevent: list[Dependence] = []
-        for scc in nx.strongly_connected_components(g):
-            if len(scc) < 2:
-                continue
-            for u, v, data in g.edges(data=True):
-                if u in scc and v in scc and "dep" in data:
-                    prevent.append(data["dep"])
-        return prevent
+        """:func:`preventing_dependences` of ``loop``'s statement graph."""
+        return preventing_dependences(self.statement_graph(loop, drop_dep=drop_dep))
 
+
+class StatementGraph:
+    """Multigraph over one loop body: node ``k`` is ``body[k]``, and an
+    edge ``u -> v`` carries ``dep`` (a :class:`Dependence`) or ``scalar``
+    (the names that flow); two statements may share several edges.
+    :meth:`edges` runs in networkx ``MultiDiGraph`` order: by source, then
+    by target in first-insertion order, then in insertion order."""
+
+    def __init__(self, body: Sequence):
+        self.body = body
+        self.succ: dict[int, dict[int, list[dict]]] = {k: {} for k in range(len(body))}
+
+    def add_edge(self, u: int, v: int, **data) -> None:
+        self.succ[u].setdefault(v, []).append(data)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.succ[u]
+
+    def edges(self) -> Iterator[tuple[int, int, dict]]:
+        for u, targets in self.succ.items():
+            for v, datas in targets.items():
+                for data in datas:
+                    yield u, v, data
+
+
+def strongly_connected_components(g: StatementGraph) -> Iterator[set[int]]:
+    """The SCCs of ``g``: networkx 3.x's non-recursive Tarjan (with
+    Nuutila's modification) line for line, so each component, its place in
+    the sequence and its set's iteration order are networkx's — the linter
+    reports the first escaped loop it meets in them."""
+    preorder: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    scc_found: set[int] = set()
+    scc_queue: list[int] = []
+    i = 0  # preorder counter
+    neighbors = {v: iter(targets) for v, targets in g.succ.items()}
+    for source in g.succ:
+        if source in scc_found:
+            continue
+        queue = [source]
+        while queue:
+            v = queue[-1]
+            if v not in preorder:
+                i += 1
+                preorder[v] = i
+            done = True
+            for w in neighbors[v]:
+                if w not in preorder:
+                    queue.append(w)
+                    done = False
+                    break
+            if done:
+                lowlink[v] = preorder[v]
+                for w in g.succ[v]:
+                    if w not in scc_found:
+                        if preorder[w] > preorder[v]:
+                            lowlink[v] = min(lowlink[v], lowlink[w])
+                        else:
+                            lowlink[v] = min(lowlink[v], preorder[w])
+                queue.pop()
+                if lowlink[v] == preorder[v]:
+                    scc = {v}
+                    while scc_queue and preorder[scc_queue[-1]] > preorder[v]:
+                        scc.add(scc_queue.pop())
+                    scc_found.update(scc)
+                    yield scc
+                else:
+                    scc_queue.append(v)
+
+
+def recurrence_components(g: StatementGraph) -> list[list]:
+    """Partition of ``g.body`` into minimal distribution units, in a legal
+    execution order: the condensation sorted topologically, ties going to
+    the component with the smallest member (Kahn's algorithm over a heap
+    keyed by it).  A unit with more than one statement is a recurrence."""
+    comps = [sorted(c) for c in strongly_connected_components(g)]
+    comp_of = {k: ci for ci, members in enumerate(comps) for k in members}
+    after: list[list[int]] = [[] for _ in comps]
+    indegree = [0] * len(comps)
+    for u, v, _data in g.edges():
+        if comp_of[u] != comp_of[v]:
+            after[comp_of[u]].append(comp_of[v])
+            indegree[comp_of[v]] += 1
+    ready = [(members[0], ci) for ci, members in enumerate(comps) if not indegree[ci]]
+    heapq.heapify(ready)
+    out: list[list] = []
+    while ready:
+        _first, ci = heapq.heappop(ready)
+        out.append([g.body[k] for k in comps[ci]])
+        for cj in after[ci]:
+            indegree[cj] -= 1
+            if not indegree[cj]:
+                heapq.heappush(ready, (comps[cj][0], cj))
+    return out
+
+
+def preventing_dependences(g: StatementGraph) -> list[Dependence]:
+    """Array dependences participating in a cross-statement cycle of
+    ``g`` — the "transformation-preventing dependences" of Procedure
+    IndexSetSplit (Fig. 3)."""
+    return [data["dep"] for scc in strongly_connected_components(g) if len(scc) > 1
+            for u, v, data in g.edges() if u in scc and v in scc and "dep" in data]

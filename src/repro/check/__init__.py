@@ -18,6 +18,8 @@ reports follow the ``repro.check/1`` schema
 from the command line.
 """
 
+from typing import Optional
+
 from repro.check.diagnostics import RULES, Diagnostic, Rule, Severity, errors_in
 from repro.check.legality import postcheck, precheck
 from repro.check.linter import LintResult, lint_blockability, lint_loop, lint_parallelism
@@ -46,22 +48,28 @@ __all__ = [
 ]
 
 
-def audit_workload(name: str) -> tuple[list[Diagnostic], list[LintResult]]:
+def audit_workload(
+    name: str, passes: Optional[list] = None, unroll: Optional[int] = None,
+    factor: Optional[int | str] = None,
+) -> tuple[list[Diagnostic], list[LintResult]]:
     """The whole stack over one registered workload — what ``repro check
     NAME`` and the served ``check`` job both report: verify the freshly
     built IR, lint every outermost loop for blockability (the verdicts,
     returned beside their ``lint/*`` diagnostics for the served job's
-    rows) and every loop for parallelism, then re-derive the default pipeline under ``check=True``
-    so each pass is bracketed by legality pre/postchecks."""
+    rows) and every loop for parallelism under ``context(unroll)``, then
+    re-derive the recipe (:func:`~repro.pipeline.derive`'s ``passes``,
+    ``unroll``, ``factor``) under ``check=True`` so each pass is bracketed
+    by legality pre/postchecks."""
     workload = get_workload(name)
-    ctx = workload.context(None)
+    ctx = workload.context(unroll)
     proc = workload.build()
     diagnostics = list(verify_ir(proc, ctx))
     verdicts = lint_blockability(proc, ctx)
     diagnostics.extend(res.diagnostic() for res in verdicts)
     diagnostics.extend(lint_parallelism(proc, ctx))
     try:
-        diagnostics.extend(derive(name, cache=AnalysisCache(), check=True).check_diagnostics)
+        result = derive(name, passes, unroll, factor, cache=AnalysisCache(), check=True)
+        diagnostics.extend(result.check_diagnostics)
     except CheckError as e:
         diagnostics.extend(e.diagnostics)
     return diagnostics, verdicts

@@ -43,7 +43,7 @@ from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
 from repro.analysis.dependence import Dependence, DependenceKind
 from repro.analysis.feasibility import direction_feasible
-from repro.analysis.graph import DependenceGraph
+from repro.analysis.graph import DependenceGraph, strongly_connected_components
 from repro.analysis.refs import collect_accesses
 from repro.check.diagnostics import Diagnostic, Severity, counted, diag
 from repro.ir.expr import Const, Var, free_vars
@@ -54,8 +54,6 @@ from repro.obs import core as _obs
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
 from repro.transform.blocking import place_strips
-
-import networkx as nx
 
 
 def _target_loop(proc: Procedure, options: dict) -> Optional[Loop]:
@@ -348,7 +346,7 @@ def _post_distribute(before, after, ctx, options):
     if options.get("commutativity"):
         drop = lambda d: commutativity_oracle(before, loop, d)  # noqa: E731
     sg = graph.statement_graph(loop, drop_dep=drop)
-    sccs = [sorted(c) for c in nx.strongly_connected_components(sg) if len(c) > 1]
+    sccs = [sorted(c) for c in strongly_connected_components(sg) if len(c) > 1]
     if not sccs:
         return []
     # where did each original body statement land?

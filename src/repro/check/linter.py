@@ -50,11 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
-from repro.analysis.graph import DependenceGraph
+from repro.analysis.graph import DependenceGraph, strongly_connected_components
 from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
 from repro.check.legality import swap_witnesses
@@ -110,8 +108,8 @@ def _carvable(n, stmt, scc, sg, loop, local, direction) -> bool:
     loops, one side) avoid every incident cycle edge in ``direction``?"""
     inner_vars = _inner_loop_vars(stmt)
     pairs = []  # (my endpoint access, other endpoint access)
-    for u, v, data in sg.subgraph(scc).edges(data=True):
-        if u == v:
+    for u, v, data in sg.edges():
+        if u == v or u not in scc or v not in scc:
             continue
         if direction == "out" and u != n:
             continue
@@ -189,9 +187,9 @@ def _escaped_loops(proc, loop, graph, local, use_commutativity):
     sg = graph.statement_graph(loop, drop_dep=drop)
     out: list[Loop] = []
     obstacle = None
-    for scc in nx.strongly_connected_components(sg):
+    for scc in strongly_connected_components(sg):
         for n in scc:
-            stmt = sg.nodes[n]["stmt"]
+            stmt = sg.body[n]
             if not isinstance(stmt, Loop):
                 continue
             escaped = (

@@ -187,13 +187,8 @@ def _build_key(spec: JobSpec) -> tuple:
     from repro.serve.store import facts_component
 
     workload = get_workload(spec.workload)
-    unroll = spec.options.get("unroll")
-    factor = spec.options.get("factor")
-    specs = workload.resolve_specs(
-        list(spec.passes) if spec.passes is not None else None,
-        unroll=unroll,
-        factor=factor,
-    )
+    passes, unroll, factor = _recipe(spec)
+    specs = workload.resolve_specs(passes, unroll=unroll, factor=factor)
     recipe = tuple(
         (name, tuple(sorted((str(k), _scalar(v)) for k, v in options.items())))
         for name, options in specs
@@ -204,6 +199,13 @@ def _build_key(spec: JobSpec) -> tuple:
         facts_component(workload.context(unroll)),
         bool(spec.check),
     )
+
+
+def _recipe(spec: JobSpec) -> tuple:
+    """``(passes, unroll, factor)`` in the order ``derive`` and
+    ``audit_workload`` take them: the recipe a job's store key names."""
+    passes = list(spec.passes) if spec.passes is not None else None
+    return passes, spec.options.get("unroll"), spec.options.get("factor")
 
 
 def _scalar(v):
@@ -246,15 +248,8 @@ def _run_derive(spec: JobSpec) -> dict:
     from repro.pipeline.cache import AnalysisCache
 
     execute = spec.kind == "execute"
-    result = derive(
-        spec.workload,
-        passes=list(spec.passes) if spec.passes is not None else None,
-        unroll=spec.options.get("unroll"),
-        factor=spec.options.get("factor"),
-        cache=AnalysisCache(),
-        check=spec.check,
-        verify=execute,
-    )
+    result = derive(spec.workload, *_recipe(spec), cache=AnalysisCache(),
+                    check=spec.check, verify=execute)
     out = {
         "workload": result.trace["algorithm"],
         "passes": [s.name for s in result.spans],
@@ -278,7 +273,7 @@ def _run_check(spec: JobSpec) -> dict:
     from repro.check import audit_workload, errors_in
     from repro.check.diagnostics import Severity
 
-    diagnostics, verdicts = audit_workload(spec.workload)
+    diagnostics, verdicts = audit_workload(spec.workload, *_recipe(spec))
     return {
         "workload": spec.workload,
         "diagnostics": len(diagnostics),

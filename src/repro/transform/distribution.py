@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.graph import DependenceGraph
+from repro.analysis.graph import DependenceGraph, preventing_dependences, recurrence_components
 from repro.errors import TransformError
 from repro.ir.stmt import Loop, Procedure, Stmt
 from repro.ir.visit import replace_loop
@@ -49,8 +49,8 @@ def distribute(
     ``loop``, in order.
     """
     ctx = ctx or Assumptions()
-    graph = DependenceGraph(proc, ctx)
-    components = graph.recurrence_components(loop, drop_dep=drop_dep)
+    g = DependenceGraph(proc, ctx).statement_graph(loop, drop_dep=drop_dep)
+    components = recurrence_components(g)
 
     # Scalar flow crossing two components would be read stale after
     # distribution, so scalar-linked components are FUSED (less
@@ -60,9 +60,8 @@ def distribute(
     for ci, comp in enumerate(components):
         for s in comp:
             comp_of[id(s)] = ci
-    g = graph.statement_graph(loop, drop_dep=drop_dep)
     crossing: list[tuple[int, int, list[str]]] = []
-    for u, v, data in g.edges(data=True):
+    for u, v, data in g.edges():
         if "scalar" not in data:
             continue
         cu = comp_of.get(id(loop.body[u]))
@@ -70,50 +69,28 @@ def distribute(
         if cu is not None and cv is not None and cu != cv:
             crossing.append((cu, cv, data["scalar"]))
 
-    group_of = list(range(len(components)))
-
-    def find(x: int) -> int:
-        while group_of[x] != x:
-            group_of[x] = group_of[group_of[x]]
-            x = group_of[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            group_of[max(rx, ry)] = min(rx, ry)
-
+    # fuse each scalar-linked pair and every component between them: one
+    # sweep in component order joins the overlapping intervals
+    reach = list(range(len(components)))
     for cu, cv, _names in crossing:
-        union(cu, cv)
-    # interval closure: absorb components between fused members
-    changed = True
-    while changed:
-        changed = False
-        roots: dict[int, list[int]] = {}
-        for ci in range(len(components)):
-            roots.setdefault(find(ci), []).append(ci)
-        for members in roots.values():
-            lo, hi = min(members), max(members)
-            for mid in range(lo, hi + 1):
-                if find(mid) != find(lo):
-                    union(mid, lo)
-                    changed = True
-
-    merged: dict[int, list[Stmt]] = {}
+        reach[min(cu, cv)] = max(reach[min(cu, cv)], cu, cv)
+    merged: list[list[Stmt]] = []
+    end = -1
     for ci, comp in enumerate(components):
-        merged.setdefault(find(ci), []).extend(comp)
+        if ci > end:
+            merged.append([])
+        end = max(end, reach[ci])
+        merged[-1].extend(comp)
     # within a fused group, statements run in their original textual order
     position = {id(s): k for k, s in enumerate(loop.body)}
-    groups: list[list[Stmt]] = [
-        sorted(merged[r], key=lambda s: position[id(s)]) for r in sorted(merged)
-    ]
+    groups = [sorted(grp, key=lambda s: position[id(s)]) for grp in merged]
 
     if len(groups) < 2 and partition is None:
         stale = sorted({n for _u, _v, names in crossing for n in names})
         if stale:
             # expansion of these scalars would re-enable distribution
             raise ScalarFlowError(set(stale))
-        prevent = graph.preventing_dependences(loop, drop_dep=drop_dep)
+        prevent = preventing_dependences(g)
         err = TransformError(
             f"loop {loop.var} is a single recurrence; distribution is prevented"
         )

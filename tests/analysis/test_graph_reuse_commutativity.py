@@ -61,7 +61,7 @@ class TestRecurrences:
         )
         g = DependenceGraph((l,))
         sg = g.statement_graph(l)
-        scalar_edges = [(u, v) for u, v, d in sg.edges(data=True) if "scalar" in d]
+        scalar_edges = [(u, v) for u, v, d in sg.edges() if "scalar" in d]
         assert (0, 1) in scalar_edges
 
     def test_self_redefined_scalar_not_exposed(self):
@@ -73,7 +73,7 @@ class TestRecurrences:
         )
         g = DependenceGraph((l,))
         sg = g.statement_graph(l)
-        scalar_edges = [(u, v) for u, v, d in sg.edges(data=True) if "scalar" in d]
+        scalar_edges = [(u, v) for u, v, d in sg.edges() if "scalar" in d]
         assert (0, 1) not in scalar_edges
 
     def test_statement_graph_walks_each_child_once(self, monkeypatch):

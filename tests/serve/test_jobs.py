@@ -188,6 +188,32 @@ class TestExecutor:
                 for v in served["verdicts"]] == [
             (d["path"], d["rule"], d["message"]) for d in lint]
 
+    def test_served_check_audits_the_recipe_its_key_names(self, monkeypatch):
+        """A ``check`` job is stored under its recipe and
+        ``context(unroll)``, so it must lint and derive under those: an
+        unroll-6 conv audit at the default unroll of 4 would be filed under
+        the wrong content address."""
+        import inspect
+
+        import repro.check as check
+        from repro.pipeline.workloads import get_workload
+
+        want = get_workload("conv").context(6).facts_key()
+        assert want != get_workload("conv").context(None).facts_key()
+        linted, derived = [], []
+        real_lint, real_derive = check.lint_blockability, check.derive
+        monkeypatch.setattr(check, "lint_blockability",
+                            lambda proc, ctx: linted.append(ctx.facts_key()) or real_lint(proc, ctx))
+        bind = inspect.signature(real_derive).bind
+        monkeypatch.setattr(check, "derive", lambda *a, **kw: derived.append(
+            bind(*a, **kw).arguments) or real_derive(*a, **kw))
+        value = execute_job(JobSpec(kind="check", workload="conv",
+                                    passes=("split", "jam"), options={"unroll": 6}))
+        assert linted == [want]
+        assert [(d["passes"], d["unroll"], d["factor"]) for d in derived] == [
+            (["split", "jam"], 6, None)]
+        assert value["errors"] == 0
+
     def test_probe_ok(self):
         value = execute_job(JobSpec(kind="probe", options={"action": "ok"}))
         assert value["pid"] == os.getpid()
