@@ -64,8 +64,8 @@ SEC33_POINT = """\
 def _strip_mined(proc: Procedure, var: str, factor: str) -> tuple[Procedure, Loop]:
     """``proc`` with loop ``var`` strip-mined by ``factor`` into
     ``{var}{var}``; returns (procedure, strip loop)."""
-    proc, _info = strip_mine(proc, loop_by_var(proc.body, var), factor, strip_var=var + var)
-    return proc, loop_by_var(proc.body, var + var)
+    proc, info = strip_mine(proc, loop_by_var(proc.body, var), factor)
+    return proc, loop_by_var(proc.body, info.strip_var)
 
 
 def sec33_procedure() -> tuple[Procedure, Loop]:

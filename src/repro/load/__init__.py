@@ -3,15 +3,14 @@
 - :mod:`~repro.load.gen` — the generator: ramped fixed-rate arrival
   schedules (open loop: arrivals never wait for completions), a
   deterministic weighted job mix with ``unique`` entries forcing cold
-  computes, per-step P² latency streams, and named builtin grids;
+  computes, per-step latency histograms, and named builtin grids;
 - :mod:`~repro.load.report` — the ``repro.serve.load/1`` payload
   (build / shape / flatten) plus the knee/warm-speedup analysis;
 - :mod:`~repro.load.cli` — ``python -m repro load run GRID``.
 
-The committed ``BENCH_serve.json`` at the repo root is this package's
-output: a ramp showing warm-store hits answered orders of magnitude
-below cold-compute latency, and the admission-control knee where the
-daemon starts shedding instead of queueing without bound.
+A report shows how far below cold-compute latency warm-store hits are
+answered, and the admission-control knee where the daemon starts
+shedding instead of queueing without bound.
 """
 
 from __future__ import annotations

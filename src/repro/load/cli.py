@@ -9,7 +9,7 @@ Subcommands::
 Examples::
 
     python -m repro daemon start --workers 2 --queue-limit 8
-    python -m repro load run quick --out BENCH_serve.json
+    python -m repro load run quick --out serve_load.json
     python -m repro load run grid.json --deadline 10 --store-dir /tmp/cache
     python -m repro daemon stop
 

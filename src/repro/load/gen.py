@@ -16,9 +16,9 @@ the cold-compute side of the warm/cold comparison (the daemon's store
 digest covers probe options, so distinct nonces never coalesce).
 
 Client-side latency is measured around the whole HTTP round trip and
-P²-streamed per step (overall / hit / computed); the merged hit and
-computed streams across all steps feed the warm-vs-cold analysis in
-:mod:`repro.load.report`.
+recorded per step in log-bucket histograms (overall / hit / computed);
+run-wide hit and computed histograms over all steps feed the
+warm-vs-cold analysis in :mod:`repro.load.report`.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ GRID_SHAPE = {
 }
 
 #: named grids usable anywhere a grid file is accepted.  ``quick`` is
-#: the CI smoke ramp; ``bench`` produced the committed BENCH_serve.json.
+#: the CI smoke ramp; ``bench`` the longer ramp to the knee.
 BUILTIN_GRIDS: dict[str, dict] = {
     "quick": {
         "steps": [

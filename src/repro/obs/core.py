@@ -24,7 +24,7 @@ into it without import cycles.
 
 from __future__ import annotations
 
-import copy
+import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -53,89 +53,35 @@ class SpanEvent:
 #: the tail quantiles every histogram tracks, as (summary key, probability)
 QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
-
-class _P2:
-    """Single-quantile P² estimator (Jain & Chlamtac, CACM 1985).
-
-    Bounded memory: five marker heights + five marker positions once
-    initialized (the first five observations are buffered exactly).
-    """
-
-    __slots__ = ("p", "heights", "positions", "desired")
-
-    def __init__(self, p: float) -> None:
-        self.p = p
-        self.heights: list[float] = []  # <5 entries = still the exact buffer
-        self.positions: Optional[list[float]] = None
-        self.desired: Optional[list[float]] = None
-
-    def observe(self, x: float) -> None:
-        if self.positions is None:
-            self.heights.append(x)
-            if len(self.heights) == 5:
-                self.heights.sort()
-                self.positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                p = self.p
-                self.desired = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
-            return
-        q, n, d = self.heights, self.positions, self.desired
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = next(i for i in range(4) if q[i] <= x < q[i + 1])
-        for i in range(k + 1, 5):
-            n[i] += 1
-        p = self.p
-        for i, inc in enumerate((0.0, p / 2, p, (1 + p) / 2, 1.0)):
-            d[i] += inc
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1 and n[i + 1] - n[i] > 1) or (
-                delta <= -1 and n[i - 1] - n[i] < -1
-            ):
-                sign = 1.0 if delta >= 1 else -1.0
-                candidate = q[i] + sign / (n[i + 1] - n[i - 1]) * (
-                    (n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                    + (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-                )
-                if q[i - 1] < candidate < q[i + 1]:  # parabolic (P²) step
-                    q[i] = candidate
-                else:  # fall back to linear
-                    j = i + (1 if sign > 0 else -1)
-                    q[i] = q[i] + sign * (q[j] - q[i]) / (n[j] - n[i])
-                n[i] += sign
-
-    def value(self) -> float:
-        """The current estimate (exact while still buffering)."""
-        if self.positions is not None:
-            return self.heights[2]
-        if not self.heights:
-            return 0.0
-        ordered = sorted(self.heights)
-        # nearest-rank interpolation over the exact buffer
-        pos = self.p * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+#: relative accuracy of every reported quantile: bucket ``k`` holds the
+#: values in ``(GAMMA**(k-1), GAMMA**k]`` and reports ``2*GAMMA**k/(GAMMA+1)``,
+#: which is within ``ALPHA`` of each of them
+ALPHA = 0.01
+GAMMA = (1 + ALPHA) / (1 - ALPHA)
+_LOG_GAMMA = math.log(GAMMA)
+#: the one bucket every value ``<= 0`` shares (``GAMMA ** -inf == 0.0``)
+_NONPOSITIVE = float("-inf")
 
 
 class Histogram:
     """Online summary of a value stream: count, total, min, max, and
-    bounded-memory streaming quantiles (p50/p95/p99 via P² estimators —
-    exact below five observations, approximate after)."""
+    p50/p95/p99 from fixed-ratio log buckets.
 
-    __slots__ = ("count", "total", "min", "max", "_quantiles")
+    A quantile is the nearest-rank order statistic ``ceil(p * count)``,
+    reported as its bucket's representative clamped into [min, max], so
+    it is within :data:`ALPHA` of the exact value.  Memory grows with
+    the log-range of the values, not their number, and :meth:`merge`
+    adds bucket counts: a merged histogram is exactly the histogram of
+    both streams, in either order."""
+
+    __slots__ = ("count", "total", "min", "max", "buckets")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._quantiles = tuple(_P2(p) for _, p in QUANTILES)
+        self.buckets: dict[float, int] = {}
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -144,23 +90,25 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for est in self._quantiles:
-            est.observe(value)
+        k = math.ceil(math.log(value) / _LOG_GAMMA) if value > 0 else _NONPOSITIVE
+        self.buckets[k] = self.buckets.get(k, 0) + 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, key: str) -> float:
-        """A tracked quantile by summary key (``"p50"``/``"p95"``/``"p99"``),
-        clamped into [min, max] so estimator drift never reports an
-        impossible value."""
-        for (name, _), est in zip(QUANTILES, self._quantiles):
-            if name == key:
-                if not self.count:
-                    return 0.0
-                return min(max(est.value(), self.min), self.max)
-        raise KeyError(key)
+        """A tracked quantile by summary key (``"p50"``/``"p95"``/``"p99"``)."""
+        p = dict(QUANTILES)[key]
+        if not self.count:
+            return 0.0
+        rank = math.ceil(p * self.count)
+        seen = 0
+        for k in sorted(self.buckets):
+            seen += self.buckets[k]
+            if seen >= rank:
+                break
+        return min(max(2 * GAMMA ** k / (GAMMA + 1), self.min), self.max)
 
     def summary(self) -> dict:
         out = {
@@ -175,49 +123,14 @@ class Histogram:
         return out
 
     def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` in: count/total/min/max are exact; the quantile
-        markers combine by count-weighted height averaging at matched
-        probabilities (approximate, bounded memory, deterministic)."""
-        if not other.count:
-            return
-        if not self.count:
-            self.count = other.count
-            self.total = other.total
-            self.min = other.min
-            self.max = other.max
-            self._quantiles = copy.deepcopy(other._quantiles)
-            return
-        merged = []
-        for mine, theirs in zip(self._quantiles, other._quantiles):
-            merged.append(_merge_p2(mine, theirs, self.count, other.count))
+        """Fold ``other`` in; every field, the quantiles included, comes
+        out as if this histogram had observed ``other``'s stream too."""
         self.count += other.count
         self.total += other.total
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        self._quantiles = tuple(merged)
-
-
-def _merge_p2(a: _P2, b: _P2, count_a: int, count_b: int) -> _P2:
-    """Combine two P² states over disjoint streams of the given sizes."""
-    if b.positions is None:  # b's exact buffer replays losslessly into a
-        out = copy.deepcopy(a)
-        for v in b.heights:
-            out.observe(v)
-        return out
-    if a.positions is None:
-        return _merge_p2(b, a, count_b, count_a)
-    out = _P2(a.p)
-    wa = count_a / (count_a + count_b)
-    wb = 1.0 - wa
-    out.heights = [
-        qa * wa + qb * wb for qa, qb in zip(a.heights, b.heights)
-    ]
-    out.heights[0] = min(a.heights[0], b.heights[0])
-    out.heights[4] = max(a.heights[4], b.heights[4])
-    out.heights = sorted(out.heights)
-    out.positions = [na + nb for na, nb in zip(a.positions, b.positions)]
-    out.desired = [da + db for da, db in zip(a.desired, b.desired)]
-    return out
+        for k, n in other.buckets.items():
+            self.buckets[k] = self.buckets.get(k, 0) + n
 
 
 class Obs:
@@ -268,8 +181,8 @@ class Obs:
 
         ``anchor_s`` is the absolute time on *this* clock that ``other``'s
         epoch maps onto (default: no shift); ``lane`` tags every merged
-        span that carries none.  Counters sum exactly; histograms merge
-        exactly in count/total/min/max, approximately in the quantiles.
+        span that carries none.  Counters sum and histograms merge
+        exactly (:meth:`Histogram.merge`).
         """
         offset = (anchor_s - self.epoch) if anchor_s is not None else 0.0
         for name, n in other.counters.items():

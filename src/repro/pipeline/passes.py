@@ -34,7 +34,6 @@ from repro.transform import (
     block_loop,
     distribute,
     if_inspect,
-    index_set_split_for_dependence,
     interchange,
     scalar_expand,
     scalar_replace,
@@ -138,7 +137,8 @@ def _require_loop(proc: Procedure, options: dict) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# split — Sec. 3.2 complete trapezoid splitting / Fig. 3 dependence splitting
+# split — Sec. 3.2 complete trapezoid splitting (Fig. 3's dependence
+# splitting runs inside ``block``)
 # ---------------------------------------------------------------------------
 
 def _split_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
@@ -146,39 +146,9 @@ def _split_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optiona
 
 
 def _split_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    mode = options.get("mode", "trapezoid")
     outer_var = _opt_loop_var(proc, options)
-    if mode == "deps":
-        # Fig. 3: split on a preventing dependence whose endpoint sections
-        # differ; first splittable dependence wins.
-        from repro.analysis.graph import DependenceGraph
-
-        loop = loop_by_var(proc.body, outer_var)
-        local = context_for_path(proc, loop, ctx)
-        graph = DependenceGraph(proc, local)
-        reasons = []
-        for dep in graph.preventing_dependences(loop):
-            try:
-                new, reports = index_set_split_for_dependence(proc, loop, dep, local)
-            except TransformError as e:
-                reasons.append(str(e))
-                continue
-            return PassOutcome(
-                new,
-                True,
-                {
-                    "mode": mode,
-                    "splits": [
-                        {"loop": r.loop_var, "at": str(r.point)} for r in reports
-                    ],
-                },
-                artifact=reports,
-            )
-        return PassOutcome(proc, False, {"mode": mode, "reasons": reasons})
-    if mode != "trapezoid":
-        raise PipelineError(f"split: unknown mode {mode!r}")
     rounds = 0
-    for _ in range(int(options.get("max_rounds", 8))):
+    for _ in range(8):  # at most eight rounds, one split each
         changed = False
         for l in find_loops(proc):
             if l.var != outer_var:
@@ -192,15 +162,14 @@ def _split_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
             break
         if not changed:
             break
-    return PassOutcome(proc, rounds > 0, {"mode": mode, "splits": rounds})
+    return PassOutcome(proc, rounds > 0, {"mode": "trapezoid", "splits": rounds})
 
 
 register(
     PassInfo(
         "split",
-        "index-set splitting: trapezoid MIN/MAX pieces (Sec. 3.2) or "
-        "dependence-directed splitting (Fig. 3, mode=deps)",
-        options=("loop", "mode", "max_rounds"),
+        "index-set splitting: trapezoid MIN/MAX pieces (Sec. 3.2)",
+        options=("loop",),
         precondition="a loop over the target variable exists",
     ),
     _split_precheck,
@@ -226,7 +195,7 @@ def _stripmine_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutc
     var = _opt_loop_var(proc, options)
     loop = loop_by_var(proc.body, var)
     factor = options.get("factor", 2)
-    new, info = strip_mine(proc, loop, factor, strip_var=options.get("strip_var"), ctx=ctx)
+    new, info = strip_mine(proc, loop, factor, ctx=ctx)
     facts = ()
     if isinstance(info.factor, Var):
         # a symbolic block size is only meaningful when at least 2
@@ -244,7 +213,7 @@ register(
     PassInfo(
         "stripmine",
         "strip-mine a loop by a literal or symbolic factor",
-        options=("loop", "factor", "strip_var"),
+        options=("loop", "factor"),
         precondition="target loop exists and has unit step",
     ),
     _stripmine_precheck,

@@ -74,7 +74,6 @@ algorithm in the repository.
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import count
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -104,7 +103,7 @@ from repro.ir.expr import (
 )
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
 from repro.ir.visit import array_refs, find_loops, walk_exprs, walk_stmts
-from repro.runtime.interpreter import Tracer, idiv, make_env
+from repro.runtime.interpreter import Tracer, idiv, make_env, mod, sqrt, to_int
 
 _PY_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
@@ -115,7 +114,7 @@ _INTRINSIC_NAMES = {
     "DABS": "abs",
     "DBLE": "float",
     "REAL": "float",
-    "INT": "int",
+    "INT": "_int",
     "MOD": "_mod",
 }
 
@@ -144,12 +143,6 @@ def _pow(a, b):
             raise
     with np.errstate(all="ignore"):
         return np.float64(a) ** b
-
-
-def _mod(a, b):
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        return int(a) - idiv(int(a), int(b)) * int(b)
-    return math.fmod(a, b)
 
 
 CHUNK = 8192
@@ -739,8 +732,9 @@ def _compile(proc: Procedure, src: str) -> Callable:
         "_div": _div,
         "_pow": _pow,
         "_span": _span,
-        "_mod": _mod,
-        "_sqrt": math.sqrt,
+        "_mod": mod,
+        "_sqrt": sqrt,
+        "_int": to_int,
         "np": np,
     }
     exec(compile(src, f"<repro:{proc.name}>", "exec"), namespace)

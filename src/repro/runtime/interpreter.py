@@ -59,15 +59,43 @@ def idiv(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+def sqrt(x):
+    """SQRT/DSQRT: IEEE's NaN for a negative, where ``math.sqrt`` raises."""
+    if x < 0:
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.float64(x))
+    return math.sqrt(x)
+
+
+def mod(a, b):
+    """MOD: truncating for two integers, else IEEE's ``fmod``, whose NaN for
+    a zero divisor or an infinite dividend ``math.fmod`` raises on."""
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+        return int(a) - idiv(int(a), int(b)) * int(b)
+    try:
+        return math.fmod(a, b)
+    except ValueError:
+        with np.errstate(invalid="ignore"):
+            return np.fmod(np.float64(a), b)
+
+
+def to_int(x):
+    """INT: truncation toward zero; NaN and the infinities have none."""
+    try:
+        return int(x)
+    except (ValueError, OverflowError):
+        raise SemanticsError(f"INT of {float(x)}: no integer value") from None
+
+
 _INTRINSICS: dict[str, Callable] = {
-    "SQRT": math.sqrt,
-    "DSQRT": math.sqrt,
+    "SQRT": sqrt,
+    "DSQRT": sqrt,
     "ABS": abs,
     "DABS": abs,
-    "MOD": lambda a, b: math.fmod(a, b) if isinstance(a, float) or isinstance(b, float) else a - idiv(a, b) * b,
+    "MOD": mod,
     "DBLE": float,
     "REAL": float,
-    "INT": int,
+    "INT": to_int,
 }
 
 _CMP = {

@@ -40,7 +40,6 @@ def strip_mine(
     proc: Procedure,
     loop: Loop,
     factor: ExprLike,
-    strip_var: Optional[str] = None,
     ctx: Optional[Assumptions] = None,
 ) -> tuple[Procedure, StripMineInfo]:
     """Strip-mine ``loop`` by ``factor``.
@@ -55,11 +54,7 @@ def strip_mine(
     factor_e = as_expr(factor)
     if isinstance(factor_e, Const) and isinstance(factor_e.value, int) and factor_e.value < 1:
         raise TransformError("strip factor must be positive")
-    taken = used_names(proc)
-    if strip_var is None:
-        strip_var = fresh_var(loop.var, taken)
-    elif strip_var in taken:
-        raise TransformError(f"strip variable {strip_var!r} already in use")
+    strip_var = fresh_var(loop.var, used_names(proc))
 
     body = substitute(loop.body, {loop.var: Var(strip_var)})
     strip_hi = smin(Var(loop.var) + factor_e - 1, loop.hi)

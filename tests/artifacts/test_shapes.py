@@ -145,6 +145,8 @@ def _fresh_payloads(tmp_path) -> dict:
     from repro.daemon import Daemon, DaemonConfig
     from repro.ir.build import assign, do, ref
     from repro.ir.expr import Const, Var
+    from repro.load.report import analyze
+    from repro.load.report import build_report as load_report
     from repro.machine.model import scaled_machine
     from repro.machine.tracer import trace_procedure
     from repro.obs import core, export
@@ -165,6 +167,15 @@ def _fresh_payloads(tmp_path) -> dict:
         trace = derive("conv", passes=["split"]).trace
         tracer = trace_procedure(workload.build(), workload.verify_sizes,
                                  scaled_machine(8), seed=0, attribute=True)
+    # one ramp step: a store hit and a cold compute
+    latency = {key: core.Histogram() for key in ("request_s", "hit_s", "computed_s")}
+    for key, value in (("hit_s", 0.001), ("computed_s", 0.3)):
+        latency[key].observe(value)
+        latency["request_s"].observe(value)
+    step = {"rate": 2.0, "duration_s": 1.0, "offered": 2, "sent": 2,
+            "outcomes": {"computed": 1, "hit": 1},
+            "latency": {key: h.summary() for key, h in latency.items()},
+            "throughput": 2.0}
     return {
         registry.PIPELINE_TRACE: trace,
         registry.OBS_METRICS: export.metrics(
@@ -183,6 +194,9 @@ def _fresh_payloads(tmp_path) -> dict:
             workers=1, store_dir=str(tmp_path / "store"))).status_payload(),
         registry.SERVE_STORE: build_store_ops(
             "gc", store, gc={"removed": 1, "kept": 0}),
+        registry.SERVE_LOAD: load_report(
+            {"host": "127.0.0.1", "port": 1}, {"steps": [], "mix": []}, [step],
+            analyze([step], latency["hit_s"], latency["computed_s"]), 1.0),
     }
 
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.errors import SemanticsError
 from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import BinOp, Compare, Const, IntDiv, LogicalOp, Var
+from repro.ir.expr import BinOp, Call, Compare, Const, IntDiv, LogicalOp, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.machine import Cache, CacheTracer, Layout, trace_procedure
 from repro.runtime.codegen import compile_procedure, compile_stream
@@ -295,11 +295,14 @@ class TestZeroStep:
 
 
 class TestIEEEParity:
-    """Interpreter, plain and stream leave byte-identical arrays where IEEE
-    arithmetic leaves the finite numbers: a division by ``+0.0``, ``-0.0``
-    and ``0/0``, a power that overflows, and ``float32`` arithmetic, which
-    rounds after every operation.  A compiled flavour may read an element as
-    a Python float, whose division by zero and overflowing power raise."""
+    """Interpreter, plain and stream leave byte-identical arrays, NaN bit
+    patterns included, where IEEE arithmetic leaves the finite numbers: a
+    division by ``+0.0``, ``-0.0`` and ``0/0``, a power that overflows, the
+    square root of a negative, a real ``MOD`` by zero, and ``float32``
+    arithmetic, which rounds after every operation.  A compiled flavour may
+    read an element as a Python float, whose division by zero, overflowing
+    power, negative square root and ``fmod`` by zero raise.  ``INT`` of NaN
+    or an infinity is the same ``SemanticsError`` in every engine."""
 
     @staticmethod
     def engines(proc, sizes, arrays):
@@ -347,6 +350,40 @@ class TestIEEEParity:
         p = self.loop(ref("A", Var("I") + 1), BinOp("**", ref("A", "I"), Const(400.0)), 4)
         env = self.engines(p, {}, {"A": np.array([10.0, 0.0, 0.0, 0.0])})
         assert env["A"].tolist() == [10.0, np.inf, np.inf, np.inf]
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4"])
+    @pytest.mark.parametrize("name", ["SQRT", "DSQRT"])
+    def test_square_root_of_a_negative_is_nan(self, name, dtype):
+        a = np.array([-1.0, -0.0, 4.0, -np.inf, np.inf, np.nan, 0.0])
+        p = self.loop(ref("B", "I"), Call(name, (ref("A", "I"),)), 7, dtype=dtype)
+        env = self.engines(p, {}, {"A": a, "B": np.zeros(7), "C": np.zeros(7)})
+        with np.errstate(invalid="ignore"):
+            expect = np.sqrt(a[:6].astype(dtype))
+        assert env["B"][:6].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["element", "literal"])
+    def test_real_mod_by_zero_is_nan(self, literal):
+        a, b = np.array([1.0, -1.0, np.inf, 7.5, 0.0]), np.array([0.0, -0.0, 0.0, 2.0, 1.0])
+        divisor = Const(0.0) if literal else ref("B", "I")
+        p = self.loop(ref("C", "I"), Call("MOD", (ref("A", "I"), divisor)), 5)
+        env = self.engines(p, {}, {"A": a, "B": b, "C": np.zeros(5)})
+        with np.errstate(invalid="ignore"):
+            expect = np.fmod(a[:4], 0.0 if literal else b[:4])
+        assert env["C"][:4].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_int_of_a_non_finite_value_raises(self, x):
+        # INT(A(I) / 0.0D0) reaches the infinities from a finite element
+        value = Call("INT", (BinOp("/", ref("A", "I"), Const(0.0 if np.isinf(x) else 1.0)),))
+        p = self.loop(ref("B", "I"), value, 3)
+        arrays = {"A": np.array([x if np.isnan(x) else np.sign(x), 0.0, 0.0]),
+                  "B": np.zeros(3), "C": np.zeros(3)}
+        layout = Layout.for_procedure(p, {}, line_bytes=32)
+        for run in (lambda: execute(p, {}, arrays=arrays),
+                    lambda: compile_procedure(p)({}, arrays=arrays),
+                    lambda: compile_stream(p)({}, layout, lambda *chunk: None, arrays=arrays)):
+            with pytest.raises(SemanticsError, match="INT of .*: no integer value"):
+                run()
 
     def test_float32_rounds_after_every_operation(self):
         # inputs where float32 rounding after the product differs from one
