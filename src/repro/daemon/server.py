@@ -2,7 +2,8 @@
 
 Threading model — the part that keeps this deadlock-free:
 
-- **Handler threads** (one per HTTP request, ``ThreadingHTTPServer``)
+- **Handler threads** (one per kept-alive HTTP connection,
+  ``ThreadingHTTPServer``; idle ones close after ``IDLE_TIMEOUT_S``)
   do admission only: parse the job spec and build its store key
   (anything malformed or unkeyable is a ``daemon/bad-request`` here, so
   the scheduler only ever sees specs it can submit), answer memory-cache
@@ -91,6 +92,10 @@ _MAX_BODY = 1 << 20
 
 #: the request envelope around the job spec; ``null`` means the default
 _REQUEST_SHAPE = {"deadline_s": nullable(float)}
+
+#: seconds a kept-alive connection may sit idle before its handler thread
+#: closes it; a client that then reuses it retries once on a fresh one
+IDLE_TIMEOUT_S = 10.0
 
 #: spans kept in the daemon-lifetime observer before the oldest half is
 #: dropped — a long-lived process must not grow without bound
@@ -291,6 +296,15 @@ class Daemon:
                 "(the job may still complete and warm the store)",
             )
         return req.http_status, req.body or {}
+
+    def reject_unparsed(self, message: str) -> dict:
+        """Book a body that never became a request document (bad
+        ``Content-Length``, not JSON, not an object) as received and
+        rejected, like any other bad request; returns its 400 body."""
+        with self._lock:
+            self._obs.count("daemon.requests.received")
+            self._obs.count("daemon.requests.rejected")
+        return _error_body(RULE_BAD_REQUEST, message)
 
     def _memory_lookup(self, digest: str) -> Optional[dict]:
         with self._lock:
@@ -506,17 +520,23 @@ class Daemon:
 
 def _make_handler(daemon: Daemon):
     class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+        protocol_version = "HTTP/1.1"  # keep-alive: one connection, many requests
+        # headers and body are two writes: without TCP_NODELAY the body
+        # waits for the client's delayed ACK of the headers (~40 ms)
+        disable_nagle_algorithm = True
+        timeout = IDLE_TIMEOUT_S
         hub = daemon
 
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
-        def _respond(self, status: int, body: dict) -> None:
+        def _respond(self, status: int, body: dict, close: bool = False) -> None:
             blob = json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(blob)))
+            if close or self.hub.state == "draining":
+                self.send_header("Connection", "close")  # sets close_connection
             self.end_headers()
             self.wfile.write(blob)
 
@@ -545,13 +565,13 @@ def _make_handler(daemon: Daemon):
                 except (ValueError, RecursionError) as e:
                     # the body may sit unread on the socket: this
                     # connection cannot carry another request
-                    self.close_connection = True
-                    self._respond(400, _error_body(RULE_BAD_REQUEST, str(e)))
+                    self._respond(400, self.hub.reject_unparsed(str(e)), close=True)
                     return
                 status, body = self.hub.handle_submit(doc)
                 self._respond(status, body)
             elif self.path == "/v1/shutdown":
-                self._respond(200, {"draining": True, "state": "draining"})
+                self._respond(200, {"draining": True, "state": "draining"},
+                              close=True)
                 self.hub.request_drain()
             else:
                 self._respond(404, _error_body(

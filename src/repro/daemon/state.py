@@ -11,6 +11,9 @@ The client half is deliberately stdlib-only (:mod:`http.client`): the
 daemon's wire format is plain JSON over localhost HTTP, and everything
 that talks to it — the CLI, :mod:`repro.load`, the tests, CI — goes
 through :func:`request` so status-code handling lives in one place.
+Each thread keeps one persistent HTTP/1.1 connection and sends every
+request down it: a warm hit costs one round trip on an open socket, not
+a TCP handshake and a handler thread.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
@@ -101,6 +105,25 @@ class DaemonReply:
         return err.get("rule") if isinstance(err, dict) else None
 
 
+class _KeptAlive(http.client.HTTPConnection):
+    """A thread's connection: ``http.client`` reopens it after a close, and
+    it closes when its thread ends and drops it."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _Connection(threading.local):
+    conn: Optional[_KeptAlive] = None
+
+
+_local = _Connection()
+
+#: how a kept-alive connection the daemon has since closed fails before any
+#: byte of a reply arrives (``RemoteDisconnected`` is a ``ConnectionResetError``)
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
 def request(
     host: str,
     port: int,
@@ -109,29 +132,47 @@ def request(
     body: Optional[dict] = None,
     timeout_s: float = 30.0,
 ) -> DaemonReply:
-    """One JSON round trip; :class:`DaemonError` only on transport
-    failure — HTTP-level errors (429/503/504...) come back as a
-    :class:`DaemonReply` for the caller to interpret."""
-    conn = http.client.HTTPConnection(host, port, timeout=timeout_s)
+    """One JSON request and reply on this thread's connection;
+    :class:`DaemonError` only on transport failure — HTTP-level errors
+    (429/503/504...) come back as a :class:`DaemonReply` for the caller
+    to interpret.  A reused connection that turns out closed before any
+    reply byte arrives is retried once on a fresh one; a reply that says
+    ``Connection: close`` drops the connection (``http.client`` closes
+    it in ``getresponse``), so the next request opens a fresh one."""
+    conn = _local.conn
+    if conn is None or (conn.host, conn.port) != (host, port):
+        if conn is not None:
+            conn.close()
+        conn = _local.conn = _KeptAlive(host, port)
+    conn.timeout = timeout_s  # for the next connect
+    reused = conn.sock is not None
+    if reused:
+        conn.sock.settimeout(timeout_s)
+    payload = None if body is None else json.dumps(body).encode("utf-8")
+    headers = {"Content-Type": "application/json"} if payload else {}
     try:
-        payload = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if payload else {}
-        conn.request(method, path, body=payload, headers=headers)
-        resp = conn.getresponse()
-        raw = resp.read()
         try:
-            doc = json.loads(raw) if raw else {}
-        except json.JSONDecodeError:
-            doc = {"raw": raw.decode("utf-8", "replace")}
-        return DaemonReply(resp.status, doc if isinstance(doc, dict) else
-                           {"value": doc})
+            conn.request(method, path, body=payload, headers=headers)
+            resp = conn.getresponse()
+        except _STALE:
+            conn.close()
+            if not reused:
+                raise
+            conn.request(method, path, body=payload, headers=headers)
+            resp = conn.getresponse()
+        raw = resp.read()
     except (OSError, http.client.HTTPException) as e:
+        conn.close()
         raise DaemonError(
             f"daemon at {host}:{port} unreachable ({e}); "
             "is it running? try 'python -m repro daemon status'"
         ) from e
-    finally:
-        conn.close()
+    try:
+        doc = json.loads(raw) if raw else {}
+    except json.JSONDecodeError:
+        doc = {"raw": raw.decode("utf-8", "replace")}
+    return DaemonReply(resp.status, doc if isinstance(doc, dict) else
+                       {"value": doc})
 
 
 def store_root_of(store_dir: Optional[str]) -> Path:

@@ -6,6 +6,7 @@ import contextlib
 import json
 import os
 import statistics
+import sys
 import threading
 import time
 
@@ -351,6 +352,138 @@ class TestDrainAndRestart:
                                   "host": "127.0.0.1", "port": 1})
         assert dstate.read_state(root) is None
         assert not dstate.state_path(root).exists()
+
+
+def received(d: Daemon) -> int:
+    return d.status_payload()["requests"]["received"]
+
+
+class TestConnections:
+    """Each client thread keeps one connection; the daemon answers on it
+    without a delayed-ACK stall, and closes it idle, on a bad body or
+    when draining."""
+
+    def test_round_trips_on_a_kept_alive_connection_do_not_stall(self, daemon):
+        dstate.request("127.0.0.1", daemon.port, "GET", "/v1/healthz")
+        t0 = time.perf_counter()
+        for _ in range(50):
+            assert dstate.request("127.0.0.1", daemon.port, "GET",
+                                  "/v1/healthz").ok
+        # one delayed-ACK stall (>= 40 ms) per round trip would take >= 2 s
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_a_bad_body_says_it_closes_the_connection(self, daemon):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10.0)
+        try:
+            conn.request("POST", "/v1/jobs", body=b"[1]")
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            resp.read()
+        finally:
+            conn.close()
+        before = received(daemon)
+        bad = dstate.request("127.0.0.1", daemon.port, "POST", "/v1/jobs", [1])
+        assert bad.status == 400 and bad.rule == "daemon/bad-request"
+        good = submit(daemon, probe(value="after a bad body"))
+        assert good.ok and good.body["status"] == "computed"
+        assert received(daemon) == before + 2
+
+    def test_a_connection_the_daemon_closed_idle_is_retried_once(
+        self, store_dir, monkeypatch
+    ):
+        from repro.daemon import server
+
+        monkeypatch.setattr(server, "IDLE_TIMEOUT_S", 0.2)
+        d = make_daemon(store_dir)
+        try:
+            assert submit(d, probe(value="idle")).body["status"] == "computed"
+            sock = dstate._local.conn.sock
+            time.sleep(0.6)  # the handler times out and closes the socket
+            before = received(d)
+            reply = submit(d, probe(value="idle"))
+            assert reply.ok and reply.body["source"] == "memory"
+            assert dstate._local.conn.sock is not sock  # a fresh connection
+            assert received(d) == before + 1  # sent once, not twice
+        finally:
+            d.request_drain()
+            assert d.wait_stopped(30.0)
+
+    def test_one_thread_alternates_between_two_daemons(self, tmp_path):
+        daemons = [make_daemon(str(tmp_path / name)) for name in ("a", "b")]
+        try:
+            digests = [submit(d, probe(value=f"daemon-{k}")).body["digest"]
+                       for k, d in enumerate(daemons)]
+            for i in range(4):
+                k = i % 2
+                reply = submit(daemons[k], probe(value=f"daemon-{k}"))
+                assert reply.ok, reply.body
+                assert reply.body["source"] == "memory"
+                assert reply.body["digest"] == digests[k]
+            assert [received(d) for d in daemons] == [3, 3]
+            assert [d.status_payload()["requests"]["memory_hits"]
+                    for d in daemons] == [2, 2]
+        finally:
+            for d in daemons:
+                d.request_drain()
+                assert d.wait_stopped(30.0)
+
+    def test_each_thread_gets_its_own_replies(self, daemon):
+        digests = [submit(daemon, probe(value=f"thread-{i}")).body["digest"]
+                   for i in range(8)]
+        before = received(daemon)
+        wrong = []
+
+        def client(i):
+            for _ in range(25):
+                body = submit(daemon, probe(value=f"thread-{i}")).body
+                if (body.get("digest"), body.get("source")) != (digests[i], "memory"):
+                    wrong.append((i, body))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the clients as finely as we can
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert received(daemon) == before + 200
+
+    def test_drain_leaves_no_handler_thread_behind(self, store_dir, monkeypatch):
+        from repro.daemon import server
+
+        monkeypatch.setattr(server, "IDLE_TIMEOUT_S", 0.2)
+        before = set(threading.enumerate())
+        d = make_daemon(store_dir)
+        assert submit(d, probe(value="held")).ok  # this thread keeps it open
+        d.request_drain()
+        assert d.wait_stopped(30.0)
+        deadline = time.monotonic() + 10.0
+        while set(threading.enumerate()) - before and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert set(threading.enumerate()) - before == set()
+
+    def test_a_draining_daemon_closes_every_connection(self, daemon):
+        import http.client
+
+        daemon._draining.set()  # flag only: server still up, scheduler alive
+        conn = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10.0)
+        try:
+            for method, path, body in (("GET", "/v1/healthz", None),
+                                       ("POST", "/v1/jobs", {"job": probe()})):
+                conn.request(method, path, body=body and json.dumps(body))
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.getheader("Connection") == "close", path
+        finally:
+            conn.close()
 
 
 class TestWakeups:
