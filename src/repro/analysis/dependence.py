@@ -90,14 +90,6 @@ class Dependence:
     def loop_independent(self) -> bool:
         return all(d == "=" for d in self.direction)
 
-    @property
-    def carrier(self) -> Optional[Loop]:
-        """Outermost common loop that carries the dependence (Sec. 2.1)."""
-        for loop, d in zip(self.loops, self.direction):
-            if d != "=":
-                return loop
-        return None
-
     def witness(self) -> dict:
         """This edge as data: the :data:`WITNESS` record every verdict
         names its dependence by."""

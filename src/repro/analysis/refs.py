@@ -10,7 +10,7 @@ enclosing loops outermost-first, and (d) the IF guards dominating it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.ir.expr import ArrayRef, Expr, Not
 from repro.ir.stmt import Assign, BlockLoop, Comment, If, InLoop, Loop, Procedure, Stmt
@@ -113,15 +113,3 @@ def collect_accesses(root: Procedure | Stmt | Sequence[Stmt]) -> list[RefAccess]
 
     visit(body, (), ())
     return out
-
-
-def writes_in(root, array: str | None = None) -> Iterator[RefAccess]:
-    for acc in collect_accesses(root):
-        if acc.is_write and (array is None or acc.array == array):
-            yield acc
-
-
-def reads_in(root, array: str | None = None) -> Iterator[RefAccess]:
-    for acc in collect_accesses(root):
-        if not acc.is_write and (array is None or acc.array == array):
-            yield acc

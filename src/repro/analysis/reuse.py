@@ -77,13 +77,6 @@ class ReuseReport:
     def count(self, kind: ReuseKind) -> int:
         return sum(1 for _, k in self.entries if k == kind)
 
-    @property
-    def has_blockable_reuse(self) -> bool:
-        return any(
-            k in (ReuseKind.TEMPORAL_INVARIANT, ReuseKind.TEMPORAL_CARRIED)
-            for _, k in self.entries
-        )
-
 
 def reuse_report(loop: Loop) -> ReuseReport:
     accs = collect_accesses(loop.body)

@@ -82,23 +82,26 @@ __all__ = [
 def publish(
     path: Optional[str],
     doc: dict,
-    schema: Optional[str] = None,
+    schema: str,
     producer: str = "",
     created_by_run: Optional[str] = None,
     elapsed_s: Optional[float] = None,
     store=None,
 ) -> dict:
-    """Envelope ``doc`` (bare payloads are wrapped, envelopes pass
-    through), validate it, write it to ``path`` (when given), and land
-    it in ``store`` (when given) under its content address.  Returns
-    the envelope — the single call every producer makes."""
-    env = doc if is_envelope(doc) else envelope(
-        doc,
-        schema=schema,
-        producer=producer,
-        created_by_run=created_by_run,
-        elapsed_s=elapsed_s,
-    )
+    """Envelope ``doc`` as a ``schema`` artifact (an envelope passes
+    through when it is one), validate it, write it to ``path`` (when
+    given), and land it in ``store`` (when given) under its content
+    address.  Returns the envelope — the single call every producer
+    makes."""
+    if is_envelope(doc):
+        if schema_id_of(doc) != schema:
+            raise ArtifactError(
+                f"envelope is a {schema_id_of(doc)!r} artifact, not {schema!r}"
+            )
+        env = doc
+    else:
+        env = envelope(doc, schema, producer=producer,
+                       created_by_run=created_by_run, elapsed_s=elapsed_s)
     require_valid(env)
     if path is not None:
         write_file(path, env)

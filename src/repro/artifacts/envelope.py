@@ -14,9 +14,8 @@ baselines and gate verdicts — is wrapped in the same envelope::
       'payload': { ...the subsystem document... }
     }
 
-The payload is the subsystem's own document, byte-for-byte what the
-pre-envelope stack wrote to disk (including its inner ``schema`` field,
-kept so committed digests do not change).  The digest
+The payload is the subsystem's own document; it does not repeat the
+schema id, which only the envelope states.  The digest
 is computed over the **canonical JSON** form of the payload — sorted
 keys, compact separators — so two payloads with identical content but
 different key order digest identically, and the digest doubles as the
@@ -69,27 +68,24 @@ def split_id(schema_id: str) -> tuple[str, int]:
 
 def envelope(
     payload: dict,
-    schema: Optional[str] = None,
+    schema: str,
     producer: str = "",
     created_by_run: Optional[str] = None,
     elapsed_s: Optional[float] = None,
     created_s: Optional[float] = None,
 ) -> dict:
-    """Wrap ``payload`` in a fresh envelope.
+    """Wrap ``payload`` in a fresh envelope of kind ``schema``
+    (``'name/version'``).
 
-    ``schema`` defaults to the payload's legacy inner ``schema`` field;
     ``elapsed_s`` defaults to the payload's own ``elapsed_s`` when it has
     a numeric one.  The digest is stamped from the canonical payload
     JSON, so enveloping is deterministic given the payload.
     """
     if not isinstance(payload, dict):
         raise ArtifactError("artifact payload must be a JSON object")
-    schema_id = schema if schema is not None else payload.get("schema")
-    if not isinstance(schema_id, str):
-        raise ArtifactError(
-            "payload carries no schema id; pass schema='name/version'"
-        )
-    name, version = split_id(schema_id)
+    if not isinstance(schema, str):
+        raise ArtifactError("an envelope needs a schema id ('name/version')")
+    name, version = split_id(schema)
     if elapsed_s is None and isinstance(payload.get("elapsed_s"), (int, float)):
         elapsed_s = float(payload["elapsed_s"])
     return {

@@ -49,7 +49,7 @@ _r.register(
     _r.PERF_GATE,
     shape="repro.perf.gate:SHAPE",
     invariants="repro.perf.gate:invariants",
-    description="perf regression-gate verdict (per-metric rows, exit code)",
+    description="perf regression-gate verdict (per-metric rows, counts)",
 )
 _r.register(
     _r.PAR_REPORT,

@@ -89,3 +89,11 @@ def check(value: Any, shape: Any, path: str = "") -> list[str]:
         for i, item in enumerate(value):
             problems += check(item, shape[0], f"{path}[{i}]")
     return problems
+
+
+def recount(path: str, stored: dict, counted: dict, source: str) -> list[str]:
+    """The invariant of a stored summary: it equals the recount that
+    built it.  One problem per key of ``counted`` that ``stored``
+    disagrees with."""
+    return [f"{path}.{key} is {stored.get(key)}, {source} contain {n}"
+            for key, n in counted.items() if stored.get(key) != n]

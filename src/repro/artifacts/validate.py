@@ -14,8 +14,6 @@ rule id                         fires when
 ``artifact/unknown-schema``     no registered kind matches the schema id
 ``artifact/stale-version``      the kind name is known, the version is not
 ``artifact/digest-mismatch``    the digest does not match the payload
-``artifact/schema-mismatch``    the payload's inner ``schema`` field
-                                disagrees with the envelope
 ``artifact/invalid-payload``    the payload does not match the kind's declared
                                 shape, or (shape clean) breaks one of its
                                 invariants — one row per problem
@@ -44,7 +42,6 @@ RULE_NOT_OBJECT = "artifact/not-object"
 RULE_UNKNOWN_SCHEMA = "artifact/unknown-schema"
 RULE_STALE_VERSION = "artifact/stale-version"
 RULE_DIGEST = "artifact/digest-mismatch"
-RULE_SCHEMA_MISMATCH = "artifact/schema-mismatch"
 RULE_PAYLOAD = "artifact/invalid-payload"
 
 
@@ -113,13 +110,6 @@ def validate_document(doc: Any) -> list[Problem]:
             RULE_DIGEST,
             f"digest {doc['digest'][:12]}... does not match the payload "
             f"(computed {payload_digest(payload)[:12]}...)",
-        ))
-    inner = payload.get("schema")
-    if inner is not None and inner != schema_id:
-        problems.append(Problem(
-            RULE_SCHEMA_MISMATCH,
-            f"payload declares schema {inner!r}, envelope says "
-            f"{schema_id!r}",
         ))
 
     unknown = _check_schema_known(schema_id)

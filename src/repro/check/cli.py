@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro import cli
 from repro.check import audit_workload
 from repro.check.diagnostics import RULES, Severity, errors_in
-from repro.check.report import build_report
+from repro.check.report import SCHEMA, build_report
 from repro.errors import PipelineError
 from repro.pipeline.workloads import available_workloads
 
@@ -92,7 +92,7 @@ def run(args) -> int:
             diagnostics,
             meta={"tool": __package__, "workloads": ",".join(names)},
         )
-        cli.emit(args, report, store=store)
+        cli.emit(args, report, SCHEMA, store=store)
         if store is not None:
             print("report published to the artifact store")
     return status

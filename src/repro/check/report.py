@@ -3,7 +3,6 @@
 .. code-block:: text
 
     {
-      'schema': 'repro.check/1',
       'meta': {'workloads': 'lu_nopivot,givens', ...},   # free-form strings
       'rules': {'ir/zero-step': {'severity', 'summary'}, ...},
       'diagnostics': [{'rule', 'severity', 'path', 'message',
@@ -30,7 +29,7 @@ from typing import Iterable, Optional
 from repro.analysis.dependence import witness_problems
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import CHECK_REPORT as SCHEMA
-from repro.artifacts.shape import enum, nullable
+from repro.artifacts.shape import enum, nullable, recount
 from repro.check.diagnostics import RULES, Diagnostic, Severity
 
 _SEVERITIES = tuple(s.value for s in Severity)
@@ -40,20 +39,24 @@ def build_report(
     diagnostics: Iterable[Diagnostic],
     meta: Optional[dict] = None,
 ) -> dict:
-    diags = list(diagnostics)
-    summary = {s: 0 for s in _SEVERITIES}
-    for d in diags:
-        summary[d.severity.value] += 1
+    rows = [d.to_dict() for d in diagnostics]
     return {
-        "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "rules": {
             r.id: {"severity": r.severity.value, "summary": r.summary}
             for r in RULES.values()
         },
-        "diagnostics": [d.to_dict() for d in diags],
-        "summary": summary,
+        "diagnostics": rows,
+        "summary": severity_counts(rows),
     }
+
+
+def severity_counts(diagnostics: Iterable[dict]) -> dict:
+    """``summary``: the diagnostic rows per severity."""
+    counts = {severity: 0 for severity in _SEVERITIES}
+    for d in diagnostics:
+        counts[d["severity"]] += 1
+    return counts
 
 
 SHAPE = {
@@ -69,21 +72,14 @@ def invariants(doc: dict) -> list[str]:
     """Every diagnostic cites a catalogued rule and any witness is well
     formed, and ``summary`` recounts the diagnostics by severity."""
     errors = []
-    counted = {severity: 0 for severity in _SEVERITIES}
     for k, d in enumerate(doc["diagnostics"]):
-        counted[d["severity"]] += 1
         if d["rule"] not in doc["rules"]:
             errors.append(
                 f"diagnostics[{k}] cites uncatalogued rule {d['rule']!r}"
             )
         errors += witness_problems(d.get("witness"), f"diagnostics[{k}].witness")
-    for severity, n in counted.items():
-        if doc["summary"][severity] != n:
-            errors.append(
-                f"summary.{severity} is {doc['summary'][severity]}, "
-                f"diagnostics contain {n}"
-            )
-    return errors
+    return errors + recount("summary", doc["summary"],
+                            severity_counts(doc["diagnostics"]), "diagnostics")
 
 
 def flatten_report(doc: dict) -> dict:

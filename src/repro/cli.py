@@ -246,7 +246,7 @@ def observed(args, meta: dict) -> Iterator[dict]:
         yield blocks
     if args.obs:
         publish(args.obs, export.metrics(o, meta=meta, **blocks),
-                producer="repro.obs")
+                export.SCHEMA, producer="repro.obs")
         print(f"obs metrics written to {args.obs}")
     if args.chrome_trace:
         export.write_json(args.chrome_trace, export.chrome_trace(o))
@@ -254,16 +254,17 @@ def observed(args, meta: dict) -> Iterator[dict]:
               "(open at https://ui.perfetto.dev)")
 
 
-def emit(args, doc: dict, store=None, what: str = "report") -> dict:
-    """Envelope ``doc`` and validate it — the one validation, before any
-    byte is written; an invalid document raises
+def emit(args, doc: dict, schema: str, store=None,
+         what: str = "report") -> dict:
+    """Envelope ``doc`` as a ``schema`` artifact and validate it — the
+    one validation, before any byte is written; an invalid document raises
     :class:`~repro.errors.ArtifactError`, which :func:`main` turns into
     exit 2 — then write it to ``--out``, land it in ``store`` and print
     it under ``--json``.  Returns the envelope."""
     from repro.artifacts import publish
 
     out = getattr(args, "out", None)
-    env = publish(out, doc, producer=args.producer, store=store)
+    env = publish(out, doc, schema, producer=args.producer, store=store)
     if getattr(args, "json", False):
         print(json.dumps(env, indent=2))
     elif out:

@@ -32,6 +32,7 @@ import json
 import signal
 
 from repro import cli
+from repro.artifacts.registry import DAEMON_STATUS
 from repro.errors import DaemonError
 from repro.serve.jobs import SUBMIT_KINDS
 from repro.serve.pool import OK_STATUSES
@@ -151,7 +152,8 @@ def _cmd_status(args) -> int:
     reply = _state.request(host, port, "GET", "/v1/status", timeout_s=10.0)
     if not reply.ok:
         raise DaemonError(f"status fetch failed (HTTP {reply.status})")
-    doc = cli.emit(args, reply.body, what="status envelope")["payload"]
+    doc = cli.emit(args, reply.body, DAEMON_STATUS,
+                   what="status envelope")["payload"]
     if args.json:
         return 0
     requests = doc["requests"]

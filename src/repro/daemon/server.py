@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from repro.artifacts.registry import DAEMON_STATUS
 from repro.artifacts.shape import check, nullable
 from repro.daemon.status import LATENCY_KEYS, REQUEST_FIELDS
 from repro.errors import DaemonError, ReproError
@@ -444,13 +445,14 @@ class Daemon:
         try:
             with self._lock:  # handler threads may still be counting
                 doc = _obs_export.metrics(self._obs, meta={"tool": __package__})
-            publish(out, doc, producer="repro.obs")
+            publish(out, doc, _obs_export.SCHEMA, producer="repro.obs")
         except Exception:
             pass  # a failed flush must not block the drain
         try:
             publish(
                 str(self.store.root / "daemon_final_status.json"),
                 self.status_payload(),
+                DAEMON_STATUS,
                 producer=__package__,
             )
         except Exception:
@@ -469,8 +471,6 @@ class Daemon:
 
     # ---- status ------------------------------------------------------------
     def status_payload(self) -> dict:
-        from repro.artifacts.registry import DAEMON_STATUS
-
         # fixed names only: the scheduler thread grows these dicts unlocked
         counters, histograms = self._obs.counters, self._obs.histograms
         with self._lock:
@@ -486,7 +486,6 @@ class Daemon:
             }
             entries, outstanding = len(self._mem), self._outstanding
         return {
-            "schema": DAEMON_STATUS,
             "state": self.state,
             "pid": os.getpid(),
             "endpoint": {"host": self.config.host, "port": self.port},
@@ -511,7 +510,8 @@ class Daemon:
     def status_envelope(self) -> dict:
         from repro.artifacts import publish
 
-        return publish(None, self.status_payload(), producer=__package__)
+        return publish(None, self.status_payload(), DAEMON_STATUS,
+                       producer=__package__)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ def remove_state(store_root: Union[str, Path]) -> None:
 
 
 def _pid_alive(pid: int) -> bool:
+    """Is ``pid`` a running process?  A child of this process that has
+    exited (``spawn_background``'s daemon after a drain) is reaped here,
+    so its zombie does not count as alive."""
+    if pid <= 0:  # waitpid and kill read these as process groups
+        return False
+    try:
+        reaped, _ = os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        pass  # not our child: ask the kernel whether it exists
+    else:
+        return reaped == 0
     try:
         os.kill(pid, 0)
     except ProcessLookupError:

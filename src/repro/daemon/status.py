@@ -5,7 +5,6 @@ What each field means (the checked structure is :data:`SHAPE`):
 .. code-block:: text
 
     {
-      'schema': 'repro.daemon.status/1',
       'state': 'running' | 'draining',
       'pid': 1234,
       'endpoint': {'host': '127.0.0.1', 'port': 43117},

@@ -27,6 +27,7 @@ import json
 
 from repro import cli
 from repro.errors import LoadError
+from repro.load.report import SCHEMA
 
 
 def register(sub) -> None:
@@ -113,7 +114,8 @@ def _cmd_run(args) -> int:
     )
     if not args.json:
         _print_summary(payload)
-    cli.emit(args, payload, store=cli.open_store(args) if args.out else None,
+    cli.emit(args, payload, SCHEMA,
+             store=cli.open_store(args) if args.out else None,
              what="load report")
     errored = sum(
         (step["outcomes"].get("error", 0)) for step in payload["steps"]

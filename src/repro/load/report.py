@@ -5,7 +5,6 @@ What each field means (the checked structure is :data:`SHAPE`):
 .. code-block:: text
 
     {
-      'schema': 'repro.serve.load/1',
       'endpoint': {'host': '127.0.0.1', 'port': 43117},
       'grid': {...the grid that ran, echoed...},
       'steps': [
@@ -62,7 +61,6 @@ def build_report(
     elapsed_s: float,
 ) -> dict:
     return {
-        "schema": SCHEMA,
         "endpoint": endpoint,
         "grid": grid,
         "steps": steps,

@@ -146,7 +146,7 @@ def _run_sweep(args) -> int:
     print(render(doc))
     if args.out:
         # land the sweep artifact in the store the cells ran against
-        cli.emit(args, doc, store=store)
+        cli.emit(args, doc, SCHEMA, store=store)
     run = doc["run"]
     bad = sum(run.get(s, 0) for s in ("timeout", "failed"))
     return 1 if bad else 0
@@ -169,5 +169,5 @@ def _report(args) -> int:
     )
     print(render(doc))
     if args.out:
-        cli.emit(args, doc, store=store)
+        cli.emit(args, doc, SCHEMA, store=store)
     return 0

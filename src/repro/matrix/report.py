@@ -3,13 +3,12 @@
 .. code-block:: text
 
     {
-      'schema': 'repro.matrix/1',
       'meta': {'tool': '...', ...},            # free-form strings
       'grid': {'factors': {...}, 'cells': 24,
                'digest': '9f31...'} | null,     # null: rows of no one grid
       'run': {'workers': 2, 'hit': 0, 'computed': 24, 'retried': 0,
               'timeout': 0, 'failed': 0, 'cancelled': 0,
-              'total': 24, 'elapsed_s': 12.3} | null,   # null: report-only
+              'elapsed_s': 12.3} | null,                # null: report-only
       'rows': [ {digest, workload, recipe, n, b, cache_kb, ..., status,
                  error, attempts, wall_s, refs, misses, miss_ratio,
                  modeled_s, base_*, speedup, fingerprint}, ... ],
@@ -32,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.artifacts.flatten import QUANT_FIELDS, Sink
 from repro.artifacts.registry import MATRIX_REPORT as SCHEMA
-from repro.artifacts.shape import enum, map_of, nullable
+from repro.artifacts.shape import enum, map_of, nullable, recount
 from repro.matrix.analysis import best_blocking, sensitivity, summarize
 from repro.matrix.grid import FACTOR_ORDER
 from repro.serve.pool import OK_STATUSES, STATUSES
@@ -54,7 +53,6 @@ def build_report(
     rows = [dict(r) for r in rows]
     factors = None if only is None else list(only)
     return {
-        "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "grid": dict(grid) if grid is not None else None,
         "run": dict(run) if run is not None else None,
@@ -68,17 +66,17 @@ def build_report(
 SHAPE = {
     "meta": dict,
     "grid": nullable({"factors": dict}),
-    "run": nullable({**{key: nullable(int) for key in STATUSES},
-                     "total": int}),
+    "run": nullable({key: nullable(int) for key in STATUSES}),
     "rows": [{
         "digest": str,
         "workload": str,
         "recipe": str,
         "status": enum(*STATUSES),
         "speedup": nullable(float),
+        "miss_ratio": nullable(float),
         "error": nullable(str),
     }],
-    "summary": {"cells": int, "ok": int},
+    "summary": {"cells": int, "ok": int, "failed": int},
     "sensitivity": map_of({"levels": dict}),
     "best_blocking": list,
 }
@@ -86,33 +84,25 @@ SHAPE = {
 
 def invariants(doc: dict) -> list[str]:
     """An ok row has a speedup and any other row an error; ``summary``
-    recounts ``rows``; sensitivity is over real factors with at least two
-    levels; ``run.total`` adds up."""
+    counts ``rows`` as :func:`summarize` does; sensitivity is over real
+    factors with at least two levels."""
     errors = []
-    rows, summary, run = doc["rows"], doc["summary"], doc.get("run")
+    rows = doc["rows"]
     for i, row in enumerate(rows):
         if row["status"] in OK_STATUSES:
             if row.get("speedup") is None:
                 errors.append(f"rows[{i}] is {row['status']} but has no speedup")
         elif not row.get("error"):
             errors.append(f"rows[{i}] is {row['status']} but carries no error")
-    if summary["cells"] != len(rows):
-        errors.append(f"summary.cells is {summary['cells']}, want {len(rows)}")
-    ok = sum(1 for row in rows if row["status"] in OK_STATUSES)
-    if summary["ok"] != ok:
-        errors.append(f"summary.ok is {summary['ok']}, want {ok}")
+    counted = summarize(rows)
+    errors += recount("summary", doc["summary"],
+                      {key: counted[key] for key in ("cells", "ok", "failed")},
+                      "rows")
     for factor, entry in doc["sensitivity"].items():
         if factor not in FACTOR_ORDER:
             errors.append(f"sensitivity names unknown factor {factor!r}")
         elif len(entry["levels"]) < 2:
             errors.append(f"sensitivity.{factor} has fewer than 2 levels")
-    if run is not None:
-        want = sum(run.get(key) or 0 for key in STATUSES)
-        if run["total"] != want:
-            errors.append(
-                f"run.total is {run['total']}, want {want} "
-                "(the per-status counts)"
-            )
     return errors
 
 
@@ -180,7 +170,10 @@ def flatten_report(doc: dict) -> dict:
     perf ingestion hook for :data:`SCHEMA`."""
     sink = Sink()
     run = doc.get("run") or {}
-    for field in ("elapsed_s", "total", "hit", "computed", "failed"):
+    sink.put("run.elapsed_s", run.get("elapsed_s"))
+    if run:
+        sink.put("run.total", sum(run.get(key) or 0 for key in STATUSES))
+    for field in ("hit", "computed", "failed"):
         sink.put(f"run.{field}", run.get(field))
     summary = doc.get("summary") or {}
     for field in ("cells", "ok", "failed"):

@@ -68,7 +68,6 @@ def run_grid(
     rows.sort(key=lambda r: tuple((r[f] is None, r[f]) for f in FACTOR_ORDER))
     run = {
         "workers": workers,
-        "total": len(rows),
         **counts,
         "elapsed_s": round(time.perf_counter() - t0, 4),
     }
@@ -83,18 +82,14 @@ def run_grid(
 
 
 def _row(cell: Mapping, outcome) -> dict:
-    """One report row from an expanded cell and its resolved outcome."""
-    row = {"digest": outcome.digest, **{k: cell[k] for k in FACTOR_ORDER}}
+    """One report row from an expanded cell and its job row
+    (:meth:`~repro.serve.pool.JobOutcome.to_dict`)."""
+    job = outcome.to_dict()
+    row = {"digest": job["digest"], **{k: cell[k] for k in FACTOR_ORDER}}
     # the one real-valued factor (0.5 KB is a legal level): always a float,
     # so 1 and 1.0 are one level to the analysis
     row["cache_kb"] = float(row["cache_kb"])
-    row.update(
-        status=outcome.status,
-        error=outcome.error,
-        attempts=outcome.attempts,
-        wall_s=round(outcome.wall_s, 6),
-    )
-    value = outcome.value if isinstance(outcome.value, dict) else {}
-    for field in RESULT_FIELDS:
-        row[field] = value.get(field)
+    row.update({k: job[k] for k in ("status", "error", "attempts", "wall_s")})
+    result = job["result"] or {}
+    row.update({field: result.get(field) for field in RESULT_FIELDS})
     return row

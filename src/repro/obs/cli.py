@@ -196,10 +196,10 @@ def run(args) -> int:
             machine_cache=tracer.stats,
             machine_tlb=tracer.tlb_stats,
         )
-        env = envelope(doc, producer=args.producer)
+        env = envelope(doc, export.SCHEMA, producer=args.producer)
         problems = validate_document(env)
         if not problems:
-            publish(args.out, env, store=store)
+            publish(args.out, env, export.SCHEMA, store=store)
         elif args.out:
             # an invalid profile is still written for offline inspection,
             # but never published to the store

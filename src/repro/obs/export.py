@@ -12,7 +12,6 @@ Two artifact formats come out of an observed run:
 .. code-block:: text
 
     {
-      'schema': 'repro.obs/1',
       'meta': {'workload': 'lu_nopivot', ...},        # free-form strings
       'counters': {'dependence.queries': 41, ...},
       'histograms': {'fm.feasible.latency_s': HISTOGRAM_SUMMARY, ...},
@@ -110,7 +109,6 @@ def metrics(
     ``analysis_cache`` is an :meth:`AnalysisCache.stats` dict.
     """
     return {
-        "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "counters": dict(sorted(obs.counters.items())),
         "histograms": {

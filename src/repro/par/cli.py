@@ -30,8 +30,8 @@ from __future__ import annotations
 from repro import cli
 from repro.analysis.dependence import render_witness
 from repro.errors import ReproError
-from repro.par.detect import annotate_procedure, classify_procedure, verdict_counts
-from repro.par.report import build_report, build_workload_entry
+from repro.par.detect import annotate_procedure, classify_procedure
+from repro.par.report import SCHEMA, build_report, build_workload_entry
 from repro.par.sanitizer import sanitize
 from repro.pipeline.workloads import available_workloads, get_workload
 
@@ -53,7 +53,7 @@ def _cmd_classify(args) -> int:
         proc = workload.build()
         verdicts = classify_procedure(proc, workload.context(None))
         entries.append(build_workload_entry(name, proc.name, verdicts))
-        counts = verdict_counts(verdicts)
+        counts = entries[-1]["counts"]
         print(f"{name} ({proc.name}): "
               f"{counts['parallel']} parallel, {counts['reduction']} "
               f"reduction, {counts['serial']} serial")
@@ -65,7 +65,8 @@ def _cmd_classify(args) -> int:
             if v.witness:
                 print(f"            witness: {render_witness(v.witness)}")
     if args.out:
-        cli.emit(args, build_report(entries, meta={"mode": "classify"}))
+        cli.emit(args, build_report(entries, meta={"mode": "classify"}),
+                 SCHEMA)
     return 0
 
 
@@ -95,14 +96,14 @@ def _cmd_bench(args) -> int:
         entries.append(build_workload_entry(
             name, proc.name, verdicts, sanitizer=result.to_dict()))
         conflicts += len(result.conflicts)
-        counts = verdict_counts(verdicts)
+        counts = entries[-1]["counts"]
         print(f"{name}: {counts['parallel']}p/{counts['reduction']}r/"
               f"{counts['serial']}s, sanitizer "
               f"{'clean' if result.clean else 'CONFLICTS'}")
     cli.emit(args, build_report(
         entries,
         meta={"workloads": ",".join(names), "seed": args.seed},
-    ))
+    ), SCHEMA)
     return 1 if conflicts else 0
 
 

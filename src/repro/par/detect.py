@@ -32,7 +32,7 @@ sanitizer (:mod:`repro.par.sanitizer`) adversarially checks every
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.analysis.commutativity import (
     ReductionUpdate,
@@ -283,8 +283,9 @@ def annotate_procedure(
     return new, verdicts
 
 
-def verdict_counts(verdicts: Sequence[LoopVerdict]) -> dict[str, int]:
+def verdict_counts(verdicts: Iterable[str]) -> dict[str, int]:
+    """How many of ``verdicts`` are each of :data:`VERDICTS`."""
     counts = {PARALLEL: 0, REDUCTION: 0, SERIAL: 0}
-    for v in verdicts:
-        counts[v.verdict] += 1
+    for verdict in verdicts:
+        counts[verdict] += 1
     return counts

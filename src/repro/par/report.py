@@ -3,7 +3,6 @@
 .. code-block:: text
 
     {
-      'schema': 'repro.par/1',
       'meta': {'workloads': 'conv,matmul', ...},      # free-form strings
       'workloads': [
         {'workload': 'matmul', 'procedure': 'matmul_guarded',
@@ -35,7 +34,7 @@ from typing import Iterable, Mapping, Optional
 from repro.analysis.dependence import witness_problems
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PAR_REPORT as SCHEMA
-from repro.artifacts.shape import enum, nullable
+from repro.artifacts.shape import enum, nullable, recount
 from repro.par.detect import VERDICTS, LoopVerdict, verdict_counts
 
 
@@ -45,12 +44,12 @@ def build_workload_entry(
     verdicts: Iterable[LoopVerdict],
     sanitizer: Optional[Mapping] = None,
 ) -> dict:
-    vs = list(verdicts)
+    loops = [v.to_dict() for v in verdicts]
     return {
         "workload": workload,
         "procedure": procedure,
-        "loops": [v.to_dict() for v in vs],
-        "counts": verdict_counts(vs),
+        "loops": loops,
+        "counts": _loop_counts(loops),
         "sanitizer": dict(sanitizer) if sanitizer is not None else None,
     }
 
@@ -60,22 +59,29 @@ def build_report(
     meta: Optional[dict] = None,
 ) -> dict:
     entries = [dict(w) for w in workloads]
-    totals = {v: 0 for v in VERDICTS}
-    conflicts = 0
-    for entry in entries:
-        for verdict, count in entry["counts"].items():
-            totals[verdict] += count
-        san = entry.get("sanitizer")
-        if san:
-            conflicts += len(san.get("conflicts", ()))
-    totals["loops"] = sum(totals[v] for v in VERDICTS)
-    totals["conflicts"] = conflicts
     return {
-        "schema": SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "workloads": entries,
-        "totals": totals,
+        "totals": _totals(entries),
     }
+
+
+def _loop_counts(loops: Iterable[Mapping]) -> dict:
+    """A workload's ``counts``: its loop rows per verdict."""
+    return verdict_counts(loop["verdict"] for loop in loops)
+
+
+def _totals(workloads: Iterable[Mapping]) -> dict:
+    """``totals``: the workloads' loops per verdict and in all, and their
+    sanitizer conflicts."""
+    totals = {verdict: 0 for verdict in VERDICTS}
+    conflicts = 0
+    for entry in workloads:
+        for verdict, n in _loop_counts(entry["loops"]).items():
+            totals[verdict] += n
+        if entry.get("sanitizer"):
+            conflicts += len(entry["sanitizer"]["conflicts"])
+    return {**totals, "loops": sum(totals.values()), "conflicts": conflicts}
 
 
 _COUNTS = {verdict: int for verdict in VERDICTS}
@@ -99,40 +105,23 @@ def invariants(doc: dict) -> list[str]:
     conflicts, and every count is a recount: ``counts`` of its loops,
     ``totals`` of the workloads."""
     errors = []
-    counted = {v: 0 for v in VERDICTS}
-    conflicts = 0
     for k, entry in enumerate(doc["workloads"]):
-        got = {v: 0 for v in VERDICTS}
         for j, loop in enumerate(entry["loops"]):
-            got[loop["verdict"]] += 1
             if loop["verdict"] == "serial" and not loop.get("witness"):
                 errors.append(
                     f"workloads[{k}].loops[{j}] is serial but names no witness"
                 )
             errors += witness_problems(loop.get("witness"),
                                        f"workloads[{k}].loops[{j}].witness")
-        for verdict in VERDICTS:
-            counted[verdict] += got[verdict]
-            if entry["counts"][verdict] != got[verdict]:
-                errors.append(
-                    f"workloads[{k}].counts.{verdict} is "
-                    f"{entry['counts'][verdict]}, loops contain {got[verdict]}"
-                )
+        errors += recount(f"workloads[{k}].counts", entry["counts"],
+                          _loop_counts(entry["loops"]), "loops")
         san = entry.get("sanitizer")
-        if san is not None:
-            conflicts += len(san["conflicts"])
-            if san["clean"] != (not san["conflicts"]):
-                errors.append(
-                    f"workloads[{k}].sanitizer.clean contradicts its "
-                    "conflict list"
-                )
-    want = {**counted, "loops": sum(counted.values()), "conflicts": conflicts}
-    for key, n in want.items():
-        if doc["totals"][key] != n:
+        if san is not None and san["clean"] != (not san["conflicts"]):
             errors.append(
-                f"totals.{key} is {doc['totals'][key]}, workloads contain {n}"
+                f"workloads[{k}].sanitizer.clean contradicts its conflict list"
             )
-    return errors
+    return errors + recount("totals", doc["totals"],
+                            _totals(doc["workloads"]), "workloads")
 
 
 def flatten_report(doc: dict) -> dict:

@@ -282,8 +282,8 @@ def _cmd_gate(args) -> int:
                       source=args.artifact, git_sha=_git_sha())
     _print_gate(result)
     if args.out:
-        cli.emit(args, result, what="gate verdict")
-    return result["exit_code"]
+        cli.emit(args, result, gate_mod.SCHEMA, what="gate verdict")
+    return gate_mod.exit_code(result)
 
 
 def _print_gate(result: dict) -> None:

@@ -34,8 +34,7 @@ document kind, payload schema ``repro.perf.baseline/1`` (written
 enveloped — see :mod:`repro.artifacts`); ``--baseline`` takes a file
 path or a run selector, and a file path wins::
 
-    {'schema': 'repro.perf.baseline/1',
-     'meta': {...},
+    {'meta': {...},
      'metrics': {'pass:block.ir_size_after': 154.0, ...}}
 """
 
@@ -48,7 +47,7 @@ from repro.artifacts import load_file, require_valid, schema_id_of
 from repro.artifacts.flatten import Sink
 from repro.artifacts.registry import PERF_BASELINE as BASELINE_SCHEMA
 from repro.artifacts.registry import PERF_GATE as SCHEMA
-from repro.artifacts.shape import enum, map_of
+from repro.artifacts.shape import enum, map_of, recount
 from repro.errors import ArtifactError, PerfError
 
 EXIT_OK = 0
@@ -63,6 +62,9 @@ _EXIT_OF = {
     "regressed": EXIT_REGRESSED,
     "missing-baseline": EXIT_NO_BASELINE,
 }
+
+#: the per-metric verdicts a gate row can carry, in ``counts`` order
+ROW_VERDICTS = ("regressed", "improved", "within-noise", "missing-baseline")
 
 
 def tracked(metrics: dict, patterns: Sequence[str]) -> list[str]:
@@ -83,13 +85,12 @@ def compare(
     """Gate ``current`` metrics against ``baseline``.
 
     Returns a ``repro.perf.gate/1`` document with one row per tracked
-    metric, an overall ``verdict``, and the matching ``exit_code``.
+    metric and an overall ``verdict``; :func:`exit_code` maps it to the
+    process exit code.
     """
     if threshold_pct < 0:
         raise PerfError("threshold_pct must be >= 0")
     rows = []
-    counts = {"regressed": 0, "improved": 0, "within-noise": 0,
-              "missing-baseline": 0}
     for name in tracked(current, patterns):
         cur = current[name]
         base = baseline.get(name)
@@ -107,7 +108,6 @@ def compare(
                 verdict = "improved"
             else:
                 verdict = "within-noise"
-        counts[verdict] += 1
         rows.append(
             {
                 "metric": name,
@@ -120,6 +120,7 @@ def compare(
                 "verdict": verdict,
             }
         )
+    counts = count_verdicts(rows)
     if counts["regressed"]:
         verdict = "regressed"
     elif not rows or counts["missing-baseline"] == len(rows):
@@ -131,38 +132,38 @@ def compare(
     else:
         verdict = "within-noise"
     return {
-        "schema": SCHEMA,
         "threshold_pct": threshold_pct,
         "patterns": list(patterns),
         "rows": rows,
         "counts": counts,
         "verdict": verdict,
-        "exit_code": _EXIT_OF[verdict],
     }
+
+
+def count_verdicts(rows: Sequence[dict]) -> dict:
+    """``counts``: the gate rows per verdict."""
+    counts = {verdict: 0 for verdict in ROW_VERDICTS}
+    for row in rows:
+        counts[row["verdict"]] += 1
+    return counts
+
+
+def exit_code(doc: dict) -> int:
+    """The process exit code of a gate document: its verdict's."""
+    return _EXIT_OF[doc["verdict"]]
 
 
 SHAPE = {
     "verdict": enum(*_EXIT_OF),
-    "exit_code": int,
-    "rows": [{"verdict": str}],
-    "counts": map_of(int),
+    "rows": [{"verdict": enum(*ROW_VERDICTS)}],
+    "counts": {verdict: int for verdict in ROW_VERDICTS},
 }
 
 
 def invariants(doc: dict) -> list[str]:
-    """``exit_code`` is the verdict's; ``counts`` recounts ``rows``."""
-    problems = []
-    want = _EXIT_OF[doc["verdict"]]
-    if doc["exit_code"] != want:
-        problems.append(
-            f"exit_code is {doc['exit_code']}, want {want} for verdict "
-            f"{doc['verdict']!r}"
-        )
-    for key, count in doc["counts"].items():
-        got = sum(1 for row in doc["rows"] if row["verdict"] == key)
-        if got != count:
-            problems.append(f"counts.{key} is {count}, rows contain {got}")
-    return problems
+    """``counts`` recounts ``rows``."""
+    return recount("counts", doc["counts"], count_verdicts(doc["rows"]),
+                   "rows")
 
 
 def diff(
@@ -196,7 +197,6 @@ def diff(
 def baseline_doc(metrics: dict, meta: Optional[dict] = None) -> dict:
     """A committable ``repro.perf.baseline/1`` document."""
     return {
-        "schema": BASELINE_SCHEMA,
         "meta": {k: str(v) for k, v in (meta or {}).items()},
         "metrics": {name: float(v) for name, v in sorted(metrics.items())},
     }

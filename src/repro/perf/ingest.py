@@ -114,8 +114,8 @@ def record(store, doc: dict, label: str = "", source: str = "",
                 artifact_digest=doc["digest"], git_sha=git_sha or "",
                 created_s=time.time() if created_s is None else created_s)
     try:
-        return publish(None, baseline_doc(metrics, meta), producer="repro.perf",
-                       store=store)
+        return publish(None, baseline_doc(metrics, meta), BASELINE_SCHEMA,
+                       producer="repro.perf", store=store)
     except OSError as e:
         raise PerfError(f"cannot record a run in {store.root}: {e}") from e
 

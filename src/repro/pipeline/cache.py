@@ -252,9 +252,6 @@ class AnalysisCache:
     def stats(self) -> dict:
         return {name: getattr(self, name).stats() for name in self.REGIONS}
 
-    def total_hits(self) -> int:
-        return sum(getattr(self, name).hits for name in self.REGIONS)
-
     def clear(self) -> None:
         for name in self.REGIONS:
             getattr(self, name).clear()

@@ -27,7 +27,7 @@ from repro.ir.pretty import to_fortran
 from repro.pipeline.cache import AnalysisCache
 from repro.pipeline.manager import PassManager, PipelineResult
 from repro.pipeline.passes import available_passes
-from repro.pipeline.trace import CHECK_FAILED
+from repro.pipeline.trace import CHECK_FAILED, SCHEMA
 from repro.pipeline.verify import DifferentialVerifier
 from repro.pipeline.workloads import available_workloads, get_workload
 
@@ -170,7 +170,7 @@ def run(args) -> int:
         if result.stopped:
             print("  (stopped early by --on-infeasible stop)")
         if args.out:
-            cli.emit(args, result.trace, what="trace")
+            cli.emit(args, result.trace, SCHEMA, what="trace")
         if args.cache_stats:
             for region, stats in result.trace["cache"].items():
                 print(

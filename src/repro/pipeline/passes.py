@@ -602,7 +602,7 @@ def _parallelize_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOu
     new, verdicts = annotate_procedure(
         proc, ctx, loops=None if only is None else (only,)
     )
-    detail = dict(verdict_counts(verdicts))
+    detail = verdict_counts(v.verdict for v in verdicts)
     detail["loops"] = [v.to_dict() for v in verdicts]
     return PassOutcome(new, new != proc, detail)
 

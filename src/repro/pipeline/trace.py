@@ -6,10 +6,8 @@ Payload schema (version 1; written enveloped — see
 .. code-block:: text
 
     {
-      'schema': 'repro.pipeline/1',
       'algorithm': 'lu_nopivot',          # workload name ('' for ad hoc)
       'procedure': 'lu_point',            # input Procedure.name
-      'passes': ['split', 'block', 'jam'],
       'spans': [
         {
           'index': 0,
@@ -85,10 +83,8 @@ def build_trace(
     elapsed_s: float = 0.0,
 ) -> dict:
     return {
-        "schema": SCHEMA,
         "algorithm": algorithm,
         "procedure": procedure,
-        "passes": [s.name for s in spans],
         "spans": [span_to_dict(s) for s in spans],
         "cache": cache_stats or {},
         "verify_enabled": verify_enabled,
@@ -97,7 +93,6 @@ def build_trace(
 
 
 SHAPE = {
-    "passes": [str],
     "spans": [{"pass": str, "status": enum(*_STATUSES),
                "detail": nullable({"check": nullable([dict])})}],
     "cache": dict,
@@ -105,12 +100,8 @@ SHAPE = {
 
 
 def invariants(trace: dict) -> list[str]:
-    """One span per pass attempted, and every witness a span's check
-    findings carry is well formed."""
-    passes, spans = len(trace["passes"]), len(trace["spans"])
+    """Every witness a span's check findings carry is well formed."""
     errors = []
-    if passes != spans:
-        errors.append(f"passes lists {passes} names but there are {spans} spans")
     for i, span in enumerate(trace["spans"]):
         for k, d in enumerate((span.get("detail") or {}).get("check") or ()):
             errors += witness_problems(d.get("witness"),

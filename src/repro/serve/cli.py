@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 
 from repro import cli
+from repro.artifacts.registry import SERVE_STORE
 from repro.errors import PipelineError
 from repro.obs import core as _obs
 from repro.serve.jobs import SUBMIT_KINDS, JobSpec
@@ -198,7 +199,7 @@ def _cmd_stats(args) -> int:
     # even the maintenance records ship enveloped: `--json` output is a
     # repro.serve.store/1 document that `repro artifacts validate -` accepts
     doc = build_store_ops("stats", cli.open_store(args))
-    cli.emit(args, doc)
+    cli.emit(args, doc, SERVE_STORE)
     if not args.json:
         on_disk = doc["store"]
         print(f"store at {on_disk['root']} "
@@ -212,7 +213,7 @@ def _cmd_gc(args) -> int:
         raise PipelineError("gc needs --max-entries and/or --max-age-s")
     store = cli.open_store(args)
     summary = store.gc(max_entries=args.max_entries, max_age_s=args.max_age_s)
-    cli.emit(args, build_store_ops("gc", store, gc=summary))
+    cli.emit(args, build_store_ops("gc", store, gc=summary), SERVE_STORE)
     if not args.json:
         print(f"gc: removed {summary['removed']}, kept {summary['kept']}")
     return 0

@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.artifacts.flatten import Sink
-from repro.artifacts.registry import SERVE_STORE
 from repro.artifacts.shape import enum, nullable
 from repro.errors import PipelineError
 from repro.obs import core as _obs
@@ -329,7 +328,6 @@ def build_store_ops(op: str, store: ArtifactStore,
     snapshot."""
     stats = store.stats()
     return {
-        "schema": SERVE_STORE,
         "op": op,
         "store": {k: stats[k] for k in
                   ("root", "schema_version", "entries", "bytes")},

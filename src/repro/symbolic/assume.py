@@ -19,7 +19,7 @@ caller treats unknown conservatively.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.ir.expr import Expr
 from repro.symbolic.affine import Affine, Rat, to_affine
@@ -192,15 +192,6 @@ class Assumptions:
             return False
         return None
 
-    def is_pos(self, e) -> Optional[bool]:
-        lb = self.lower_bound(e)
-        if lb is not None and lb > 0:
-            return True
-        ub = self.upper_bound(e)
-        if ub is not None and ub <= 0:
-            return False
-        return None
-
     def is_zero(self, e) -> Optional[bool]:
         aff = self._coerce(e)
         if aff is None:
@@ -247,15 +238,3 @@ class Assumptions:
         rel = self.compare(left, right)
         return rel in ("<", "<=", "==")
 
-    def implies_lt(self, left, right) -> bool:
-        return self.compare(left, right) == "<"
-
-    # ---- common contexts ---------------------------------------------------
-    @staticmethod
-    def for_loop_nest(bounds: Iterable[tuple[str, object, object]]) -> "Assumptions":
-        """Context asserting ``lo <= var <= hi`` for each (var, lo, hi);
-        non-affine bounds are skipped."""
-        ctx = Assumptions()
-        for var, lo, hi in bounds:
-            ctx.assume_range(var, lo, hi)
-        return ctx

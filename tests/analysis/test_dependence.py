@@ -34,7 +34,7 @@ class TestStrongSIV:
         assert len(deps) == 1
         assert deps[0].distance == (5,)
         assert deps[0].direction == ("<",)
-        assert deps[0].carrier.var == "I"
+        assert [l.var for l in deps[0].loops] == ["I"]
 
     def test_distance_exceeding_trip_count_refuted(self):
         l = do("I", 1, 4, assign(ref("A", "I"), ref("A", Var("I") - 5) + 1.0))

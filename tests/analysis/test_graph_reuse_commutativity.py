@@ -134,7 +134,6 @@ class TestReuse:
         rep = reuse_report(outer)
         assert rep.loop_var == "J"
         assert rep.count(ReuseKind.TEMPORAL_INVARIANT) >= 2  # A(I) twice
-        assert rep.has_blockable_reuse
 
     def test_footprint_grows_with_block(self):
         outer = do("J", 1, "N", self.vec())

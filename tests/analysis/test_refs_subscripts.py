@@ -1,6 +1,6 @@
 """Reference collection and subscript decomposition."""
 
-from repro.analysis.refs import collect_accesses, reads_in, writes_in
+from repro.analysis.refs import collect_accesses
 from repro.analysis.subscripts import analyze_subscript
 from repro.ir.build import assign, do, if_, ref
 from repro.ir.expr import ArrayRef, Compare, Const, Min, Var
@@ -50,11 +50,6 @@ class TestCollect:
         accs = collect_accesses((outer,))
         a, b = accs[0], accs[1]
         assert [l.var for l in a.common_loops(b)] == ["J"]
-
-    def test_filter_helpers(self):
-        l = do("I", 1, "N", assign(ref("A", "I"), ref("B", "I")))
-        assert [a.array for a in writes_in((l,))] == ["A"]
-        assert [a.array for a in reads_in((l,), "B")] == ["B"]
 
     def test_bound_refs_not_collected(self):
         l = do("I", 1, ref("LIM", 1), assign(ref("A", "I"), 0.0))

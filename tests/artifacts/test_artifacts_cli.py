@@ -18,13 +18,13 @@ def main(argv: list) -> int:
 
 
 def baseline_payload(wall=0.5) -> dict:
-    return {"schema": PERF_BASELINE, "metrics": {"pass:block.wall_s": wall}}
+    return {"metrics": {"pass:block.wall_s": wall}}
 
 
 @pytest.fixture
 def good_file(tmp_path):
     path = tmp_path / "base.json"
-    publish(str(path), baseline_payload(), producer="t")
+    publish(str(path), baseline_payload(), PERF_BASELINE, producer="t")
     return str(path)
 
 
@@ -39,7 +39,7 @@ class TestValidate:
         assert "ok" in capsys.readouterr().out
 
     def test_invalid_file_exits_1_with_rule_id(self, tmp_path, capsys):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         env["schema_version"] = 99
         path = tmp_path / "stale.json"
         write_file(str(path), env)
@@ -68,7 +68,7 @@ class TestValidate:
 
     def test_store_contents_validate(self, store_dir, capsys):
         store = ArtifactStore(store_dir)
-        put_artifact(store, envelope(baseline_payload(), producer="t"))
+        put_artifact(store, envelope(baseline_payload(), PERF_BASELINE))
         assert main(["validate", "--store", "--store-dir", store_dir]) == 0
         assert "store:" in capsys.readouterr().out
 
@@ -80,7 +80,7 @@ class TestLs:
 
     def test_store_inventory(self, store_dir, capsys):
         store = ArtifactStore(store_dir)
-        put_artifact(store, envelope(baseline_payload(), producer="t"))
+        put_artifact(store, envelope(baseline_payload(), PERF_BASELINE))
         assert main(["ls", "--store-dir", store_dir]) == 0
         out = capsys.readouterr().out
         assert "repro.perf.baseline/1" in out
@@ -98,7 +98,7 @@ class TestCat:
 
     def test_store_digest_prefix(self, store_dir, capsys):
         store = ArtifactStore(store_dir)
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         put_artifact(store, env)
         assert main(["cat", env["digest"][:10],
                      "--store-dir", store_dir]) == 0

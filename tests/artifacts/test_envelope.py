@@ -23,13 +23,13 @@ from repro.errors import ArtifactError
 
 
 def baseline_payload() -> dict:
-    return {"schema": PERF_BASELINE, "metrics": {"pass:block.wall_s": 0.5}}
+    return {"metrics": {"pass:block.wall_s": 0.5}}
 
 
 class TestDigest:
     def test_digest_is_stable_across_key_order(self):
-        a = {"schema": PERF_BASELINE, "metrics": {"x": 1.0, "y": 2.0}}
-        b = {"metrics": {"y": 2.0, "x": 1.0}, "schema": PERF_BASELINE}
+        a = {"meta": {}, "metrics": {"x": 1.0, "y": 2.0}}
+        b = {"metrics": {"y": 2.0, "x": 1.0}, "meta": {}}
         assert payload_digest(a) == payload_digest(b)
         assert canonical_json(a) == canonical_json(b)
 
@@ -39,28 +39,33 @@ class TestDigest:
         assert payload_digest(a) != payload_digest(b)
 
     def test_enveloping_is_deterministic_given_payload(self):
-        a = envelope(baseline_payload(), producer="t", created_s=0.0)
-        b = envelope(baseline_payload(), producer="t", created_s=0.0)
+        a = envelope(baseline_payload(), PERF_BASELINE, created_s=0.0)
+        b = envelope(baseline_payload(), PERF_BASELINE, created_s=0.0)
         assert a == b
 
 
 class TestEnvelope:
-    def test_schema_defaults_to_inner_field(self):
-        env = envelope(baseline_payload(), producer="t")
+    def test_envelope_states_the_schema_id(self):
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         assert env["schema"] == "repro.perf.baseline"
         assert env["schema_version"] == 1
         assert env["digest"] == payload_digest(baseline_payload())
         assert env["payload"] == baseline_payload()
 
     def test_payload_without_schema_needs_explicit_id(self):
-        with pytest.raises(ArtifactError):
+        # the id is a required argument: omitted, it is a TypeError; a
+        # payload carrying a ``schema`` field of its own does not stand in
+        with pytest.raises(TypeError):
             envelope({"metrics": {}})
+        for missing in (None, 7):
+            with pytest.raises(ArtifactError):
+                envelope({"schema": PERF_BASELINE, "metrics": {}}, missing)
         env = envelope({"metrics": {}}, schema=PERF_BASELINE)
         assert schema_id_of(env) == PERF_BASELINE
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(ArtifactError):
-            envelope([1, 2, 3])
+            envelope([1, 2, 3], PERF_BASELINE)
 
     def test_split_id(self):
         assert split_id("repro.obs/1") == ("repro.obs", 1)
@@ -80,7 +85,7 @@ class TestLegacyReader:
                 reader(bare)
 
     def test_enveloped_document_unwraps(self):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         assert is_envelope(env)
         assert payload_of(env) == baseline_payload()
         assert schema_id_of(env) == PERF_BASELINE
@@ -93,7 +98,7 @@ class TestLegacyReader:
 
 class TestFileRoundTrip:
     def test_write_then_load_is_identical(self, tmp_path):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         path = tmp_path / "a.json"
         write_file(str(path), env)
         assert load_file(str(path)) == env

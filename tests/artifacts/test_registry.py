@@ -21,7 +21,6 @@ from repro.artifacts.validate import (
     RULE_DIGEST,
     RULE_MALFORMED,
     RULE_PAYLOAD,
-    RULE_SCHEMA_MISMATCH,
     RULE_STALE_VERSION,
     RULE_UNKNOWN_SCHEMA,
 )
@@ -35,7 +34,7 @@ ALL_IDS = (
 
 
 def baseline_payload() -> dict:
-    return {"schema": PERF_BASELINE, "metrics": {"pass:block.wall_s": 0.5}}
+    return {"metrics": {"pass:block.wall_s": 0.5}}
 
 
 class TestBuiltinKinds:
@@ -74,7 +73,7 @@ class TestBuiltinKinds:
 
 class TestValidateDocument:
     def test_valid_envelope_passes(self):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         assert validate_document(env) == []
         assert require_valid(env) is env
 
@@ -83,7 +82,6 @@ class TestValidateDocument:
         assert [p.rule for p in problems] == [RULE_MALFORMED]
 
     def test_unknown_schema_rule(self):
-        # payload without an inner schema field: only the envelope id counts
         env = envelope({"metrics": {}}, schema=PERF_BASELINE, producer="t")
         env["schema"] = "repro.nope"
         problems = validate_document(env)
@@ -96,31 +94,18 @@ class TestValidateDocument:
         assert [p.rule for p in problems] == [RULE_STALE_VERSION]
         assert "repro.perf.baseline/1" in problems[0].message
 
-    def test_tampered_envelope_id_also_breaks_inner_agreement(self):
-        env = envelope(baseline_payload(), producer="t")
-        env["schema_version"] = 99
-        rules = {p.rule for p in validate_document(env)}
-        assert rules == {RULE_SCHEMA_MISMATCH, RULE_STALE_VERSION}
-
     def test_digest_mismatch_rule(self):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         env["payload"]["metrics"]["pass:block.wall_s"] = 0.9
         assert RULE_DIGEST in {p.rule for p in validate_document(env)}
 
-    def test_inner_schema_disagreement_rule(self):
-        payload = dict(baseline_payload(), schema=PERF_GATE)
-        env = envelope(payload, schema=PERF_BASELINE, producer="t")
-        rules = {p.rule for p in validate_document(env)}
-        assert RULE_SCHEMA_MISMATCH in rules
-
     def test_invalid_payload_rule(self):
-        env = envelope({"schema": PERF_BASELINE, "metrics": {"x": "slow"}},
-                       producer="t")
+        env = envelope({"metrics": {"x": "slow"}}, PERF_BASELINE, producer="t")
         problems = validate_document(env)
         assert [p.rule for p in problems] == [RULE_PAYLOAD]
 
     def test_malformed_envelope_rule(self):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         del env["producer"]
         env["timing"] = None
         rules = [p.rule for p in validate_document(env)]

@@ -13,13 +13,13 @@ from repro.artifacts import (
     publish,
     put_artifact,
 )
-from repro.artifacts.registry import PERF_BASELINE
+from repro.artifacts.registry import PERF_BASELINE, PERF_GATE
 from repro.errors import ArtifactError
 from repro.serve.store import ArtifactStore
 
 
 def baseline_payload(wall=0.5) -> dict:
-    return {"schema": PERF_BASELINE, "metrics": {"pass:block.wall_s": wall}}
+    return {"metrics": {"pass:block.wall_s": wall}}
 
 
 @pytest.fixture
@@ -29,14 +29,15 @@ def store(tmp_path):
 
 class TestContentAddressing:
     def test_put_then_get_roundtrips(self, store):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         digest = put_artifact(store, env)
         assert digest == env["digest"]
         assert get_artifact(store, PERF_BASELINE, digest) == env
 
     def test_same_payload_twice_is_one_entry(self, store):
-        put_artifact(store, envelope(baseline_payload(), producer="a"))
-        put_artifact(store, envelope(baseline_payload(), producer="b"))
+        for producer in ("a", "b"):
+            put_artifact(store, envelope(baseline_payload(), PERF_BASELINE,
+                                         producer=producer))
         assert len(list_artifacts(store)) == 1
 
     def test_bare_documents_are_refused(self, store):
@@ -49,28 +50,28 @@ class TestContentAddressing:
 
 class TestOneKeySpace:
     def test_a_publish_is_exactly_one_store_entry(self, store):
-        env = publish(None, baseline_payload(), producer="t", store=store)
+        env = publish(None, baseline_payload(), PERF_BASELINE, store=store)
         assert store.stats()["entries"] == 1
         (row,) = list_artifacts(store)
         assert (row["schema"], row["digest"]) == (PERF_BASELINE, env["digest"])
 
     def test_job_results_sharing_the_store_are_not_listed(self, store):
         store.put(("derive", "fp", ()), {"fingerprint": "ab", "ir": "DO ..."})
-        put_artifact(store, envelope(baseline_payload(), producer="t"))
+        put_artifact(store, envelope(baseline_payload(), PERF_BASELINE))
         assert store.stats()["entries"] == 2
         assert len(list_artifacts(store)) == 1
 
 
 class TestFindArtifact:
     def test_prefix_match(self, store):
-        env = envelope(baseline_payload(), producer="t")
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
         put_artifact(store, env)
         assert find_artifact(store, env["digest"][:8]) == env
         assert find_artifact(store, "ffff") is None
 
     def test_ambiguous_prefix_raises(self, store):
-        put_artifact(store, envelope(baseline_payload(0.5), producer="t"))
-        put_artifact(store, envelope(baseline_payload(0.6), producer="t"))
+        put_artifact(store, envelope(baseline_payload(0.5), PERF_BASELINE))
+        put_artifact(store, envelope(baseline_payload(0.6), PERF_BASELINE))
         with pytest.raises(ArtifactError, match="ambiguous"):
             find_artifact(store, "")
 
@@ -78,18 +79,24 @@ class TestFindArtifact:
 class TestPublish:
     def test_publish_envelopes_writes_and_lands(self, store, tmp_path):
         path = tmp_path / "base.json"
-        env = publish(str(path), baseline_payload(), producer="t",
-                      store=store)
+        env = publish(str(path), baseline_payload(), PERF_BASELINE,
+                      producer="t", store=store)
         assert payload_of(env) == baseline_payload()
         assert path.exists()
         assert get_artifact(store, PERF_BASELINE, env["digest"]) == env
 
     def test_publish_validates_by_default(self, tmp_path):
-        bad = {"schema": PERF_BASELINE, "metrics": {"x": "slow"}}
+        bad = {"metrics": {"x": "slow"}}
         with pytest.raises(ArtifactError):
-            publish(str(tmp_path / "bad.json"), bad, producer="t")
+            publish(str(tmp_path / "bad.json"), bad, PERF_BASELINE)
         assert not (tmp_path / "bad.json").exists()
 
+    def test_publish_passes_an_envelope_of_the_named_kind_only(self):
+        env = envelope(baseline_payload(), PERF_BASELINE, producer="t")
+        assert publish(None, env, PERF_BASELINE) is env
+        with pytest.raises(ArtifactError, match="not 'repro.perf.gate/1'"):
+            publish(None, env, PERF_GATE)
+
     def test_publish_without_path_or_store_just_envelopes(self):
-        env = publish(None, baseline_payload(), producer="t")
+        env = publish(None, baseline_payload(), PERF_BASELINE, producer="t")
         assert env["producer"] == "t"

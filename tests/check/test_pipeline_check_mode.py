@@ -127,7 +127,7 @@ def test_failed_check_trace_publishes_validates_and_flattens(tmp_path):
         mgr.run(lu_point_ir())
     trace = exc.value.result.trace
     assert [s["status"] for s in trace["spans"]] == [CHECK_FAILED]
-    env = publish(str(tmp_path / "t.json"), trace, producer="test")
+    env = publish(str(tmp_path / "t.json"), trace, SCHEMA, producer="test")
     assert validate_document(env) == []
     flat = registry.get(SCHEMA).flatten(trace)
     assert flat["passes.count"] == 1 and "pass:block.wall_s" in flat

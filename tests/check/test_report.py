@@ -30,7 +30,6 @@ def sample_report():
 
 def test_built_report_is_valid():
     doc = sample_report()
-    assert doc["schema"] == SCHEMA
     assert validate_payload(doc) == []
     assert doc["summary"] == {"error": 1, "warning": 1, "info": 0}
     assert doc["meta"]["n"] == "3"  # meta values are coerced to strings
@@ -40,7 +39,7 @@ def test_built_report_is_valid():
 
 def test_report_survives_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
-    publish(str(path), sample_report(), producer="repro.check")
+    publish(str(path), sample_report(), SCHEMA, producer="repro.check")
     doc = json.loads(path.read_text())
     assert is_envelope(doc)
     assert validate_document(doc) == []
@@ -51,8 +50,7 @@ def test_wrong_schema_rejected():
     # schema identity moved to the envelope layer: a stale version is a
     # structured artifact/stale-version problem, not a payload error
     doc = sample_report()
-    doc["schema"] = "repro.check/0"
-    problems = validate_document(envelope(doc, producer="test"))
+    problems = validate_document(envelope(doc, "repro.check/0"))
     assert [p.rule for p in problems] == [RULE_STALE_VERSION]
 
 
@@ -84,5 +82,5 @@ def test_malformed_witness_rejected():
 
 
 def test_missing_fields_rejected():
-    assert validate_payload({"schema": SCHEMA}) != []
+    assert validate_payload({"meta": {}}) != []
     assert validate_payload([]) != []

@@ -14,6 +14,7 @@ from repro.algorithms import lu_point_ir
 from repro.analysis.context import context_for_path
 from repro.analysis.dependence import WITNESS, all_dependences, witness_problems
 from repro.artifacts import envelope, validate_document
+from repro.artifacts.registry import CHECK_REPORT, PIPELINE_TRACE
 from repro.artifacts.shape import check
 from repro.artifacts.validate import RULE_PAYLOAD
 from repro.check import build_report, lint_blockability, lint_parallelism, precheck
@@ -165,13 +166,13 @@ def test_the_pipeline_demotion_keeps_the_witness():
 
 def test_a_malformed_witness_is_an_invalid_payload():
     doc = build_report(lint_parallelism(lu_point_ir(), N2))
-    assert validate_document(envelope(doc, producer="test")) == []
+    assert validate_document(envelope(doc, CHECK_REPORT)) == []
     k = next(k for k, d in enumerate(doc["diagnostics"]) if "witness" in d)
     for bad in ({"source": "A(I, K)"}, {"direction": ["<", "?"]},
                 {"kind": "imperfect-nest"}, {"distance": [1.5]}):
         mutated = copy.deepcopy(doc)
         mutated["diagnostics"][k]["witness"].update(bad)
-        problems = validate_document(envelope(mutated, producer="test"))
+        problems = validate_document(envelope(mutated, CHECK_REPORT))
         assert problems and {p.rule for p in problems} == {RULE_PAYLOAD}, bad
         assert all(p.message.startswith(f"diagnostics[{k}].witness") for p in problems)
 
@@ -184,8 +185,8 @@ def test_a_failed_check_trace_carries_a_valid_witness():
     trace = exc.value.result.trace
     (finding,) = trace["spans"][0]["detail"]["check"]
     assert check(finding["witness"], WITNESS) == []
-    assert validate_document(envelope(trace, producer="test")) == []
+    assert validate_document(envelope(trace, PIPELINE_TRACE)) == []
     finding["witness"]["loops"] = "K"
-    problems = validate_document(envelope(trace, producer="test"))
+    problems = validate_document(envelope(trace, PIPELINE_TRACE))
     assert [p.rule for p in problems] == [RULE_PAYLOAD]
     assert problems[0].message.startswith("spans[0].detail.check[0].witness.loops")

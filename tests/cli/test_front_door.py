@@ -22,6 +22,7 @@ from repro import cli
 from repro.artifacts import (
     envelope, payload_digest, publish, registry, validate_document, write_file,
 )
+from repro.artifacts.registry import PERF_BASELINE, PIPELINE_TRACE
 from repro.check.diagnostics import diag
 from repro.ir.build import assign, ref
 from repro.ir.expr import Const, Var
@@ -74,7 +75,7 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 23_268
+        ceiling = 23_190
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )
@@ -146,8 +147,7 @@ class TestBoundary:
         ids = registry.known_ids()
         assert len(ids) == 10 and "repro.pipeline.bench/1" not in ids
         assert not (SRC.parent.parent / "BENCH_pipeline.json").exists()
-        doc = envelope({"schema": "repro.pipeline.bench/1", "workloads": {}},
-                       producer="test")
+        doc = envelope({"workloads": {}}, "repro.pipeline.bench/1")
         assert [p.rule for p in validate_document(doc)] == [
             "artifact/unknown-schema"]
 
@@ -204,16 +204,16 @@ def world(tmp_path, monkeypatch):
 
     def trace(block_size: int) -> dict:
         return {
-            "schema": "repro.pipeline/1", "algorithm": "x", "procedure": "x",
-            "passes": ["block"], "verify_enabled": False, "elapsed_s": 0.1,
+            "algorithm": "x", "procedure": "x",
+            "verify_enabled": False, "elapsed_s": 0.1,
             "cache": {},
             "spans": [{"index": 0, "pass": "block", "status": "applied",
                        "wall_s": 0.1, "cached": False, "ir_size_before": 50,
                        "ir_size_after": block_size}],
         }
 
-    publish(str(tmp_path / "good.json"), trace(154), producer="test")
-    publish(str(tmp_path / "grown.json"), trace(164), producer="test")
+    publish(str(tmp_path / "good.json"), trace(154), PIPELINE_TRACE)
+    publish(str(tmp_path / "grown.json"), trace(164), PIPELINE_TRACE)
     write_file(str(tmp_path / "bare.json"), trace(154))
     # well-formed envelope, right digest, shape-broken payload: before the
     # declared shapes this one was a traceback from ``artifacts validate``
@@ -224,9 +224,8 @@ def world(tmp_path, monkeypatch):
     write_file(str(tmp_path / "broken.json"), broken)
     publish(
         str(tmp_path / "base.json"),
-        {"schema": "repro.perf.baseline/1", "meta": {},
-         "metrics": {"pass:block.ir_size_after": 154.0}},
-        producer="test",
+        {"meta": {}, "metrics": {"pass:block.ir_size_after": 154.0}},
+        PERF_BASELINE,
     )
     (tmp_path / "doomed.json").write_text(json.dumps([
         {"kind": "probe", "options": {"action": "terminal"},
@@ -360,7 +359,7 @@ def test_invalid_artifact_exits_2_prints_every_problem_writes_nothing(
 
     monkeypatch.setattr(
         par_cli, "build_report",
-        lambda entries, meta=None: {"schema": "repro.par/1", "workloads": 7},
+        lambda entries, meta=None: {"workloads": 7},
     )
     out = tmp_path / "classify.json"
     assert cli.main(["par", "classify", "matmul", "--out", str(out)]) == 2

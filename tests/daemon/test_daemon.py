@@ -5,14 +5,22 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import signal
 import statistics
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.artifacts import payload_of, registry, validate_document
+import repro
+from repro.artifacts import (
+    payload_of,
+    registry,
+    schema_id_of,
+    validate_document,
+)
 from repro.artifacts.registry import DAEMON_STATUS
 from repro.daemon import Daemon, DaemonConfig
 from repro.daemon import state as dstate
@@ -353,6 +361,26 @@ class TestDrainAndRestart:
         assert dstate.read_state(root) is None
         assert not dstate.state_path(root).exists()
 
+    def test_spawn_then_stop_in_one_process(self, store_dir, monkeypatch):
+        """The process that spawned the daemon reaps it: ``stop_daemon``
+        returns once the drain is done, instead of taking the exited
+        child's zombie for a live daemon until its wait runs out."""
+        src = str(Path(repro.__file__).parent.parent)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        doc = dstate.spawn_background(
+            ["--store-dir", store_dir, "--workers", "1"], wait_s=30.0,
+            store_root=store_dir)
+        t0 = time.perf_counter()
+        try:
+            out = dstate.stop_daemon(store_dir, wait_s=10.0)
+        finally:
+            with contextlib.suppress(OSError):
+                os.kill(doc["pid"], signal.SIGKILL)
+                os.waitpid(doc["pid"], 0)
+        assert out == {"stopped": True, "pid": doc["pid"]}
+        assert time.perf_counter() - t0 < 5.0
+
 
 def received(d: Daemon) -> int:
     return d.status_payload()["requests"]["received"]
@@ -562,8 +590,8 @@ class TestStatus:
         reply = dstate.request("127.0.0.1", daemon.port, "GET", "/v1/status")
         assert reply.ok
         assert validate_document(reply.body) == []
+        assert schema_id_of(reply.body) == DAEMON_STATUS
         payload = payload_of(reply.body)
-        assert payload["schema"] == DAEMON_STATUS
         assert payload["state"] == "running"
         assert payload["requests"]["received"] == 2
         assert payload["requests"]["memory_hits"] == 1

@@ -96,7 +96,6 @@ class TestReportShape:
             "throughput": 2.0,
         }
         return {
-            "schema": SERVE_LOAD,
             "endpoint": {"host": "h", "port": 1},
             "grid": {"steps": [], "mix": []},
             "steps": [step],
@@ -108,7 +107,7 @@ class TestReportShape:
         }
 
     def test_valid_payload_passes_registry_validation(self):
-        env = envelope(self.payload(), producer="t")
+        env = envelope(self.payload(), SERVE_LOAD, producer="t")
         assert validate_document(env) == []
 
     def test_validator_catches_missing_pieces(self):

@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro import cli
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import (
+    is_envelope,
+    payload_of,
+    schema_id_of,
+    validate_document,
+)
 from repro.matrix.report import SCHEMA
 
 GRID = ["--factor", "workload=lu_nopivot", "--factor", "b=2,4",
@@ -32,8 +37,8 @@ class TestRun:
         assert rc == 0
         env = json.loads(out.read_text())
         assert is_envelope(env) and validate_document(env) == []
+        assert schema_id_of(env) == SCHEMA
         doc = payload_of(env)
-        assert doc["schema"] == SCHEMA
         assert doc["run"]["computed"] == 4
         assert {"b", "cache_kb"} <= set(doc["sensitivity"])
         assert "report written" in capsys.readouterr().out

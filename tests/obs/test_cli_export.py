@@ -57,8 +57,7 @@ class TestValidateMetrics:
     def test_wrong_schema_rejected(self):
         # schema identity is the envelope layer's job now
         doc = export.metrics(core.Obs())
-        doc["schema"] = "repro.obs/99"
-        problems = validate_document(envelope(doc, producer="test"))
+        problems = validate_document(envelope(doc, "repro.obs/99"))
         assert [p.rule for p in problems] == [RULE_STALE_VERSION]
 
     def test_non_integer_counter_rejected(self):

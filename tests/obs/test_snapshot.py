@@ -182,7 +182,6 @@ RECORDED = json.loads("""
              "p99": 63.439604250279885, "total": 151.75}},
   "machine": {"cache": null, "tlb": null},
   "meta": {"tool": "test"},
-  "schema": "repro.obs/1",
   "spans": {
    "job:x": {"count": 1, "max_s": 1.5, "total_s": 1.5},
    "pass:block": {"count": 1, "max_s": 0.5, "total_s": 0.5},

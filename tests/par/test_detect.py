@@ -173,7 +173,7 @@ class TestRegistryWorkloads:
             proc = w.build()
             vs = classify_procedure(proc, w.context(None))
             assert len(vs) == len(find_loops(proc))
-            counts = verdict_counts(vs)
+            counts = verdict_counts(v.verdict for v in vs)
             assert sum(counts.values()) == len(vs)
 
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from repro.artifacts import payload_of, publish, registry, validate_document
+from repro.artifacts import (
+    payload_of,
+    publish,
+    registry,
+    schema_id_of,
+    validate_document,
+)
 from repro.artifacts.registry import PAR_REPORT
 from repro.par.detect import classify_procedure
 from repro.par.report import (
@@ -81,11 +87,12 @@ class TestEnvelope:
         import json
 
         path = tmp_path / "par.json"
-        env = publish(str(path), sample_report(), producer="repro.par")
-        assert env["schema"].startswith("repro.par")
+        env = publish(str(path), sample_report(), PAR_REPORT,
+                      producer="repro.par")
         on_disk = json.load(open(path))
+        assert on_disk == env
         assert validate_document(on_disk) == []
-        assert on_disk["payload"]["schema"] == PAR_REPORT
+        assert schema_id_of(on_disk) == PAR_REPORT
         assert payload_of(on_disk) == on_disk["payload"]
 
     def test_registry_routes_par_reports(self):

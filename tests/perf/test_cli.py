@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_of
+from repro.artifacts import is_envelope, payload_of, schema_id_of
 from repro.artifacts.registry import PERF_BASELINE, PERF_GATE
 from repro import cli
 from repro.perf import ingest
@@ -63,8 +63,8 @@ class TestRecordAndQuery:
                     "--out", base]) == 0
         env_doc = json.load(open(base))
         assert is_envelope(env_doc)
+        assert schema_id_of(env_doc) == PERF_BASELINE
         doc = payload_of(env_doc)
-        assert doc["schema"] == PERF_BASELINE
         assert doc["metrics"]["pass:block.wall_s"] == 0.5
         # the file is the recorded run itself
         store = ArtifactStore(env["store"])
@@ -135,11 +135,12 @@ class TestGateExitCodes:
     def test_gate_json_report(self, env, capsys):
         run(["record", env["ref"], "--label", "main", "--store-dir", env["store"]])
         out_path = str(env["tmp"] / "gate.json")
-        run(["gate", env["slow"], "--baseline", "main", "--store-dir", env["store"],
-             "--metrics", "pass:*.wall_s", "--threshold", "25",
-             "--out", out_path])
-        doc = payload_of(json.load(open(out_path)))
-        assert doc["schema"] == PERF_GATE
+        rc = run(["gate", env["slow"], "--baseline", "main",
+                  "--store-dir", env["store"], "--metrics", "pass:*.wall_s",
+                  "--threshold", "25", "--out", out_path])
+        env_doc = json.load(open(out_path))
+        assert schema_id_of(env_doc) == PERF_GATE
+        doc = payload_of(env_doc)
         assert doc["verdict"] == "regressed"
-        assert doc["exit_code"] == 1
+        assert rc == 1
         assert any(r["verdict"] == "regressed" for r in doc["rows"])

@@ -54,13 +54,12 @@ class TestRecord:
 
     def test_zero_metric_artifact_is_refused(self, store):
         with pytest.raises(PerfError):
-            ingest.record(store, enveloped(
-                {"schema": "repro.pipeline/1", "spans": "nope"}))
+            ingest.record(store, enveloped({"spans": "nope"}))
         assert ingest.runs(store) == []
 
     def test_unknown_schema_is_refused(self, store):
         with pytest.raises(PerfError):
-            ingest.record(store, enveloped({"schema": "what/0"}))
+            ingest.record(store, enveloped({}, "what/0"))
 
     def test_two_processes_recording_at_once_both_land(self, store):
         ctx = multiprocessing.get_context("spawn")

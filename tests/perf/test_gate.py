@@ -15,20 +15,20 @@ class TestCompare:
         m = {"pass:block.wall_s": 0.5, "pass:block.ir_size_after": 154.0}
         result = gate.compare(m, dict(m), threshold_pct=0.0)
         assert result["verdict"] == "within-noise"
-        assert result["exit_code"] == gate.EXIT_OK
+        assert gate.exit_code(result) == gate.EXIT_OK
         assert all(r["verdict"] == "within-noise" for r in result["rows"])
 
     def test_increase_beyond_threshold_regresses(self):
         result = gate.compare({"m": 1.2}, {"m": 1.0}, threshold_pct=10.0)
         assert result["verdict"] == "regressed"
-        assert result["exit_code"] == gate.EXIT_REGRESSED
+        assert gate.exit_code(result) == gate.EXIT_REGRESSED
         (row,) = result["rows"]
         assert row["pct"] == pytest.approx(20.0)
 
     def test_decrease_beyond_threshold_improves(self):
         result = gate.compare({"m": 0.5}, {"m": 1.0}, threshold_pct=10.0)
         assert result["verdict"] == "improved"
-        assert result["exit_code"] == gate.EXIT_OK
+        assert gate.exit_code(result) == gate.EXIT_OK
 
     def test_inside_the_noise_band_either_way(self):
         result = gate.compare({"a": 1.05, "b": 0.95}, {"a": 1.0, "b": 1.0},
@@ -58,7 +58,7 @@ class TestCompare:
     def test_all_tracked_metrics_missing_baseline(self):
         result = gate.compare({"new": 1.0}, {})
         assert result["verdict"] == "missing-baseline"
-        assert result["exit_code"] == gate.EXIT_NO_BASELINE
+        assert gate.exit_code(result) == gate.EXIT_NO_BASELINE
 
     def test_nothing_tracked_is_missing_baseline(self):
         result = gate.compare({"m": 1.0}, {"m": 1.0}, patterns=("zzz:*",))
@@ -101,13 +101,12 @@ class TestBaselineFiles:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "base.json")
         doc = gate.baseline_doc({"m": 1.5}, meta={"git_sha": "abc"})
-        assert doc["schema"] == gate.BASELINE_SCHEMA
-        publish(path, doc, producer="repro.perf")
+        publish(path, doc, gate.BASELINE_SCHEMA, producer="repro.perf")
         assert gate.read_baseline(path) == {"m": 1.5}
 
     def test_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
-        write_file(str(path), envelope({"schema": "other/1", "metrics": {}}))
+        write_file(str(path), envelope({"metrics": {}}, "other/1"))
         with pytest.raises(PerfError, match="is not a"):
             gate.read_baseline(str(path))
 
@@ -119,9 +118,8 @@ class TestBaselineFiles:
 
     def test_rejects_non_numeric_metrics(self, tmp_path):
         path = tmp_path / "bad.json"
-        write_file(str(path), envelope(
-            {"schema": "repro.perf.baseline/1", "metrics": {"m": "fast"}}
-        ))
+        write_file(str(path), envelope({"metrics": {"m": "fast"}},
+                                       gate.BASELINE_SCHEMA))
         with pytest.raises(PerfError, match=r"metrics\.m: want number"):
             gate.read_baseline(str(path))
 

@@ -8,12 +8,13 @@ import pytest
 
 from repro.artifacts import envelope
 from repro.artifacts.envelope import RULE_MALFORMED
+from repro.artifacts.registry import MATRIX_REPORT, OBS_METRICS, PIPELINE_TRACE
 from repro.errors import PerfError
 from repro.perf import ingest
 
 
-def enveloped(payload: dict) -> dict:
-    return envelope(payload, producer="test", created_s=0.0)
+def enveloped(payload: dict, schema: str = PIPELINE_TRACE) -> dict:
+    return envelope(payload, schema, producer="test", created_s=0.0)
 
 
 def pipeline_doc(block_wall=0.5, block_size=154):
@@ -22,10 +23,8 @@ def pipeline_doc(block_wall=0.5, block_size=154):
 
 def pipeline_payload(block_wall=0.5, block_size=154):
     return {
-        "schema": "repro.pipeline/1",
         "algorithm": "lu_nopivot",
         "procedure": "lu_point",
-        "passes": ["split", "block"],
         "spans": [
             {"index": 0, "pass": "split", "status": "applied",
              "wall_s": 0.01, "cached": False,
@@ -73,7 +72,6 @@ class TestPipelineFlatten:
 class TestOtherSchemas:
     def test_obs_profile(self):
         doc = {
-            "schema": "repro.obs/1",
             "meta": {},
             "counters": {"dependence.queries": 41},
             "histograms": {"lat_s": {"count": 3, "total": 6.0, "min": 1.0,
@@ -85,7 +83,7 @@ class TestOtherSchemas:
             "machine": {"cache": {"accesses": 100, "misses": 7},
                         "tlb": None},
         }
-        m = ingest.flatten(enveloped(doc))
+        m = ingest.flatten(enveloped(doc, OBS_METRICS))
         assert m["counter:dependence.queries"] == 41.0
         assert m["hist:lat_s.p95"] == 2.9
         assert m["span:pass:block.total_s"] == 0.5
@@ -116,8 +114,7 @@ class TestOtherSchemas:
 
     def test_matrix_report(self):
         doc = {
-            "schema": "repro.matrix/1",
-            "run": {"elapsed_s": 3.0, "total": 2, "computed": 2},
+            "run": {"elapsed_s": 3.0, "computed": 2},
             "summary": {"cells": 2, "ok": 2, "failed": 0,
                         "speedup": {"count": 2, "min": 1.0, "p25": 1.1,
                                     "p50": 1.2, "p75": 1.3, "max": 1.4,
@@ -130,7 +127,8 @@ class TestOtherSchemas:
                  "b": 32, "status": "skipped"},
             ],
         }
-        m = ingest.flatten(enveloped(doc))
+        m = ingest.flatten(enveloped(doc, MATRIX_REPORT))
+        assert m["run.total"] == 2.0  # the per-status counts, summed
         assert m["summary.speedup.p50"] == 1.2
         assert m["cell:lu_nopivot:blocked:n64:b16.speedup"] == 1.4
         assert "cell:lu_nopivot:blocked:n64:b32.speedup" not in m
@@ -139,7 +137,7 @@ class TestOtherSchemas:
 class TestDispatch:
     def test_unknown_schema_raises(self):
         with pytest.raises(PerfError, match="unsupported artifact schema"):
-            ingest.flatten(enveloped({"schema": "repro.unknown/9"}))
+            ingest.flatten(enveloped({}, "repro.unknown/9"))
 
     def test_bare_payload_raises_malformed_envelope(self):
         for bare in (pipeline_payload(), {}):

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.artifacts import is_envelope, payload_digest, payload_of, publish
+from repro.artifacts import (
+    is_envelope,
+    payload_digest,
+    payload_of,
+    publish,
+    schema_id_of,
+)
 from repro.errors import TransformError
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Var
@@ -47,13 +53,12 @@ class TestRoundTrip:
     def test_write_then_load_is_identical(self, tmp_path):
         result = run_passes(small_proc(), ["scalars"], cache=AnalysisCache())
         path = tmp_path / "trace.json"
-        publish(str(path), result.trace, producer="repro.pipeline")
+        publish(str(path), result.trace, SCHEMA, producer="repro.pipeline")
         doc = json.loads(path.read_text())
         assert is_envelope(doc)
         assert doc["digest"] == payload_digest(result.trace)
-        loaded = payload_of(doc)
-        assert loaded == result.trace
-        assert loaded["schema"] == SCHEMA
+        assert payload_of(doc) == result.trace
+        assert schema_id_of(doc) == SCHEMA
 
     def test_span_to_dict_fields(self):
         result = run_passes(small_proc(), ["scalars"], cache=AnalysisCache())
@@ -70,8 +75,7 @@ class TestRoundTrip:
 
     def test_build_trace_defaults(self):
         trace = build_trace([])
-        assert trace["schema"] == SCHEMA
-        assert trace["passes"] == [] and trace["spans"] == []
+        assert trace["spans"] == []
         assert trace["cache"] == {}
         assert trace["verify_enabled"] is False
 
@@ -84,9 +88,9 @@ class TestSpanOrdering:
             cache=AnalysisCache(),
         )
         trace = result.trace
-        assert trace["passes"] == ["scalars", "block", "scalars"]
         assert [s["index"] for s in trace["spans"]] == [0, 1, 2]
-        assert [s["pass"] for s in trace["spans"]] == trace["passes"]
+        assert [s["pass"] for s in trace["spans"]] == [
+            "scalars", "block", "scalars"]
 
 
 class TestFailureSpans:

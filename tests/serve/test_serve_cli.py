@@ -7,7 +7,12 @@ import json
 import pytest
 
 from repro import cli
-from repro.artifacts import is_envelope, payload_of, validate_document
+from repro.artifacts import (
+    is_envelope,
+    payload_of,
+    schema_id_of,
+    validate_document,
+)
 from repro.artifacts.registry import SERVE_STORE
 from repro.serve.store import ArtifactStore
 
@@ -166,8 +171,8 @@ class TestStatsAndGc:
         env = json.loads(capsys.readouterr().out)
         assert is_envelope(env)
         assert validate_document(env) == []
+        assert schema_id_of(env) == SERVE_STORE
         doc = payload_of(env)
-        assert doc["schema"] == SERVE_STORE
         assert doc["op"] == "stats"
         assert doc["store"]["entries"] == 3
         assert doc["store"]["root"] == store_dir

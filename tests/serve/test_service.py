@@ -137,6 +137,6 @@ class TestValidateReport:
 
     def test_rejects_wrong_schema(self):
         # there is no reader for the report old batches wrote
-        old = {"schema": "repro.serve/1", "jobs": [], "summary": {"total": 0}}
-        problems = validate_document(envelope(old, producer="test"))
+        old = {"jobs": [], "summary": {"total": 0}}
+        problems = validate_document(envelope(old, "repro.serve/1"))
         assert [p.rule for p in problems] == [RULE_UNKNOWN_SCHEMA]
