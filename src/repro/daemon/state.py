@@ -75,13 +75,31 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+# store root -> (its state file, (st_ino, st_size, st_mtime_ns), parsed record)
+_RECORDS: dict = {}
+
+
 def read_state(store_root: Union[str, Path]) -> Optional[dict]:
     """The endpoint record, or None when absent/unreadable/stale.  A
     stale record (dead pid — daemon killed without draining) is removed
-    on the way out so the next ``start`` is clean."""
-    path = state_path(store_root)
+    on the way out so the next ``start`` is clean.  The file is parsed
+    again only when its inode, size or mtime changes (``write_state``
+    replaces it, so a restart always does); the pid is checked on every
+    call."""
+    cached = _RECORDS.get(store_root)
+    path = cached[0] if cached is not None else str(state_path(store_root))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        st = os.stat(path)
+        key = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if cached is not None and cached[1] == key:
+            doc = cached[2]
+        else:
+            with open(path, encoding="utf-8") as f:
+                doc = json.loads(f.read())
+            # a rewrite within the clock tick of this mtime could keep all
+            # three, inode reused included: keep only a settled record
+            if time.time_ns() - st.st_mtime_ns > 1_000_000_000:
+                _RECORDS[store_root] = (path, key, doc)
     except (OSError, json.JSONDecodeError):
         return None
     if not isinstance(doc, dict) or not isinstance(doc.get("pid"), int):
@@ -89,7 +107,7 @@ def read_state(store_root: Union[str, Path]) -> Optional[dict]:
     if not _pid_alive(doc["pid"]):
         remove_state(store_root)
         return None
-    return doc
+    return dict(doc)
 
 
 # ---------------------------------------------------------------------------

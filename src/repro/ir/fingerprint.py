@@ -10,7 +10,10 @@ the fingerprint; rebuilding an identical tree does not.
 
 The digest is sha256 over a canonical token stream, so it is stable
 across processes and Python versions (no reliance on ``hash()``
-randomization).
+randomization).  The tokens are joined and hashed once per call, which
+is the digest of the same stream fed token by token.  The walk
+dispatches on ``type(node)``, keeping each IR class's opening token and
+field names; any other value takes the ``isinstance`` chain.
 """
 
 from __future__ import annotations
@@ -27,8 +30,29 @@ Node = Union[Expr, Stmt, Procedure, ArrayDecl]
 Fingerprintable = Union[Node, Sequence[Stmt]]
 
 
+# IR class -> (opening token, field names in declaration order)
+_SHAPES: dict[type, tuple[str, tuple[str, ...]]] = {}
+
+
 def _tokens(node, out: list[str]) -> None:
-    if node is None:
+    shape = _SHAPES.get(type(node))
+    if shape is not None:
+        out.append(shape[0])
+        for name in shape[1]:
+            value = getattr(node, name)
+            if type(value) is str:  # names and operators: most fields
+                out.append(f"s{len(value)}:{value}")
+            else:
+                _tokens(value, out)
+        out.append(">")
+    elif type(node) is str:
+        out.append(f"s{len(node)}:{node}")
+    elif type(node) is tuple:
+        out.append(f"[{len(node)}")
+        for item in node:
+            _tokens(item, out)
+        out.append("]")
+    elif node is None:
         out.append("~")
     elif isinstance(node, bool):  # before int: bool is an int subclass
         out.append("b1" if node else "b0")
@@ -36,7 +60,7 @@ def _tokens(node, out: list[str]) -> None:
         out.append(f"s{len(node)}:{node}")
     elif isinstance(node, int):
         out.append(f"i{node}")
-    elif isinstance(node, float):
+    elif isinstance(node, float):  # an np.float64 too: its repr is the token
         out.append(f"f{node!r}")
     elif isinstance(node, (tuple, list)):
         out.append(f"[{len(node)}")
@@ -44,10 +68,9 @@ def _tokens(node, out: list[str]) -> None:
             _tokens(item, out)
         out.append("]")
     elif isinstance(node, (Expr, Stmt, Procedure, ArrayDecl)):
-        out.append(f"<{type(node).__name__}")
-        for f in dataclasses.fields(node):
-            _tokens(getattr(node, f.name), out)
-        out.append(">")
+        cls = type(node)
+        _SHAPES[cls] = (f"<{cls.__name__}", tuple(f.name for f in dataclasses.fields(cls)))
+        _tokens(node, out)
     else:
         raise TypeError(f"cannot fingerprint {type(node).__name__}")
 
@@ -61,10 +84,7 @@ def ir_fingerprint(node: Fingerprintable) -> str:
     """
     out: list[str] = []
     _tokens(node, out)
-    h = hashlib.sha256()
-    for tok in out:
-        h.update(tok.encode("utf-8"))
-    return h.hexdigest()
+    return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
 
 
 def ir_size(node: Fingerprintable) -> int:

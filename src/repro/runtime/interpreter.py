@@ -16,11 +16,30 @@ observes every array element touch in program order: an array store
 evaluates the loads in its target's subscripts, then its right-hand side,
 then stores.  This is the order the compiled flavours
 (:mod:`repro.runtime.codegen`) are checked against.
+
+Execution compiles as it goes.  The first time an :class:`Interpreter`
+evaluates an expression it turns the tree into nested closures, one per
+node, from the same per-node cases a tree walk would take; an
+``ArrayRef``'s subscripts and bounds checks become one more closure.  Both
+tables are keyed by ``id(node)`` and hold the node, so no id is reused
+while the interpreter lives, and they die with it: nothing is kept across
+runs.  Statements dispatch on ``type(stmt)``.  Subclasses observe a run
+through the hooks ``eval`` (a whole expression), ``_index``, ``_load``
+(every array load, from inside any closure), ``_store``, ``_stmt``,
+``_iteration`` and ``run``; :class:`repro.par.sanitizer.RaceSanitizer` and
+the tracers override them.
+
+Values are whatever the arrays hold — numpy scalars with their own
+rounding (``float32`` after each operation) and IEEE division by zero, or
+any Python objects on ``dtype=object`` arrays.  There is deliberately no
+Python-float fast path and nothing shared with codegen's helpers: this
+interpreter defines the semantics codegen is checked against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -99,13 +118,16 @@ _INTRINSICS: dict[str, Callable] = {
 }
 
 _CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "**": operator.pow}
+
+_INTEGERS = (int, np.integer)
 
 
 def make_env(
@@ -147,87 +169,212 @@ def make_env(
     return env
 
 
+def _raise(message: str) -> Callable:
+    def fault():
+        raise SemanticsError(message)
+
+    return fault
+
+
+def _compile(interp: "Interpreter", e: Expr) -> Callable:
+    """``e`` as a zero-argument closure over ``interp``, case by case as a
+    tree walk would evaluate it.  Never raises: a fault becomes a closure
+    that raises when, and only when, the walk would have."""
+    sub = interp._closure
+    if isinstance(e, Const):
+        value = e.value
+        return lambda: value
+    if isinstance(e, Var):
+        env, name = interp.env, e.name
+
+        def var():
+            try:
+                return env[name]
+            except KeyError:
+                raise SemanticsError(f"unbound variable {name}") from None
+
+        return var
+    if isinstance(e, ArrayRef):
+        load = interp._load
+        return lambda: load(e)
+    if isinstance(e, BinOp):
+        l, r = sub(e.left), sub(e.right)
+        if e.op != "/":
+            op = _ARITH[e.op]
+            return lambda: op(l(), r())
+
+        def div():
+            a, b = l(), r()
+            # Fortran: integer/integer is integer division.
+            if isinstance(a, _INTEGERS) and isinstance(b, _INTEGERS):
+                return idiv(int(a), int(b))
+            return a / b
+
+        return div
+    if isinstance(e, IntDiv):
+        l, r = sub(e.left), sub(e.right)
+        return lambda: idiv(int(l()), int(r()))
+    if isinstance(e, Call):
+        fn = _INTRINSICS.get(e.name.upper())
+        if fn is None:
+            return _raise(f"unknown intrinsic {e.name}")
+        args = tuple(sub(a) for a in e.args)
+        return lambda: fn(*[f() for f in args])
+    if isinstance(e, Compare):
+        l, r, cmp = sub(e.left), sub(e.right), _CMP[e.op]
+        return lambda: cmp(l(), r())
+    if isinstance(e, Not):
+        a = sub(e.arg)
+        return lambda: not a()
+    if isinstance(e, (Min, Max, LogicalOp)):
+        fn = min if isinstance(e, Min) else max if isinstance(e, Max) else (
+            all if e.op == "and" else any)
+        args = tuple(sub(a) for a in e.args)
+        return lambda: fn(f() for f in args)
+    return _raise(f"unknown expression {type(e).__name__}")  # pragma: no cover
+
+
+def _checked(name: str, idx: tuple[int, ...], shape: tuple[int, ...]) -> tuple[int, ...]:
+    if len(idx) != len(shape):
+        raise SemanticsError(
+            f"{name}: rank mismatch ({len(idx)} subscripts, rank {len(shape)})"
+        )
+    for k, (i, n) in enumerate(zip(idx, shape)):
+        if not (1 <= i <= n):
+            raise SemanticsError(
+                f"{name}: subscript {k + 1} out of bounds (value {i}, extent {n})"
+            )
+    return idx
+
+
+def _indexer(interp: "Interpreter", ref: ArrayRef) -> Callable[[], tuple[int, ...]]:
+    """``ref``'s checked 1-based index: unbound array, then each subscript
+    in order, then rank, then bounds."""
+    env, name = interp.env, ref.array
+    subs = tuple(interp._closure(i) for i in ref.index)
+    if len(subs) == 1:  # ranks 1 and 2: checked without a loop
+        (s0,) = subs
+
+        def index():
+            arr = env.get(name)
+            if arr is None:
+                raise SemanticsError(f"unbound array {name}")
+            i = int(s0())
+            shape = arr.shape
+            if len(shape) == 1 and 1 <= i <= shape[0]:
+                return (i,)
+            return _checked(name, (i,), shape)
+
+    elif len(subs) == 2:
+        s0, s1 = subs
+
+        def index():
+            arr = env.get(name)
+            if arr is None:
+                raise SemanticsError(f"unbound array {name}")
+            i, j = int(s0()), int(s1())
+            shape = arr.shape
+            if len(shape) == 2 and 1 <= i <= shape[0] and 1 <= j <= shape[1]:
+                return (i, j)
+            return _checked(name, (i, j), shape)
+
+    else:
+
+        def index():
+            arr = env.get(name)
+            if arr is None:
+                raise SemanticsError(f"unbound array {name}")
+            return _checked(name, tuple([int(f()) for f in subs]), arr.shape)
+
+    return index
+
+
+def _zero_based(idx: tuple[int, ...]) -> tuple[int, ...]:
+    if len(idx) == 2:
+        i, j = idx
+        return (i - 1, j - 1)
+    if len(idx) == 1:
+        return (idx[0] - 1,)
+    return tuple([i - 1 for i in idx])
+
+
+def _assign(interp: "Interpreter", stmt: Assign) -> None:
+    target = stmt.target
+    if isinstance(target, ArrayRef):
+        idx = interp._index(target)  # its loads come before the RHS's
+        interp._store(target, idx, interp.eval(stmt.value))
+    else:
+        interp.env[target.name] = interp.eval(stmt.value)
+
+
+def _loop(interp: "Interpreter", stmt: Loop) -> None:
+    lo = int(interp.eval(stmt.lo))
+    hi = int(interp.eval(stmt.hi))
+    step = int(interp.eval(stmt.step))
+    if step == 0:
+        raise SemanticsError(f"loop {stmt.var}: zero step")
+    iteration = interp._iteration
+    for v in range(lo, hi + (1 if step > 0 else -1), step):
+        iteration(stmt, v)
+
+
+def _if(interp: "Interpreter", stmt: If) -> None:
+    interp.run(stmt.then if interp.eval(stmt.cond) else stmt.els)
+
+
+def _unlowered(interp: "Interpreter", stmt: Stmt) -> None:
+    raise SemanticsError("BLOCK DO / IN DO must be lowered (repro.lang) before execution")
+
+
+def _unknown_stmt(interp: "Interpreter", stmt: Stmt) -> None:  # pragma: no cover
+    raise SemanticsError(f"unknown statement {type(stmt).__name__}")
+
+
+_HANDLERS: dict[type, Callable] = {
+    Assign: _assign, Loop: _loop, If: _if, Comment: lambda interp, stmt: None,
+    BlockLoop: _unlowered, InLoop: _unlowered,
+}
+
+
 class Interpreter:
-    """Executes IR over an environment dict; see module docstring."""
+    """Executes IR over an environment dict; see module docstring.  The
+    closures read the ``env`` dict the interpreter was built with."""
 
     def __init__(self, env: dict, tracer: Optional[Tracer] = None):
         self.env = env
         self.tracer = tracer
+        # id(node) -> (node, closure): holding the node keeps its id from
+        # being handed to another node while this interpreter lives
+        self._closures: dict[int, tuple[Expr, Callable]] = {}
+        self._indexers: dict[int, tuple[ArrayRef, Callable]] = {}
 
     # ---- expressions ----------------------------------------------------
+    def _closure(self, e: Expr) -> Callable:
+        entry = self._closures.get(id(e))
+        if entry is None:
+            entry = self._closures[id(e)] = (e, _compile(self, e))
+        return entry[1]
+
     def eval(self, e: Expr):
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Var):
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise SemanticsError(f"unbound variable {e.name}") from None
-        if isinstance(e, ArrayRef):
-            return self._load(e)
-        if isinstance(e, BinOp):
-            l, r = self.eval(e.left), self.eval(e.right)
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "*":
-                return l * r
-            if e.op == "/":
-                # Fortran: integer/integer is integer division.
-                if isinstance(l, (int, np.integer)) and isinstance(r, (int, np.integer)):
-                    return idiv(int(l), int(r))
-                return l / r
-            if e.op == "**":
-                return l**r
-            raise SemanticsError(f"bad op {e.op}")  # pragma: no cover
-        if isinstance(e, IntDiv):
-            return idiv(int(self.eval(e.left)), int(self.eval(e.right)))
-        if isinstance(e, Min):
-            return min(self.eval(a) for a in e.args)
-        if isinstance(e, Max):
-            return max(self.eval(a) for a in e.args)
-        if isinstance(e, Call):
-            fn = _INTRINSICS.get(e.name.upper())
-            if fn is None:
-                raise SemanticsError(f"unknown intrinsic {e.name}")
-            return fn(*(self.eval(a) for a in e.args))
-        if isinstance(e, Compare):
-            return _CMP[e.op](self.eval(e.left), self.eval(e.right))
-        if isinstance(e, LogicalOp):
-            if e.op == "and":
-                return all(self.eval(a) for a in e.args)
-            return any(self.eval(a) for a in e.args)
-        if isinstance(e, Not):
-            return not self.eval(e.arg)
-        raise SemanticsError(f"unknown expression {type(e).__name__}")  # pragma: no cover
+        entry = self._closures.get(id(e))
+        return (entry[1] if entry is not None else self._closure(e))()
 
     def _index(self, ref: ArrayRef) -> tuple[int, ...]:
-        arr = self.env.get(ref.array)
-        if arr is None:
-            raise SemanticsError(f"unbound array {ref.array}")
-        idx = tuple(int(self.eval(i)) for i in ref.index)
-        if len(idx) != arr.ndim:
-            raise SemanticsError(
-                f"{ref.array}: rank mismatch ({len(idx)} subscripts, rank {arr.ndim})"
-            )
-        for k, (i, n) in enumerate(zip(idx, arr.shape)):
-            if not (1 <= i <= n):
-                raise SemanticsError(
-                    f"{ref.array}: subscript {k + 1} out of bounds (value {i}, extent {n})"
-                )
-        return idx
+        entry = self._indexers.get(id(ref))
+        if entry is None:
+            entry = self._indexers[id(ref)] = (ref, _indexer(self, ref))
+        return entry[1]()
 
     def _load(self, ref: ArrayRef):
         idx = self._index(ref)
         if self.tracer is not None:
             self.tracer.access(ref.array, idx, False)
-        return self.env[ref.array][tuple(i - 1 for i in idx)]
+        return self.env[ref.array][_zero_based(idx)]
 
     def _store(self, ref: ArrayRef, idx: tuple[int, ...], value) -> None:
         if self.tracer is not None:
             self.tracer.access(ref.array, idx, True)
-        self.env[ref.array][tuple(i - 1 for i in idx)] = value
+        self.env[ref.array][_zero_based(idx)] = value
 
     # ---- statements ------------------------------------------------------
     def run(self, body: Sequence[Stmt] | Stmt) -> None:
@@ -242,33 +389,9 @@ class Interpreter:
         self.run(loop.body)
 
     def _stmt(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            if isinstance(stmt.target, ArrayRef):
-                idx = self._index(stmt.target)  # its loads come before the RHS's
-                self._store(stmt.target, idx, self.eval(stmt.value))
-            else:
-                self.env[stmt.target.name] = self.eval(stmt.value)
-        elif isinstance(stmt, Loop):
-            lo = int(self.eval(stmt.lo))
-            hi = int(self.eval(stmt.hi))
-            step = int(self.eval(stmt.step))
-            if step == 0:
-                raise SemanticsError(f"loop {stmt.var}: zero step")
-            for v in range(lo, hi + (1 if step > 0 else -1), step):
-                self._iteration(stmt, v)
-        elif isinstance(stmt, If):
-            if self.eval(stmt.cond):
-                self.run(stmt.then)
-            else:
-                self.run(stmt.els)
-        elif isinstance(stmt, Comment):
-            pass
-        elif isinstance(stmt, (BlockLoop, InLoop)):
-            raise SemanticsError(
-                "BLOCK DO / IN DO must be lowered (repro.lang) before execution"
-            )
-        else:  # pragma: no cover - defensive
-            raise SemanticsError(f"unknown statement {type(stmt).__name__}")
+        handler = _HANDLERS.get(type(stmt)) or next(  # a subclass runs as its base
+            (_HANDLERS[b] for b in type(stmt).__mro__ if b in _HANDLERS), _unknown_stmt)
+        handler(self, stmt)
 
 
 def execute(

@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -360,6 +361,45 @@ class TestDrainAndRestart:
                                   "host": "127.0.0.1", "port": 1})
         assert dstate.read_state(root) is None
         assert not dstate.state_path(root).exists()
+
+    def test_restarted_daemon_is_found_on_the_next_call(self, tmp_path, monkeypatch):
+        """The parsed record is kept per state file and re-read when the
+        file changes: a daemon that came back on a new port is found at
+        once, and an unchanged file is not parsed again."""
+        root = tmp_path / "cache3"
+        parsed = []
+        real_loads = dstate.json.loads
+        monkeypatch.setattr(dstate.json, "loads",
+                            lambda text: parsed.append(text) or real_loads(text))
+        path = dstate.write_state(root, {"pid": os.getpid(), "host": "127.0.0.1", "port": 1})
+        # a record written within the last second may share its mtime
+        # with a rewrite: it is parsed on every call until it settles
+        assert dstate.endpoint(root) == ("127.0.0.1", 1)
+        assert dstate.endpoint(root) == ("127.0.0.1", 1)
+        assert len(parsed) == 2
+        settled = time.time_ns() - 10 ** 10
+        os.utime(path, ns=(settled, settled))
+        assert dstate.endpoint(root) == ("127.0.0.1", 1)
+        assert dstate.endpoint(root) == ("127.0.0.1", 1)
+        assert len(parsed) == 3
+        dstate.write_state(root, {"pid": os.getpid(), "host": "127.0.0.1", "port": 2})
+        assert dstate.endpoint(root) == ("127.0.0.1", 2)
+        assert len(parsed) == 4
+        # a cached record whose pid has since died is stale, and removed
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            dstate.write_state(root, {"pid": child.pid, "host": "127.0.0.1", "port": 3})
+            os.utime(path, ns=(settled + 10 ** 9, settled + 10 ** 9))
+            assert dstate.endpoint(root) == ("127.0.0.1", 3)
+            assert dstate.endpoint(root) == ("127.0.0.1", 3)
+            assert len(parsed) == 5
+        finally:
+            child.kill()
+            child.wait()
+        assert dstate.read_state(root) is None
+        assert not dstate.state_path(root).exists()
+        with pytest.raises(DaemonError, match="no daemon is running"):
+            dstate.endpoint(root)
 
     def test_spawn_then_stop_in_one_process(self, store_dir, monkeypatch):
         """The process that spawned the daemon reaps it: ``stop_daemon``

@@ -1,12 +1,16 @@
 """Reference interpreter semantics."""
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from repro.algorithms import lu_point_ir
 from repro.errors import SemanticsError
 from repro.ir.build import assign, do, if_, ref
-from repro.ir.expr import Call, Const, IntDiv, Max, Min, Var
-from repro.ir.stmt import ArrayDecl, Procedure
+from repro.ir.expr import ArrayRef, BinOp, Call, Const, IntDiv, Max, Min, Var
+from repro.ir.stmt import ArrayDecl, BlockLoop, InLoop, Procedure
 from repro.runtime.interpreter import Interpreter, execute, idiv, make_env
 
 
@@ -56,8 +60,29 @@ class TestExpressions:
         assert self.interp.eval(Not(Var("I").eq_(7))) is False
 
     def test_unbound_variable(self):
-        with pytest.raises(SemanticsError):
+        with pytest.raises(SemanticsError, match="^unbound variable ZZZ$"):
             self.interp.eval(Var("ZZZ"))
+
+    def test_unknown_intrinsic(self):
+        # raised before its arguments run: the unbound ZZZ is never seen
+        with pytest.raises(SemanticsError, match="^unknown intrinsic FOO$"):
+            self.interp.eval(Call("FOO", (Var("ZZZ"),)))
+
+    def test_faults_are_raised_in_evaluation_order(self):
+        # compiling the whole tree first must not report FOO before ZZZ
+        e = BinOp("+", Var("ZZZ"), Call("FOO", (Const(1),)))
+        with pytest.raises(SemanticsError, match="^unbound variable ZZZ$"):
+            self.interp.eval(e)
+
+    def test_one_shot_eval_never_reuses_a_closure(self):
+        """``machine/layout.py`` and ``analysis/reuse.py`` evaluate freshly
+        built expressions; a dropped node's id may be handed to the next
+        one, which must still get its own closure."""
+        for k in range(200):
+            assert Interpreter({"N": 10}).eval(BinOp("+", Var("N"), Const(k))) == 10 + k
+        shared = Interpreter({"N": 10})
+        for k in range(200):
+            assert shared.eval(BinOp("*", Var("N"), Const(k))) == 10 * k
 
 
 class TestLoops:
@@ -102,13 +127,66 @@ class TestLoops:
 
     def test_out_of_bounds_detected(self):
         p = self._proc((do("I", 1, Var("N") + 1, assign(ref("A", "I"), 1.0)),))
-        with pytest.raises(SemanticsError):
+        msg = re.escape("A: subscript 1 out of bounds (value 5, extent 4)")
+        with pytest.raises(SemanticsError, match=msg):
             execute(p, {"N": 4})
+
+    def test_out_of_bounds_names_the_subscript(self):
+        p = Procedure("t", (), (ArrayDecl("B", (Const(3), Const(2))),),
+                      (assign(ref("B", 1, 0), 0.0),))
+        msg = re.escape("B: subscript 2 out of bounds (value 0, extent 2)")
+        with pytest.raises(SemanticsError, match=msg):
+            execute(p, {})
 
     def test_rank_mismatch_detected(self):
         p = self._proc((assign(ref("A", 1, 1), 0.0),))
-        with pytest.raises(SemanticsError):
+        msg = re.escape("A: rank mismatch (2 subscripts, rank 1)")
+        with pytest.raises(SemanticsError, match=msg):
             execute(p, {"N": 4})
+
+    def test_rank_mismatch_of_a_rank_three_reference(self):
+        p = self._proc((assign(ref("A", 1, 1, 1), 0.0),))
+        msg = re.escape("A: rank mismatch (3 subscripts, rank 1)")
+        with pytest.raises(SemanticsError, match=msg):
+            execute(p, {"N": 4})
+
+    def test_unbound_array(self):
+        with pytest.raises(SemanticsError, match="^unbound array Z$"):
+            execute(self._proc((assign(ref("Z", 1), 0.0),)), {"N": 4})
+
+    def test_zero_step(self):
+        p = self._proc((do("I", 1, "N", assign(ref("A", "I"), 1.0), step=0),))
+        with pytest.raises(SemanticsError, match="^loop I: zero step$"):
+            execute(p, {"N": 4})
+
+    @pytest.mark.parametrize("unlowered", [
+        BlockLoop("KK", Const(1), Var("N"), (assign(ref("A", 1), 0.0),)),
+        InLoop("KK", "K", (assign(ref("A", 1), 0.0),)),
+    ])
+    def test_unlowered_block_loop(self, unlowered):
+        with pytest.raises(SemanticsError, match="^BLOCK DO / IN DO must be lowered"):
+            execute(self._proc((unlowered,)), {"N": 4})
+
+    def test_inner_reference_fault_is_reported_first(self):
+        """A reference's subscripts run before its own rank and bounds
+        checks, so the fault inside them wins; an unbound array is
+        reported before its subscripts run."""
+        inner = ArrayRef("A", (Const(9),))
+        both_out = (assign(ref("A", 1), ArrayRef("A", (inner,))),)
+        msg = re.escape("A: subscript 1 out of bounds (value 9, extent 4)")
+        with pytest.raises(SemanticsError, match=msg):
+            execute(self._proc(both_out), {"N": 4})
+        wrong_rank = (assign(ref("A", 1), ArrayRef("A", (inner, Const(1)))),)
+        with pytest.raises(SemanticsError, match=msg):
+            execute(self._proc(wrong_rank), {"N": 4})
+        unbound = (assign(ref("A", 1), ArrayRef("Z", (inner,))),)
+        with pytest.raises(SemanticsError, match="^unbound array Z$"):
+            execute(self._proc(unbound), {"N": 4})
+        # a store target's subscripts run before the right-hand side
+        target_first = (assign(ArrayRef("A", (Const(0),)), ArrayRef("A", (inner,))),)
+        msg = re.escape("A: subscript 1 out of bounds (value 0, extent 4)")
+        with pytest.raises(SemanticsError, match=msg):
+            execute(self._proc(target_first), {"N": 4})
 
 
 class TestGuards:
@@ -157,6 +235,30 @@ class TestMakeEnv:
     def test_fortran_order(self, vecadd_proc):
         env = make_env(vecadd_proc, {"N": 3, "M": 4})
         assert env["A"].flags.f_contiguous
+
+
+class TestValueGeneric:
+    def test_lu_on_exact_rationals(self):
+        """The interpreter computes on whatever the arrays hold: point LU
+        over ``Fraction`` objects is exact rational elimination."""
+        n = 5
+        start = [[Fraction((3 * i + 7 * j) % 11 + (10 if i == j else 1), 1 + (i + j) % 3)
+                  for j in range(n)] for i in range(n)]
+        a = np.empty((n, n), dtype=object, order="F")
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = start[i][j]
+        Interpreter({"N": n, "A": a}).run(lu_point_ir().body)
+
+        want = [row[:] for row in start]
+        for k in range(n - 1):
+            for i in range(k + 1, n):
+                want[i][k] /= want[k][k]
+            for j in range(k + 1, n):
+                for i in range(k + 1, n):
+                    want[i][j] -= want[i][k] * want[k][j]
+        assert all(type(x) is Fraction for x in a.flat)
+        assert a.tolist() == want
 
 
 class TestTracing:
