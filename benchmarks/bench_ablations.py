@@ -14,7 +14,6 @@ from repro.bench.experiments import (
     derived_block_lu,
     matmul_ujif,
     scaled_size,
-    table_t3_lu,
 )
 from repro.bench.harness import Table, measure
 from repro.machine.cache import CacheConfig
@@ -125,7 +124,7 @@ def test_ablation_guard_density(benchmark, show):
     frequency: at high density the executor does the same work as the
     original, so the win narrows toward the register-blocking floor."""
     m = scaled_machine(4)
-    n = scaled_size(300, 4)
+    n = scaled_size(300)
     freqs = [0.025, 0.1, 0.3, 0.6, 0.9]
 
     def run():

@@ -48,17 +48,16 @@ class DependenceKind(enum.Enum):
     FLOW = "flow"  # write then read (true dependence)
     ANTI = "anti"  # read then write
     OUTPUT = "output"  # write then write
-    INPUT = "input"  # read then read (reuse information only)
 
     @staticmethod
     def of(source_is_write: bool, sink_is_write: bool) -> "DependenceKind":
+        """The kind of an edge with at least one write (reads never
+        conflict, so a read–read pair is no edge)."""
         if source_is_write and sink_is_write:
             return DependenceKind.OUTPUT
         if source_is_write:
             return DependenceKind.FLOW
-        if sink_is_write:
-            return DependenceKind.ANTI
-        return DependenceKind.INPUT
+        return DependenceKind.ANTI
 
 
 # Direction entries: '<' source at an earlier iteration, '=' same
@@ -235,7 +234,6 @@ def dependences_between(
     a: RefAccess,
     b: RefAccess,
     ctx: Optional[Assumptions] = None,
-    include_input: bool = False,
     within: Optional[Loop] = None,
 ) -> list[Dependence]:
     """All dependences between two accesses of the same array.
@@ -251,9 +249,7 @@ def dependences_between(
     """
     if a.array != b.array:
         return []
-    if a is b and not a.is_write:
-        return []
-    if not include_input and not (a.is_write or b.is_write):
+    if not (a.is_write or b.is_write):
         return []
     if a.ref.rank != b.ref.rank:
         return []  # ill-typed program; nothing sensible to report
@@ -307,7 +303,7 @@ def dependences_between(
 
     if a is b and all(x == "=" for x in direction):
         return []  # an access trivially "depends on itself" at distance 0
-    return _orient(a, b, common, distance, direction, include_input)
+    return _orient(a, b, common, distance, direction)
 
 
 def _ranges_disjoint(
@@ -341,15 +337,13 @@ def _flip(distance, direction):
     return dist, [flip[d] for d in direction]
 
 
-def _orient(a, b, common, distance, direction, include_input) -> list[Dependence]:
+def _orient(a, b, common, distance, direction) -> list[Dependence]:
     """Resolve source/sink from the sign of the first decisive entry."""
     first = next((k for k, d in enumerate(direction) if d != "="), None)
     out: list[Dependence] = []
 
     def emit(src: RefAccess, snk: RefAccess, dist, dirs):
         kind = DependenceKind.of(src.is_write, snk.is_write)
-        if kind == DependenceKind.INPUT and not include_input:
-            return
         out.append(Dependence(src, snk, kind, tuple(common), tuple(dist), tuple(dirs)))
 
     if first is None:
@@ -375,34 +369,25 @@ def _orient(a, b, common, distance, direction, include_input) -> list[Dependence
     return out
 
 
-# Optional memoization hook, installed by repro.pipeline.cache.  When set it
-# is called as ``hook(root, ctx, include_input, compute)`` and must return
-# the dependence list (computing via ``compute`` on a miss).  Cached lists
-# may only be reused for the *same* root object: Dependence records hold
-# loop-node references that downstream consumers compare by identity.
-_memo_hook = None
-
-
 def all_dependences(
-    root: Procedure | Stmt | Sequence[Stmt],
-    ctx: Optional[Assumptions] = None,
-    include_input: bool = False,
+    root: Procedure | Stmt | Sequence[Stmt], ctx: Optional[Assumptions] = None
 ) -> list[Dependence]:
     """Every dependence among array accesses under ``root``.
 
-    Observed as ``dependence.*`` (see :func:`memo_query`), plus the result
-    size as counter ``dependence.edges``.
+    Memoized per root *object*: the records hold loop-node references that
+    consumers compare by identity.  Observed as ``dependence.*`` (see
+    :func:`memo_query`), plus the result size as counter
+    ``dependence.edges``.
     """
-    args = (root, ctx or Assumptions(), include_input)
-    deps = memo_query(_memo_hook, _all_dependences_uncached, args, "dependence")
+    deps = memo_query(
+        "dependence", _all_dependences_uncached, (root, ctx or Assumptions()), "dependence"
+    )
     _obs_count("dependence.edges", len(deps))
     return deps
 
 
 def _all_dependences_uncached(
-    root: Procedure | Stmt | Sequence[Stmt],
-    ctx: Assumptions,
-    include_input: bool,
+    root: Procedure | Stmt | Sequence[Stmt], ctx: Assumptions
 ) -> list[Dependence]:
     accs = collect_accesses(root)
     by_array: dict[str, list[RefAccess]] = {}
@@ -412,5 +397,5 @@ def _all_dependences_uncached(
     for group in by_array.values():
         for i in range(len(group)):
             for j in range(i, len(group)):
-                deps.extend(dependences_between(group[i], group[j], ctx, include_input))
+                deps.extend(dependences_between(group[i], group[j], ctx))
     return deps

@@ -52,22 +52,22 @@ def _dedup(constraints: list[Affine]) -> list[Affine]:
     return out
 
 
-# Optional memoization hooks, installed by repro.pipeline.cache.  Both
-# results depend only on structural content (Affine tuples, subscript and
-# bound expressions), never on node identity, so cross-object reuse is safe.
-_feasible_memo_hook = None
-_direction_memo_hook = None
+#: The installed :class:`~repro.pipeline.cache.AnalysisCache`, or None: set
+#: by :mod:`repro.pipeline.cache`'s ``install``/``uninstall``, read only by
+#: :func:`memo_query`, for every memoized analysis query.
+_memo_cache = None
 
 
-def memo_query(hook: Optional[Callable], compute: Callable, args: tuple, metric: str):
-    """Answer one analysis query: through the memo ``hook`` when one is
-    installed (called as ``hook(*args, compute)``), else ``compute(*args)``;
-    under an active :mod:`repro.obs` observer also count it into
-    ``<metric>.queries`` and time it into ``<metric>.latency_s`` (cache
-    hits included — per-region hit rates live in the analysis cache)."""
+def memo_query(region: str, compute: Callable, args: tuple, metric: str):
+    """Answer one analysis query: ``compute(*args)``, remembered in the
+    installed cache's ``region`` when one is installed; under an active
+    :mod:`repro.obs` observer also count it into ``<metric>.queries`` and
+    time it into ``<metric>.latency_s`` (cache hits included — per-region
+    hit rates live in the analysis cache)."""
     obs = _obs_current()
     t0 = _perf_counter() if obs is not None else 0.0
-    result = hook(*args, compute) if hook is not None else compute(*args)
+    memo = _memo_cache
+    result = compute(*args) if memo is None else memo.query(region, compute, args)
     if obs is not None:
         obs.count(f"{metric}.queries")
         obs.observe(f"{metric}.latency_s", _perf_counter() - t0)
@@ -80,7 +80,7 @@ def feasible(constraints: Sequence[Affine]) -> bool:
     Returns True (conservatively) when the elimination exceeds the size
     guard.  Observed as ``fm.feasible.*`` (see :func:`memo_query`).
     """
-    return memo_query(_feasible_memo_hook, _feasible_uncached, (constraints,), "fm.feasible")
+    return memo_query("feasibility", _feasible_uncached, (constraints,), "fm.feasible")
 
 
 def _feasible_uncached(constraints: Sequence[Affine]) -> bool:
@@ -182,7 +182,7 @@ def direction_feasible(
     Observed as ``fm.direction.*`` (see :func:`memo_query`).
     """
     return memo_query(
-        _direction_memo_hook,
+        "direction",
         _direction_feasible_uncached,
         (a, b, directions, common, ctx or Assumptions(), pinned),
         "fm.direction",

@@ -87,12 +87,6 @@ def _upward_exposed_scalars(stmt: Stmt) -> set[str]:
     return exposed
 
 
-# Optional memoization hook, installed by repro.pipeline.cache, called as
-# ``hook(loop, ctx, compute)``: the Dependence records hold node references
-# compared by identity, so an answer is reused only for the same loop object.
-_memo_hook = None
-
-
 def _relative_deps_uncached(loop: Loop, ctx: Assumptions) -> list[Dependence]:
     accs = collect_accesses(loop)  # every one has ``loop`` outermost
     out: list[Dependence] = []
@@ -137,11 +131,10 @@ class DependenceGraph:
         self,
         root: Procedure | Stmt | Sequence[Stmt],
         ctx: Optional[Assumptions] = None,
-        include_input: bool = False,
     ):
         self.root = root
         self.ctx = ctx or Assumptions()
-        self.deps: list[Dependence] = all_dependences(root, self.ctx, include_input)
+        self.deps: list[Dependence] = all_dependences(root, self.ctx)
 
     # ------------------------------------------------------------------
     def relative_deps(self, loop: Loop) -> list[Dependence]:
@@ -153,10 +146,10 @@ class DependenceGraph:
         testing on the Fourier–Motzkin backend); impossible orientations
         are dropped.  This is what breaks the false recurrence between
         block LU's panel and its trailing update after index-set
-        splitting.  Observed as ``graph.relative_deps.*`` (see
-        :func:`memo_query`)."""
+        splitting.  Memoized per loop *object*, like :func:`all_dependences`,
+        and observed as ``graph.relative_deps.*`` (see :func:`memo_query`)."""
         return memo_query(
-            _memo_hook, _relative_deps_uncached, (loop, self.ctx), "graph.relative_deps"
+            "relative", _relative_deps_uncached, (loop, self.ctx), "graph.relative_deps"
         )
 
     def statement_graph(self, loop: Loop, drop_dep=None) -> StatementGraph:

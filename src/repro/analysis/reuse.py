@@ -1,4 +1,4 @@
-"""Cache-reuse classification and blocking-factor selection (Sec. 2.2).
+"""Cache-reuse classification and block working-set estimation (Sec. 2.2).
 
 Two roles:
 
@@ -8,20 +8,21 @@ Two roles:
    leading, column-major dimension: the ``B(I)``), *temporal-carried*
    (small constant dependence distance: the ``A(I-5)``), or none;
 
-2. choose a machine-dependent blocking factor: the largest block size
-   whose estimated working set fits the machine's *effective* cache
-   (a configurable fraction of capacity, defaulting to one half, because
-   self-interference makes full-capacity tiles counterproductive —
-   Lam/Rothberg/Wolf '91).  The estimate is numeric: per distinct
-   reference, the product over dimensions of the subscript range extent
-   with the blocked loop pinned to a window of the candidate size.
+2. estimate the working set of one block, which
+   :func:`repro.lang.lowering.choose_factor` holds against the machine's
+   *effective* cache (a configurable fraction of capacity, defaulting to
+   one half, because self-interference makes full-capacity tiles
+   counterproductive — Lam/Rothberg/Wolf '91) to choose a blocking
+   factor.  The estimate is numeric: per distinct reference, the product
+   over dimensions of the subscript range extent with the blocked loop
+   pinned to a window of the candidate size.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.sections import expr_range, ranges_for_loops
@@ -29,7 +30,6 @@ from repro.analysis.subscripts import analyze_subscript
 from repro.errors import AnalysisError
 from repro.ir.expr import Const, Expr, free_vars
 from repro.ir.stmt import Loop
-from repro.machine.model import MachineModel
 
 
 class ReuseKind(enum.Enum):
@@ -84,7 +84,7 @@ def reuse_report(loop: Loop) -> ReuseReport:
 
 
 # ---------------------------------------------------------------------------
-# working-set estimation and blocking-factor choice
+# working-set estimation
 # ---------------------------------------------------------------------------
 
 def estimate_block_footprint(
@@ -92,20 +92,15 @@ def estimate_block_footprint(
     sizes: Mapping[str, int],
     block_size: int,
     itemsize: int = 8,
-    outer_values: Optional[Mapping[str, int]] = None,
 ) -> int:
     """Bytes touched by one ``block_size``-wide block of ``loop``.
 
     The loop variable is pinned to a window ``[w, w+block_size-1]`` and all
     inner loops sweep their full ranges; each distinct reference contributes
     the product of its per-dimension extents.  Symbolic parameters resolve
-    through ``sizes``; enclosing-loop variables through ``outer_values``
-    (midpoint defaults keep triangular estimates representative).
+    through ``sizes``.
     """
-    env: dict[str, int] = dict(sizes)
-    if outer_values:
-        env.update(outer_values)
-    w = env.get(loop.var, 1)
+    w = sizes.get(loop.var, 1)
     window = (Const(w), Const(w + block_size - 1))
 
     seen: set = set()
@@ -122,7 +117,7 @@ def estimate_block_footprint(
             got = expr_range(e, ranges)
             if got is None:
                 raise AnalysisError(f"non-affine subscript in footprint: {e!r}")
-            lo, hi = (_eval_int(x, env) for x in got)
+            lo, hi = (_eval_int(x, sizes) for x in got)
             elems *= max(0, hi - lo + 1)
         total += elems * itemsize
     return total
@@ -135,37 +130,3 @@ def _eval_int(e: Expr, env: Mapping[str, int]) -> int:
     if missing:
         raise AnalysisError(f"unbound symbols in footprint bound: {sorted(missing)}")
     return int(Interpreter(dict(env)).eval(e))
-
-
-def choose_block_factor(
-    loop: Loop,
-    sizes: Mapping[str, int],
-    machine: MachineModel,
-    itemsize: int = 8,
-    min_factor: int = 2,
-    max_factor: Optional[int] = None,
-    outer_values: Optional[Mapping[str, int]] = None,
-) -> int:
-    """Largest block size whose working set fits the effective cache.
-
-    Monotone bisection over [min_factor, max_factor]; returns min_factor
-    even when nothing fits (a degenerate blocking is still legal), which
-    the language-extension lowering relies on for tiny test machines.
-    """
-    budget = machine.effective_cache_bytes
-    if max_factor is None:
-        max_factor = max(int(v) for v in sizes.values()) if sizes else 64
-
-    def fits(b: int) -> bool:
-        return estimate_block_footprint(loop, sizes, b, itemsize, outer_values) <= budget
-
-    if not fits(min_factor):
-        return min_factor
-    lo, hi = min_factor, max(min_factor, max_factor)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

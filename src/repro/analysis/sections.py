@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.analysis.feasibility import memo_query
 from repro.analysis.refs import RefAccess
 from repro.errors import AnalysisError
 from repro.ir.expr import (
@@ -147,41 +148,30 @@ def ranges_for_loops(loops: Sequence[Loop]) -> dict[str, tuple[Expr, Expr]]:
     return {l.var: (l.lo, l.hi) for l in loops}
 
 
-# Optional memoization hook, installed by repro.pipeline.cache.  Sections
-# are frozen trees of Exprs with structural equality, so results can be
-# reused across distinct-but-equal access objects.
-_memo_hook = None
-
-
 def section_of_ref(
     acc: RefAccess,
     region_loop: Loop | None = None,
     ctx: Optional[Assumptions] = None,
-    extra_ranges: Optional[Ranges] = None,
 ) -> Optional[Section]:
     """The section of ``acc.array`` touched over the full execution of
     ``region_loop`` (or of the access's whole loop stack when None).
 
     Loops outside the region stay symbolic: the LU study computes sections
     "for the entire execution of the KK-loop" with K symbolic (Fig. 5).
+    Sections are frozen trees of Exprs, so the memo shares an answer
+    between equal accesses.  Observed as ``sections.*`` (see
+    :func:`memo_query`).
     """
     region_loops = acc.loops if region_loop is None else acc.loops_from(region_loop)
     if region_loops is None:
         raise AnalysisError("access is not inside the region loop")
-    if _memo_hook is not None:
-        return _memo_hook(acc, region_loops, ctx, extra_ranges, _section_of_ref_uncached)
-    return _section_of_ref_uncached(acc, region_loops, ctx, extra_ranges)
+    return memo_query("sections", _section_of_ref_uncached, (acc, region_loops, ctx), "sections")
 
 
 def _section_of_ref_uncached(
-    acc: RefAccess,
-    region_loops: Sequence[Loop],
-    ctx: Optional[Assumptions],
-    extra_ranges: Optional[Ranges],
+    acc: RefAccess, region_loops: Sequence[Loop], ctx: Optional[Assumptions]
 ) -> Optional[Section]:
     ranges = ranges_for_loops(region_loops)
-    if extra_ranges:
-        ranges.update(extra_ranges)
     dims: list[Triplet] = []
     for e in acc.ref.index:
         got = expr_range(e, ranges, ctx)

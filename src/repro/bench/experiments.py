@@ -18,8 +18,6 @@ pass manager gives every table tracing and analysis caching for free.
 from __future__ import annotations
 
 import functools
-from typing import Optional
-
 import numpy as np
 
 from repro.algorithms import (
@@ -39,22 +37,25 @@ from repro.bench.harness import Table, measure
 from repro.errors import TransformError
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import loop_by_var
-from repro.machine.model import MachineModel, RS6000_540, scaled_machine
+from repro.machine.model import RS6000_540, scaled_machine
 from repro.symbolic.assume import Assumptions
 from repro.transform import scalar_replace, unroll_and_jam
 
-#: default geometry scale: problem dims /4, cache /16, line /4 — an exact
+#: the geometry scale: problem dims /4, cache /16, line /4 — an exact
 #: divisor of the paper's geometry (blocks 32/64 -> 8/16, 128B lines ->
 #: 32B, 64KB -> 4KB), which keeps every footprint:capacity ratio identical
 SCALE = 4
 
+#: the unroll-and-jam factor of every transformed variant
+UNROLL = 4
 
-def scaled_size(paper_size: int, scale: int = SCALE) -> int:
-    return max(8, paper_size // scale)
+
+def scaled_size(paper_size: int) -> int:
+    return max(8, paper_size // SCALE)
 
 
-def scaled_block(paper_block: int, scale: int = SCALE) -> int:
-    return max(2, round(paper_block / scale))
+def scaled_block(paper_block: int) -> int:
+    return max(2, round(paper_block / SCALE))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +106,13 @@ def _update_j_loop(proc: Procedure) -> Loop:
     raise TransformError("no trailing-update J loop found")  # pragma: no cover
 
 
-def _plus_variant(proc: Procedure, uj: int = 4) -> Procedure:
+def _plus_variant(proc: Procedure) -> Procedure:
     """The paper's "+" treatment: unroll-and-jam the trailing update and
     scalar-replace the innermost loops."""
     base = Assumptions().assume_ge("N", 2).assume_ge("KS", 2)
     j2 = _update_j_loop(proc)
     ctx = context_for_path(proc, j2, base)
-    proc = unroll_and_jam(proc, j2, uj, ctx)
+    proc = unroll_and_jam(proc, j2, UNROLL, ctx)
     proc, _reports = scalar_replace(proc, base)
     return proc
 
@@ -131,22 +132,22 @@ def lu_pivot_one_plus() -> Procedure:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def matmul_uj_naive(u: int = 4) -> Procedure:
+def matmul_uj_naive() -> Procedure:
     """Guard moved innermost, then unroll-and-jam of K (paper's "UJ")."""
     proc = matmul_guard_inner_ir()
     k = loop_by_var(proc.body, "K")
     ctx = context_for_path(proc, k, Assumptions().assume_ge("N", 1))
-    return unroll_and_jam(proc, k, u, ctx)
+    return unroll_and_jam(proc, k, UNROLL, ctx)
 
 
 @functools.lru_cache(maxsize=None)
-def matmul_ujif(u: int = 4) -> Procedure:
+def matmul_ujif() -> Procedure:
     """IF-inspection then unroll-and-jam of the executor (paper's
     "UJ+IF"), plus scalar replacement of the now-unguarded accumulators —
     the ``matmul`` workload's default pipeline."""
     from repro.pipeline import derive
 
-    return derive("matmul", unroll=u).procedure
+    return derive("matmul", unroll=UNROLL).procedure
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +155,13 @@ def matmul_ujif(u: int = 4) -> Procedure:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def conv_transformed(kind: str, u: int = 4) -> Procedure:
+def conv_transformed(kind: str) -> Procedure:
     """The Sec. 3.2 treatment: complete index-set splitting, (triangular)
     unroll-and-jam, scalar replacement — the ``split``, ``jam``, and
     ``scalars`` passes of the workload's default pipeline."""
     from repro.pipeline import derive
 
-    return derive(kind, unroll=u).procedure
+    return derive(kind, unroll=UNROLL).procedure
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +205,14 @@ def conv_sizes(paper_size: int) -> dict[str, int]:
     return {"N1": paper_size, "N2": n2, "N3": paper_size, "DT": 0.5}
 
 
-def table_t1_convolution(machine: Optional[MachineModel] = None, u: int = 4) -> Table:
+def table_t1_convolution() -> Table:
     """Sec. 3.2 table: Aconv/Conv, original vs transformed.
 
     The conv arrays fit any realistic cache, so the paper's 1.8–1.9x is a
     *register* effect: unroll-and-jam + scalar replacement remove
     redundant loads.  The reference-count term of the cost model carries
     it; no geometry scaling is needed (paper sizes run directly)."""
-    machine = machine or RS6000_540
+    machine = RS6000_540
     t = Table(
         title="T1: time-series convolution kernels",
         paper_ref="Sec. 3.2 table (IBM RS/6000-540, double precision)",
@@ -223,7 +224,7 @@ def table_t1_convolution(machine: Optional[MachineModel] = None, u: int = 4) -> 
     )
     for kind, label in (("aconv", "Aconv"), ("conv", "Conv")):
         point = aconv_ir() if kind == "aconv" else conv_ir()
-        xform = conv_transformed(kind, u)
+        xform = conv_transformed(kind)
         for size in (300, 500):
             sizes = conv_sizes(size)
             base = measure(point, sizes, machine)
@@ -239,16 +240,14 @@ def table_t1_convolution(machine: Optional[MachineModel] = None, u: int = 4) -> 
     return t
 
 
-def table_t2_if_inspection(
-    scale: int = SCALE, machine: Optional[MachineModel] = None, u: int = 4
-) -> Table:
+def table_t2_if_inspection() -> Table:
     """Sec. 4 table: guarded matmul, Original vs UJ vs UJ+IF."""
-    machine = machine or scaled_machine(scale)
-    n = scaled_size(300, scale)
+    machine = scaled_machine(SCALE)
+    n = scaled_size(300)
     t = Table(
         title="T2: IF-inspected matrix multiply",
         paper_ref="Sec. 4 table (300x300 REAL, guard-true frequency varied)",
-        machine=f"{machine.describe()}  N={n} (scale 1/{scale})",
+        machine=f"{machine.describe()}  N={n} (scale 1/{SCALE})",
         columns=(
             "frequency", "paper_orig_s", "paper_uj_s", "paper_ujif_s", "paper_speedup",
             "modeled_orig", "modeled_uj", "modeled_ujif", "modeled_speedup",
@@ -256,8 +255,8 @@ def table_t2_if_inspection(
     )
     variants = {
         "orig": matmul_guarded_ir(),
-        "uj": matmul_uj_naive(u),
-        "ujif": matmul_ujif(u),
+        "uj": matmul_uj_naive(),
+        "ujif": matmul_ujif(),
     }
     for freq_label, freq in (("2.5%", 0.025), ("10%", 0.10)):
         b = sparse_b(n, freq, run_len=max(4, n // 8)).astype(np.float32)
@@ -280,8 +279,6 @@ def table_t2_if_inspection(
 def _lu_table(
     title: str,
     paper_ref: str,
-    scale: int,
-    machine: Optional[MachineModel],
     point: Procedure,
     variants: dict,
     paper: dict,
@@ -291,11 +288,11 @@ def _lu_table(
     ``variants`` (column suffix -> procedure; the last one is the
     speedup's) per size and block.  ``paper`` maps (size, block) to the
     paper's (point, *variants, speedup) seconds."""
-    machine = machine or scaled_machine(scale)
+    machine = scaled_machine(SCALE)
     t = Table(
         title=title,
         paper_ref=paper_ref,
-        machine=f"{machine.describe()} (scale 1/{scale})",
+        machine=f"{machine.describe()} (scale 1/{SCALE})",
         columns=(
             "size", "block", "paper_point_s", *(f"paper_{v}_s" for v in variants),
             "paper_speedup", "modeled_point", *(f"modeled_{v}" for v in variants),
@@ -304,10 +301,10 @@ def _lu_table(
     )
     last = list(variants)[-1]
     for size in (300, 500):
-        n = scaled_size(size, scale)
+        n = scaled_size(size)
         point_s = measure(point, {"N": n}, machine).modeled_seconds  # no KS: once per size
         for block in (32, 64):
-            ks = scaled_block(block, scale)
+            ks = scaled_block(block)
             got = {v: measure(proc, {"N": n, "KS": ks}, machine).modeled_seconds
                    for v, proc in variants.items()}
             pp, *published, ps = paper[(size, block)]
@@ -322,25 +319,25 @@ def _lu_table(
     return t
 
 
-def table_t3_lu(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
+def table_t3_lu() -> Table:
     """Sec. 5.1 table: LU without pivoting — Point, "1" (hand-blocked),
     "2" (compiler-derived Fig. 6), "2+" (derived + UJ + scalar repl.)."""
     return _lu_table(
         "T3: LU decomposition without pivoting", "Sec. 5.1 table (double precision)",
-        scale, machine, lu_point_ir(),
+        lu_point_ir(),
         {"1": lu_sorensen_ir(), "2": derived_block_lu(), "2p": lu_two_plus()},
         PAPER_T3,
         '"2" is the compiler-derived Fig. 6; "1" stands in for the Sorensen hand code (DESIGN.md)',
     )
 
 
-def table_t4_lu_pivot(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
+def table_t4_lu_pivot() -> Table:
     """Sec. 5.2 table: LU with partial pivoting — Point, "1" (the
     compiler-derived Fig. 8), "1+" (the Fig. 8 listing + UJ + scalar
     replacement)."""
     return _lu_table(
         "T4: LU decomposition with partial pivoting", "Sec. 5.2 table (double precision)",
-        scale, machine, lu_pivot_point_ir(),
+        lu_pivot_point_ir(),
         {"1": derived_block_lu_pivot(), "1p": lu_pivot_one_plus()},
         PAPER_T4,
         '"1" is the compiler-derived Fig. 8 (commutativity oracle); "1+" is '
@@ -349,13 +346,13 @@ def table_t4_lu_pivot(scale: int = SCALE, machine: Optional[MachineModel] = None
     )
 
 
-def table_t5_givens(scale: int = SCALE, machine: Optional[MachineModel] = None) -> Table:
+def table_t5_givens() -> Table:
     """Sec. 5.4 table: Givens QR — point vs optimized (derived Fig. 10)."""
-    machine = machine or scaled_machine(scale)
+    machine = scaled_machine(SCALE)
     t = Table(
         title="T5: QR decomposition with Givens rotations",
         paper_ref="Sec. 5.4 table",
-        machine=f"{machine.describe()} (scale 1/{scale})",
+        machine=f"{machine.describe()} (scale 1/{SCALE})",
         columns=(
             "size", "paper_point_s", "paper_opt_s", "paper_speedup",
             "modeled_point", "modeled_opt", "modeled_speedup",
@@ -364,7 +361,7 @@ def table_t5_givens(scale: int = SCALE, machine: Optional[MachineModel] = None) 
     point = givens_point_ir()
     opt = givens_opt_measured()
     for size in (300, 500):
-        n = scaled_size(size, scale)
+        n = scaled_size(size)
         rng = np.random.default_rng(7)
         a = np.asfortranarray(rng.uniform(0.1, 1.0, (n, n)))
         got_p = measure(point, {"M": n, "N": n}, machine, arrays={"A": a})

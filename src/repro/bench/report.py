@@ -96,33 +96,28 @@ NOTES = """\
 """
 
 
-#: builder name -> zero-argument callable (scale applied by build_all)
-def _builders(scale: int):
+def _builders():
+    """(builder name, zero-argument table builder), in table order."""
     return [
-        ("T1 convolution", lambda: E.table_t1_convolution()),
-        ("T2 IF-inspection", lambda: E.table_t2_if_inspection(scale)),
-        ("T3 LU", lambda: E.table_t3_lu(scale)),
-        ("T4 LU pivot", lambda: E.table_t4_lu_pivot(scale)),
-        ("T5 Givens", lambda: E.table_t5_givens(scale)),
+        ("T1 convolution", E.table_t1_convolution),
+        ("T2 IF-inspection", E.table_t2_if_inspection),
+        ("T3 LU", E.table_t3_lu),
+        ("T4 LU pivot", E.table_t4_lu_pivot),
+        ("T5 Givens", E.table_t5_givens),
     ]
 
 
-def select_builders(scale: int, only: str | None = None) -> list[tuple]:
+def select_builders(only: str | None = None) -> list[tuple]:
     """The table builders, optionally filtered by a case-insensitive
     substring of the table name (``"T1"``, ``"lu"``, ...)."""
-    builders = _builders(scale)
+    builders = _builders()
     if only is None:
         return builders
     needle = only.lower()
     return [(name, build) for name, build in builders if needle in name.lower()]
 
 
-def build_all_pool(
-    jobs: int,
-    scale: int = E.SCALE,
-    progress: bool = False,
-    only: str | None = None,
-):
+def build_all_pool(jobs: int, progress: bool = False, only: str | None = None):
     """Like :func:`build_all`, but one ``repro.serve`` job per table.
 
     Tables are rebuilt from the jobs' JSON payloads, so the return
@@ -132,12 +127,11 @@ def build_all_pool(
     from repro.serve.jobs import JobSpec
     from repro.serve.pool import WorkerPool
 
-    builders = select_builders(scale, only)
+    builders = select_builders(only)
     specs = [
         JobSpec(
             kind="table",
             workload=name,
-            options={"scale": scale},
             timeout_s=1800.0,
             use_store=False,  # simulation output; keyed on nothing stable
             label=f"table:{name}",
@@ -175,7 +169,7 @@ def build_all_pool(
     return tables, time.time() - t0, failures
 
 
-def build_all(scale: int = E.SCALE, progress: bool = False, only: str | None = None):
+def build_all(progress: bool = False, only: str | None = None):
     """Build every table (or the ``only`` subset); returns
     (tables, elapsed_seconds, failures).
 
@@ -185,7 +179,7 @@ def build_all(scale: int = E.SCALE, progress: bool = False, only: str | None = N
     t0 = time.time()
     tables = []
     failures: list[tuple[str, str]] = []
-    for name, build in select_builders(scale, only):
+    for name, build in select_builders(only):
         t1 = time.time()
         try:
             tables.append(build())
@@ -200,8 +194,8 @@ def build_all(scale: int = E.SCALE, progress: bool = False, only: str | None = N
     return tables, elapsed, failures
 
 
-def render_markdown(tables, elapsed: float, scale: int = E.SCALE) -> str:
-    out = [HEADER.format(scale=scale)]
+def render_markdown(tables, elapsed: float) -> str:
+    out = [HEADER.format(scale=E.SCALE)]
     for t in tables:
         out.append(f"## {t.title}\n")
         out.append(f"*{t.paper_ref}*  \nmachine: `{t.machine}`\n")
@@ -256,8 +250,8 @@ def run(args) -> int:
                 "--only writes a partial table set; refusing to "
                 "overwrite EXPERIMENTS.md (give an explicit output path)"
             )
-        if not select_builders(E.SCALE, args.only):
-            known = ", ".join(name for name, _ in _builders(E.SCALE))
+        if not select_builders(args.only):
+            known = ", ".join(name for name, _ in _builders())
             raise PipelineError(
                 f"--only {args.only!r} matches no table (known: {known})"
             )

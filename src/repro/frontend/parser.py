@@ -425,9 +425,7 @@ def _negate(cond: Expr) -> Expr:
     return Not(cond)
 
 
-def parse_statements(
-    source: str, arrays: Sequence[str] = (), consume_labels: bool = True
-) -> tuple[Stmt, ...]:
+def parse_statements(source: str, arrays: Sequence[str] = ()) -> tuple[Stmt, ...]:
     """Parse a statement sequence (no SUBROUTINE wrapper).
 
     ``arrays`` names the identifiers to treat as arrays in subscript

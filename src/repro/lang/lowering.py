@@ -120,11 +120,11 @@ def choose_factor(
     ctx: Optional[Assumptions] = None,
 ) -> int:
     """Pick the blocking factor for ``proc``'s (first) BLOCK DO against a
-    machine: largest power-of-two-free integer whose estimated block
-    working set fits the effective cache (bisection via
-    :func:`repro.analysis.reuse.choose_block_factor`)."""
-    from repro.analysis.reuse import choose_block_factor
-
+    machine: the largest factor in ``[2, max(sizes)]`` whose estimated
+    block working set (:func:`repro.analysis.reuse.estimate_block_footprint`)
+    fits the effective cache, found by monotone bisection; 2 even when
+    nothing fits (a degenerate blocking is still legal), which tiny test
+    machines rely on."""
     from repro.analysis.reuse import estimate_block_footprint
 
     ctx = ctx or Assumptions()

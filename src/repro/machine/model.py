@@ -134,11 +134,11 @@ def machine_from_factors(
     return replace(base, name=name, cache=cache, tlb=tlb)
 
 
-def scaled_machine(scale: int, base: MachineModel = RS6000_540, min_line: int = 32) -> MachineModel:
+def scaled_machine(scale: int, base: MachineModel = RS6000_540) -> MachineModel:
     """Shrink ``base`` for problems scaled down by ``scale`` per dimension.
 
     Capacity scales by ``scale**2`` (2-D working sets), line size by
-    ``scale`` with a floor of ``min_line`` bytes — keeping both the
+    ``scale`` with a floor of 32 bytes — keeping both the
     capacity-miss structure and the spatial-reuse structure of the original
     problem/machine pair.  ``scale`` must divide the base geometry into
     legal powers of two.
@@ -155,7 +155,7 @@ def scaled_machine(scale: int, base: MachineModel = RS6000_540, min_line: int = 
         return p
 
     size = max(_pow2_floor(base.cache.size_bytes // (scale * scale)), 256)
-    line = max(_pow2_floor(base.cache.line_bytes // scale), min_line)
+    line = max(_pow2_floor(base.cache.line_bytes // scale), 32)
     assoc = base.cache.assoc
     while assoc > 1 and (size // line) % assoc != 0:
         assoc //= 2

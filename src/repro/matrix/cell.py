@@ -23,10 +23,11 @@ participate as the bindings ``sizes_for(n, b)`` makes, not as the raw
 ``(n, b)``: matmul and conv read no ``b``, so their cells that differ
 only in ``b`` are one computation under one digest.
 
-Derivations inside a cell run against a per-process analysis cache
-(worker processes persist across jobs), so a sweep that re-derives the
-same symbolic pipeline at 20 different geometries pays for the
-Fourier–Motzkin work once per worker, not once per cell.
+Derivations inside a cell run against the process's default analysis
+cache (``GLOBAL_CACHE``; worker processes persist across jobs), so a
+sweep that re-derives the same symbolic pipeline at 20 different
+geometries pays for the Fourier–Motzkin work once per worker, not once
+per cell.
 """
 
 from __future__ import annotations
@@ -51,19 +52,6 @@ RESULT_FIELDS = (
     "speedup",
     "fingerprint",
 )
-
-_ANALYSIS_CACHE = None
-
-
-def _cache():
-    """Per-process analysis cache (workers live across many cells)."""
-    global _ANALYSIS_CACHE
-    if _ANALYSIS_CACHE is None:
-        from repro.pipeline.cache import AnalysisCache
-
-        _ANALYSIS_CACHE = AnalysisCache()
-    return _ANALYSIS_CACHE
-
 
 def normalize_options(options: Mapping) -> dict:
     """Cell options with defaults applied and unknown keys rejected."""
@@ -147,7 +135,7 @@ def run_cell(workload_name: str, options: Mapping) -> dict:
         proc, passes = point, []
         variant = base
     else:
-        result = derive(workload_name, passes=names, cache=_cache())
+        result = derive(workload_name, passes=names)
         proc = result.procedure
         passes = [s.name for s in result.spans]
         variant = measure(proc, sizes, machine)

@@ -3,11 +3,13 @@
 The pipeline's hot paths are all *re-analysis*: every transformation
 round re-derives dependences, re-runs Fourier–Motzkin feasibility, and
 re-computes array sections over procedure trees that repeat from round
-to round.  :class:`AnalysisCache` memoizes four analysis layers behind
-hooks that the analysis modules expose
-(:data:`repro.analysis.dependence._memo_hook` and friends), plus a
-fifth region for whole-pass results used by the
-:class:`~repro.pipeline.manager.PassManager`.
+to round.  Every analysis query goes through one function,
+:func:`repro.analysis.feasibility.memo_query`, which asks the one
+installed :class:`AnalysisCache` (the module slot
+``repro.analysis.feasibility._memo_cache``) for the answer of a named region:
+``dependence``, ``relative``, ``feasibility``, ``direction`` or
+``sections``.  A sixth region, ``passes``, holds whole-pass results for
+the :class:`~repro.pipeline.manager.PassManager`.
 
 Keying discipline — this is the part that must not be fudged:
 
@@ -16,7 +18,10 @@ Keying discipline — this is the part that must not be fudged:
   identity (``is``), so they are cached per root *object*
   (``id(root)``, with a strong reference pinned so the id cannot be
   recycled) — reuse across calls on the same tree, never across
-  structurally-equal copies.
+  structurally-equal copies.  ``relative`` holds each loop's relative
+  dependences (the statement graph's edges) per loop *object* and
+  context facts, pinned the same way: distribution, IndexSetSplit and
+  the linter ask for them several times per loop.
 - ``feasibility``, ``direction``, and ``sections`` results are plain
   values (bools, frozen ``Section`` trees) computed from structural
   content only, so they are keyed by structural fingerprints
@@ -25,135 +30,98 @@ Keying discipline — this is the part that must not be fudged:
   is where the second-derivation-of-the-same-procedure wins come from.
 - ``passes`` maps ``(pass name, options, input fingerprint, context
   facts)`` to the pass's outcome and, once a checked run judged it, its
-  check findings; see the manager.  Off the counted regions, the
-  fingerprint memo also holds ``ir_size`` and ``verified`` input
-  ``verify_ir`` findings.
-- ``relative``, also uncounted, holds each loop's relative dependences
-  (the statement graph's edges) per loop *object* and context facts,
-  pinned like ``dependence``: distribution, IndexSetSplit and the linter
-  ask for them several times per loop.
+  check findings; see the manager.  The fingerprint memo also holds
+  ``ir_size``, and ``verified`` holds input ``verify_ir`` findings.
 
-Install the hooks with :func:`install`/:func:`uninstall` or the
+Every memo is a dict under one bound, :func:`bounded_put`: a full memo
+is emptied before it grows (``_MEMO_CAP`` entries).  ``stats()`` reports
+five regions; ``relative``, the fingerprint memo and ``verified`` stay
+out of it.
+
+Install a cache with :func:`install`/:func:`uninstall` or the
 :func:`installed` context manager; the manager does this around every
 run.  ``GLOBAL_CACHE`` is the default shared instance.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Optional
 
-from repro.analysis import dependence as _dependence
 from repro.analysis import feasibility as _feasibility
-from repro.analysis import graph as _graph
-from repro.analysis import sections as _sections
 from repro.ir.fingerprint import ir_fingerprint, ir_size
 from repro.symbolic.assume import Assumptions
 
-_FP_MEMO_CAP = 8192
-_REGION_CAP = 65536
+#: entries one memo holds before :func:`bounded_put` empties it
+_MEMO_CAP = 8192
 
 
 def bounded_put(memo: dict, key, value):
     """``memo[key] = value`` (returned); a full ``memo`` is emptied first."""
-    if len(memo) >= _FP_MEMO_CAP:
+    if len(memo) >= _MEMO_CAP:
         memo.clear()
     memo[key] = value
     return value
 
 
 class CacheRegion:
-    """One keyed store with hit/miss/eviction counters and an LRU bound.
+    """One memo dict with hit and miss counters, bounded by :func:`bounded_put`."""
 
-    The region never holds more than ``cap`` entries: inserting into a
-    full region evicts the least-recently-*used* entry (hits refresh
-    recency), one at a time, so a long-running service converges on its
-    working set instead of flushing it wholesale or growing without
-    limit.  ``evictions`` counts what the bound cost.
-    """
-
-    def __init__(self, name: str, cap: int = _REGION_CAP):
-        if cap < 1:
-            raise ValueError(f"region {name!r} needs cap >= 1, got {cap}")
-        self.name = name
-        self.cap = cap
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self._store: OrderedDict = OrderedDict()
+        self.memo: dict = {}
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self.memo)
 
     def get_or(self, key, compute: Callable[[], object]):
-        try:
-            value = self._store[key]
-        except KeyError:
-            self.misses += 1
-            value = compute()
-            self.put(key, value)
-            return value
-        self.hits += 1
-        self._store.move_to_end(key)
-        return value
+        hit, value = self.peek(key)
+        return value if hit else bounded_put(self.memo, key, compute())
 
     def peek(self, key):
         """Like get_or without compute: (hit, value)."""
         try:
-            value = self._store[key]
+            value = self.memo[key]
         except KeyError:
             self.misses += 1
             return False, None
         self.hits += 1
-        self._store.move_to_end(key)
         return True, value
 
     def put(self, key, value) -> None:
-        if key not in self._store and len(self._store) >= self.cap:
-            self._store.popitem(last=False)  # least recently used
-            self.evictions += 1
-        self._store[key] = value
-        self._store.move_to_end(key)
+        bounded_put(self.memo, key, value)
 
     def clear(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-        self._store.clear()
+        self.hits = self.misses = 0
+        self.memo.clear()
 
     def stats(self) -> dict:
         total = self.hits + self.misses
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "entries": len(self._store),
-            "evictions": self.evictions,
+            "entries": len(self.memo),
             "hit_rate": (self.hits / total) if total else 0.0,
         }
 
 
 class AnalysisCache:
-    """The full cache: analysis regions + fingerprint memo + pass memo.
-
-    ``region_cap`` bounds every region (LRU, see :class:`CacheRegion`);
-    the default suits batch derivations — a long-running service can
-    pass something smaller and watch ``stats()[region]["evictions"]``.
-    """
+    """The full cache: analysis regions + fingerprint memo + pass memo."""
 
     REGIONS = ("dependence", "direction", "feasibility", "sections", "passes")
 
-    def __init__(self, region_cap: Optional[int] = None) -> None:
-        cap = region_cap if region_cap is not None else _REGION_CAP
-        self.dependence = CacheRegion("dependence", cap)
-        self.direction = CacheRegion("direction", cap)
-        self.feasibility = CacheRegion("feasibility", cap)
-        self.sections = CacheRegion("sections", cap)
-        self.passes = CacheRegion("passes", cap)
+    def __init__(self) -> None:
+        self.dependence = CacheRegion()
+        self.direction = CacheRegion()
+        self.feasibility = CacheRegion()
+        self.sections = CacheRegion()
+        self.passes = CacheRegion()
+        self.relative = CacheRegion()  # not in REGIONS: left out of stats()
         # id -> [node, fingerprint, size or None]; the node keeps the id valid.
         self._fp_memo: dict[int, list] = {}
         # (fingerprint, context facts) -> the input's verify_ir findings
         self.verified: dict = {}
-        # (id(loop), context facts) -> (loop, its relative dependences)
-        self.relative: dict = {}
 
     # ---- identity memo ----------------------------------------------------
     def _slot(self, node) -> list:
@@ -188,33 +156,27 @@ class AnalysisCache:
     def _access_key(self, acc) -> tuple:
         return (acc.array, self.fingerprint(acc.ref), self._loops_key(acc.loops))
 
-    # ---- analysis hooks ---------------------------------------------------
-    def _dep_hook(self, root, ctx, include_input, compute):
-        # the entry carries the root so the id() key cannot be recycled
-        # while the entry lives — and the pin is dropped with the entry
-        # when the LRU bound evicts it
-        key = (id(root), self._ctx_key(ctx), include_input)
-        hit, entry = self.dependence.peek(key)
-        if hit:
+    # ---- analysis queries -------------------------------------------------
+    def query(self, region: str, compute: Callable, args: tuple):
+        """``compute(*args)``, remembered in ``region`` (what
+        :func:`~repro.analysis.feasibility.memo_query` asks)."""
+        memo = getattr(self, region)
+        if region in ("dependence", "relative"):
+            # keyed by the root object (args[0]); the entry carries the
+            # root so the id() key cannot be recycled while the entry lives
+            root, ctx = args
+            entry = memo.get_or(
+                (id(root), self._ctx_key(ctx)), lambda: (root, compute(*args))
+            )
             return list(entry[1])
-        value = compute(root, ctx, include_input)
-        self.dependence.put(key, (root, value))
-        return list(value)
+        return memo.get_or(getattr(self, f"_{region}_key")(*args), lambda: compute(*args))
 
-    def _relative_hook(self, loop, ctx, compute):
-        # pinned like the dependence region: the loop keeps the id valid
-        key = (id(loop), self._ctx_key(ctx))
-        entry = self.relative.get(key)
-        if entry is None:
-            entry = bounded_put(self.relative, key, (loop, compute(loop, ctx)))
-        return list(entry[1])
+    @staticmethod
+    def _feasibility_key(constraints) -> tuple:
+        return tuple((c.coeffs, c.const) for c in constraints)
 
-    def _feasible_hook(self, constraints, compute):
-        key = tuple((c.coeffs, c.const) for c in constraints)
-        return self.feasibility.get_or(key, lambda: compute(constraints))
-
-    def _direction_hook(self, a, b, directions, common, ctx, pinned, compute):
-        key = (
+    def _direction_key(self, a, b, directions, common, ctx, pinned) -> tuple:
+        return (
             self._access_key(a),
             self._access_key(b),
             tuple(directions),
@@ -222,30 +184,13 @@ class AnalysisCache:
             tuple(sorted(pinned)),
             self._ctx_key(ctx),
         )
-        return self.direction.get_or(
-            key, lambda: compute(a, b, directions, common, ctx, pinned)
-        )
 
-    def _section_hook(self, acc, region_loops, ctx, extra_ranges, compute):
-        extra_key = (
-            tuple(
-                sorted(
-                    (name, self.fingerprint(lo), self.fingerprint(hi))
-                    for name, (lo, hi) in extra_ranges.items()
-                )
-            )
-            if extra_ranges
-            else ()
-        )
-        key = (
+    def _sections_key(self, acc, region_loops, ctx) -> tuple:
+        return (
             acc.array,
             self.fingerprint(acc.ref),
             self._loops_key(region_loops),
             self._ctx_key(ctx),
-            extra_key,
-        )
-        return self.sections.get_or(
-            key, lambda: compute(acc, region_loops, ctx, extra_ranges)
         )
 
     # ---- bookkeeping ------------------------------------------------------
@@ -253,52 +198,34 @@ class AnalysisCache:
         return {name: getattr(self, name).stats() for name in self.REGIONS}
 
     def clear(self) -> None:
-        for name in self.REGIONS:
+        for name in (*self.REGIONS, "relative"):
             getattr(self, name).clear()
         self._fp_memo.clear()
         self.verified.clear()
-        self.relative.clear()
 
 
 GLOBAL_CACHE = AnalysisCache()
 
-# install()/uninstall() nest: each install pushes the hooks it replaced.
-_hook_stack: list[tuple] = []
+# install()/uninstall() nest: the installed caches, innermost last.
+_stack: list[AnalysisCache] = []
 
 
 def install(cache: AnalysisCache) -> None:
-    """Point the analysis-module hooks at ``cache`` (reentrant)."""
-    _hook_stack.append(
-        (
-            _dependence._memo_hook,
-            _feasibility._feasible_memo_hook,
-            _feasibility._direction_memo_hook,
-            _sections._memo_hook,
-            _graph._memo_hook,
-        )
-    )
-    _dependence._memo_hook = cache._dep_hook
-    _feasibility._feasible_memo_hook = cache._feasible_hook
-    _feasibility._direction_memo_hook = cache._direction_hook
-    _sections._memo_hook = cache._section_hook
-    _graph._memo_hook = cache._relative_hook
+    """Make ``cache`` the one every analysis query asks (reentrant)."""
+    _stack.append(cache)
+    _feasibility._memo_cache = cache
 
 
 def uninstall() -> None:
-    """Restore the hooks from before the matching :func:`install`."""
-    prev = _hook_stack.pop() if _hook_stack else (None,) * 5
-    (
-        _dependence._memo_hook,
-        _feasibility._feasible_memo_hook,
-        _feasibility._direction_memo_hook,
-        _sections._memo_hook,
-        _graph._memo_hook,
-    ) = prev
+    """Reinstate the cache from before the matching :func:`install`."""
+    if _stack:
+        _stack.pop()
+    _feasibility._memo_cache = _stack[-1] if _stack else None
 
 
 @contextmanager
 def installed(cache: AnalysisCache):
-    """``with installed(cache): ...`` — hook installation as a scope."""
+    """``with installed(cache): ...`` — installation as a scope."""
     install(cache)
     try:
         yield cache
@@ -311,7 +238,7 @@ def scoped():
     """Run under the cache already installed, else under a fresh one that
     lives for the scope — for analysis entry points that may be called
     outside any pass manager (the blockability linter)."""
-    if _hook_stack:
+    if _stack:
         yield
     else:
         with installed(AnalysisCache()):

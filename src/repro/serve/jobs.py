@@ -290,7 +290,7 @@ def _run_table(spec: JobSpec) -> dict:
     """Build one experiment table; ``workload`` is the table name."""
     from repro.bench.report import select_builders
 
-    matches = select_builders(_table_scale(spec), only=spec.workload)
+    matches = select_builders(only=spec.workload)
     if len(matches) != 1:
         raise PipelineError(
             f"table spec {spec.workload!r} matches {len(matches)} tables, want 1"
@@ -306,12 +306,6 @@ def _run_table(spec: JobSpec) -> dict:
         "rows": [dict(r) for r in table.rows],
         "notes": list(table.notes),
     }
-
-
-def _table_scale(spec: JobSpec) -> int:
-    from repro.bench import experiments
-
-    return int(spec.options.get("scale", experiments.SCALE))
 
 
 def _run_probe(spec: JobSpec) -> dict:

@@ -75,6 +75,10 @@ class BlockingReport:
         self.steps.append(msg)
 
 
+#: how many sweeps over the strip loops :func:`block_loop` makes at most
+MAX_ROUNDS = 64
+
+
 def _is_innermost(loop: Loop) -> bool:
     return not any(isinstance(s, Loop) for s in walk_stmts(loop.body))
 
@@ -85,7 +89,6 @@ def block_loop(
     factor: ExprLike,
     ctx: Optional[Assumptions] = None,
     ignore_dep: Optional[IgnoreOracle] = None,
-    max_rounds: int = 64,
     max_splits: int = 6,
 ) -> tuple[Procedure, BlockingReport]:
     """Block the loop over ``loop_var`` by ``factor`` (symbol or literal).
@@ -104,7 +107,7 @@ def block_loop(
         ctx.assume_ge(sm.factor.name, 2)
 
     stuck: set[tuple] = set()
-    for _round in range(max_rounds):
+    for _round in range(MAX_ROUNDS):
         changed = False
         for cand in find_loops(proc):
             if cand.var != sm.strip_var:

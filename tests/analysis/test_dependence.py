@@ -96,11 +96,10 @@ class TestUnconstrainedLoops:
         assert flows, "flow dep on A must exist"
         assert any(d.direction[0] == "*" for d in flows)
 
-    def test_input_deps_only_on_request(self):
+    def test_read_read_pairs_are_no_edge(self):
         nest = do("I", 1, "N", assign(ref("A", "I"), ref("B", "I") + ref("B", "I")))
-        assert not find(deps_of((nest,)), DependenceKind.INPUT)
-        got = find(deps_of((nest,), include_input=True), DependenceKind.INPUT, "B")
-        assert got
+        assert not [d for d in deps_of((nest,)) if d.array == "B"]
+        assert {k.value for k in DependenceKind} == {"flow", "anti", "output"}
 
 
 class TestPaperSec33:

@@ -15,14 +15,14 @@ from repro.analysis.refs import RefAccess, collect_accesses
 from repro.analysis.reuse import (
     ReuseKind,
     classify_reuse,
-    choose_block_factor,
     estimate_block_footprint,
     reuse_report,
 )
-from repro.ir.build import assign, do, if_, ref
+from repro.ir.build import assign, block_do, do, if_, ref
 from repro.ir.expr import Const, Min, Var
 from repro.ir.stmt import ArrayDecl, Procedure
 from repro.ir.visit import loop_by_var
+from repro.lang import choose_factor
 from repro.machine.cache import CacheConfig
 from repro.machine.model import MachineModel
 from repro.symbolic.assume import Assumptions
@@ -142,12 +142,13 @@ class TestReuse:
         assert fp8 > fp2
 
     def test_choose_block_factor_monotone_in_cache(self):
-        outer = do("J", 1, "N", self.vec())
+        arrays = (ArrayDecl("A", (Var("M"),)), ArrayDecl("B", (Var("N"),)))
+        proc = Procedure("p", ("N", "M"), arrays, (block_do("J", 1, "N", self.vec()),))
         small = MachineModel("s", CacheConfig(512, 32, 2))
         big = MachineModel("b", CacheConfig(8192, 32, 2))
-        bs = choose_block_factor(outer, {"N": 64, "M": 64}, small)
-        bb = choose_block_factor(outer, {"N": 64, "M": 64}, big)
-        assert bb >= bs >= 2
+        bs = choose_factor(proc, small, {"N": 64, "M": 64})
+        bb = choose_factor(proc, big, {"N": 64, "M": 64})
+        assert bb > bs >= 2
 
 
 class TestCommutativityMatchers:

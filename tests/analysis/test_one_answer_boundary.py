@@ -5,6 +5,7 @@ layer."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -61,15 +62,31 @@ def test_the_region_loop_is_searched_for_in_one_place():
 
 
 def test_memo_dispatch_is_written_once():
-    # hook-or-compute, observed-or-not: no analysis calls its own memo hook
-    # (sections' unobserved one aside), the four observed ones go through
-    # memo_query
-    assert {m: n for m, n in hits(r"_memo_hook\(").items() if m.startswith("analysis/")} == {
-        "analysis/sections.py": 1,
-    }
+    # hook-or-compute, observed-or-not: every analysis query, the section
+    # query included, goes through memo_query
     assert hits(r"memo_query\(") == {
-        "analysis/feasibility.py": 3, "analysis/dependence.py": 1, "analysis/graph.py": 1,
+        "analysis/feasibility.py": 3, "analysis/dependence.py": 1,
+        "analysis/graph.py": 1, "analysis/sections.py": 1,
     }
+
+
+def test_analysis_is_memoized_through_one_hook():
+    # one module slot holds the installed cache ...
+    slots = hits(r"(?m)^_\w*(?:memo|hook)\w* = None")
+    assert slots == {"analysis/feasibility.py": 1}
+    # ... memo_query is its only reader (install/uninstall write it) ...
+    readers = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                    if name == "_memo_cache" and isinstance(node.ctx, ast.Load):
+                        readers.add((path.relative_to(SRC).as_posix(), fn.name))
+    assert readers == {("analysis/feasibility.py", "memo_query")}
+    # ... and every memo is a plain dict under one bound, not an LRU
+    assert "OrderedDict" not in (SRC / "pipeline" / "cache.py").read_text(encoding="utf-8")
 
 
 def nest():

@@ -64,11 +64,12 @@ class TestTable:
 
 class TestScaling:
     def test_scaled_size_and_block(self):
-        assert E.scaled_size(300, 4) == 75
-        assert E.scaled_size(500, 4) == 125
-        assert E.scaled_block(32, 4) == 8
-        assert E.scaled_block(64, 4) == 16
-        assert E.scaled_block(2, 4) == 2  # floor
+        assert E.SCALE == 4
+        assert E.scaled_size(300) == 75
+        assert E.scaled_size(500) == 125
+        assert E.scaled_block(32) == 8
+        assert E.scaled_block(64) == 16
+        assert E.scaled_block(2) == 2  # floor
 
     def test_conv_sizes_mix(self):
         s = E.conv_sizes(300)
@@ -118,7 +119,7 @@ class TestVariantBuilders:
         # scalar_replace route produced at u = 4, before T2 asked derive()
         from repro.ir.fingerprint import ir_fingerprint
 
-        assert ir_fingerprint(E.matmul_ujif(4)) == (
+        assert ir_fingerprint(E.matmul_ujif()) == (
             "2f36a1a98e0cdda3053501e91fdf29f4218edd506bf96063ef5d3b84ba5a9295")
 
     @pytest.mark.parametrize("kind,point", [("aconv", aconv_ir()), ("conv", conv_ir())])

@@ -29,7 +29,7 @@ def patched_builders(monkeypatch):
     """Swap the real (minutes-long) table builders for instant fakes."""
 
     def use(builders):
-        monkeypatch.setattr(report, "_builders", lambda scale: builders)
+        monkeypatch.setattr(report, "_builders", lambda: builders)
 
     return use
 
@@ -90,9 +90,9 @@ class TestOnlyFilter:
 
     def test_select_builders_substring_case_insensitive(self, patched_builders):
         patched_builders(self.BUILDERS)
-        assert [n for n, _ in report.select_builders(4, "t1")] == ["T1 convolution"]
-        assert [n for n, _ in report.select_builders(4, "Givens")] == ["T5 Givens"]
-        assert len(report.select_builders(4, None)) == 2
+        assert [n for n, _ in report.select_builders("t1")] == ["T1 convolution"]
+        assert [n for n, _ in report.select_builders("Givens")] == ["T5 Givens"]
+        assert len(report.select_builders(None)) == 2
 
     def test_only_builds_the_subset(self, patched_builders, tmp_path, capsys):
         patched_builders(self.BUILDERS)

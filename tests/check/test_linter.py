@@ -18,6 +18,7 @@ from repro.check.linter import (
 from repro.ir.build import assign, do, ref
 from repro.ir.expr import Const, Var
 from repro.ir.stmt import ArrayDecl, Procedure
+from repro.pipeline import cache as cache_mod
 from repro.pipeline.cache import AnalysisCache, installed
 from repro.symbolic.assume import Assumptions
 
@@ -114,12 +115,13 @@ def test_lint_asks_each_direction_query_once(monkeypatch):
     direction = shared.stats()["direction"]
     assert (direction["misses"], direction["hits"]) == (65, 53)
 
-    # a cache that can hold one entry per region is nearly as good as
-    # none: every query is solved again except the ones a loop's memoized
-    # relative dependences (held off the regions, not bounded by
-    # region_cap) no longer repeat — 108 of the 118
+    # a cache that can hold one entry per memo is nearly as good as none:
+    # every query is solved again except the ones the loop's memoized
+    # relative dependences (asked twice, so still held) no longer repeat
+    # — 108 of the 118
     del solved[:]
-    with installed(AnalysisCache(region_cap=1)):
+    monkeypatch.setattr(cache_mod, "_MEMO_CAP", 1)
+    with installed(AnalysisCache()):
         assert lint_blockability(proc, N2) == alone
     assert len(solved) == 108
 

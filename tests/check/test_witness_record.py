@@ -32,7 +32,7 @@ from repro.pipeline.workloads import available_workloads
 from repro.symbolic.assume import Assumptions
 
 N2 = Assumptions().assume_ge("N", 2)
-EDGE_KINDS = {"flow", "anti", "output", "input"}
+EDGE_KINDS = {"flow", "anti", "output"}
 
 
 def _compatible(w: dict, dep) -> bool:

@@ -34,7 +34,7 @@ def pipeline_payload(block_wall=0.5, block_size=154):
              "ir_size_before": 50, "ir_size_after": block_size},
         ],
         "cache": {"dependence": {"hits": 1, "misses": 2, "hit_rate": 1 / 3,
-                                 "entries": 2, "evictions": 0}},
+                                 "entries": 2}},
         "verify_enabled": False,
         "elapsed_s": 0.01 + block_wall,
     }

@@ -1,14 +1,12 @@
-"""AnalysisCache: memo hooks, hit counters, install/uninstall nesting."""
+"""AnalysisCache: the one memo slot, hit counters, install/uninstall nesting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.algorithms import lu_point_ir
-from repro.analysis import dependence as dep_mod
 from repro.analysis import feasibility as feas_mod
 from repro.analysis import graph as graph_mod
-from repro.analysis import sections as sec_mod
 from repro.analysis.context import context_for_path
 from repro.analysis.dependence import all_dependences
 from repro.analysis.feasibility import feasible
@@ -16,6 +14,7 @@ from repro.analysis.graph import DependenceGraph
 from repro.ir.expr import Var
 from repro.ir.visit import find_loops
 from repro.pipeline import derive
+from repro.pipeline import cache as cache_mod
 from repro.pipeline.cache import AnalysisCache, installed, uninstall
 from repro.pipeline.manager import run_passes
 from repro.pipeline.workloads import available_workloads, get_workload
@@ -117,6 +116,26 @@ class TestRelativeMemo:
         assert not cache.relative
 
 
+class TestObservation:
+    def test_every_memoized_query_is_observed(self):
+        """Each region's asks equal its metric's ``.queries`` counter and
+        ``.latency_s`` count: section queries are observed like the rest."""
+        from repro.obs import core as obs
+
+        cache = AnalysisCache()
+        with obs.enabled() as o:
+            derive("lu_nopivot", cache=cache)
+        metrics = {"dependence": "dependence", "relative": "graph.relative_deps",
+                   "feasibility": "fm.feasible", "direction": "fm.direction",
+                   "sections": "sections"}
+        for region, metric in metrics.items():
+            memo = getattr(cache, region)
+            asked = memo.hits + memo.misses
+            assert asked > 0, region
+            assert o.counters[f"{metric}.queries"] == asked, region
+            assert o.histograms[f"{metric}.latency_s"].count == asked, region
+
+
 class TestPassRegion:
     SPEC = [("block", {"loop": "K", "factor": "KS"})]
 
@@ -160,22 +179,12 @@ class TestPassRegion:
 
 
 class TestInstallation:
-    HOOKS = [
-        (dep_mod, "_memo_hook"),
-        (feas_mod, "_feasible_memo_hook"),
-        (feas_mod, "_direction_memo_hook"),
-        (sec_mod, "_memo_hook"),
-        (graph_mod, "_memo_hook"),
-    ]
-
     def test_hooks_restored_after_context_exit(self):
-        for mod, attr in self.HOOKS:
-            assert getattr(mod, attr) is None
-        with installed(AnalysisCache()):
-            for mod, attr in self.HOOKS:
-                assert getattr(mod, attr) is not None
-        for mod, attr in self.HOOKS:
-            assert getattr(mod, attr) is None
+        assert feas_mod._memo_cache is None
+        cache = AnalysisCache()
+        with installed(cache):
+            assert feas_mod._memo_cache is cache
+        assert feas_mod._memo_cache is None
 
     def test_nested_installs_restore_the_outer_cache(self):
         outer, inner = AnalysisCache(), AnalysisCache()
@@ -184,9 +193,10 @@ class TestInstallation:
             with installed(inner):
                 all_dependences(p.body[0], lu_ctx())
                 assert inner.dependence.misses == 1
+            assert feas_mod._memo_cache is outer
             all_dependences(p.body[0], lu_ctx())
             assert outer.dependence.misses == 1  # outer saw nothing inner did
-        assert dep_mod._memo_hook is None
+        assert feas_mod._memo_cache is None
 
     def test_nested_installs_keep_relative_deps_apart(self):
         outer, inner = AnalysisCache(), AnalysisCache()
@@ -197,14 +207,13 @@ class TestInstallation:
             assert (len(inner.relative), len(outer.relative)) == (1, 0)
             DependenceGraph((loop,), lu_ctx()).relative_deps(loop)
             assert len(outer.relative) == 1
-        assert graph_mod._memo_hook is None
+        assert feas_mod._memo_cache is None
 
     def test_unbalanced_uninstall_resets_to_bare_hooks(self):
         # tolerated (reset to None), so a leaked install can't wedge the
         # analysis modules for the rest of the process
         uninstall()
-        for mod, attr in self.HOOKS:
-            assert getattr(mod, attr) is None
+        assert feas_mod._memo_cache is None
 
     def test_clear_resets_counters_and_entries(self):
         cache = AnalysisCache()
@@ -213,47 +222,27 @@ class TestInstallation:
         assert cache.dependence.misses > 0
         cache.clear()
         for region, stats in cache.stats().items():
-            assert stats == {
-                "hits": 0,
-                "misses": 0,
-                "entries": 0,
-                "evictions": 0,
-                "hit_rate": 0.0,
-            }, region
+            assert stats == {"hits": 0, "misses": 0, "entries": 0, "hit_rate": 0.0}, region
 
 
-class TestLRUBound:
-    def test_region_never_exceeds_cap_and_counts_evictions(self):
-        cache = AnalysisCache(region_cap=4)
+class TestBound:
+    """Every memo is one dict under :func:`bounded_put`'s rule: a full memo
+    is emptied before it grows."""
+
+    def test_a_full_region_is_emptied_before_it_grows(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_MEMO_CAP", 4)
+        region = AnalysisCache().feasibility
         for i in range(10):
-            cache.feasibility.put(("k", i), i)
-        assert len(cache.feasibility) == 4
-        assert cache.feasibility.evictions == 6
-        assert cache.feasibility.stats()["evictions"] == 6
+            region.put(("k", i), i)
+            assert len(region) <= 4
+        assert len(region) == 2  # emptied at the 5th and the 9th put
+        assert region.peek(("k", 9)) == (True, 9)
 
-    def test_eviction_order_is_least_recently_used(self):
-        cache = AnalysisCache(region_cap=2)
-        region = cache.feasibility
-        region.put("a", 1)
-        region.put("b", 2)
-        assert region.peek("a") == (True, 1)  # refresh "a": "b" is now LRU
-        region.put("c", 3)
-        assert region.peek("b") == (False, None)
-        assert region.peek("a") == (True, 1)
-        assert region.peek("c") == (True, 3)
-
-    def test_rewriting_an_existing_key_does_not_evict(self):
-        region = AnalysisCache(region_cap=2).feasibility
-        region.put("a", 1)
-        region.put("b", 2)
-        region.put("a", 10)
-        assert region.evictions == 0
-        assert len(region) == 2
-
-    def test_bounded_dependence_region_still_correct(self):
-        # the dependence entry pins its root; eviction under a tiny cap
-        # must only cost recomputation, never correctness
-        cache = AnalysisCache(region_cap=1)
+    def test_bounded_dependence_region_still_correct(self, monkeypatch):
+        # the dependence entry pins its root; emptying it under a tiny
+        # bound must only cost recomputation, never correctness
+        monkeypatch.setattr(cache_mod, "_MEMO_CAP", 1)
+        cache = AnalysisCache()
         p = lu_point_ir()
         with installed(cache):
             first = all_dependences(p.body[0], lu_ctx())
