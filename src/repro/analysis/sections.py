@@ -40,7 +40,7 @@ from repro.ir.expr import (
 from repro.ir.stmt import Loop
 from repro.symbolic.affine import to_affine
 from repro.symbolic.assume import Assumptions
-from repro.symbolic.simplify import prove_eq, prove_le, prove_lt, simplify
+from repro.symbolic.simplify import prove_eq, prove_lt, simplify
 
 
 @dataclass(frozen=True)
@@ -202,25 +202,6 @@ def _triplet_step(e: Expr, ranges: Ranges) -> Expr:
 # three-valued section algebra
 # ---------------------------------------------------------------------------
 
-def triplet_contains(outer: Triplet, inner: Triplet, ctx: Assumptions) -> Optional[bool]:
-    """outer ⊇ inner on the dense hull (steps ignored — sound for the
-    disjointness/overlap questions splitting asks)."""
-    if prove_le(outer.lo, inner.lo, ctx) and prove_le(inner.hi, outer.hi, ctx):
-        return True
-    if prove_lt(inner.lo, outer.lo, ctx) or prove_lt(outer.hi, inner.hi, ctx):
-        return False
-    return None
-
-
-def triplet_disjoint(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]:
-    if prove_lt(a.hi, b.lo, ctx) or prove_lt(b.hi, a.lo, ctx):
-        return True
-    # overlap certain when each lo <= other's hi
-    if prove_le(a.lo, b.hi, ctx) and prove_le(b.lo, a.hi, ctx):
-        return False
-    return None
-
-
 def triplet_equal(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]:
     if prove_eq(a.lo, b.lo, ctx) and prove_eq(a.hi, b.hi, ctx):
         return True
@@ -234,39 +215,8 @@ def triplet_equal(a: Triplet, b: Triplet, ctx: Assumptions) -> Optional[bool]:
     return None
 
 
-def section_contains(outer: Section, inner: Section, ctx: Optional[Assumptions] = None) -> Optional[bool]:
-    """outer ⊇ inner, three-valued, all dimensions."""
-    ctx = ctx or Assumptions()
-    if outer.array != inner.array or len(outer.dims) != len(inner.dims):
-        return False
-    verdict: Optional[bool] = True
-    for o, i in zip(outer.dims, inner.dims):
-        got = triplet_contains(o, i, ctx)
-        if got is False:
-            return False
-        if got is None:
-            verdict = None
-    return verdict
-
-
-def section_disjoint(a: Section, b: Section, ctx: Optional[Assumptions] = None) -> Optional[bool]:
-    """Disjoint when provably separated in *some* dimension."""
-    ctx = ctx or Assumptions()
-    if a.array != b.array:
-        return True
-    any_unknown = False
-    for ta, tb in zip(a.dims, b.dims):
-        got = triplet_disjoint(ta, tb, ctx)
-        if got is True:
-            return True
-        if got is None:
-            any_unknown = True
-    return None if any_unknown else False
-
-
 def section_intersect(a: Section, b: Section, ctx: Optional[Assumptions] = None) -> Section:
-    """Dense-hull intersection (may denote an empty set; check with
-    :func:`section_disjoint`)."""
+    """Dense-hull intersection (may denote an empty set)."""
     ctx = ctx or Assumptions()
     if a.array != b.array or len(a.dims) != len(b.dims):
         raise AnalysisError("intersect: incompatible sections")

@@ -5,9 +5,9 @@ Run:  python -m repro report [--progress] [--only TABLE]
       [--workers N] [--obs OUT.json] [output-path]
 
 Every variant of every table is traced through the cache simulator; the
-footer of EXPERIMENTS.md records how long that took (about 12 s), and the
-cold Fig. 8 derivation adds under half a second of Fourier–Motzkin-checked
-restructuring.  ``--progress`` prints one line per table as it lands, so
+footer of EXPERIMENTS.md records how long that took (about 5 s on two
+workers), and the cold Fig. 8 derivation adds under half a second of
+Fourier–Motzkin-checked restructuring.  ``--progress`` prints one line per table as it lands, so
 a long run is distinguishable from a hang.  A table builder that raises is
 reported and the run exits nonzero; surviving tables are still written.
 
@@ -16,11 +16,11 @@ insensitive, e.g. ``--only T1``) — the fast path CI smoke jobs use.  A
 filtered run refuses to overwrite the default EXPERIMENTS.md, since that
 file documents the *full* table set; give an explicit output path.
 
-``--workers N`` builds the tables as ``table`` jobs on an N-worker
-:mod:`repro.serve` pool, one process per table, so the regeneration
-spreads across cores; a table builder that raises (or hangs past its
-timeout) is reported as a failure exactly like a raising builder in the
-serial path.
+Every table is built as a ``table`` job on a :mod:`repro.serve` worker
+pool, one job per table, exactly as ``serve`` and ``matrix`` run theirs;
+``--workers N`` sizes the pool (the shared default, 2; at least 1).  A
+table builder that raises (or hangs past its timeout) is reported as a
+failure naming its table, and the run exits 1.
 
 ``--obs OUT.json`` runs the whole regeneration under :mod:`repro.obs`
 observation and writes a ``repro.obs/1`` metrics profile (derivation pass
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import sys
 import time
-import traceback
 
 from repro import cli
 from repro.bench import experiments as E
@@ -117,11 +116,14 @@ def select_builders(only: str | None = None) -> list[tuple]:
     return [(name, build) for name, build in builders if needle in name.lower()]
 
 
-def build_all_pool(jobs: int, progress: bool = False, only: str | None = None):
-    """Like :func:`build_all`, but one ``repro.serve`` job per table.
+def build_all_pool(workers: int, progress: bool = False, only: str | None = None):
+    """Build every table (or the ``only`` subset), one ``repro.serve``
+    ``table`` job per table on a ``workers``-process pool; returns
+    (tables, elapsed_seconds, failures).
 
-    Tables are rebuilt from the jobs' JSON payloads, so the return
-    shape (tables, elapsed_seconds, failures) is identical.
+    Tables are rebuilt from the jobs' JSON payloads.  ``failures`` is a
+    list of (table_name, error) — a failing builder does not kill the
+    whole regeneration mid-file.
     """
     from repro.bench.harness import Table
     from repro.serve.jobs import JobSpec
@@ -140,9 +142,9 @@ def build_all_pool(jobs: int, progress: bool = False, only: str | None = None):
     ]
     t0 = time.time()
     if progress:
-        print(f"regenerating {len(specs)} table(s) on {jobs} worker(s)...",
+        print(f"regenerating {len(specs)} table(s) on {workers} worker(s)...",
               flush=True)
-    with WorkerPool(workers=jobs) as pool:
+    with WorkerPool(workers=workers) as pool:
         outcomes = pool.run(specs)
     tables = []
     failures: list[tuple[str, str]] = []
@@ -167,31 +169,6 @@ def build_all_pool(jobs: int, progress: bool = False, only: str | None = None):
             if progress:
                 print(f"  {name}: FAILED ({out.error})", flush=True)
     return tables, time.time() - t0, failures
-
-
-def build_all(progress: bool = False, only: str | None = None):
-    """Build every table (or the ``only`` subset); returns
-    (tables, elapsed_seconds, failures).
-
-    ``failures`` is a list of (table_name, traceback_text) — a failing
-    builder no longer kills the whole regeneration mid-file.
-    """
-    t0 = time.time()
-    tables = []
-    failures: list[tuple[str, str]] = []
-    for name, build in select_builders(only):
-        t1 = time.time()
-        try:
-            tables.append(build())
-        except Exception:
-            failures.append((name, traceback.format_exc()))
-            if progress:
-                print(f"  {name}: FAILED after {time.time() - t1:.0f}s", flush=True)
-            continue
-        if progress:
-            print(f"  {name}: done in {time.time() - t1:.0f}s", flush=True)
-    elapsed = time.time() - t0
-    return tables, elapsed, failures
 
 
 def render_markdown(tables, elapsed: float) -> str:
@@ -235,15 +212,12 @@ def register(sub) -> None:
         metavar="TABLE",
         help="build only tables whose name contains TABLE (case-insensitive)",
     )
-    cli.pool_flags(p, workers=0, retries=False, backoff=False)
+    cli.pool_flags(p, retries=False, backoff=False)
     cli.observe_flags(p)
     p.set_defaults(fn=run)
 
 
 def run(args) -> int:
-    if args.workers < 0:
-        raise PipelineError("--workers must be >= 0")
-
     if args.only is not None:
         if args.path == "EXPERIMENTS.md":
             raise PipelineError(
@@ -256,19 +230,11 @@ def run(args) -> int:
                 f"--only {args.only!r} matches no table (known: {known})"
             )
 
-    if args.progress and not args.workers:
-        print("regenerating tables...", flush=True)
-
     meta = {"tool": __name__, "only": args.only or ""}
     with cli.observed(args, meta):
-        if args.workers:
-            tables, elapsed, failures = build_all_pool(
-                args.workers, progress=args.progress, only=args.only
-            )
-        else:
-            tables, elapsed, failures = build_all(
-                progress=args.progress, only=args.only
-            )
+        tables, elapsed, failures = build_all_pool(
+            args.workers, progress=args.progress, only=args.only
+        )
     text = render_markdown(tables, elapsed)
     with open(args.path, "w") as f:
         f.write(text)

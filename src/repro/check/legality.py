@@ -51,17 +51,10 @@ from repro.ir.pretty import fmt_expr, fmt_stmt
 from repro.ir.stmt import Assign, If, Loop, Procedure
 from repro.ir.visit import find_loops, walk_stmts
 from repro.obs import core as _obs
+from repro.pipeline.passes import target_loop
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
 from repro.transform.blocking import place_strips
-
-
-def _target_loop(proc: Procedure, options: dict) -> Optional[Loop]:
-    var = options.get("loop")
-    loops = find_loops(proc)
-    if var is None:
-        return loops[0] if loops else None
-    return next((l for l in loops if l.var == var), None)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,7 @@ def _bounds_written(proc: Procedure, outer: Loop, inner: Loop) -> list[Diagnosti
 # ---------------------------------------------------------------------------
 
 def _pre_interchange(proc, ctx, options):
-    loop = _target_loop(proc, options)
+    loop = target_loop(proc, options)[0]
     if loop is None:
         return []
     inner = sole_inner_loop(loop)
@@ -172,7 +165,7 @@ def _pre_jam(proc, ctx, options):
 
 
 def _pre_stripmine(proc, ctx, options):
-    loop = _target_loop(proc, options)
+    loop = target_loop(proc, options)[0]
     out: list[Diagnostic] = []
     if loop is None:
         return out
@@ -337,7 +330,7 @@ _PRECHECKS = {
 def _post_distribute(before, after, ctx, options):
     """Allen–Kennedy on the result: each SCC of the original statement
     graph must stay within a single distributed piece."""
-    loop = _target_loop(before, options)
+    loop = target_loop(before, options)[0]
     if loop is None:
         return []
     local = context_for_path(before, loop, ctx)
@@ -374,7 +367,7 @@ def _post_distribute(before, after, ctx, options):
 def _post_block(before, after, ctx, options):
     """Did a strip loop of a target with inner loops reach the innermost
     position?  The strip loop is found by the name ``strip_mine`` gives it."""
-    loop = _target_loop(before, options)
+    loop = target_loop(before, options)[0]
     if loop is None or not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
         return []  # innermost target: blocking is a plain strip-mine, legal
     if place_strips(after, loop.var, fresh_var(loop.var, used_names(before)))[0]:

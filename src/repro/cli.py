@@ -25,8 +25,9 @@ this module owns everything they share:
   parser is built, so ``repro daemon start`` imports the daemon and
   nothing else.
 - **the shared flag groups** — store (``--store-dir``, ``--store`` /
-  ``--no-store``), pool
-  (``--workers/-j``, ``--retries``, ``--backoff``), observe (``--obs PATH``,
+  ``--no-store``), pool (``--workers/-j``, 2 by default for every
+  command that runs one: ``serve``, ``daemon``, ``matrix`` and
+  ``report``; ``--retries``, ``--backoff``), observe (``--obs PATH``,
   ``--chrome-trace PATH``) and output (``--out PATH`` writes the
   enveloped artifact, ``--json`` prints JSON on stdout), plus
   ``--passes`` and ``--sizes``.  Each is spelled, defaulted and
@@ -141,11 +142,9 @@ def open_store(args):
     return ArtifactStore(args.store_dir)
 
 
-def pool_flags(p, *, workers: int = 2, retries: bool = True,
-               backoff: bool = True) -> None:
-    p.add_argument("--workers", "-j", type=int, default=workers, metavar="N",
-                   help="worker processes (default "
-                   f"{workers or '0: run in this process'})")
+def pool_flags(p, *, retries: bool = True, backoff: bool = True) -> None:
+    p.add_argument("--workers", "-j", type=int, default=2, metavar="N",
+                   help="worker processes (default 2)")
     if retries:
         p.add_argument("--retries", type=int, default=2, metavar="K",
                        help="retries per crashed/timed-out job (default 2)")

@@ -21,7 +21,7 @@ agree on the vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -86,14 +86,17 @@ class _Frame:
 class RaceSanitizer(Interpreter):
     """Interpreter that monitors ``PARALLEL DO`` iterations for races.
 
-    Execution is serial and byte-identical to the plain interpreter; only
-    the bookkeeping differs.  Accesses inside nested parallel loops are
-    recorded against every active frame, so a conflict is attributed to
-    each loop level whose parallelism it violates.
+    Execution is serial and byte-identical to the plain interpreter: the
+    sanitizer is its own tracer, so every array access reaches
+    :meth:`access`, and it overrides only the ``_stmt`` and ``_iteration``
+    hooks to open a frame per ``PARALLEL DO`` and number its trips.
+    Accesses inside nested parallel loops are recorded against every
+    active frame, so a conflict is attributed to each loop level whose
+    parallelism it violates.
     """
 
     def __init__(self, env: dict, max_conflicts: int = 100):
-        super().__init__(env)
+        super().__init__(env, tracer=self)
         self.conflicts: list[RaceConflict] = []
         self.max_conflicts = max_conflicts
         self._frames: list[_Frame] = []
@@ -121,7 +124,8 @@ class RaceSanitizer(Interpreter):
             )
         )
 
-    def _record(self, array: str, idx: tuple[int, ...], is_write: bool) -> None:
+    def access(self, array: str, idx: tuple[int, ...], is_write: bool) -> None:
+        """The tracer hook: record one access in every open frame."""
         for frame in self._frames:
             if frame.iter is None:
                 continue
@@ -141,21 +145,6 @@ class RaceSanitizer(Interpreter):
                 cell[2], cell[3] = v, self._cur_stmt
 
     # ---- interpreter hooks -------------------------------------------------
-    def _load(self, ref):
-        idx = self._index(ref)
-        if self._frames:
-            self._record(ref.array, idx, False)
-        if self.tracer is not None:
-            self.tracer.access(ref.array, idx, False)
-        return self.env[ref.array][tuple(i - 1 for i in idx)]
-
-    def _store(self, ref, idx, value) -> None:
-        if self._frames:
-            self._record(ref.array, idx, True)
-        if self.tracer is not None:
-            self.tracer.access(ref.array, idx, True)
-        self.env[ref.array][tuple(i - 1 for i in idx)] = value
-
     def _stmt(self, stmt: Stmt) -> None:
         # before the statement's own loads: an IF condition or a loop
         # bound is charged to its IF or DO line, not the last assignment

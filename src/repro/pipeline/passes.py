@@ -114,26 +114,34 @@ def available_passes() -> list[PassInfo]:
 # helpers shared by several passes
 # ---------------------------------------------------------------------------
 
-def _opt_loop_var(proc: Procedure, options: dict, default_outermost: bool = True) -> Optional[str]:
-    """The target loop variable: options["loop"], else the first loop."""
+def _opt_loop_var(proc: Procedure, options: dict) -> Optional[str]:
+    """The target loop variable: options["loop"], else the first loop's."""
     var = options.get("loop")
     if var is not None:
         return var
-    if not default_outermost:
-        return None
     loops = find_loops(proc)
     return loops[0].var if loops else None
 
 
-def _require_loop(proc: Procedure, options: dict) -> Optional[str]:
+def target_loop(proc: Procedure, options: dict) -> tuple[Optional[Loop], Optional[str]]:
+    """``(loop, None)`` for the one loop over the target variable, else
+    ``(None, reason)``: no loops, no loop over it, or ``n`` loops over it.
+    The single-loop passes and their legality checks all look it up here."""
     var = _opt_loop_var(proc, options)
     if var is None:
-        return "procedure has no loops"
-    try:
-        loop_by_var(proc.body, var)
-    except Exception:
-        return f"no loop over {var!r}"
-    return None
+        return None, "procedure has no loops"
+    hits = [l for l in find_loops(proc) if l.var == var]
+    if len(hits) == 1:
+        return hits[0], None
+    return None, f"{len(hits)} loops over {var!r}" if hits else f"no loop over {var!r}"
+
+
+def _unit_step_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
+    """stripmine's and block's precheck: the target loop has unit step."""
+    loop, reason = target_loop(proc, options)
+    if loop is not None and loop.step != Const(1):
+        return f"loop {loop.var} has non-unit step"
+    return reason
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +150,11 @@ def _require_loop(proc: Procedure, options: dict) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 def _split_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    return _require_loop(proc, options)
+    return target_loop(proc, options)[1]
 
 
 def _split_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    outer_var = _opt_loop_var(proc, options)
+    outer_var = target_loop(proc, options)[0].var
     rounds = 0
     for _ in range(8):  # at most eight rounds, one split each
         changed = False
@@ -181,19 +189,8 @@ register(
 # stripmine
 # ---------------------------------------------------------------------------
 
-def _stripmine_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    err = _require_loop(proc, options)
-    if err:
-        return err
-    loop = loop_by_var(proc.body, _opt_loop_var(proc, options))
-    if loop.step != Const(1):
-        return f"loop {loop.var} has non-unit step"
-    return None
-
-
 def _stripmine_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    var = _opt_loop_var(proc, options)
-    loop = loop_by_var(proc.body, var)
+    loop = target_loop(proc, options)[0]
     factor = options.get("factor", 2)
     new, info = strip_mine(proc, loop, factor, ctx=ctx)
     facts = ()
@@ -203,7 +200,7 @@ def _stripmine_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutc
     return PassOutcome(
         new,
         True,
-        {"loop": var, "block_var": info.block_var, "strip_var": info.strip_var},
+        {"loop": loop.var, "block_var": info.block_var, "strip_var": info.strip_var},
         artifact=info,
         ctx_facts=facts,
     )
@@ -216,7 +213,7 @@ register(
         options=("loop", "factor"),
         precondition="target loop exists and has unit step",
     ),
-    _stripmine_precheck,
+    _unit_step_precheck,
     _stripmine_run,
 )
 
@@ -226,21 +223,17 @@ register(
 # ---------------------------------------------------------------------------
 
 def _interchange_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    err = _require_loop(proc, options)
-    if err:
-        return err
-    loop = loop_by_var(proc.body, _opt_loop_var(proc, options))
-    if sole_inner_loop(loop) is None:
+    loop, reason = target_loop(proc, options)
+    if loop is not None and sole_inner_loop(loop) is None:
         return f"loop {loop.var} is not perfectly nested"
-    return None
+    return reason
 
 
 def _interchange_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    var = _opt_loop_var(proc, options)
-    loop = loop_by_var(proc.body, var)
+    loop = target_loop(proc, options)[0]
     local = context_for_path(proc, loop, ctx)
     new = interchange(proc, loop, local)
-    return PassOutcome(new, True, {"outer": var, "inner": sole_inner_loop(loop).var})
+    return PassOutcome(new, True, {"outer": loop.var, "inner": sole_inner_loop(loop).var})
 
 
 register(
@@ -406,25 +399,21 @@ register(
 # ---------------------------------------------------------------------------
 
 def _distribute_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    err = _require_loop(proc, options)
-    if err:
-        return err
-    loop = loop_by_var(proc.body, _opt_loop_var(proc, options))
-    if len(non_comment(loop.body)) < 2:
+    loop, reason = target_loop(proc, options)
+    if loop is not None and len(non_comment(loop.body)) < 2:
         return f"loop {loop.var} body has a single statement group"
-    return None
+    return reason
 
 
 def _distribute_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    var = _opt_loop_var(proc, options)
-    loop = loop_by_var(proc.body, var)
+    loop = target_loop(proc, options)[0]
     local = context_for_path(proc, loop, ctx)
     drop_dep = None
     if options.get("commutativity"):
         drop_dep = lambda dep: commutativity_oracle(proc, loop, dep)  # noqa: E731
     new, pieces = distribute(proc, loop, local, drop_dep=drop_dep)
     return PassOutcome(
-        new, len(pieces) > 1, {"loop": var, "pieces": len(pieces)}, artifact=pieces
+        new, len(pieces) > 1, {"loop": loop.var, "pieces": len(pieces)}, artifact=pieces
     )
 
 
@@ -444,18 +433,8 @@ register(
 # block — the full strip-mine-and-interchange driver
 # ---------------------------------------------------------------------------
 
-def _block_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
-    err = _require_loop(proc, options)
-    if err:
-        return err
-    loop = loop_by_var(proc.body, _opt_loop_var(proc, options))
-    if loop.step != Const(1):
-        return f"loop {loop.var} has non-unit step"
-    return None
-
-
 def _block_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
-    var = _opt_loop_var(proc, options)
+    var = target_loop(proc, options)[0].var
     factor = options.get("factor", "KS")
     local = ctx.copy()  # block_loop grows its ctx; keep the manager's copy clean
     new, report = block_loop(
@@ -495,7 +474,7 @@ register(
         options=("loop", "factor", "commutativity", "max_splits"),
         precondition="target loop exists and has unit step",
     ),
-    _block_precheck,
+    _unit_step_precheck,
     _block_run,
 )
 

@@ -23,11 +23,13 @@ node, from the same per-node cases a tree walk would take; an
 ``ArrayRef``'s subscripts and bounds checks become one more closure.  Both
 tables are keyed by ``id(node)`` and hold the node, so no id is reused
 while the interpreter lives, and they die with it: nothing is kept across
-runs.  Statements dispatch on ``type(stmt)``.  Subclasses observe a run
-through the hooks ``eval`` (a whole expression), ``_index``, ``_load``
-(every array load, from inside any closure), ``_store``, ``_stmt``,
-``_iteration`` and ``run``; :class:`repro.par.sanitizer.RaceSanitizer` and
-the tracers override them.
+runs.  Statements dispatch on ``type(stmt)``.  Every array load (from
+inside any closure) goes through ``_load`` and every store through
+``_store``, and both hand the access to the tracer.  A subclass observes
+statements and trips through the ``_stmt`` and ``_iteration`` hooks:
+:class:`repro.par.sanitizer.RaceSanitizer` overrides only those two and is
+its own tracer, so it sees every access without a copy of ``_load`` or
+``_store``.
 
 Values are whatever the arrays hold — numpy scalars with their own
 rounding (``float32`` after each operation) and IEEE division by zero, or

@@ -31,8 +31,8 @@ Quick use::
         (outcome,) = pool.run([JobSpec(kind="derive", workload="lu_nopivot")])
     outcome.to_dict()["status"]          # "computed" (then "hit" forever)
 
-``python -m repro report --workers N`` routes its tables through the
-same pool.
+``python -m repro report`` builds every table as a ``table`` job on the
+same pool (there is no in-process path).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ A :class:`JobSpec` names one unit of work the pool can run:
     pass;
 ``table``
     build one ``bench.report`` table (the unit of
-    ``python -m repro report --workers N``);
+    ``python -m repro report``, which builds every table this way);
 ``cell``
     one experiment-matrix cell (the unit of ``python -m repro matrix
     run``): derive the workload under the cell's recipe and simulate

@@ -6,8 +6,6 @@ from repro.analysis.sections import (
     Triplet,
     expr_range,
     ranges_for_loops,
-    section_contains,
-    section_disjoint,
     section_equal,
     section_intersect,
     section_of_ref,
@@ -113,27 +111,6 @@ class TestAlgebra:
 
     def tri(self, lo, hi):
         return Section("A", (Triplet(lo, hi),))
-
-    def test_contains(self):
-        big = self.tri(Var("K"), Var("N"))
-        small = self.tri(Var("K") + 1, Var("K") + Var("KS") - 1)
-        assert section_contains(big, small, self.ctx) is True
-        assert section_contains(small, big, self.ctx) is False
-
-    def test_disjoint(self):
-        a = self.tri(Var("K"), Var("K") + Var("KS") - 1)
-        b = self.tri(Var("K") + Var("KS"), Var("N"))
-        assert section_disjoint(a, b, self.ctx) is True
-        assert section_disjoint(a, a, self.ctx) is False
-
-    def test_disjoint_different_arrays(self):
-        assert section_disjoint(self.tri(Const(1), Const(2)), Section("B", (Triplet(Const(1), Const(2)),))) is True
-
-    def test_unknown_is_none(self):
-        a = self.tri(Var("P"), Var("Q"))
-        b = self.tri(Var("R"), Var("S"))
-        assert section_disjoint(a, b, self.ctx) is None
-        assert section_contains(a, b, self.ctx) is None
 
     def test_intersect_union_hull(self):
         a = self.tri(Var("K"), Var("K") + Var("KS") - 1)

@@ -35,21 +35,37 @@ def patched_builders(monkeypatch):
 
 
 class TestBuildAll:
-    def test_failure_is_collected_not_raised(self, patched_builders):
+    """Every table is a ``table`` job on the worker pool; the pool's
+    workers fork from the test process, so they see the fake builders."""
+
+    def test_failure_is_collected_not_raised(self, patched_builders, tmp_path, capsys):
         def boom():
             raise RuntimeError("simulated table crash")
 
         patched_builders([("good", lambda: fake_table("good")), ("bad", boom)])
-        tables, elapsed, failures = report.build_all(progress=False)
+        tables, elapsed, failures = report.build_all_pool(2)
         assert [t.title for t in tables] == ["good"]
         assert len(failures) == 1
         assert failures[0][0] == "bad"
         assert "simulated table crash" in failures[0][1]
+        assert main([str(tmp_path / "e.md")]) == 1
+        assert "TABLE FAILED: bad" in capsys.readouterr().err
 
-    def test_progress_lines(self, patched_builders, capsys):
-        patched_builders([("T9 fake", lambda: fake_table("T9"))])
-        report.build_all(progress=True)
-        assert "T9 fake: done in" in capsys.readouterr().out
+    def test_progress_lines(self, patched_builders, tmp_path, capsys):
+        patched_builders([("T8 fake", lambda: fake_table("T8")),
+                          ("T9 fake", lambda: fake_table("T9"))])
+        assert main(["--progress", str(tmp_path / "e.md")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "regenerating 2 table(s) on 2 worker(s)..." in lines
+        for name in ("T8 fake", "T9 fake"):
+            assert len([l for l in lines if l.startswith(f"  {name}: done in")]) == 1
+
+    def test_zero_workers_is_a_usage_error(self, patched_builders, tmp_path, capsys):
+        patched_builders([("only", lambda: fake_table("Only"))])
+        path = tmp_path / "e.md"
+        assert main(["--workers", "0", str(path)]) == 2
+        assert "need at least 1 worker" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestMainExitCodes:
@@ -74,7 +90,7 @@ class TestMainExitCodes:
         assert main(["--progress", str(path)]) == 1
         captured = capsys.readouterr()
         assert "alive: done in" in captured.out
-        assert "dead: FAILED after" in captured.out
+        assert "dead: FAILED (RuntimeError: simulated table crash)" in captured.out
         assert "TABLE FAILED: dead" in captured.err
         assert "1 table(s) failed" in captured.err
         # the surviving table still landed on disk

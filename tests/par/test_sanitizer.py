@@ -198,6 +198,9 @@ class TestLoopSemanticsAreTheInterpreters:
         assert not [n for n in nodes if isinstance(n, ast.While)]
         attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         assert not attrs & {"lo", "hi", "step"}
+        # it observes accesses as the interpreter's tracer, not by copying
+        # the interpreter's loads and stores
+        assert not {"_load", "_store"} & set(vars(RaceSanitizer))
 
 
 class TestStaticVsDynamicProperty:

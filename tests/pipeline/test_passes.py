@@ -135,6 +135,15 @@ class TestNoopVsInfeasible:
         assert result.spans[0].status == "infeasible"
         assert result.procedure == p
 
+    def test_the_reason_counts_the_loops_over_the_name(self):
+        from repro.pipeline import derive
+
+        blocked = derive("lu_nopivot").procedure  # two KK loops
+        for var, reason in (("KK", "2 loops over 'KK'"), ("X", "no loop over 'X'")):
+            result = run_passes(blocked, [("block", {"loop": var})])
+            assert result.spans[0].status == "infeasible"
+            assert result.spans[0].detail == {"reason": reason}
+
 
 class TestParallelize:
     def test_registered_with_options(self):
