@@ -212,7 +212,7 @@ def register(sub) -> None:
         metavar="TABLE",
         help="build only tables whose name contains TABLE (case-insensitive)",
     )
-    cli.pool_flags(p, retries=False, backoff=False)
+    cli.pool_flags(p)
     cli.observe_flags(p)
     p.set_defaults(fn=run)
 

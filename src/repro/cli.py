@@ -27,7 +27,8 @@ this module owns everything they share:
 - **the shared flag groups** — store (``--store-dir``, ``--store`` /
   ``--no-store``), pool (``--workers/-j``, 2 by default for every
   command that runs one: ``serve``, ``daemon``, ``matrix`` and
-  ``report``; ``--retries``, ``--backoff``), observe (``--obs PATH``,
+  ``report``; a job is run once, and re-run only when its worker dies),
+  observe (``--obs PATH``,
   ``--chrome-trace PATH``) and output (``--out PATH`` writes the
   enveloped artifact, ``--json`` prints JSON on stdout), plus
   ``--passes`` and ``--sizes``.  Each is spelled, defaulted and
@@ -142,15 +143,9 @@ def open_store(args):
     return ArtifactStore(args.store_dir)
 
 
-def pool_flags(p, *, retries: bool = True, backoff: bool = True) -> None:
+def pool_flags(p) -> None:
     p.add_argument("--workers", "-j", type=int, default=2, metavar="N",
                    help="worker processes (default 2)")
-    if retries:
-        p.add_argument("--retries", type=int, default=2, metavar="K",
-                       help="retries per crashed/timed-out job (default 2)")
-    if backoff:
-        p.add_argument("--backoff", type=float, default=0.05, metavar="S",
-                       help="base retry backoff seconds, doubled per attempt")
 
 
 def observe_flags(p, *, obs: bool = True, chrome: bool = True) -> None:

@@ -112,8 +112,6 @@ def _cmd_start(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        max_retries=args.retries,
-        backoff_s=args.backoff,
         deadline_s=args.deadline,
         store_dir=args.store_dir,
         mem_cache=args.mem_cache,

@@ -15,7 +15,7 @@ Threading model — the part that keeps this deadlock-free:
   drains the incoming queue, submits specs (store hits resolve right at
   submit), and resolves requests by setting their events.  Between
   those it sleeps in the pool's one wait, which ends on a worker's
-  result or death, the nearest job deadline or backoff gate, or a byte
+  result or death, the nearest job deadline, or a byte
   on the daemon's wake pipe — written by admission after it enqueues a
   request, by a handler abandoning one, and by a drain.  Nothing polls
   on a clock.  Each worker's observer merges here, onto the
@@ -111,8 +111,6 @@ class DaemonConfig:
     port: int = 0  # 0 = let the OS pick; the state file records the choice
     workers: int = 2
     queue_limit: int = 16  # max outstanding (queued + running) jobs
-    max_retries: int = 2
-    backoff_s: float = 0.05
     deadline_s: float = 60.0  # default per-request deadline
     store_dir: Optional[str] = None  # None = .repro-cache / $REPRO_CACHE_DIR
     mem_cache: int = 1024  # hot in-memory entries (0 disables)
@@ -343,12 +341,7 @@ class Daemon:
 
     def _scheduler_loop(self) -> None:
         active: list[tuple[_Request, object]] = []
-        with WorkerPool(
-            workers=self.config.workers,
-            store=self.store,
-            max_retries=self.config.max_retries,
-            backoff_s=self.config.backoff_s,
-        ) as pool:
+        with WorkerPool(workers=self.config.workers, store=self.store) as pool:
             while True:
                 # 1. empty the wake pipe, *then* admit everything queued.
                 # Admission puts before it writes, so a byte landing after
@@ -495,7 +488,6 @@ class Daemon:
                 "workers": self.config.workers,
                 "queue_limit": self.config.queue_limit,
                 "deadline_s": self.config.deadline_s,
-                "max_retries": self.config.max_retries,
             },
             "requests": requests,
             "queue": {"outstanding": outstanding,

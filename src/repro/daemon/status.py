@@ -10,7 +10,7 @@ What each field means (the checked structure is :data:`SHAPE`):
       'endpoint': {'host': '127.0.0.1', 'port': 43117},
       'started_s': 1754650000.1,          # epoch seconds
       'uptime_s': 17.3,
-      'config': {'workers', 'queue_limit', 'deadline_s', 'max_retries'},
+      'config': {'workers', 'queue_limit', 'deadline_s'},
       'requests': {
         'received': 12,                    # everything that reached admission
         'accepted': 9,                     # entered the queue (or memory hit)

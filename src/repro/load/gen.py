@@ -215,8 +215,7 @@ BUILTIN_GRIDS: dict[str, dict] = {
              "job": {"kind": "derive", "workload": "lu_nopivot"}},
             {"weight": 1, "unique": True,
              "job": {"kind": "probe", "workload": "load",
-                     "options": {"action": "ok", "seconds": 0.2},
-                     "max_retries": 0}},
+                     "options": {"action": "ok", "seconds": 0.2}}},
         ],
         "deadline_s": 10.0,
     },
@@ -235,8 +234,7 @@ BUILTIN_GRIDS: dict[str, dict] = {
              "job": {"kind": "derive", "workload": "conv"}},
             {"weight": 1, "unique": True,
              "job": {"kind": "probe", "workload": "load",
-                     "options": {"action": "ok", "seconds": 0.25},
-                     "max_retries": 0}},
+                     "options": {"action": "ok", "seconds": 0.25}}},
         ],
         "deadline_s": 15.0,
     },

@@ -113,9 +113,9 @@ def cell_key(spec) -> tuple:
 def run_cell(workload_name: str, options: Mapping) -> dict:
     """Execute one cell; returns the JSON-serializable result row.
 
-    Raises :class:`~repro.errors.ReproError` subclasses for deterministic
-    verdicts (bad geometry, unknown pass, infeasible derivation) — the
-    pool fails such a cell without retrying.
+    Raises :class:`~repro.errors.ReproError` subclasses for its verdicts
+    (bad geometry, unknown pass, infeasible derivation) — like anything
+    a job raises, the pool fails the cell on that first attempt.
     """
     from repro.bench.harness import measure
     from repro.ir.fingerprint import ir_fingerprint

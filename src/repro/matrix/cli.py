@@ -61,7 +61,7 @@ def register(sub) -> None:
                      metavar="NAME=V1,V2",
                      help=f"one factor and its levels (repeatable); "
                      f"factors: {', '.join(FACTOR_ORDER)}")
-    cli.pool_flags(run, backoff=False)
+    cli.pool_flags(run)
     run.add_argument("--timeout", type=float, default=600.0, metavar="S",
                      help="per-cell timeout in seconds (default 600)")
     cli.store_flags(run, no_store=True)
@@ -134,7 +134,6 @@ def _run_sweep(args) -> int:
             grid,
             workers=args.workers,
             store=store,
-            max_retries=args.retries,
             timeout_s=args.timeout,
             meta=meta,
             metric=args.metric,

@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import MatrixError, PipelineError, ReproError
 from repro.serve.jobs import JobSpec
@@ -235,11 +235,7 @@ def _coerce_level(name: str, value):
     raise MatrixError(f"unknown factor {name!r}")  # pragma: no cover
 
 
-def cell_spec(
-    cell: Mapping,
-    timeout_s: float = 600.0,
-    max_retries: Optional[int] = None,
-) -> JobSpec:
+def cell_spec(cell: Mapping, timeout_s: float = 600.0) -> JobSpec:
     """The ``repro.serve`` job spec executing one expanded cell."""
     options = {k: cell[k] for k in FACTOR_ORDER if k != "workload"}
     return JobSpec(
@@ -247,7 +243,6 @@ def cell_spec(
         workload=cell["workload"],
         options=options,
         timeout_s=timeout_s,
-        max_retries=max_retries,
         label=cell_label(cell),
     )
 

@@ -31,7 +31,6 @@ def run_grid(
     spec: GridSpec,
     workers: int = 2,
     store: Optional[ArtifactStore] = None,
-    max_retries: int = 2,
     timeout_s: float = 600.0,
     meta: Optional[Mapping] = None,
     metric: str = "speedup",
@@ -48,9 +47,7 @@ def run_grid(
     counts = {s: 0 for s in STATUSES}
     rows = []
     with _obs.span("matrix.sweep", cat="matrix", cells=spec.n_cells()):
-        with WorkerPool(
-            workers=workers, store=store, max_retries=max_retries
-        ) as pool:
+        with WorkerPool(workers=workers, store=store) as pool:
             cells: dict = {}  # digest -> the first cell expanding to it
             handles = []
             for cell in spec.cells():

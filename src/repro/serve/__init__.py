@@ -14,7 +14,8 @@ into *jobs* served concurrently and cached durably:
 - :mod:`repro.serve.jobs` — the job vocabulary: ``derive`` / ``check`` /
   ``execute`` specs, their store keys, and the worker-side executor;
 - :mod:`repro.serve.pool` — a ``multiprocessing`` worker pool with
-  per-job timeouts, bounded retries with backoff for crashed workers,
+  per-job timeouts, one attempt per job (only a crashed worker's job
+  is re-run),
   cancellation of queued jobs, and in-flight deduplication (identical
   submissions coalesce to one execution; store hits never spawn a
   worker); :meth:`JobOutcome.to_dict` is the one rendering of a resolved

@@ -18,8 +18,8 @@ Examples::
 A batch file is either a list of job-spec objects or ``{"jobs":
 [...]}``; each spec takes ``kind`` (derive|check|execute|cell),
 ``workload``, ``passes`` (list or comma string), ``options`` (unroll,
-factor), ``check``, ``timeout_s``, ``max_retries``, ``use_store``,
-``label``.
+factor), ``check``, ``timeout_s`` (seconds, in ``(0,
+threading.TIMEOUT_MAX]``), ``use_store``, ``label``.
 
 Output is one line per *deduplicated* job (N identical submissions are
 one row, ``x N``), then the pool and store counters; ``--json`` prints
@@ -176,10 +176,7 @@ def _print_rows(rows: list[dict], pool: dict, store) -> None:
 def _run_jobs(args, specs: list[JobSpec]) -> int:
     store = cli.open_store(args)
     with cli.observed(args, {"tool": __package__, "command": args.command}):
-        with WorkerPool(
-            workers=args.workers, store=store,
-            max_retries=args.retries, backoff_s=args.backoff,
-        ) as pool:
+        with WorkerPool(workers=args.workers, store=store) as pool:
             handles = [pool.submit(spec) for spec in specs]
             pool.drain()
             stats = pool.stats()

@@ -24,8 +24,8 @@ A :class:`JobSpec` names one unit of work the pool can run:
     :mod:`repro.matrix` sweep;
 ``probe``
     a test-only kind whose ``options["action"]`` makes it succeed,
-    sleep, raise, or kill its own worker — the fault-injection tests
-    drive the retry/timeout machinery with it.
+    sleep, hang, raise, or kill its own worker — the fault-injection
+    tests drive the pool's failure rule with it.
 
 :func:`job_key` maps a spec to its artifact-store key — ``(kind, input
 IR fingerprint, resolved pass recipe with options, context facts)``;
@@ -38,27 +38,25 @@ boundaries, live in the store, and embed in job rows
 (:meth:`JobOutcome.to_dict <repro.serve.pool.JobOutcome.to_dict>`)
 without translation.
 
-Error discipline: :class:`~repro.errors.ReproError` subclasses
-(``CheckError``, ``VerificationError``, ``PipelineError``...) are
-*deterministic compiler verdicts* — the pool fails such a job without
-retrying.  Anything else (a crashed worker, a transient exception) is
-retryable per the pool's policy.
+Error discipline: a job is deterministic — the same spec always gives
+the same value or the same exception — so whatever :func:`execute_job`
+raises is the job's verdict, and the pool fails the job on its first
+attempt.  Only a worker that dies mid-job earns a re-run
+(:data:`repro.serve.pool.CRASH_RETRIES`).
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.artifacts.shape import check, nullable
-from repro.errors import PipelineError, ReproError
+from repro.errors import PipelineError
 from repro.obs import core as _obs
-
-#: exceptions that mean "same input will fail the same way" — never retried
-TERMINAL_ERRORS = (ReproError,)
 
 #: kinds a command line may ask for; ``table`` and ``probe`` are internal
 SUBMIT_KINDS = ("derive", "check", "execute", "cell")
@@ -75,13 +73,19 @@ class JobSpec:
     options: dict = field(default_factory=dict)  # unroll/factor/probe action...
     check: bool = False
     timeout_s: float = 120.0
-    max_retries: Optional[int] = None  # None = the pool's default
     use_store: bool = True
     label: str = ""
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise PipelineError(f"unknown job kind {self.kind!r} (known: {_KINDS})")
+        # NaN compares false both ways: it fails here, as the pool's
+        # deadline would otherwise never come due
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise PipelineError(
+                "timeout_s must be a number of seconds in "
+                f"(0, {threading.TIMEOUT_MAX:g}], got {self.timeout_s!r}"
+            )
         if self.passes is not None and not isinstance(self.passes, tuple):
             object.__setattr__(self, "passes", tuple(self.passes))
 
@@ -100,7 +104,6 @@ class JobSpec:
             "options": dict(self.options),
             "check": self.check,
             "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
             "use_store": self.use_store,
             "label": self.label,
         }
@@ -138,7 +141,6 @@ SPEC_SHAPE = {
     "options": nullable(dict),
     "check": nullable(bool),
     "timeout_s": nullable(float),
-    "max_retries": nullable(int),
     "use_store": nullable(bool),
     "label": nullable(str),
 }
@@ -223,9 +225,7 @@ def _scalar(v):
 def execute_job(spec: JobSpec) -> dict:
     """Run ``spec`` to completion in this process; returns the result dict.
 
-    Raises :data:`TERMINAL_ERRORS` for deterministic failures (the pool
-    reports ``failed`` without retrying) and anything else for
-    retryable ones.
+    Whatever it raises is the job's verdict: the pool reports ``failed``.
     """
     t0 = time.perf_counter()
     fn = _EXECUTORS[spec.kind]
@@ -318,17 +318,15 @@ def _run_probe(spec: JobSpec) -> dict:
         return {"probe": spec.options.get("value", "ok"), "pid": os.getpid()}
     if action == "raise":
         raise RuntimeError(spec.options.get("message", "probe raised"))
-    if action == "terminal":
-        raise PipelineError(spec.options.get("message", "probe terminal failure"))
     if action == "flaky":
-        # fails until its flag file exists — each attempt plants the flag,
-        # so retry N succeeds; the "retried" status tests ride on this
+        # kills its own worker until its flag file exists — each attempt
+        # plants the flag, so the re-run succeeds: the "retried" status
         flag = spec.options["flag_file"]
-        if not os.path.exists(flag):
-            with open(flag, "w", encoding="utf-8") as fh:
-                fh.write("attempted\n")
-            raise RuntimeError("probe flaky failure (flag planted)")
-        return {"probe": "recovered", "pid": os.getpid()}
+        if os.path.exists(flag):
+            return {"probe": "recovered", "pid": os.getpid()}
+        with open(flag, "w", encoding="utf-8") as fh:
+            fh.write("attempted\n")
+        action = "kill"
     if action == "kill":
         os.kill(os.getpid(), signal.SIGKILL)  # simulate a crashed worker
         raise RuntimeError("unreachable")  # pragma: no cover

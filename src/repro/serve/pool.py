@@ -7,23 +7,23 @@ worker (so it always knows who is computing what) and stamps a deadline
 from the job's ``timeout_s``.  Then it blocks in one
 :func:`multiprocessing.connection.wait` until something happens — a
 result pipe turns readable, a busy worker's process sentinel fires, the
-nearest deadline or backoff gate comes due, or the caller's wake-up
-readable turns readable — and acts on it.  Nothing polls on a clock:
+nearest deadline comes due, or the caller's wake-up readable turns
+readable — and acts on it.  Nothing polls on a clock.
 
-- it **collects** finished attempts (success, deterministic failure, or
-  retryable error),
-- **kills and respawns** workers whose deadline passed (the job is
-  retried with exponential backoff, up to the retry budget, then
-  reported ``timeout``),
-- **detects crashed workers** (process died mid-job: SIGKILL, OOM, a
-  segfaulting native library) and retries the job the same way, then
-  reports ``failed``.
+How an attempt ends decides the job's fate, and nothing else does:
 
-Retry policy: ``max_retries`` is the number of *re*-executions after
-the first attempt; :data:`repro.serve.jobs.TERMINAL_ERRORS`
-(deterministic compiler verdicts like a failed ``--check`` gate) are
-never retried.  A respawned worker gets a fresh task queue and result
-pipe, so nothing a killed process wrote can reach its successor.
+- it returned a value: ``computed`` (``retried`` when an earlier
+  attempt's worker died);
+- it raised anything: ``failed`` — a job is deterministic, so a second
+  attempt would raise the same;
+- it outlived ``timeout_s``: its worker is killed and respawned, and the
+  job is ``timeout``;
+- its worker died mid-job (SIGKILL, OOM, a segfaulting native library):
+  the worker is respawned and the job re-queued at once, at most
+  :data:`CRASH_RETRIES` times, then ``failed``.
+
+A respawned worker gets a fresh task queue and result pipe, so nothing a
+killed process wrote can reach its successor.
 
 Deduplication: submissions are keyed by their artifact-store digest;
 an identical in-flight job coalesces into the existing one (one
@@ -42,8 +42,9 @@ job's assignment time and tagged with the worker's lane (``w<slot>``),
 so exported Chrome traces get one pid lane per worker.
 
 A worker pickles its result itself, where a failure is the job's and not
-a silently dropped message: a value that will not pickle fails the job,
-an observer that will not pickle is dropped (``serve.obs.dropped``).
+a silently dropped message: a value that will not pickle fails the job
+like any raise, an observer that will not pickle is dropped
+(``serve.obs.dropped``).
 A resolved job leaves only a status count; callers keep their handles.
 """
 
@@ -59,13 +60,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.errors import PipelineError
 from repro.obs import core as _obs
-from repro.serve.jobs import (
-    TERMINAL_ERRORS,
-    JobSpec,
-    execute_job,
-    job_key,
-    result_fingerprint,
-)
+from repro.serve.jobs import JobSpec, execute_job, job_key, result_fingerprint
 from repro.serve.store import ArtifactStore, key_digest
 
 #: statuses of a job that produced its value
@@ -73,6 +68,9 @@ OK_STATUSES = ("hit", "computed", "retried")
 
 #: terminal job statuses as they appear in job rows
 STATUSES = OK_STATUSES + ("timeout", "failed", "cancelled")
+
+#: re-runs a job gets after its worker died mid-job; nothing else re-runs
+CRASH_RETRIES = 2
 
 _KILL_GRACE_S = 0.5
 _MAX_WAIT_S = 86_400.0  # one wait's longest timeout; a later deadline waits again
@@ -153,8 +151,6 @@ class _Job:
     key: Optional[tuple]  # store key; None = do not store
     submitted_at: float = 0.0
     assigned_at: float = 0.0
-    not_before: float = 0.0  # backoff gate for the next attempt
-    retry_budget: int = 0
 
     @property
     def spec(self) -> JobSpec:
@@ -201,22 +197,16 @@ def _worker_main(task_q, results, store_args) -> None:
                     value = execute_job(spec)
             else:
                 value = execute_job(spec)
-        except TERMINAL_ERRORS as e:
-            kind, payload = "fail", f"{type(e).__name__}: {e}"
+            ok, payload = True, pickle.dumps(value)
         except BaseException as e:
-            kind, payload = "error", f"{type(e).__name__}: {e}"
-        else:
-            try:
-                kind, payload = "ok", pickle.dumps(value)
-            except Exception as e:  # the same value never pickles: no retry
-                kind, payload = "fail", f"unpicklable result: {type(e).__name__}: {e}"
-        if kind == "ok" and store is not None and key is not None:
+            ok, payload = False, f"{type(e).__name__}: {e}"
+        if ok and store is not None and key is not None:
             try:
                 store.put(key, value)
                 stored = True
             except Exception:
                 pass  # a sick store costs durability, never the job
-        results.send((job_id, kind, payload, stored, time.perf_counter() - t0,
+        results.send((job_id, ok, payload, stored, time.perf_counter() - t0,
                       _pickled(obs_obj)))
 
 
@@ -238,16 +228,12 @@ class WorkerPool:
         self,
         workers: int = 2,
         store: Optional[ArtifactStore] = None,
-        max_retries: int = 2,
-        backoff_s: float = 0.05,
     ) -> None:
         if workers < 1:
             raise PipelineError(f"need at least 1 worker, got {workers}")
         methods = multiprocessing.get_all_start_methods()
         self.workers = workers
         self.store = store
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
@@ -287,9 +273,6 @@ class WorkerPool:
             ),
             key=key if (spec.use_store and self.store is not None) else None,
             submitted_at=time.perf_counter(),
-            retry_budget=(
-                spec.max_retries if spec.max_retries is not None else self.max_retries
-            ),
         )
         self._submitted += 1
 
@@ -342,26 +325,23 @@ class WorkerPool:
         """One scheduler step: assign pending jobs, block until an event,
         then collect finished attempts and reap overdue and dead workers.
         The events: a worker's result, a busy worker's death (its process
-        sentinel), the nearest job deadline or backoff gate, and ``wake``
+        sentinel), the nearest job deadline, and ``wake``
         (any readable ``connection.wait`` takes; the caller empties it)
         turning readable.  Idle and without ``wake``, it never returns."""
         self._assign()
         now = time.perf_counter()
         busy = [w for w in self._slots if w is not None and w.job is not None]
         due = [w.job.assigned_at + w.job.spec.timeout_s - now for w in busy]
-        due += [j.not_before - now for j in self._pending if j.not_before > now]
         ready = [w.results for w in self._slots
                  if w is not None and not w.results.closed]
         ready += [w.process.sentinel for w in busy] + [wake] * (wake is not None)
-        # the cap first: min() then skips a NaN timeout_s, and an infinite or
-        # huge one cannot overflow poll(2)'s millisecond timeout
+        # the cap keeps a timeout_s near threading.TIMEOUT_MAX from
+        # overflowing poll(2)'s millisecond timeout
         wait(ready, max(0.0, min([_MAX_WAIT_S] + due)) if due else None)
         self._collect()
         self._reap()
 
     def _assign(self) -> None:
-        if not self._pending:
-            return
         now = time.perf_counter()
         for slot in range(self.workers):
             if not self._pending:
@@ -369,13 +349,7 @@ class WorkerPool:
             worker = self._slots[slot]
             if worker is not None and worker.job is not None:
                 continue
-            at = next(
-                (i for i, j in enumerate(self._pending) if j.not_before <= now),
-                None,
-            )
-            if at is None:
-                return
-            job = self._pending.pop(at)
+            job = self._pending.pop(0)
             if worker is None or not worker.process.is_alive():
                 worker = self._respawn(slot, count=worker is not None)
             job.assigned_at = now
@@ -395,7 +369,7 @@ class WorkerPool:
                 continue
             while worker.results.poll():
                 try:
-                    job_id, kind, payload, stored, wall, obs = worker.results.recv()
+                    job_id, ok, payload, stored, wall, obs = worker.results.recv()
                 except (OSError, EOFError):
                     worker.results.close()  # died with its process: _reap acts
                     break
@@ -408,39 +382,43 @@ class WorkerPool:
                 self.worker_stats[slot]["jobs"] += 1
                 self.worker_stats[slot]["busy_s"] += occupied
                 self._merge_worker_obs(job, slot, obs)
-                if kind == "ok":
+                job.outcome.wall_s = wall
+                if ok:
                     job.outcome.value = pickle.loads(payload)
                     job.outcome.stored = stored
-                    job.outcome.wall_s = wall
                     self._resolve(
                         job, "computed" if job.outcome.attempts == 1 else "retried"
                     )
-                elif kind == "fail":  # deterministic: no retry
+                else:
                     job.outcome.error = payload
-                    job.outcome.wall_s = wall
                     self._resolve(job, "failed")
-                else:  # retryable error raised inside the job
-                    self._retry_or_fail(job, payload, terminal_status="failed")
 
     def _reap(self) -> None:
-        """Kill and respawn each worker past its job's deadline, respawn
-        each one that died mid-job; the job retries or resolves."""
+        """Kill and respawn each worker past its job's deadline (the job
+        is ``timeout``), respawn each one that died mid-job (the job is
+        re-queued, or ``failed`` once its re-runs are spent)."""
         now = time.perf_counter()
         for slot, worker in enumerate(self._slots):
             job = worker.job if worker is not None else None
             if job is None:
                 continue
             if now - job.assigned_at >= job.spec.timeout_s:
-                error, status = f"timed out after {job.spec.timeout_s:g}s", "timeout"
+                job.outcome.error = f"timed out after {job.spec.timeout_s:g}s"
+                status = "timeout"
             elif not worker.process.is_alive():
-                error = f"worker died mid-job (exitcode {worker.process.exitcode})"
+                job.outcome.error = (
+                    f"worker died mid-job (exitcode {worker.process.exitcode})")
                 status = "failed"
             else:
                 continue
             self.busy_s += now - job.assigned_at
             self.worker_stats[slot]["busy_s"] += now - job.assigned_at
             self._respawn(slot)  # killing and respawning are one motion
-            self._retry_or_fail(job, error, terminal_status=status)
+            if status == "failed" and job.outcome.attempts <= CRASH_RETRIES:
+                _obs.count("serve.job.retry")  # the error stays until a success
+                self._pending.append(job)
+            else:
+                self._resolve(job, status)
 
     def _merge_worker_obs(self, job: _Job, slot: int, blob) -> None:
         """Fold a worker's pickled observer (``b""``: it would not pickle)
@@ -454,18 +432,6 @@ class WorkerPool:
         o.merge(pickle.loads(blob), anchor_s=job.assigned_at, lane=f"w{slot}")
 
     # ---- resolution -------------------------------------------------------
-    def _retry_or_fail(self, job: _Job, error: str, terminal_status: str) -> None:
-        if job.outcome.attempts <= job.retry_budget:
-            job.not_before = time.perf_counter() + self.backoff_s * (
-                2 ** (job.outcome.attempts - 1)
-            )
-            job.outcome.error = error  # last error so far; cleared on success
-            _obs.count("serve.job.retry")
-            self._pending.append(job)
-            return
-        job.outcome.error = error
-        self._resolve(job, terminal_status)
-
     def _resolve(self, job: _Job, status: str) -> None:
         job.outcome.status = status
         if status in OK_STATUSES:
@@ -495,7 +461,7 @@ class WorkerPool:
         if job.outcome.status != "pending" or job not in self._pending:
             return False
         self._pending.remove(job)
-        n = job.outcome.attempts  # > 0: waiting out a retry backoff
+        n = job.outcome.attempts  # > 0: re-queued after its worker died
         job.outcome.error = (f"cancelled after {n} attempt(s): {job.outcome.error}"
                              if n else "cancelled before execution")
         self._resolve(job, "cancelled")
@@ -555,8 +521,6 @@ class WorkerPool:
         elapsed = max(time.perf_counter() - self._created, 1e-9)
         return {
             "workers": self.workers,
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
             "respawns": self.respawns,
             "coalesced": self.coalesced,
             "jobs": {**self._resolved,

@@ -60,6 +60,21 @@ class TestBuildAll:
         for name in ("T8 fake", "T9 fake"):
             assert len([l for l in lines if l.startswith(f"  {name}: done in")]) == 1
 
+    def test_a_failing_table_is_built_once(self, patched_builders, tmp_path, capsys):
+        # a table build is deterministic: a raise is its verdict, not a
+        # reason to build it again (each call appends one line)
+        calls = tmp_path / "calls"
+
+        def boom():
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write("built\n")
+            raise RuntimeError("simulated table crash")
+
+        patched_builders([("bad", boom)])
+        assert main([str(tmp_path / "e.md")]) == 1
+        assert calls.read_text().splitlines() == ["built"]
+        assert "TABLE FAILED: bad" in capsys.readouterr().err
+
     def test_zero_workers_is_a_usage_error(self, patched_builders, tmp_path, capsys):
         patched_builders([("only", lambda: fake_table("Only"))])
         path = tmp_path / "e.md"

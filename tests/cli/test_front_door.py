@@ -36,7 +36,7 @@ ENV = {"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"}
 #: flags the core declares once for everybody (repro.cli's flag groups)
 SHARED_FLAGS = (
     "--store-dir", "--store", "--no-store",
-    "--workers", "--retries", "--backoff",
+    "--workers",
     "--obs", "--chrome-trace",
     "--out", "--json",
     "--passes", "--sizes",
@@ -75,7 +75,7 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 23_059
+        ceiling = 22_993
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )
@@ -228,8 +228,7 @@ def world(tmp_path, monkeypatch):
         PERF_BASELINE,
     )
     (tmp_path / "doomed.json").write_text(json.dumps([
-        {"kind": "probe", "options": {"action": "terminal"},
-         "max_retries": 0, "label": "doomed"},
+        {"kind": "probe", "options": {"action": "raise"}, "label": "doomed"},
     ]))
 
     # a miscompiling pass: silently drops the whole computation
@@ -297,6 +296,13 @@ EXIT_CODES = [
     (2, ["check", "--fresh"]),                         # the request-pointer
     (2, ["obs", "matmul", "--fresh"]),                 # skip tier is gone,
     (2, ["serve", "submit", "matmul", "--out", "r.json"]),  # so is the report
+    # a job runs once (only a dead worker's job is re-run): no retry knobs
+    (2, ["serve", "submit", "matmul", "--retries", "2"]),
+    (2, ["serve", "batch", "{tmp}/doomed.json", "--backoff", "0.05"]),
+    (2, ["daemon", "start", "--foreground", "--retries", "2"]),
+    (2, ["daemon", "start", "--foreground", "--backoff", "0.05"]),
+    (2, ["matrix", "run", "--factor", "workload=matmul", "--retries", "2"]),
+    (2, ["report", "{tmp}/e.md", "--retries", "2"]),
     (2, ["matrix", "report", "{tmp}/good.json"]),      # not a matrix artifact
     (2, ["matrix", "report", "{tmp}/broken.json"]),    # invalid artifact file
     (2, ["perf", "record", "{tmp}/bare.json"]),        # bare payload

@@ -28,6 +28,9 @@ from repro.daemon import state as dstate
 from repro.daemon.status import flatten_status
 from repro.errors import DaemonError
 from repro.serve import ArtifactStore, JobSpec, WorkerPool
+from repro.serve.pool import CRASH_RETRIES
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -37,7 +40,7 @@ def store_dir(tmp_path) -> str:
 
 def make_daemon(store_dir, **overrides) -> Daemon:
     defaults = dict(workers=1, queue_limit=4, deadline_s=30.0,
-                    store_dir=store_dir, backoff_s=0.01)
+                    store_dir=store_dir)
     defaults.update(overrides)
     return Daemon(DaemonConfig(**defaults)).start()
 
@@ -119,19 +122,21 @@ class TestRequests:
         assert reply.rule == "daemon/not-found"
 
     def test_failed_job_resolves_not_hangs(self, daemon):
-        job = {"kind": "probe", "workload": "t", "max_retries": 0,
-               "use_store": False, "options": {"action": "terminal"}}
+        job = {"kind": "probe", "workload": "t", "use_store": False,
+               "options": {"action": "raise"}}
         reply = submit(daemon, job)
         assert reply.ok  # HTTP 200: the *request* resolved
         assert reply.body["status"] == "failed"
-        assert reply.body["error"]
+        assert reply.body["attempts"] == 1  # a raise is never re-run
+        assert reply.body["error"] == "RuntimeError: probe raised"
 
     def test_killed_worker_surfaces_as_failed(self, daemon):
-        job = {"kind": "probe", "workload": "t", "max_retries": 0,
-               "use_store": False, "options": {"action": "kill"}}
+        job = {"kind": "probe", "workload": "t", "use_store": False,
+               "options": {"action": "kill"}}
         reply = submit(daemon, job)
         assert reply.ok
         assert reply.body["status"] == "failed"
+        assert reply.body["attempts"] == 1 + CRASH_RETRIES
         assert "died" in reply.body["error"]
         # and the daemon still answers afterwards (worker respawned)
         again = submit(daemon, probe(value=1))
@@ -153,7 +158,9 @@ CONV = {"kind": "derive", "workload": "conv"}
 #: the bug — the first one killed the scheduler thread, the next eight were a
 #: traceback and a dropped connection — a null deadline, which is legal, and
 #: unroll factors jam cannot use, which used to be coerced or ignored, and a
-#: block factor that used to become a symbol named ``4x``
+#: block factor that used to become a symbol named ``4x``; then the gone
+#: ``max_retries`` field and three timeouts no deadline can be kept for (a
+#: NaN one, which ``json.dumps`` writes, used to switch the deadline off)
 MALFORMED = [
     ({"job": {**CONV, "options": {"unroll": 2.5}}}, 400),
     ({"job": {**CONV, "options": {"unroll": "4"}}}, 400),
@@ -171,6 +178,10 @@ MALFORMED = [
     ({"job": {"kind": "cell", "workload": "conv", "options": {"bogus": 1}}}, 400),
     ({"job": {"kind": "nope", "workload": "conv"}}, 400),
     ({"job": {**CONV, "retries": 3}}, 400),
+    ({"job": {**CONV, "max_retries": 0}}, 400),  # the knob is gone
+    ({"job": {**CONV, "timeout_s": float("nan")}}, 400),
+    ({"job": {**CONV, "timeout_s": 0}}, 400),
+    ({"job": {**CONV, "timeout_s": -1}}, 400),
     ({"job": ["conv"]}, 400),
     ({"job": probe(value="null-deadline"), "deadline_s": None}, 200),
 ]
@@ -184,7 +195,7 @@ def _mutants():
     valid = {
         "job": {"kind": "probe", "workload": "t", "passes": ["split"],
                 "options": {"action": "ok", "value": "m"}, "check": False,
-                "timeout_s": 30.0, "max_retries": 0, "use_store": True,
+                "timeout_s": 30.0, "use_store": True,
                 "label": "m"},
         "deadline_s": 30.0,
     }
@@ -237,7 +248,7 @@ class TestAdmission:
             assert reply.ok or reply.rule.startswith("daemon/"), (
                 body, reply.status, reply.body)
             replies += 1
-        assert replies == 65
+        assert replies == 60
         self.assert_healthy(daemon)
 
     def test_request_size_is_bounded(self, daemon):
@@ -346,6 +357,35 @@ class TestDrainAndRestart:
         finally:
             d2.request_drain()
             assert d2.wait_stopped(30.0)
+
+    def test_a_corrupt_store_entry_is_recomputed_then_served(self, store_dir):
+        """A bit-flipped entry on the daemon path costs one recomputation:
+        the restarted daemon counts it corrupt and derives again, and the
+        next one serves the rewritten entry."""
+        job = {"kind": "derive", "workload": "matmul"}
+        pinned = json.loads(
+            (ROOT / "benchmarks" / "blockbench" / "expected.json").read_text()
+        )["fingerprints"]["matmul"]
+        d = make_daemon(store_dir)
+        assert submit(d, job).body["status"] == "computed"
+        d.request_drain()
+        assert d.wait_stopped(30.0)
+        (entry,) = (d.store.root / "objects").rglob("*.art")
+        blob = bytearray(entry.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        entry.write_bytes(bytes(blob))
+
+        for status, source, corrupt in (("computed", "pool", 1),
+                                        ("hit", "store", 0)):
+            d = make_daemon(store_dir)
+            try:
+                reply = submit(d, job).body
+                assert (reply["status"], reply["source"]) == (status, source)
+                assert reply["fingerprint"] == pinned
+                assert d.status_payload()["store"]["corrupt"] == corrupt
+            finally:
+                d.request_drain()
+                assert d.wait_stopped(30.0)
 
     def test_state_file_lifecycle(self, store_dir):
         d = make_daemon(store_dir)

@@ -135,7 +135,7 @@ class TestRampAgainstDaemon:
     def test_short_ramp_end_to_end(self, tmp_path):
         d = Daemon(DaemonConfig(
             workers=1, queue_limit=4,
-            store_dir=str(tmp_path / "cache"), backoff_s=0.01,
+            store_dir=str(tmp_path / "cache"),
         )).start()
         try:
             grid = {
@@ -147,8 +147,7 @@ class TestRampAgainstDaemon:
                              "options": {"action": "ok", "value": 1}}},
                     {"weight": 1, "unique": True,
                      "job": {"kind": "probe", "workload": "cold",
-                             "options": {"action": "ok", "seconds": 0.05},
-                             "max_retries": 0}},
+                             "options": {"action": "ok", "seconds": 0.05}}},
                 ],
                 "deadline_s": 20.0,
             }

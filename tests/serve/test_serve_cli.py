@@ -123,8 +123,8 @@ class TestBatch:
         path = self.write_specs(
             tmp_path,
             [
-                {"kind": "probe", "options": {"action": "terminal"},
-                 "max_retries": 0, "label": "doomed"},
+                {"kind": "probe", "options": {"action": "raise"},
+                 "label": "doomed"},
                 {"kind": "probe", "options": {"action": "ok"},
                  "label": "survivor"},
             ],
@@ -133,7 +133,8 @@ class TestBatch:
                      "--store-dir", store_dir]) == 1
         doomed, survivor = json_rows(capsys.readouterr().out)
         assert doomed["status"] == "failed"
-        assert "probe terminal failure" in doomed["error"]
+        assert doomed["attempts"] == 1
+        assert doomed["error"] == "RuntimeError: probe raised"
         assert survivor["status"] == "computed"  # pool survived
 
     def test_malformed_batch_file_is_a_usage_error(self, tmp_path, store_dir, capsys):

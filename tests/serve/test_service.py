@@ -8,7 +8,7 @@ from repro.artifacts.validate import RULE_UNKNOWN_SCHEMA
 from repro.obs import core as obs_core
 from repro.obs import export as obs_export
 from repro.serve.jobs import JobSpec
-from repro.serve.pool import OK_STATUSES, WorkerPool
+from repro.serve.pool import CRASH_RETRIES, OK_STATUSES, WorkerPool
 from repro.serve.store import ArtifactStore
 
 #: every key of a job row, in order — the daemon's reply adds two more
@@ -24,10 +24,9 @@ def probe(**options) -> JobSpec:
     return JobSpec(kind="probe", options=options, timeout_s=10.0)
 
 
-def run_batch(specs, workers=1, store=None, max_retries=2):
+def run_batch(specs, workers=1, store=None):
     """What ``serve submit|batch`` do: submit, drain, rows + pool stats."""
-    with WorkerPool(workers=workers, store=store,
-                    max_retries=max_retries) as pool:
+    with WorkerPool(workers=workers, store=store) as pool:
         handles = [pool.submit(spec) for spec in specs]
         pool.drain()
         outcomes = {h.outcome.job_id: h.outcome for h in handles}
@@ -60,14 +59,32 @@ class TestRunBatch:
         assert stats["jobs"] == {"computed": 1}
 
     def test_failures_carry_their_error_and_flip_ok(self):
-        rows, stats = run_batch(
-            [probe(action="terminal"), probe(value="fine")], max_retries=0)
+        rows, stats = run_batch([probe(action="raise"), probe(value="fine")])
         assert stats["jobs"] == {"failed": 1, "computed": 1}
+        assert stats["respawns"] == 0  # a raise costs no worker
         by_status = {row["status"]: row for row in rows}
-        assert "PipelineError" in by_status["failed"]["error"]
+        assert by_status["failed"]["attempts"] == 1
+        assert by_status["failed"]["error"] == "RuntimeError: probe raised"
         assert by_status["failed"]["result"] is None
         assert by_status["computed"]["error"] is None  # the pool survived
         assert [row["status"] in OK_STATUSES for row in rows] == [False, True]
+
+    def test_how_an_attempt_ends_decides_the_row(self, tmp_path):
+        """A raise and a missed deadline end the job at once; only a dead
+        worker earns a re-run, at most ``CRASH_RETRIES`` of them."""
+        hang = JobSpec(kind="probe", options={"action": "hang", "hang_s": 60.0},
+                       timeout_s=0.25)
+        specs = [probe(action="raise"), hang, probe(action="kill"),
+                 probe(action="flaky", flag_file=str(tmp_path / "flag"))]
+        with obs_core.enabled() as o:
+            rows, stats = run_batch(specs)
+        assert [(row["status"], row["attempts"]) for row in rows] == [
+            ("failed", 1), ("timeout", 1),
+            ("failed", 1 + CRASH_RETRIES), ("retried", 2)]
+        # the timeout's kill, every death, and nothing for the raise
+        assert stats["respawns"] == 1 + (1 + CRASH_RETRIES) + 1
+        assert o.counters["serve.job.retry"] == CRASH_RETRIES + 1
+        assert "max_retries" not in stats and "backoff_s" not in stats
 
     def test_store_run_reports_worker_writes_and_then_hits(self, tmp_path):
         spec = JobSpec(workload="matmul", timeout_s=60.0)
@@ -102,12 +119,10 @@ class TestRunBatch:
 
     def test_obs_counters_mirror_the_batch(self, tmp_path):
         spec = JobSpec(workload="matmul", timeout_s=60.0)
-        specs = [spec, probe(value=1), probe(action="terminal")]
+        specs = [spec, probe(value=1), probe(action="raise")]
         with obs_core.enabled() as o:
-            _, cold = run_batch(specs, store=ArtifactStore(str(tmp_path)),
-                                max_retries=0)
-            _, warm = run_batch(specs, store=ArtifactStore(str(tmp_path)),
-                                max_retries=0)
+            _, cold = run_batch(specs, store=ArtifactStore(str(tmp_path)))
+            _, warm = run_batch(specs, store=ArtifactStore(str(tmp_path)))
         assert cold["jobs"] == {"computed": 2, "failed": 1}
         assert warm["jobs"] == {"hit": 2, "failed": 1}
         assert o.counters["serve.job.computed"] == 2
