@@ -1,12 +1,12 @@
 """Static IR verifier, transformation-legality checker, and
 blockability linter (``repro.check``).
 
-Three layers of redundancy over the transformation stack (the paper's
-argument is about *legality*, so legality gets an independent audit):
+Three layers over the transformation stack (the paper's argument is
+about *legality*, so every refusal is reported with its witness):
 
 - :mod:`repro.check.verifier` — structural IR invariants (``ir/*``);
-- :mod:`repro.check.legality` — per-pass legality predicates re-derived
-  from :mod:`repro.analysis` (``legal/*``), run by
+- :mod:`repro.check.legality` — per-pass legality findings (``legal/*``)
+  that report the deciding layer's own rule, run by
   :class:`~repro.pipeline.manager.PassManager` in ``--check`` mode;
 - :mod:`repro.check.linter` — the static blockability classifier
   (``lint/*``) reproducing the Sec. 5 verdicts without running a single

@@ -131,8 +131,8 @@ RULES: dict[str, Rule] = _catalogue(
     Rule("legal/if-inspection-shape", Severity.ERROR,
          "IF-inspection of a loop whose body is not a single IF-THEN"),
     Rule("legal/par-carried-dep", Severity.ERROR,
-         "a PARALLEL DO marker on a loop with an independently re-derived "
-         "loop-carried dependence (or a cross-iteration scalar recurrence)"),
+         "a PARALLEL DO marker on a loop the detector does not classify "
+         "PARALLEL (a loop-carried dependence or cross-iteration scalar)"),
     Rule("legal/par-reduction-shape", Severity.ERROR,
          "a PARALLEL REDUCTION DO marker whose carried dependences are not "
          "all commutative accumulations acc = acc op term"),

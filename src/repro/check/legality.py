@@ -1,17 +1,18 @@
-"""Layer 2 of :mod:`repro.check`: independent transformation-legality
-predicates.
+"""Layer 2 of :mod:`repro.check`: transformation-legality findings.
 
-Each registered pipeline pass gets a legality predicate *re-derived from
-first principles* on :mod:`repro.analysis.dependence` /
-:mod:`repro.analysis.feasibility` — deliberately not calling the
-transform's own guard code, so a bug there (a guard accidentally
-weakened, a missed direction vector) is caught by redundancy:
+Each legality question is one function, written in the layer that
+decides it; a check here *reports* that function's answer as a
+diagnostic with a witness and keeps no copy of it:
 
-- **interchange / jam** — the direction-vector rule: the swap (or the
-  fusion of unrolled outer iterations) is illegal exactly when some
-  dependence is realizable with direction ``(=,...,=,<,>)`` on the
-  (outer, inner) pair, tested in the true iteration space
-  (Fourier–Motzkin, bounds included);
+- **interchange / jam** — the direction-vector rule
+  (:func:`repro.transform.interchange.swap_witnesses`: an edge realizable
+  with ``(=,...,=,<,>)`` on the (outer, inner) pair, in the true
+  iteration space) and the written-bounds rule
+  (:func:`~repro.transform.interchange.written_bound`); jam asks
+  :func:`repro.transform.unroll_jam.jam_witnesses` for every loop nested
+  in each nest the pass would jam (:func:`repro.pipeline.passes.jam_targets`);
+- **parallelize** — a ``PARALLEL [REDUCTION] DO`` marker is held to
+  :func:`repro.par.detect.classify_loop`'s verdict for its loop;
 - **stripmine / block** — unit-step and factor sanity; ``block`` is
   then judged on its *result*: a target with inner loops must have a
   strip loop innermost (``place_strips``, the driver's own count), so
@@ -23,8 +24,12 @@ weakened, a missed direction vector) is caught by redundancy:
 - **split** — pieces must partition the original range: a newly created
   adjacent pair must not *provably* overlap or gap at the meeting
   point ``hi + 1``;
-- **if_inspection** — the inspector/executor split needs the guarded
-  single-IF body shape.
+- **if_inspection** — the guarded single-IF body shape
+  (:func:`repro.transform.if_inspection.guarded_if`).
+
+The result postchecks (``distribute``, ``split``, ``block``), the
+interpreter-vs-codegen verifier and the race sanitizer are the evidence
+that does not come from the deciding rule itself.
 
 :func:`precheck` runs on the input procedure before a pass,
 :func:`postcheck` on (before, after) once it applied; both return
@@ -41,93 +46,32 @@ from typing import Optional
 
 from repro.analysis.commutativity import commutativity_oracle
 from repro.analysis.context import context_for_path
-from repro.analysis.dependence import Dependence, DependenceKind
-from repro.analysis.feasibility import direction_feasible
+from repro.analysis.dependence import all_dependences
 from repro.analysis.graph import DependenceGraph, strongly_connected_components
-from repro.analysis.refs import collect_accesses
 from repro.check.diagnostics import Diagnostic, Severity, counted, diag
-from repro.ir.expr import Const, Var, free_vars
+from repro.ir.expr import Const
 from repro.ir.pretty import fmt_expr, fmt_stmt
-from repro.ir.stmt import Assign, If, Loop, Procedure
+from repro.ir.stmt import Loop, ParallelLoop, Procedure
 from repro.ir.visit import find_loops, walk_stmts
 from repro.obs import core as _obs
-from repro.pipeline.passes import target_loop
+from repro.par.detect import PARALLEL, SERIAL, classify_loop, loop_carried
+from repro.pipeline.passes import jam_targets, target_loop
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
 from repro.transform.blocking import place_strips
+from repro.transform.if_inspection import guarded_if
+from repro.transform.interchange import swap_witnesses, written_bound, written_bound_message
+from repro.transform.unroll_jam import jam_witnesses
 
 
-# ---------------------------------------------------------------------------
-# the (<, >) direction-vector rule, shared by interchange and jam
-# ---------------------------------------------------------------------------
-
-def swap_witnesses(proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions):
-    """Yield, for every access pair under ``inner`` with a dependence
-    realizable as ``(=,...,=,<,>)`` at (outer, inner), that edge (entries
-    the rule leaves open are ``*``).  Lazy, so the linter can stop at the
-    first."""
-    accs = [a for a in collect_accesses(proc) if any(l is inner for l in a.loops)]
-    for i in range(len(accs)):
-        for j in range(i, len(accs)):
-            a, b = accs[i], accs[j]
-            if a.array != b.array or not (a.is_write or b.is_write):
-                continue
-            common = a.common_loops(b)
-            try:
-                p = next(k for k, l in enumerate(common) if l is outer)
-                q = next(k for k, l in enumerate(common) if l is inner)
-            except StopIteration:
-                continue
-            dirs = ["*"] * len(common)
-            for k in range(p):
-                dirs[k] = "="
-            dirs[p], dirs[q] = "<", ">"
-            if direction_feasible(a, b, dirs, common, ctx):
-                src, snk = a, b
-            elif a is not b and direction_feasible(b, a, dirs, common, ctx):
-                src, snk = b, a
-            else:
-                continue
-            yield Dependence(
-                src, snk, DependenceKind.of(src.is_write, snk.is_write), common,
-                tuple(0 if d == "=" else None for d in dirs), tuple(dirs),
-            )
-
-
-def _swap_violations(
-    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions, rule_id: str
-) -> list[Diagnostic]:
-    """One diagnostic per :func:`swap_witnesses` edge."""
-    path = f"{proc.name}/DO {outer.var}/DO {inner.var}"
-    return [
-        diag(
-            rule_id, path,
-            f"a dependence is realizable with ({outer.var}:<, "
-            f"{inner.var}:>) — reordering {outer.var}/{inner.var} "
-            f"iterations reverses it",
-            dep.witness(),
-        )
-        for dep in swap_witnesses(proc, outer, inner, ctx)
-    ]
-
-
-def _bounds_written(proc: Procedure, outer: Loop, inner: Loop) -> list[Diagnostic]:
-    written = {
-        s.target.name
-        for s in walk_stmts(outer)
-        if isinstance(s, Assign) and isinstance(s.target, Var)
-    }
-    out = []
-    for e in (outer.lo, outer.hi, inner.lo, inner.hi):
-        clash = free_vars(e) & written
-        if clash:
-            out.append(diag(
-                "legal/interchange-bounds",
-                f"{proc.name}/DO {outer.var}",
-                f"loop bound {fmt_expr(e)} uses scalars written in the "
-                f"nest: {sorted(clash)}",
-            ))
-    return out
+def _swap_diag(proc: Procedure, outer: Loop, inner: Loop, dep, rule_id: str) -> Diagnostic:
+    """The finding for one swap-rule edge of (outer, inner)."""
+    return diag(
+        rule_id, f"{proc.name}/DO {outer.var}/DO {inner.var}",
+        f"a dependence is realizable with ({outer.var}:<, {inner.var}:>) — "
+        f"reordering {outer.var}/{inner.var} iterations reverses it",
+        dep.witness(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,26 +85,30 @@ def _pre_interchange(proc, ctx, options):
     inner = sole_inner_loop(loop)
     if inner is None:
         return []
+    out = []
+    bound = written_bound(loop, inner)
+    if bound is not None:
+        out.append(diag("legal/interchange-bounds", f"{proc.name}/DO {loop.var}",
+                        written_bound_message(*bound)))
     local = context_for_path(proc, loop, ctx)
-    return _bounds_written(proc, loop, inner) + _swap_violations(
-        proc, loop, inner, local, "legal/interchange-direction"
-    )
+    return out + [
+        _swap_diag(proc, loop, inner, dep, "legal/interchange-direction")
+        for dep in swap_witnesses(proc, loop, inner, local)
+    ]
 
 
 def _pre_jam(proc, ctx, options):
-    var = options.get("loop")
+    """The nests the jam pass would unroll, judged by its own rule."""
     out: list[Diagnostic] = []
-    for loop in find_loops(proc):
-        if var is not None and loop.var != var:
-            continue
-        inner = sole_inner_loop(loop)
-        if inner is None:
-            continue
+    for loop in jam_targets(proc, options):
         try:
             local = context_for_path(proc, loop, ctx)
         except KeyError:
             continue
-        out += _swap_violations(proc, loop, inner, local, "legal/jam-carried-race")
+        out += [
+            _swap_diag(proc, loop, inner, dep, "legal/jam-carried-race")
+            for inner, dep in jam_witnesses(proc, loop, local)
+        ]
     return out
 
 
@@ -188,10 +136,7 @@ def _pre_ifinsp(proc, ctx, options):
     if var is None:
         return []
     loop = next((l for l in find_loops(proc) if l.var == var), None)
-    if loop is None:
-        return []
-    body = non_comment(loop.body)
-    if len(body) == 1 and isinstance(body[0], If) and not body[0].els:
+    if loop is None or guarded_if(loop) is not None:
         return []
     return [diag(
         "legal/if-inspection-shape", f"{proc.name}/DO {loop.var}",
@@ -205,103 +150,31 @@ def _pre_ifinsp(proc, ctx, options):
 # the parallelize pass just planted)
 # ---------------------------------------------------------------------------
 
-def _par_carried(dep, loop) -> bool:
-    """Re-derived carried-at-level test (mirrors, but does not call, the
-    detector's criterion): the direction entry at ``loop`` admits two
-    distinct iterations while every outer entry admits equality."""
-    for j, l in enumerate(dep.loops):
-        if l is loop:
-            return dep.direction[j] != "=" and all(
-                d in ("=", "*") for d in dep.direction[:j]
-            )
-    return False
-
-
 def _par_marker_violations(proc, ctx) -> list[Diagnostic]:
-    """Audit every ``PARALLEL [REDUCTION] DO`` marker in ``proc``.
-
-    The dependence set is re-derived here from
-    :func:`repro.analysis.dependence.all_dependences` — deliberately not
-    through :mod:`repro.par.detect` — so a detector bug that plants a wrong
-    marker is caught by redundancy, per this module's charter.
-    """
-    from repro.analysis.commutativity import (
-        accumulations_commute,
-        match_reduction_update,
-    )
-    from repro.analysis.dependence import all_dependences
-    from repro.analysis.graph import _scalars_written, _upward_exposed_scalars
-    from repro.ir.stmt import ParallelLoop
-
+    """Audit every ``PARALLEL [REDUCTION] DO`` marker in ``proc`` against
+    the detector's verdict for its loop: a PARALLEL marker needs a
+    PARALLEL verdict, a REDUCTION marker anything but SERIAL."""
     out: list[Diagnostic] = []
     for loop in find_loops(proc):
         if not isinstance(loop, ParallelLoop):
             continue
-        local = context_for_path(proc, loop, ctx)
-        carried = [d for d in all_dependences(proc, local) if _par_carried(d, loop)]
-        loop_vars = {l.var for l in walk_stmts(loop) if isinstance(l, Loop)}
-        hazards = sorted(
-            (_scalars_written(walk_stmts(loop)) & _upward_exposed_scalars(loop)) - loop_vars
-        )
-        kw = "PARALLEL DO" if loop.kind == "parallel" else "PARALLEL REDUCTION DO"
-        path = f"{proc.name}/{kw} {loop.var}"
-        if loop.kind == "parallel":
-            if carried:
-                out.append(diag(
-                    "legal/par-carried-dep", path,
-                    "marked PARALLEL but carries a dependence across "
-                    "iterations", carried[0].witness(),
-                ))
-            elif hazards:
-                out.append(diag(
-                    "legal/par-carried-dep", path,
-                    f"marked PARALLEL but scalar(s) {', '.join(hazards)} are "
-                    "written and read across iterations",
-                ))
-            continue
-        # reduction marker: every carried endpoint must be a commutative
-        # accumulation of the touched location, with mutually commuting ops
-        ops: list[str] = []
-        for dep in carried:
-            for end in (dep.source, dep.sink):
-                red = match_reduction_update(end.stmt)
-                if red is None or end.ref != red.target:
-                    out.append(diag(
-                        "legal/par-reduction-shape", path,
-                        "a carried dependence is not absorbed by an "
-                        "acc = acc op term accumulation", dep.witness(),
-                    ))
-                    break
-                ops.append(red.op)
-            else:
-                continue
-            break
-        else:
-            for name in hazards:
-                writes = [
-                    s for s in walk_stmts(loop)
-                    if isinstance(s, Assign)
-                    and isinstance(s.target, Var) and s.target.name == name
-                ]
-                reds = [match_reduction_update(s) for s in writes]
-                if any(r is None for r in reds):
-                    out.append(diag(
-                        "legal/par-reduction-shape", path,
-                        f"scalar {name} is carried across iterations by a "
-                        "non-accumulation write",
-                    ))
-                    break
-                ops.extend(r.op for r in reds)
-            else:
-                if any(
-                    not accumulations_commute(a, b)
-                    for i, a in enumerate(ops) for b in ops[i + 1:]
-                ):
-                    out.append(diag(
-                        "legal/par-reduction-shape", path,
-                        f"accumulation operators {sorted(set(ops))} do not "
-                        "commute with each other",
-                    ))
+        deps = all_dependences(proc, context_for_path(proc, loop, ctx))
+        v = classify_loop(proc, loop, ctx, deps)
+        if loop.kind == PARALLEL and v.verdict != PARALLEL:
+            witness = v.witness or next(
+                (d.witness() for d in deps if loop_carried(d, loop)), None)
+            out.append(diag(
+                "legal/par-carried-dep", f"{proc.name}/PARALLEL DO {loop.var}",
+                f"marked PARALLEL but the detector says {v.verdict}: {v.reason}",
+                witness,
+            ))
+        elif loop.kind != PARALLEL and v.verdict == SERIAL:
+            out.append(diag(
+                "legal/par-reduction-shape",
+                f"{proc.name}/PARALLEL REDUCTION DO {loop.var}",
+                f"marked PARALLEL REDUCTION but the detector says serial: {v.reason}",
+                v.witness,
+            ))
     return out
 
 

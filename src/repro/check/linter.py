@@ -55,7 +55,6 @@ from repro.analysis.context import context_for_path
 from repro.analysis.graph import DependenceGraph, strongly_connected_components
 from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
-from repro.check.legality import swap_witnesses
 from repro.errors import AnalysisError
 from repro.ir.expr import Const, free_vars
 from repro.ir.pretty import fmt_expr, fmt_stmt
@@ -65,6 +64,7 @@ from repro.obs import core as _obs
 from repro.pipeline.cache import scoped as _analysis_cache
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import non_comment, sole_inner_loop
+from repro.transform.interchange import swap_witnesses
 
 #: The Sec. 5 taxonomy; the suffixes of the ``lint/*`` verdict rules.
 BLOCKABLE = "blockable"

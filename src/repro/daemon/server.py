@@ -365,6 +365,7 @@ class Daemon:
                     break
                 # 2. wait for an event and harvest resolutions
                 pool.poll(wake=self._wake_r)
+                self._pool_stats = pool.stats()  # what /v1/status serves
                 still = []
                 for req, handle in active:
                     if handle.done or (req.abandoned and handle.cancel()):

@@ -11,7 +11,11 @@ per-iteration read/write shadow footprint for every active
 different iterations conflict.
 
 ``PARALLEL REDUCTION DO`` loops are exempt: their iterations conflict on
-the accumulator by construction and commute instead.
+the accumulator by construction and commute instead.  So the detector,
+through the ``repro.check`` marker audit, is the only judge of a
+REDUCTION marker: over the prefix sum ``S = S + A(I); B(I) = S`` the
+conflicts on ``S`` look like any accumulation's here, and only the
+detector sees that ``B(I)`` reads ``S`` between updates (SERIAL).
 
 A conflict means the static layer mis-marked the loop, so conflicts carry
 the same rule id (``legal/par-carried-dep``) that the static

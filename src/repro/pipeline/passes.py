@@ -44,7 +44,7 @@ from repro.transform import (
     triangular_unroll_jam,
 )
 from repro.transform.base import non_comment, sole_inner_loop
-from repro.transform.if_inspection import guarded_distribute_with_inspection
+from repro.transform.if_inspection import guarded_distribute_with_inspection, guarded_if
 from repro.transform.index_set_split import eliminate_single_trip
 
 
@@ -253,8 +253,10 @@ register(
 # jam — unroll-and-jam every eligible (outer_var, inner) nest
 # ---------------------------------------------------------------------------
 
-def _jam_targets(proc: Procedure, var: Optional[str]) -> list[Loop]:
-    """The unit-step loops over ``var`` with a sole inner loop."""
+def jam_targets(proc: Procedure, options: dict) -> list[Loop]:
+    """The unit-step loops over the target variable with a sole inner
+    loop: the nests the jam pass unrolls and jams."""
+    var = _opt_loop_var(proc, options)
     return [
         l
         for l in find_loops(proc)
@@ -266,7 +268,7 @@ def _jam_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[
     var = _opt_loop_var(proc, options)
     if var is None:
         return "procedure has no loops"
-    if not _jam_targets(proc, var):
+    if not jam_targets(proc, options):
         return f"no unit-step loop over {var!r} with a sole inner loop"
     return None
 
@@ -276,7 +278,7 @@ def _jam_run(proc: Procedure, ctx: Assumptions, options: dict) -> PassOutcome:
     u = options.get("unroll", 4)
     # Snapshot targets before any unrolling: UJ introduces remainder
     # pre-loops over the same variable that must not be unrolled again.
-    targets = _jam_targets(proc, outer_var)
+    targets = jam_targets(proc, options)
     jammed, skipped = [], []
     for target in targets:
         live = next((l for l in find_loops(proc) if l == target), None)
@@ -326,13 +328,10 @@ register(
 
 def _ifinsp_target(proc: Procedure, options: dict) -> Optional[Loop]:
     var = options.get("loop")
-    for l in find_loops(proc):
-        if var is not None and l.var != var:
-            continue
-        body = non_comment(l.body)
-        if len(body) == 1 and isinstance(body[0], If) and not body[0].els:
-            return l
-    return None
+    return next((
+        l for l in find_loops(proc)
+        if (var is None or l.var == var) and guarded_if(l) is not None
+    ), None)
 
 
 def _ifinsp_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:

@@ -99,12 +99,21 @@ def _provably_disjoint(gref: ArrayRef, wref: ArrayRef, loop: Loop, acc, ctx) -> 
     return False
 
 
+def guarded_if(loop: Loop) -> Optional[If]:
+    """The IF of ``loop``'s body when that body is one IF-THEN without
+    ELSE — the shape IF-inspection needs — else None."""
+    body = non_comment(loop.body)
+    if len(body) == 1 and isinstance(body[0], If) and not body[0].els:
+        return body[0]
+    return None
+
+
 def _guarded_body(loop: Loop, what: str) -> tuple[Expr, tuple[Stmt, ...]]:
     """The guard and THEN branch of ``loop``'s one IF-THEN body."""
-    body = non_comment(loop.body)
-    if len(body) != 1 or not isinstance(body[0], If) or body[0].els:
+    guard = guarded_if(loop)
+    if guard is None:
         raise TransformError(f"{what} needs a loop whose body is one IF-THEN")
-    return body[0].cond, body[0].then
+    return guard.cond, guard.then
 
 
 def _inspect(

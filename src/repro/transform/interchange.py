@@ -7,7 +7,10 @@ dependence can be realized with direction ``(=, ..., =, <, >)`` on the
 loops up to and including (O, J).  Testing in the true space (bounds
 included) is what lets block LU's KK loop sink inside the I loop — the
 rectangular-hull vector looks like (<, >) but the triangular coupling
-``I >= KK+1`` makes it infeasible.
+``I >= KK+1`` makes it infeasible.  :func:`swap_witnesses` is that rule
+and :func:`written_bound` the bound rule, once each: unroll-and-jam, the
+``legal/interchange-*`` and ``legal/jam-carried-race`` checks and the
+blockability linter all ask them.
 
 Bound rewrites implement the paper's derivation:
 
@@ -33,11 +36,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.dependence import Dependence, DependenceKind
 from repro.analysis.feasibility import direction_feasible
 from repro.analysis.refs import collect_accesses
 from repro.analysis.shape import LoopShape, classify_loop_shape
 from repro.errors import TransformError
 from repro.ir.expr import Const, Expr, Var, free_vars, smax, smin
+from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Assign, Loop, Procedure
 from repro.ir.visit import replace_loop, walk_stmts
 from repro.symbolic.assume import Assumptions
@@ -45,13 +50,12 @@ from repro.symbolic.simplify import simplify
 from repro.transform.base import floor_div, sole_inner_loop
 
 
-def swap_violation(
-    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions
-) -> Optional[str]:
-    """The array of some dependence realizable with direction
-    ``(=, ..., =, <, >)`` at (outer, inner) — one that swapping the two
+def swap_witnesses(proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions):
+    """Yield, for every access pair under ``inner`` with a dependence
+    realizable as ``(=, ..., =, <, >)`` at (outer, inner), that edge
+    (entries the rule leaves open are ``*``): each one swapping the two
     loops (or jamming unrolled ``outer`` iterations inside ``inner``)
-    would reverse — or None when there is none."""
+    would reverse.  Lazy, so a caller that needs one asks for the first."""
     accs = [a for a in collect_accesses(proc) if any(l is inner for l in a.loops)]
     for i in range(len(accs)):
         for j in range(i, len(accs)):
@@ -68,19 +72,22 @@ def swap_violation(
             for k in range(p):
                 dirs[k] = "="
             dirs[p], dirs[q] = "<", ">"
-            if direction_feasible(a, b, dirs, common, ctx) or (
-                a is not b and direction_feasible(b, a, dirs, common, ctx)
-            ):
-                return a.array
-    return None
+            if direction_feasible(a, b, dirs, common, ctx):
+                src, snk = a, b
+            elif a is not b and direction_feasible(b, a, dirs, common, ctx):
+                src, snk = b, a
+            else:
+                continue
+            yield Dependence(
+                src, snk, DependenceKind.of(src.is_write, snk.is_write), common,
+                tuple(0 if d == "=" else None for d in dirs), tuple(dirs),
+            )
 
 
-def check_interchange_legal(
-    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions
-) -> None:
-    """Raise TransformError when the (outer, inner) swap is illegal: a
-    bound computed inside the nest, or a dependence (see module docstring
-    for the criterion)."""
+def written_bound(outer: Loop, inner: Loop) -> Optional[tuple[Expr, list[str]]]:
+    """The first bound of ``outer`` or ``inner`` that reads scalars the
+    nest writes, with those scalars sorted, or None when there is none:
+    the swap would move the bound past its writes."""
     written = {
         s.target.name
         for s in walk_stmts(outer)
@@ -89,11 +96,27 @@ def check_interchange_legal(
     for e in (outer.lo, outer.hi, inner.lo, inner.hi):
         clash = free_vars(e) & written
         if clash:
-            raise TransformError(f"loop bound uses scalars written in the nest: {sorted(clash)}")
-    array = swap_violation(proc, outer, inner, ctx)
-    if array is not None:
+            return e, sorted(clash)
+    return None
+
+
+def written_bound_message(bound: Expr, clash: list[str]) -> str:
+    return f"loop bound {fmt_expr(bound)} uses scalars written in the nest: {clash}"
+
+
+def check_interchange_legal(
+    proc: Procedure, outer: Loop, inner: Loop, ctx: Assumptions
+) -> None:
+    """Raise TransformError when the (outer, inner) swap is illegal: a
+    bound computed inside the nest, or a dependence (see module docstring
+    for the criterion)."""
+    bound = written_bound(outer, inner)
+    if bound is not None:
+        raise TransformError(written_bound_message(*bound))
+    dep = next(swap_witnesses(proc, outer, inner, ctx), None)
+    if dep is not None:
         raise TransformError(
-            f"interchange of {outer.var}/{inner.var} violates a dependence on {array}"
+            f"interchange of {outer.var}/{inner.var} violates a dependence on {dep.array}"
         )
 
 

@@ -35,21 +35,29 @@ from repro.ir.visit import replace_loop, substitute, walk_stmts
 from repro.symbolic.assume import Assumptions
 from repro.symbolic.simplify import prove_le, simplify
 from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_names
-from repro.transform.interchange import swap_violation
+from repro.transform.interchange import swap_witnesses
 
 
-def _check_jam_legal(proc: Procedure, loop: Loop, ctx: Assumptions) -> None:
-    """Jam legality == interchange legality of ``loop`` past each loop
-    nested within it (Sec. 2.3; pure unrolling of a flat body is always
+def jam_witnesses(proc: Procedure, loop: Loop, ctx: Assumptions):
+    """Yield ``(inner, edge)`` for every loop nested within ``loop`` and
+    every :func:`~repro.transform.interchange.swap_witnesses` edge at
+    (loop, inner): jam legality is interchange legality of ``loop`` past
+    each of them (Sec. 2.3; pure unrolling of a flat body is always
     legal)."""
     for inner in walk_stmts(loop.body):
         if isinstance(inner, Loop):
-            array = swap_violation(proc, loop, inner, ctx)
-            if array is not None:
-                raise TransformError(
-                    f"unroll-and-jam of {loop.var} violates a dependence "
-                    f"on {array} (via loop {inner.var})"
-                )
+            for dep in swap_witnesses(proc, loop, inner, ctx):
+                yield inner, dep
+
+
+def _check_jam_legal(proc: Procedure, loop: Loop, ctx: Assumptions) -> None:
+    hit = next(jam_witnesses(proc, loop, ctx), None)
+    if hit is not None:
+        inner, dep = hit
+        raise TransformError(
+            f"unroll-and-jam of {loop.var} violates a dependence "
+            f"on {dep.array} (via loop {inner.var})"
+        )
 
 
 def _copies(body: tuple[Stmt, ...], var: str, u: int) -> tuple[Stmt, ...]:

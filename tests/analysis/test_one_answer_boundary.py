@@ -1,7 +1,7 @@
 """One answer per iteration-space question: each of these was answered by
 several pasted copies (three bound lowerings, four swap rules, six searches
-for a region loop in ``acc.loops``); the boundary tests keep it at one per
-layer."""
+for a region loop in ``acc.loops``); the boundary tests keep it at one, in
+the layer that decides it."""
 
 from __future__ import annotations
 
@@ -41,20 +41,18 @@ def test_bounds_are_lowered_to_constraints_once():
 
 
 def test_one_swap_rule_per_layer():
-    # transform/ decides; check/ re-derives it independently, on purpose
-    assert hits(r"dirs\[p\], dirs\[q\]") == {
-        "transform/interchange.py": 1, "check/legality.py": 1,
-    }
+    # transform/ decides; check/ and the linter ask its swap_witnesses
+    assert hits(r"dirs\[p\], dirs\[q\]") == {"transform/interchange.py": 1}
 
 
 def test_the_region_loop_is_searched_for_in_one_place():
     # RefAccess.loops_from is the only walk of an access's loop stack; the
-    # two others walk a Dependence's common loops (the carried-at-level
-    # test, one copy in par/ and check/'s own)
+    # other walks a Dependence's common loops (the carried-at-level test,
+    # par/'s loop_carried, which the marker audit in check/ asks)
     assert hits(r"enumerate\([\w.]*\bloops\)") == {
-        "analysis/refs.py": 1, "par/detect.py": 1, "check/legality.py": 1,
+        "analysis/refs.py": 1, "par/detect.py": 1,
     }
-    assert hits(r"enumerate\(dep\.loops\)") == {"par/detect.py": 1, "check/legality.py": 1}
+    assert hits(r"enumerate\(dep\.loops\)") == {"par/detect.py": 1}
     assert hits(r"\.loops_from\(").keys() == {
         "analysis/sections.py", "analysis/dependence.py", "analysis/graph.py",
         "analysis/reuse.py", "transform/index_set_split.py",

@@ -86,6 +86,28 @@ def test_jam_demoted_to_warning_for_pipeline():
     assert all(d.severity == Severity.WARNING for d in diags)
 
 
+def test_jam_precheck_judges_every_loop_the_pass_would_jam_past():
+    """A(I,J,K) = A(I-1,J,K+1) is (<, =, >): the sole inner loop J is no
+    obstacle, but jamming I's copies inside K reverses the edge — the
+    transform refuses the nest, and the precheck says where."""
+    arrays = (ArrayDecl("A", (Var("N"), Var("N"), Var("N"))),)
+    p = proc_of(
+        do("I", 2, "N",
+           do("J", 1, "N",
+              do("K", 1, Var("N") - Const(1),
+                 assign(ref("A", "I", "J", "K"),
+                        ref("A", Var("I") - Const(1), "J", Var("K") + Const(1))
+                        + Const(1))))),
+        arrays=arrays,
+    )
+    diags = precheck("jam", p, N2, {"loop": "I"})
+    assert [(d.rule, d.path) for d in diags] == [
+        ("legal/jam-carried-race", "p/DO I/DO K")]
+    assert diags[0].witness["direction"] == ["<", "*", ">"]
+    span = run_passes(p, [("jam", {"loop": "I"})], ctx=N2).spans[0]
+    assert span.detail["skipped"] == ["rectangular"]
+
+
 # --- stripmine / block ---------------------------------------------------
 
 def test_stripmine_nonunit_step_flagged():
@@ -263,6 +285,28 @@ def test_reduction_marker_with_mixed_operators_flagged():
     )
     diags = precheck("parallelize", p, N2, {})
     assert "legal/par-reduction-shape" in rules_of(diags)
+
+
+def test_reduction_marker_over_a_prefix_sum_flagged():
+    """S = S + A(I); B(I) = S is a prefix sum: every update is an
+    accumulation, but B(I) reads S between them, so the detector says
+    SERIAL, and the audit reports the detector's scalar witness."""
+    from repro.frontend import parse_procedure
+
+    p = parse_procedure("""
+        SUBROUTINE P(N)
+          REAL A(N), B(N)
+          S = 0.0
+          PARALLEL REDUCTION DO I = 1, N
+            S = S + A(I)
+            B(I) = S
+          ENDDO
+        END
+    """)
+    diags = precheck("parallelize", p, N2, {})
+    assert [(d.rule, d.path) for d in diags] == [
+        ("legal/par-reduction-shape", "P/PARALLEL REDUCTION DO I")]
+    assert diags[0].witness == {"kind": "scalar", "scalar": "S"}
 
 
 def test_parallelize_postcheck_audits_planted_markers():

@@ -684,6 +684,17 @@ class TestStatus:
         assert metrics["daemon:completed.computed"] == 1.0
         assert "daemon:latency.request_s.p50" in metrics
 
+    def test_a_running_daemon_serves_live_pool_stats(self, daemon):
+        """The pool block is refreshed after every wait, not copied once
+        the pool closes: a respawn shows while the daemon still runs."""
+        job = {"kind": "probe", "workload": "t", "use_store": False,
+               "options": {"action": "kill"}}
+        assert submit(daemon, job).body["status"] == "failed"
+        payload = daemon.status_payload()
+        assert payload["state"] == "running"
+        assert payload["pool"]["respawns"] >= 1
+        assert flatten_status(payload)["daemon:pool.respawns"] >= 1
+
     def test_validator_rejects_junk(self):
         validate = registry.get(DAEMON_STATUS).validate_payload
         assert validate([]) == ["payload: want object, got list"]

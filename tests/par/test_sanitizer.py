@@ -242,8 +242,8 @@ class TestStaticVsDynamicProperty:
             tuple(mutated_loop if s is outer else s for s in marked.body),
         )
 
-        # static layer: the marker audit re-derives the dependence and
-        # flags the stale PARALLEL marker
+        # static layer: the marker audit asks the detector, which calls
+        # the loop SERIAL, and flags the stale PARALLEL marker
         diags = postcheck("parallelize", proc, mutated, ctx, {})
         assert CONFLICT_RULE in {d.rule for d in diags}
 
