@@ -61,6 +61,7 @@ from repro.transform.base import fresh_var, non_comment, sole_inner_loop, used_n
 from repro.transform.blocking import place_strips
 from repro.transform.if_inspection import guarded_if
 from repro.transform.interchange import swap_witnesses, written_bound, written_bound_message
+from repro.transform.stripmine import unit_step_reason
 from repro.transform.unroll_jam import jam_witnesses
 
 
@@ -118,11 +119,9 @@ def _pre_stripmine(proc, ctx, options):
     if loop is None:
         return out
     path = f"{proc.name}/DO {loop.var}"
-    if loop.step != Const(1):
-        out.append(diag(
-            "legal/stripmine-step", path,
-            f"step is {fmt_expr(loop.step)}, strip-mining needs 1",
-        ))
+    reason = unit_step_reason(loop)
+    if reason is not None:
+        out.append(diag("legal/stripmine-step", path, reason))
     factor = options.get("factor", 2)
     if isinstance(factor, int) and factor < 1:
         out.append(diag(

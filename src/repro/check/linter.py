@@ -56,8 +56,8 @@ from repro.analysis.graph import DependenceGraph, strongly_connected_components
 from repro.analysis.sections import section_of_ref
 from repro.check.diagnostics import Diagnostic, diag
 from repro.errors import AnalysisError
-from repro.ir.expr import Const, free_vars
-from repro.ir.pretty import fmt_expr, fmt_stmt
+from repro.ir.expr import free_vars
+from repro.ir.pretty import fmt_stmt
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import walk_stmts
 from repro.obs import core as _obs
@@ -65,6 +65,7 @@ from repro.pipeline.cache import scoped as _analysis_cache
 from repro.symbolic.assume import Assumptions
 from repro.transform.base import non_comment, sole_inner_loop
 from repro.transform.interchange import swap_witnesses
+from repro.transform.stripmine import unit_step_reason
 
 #: The Sec. 5 taxonomy; the suffixes of the ``lint/*`` verdict rules.
 BLOCKABLE = "blockable"
@@ -247,12 +248,9 @@ def lint_loop(
 
 
 def _lint_loop(proc, loop, ctx, allow_commutativity) -> LintResult:
-    if loop.step != Const(1):
-        return LintResult(
-            proc.name, loop.var, NOT_BLOCKABLE,
-            f"DO {loop.var} has step {fmt_expr(loop.step)} — blocking "
-            f"strip-mines it, which needs step 1",
-        )
+    reason = unit_step_reason(loop)
+    if reason is not None:
+        return LintResult(proc.name, loop.var, NOT_BLOCKABLE, reason)
     local = context_for_path(proc, loop, ctx or Assumptions())
     if not any(isinstance(s, Loop) for s in walk_stmts(loop.body)):
         return LintResult(

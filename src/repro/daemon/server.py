@@ -3,7 +3,8 @@
 Threading model — the part that keeps this deadlock-free:
 
 - **Handler threads** (one per kept-alive HTTP connection,
-  ``ThreadingHTTPServer``; idle ones close after ``IDLE_TIMEOUT_S``)
+  ``socketserver.ThreadingTCPServer`` over the framing in
+  :mod:`repro.daemon.wire`; idle ones close after ``IDLE_TIMEOUT_S``)
   do admission only: parse the job spec and build its store key
   (anything malformed or unkeyable is a ``daemon/bad-request`` here, so
   the scheduler only ever sees specs it can submit), answer memory-cache
@@ -50,8 +51,10 @@ The rule catalogue (stable ids, mirrored by clients):
 ==========================  ==============================================
 rule id                     fires when
 ==========================  ==============================================
-``daemon/bad-request``      the body is not a valid job spec (or is larger
-                            than the request-size bound)
+``daemon/bad-request``      the body is not a valid job spec, or the
+                            request breaks the framing (``wire``'s bounds,
+                            a method other than GET/POST) or is not whole
+                            ``IDLE_TIMEOUT_S`` after its first byte
 ``daemon/saturated``        the outstanding-work window is full (HTTP 429)
 ``daemon/deadline``         the request outlived its deadline (HTTP 504)
 ``daemon/draining``         the daemon is shutting down (HTTP 503)
@@ -66,14 +69,16 @@ import contextlib
 import json
 import os
 import queue as queue_mod
+import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.artifacts.registry import DAEMON_STATUS
 from repro.artifacts.shape import check, nullable
+from repro.daemon import wire
 from repro.daemon.status import LATENCY_KEYS, REQUEST_FIELDS
 from repro.errors import DaemonError, ReproError
 from repro.obs import core as _obs
@@ -88,14 +93,12 @@ RULE_DEADLINE = "daemon/deadline"
 RULE_DRAINING = "daemon/draining"
 RULE_NOT_FOUND = "daemon/not-found"
 
-#: largest request body read, in bytes (a job spec is a few hundred)
-_MAX_BODY = 1 << 20
-
 #: the request envelope around the job spec; ``null`` means the default
 _REQUEST_SHAPE = {"deadline_s": nullable(float)}
 
 #: seconds a kept-alive connection may sit idle before its handler thread
-#: closes it; a client that then reuses it retries once on a fresh one
+#: closes it (a client that then reuses it retries once on a fresh one),
+#: and seconds a request may take to arrive whole after its first byte
 IDLE_TIMEOUT_S = 10.0
 
 #: spans kept in the daemon-lifetime observer before the oldest half is
@@ -158,7 +161,7 @@ class Daemon:
         self._outstanding = 0
         self._draining = threading.Event()
         self._stopped = threading.Event()
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_Server] = None
         self._scheduler_thread: Optional[threading.Thread] = None
         self._server_thread: Optional[threading.Thread] = None
         self._obs = _obs.Obs()  # daemon-lifetime observer: the only books
@@ -183,10 +186,7 @@ class Daemon:
 
         self.started_s = time.time()
         self._epoch = time.perf_counter()
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
+        self._server = _Server(self)
         self._scheduler_thread = threading.Thread(
             target=self._scheduler, name="repro-daemon-scheduler", daemon=True
         )
@@ -297,9 +297,10 @@ class Daemon:
         return req.http_status, req.body or {}
 
     def reject_unparsed(self, message: str) -> dict:
-        """Book a body that never became a request document (bad
-        ``Content-Length``, not JSON, not an object) as received and
-        rejected, like any other bad request; returns its 400 body."""
+        """Book a request that never became a request document (it broke
+        the framing or arrived too slowly, or its body is not a JSON
+        object) as received and rejected, like any other bad request;
+        returns its 400 body."""
         with self._lock:
             self._obs.count("daemon.requests.received")
             self._obs.count("daemon.requests.rejected")
@@ -511,63 +512,64 @@ class Daemon:
 # the HTTP surface
 # ---------------------------------------------------------------------------
 
-def _make_handler(daemon: Daemon):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # keep-alive: one connection, many requests
-        # headers and body are two writes: without TCP_NODELAY the body
-        # waits for the client's delayed ACK of the headers (~40 ms)
-        disable_nagle_algorithm = True
-        timeout = IDLE_TIMEOUT_S
-        hub = daemon
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
 
-        def log_message(self, fmt, *args):  # quiet by default
-            pass
+    def __init__(self, daemon: Daemon) -> None:
+        self.hub = daemon
+        super().__init__((daemon.config.host, daemon.config.port), _Handler)
 
-        def _respond(self, status: int, body: dict, close: bool = False) -> None:
-            blob = json.dumps(body).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(blob)))
-            if close or self.hub.state == "draining":
-                self.send_header("Connection", "close")  # sets close_connection
-            self.end_headers()
-            self.wfile.write(blob)
 
-        def do_GET(self):
-            if self.path == "/v1/healthz":
-                self._respond(200, {"ok": True, "state": self.hub.state,
-                                    "pid": os.getpid()})
-            elif self.path == "/v1/status":
-                self._respond(200, self.hub.status_envelope())
-            else:
-                self._respond(404, _error_body(
-                    RULE_NOT_FOUND, f"no such endpoint {self.path!r}"))
+class _Handler(socketserver.BaseRequestHandler):
+    """One connection: its requests, answered in order, until a reply says
+    ``Connection: close``, the peer goes away, or it sits idle past
+    ``IDLE_TIMEOUT_S``.  A request that breaks the framing, or whose head
+    and body take longer than ``IDLE_TIMEOUT_S`` from its first byte, is
+    booked like a bad body and answered 400 before the close."""
 
-        def do_POST(self):
-            if self.path == "/v1/jobs":
+    def handle(self) -> None:
+        hub, timeout_s = self.server.hub, IDLE_TIMEOUT_S
+        # TCP_NODELAY: a reply is one send, but a delayed ACK must never
+        # hold one back on a kept-alive connection
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = wire.Connection(self.request)
+        with contextlib.suppress(OSError):  # idle, reset, or gone mid-reply
+            while True:
                 try:
-                    length = int(self.headers.get("Content-Length", 0))
-                    if not 0 <= length <= _MAX_BODY:
-                        raise ValueError(
-                            f"Content-Length must be in [0, {_MAX_BODY}], "
-                            f"got {length}"
-                        )
-                    doc = json.loads(self.rfile.read(length) or b"{}")
-                    if not isinstance(doc, dict):
-                        raise ValueError("body must be a JSON object")
-                except (ValueError, RecursionError) as e:
-                    # the body may sit unread on the socket: this
-                    # connection cannot carry another request
-                    self._respond(400, self.hub.reject_unparsed(str(e)), close=True)
+                    req = wire.read_request(conn, timeout_s)
+                except wire.FramingError as e:
+                    conn.send(wire.reply(400, _json(hub.reject_unparsed(str(e))),
+                                         close=True), timeout_s)
                     return
-                status, body = self.hub.handle_submit(doc)
-                self._respond(status, body)
-            elif self.path == "/v1/shutdown":
-                self._respond(200, {"draining": True, "state": "draining"},
-                              close=True)
-                self.hub.request_drain()
-            else:
-                self._respond(404, _error_body(
-                    RULE_NOT_FOUND, f"no such endpoint {self.path!r}"))
+                if req is None:
+                    return
+                status, doc, close = _answer(hub, *req)
+                close = close or hub.state == "draining"
+                conn.send(wire.reply(status, _json(doc), close), timeout_s)
+                if close:
+                    return
 
-    return Handler
+
+def _json(doc: dict) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
+def _answer(hub: Daemon, method: str, path: str, body: bytes) -> tuple[int, dict, bool]:
+    """(HTTP status, reply body, close after it) for one request."""
+    if method == "GET" and path == "/v1/healthz":
+        return 200, {"ok": True, "state": hub.state, "pid": os.getpid()}, False
+    if method == "GET" and path == "/v1/status":
+        return 200, hub.status_envelope(), False
+    if method == "POST" and path == "/v1/jobs":
+        try:
+            doc = json.loads(body or b"{}")
+            if not isinstance(doc, dict):
+                raise ValueError("body must be a JSON object")
+        except (ValueError, RecursionError) as e:
+            return 400, hub.reject_unparsed(str(e)), True
+        return (*hub.handle_submit(doc), False)
+    if method == "POST" and path == "/v1/shutdown":
+        hub.request_drain()
+        return 200, {"draining": True, "state": "draining"}, True
+    return 404, _error_body(RULE_NOT_FOUND, f"no such endpoint {path!r}"), False

@@ -7,21 +7,22 @@ artifacts).  The record is tiny — pid, host, port, started_s — and is
 removed on graceful drain; a record whose pid is dead is *stale* and
 treated as absent.
 
-The client half is deliberately stdlib-only (:mod:`http.client`): the
-daemon's wire format is plain JSON over localhost HTTP, and everything
-that talks to it — the CLI, :mod:`repro.load`, the tests, CI — goes
-through :func:`request` so status-code handling lives in one place.
-Each thread keeps one persistent HTTP/1.1 connection and sends every
-request down it: a warm hit costs one round trip on an open socket, not
-a TCP handshake and a handler thread.
+The client half speaks plain JSON over localhost HTTP/1.1 through the
+framing the daemon itself uses (:mod:`repro.daemon.wire`: one send per
+request, one bounded read per reply), and everything that talks to the
+daemon — the CLI, :mod:`repro.load`, the tests, CI — goes through
+:func:`request` so status-code handling lives in one place.  Each thread
+keeps one persistent connection and sends every request down it: a warm
+hit costs one round trip on an open socket, not a TCP handshake and a
+handler thread.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.daemon import wire
 from repro.errors import DaemonError
 
 STATE_FILE = "daemon.json"
@@ -134,9 +136,10 @@ class DaemonReply:
         return err.get("rule") if isinstance(err, dict) else None
 
 
-class _KeptAlive(http.client.HTTPConnection):
-    """A thread's connection: ``http.client`` reopens it after a close, and
-    it closes when its thread ends and drops it."""
+class _KeptAlive(wire.Connection):
+    """A thread's connection: it closes when its thread ends and drops it."""
+
+    __slots__ = ("peer",)
 
     def __del__(self) -> None:
         self.close()
@@ -149,8 +152,25 @@ class _Connection(threading.local):
 _local = _Connection()
 
 #: how a kept-alive connection the daemon has since closed fails before any
-#: byte of a reply arrives (``RemoteDisconnected`` is a ``ConnectionResetError``)
+#: byte of a reply arrives (a close shows as ``read_reply`` returning None)
 _STALE = (ConnectionResetError, BrokenPipeError)
+
+
+def _exchange(conn: wire.Connection, message: bytes,
+              timeout_s: float) -> Optional[tuple[int, bytes, bool]]:
+    """Send one request and read its reply; None when the connection
+    turned out closed before any reply byte arrived."""
+    try:
+        conn.send(message, timeout_s)
+    except _STALE:
+        return None
+    return wire.read_reply(conn, timeout_s)
+
+
+def _drop() -> None:
+    conn, _local.conn = _local.conn, None
+    if conn is not None:
+        conn.close()
 
 
 def request(
@@ -166,41 +186,37 @@ def request(
     (429/503/504...) come back as a :class:`DaemonReply` for the caller
     to interpret.  A reused connection that turns out closed before any
     reply byte arrives is retried once on a fresh one; a reply that says
-    ``Connection: close`` drops the connection (``http.client`` closes
-    it in ``getresponse``), so the next request opens a fresh one."""
-    conn = _local.conn
-    if conn is None or (conn.host, conn.port) != (host, port):
-        if conn is not None:
-            conn.close()
-        conn = _local.conn = _KeptAlive(host, port)
-    conn.timeout = timeout_s  # for the next connect
-    reused = conn.sock is not None
-    if reused:
-        conn.sock.settimeout(timeout_s)
-    payload = None if body is None else json.dumps(body).encode("utf-8")
-    headers = {"Content-Type": "application/json"} if payload else {}
+    ``Connection: close`` drops the connection, so the next request
+    opens a fresh one."""
+    payload = b"" if body is None else json.dumps(body).encode("utf-8")
+    message = wire.message(f"{method} {path} HTTP/1.1", payload)
+    conn, reply = _local.conn, None
     try:
-        try:
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-        except _STALE:
-            conn.close()
-            if not reused:
-                raise
-            conn.request(method, path, body=payload, headers=headers)
-            resp = conn.getresponse()
-        raw = resp.read()
-    except (OSError, http.client.HTTPException) as e:
-        conn.close()
+        if conn is not None and conn.peer == (host, port):
+            reply = _exchange(conn, message, timeout_s)
+        if reply is None:
+            _drop()
+            sock = socket.create_connection((host, port), timeout_s)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _local.conn = _KeptAlive(sock)
+            conn.peer = (host, port)
+            reply = _exchange(conn, message, timeout_s)
+            if reply is None:
+                raise ConnectionResetError("closed without a reply")
+    except (OSError, wire.FramingError) as e:
+        _drop()
         raise DaemonError(
             f"daemon at {host}:{port} unreachable ({e}); "
             "is it running? try 'python -m repro daemon status'"
         ) from e
+    status, raw, close = reply
+    if close:
+        _drop()
     try:
         doc = json.loads(raw) if raw else {}
     except json.JSONDecodeError:
         doc = {"raw": raw.decode("utf-8", "replace")}
-    return DaemonReply(resp.status, doc if isinstance(doc, dict) else
+    return DaemonReply(status, doc if isinstance(doc, dict) else
                        {"value": doc})
 
 

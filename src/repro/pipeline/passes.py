@@ -46,6 +46,7 @@ from repro.transform import (
 from repro.transform.base import non_comment, sole_inner_loop
 from repro.transform.if_inspection import guarded_distribute_with_inspection, guarded_if
 from repro.transform.index_set_split import eliminate_single_trip
+from repro.transform.stripmine import unit_step_reason
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,7 @@ def target_loop(proc: Procedure, options: dict) -> tuple[Optional[Loop], Optiona
 def _unit_step_precheck(proc: Procedure, ctx: Assumptions, options: dict) -> Optional[str]:
     """stripmine's and block's precheck: the target loop has unit step."""
     loop, reason = target_loop(proc, options)
-    if loop is not None and loop.step != Const(1):
-        return f"loop {loop.var} has non-unit step"
-    return reason
+    return reason if loop is None else unit_step_reason(loop)
 
 
 # ---------------------------------------------------------------------------

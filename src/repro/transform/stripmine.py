@@ -19,6 +19,7 @@ from typing import Optional
 
 from repro.errors import TransformError
 from repro.ir.expr import Const, Expr, Var, as_expr, ExprLike, smin
+from repro.ir.pretty import fmt_expr
 from repro.ir.stmt import Loop, Procedure
 from repro.ir.visit import replace_loop, substitute
 from repro.symbolic.assume import Assumptions
@@ -36,6 +37,16 @@ class StripMineInfo:
     factor: Expr
 
 
+def unit_step_reason(loop: Loop) -> Optional[str]:
+    """Why ``loop`` cannot be strip-mined (and so blocked) for its step,
+    or None when its step is 1: the one text the transform, the
+    ``stripmine``/``block`` precheck, ``legal/stripmine-step`` and the
+    linter all give."""
+    if loop.step == Const(1):
+        return None
+    return f"DO {loop.var} has step {fmt_expr(loop.step)}; strip mining needs step 1"
+
+
 def strip_mine(
     proc: Procedure,
     loop: Loop,
@@ -48,8 +59,9 @@ def strip_mine(
     parameters — the paper's ``KS``/``JS``/``IS``), or an expression.
     Returns the rewritten procedure and the introduced names.
     """
-    if loop.step != Const(1):
-        raise TransformError(f"strip mining requires unit step (loop {loop.var})")
+    reason = unit_step_reason(loop)
+    if reason is not None:
+        raise TransformError(reason)
     ctx = ctx or Assumptions()
     factor_e = as_expr(factor)
     if isinstance(factor_e, Const) and isinstance(factor_e.value, int) and factor_e.value < 1:

@@ -2,6 +2,8 @@
 seeded illegal transform must be flagged with its ``legal/*`` rule,
 and the paper's legal derivation steps must stay silent."""
 
+import pytest
+
 from repro.algorithms import lu_point_ir
 from repro.check import postcheck, precheck
 from repro.check.diagnostics import Severity
@@ -114,6 +116,27 @@ def test_stripmine_nonunit_step_flagged():
     p = proc_of(do("I", 1, "N", assign(ref("B", "I"), Const(0)), step=2))
     assert "legal/stripmine-step" in rules_of(
         precheck("stripmine", p, N2, {"loop": "I"}))
+
+
+def test_one_unit_step_text():
+    """The transform, the ``stripmine``/``block`` pass precheck, the
+    ``legal/stripmine-step`` check and the linter give one reason."""
+    from repro.check.linter import lint_loop
+    from repro.errors import TransformError
+    from repro.transform.stripmine import strip_mine
+
+    p = proc_of(do("I", 1, "N", assign(ref("B", "I"), Const(0)), step=2))
+    loop = p.body[0]
+    want = "DO I has step 2; strip mining needs step 1"
+    with pytest.raises(TransformError) as err:
+        strip_mine(p, loop, 4)
+    texts = {str(err.value), lint_loop(p, loop, N2).reason}
+    for name in ("stripmine", "block"):
+        (d,) = precheck(name, p, N2, {"loop": "I"})
+        span = run_passes(p, [(name, {"loop": "I"})], ctx=N2).spans[0]
+        assert span.status == "infeasible"
+        texts |= {d.message, span.detail["reason"]}
+    assert texts == {want}
 
 
 def test_stripmine_bad_factor_flagged():

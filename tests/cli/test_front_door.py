@@ -75,7 +75,7 @@ class TestBoundary:
         -l``, the count every CHANGES entry quotes.  A simplicity PR lowers
         the ceiling to its result; a PR that has to grow the source says so
         by raising this one constant."""
-        ceiling = 22_910
+        ceiling = 23_115
         lines = sum(
             p.read_bytes().count(b"\n") for p in SRC.parent.rglob("*.py")
         )

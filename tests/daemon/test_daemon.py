@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import select
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -227,9 +229,79 @@ def raw_post(port: int, content_length: str, body: bytes = b"") -> tuple:
         conn.close()
 
 
+def raw_exchange(port: int, data: bytes, trickle: bytes = b"") -> tuple:
+    """Send ``data`` on a fresh socket, then ``trickle`` one byte per 0.1 s
+    until a reply starts; read the reply up to the daemon's close and
+    return ``(status, headers, body)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(data)
+        for i in range(len(trickle)):
+            if select.select([sock], [], [], 0.1)[0]:
+                break
+            sock.sendall(trickle[i:i + 1])
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    start, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert int(headers["Content-Length"]) == len(body), raw
+    return int(start.split()[1]), headers, json.loads(body)
+
+
 class TestAdmission:
     """Every request gets a structured reply and none costs the daemon
     anything it needs to answer the next one."""
+
+    def test_malformed_framing_gets_a_structured_reply(self, daemon):
+        from repro.daemon.wire import MAX_HEADERS, MAX_LINE
+
+        job = json.dumps({"job": probe(value="chunked")}).encode()
+        for data in (
+            b"GARBAGE\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * MAX_LINE + b"\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: 1\r\n" % i for i in range(MAX_HEADERS + 1))
+            + b"\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(job), job),
+            b"PUT /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        ):
+            status, headers, doc = raw_exchange(daemon.port, data)
+            assert status == 400, (data[:40], doc)
+            assert doc["error"]["rule"] == "daemon/bad-request", doc
+            assert headers["Connection"] == "close", headers
+        assert daemon.status_payload()["requests"]["rejected"] == 5
+        self.assert_healthy(daemon)
+
+    def test_a_request_trickling_in_is_answered_in_time(
+        self, store_dir, monkeypatch, capfd
+    ):
+        """A head and body must arrive whole within ``IDLE_TIMEOUT_S`` of
+        their first byte; 40 bytes at one per 0.1 s would take 4 s."""
+        from repro.daemon import server
+
+        monkeypatch.setattr(server, "IDLE_TIMEOUT_S", 0.5)
+        d = make_daemon(store_dir)
+        try:
+            head = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 40\r\n\r\n"
+            t0 = time.perf_counter()
+            status, headers, doc = raw_exchange(d.port, head, trickle=b" " * 40)
+            assert time.perf_counter() - t0 < 2.0
+            assert status == 400 and doc["error"]["rule"] == "daemon/bad-request"
+            assert "after its first byte" in doc["error"]["message"], doc
+            assert headers["Connection"] == "close"
+            # a peer that goes away mid-request ends its connection quietly
+            with socket.create_connection(("127.0.0.1", d.port)) as sock:
+                sock.sendall(head + b"{")
+            time.sleep(0.7)
+            assert d.status_payload()["requests"]["rejected"] == 2
+            self.assert_healthy(d)
+        finally:
+            d.request_drain()
+            assert d.wait_stopped(30.0)
+        assert capfd.readouterr().err == ""
 
     def test_every_malformed_body_is_answered(self, daemon):
         for body, want in MALFORMED:
@@ -252,7 +324,7 @@ class TestAdmission:
         self.assert_healthy(daemon)
 
     def test_request_size_is_bounded(self, daemon):
-        from repro.daemon.server import _MAX_BODY
+        from repro.daemon.wire import MAX_BODY as _MAX_BODY
 
         deep = b"[" * 100_000  # inside the bound, past json's recursion limit
         for length, body in (("-1", b""), (str(_MAX_BODY + 1), b""),
